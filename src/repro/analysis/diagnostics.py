@@ -105,8 +105,9 @@ CODE_TABLE: Dict[str, tuple] = {
                 "parameter classification (fast path would frame a "
                 "different wire message)"),
     "CAVA312": (Severity.ERROR,
-                "generated codec entry point bypasses the shared "
-                "bounds-checked marshaling drivers"),
+                "generated codec module holds more than tables (a "
+                "function definition, or an import other than "
+                "repro.remoting.speccodec)"),
     # happens-before ordering (cava race)
     "CAVA401": (Severity.ERROR,
                 "async-capable call registers observable outputs but the "

@@ -35,9 +35,9 @@ produced it:
   matches the wire layout re-derived from the spec's parameter
   classification, so the fast path can never disagree with the guest
   and server stubs about what crosses in which section (CAVA311),
-* and every generated codec entry point is a single delegation to the
-  shared bounds-checked drivers in :mod:`repro.remoting.speccodec` —
-  no ad-hoc unpacking, slicing, or struct use in generated code, so
+* and the generated codec module holds tables only — no function
+  definitions, no import but :mod:`repro.remoting.speccodec` — so all
+  unpacking and slicing is the shared bounds-checked walkers' and
   hostile frames always hit the fallback-guarded decoders (CAVA312).
 
 Because the checks run on source text, tests can also feed tampered
@@ -477,13 +477,6 @@ def _codec_layout_literal(codec_tree: ast.Module):
     return None
 
 
-#: the only callees a generated codec entry point may delegate to
-_CODEC_DRIVERS = {
-    "encode_command_with", "decode_command_with",
-    "encode_reply_with", "decode_reply_with",
-}
-
-
 def analyze_generated_codec(
     spec: ApiSpec,
     native_module: str = "repro.analysis.native_placeholder",
@@ -495,9 +488,10 @@ def analyze_generated_codec(
     the ``LAYOUT`` tables must describe exactly what the guest stub
     marshals and the server stub collects (CAVA310/311), and every
     frame must be produced and consumed by the shared, bounds-checked,
-    fallback-guarded drivers rather than per-function ad-hoc code
-    (CAVA312).  All three are decidable from the module source alone —
-    ``LAYOUT`` is required to be a pure literal for this reason.
+    fallback-guarded walkers, so the module may hold nothing but
+    tables (CAVA312).  All three are decidable from the module source
+    alone — ``LAYOUT`` is required to be a pure literal for this
+    reason.
     """
     if sources is None:
         sources = generate_sources(spec, native_module)
@@ -566,44 +560,30 @@ def analyze_generated_codec(
                 f"would marshal a different frame than the guest stub",
             ))
 
-    # -- CAVA312: entry points delegate to the bounds-checked drivers -----
+    # -- CAVA312: the module holds tables only -----------------------------
     checks += 1
     for node in ast.walk(codec_tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name for alias in node.names]
-            module = getattr(node, "module", None)
-            if "struct" in names or module == "struct":
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            diags.append(Diagnostic(
+                "CAVA312", name,
+                f"generated codec module defines function {name!r}; "
+                f"marshaling code outside the shared bounds-checked "
+                f"walkers bypasses the fallback guarantee",
+            ))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported = [
+                f"{node.module}.{alias.name}"
+                if isinstance(node, ast.ImportFrom) else alias.name
+                for alias in node.names
+            ]
+            if imported != ["repro.remoting.speccodec"]:
                 diags.append(Diagnostic(
                     "CAVA312", spec.name,
-                    "generated codec module imports struct; all "
-                    "unpacking must go through the shared drivers",
+                    f"generated codec module imports {imported}; it "
+                    f"may import nothing but repro.remoting.speccodec",
                 ))
-    for node in codec_tree.body:
-        if not (isinstance(node, ast.FunctionDef)
-                and node.name.split("_")[0] in ("encode", "decode")
-                and not node.name.endswith("_with")):
-            continue
-        checks += 1
-        body = [stmt for stmt in node.body
-                if not (isinstance(stmt, ast.Expr)
-                        and _const_str(stmt.value) is not None)]
-        ok = (
-            len(body) == 1
-            and isinstance(body[0], ast.Return)
-            and isinstance(body[0].value, ast.Call)
-            and isinstance(body[0].value.func, ast.Attribute)
-            and body[0].value.func.attr in _CODEC_DRIVERS
-            and isinstance(body[0].value.func.value, ast.Name)
-            and body[0].value.func.value.id == "_sc"
-        )
-        if not ok:
-            diags.append(Diagnostic(
-                "CAVA312", node.name,
-                f"codec entry point {node.name!r} does not delegate "
-                f"to a bounds-checked _sc driver in a single return; "
-                f"ad-hoc marshaling in generated code bypasses the "
-                f"fallback guarantee",
-            ))
     return diags, checks
 
 

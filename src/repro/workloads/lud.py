@@ -75,8 +75,9 @@ class LUDWorkload(OpenCLWorkload):
 
     def __init__(self, scale: float = 1.0, seed: int = 42) -> None:
         super().__init__(scale, seed)
-        self.n = max(32, int(512 * scale))
         self.block = 16
+        # the kernels factor whole blocks: round n down to a multiple
+        self.n = max(32, int(512 * scale)) // self.block * self.block
 
     def _inputs(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)

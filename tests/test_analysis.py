@@ -20,6 +20,7 @@ from repro.analysis import (
     lint_spec,
     parse_suppressions,
 )
+from repro.analysis.genast import analyze_generated_codec
 from repro.analysis.suppressions import apply_suppressions
 from repro.codegen.cli import main as cava_main
 from repro.codegen.generator import GeneratedSources, generate_sources
@@ -314,18 +315,19 @@ class TestGeneratedAst:
         assert any(d.code == "CAVA311"
                    and d.subject == "mvncLoadTensor" for d in diags)
 
-    def test_codec_adhoc_marshaling_caught(self):
+    def test_codec_function_definition_caught(self):
         spec, sources = self._sources()
-        # an entry point that unpacks bytes itself instead of
-        # delegating to the shared bounds-checked drivers
+        # marshaling code of the module's own, instead of the shared
+        # bounds-checked walkers
         tampered = self._tampered(sources, codec_source=(
-            "    return _sc.decode_command_with("
-            "COMMAND_TABLES['mvncLoadTensor'], data)",
-            "    return data[6:]",
+            "del _fn, _lay\n",
+            "del _fn, _lay\n\n\n"
+            "def decode_command_mvncLoadTensor(data):\n"
+            "    return data[6:]\n",
         ))
         diags, _ = analyze_generated(spec, sources=tampered)
         assert any(d.code == "CAVA312"
-                   and "decode_command_mvncLoadTensor" in d.subject
+                   and d.subject == "decode_command_mvncLoadTensor"
                    for d in diags)
 
     def test_codec_struct_import_caught(self):
@@ -335,7 +337,15 @@ class TestGeneratedAst:
             "import struct\nfrom repro.remoting import speccodec as _sc",
         ))
         diags, _ = analyze_generated(spec, sources=tampered)
-        assert any(d.code == "CAVA312" for d in diags)
+        assert any(d.code == "CAVA312" and "struct" in d.message
+                   for d in diags)
+
+    @pytest.mark.parametrize("api", ["opencl", "mvnc", "qat"])
+    def test_shipped_codec_modules_hold_tables_only(self, api):
+        spec, sources = self._sources(api)
+        diags, _ = analyze_generated_codec(spec, sources=sources)
+        assert diags == []
+        assert "def " not in sources.codec_source
 
 
 class TestSuppressions:

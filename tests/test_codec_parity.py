@@ -5,11 +5,18 @@ equality*: for every message the :class:`SpecializedCodec` encodes —
 on the generated tables or through its fallback — the emitted bytes
 equal the interpreted encoder's exactly, and every frame decodes to
 the same message under both codecs.  This suite drives that contract
-with Hypothesis over the real generated layouts of three shipped APIs
-(opencl, mvnc, qat), then replays the trust-boundary hardening checks
-(systematic truncation, single-byte corruption) against both codecs
-in lockstep: a malformation must produce the *same* outcome —
-:class:`CodecError` or an identical message — from each.
+with Hypothesis over the real generated layouts of the four shipped
+APIs (opencl, mvnc, qat, tpu), then replays the trust-boundary
+hardening checks (systematic truncation, single-byte corruption)
+against both codecs in lockstep: a malformation must produce the
+*same* outcome — :class:`CodecError` or an identical message — from
+each.
+
+The fast path has one fallback rule: a section that carries an
+*in-order subset* of its declared parameters rides the generated
+tables, anything else re-runs the interpreted codec.
+``TestInOrderSubsets`` pins the first half for every function,
+``TestFallbackRule`` the second.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from repro.remoting.speccodec import SpecializedCodec
 from repro.remoting.wire import InterpretedCodec, frame_bytes
 from repro.stack import build_stack
 
-APIS = ("opencl", "mvnc", "qat")
+APIS = ("opencl", "mvnc", "qat", "tpu")
 
 LAYOUTS = {api: build_stack(api).codec_module.LAYOUT for api in APIS}
 FUNCTIONS = sorted(
@@ -71,31 +78,45 @@ def _scalar_value(kind: str) -> st.SearchStrategy:
     raise AssertionError(kind)
 
 
+def _subset(draw, values, in_order: bool):
+    """A dict holding a random subset of ``values`` (name → strategy).
+
+    ``in_order`` keeps the declared order, as the generated stubs do;
+    otherwise Hypothesis picks an arbitrary key order.
+    """
+    if not in_order:
+        return draw(st.fixed_dictionaries({}, optional=values))
+    return {name: draw(strategy) for name, strategy in values.items()
+            if draw(st.booleans())}
+
+
 @st.composite
-def layout_commands(draw) -> Command:
+def layout_commands(draw, function=None, conformant=False) -> Command:
     """A Command for a real function, usually layout-conformant.
 
-    ``None`` values, omitted parameters, and occasional trace context
-    are mixed in deliberately: some draws ride the fast path, some
-    fall back, and byte identity must hold either way.
+    ``None`` values, omitted parameters, arbitrary key order and
+    occasional trace context are mixed in deliberately: some draws
+    ride the fast path, some fall back, and byte identity must hold
+    either way.  ``conformant`` draws only what the fast path is built
+    for: in-order subsets, no trace context.
     """
-    api, fn = draw(st.sampled_from(FUNCTIONS))
+    api, fn = function or draw(st.sampled_from(FUNCTIONS))
     lay = LAYOUTS[api][fn]
-    scalars = draw(st.fixed_dictionaries({}, optional={
+    scalars = _subset(draw, {
         name: st.one_of(_scalar_value(kind), st.none())
         for name, kind in lay["scalars"].items()
-    }))
-    handles = draw(st.fixed_dictionaries({}, optional={
+    }, conformant)
+    handles = _subset(draw, {
         name: st.one_of(_scalar_value(kind), st.none())
         for name, kind in lay["handles"].items()
-    }))
-    in_buffers = draw(st.fixed_dictionaries({}, optional={
+    }, conformant)
+    in_buffers = _subset(draw, {
         # sizes straddle the vectored-send splice threshold (512)
         name: st.binary(max_size=600) for name in lay["inbufs"]
-    }))
-    out_sizes = draw(st.fixed_dictionaries({}, optional={
+    }, conformant)
+    out_sizes = _subset(draw, {
         name: st.integers(0, 1 << 20) for name in lay["outsz"]
-    }))
+    }, conformant)
     return Command(
         seq=draw(st.integers(0, 2 ** 31)),
         vm_id=draw(st.sampled_from(("vm-0", "vm-fuzz", ""))),
@@ -107,43 +128,50 @@ def layout_commands(draw) -> Command:
         in_buffers=in_buffers,
         out_sizes=out_sizes,
         issue_time=draw(st.floats(0, 1e6)),
-        trace_id=draw(st.one_of(st.none(), st.just("tr-1"))),
+        trace_id=(None if conformant
+                  else draw(st.one_of(st.none(), st.just("tr-1")))),
     )
 
 
 @st.composite
-def layout_replies(draw):
-    """A (Reply, reply_to Command) pair for a real function."""
-    api, fn = draw(st.sampled_from(FUNCTIONS))
+def layout_replies(draw, function=None, conformant=False):
+    """A (Reply, reply_to Command) pair for a real function.
+
+    ``conformant`` as for :func:`layout_commands`: in-order subsets,
+    no callbacks, no error.
+    """
+    api, fn = function or draw(st.sampled_from(FUNCTIONS))
     lay = LAYOUTS[api][fn]
     if lay["ret"] == "scalar":
         ret = draw(st.one_of(st.none(), st.integers(-(2 ** 31), 2 ** 31),
                              st.floats(allow_nan=False)))
     else:
         ret = None
-    new_names = list(lay["new"])
-    if lay["ret"] == "handle":
-        new_names.append("__ret__")
+    # the server stub binds a returned handle before any out-param
+    new_names = ["__ret__"] if lay["ret"] == "handle" else []
+    new_names.extend(lay["new"])
     reply = Reply(
         seq=draw(st.integers(0, 2 ** 31)),
         return_value=ret,
-        out_payloads=draw(st.fixed_dictionaries({}, optional={
+        out_payloads=_subset(draw, {
             name: st.binary(max_size=600) for name in lay["outs"]
-        })),
-        out_scalars=draw(st.fixed_dictionaries({}, optional={
+        }, conformant),
+        out_scalars=_subset(draw, {
             name: st.one_of(st.none(), st.integers(-(2 ** 31), 2 ** 31),
                             st.floats(allow_nan=False), st.text(max_size=8))
             for name in lay["oscal"]
-        })),
-        new_handles=draw(st.fixed_dictionaries({}, optional={
+        }, conformant),
+        new_handles=_subset(draw, {
             name: st.one_of(
                 st.integers(0, 2 ** 48),
                 st.lists(st.integers(0, 2 ** 48), max_size=3),
             )
             for name in new_names
-        })),
-        callbacks=draw(st.sampled_from(([], [[1, [2, 3]]]))),
-        error=draw(st.one_of(st.none(), st.just("boom"))),
+        }, conformant),
+        callbacks=([] if conformant
+                   else draw(st.sampled_from(([], [[1, [2, 3]]])))),
+        error=(None if conformant
+               else draw(st.one_of(st.none(), st.just("boom")))),
         complete_time=draw(st.floats(0, 1e6)),
     )
     return reply, Command(seq=reply.seq, vm_id="vm-0", api=api, function=fn)
@@ -276,12 +304,84 @@ class TestFastPathEngaged:
 
 
 # ---------------------------------------------------------------------------
-# trust-boundary hardening parity
+# the one fallback rule: in-order subset → fast path, anything else →
+# interpreted
 # ---------------------------------------------------------------------------
 
-def _both_decode_command(data):
+def _assert_all_fast(codec, ops):
+    snap = codec.snapshot()
+    assert snap["fallback_encodes"] == snap["fallback_decodes"] == 0
+    assert snap["fast_encodes"] + snap["fast_decodes"] == ops
+
+
+@pytest.mark.parametrize("function", FUNCTIONS, ids="-".join)
+class TestInOrderSubsets:
+    """Every function, any in-order subset of every section: the
+    traffic the generated stubs produce (parameter order, NULLs
+    omitted) never leaves the fast path."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_command_subsets_stay_fast(self, function, data):
+        command = data.draw(layout_commands(function, conformant=True))
+        codec = _specialized()
+        fast = frame_bytes(codec.encode_command(command))
+        assert fast == frame_bytes(INTERP.encode_command(command))
+        assert codec.decode_command(fast) == INTERP.decode_command(fast)
+        _assert_all_fast(codec, 2)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_reply_subsets_stay_fast(self, function, data):
+        reply, command = data.draw(
+            layout_replies(function, conformant=True))
+        codec = _specialized()
+        fast = frame_bytes(codec.encode_reply(reply, reply_to=command))
+        assert fast == frame_bytes(
+            INTERP.encode_reply(reply, reply_to=command))
+        assert (codec.decode_reply(fast, reply_to=command)
+                == INTERP.decode_reply(fast, reply_to=command))
+        _assert_all_fast(codec, 2)
+
+
+def _opencl(fn, mode="sync", **sections) -> Command:
+    return Command(seq=21, vm_id="vm-0", api="opencl", function=fn,
+                   mode=mode, issue_time=4.5, **sections)
+
+
+def _ndrange(**scalars) -> Command:
+    return _opencl(
+        "clEnqueueNDRangeKernel", mode="async",
+        scalars=scalars,
+        handles={"command_queue": 3, "kernel": 9,
+                 "event_wait_list": None})
+
+
+#: the subset shapes the observatory measured on real workloads: a
+#: third of ``chatty`` commands and two fifths of ``bulk``
+MEASURED_SHAPES = {
+    # NULL global_work_offset and local_work_size
+    "ndrange-null-offset-local": _ndrange(
+        work_dim=1, global_work_size=[64], num_events_in_wait_list=0),
+    # blocking transfers with a NULL event out-param
+    "write-without-event": _opencl(
+        "clEnqueueWriteBuffer",
+        scalars={"blocking_write": 1, "offset": 0, "size": 4096,
+                 "num_events_in_wait_list": 0},
+        handles={"command_queue": 3, "buf": 4, "event_wait_list": None},
+        in_buffers={"ptr": bytes(4096)}),
+    "read-without-event": _opencl(
+        "clEnqueueReadBuffer",
+        scalars={"blocking_read": 1, "offset": 0, "size": 4096,
+                 "num_events_in_wait_list": 0},
+        handles={"command_queue": 3, "buf": 4, "event_wait_list": None},
+        out_sizes={"ptr": 4096}),
+}
+
+
+def _both_decode_command(data, codec=SPEC):
     try:
-        fast = SPEC.decode_command(data)
+        fast = codec.decode_command(data)
     except CodecError:
         fast = CodecError
     try:
@@ -290,6 +390,69 @@ def _both_decode_command(data):
         slow = CodecError
     return fast, slow
 
+
+def _patch_u32(wire: bytes, offset: int, delta: int) -> bytes:
+    value = int.from_bytes(wire[offset:offset + 4], "big") + delta
+    return wire[:offset] + value.to_bytes(4, "big") + wire[offset + 4:]
+
+
+class TestFallbackRule:
+
+    @pytest.mark.parametrize("shape", sorted(MEASURED_SHAPES))
+    def test_measured_subset_shapes_are_fast(self, shape):
+        command = MEASURED_SHAPES[shape]
+        codec = _specialized()
+        wire = frame_bytes(codec.encode_command(command))
+        assert wire == frame_bytes(INTERP.encode_command(command))
+        assert codec.decode_command(wire) == command
+        _assert_all_fast(codec, 2)
+
+    def _falls_back_to_interpreted(self, command):
+        codec = _specialized()
+        wire = frame_bytes(codec.encode_command(command))
+        assert wire == frame_bytes(INTERP.encode_command(command))
+        assert codec.decode_command(wire) == INTERP.decode_command(wire)
+        snap = codec.snapshot()
+        assert snap["fallback_encodes"] == snap["fallback_decodes"] == 1
+        assert snap["fast_encodes"] == snap["fast_decodes"] == 0
+
+    def test_out_of_order_keys_fall_back(self):
+        self._falls_back_to_interpreted(_ndrange(
+            global_work_size=[64], work_dim=1, num_events_in_wait_list=0))
+
+    def test_unknown_key_falls_back(self):
+        self._falls_back_to_interpreted(_ndrange(work_dim=1, bogus=7))
+
+    def _scalars_count_offset(self, wire: bytes) -> int:
+        return wire.index(b"scalars") + len(b"scalarsM")
+
+    def test_duplicated_key_falls_back(self):
+        wire = frame_bytes(INTERP.encode_command(_ndrange(work_dim=1)))
+        entry = b"\x00\x00\x00\x08work_dimI" + (1).to_bytes(8, "big")
+        at = wire.index(entry)
+        twice = wire[:at] + entry[:-1] + b"\x02" + wire[at:]
+        twice = _patch_u32(twice, self._scalars_count_offset(twice), 1)
+        twice = _patch_u32(twice, 2, len(entry))
+        codec = _specialized()
+        fast, slow = _both_decode_command(twice, codec)
+        # the interpreter's dict keeps the last duplicate
+        assert slow.scalars == {"work_dim": 1}
+        assert fast == slow
+        assert codec.snapshot()["fallback_decodes"] == 1
+
+    def test_count_beyond_entries_present_falls_back(self):
+        wire = frame_bytes(INTERP.encode_command(_ndrange(work_dim=1)))
+        forged = _patch_u32(wire, self._scalars_count_offset(wire), 1)
+        codec = _specialized()
+        fast, slow = _both_decode_command(forged, codec)
+        assert fast is CodecError
+        assert slow is CodecError
+        assert codec.snapshot()["fallback_decodes"] == 1
+
+
+# ---------------------------------------------------------------------------
+# trust-boundary hardening parity
+# ---------------------------------------------------------------------------
 
 def _hostile_frames():
     for api in APIS:

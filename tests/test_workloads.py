@@ -18,6 +18,7 @@ from repro.workloads import (
     GaussianWorkload,
     InceptionWorkload,
     KMeansWorkload,
+    LUDWorkload,
     NWWorkload,
 )
 
@@ -42,6 +43,24 @@ class TestAllWorkloads:
         workload = workload_cls(scale=SMALL)
         result = workload.run(forwarded_cl)
         assert result.verified, result.detail
+
+
+class TestLUDBlockMultiple:
+    """n that is not a multiple of the block size used to crash
+    ``_lud_diagonal`` with IndexError (scale=0.1 gave n=51)."""
+
+    @pytest.mark.parametrize("scale", [0.1, 0.05])
+    def test_ragged_scales_verify(self, scale, forwarded_cl):
+        workload = LUDWorkload(scale=scale)
+        assert workload.n % workload.block == 0
+        with session():
+            native = workload.run(cl_api)
+        forwarded = workload.run(forwarded_cl)
+        assert native.verified, native.detail
+        assert forwarded.verified, forwarded.detail
+
+    def test_full_scale_size_unchanged(self):
+        assert LUDWorkload(scale=1.0).n == 512
 
 
 class TestCrossModeEquivalence:
