@@ -15,8 +15,8 @@ CAvA); this runtime supplies the API-agnostic machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.guest.batching import BatchPolicy
 from repro.guest.driver import GuestDriver
@@ -315,16 +315,32 @@ class GuestRuntime:
         result = self.driver.transport.deliver(
             command, clock.now, asynchronous=(mode == "async")
         )
-        if result.timed_out and self._retryable(mode, ret_kind, out_targets):
-            result = self._retry(command, result, clock, tracer, span)
-        if result.need_bytes is not None:
-            result = self._handle_need_bytes(
-                command, elided, result, mode, ret_kind, out_targets,
-                tracer, span,
-            )
-        if self.xfer_cache is not None and not result.timed_out:
+        cache = self.xfer_cache
+        if result.timed_out or result.need_bytes is not None:
+            result = self._recover(
+                lambda now: self.driver.transport.deliver(
+                    command, now, asynchronous=(mode == "async")),
+                result, [(command, elided)],
+                self._retryable(mode, ret_kind, out_targets),
+                {"function": function, "seq": command.seq}, span)
+            if result.need_bytes is not None:
+                # the resent frame carried every payload in full, so a
+                # second NeedBytes is a protocol violation: surface it
+                # as a remoting error, never as wrong bytes
+                result = replace(result, need_bytes=None, reply=Reply(
+                    seq=command.seq,
+                    error=("transfer cache: full-payload retransmission "
+                           "answered NeedBytes again"),
+                    complete_time=result.completed_at))
+            elif (elided and not command.cached_refs and cache is not None
+                    and not result.timed_out):
+                # resent in full, and it arrived: the store holds the
+                # once-elided payloads again
+                for _kind, _original, digest, size in elided.values():
+                    cache.note_delivered(digest, size)
+        if cache is not None and not result.timed_out:
             for digest, size in sent_digests:
-                self.xfer_cache.note_delivered(digest, size)
+                cache.note_delivered(digest, size)
         clock.advance_to(result.sent_at, "transport")
 
         if mode == "async":
@@ -451,70 +467,66 @@ class GuestRuntime:
                 command.scalars[name] = original
         command.cached_refs = {}
 
-    def _handle_need_bytes(
-        self,
-        command: Command,
-        elided: Dict[str, Tuple[str, Any, bytes, int]],
-        result: Any,
-        mode: str,
-        ret_kind: str,
-        out_targets: Dict[str, Tuple[str, Any]],
-        tracer: Any,
-        span: Any,
-    ) -> Any:
+    def _recover(self, redeliver: Callable[[float], Any], result: Any,
+                 restores: List[Tuple[Command, Any]], retryable: bool,
+                 ident: Dict[str, Any], span: Any = None) -> Any:
+        """Recover a frame (one command or a batch) whose exchange failed.
+
+        A timed-out frame is retransmitted with backoff when every
+        command in it is idempotent (``retryable``); a frame whose
+        cached refs missed is resent once in full, and that
+        retransmission retried the same way.  ``redeliver(now)`` sends
+        the frame again; ``ident`` is how logs name it — a command by
+        ``function`` and ``seq``, a batch by ``what="batch"`` and its
+        first ``seq``; ``restores`` pairs each command of the frame with
+        its elided payloads.  Whatever the last attempt came back with
+        is the caller's to interpret.
+        """
+        if result.timed_out and retryable:
+            result = self._retry(redeliver, result, ident, span)
+        if result.need_bytes is not None:
+            result = self._resend_in_full(redeliver, result, restores,
+                                          ident)
+            if result.timed_out and retryable:
+                result = self._retry(redeliver, result, ident, span)
+        return result
+
+    def _resend_in_full(self, redeliver: Callable[[float], Any],
+                        result: Any, restores: List[Tuple[Command, Any]],
+                        ident: Dict[str, Any]) -> Any:
         """The router asked for elided payloads back: retransmit once.
 
-        A ``NeedBytes`` answer guarantees *nothing* executed host-side,
-        so re-delivery is always safe — no idempotence restriction, the
+        A ``NeedBytes`` answer guarantees *nothing* executed host-side
+        (the router resolves a frame's refs transactionally), so
+        re-delivery is always safe — no idempotence restriction, the
         crucial difference from a timeout.  The retransmitted frame
-        carries every elided payload in full, so it cannot miss again;
-        a second ``NeedBytes`` is a protocol violation surfaced as a
-        remoting error, never as wrong bytes.
+        carries every elided payload in full, so it cannot miss again.
         """
-        from repro.transport.base import DeliveryResult
         clock = self.driver.clock
         cache = self.xfer_cache
         needed = result.need_bytes
         # live through the failed exchange: command leg, host detection,
-        # and the (digest-sized) NeedBytes reply leg
+        # and the (digest-sized) NeedBytes reply leg — charged where the
+        # result carries a cost for it: a command's does, a batch's not
         clock.advance_to(result.sent_at, "transport")
         clock.advance_to(result.completed_at, "host_wait")
-        if result.reply_cost > 0.0:
-            clock.advance(result.reply_cost, "transport")
+        reply_cost = getattr(result, "reply_cost", 0.0)
+        if reply_cost > 0.0:
+            clock.advance(reply_cost, "transport")
         if cache is not None:
             cache.forget([entry[2] for entry in needed.missing])
             cache.retransmits += 1
-        self._restore_elided(command, elided)
+        for command, elided in restores:
+            self._restore_elided(command, elided)
+        tracer = _tele.active()
         if tracer.enabled:
             tracer.record_span(
                 "xfer.retransmit", clock.now, clock.now, layer="guest",
                 vm_id=self.driver.vm_id, api=self.api_name,
-                function=command.function, seq=command.seq,
-                missing=len(needed.missing),
+                function=ident.get("function", "<batch>"),
+                seq=ident["seq"], missing=len(needed.missing),
             )
-        result = self.driver.transport.deliver(
-            command, clock.now, asynchronous=(mode == "async")
-        )
-        if result.timed_out and self._retryable(mode, ret_kind,
-                                                out_targets):
-            result = self._retry(command, result, clock, tracer, span)
-        if result.need_bytes is not None:
-            reply = Reply(
-                seq=command.seq,
-                error=("transfer cache: full-payload retransmission "
-                       "answered NeedBytes again"),
-                complete_time=result.completed_at,
-            )
-            return DeliveryResult(
-                reply=reply, sent_at=result.sent_at,
-                completed_at=result.completed_at,
-                reply_cost=result.reply_cost,
-            )
-        if cache is not None and not result.timed_out:
-            for _name, (_kind, _original, digest,
-                        size) in elided.items():
-                cache.note_delivered(digest, size)
-        return result
+        return redeliver(clock.now)
 
     # -- async command coalescing -------------------------------------------------
 
@@ -583,11 +595,16 @@ class GuestRuntime:
         )
         flush_start = clock.now
         result = self.driver.transport.deliver_batch(batch, clock.now)
-        if (result.timed_out and self.retry_policy is not None
-                and all(entry.retry_safe for entry in staged)):
-            result = self._retry_batch(batch, result, clock)
-        if result.need_bytes is not None:
-            result = self._batch_need_bytes(batch, staged, result, clock)
+        if result.timed_out or result.need_bytes is not None:
+            # if recovery fails too, the result surfaces below as the
+            # usual deferred async error
+            result = self._recover(
+                lambda now: self.driver.transport.deliver_batch(batch, now),
+                result, [(entry.command, entry.elided) for entry in staged],
+                (self.retry_policy is not None
+                 and all(entry.retry_safe for entry in staged)),
+                {"what": "batch", "seq": (batch.commands[0].seq
+                                          if batch.commands else -1)})
         clock.advance_to(result.sent_at, "transport")
         self.batches_flushed += 1
         self.commands_coalesced += len(staged)
@@ -621,73 +638,6 @@ class GuestRuntime:
                                     entry.function)
                 self._deliver_callbacks(reply, entry.function)
 
-    def _retry_batch(self, batch: CommandBatch, result: Any,
-                     clock: Any) -> Any:
-        """Retransmit a timed-out all-idempotent batch with backoff."""
-        policy = self.retry_policy
-        tracer = _tele.active()
-        for attempt in range(policy.max_retries):
-            if not result.timed_out:
-                return result
-            backoff = policy.backoff_for(attempt)
-            clock.advance_to(result.completed_at, "retry")
-            backoff_start = clock.now
-            clock.advance(backoff, "retry")
-            self.retries += 1
-            if tracer.enabled:
-                tracer.record_span(
-                    "retry", backoff_start, clock.now, layer="guest",
-                    attempt=attempt + 1,
-                    seq=batch.commands[0].seq if batch.commands else -1,
-                    backoff=backoff, cause=result.error,
-                )
-            result = self.driver.transport.deliver_batch(batch, clock.now)
-        if result.timed_out:
-            self.giveups += 1
-            recorder = _flightrec.active()
-            if recorder.enabled:
-                recorder.incident(
-                    "giveup", now=clock.now,
-                    vm_id=self.driver.vm_id, api=self.api_name,
-                    what="batch",
-                    seq=batch.commands[0].seq if batch.commands else -1,
-                )
-        return result
-
-    def _batch_need_bytes(self, batch: CommandBatch, staged: List[Any],
-                          result: Any, clock: Any) -> Any:
-        """Refs in a flushed batch missed: restore all and re-deliver.
-
-        The router resolved the frame transactionally — no inner
-        command executed — so one full-payload retransmission of the
-        whole batch is always safe.  If the retransmission fails too,
-        the result flows back to :meth:`_flush` and surfaces as the
-        usual deferred async error.
-        """
-        cache = self.xfer_cache
-        needed = result.need_bytes
-        clock.advance_to(result.sent_at, "transport")
-        clock.advance_to(result.completed_at, "host_wait")
-        if cache is not None:
-            cache.forget([entry[2] for entry in needed.missing])
-            cache.retransmits += 1
-        for entry in staged:
-            self._restore_elided(entry.command, entry.elided)
-        tracer = _tele.active()
-        if tracer.enabled:
-            tracer.record_span(
-                "xfer.retransmit", clock.now, clock.now, layer="guest",
-                vm_id=self.driver.vm_id, api=self.api_name,
-                function="<batch>",
-                seq=batch.commands[0].seq if batch.commands else -1,
-                missing=len(needed.missing),
-            )
-        result = self.driver.transport.deliver_batch(batch, clock.now)
-        if (result.timed_out and self.retry_policy is not None
-                and all(entry.retry_safe for entry in staged)):
-            result = self._retry_batch(batch, result, clock)
-        return result
-
     # -- transport-failure recovery ---------------------------------------------
 
     def _retryable(self, mode: str, ret_kind: str,
@@ -707,10 +657,12 @@ class GuestRuntime:
         return not any(kind in ("handle_box", "handle_array")
                        for kind, _target in out_targets.values())
 
-    def _retry(self, command: Command, result: Any, clock: Any,
-               tracer: Any, span: Any) -> Any:
-        """Retransmit a timed-out idempotent command with backoff."""
+    def _retry(self, redeliver: Callable[[float], Any], result: Any,
+               ident: Dict[str, Any], span: Any = None) -> Any:
+        """Retransmit a timed-out idempotent frame with backoff."""
         policy = self.retry_policy
+        clock = self.driver.clock
+        tracer = _tele.active()
         for attempt in range(policy.max_retries):
             if not result.timed_out:
                 return result
@@ -720,15 +672,17 @@ class GuestRuntime:
             backoff_start = clock.now
             clock.advance(backoff, "retry")
             self.retries += 1
-            if span is not None:
+            if tracer.enabled:
+                # a lost command's cause is its synthesized reply's
+                # error; a lost batch carries it on the result
+                cause = (result.reply.error if hasattr(result, "reply")
+                         else result.error)
                 tracer.record_span(
                     "retry", backoff_start, clock.now, layer="guest",
-                    attempt=attempt + 1, seq=command.seq,
-                    backoff=backoff, cause=result.reply.error,
+                    attempt=attempt + 1, seq=ident["seq"],
+                    backoff=backoff, cause=cause,
                 )
-            result = self.driver.transport.deliver(
-                command, clock.now, asynchronous=False
-            )
+            result = redeliver(clock.now)
         if result.timed_out:
             self.giveups += 1
             if span is not None:
@@ -737,8 +691,7 @@ class GuestRuntime:
             if recorder.enabled:
                 recorder.incident(
                     "giveup", now=clock.now,
-                    vm_id=self.driver.vm_id, api=self.api_name,
-                    function=command.function, seq=command.seq,
+                    vm_id=self.driver.vm_id, api=self.api_name, **ident,
                 )
         return result
 

@@ -125,7 +125,11 @@ class Hypervisor:
         for worker in self.workers.values():
             worker.fault_hook = self._fault_hook
         for vm in self.vms.values():
-            if not isinstance(vm.driver.transport, FaultyTransport):
+            if isinstance(vm.driver.transport, FaultyTransport):
+                # already wrapped by an earlier plan: re-point, never
+                # wrap twice
+                vm.driver.transport.plan = plan
+            else:
                 vm.driver.transport = FaultyTransport(
                     vm.driver.transport, plan
                 )

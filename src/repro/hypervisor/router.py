@@ -199,10 +199,14 @@ class Router:
 
     def register_vm(self, vm_id: str) -> None:
         self.known_vms.add(vm_id)
-        self.metrics.setdefault(vm_id, VMMetrics())
+        self.metrics_for(vm_id)
 
     def metrics_for(self, vm_id: str) -> VMMetrics:
-        return self.metrics.setdefault(vm_id, VMMetrics())
+        entry = self.metrics.get(vm_id)
+        if entry is None:
+            # created on a miss only: this runs twice per routed command
+            entry = self.metrics[vm_id] = VMMetrics()
+        return entry
 
     # -- migration freeze window ----------------------------------------------
 
@@ -365,12 +369,9 @@ class Router:
             # a miss — a retransmission could never succeed either
             if vm_id in self.known_vms:
                 self.metrics_for(vm_id).rejected += 1
-            return self.codec.encode_reply(
-                Reply(seq=first_seq,
-                      error="router: cached refs without a transfer "
-                            "store (cache not armed for this VM)",
-                      complete_time=arrival)
-            )
+            return self._refuse(
+                "router: cached refs without a transfer store (cache not "
+                "armed for this VM)", arrival, first_seq)
         tracer = _tele.active()
         missing: List[Any] = []
         resolved: List[Any] = []
@@ -380,13 +381,10 @@ class Router:
                 if size > self.max_payload_bytes:
                     if vm_id in self.known_vms:
                         self.metrics_for(vm_id).rejected += 1
-                    return self.codec.encode_reply(
-                        Reply(seq=first_seq,
-                              error=(f"router: cached ref {param!r} "
-                                     f"claims {size} B, beyond limit "
-                                     f"{self.max_payload_bytes} B"),
-                              complete_time=arrival)
-                    )
+                    return self._refuse(
+                        f"router: cached ref {param!r} claims {size} B, "
+                        f"beyond limit {self.max_payload_bytes} B",
+                        arrival, first_seq)
                 data = store.get(digest)
                 if data is None or len(data) != size:
                     missing.append([command.seq, param, digest])
@@ -419,13 +417,10 @@ class Router:
                 except UnicodeDecodeError:
                     if vm_id in self.known_vms:
                         self.metrics_for(vm_id).rejected += 1
-                    return self.codec.encode_reply(
-                        Reply(seq=first_seq,
-                              error=(f"router: cached ref {param!r} "
-                                     f"resolves to non-UTF-8 bytes for "
-                                     f"kind 'str'"),
-                              complete_time=arrival)
-                    )
+                    return self._refuse(
+                        f"router: cached ref {param!r} resolves to "
+                        f"non-UTF-8 bytes for kind 'str'",
+                        arrival, first_seq)
             else:
                 command.in_buffers[param] = data
         hit_bytes = 0
@@ -470,6 +465,11 @@ class Router:
 
     # -- the data path -----------------------------------------------------------
 
+    def _refuse(self, error: str, at: float, seq: int = -1) -> FrameLike:
+        """One encoded error :class:`Reply` answering a whole frame."""
+        return self.codec.encode_reply(
+            Reply(seq=seq, error=error, complete_time=at))
+
     def deliver(self, wire: FrameLike, arrival: float,
                 source: Optional[str] = None) -> FrameLike:
         """Verify, schedule and dispatch one encoded frame; returns the
@@ -478,7 +478,10 @@ class Router:
 
         A frame carries either one :class:`Command` (answered with one
         :class:`Reply`) or one :class:`CommandBatch` (unbundled and
-        answered with one :class:`ReplyBatch`).
+        answered with one :class:`ReplyBatch`).  Each inner command of
+        a batch is verified, rate-limited, and accounted individually
+        under the existing per-VM policy — coalescing changes how
+        commands cross the channel, never what the hypervisor enforces.
 
         ``source`` is the transport-attested VM id of the sending
         channel (not a decoded field — the frame may not decode at
@@ -487,77 +490,37 @@ class Router:
         if self._breaker_open(source, arrival):
             if source in self.known_vms:
                 self.metrics_for(source).rejected += 1
-            return self.codec.encode_reply(
-                Reply(seq=-1,
-                      error=(f"router: circuit open for VM {source!r} "
-                             f"(malformed-frame flood)"),
-                      complete_time=arrival)
-            )
+            return self._refuse(f"router: circuit open for VM {source!r} "
+                                f"(malformed-frame flood)", arrival)
         try:
             message = self.codec.decode_command(wire)
         except CodecError as err:
             self.malformed_frames += 1
             self._strike(source, arrival)
-            return self.codec.encode_reply(
-                Reply(seq=-1, error=f"router: malformed command ({err})",
-                      complete_time=arrival)
-            )
-        if isinstance(message, CommandBatch):
-            return self._deliver_batch(message, arrival, source)
-        if not isinstance(message, Command):
+            return self._refuse(f"router: malformed command ({err})",
+                                arrival)
+        batch = isinstance(message, CommandBatch)
+        if not batch and not isinstance(message, Command):
             self.malformed_frames += 1
             self._strike(source, arrival)
-            return self.codec.encode_reply(
-                Reply(seq=-1, error="router: expected a command",
-                      complete_time=arrival)
-            )
-        answered = self._resolve_refs([message], arrival, message.vm_id)
-        if answered is not None:
-            return answered
-        reply = self._route(message, arrival)
-        if self.slo_monitor is not None:
-            self._observe(message, arrival, reply)
-        try:
-            return self.codec.encode_reply(reply, reply_to=message)
-        except CodecError as err:
-            # a reply the wire can't carry must not take the router down
-            return self.codec.encode_reply(
-                Reply(seq=message.seq,
-                      error=f"router: reply encoding failed ({err})",
-                      complete_time=reply.complete_time)
-            )
-
-    def _deliver_batch(self, batch: CommandBatch, arrival: float,
-                       source: Optional[str]) -> FrameLike:
-        """Unbundle one coalesced frame: route every inner command, in
-        order, through the ordinary verification/policy/dispatch path,
-        and answer with a single :class:`ReplyBatch`.
-
-        Each inner command is verified, rate-limited, and accounted
-        individually under the existing per-VM policy — coalescing
-        changes how commands cross the channel, never what the
-        hypervisor enforces.  In-order execution is preserved by
-        releasing each command no earlier than its predecessor
-        completed.
-        """
-        if len(batch.commands) > self.max_batch_commands:
+            return self._refuse("router: expected a command", arrival)
+        # a lone command is the one-command case of a batch: the frame
+        # kinds differ only in the size bound, the span and the framing
+        # of the answer
+        commands = message.commands if batch else [message]
+        if batch and len(commands) > self.max_batch_commands:
             self.oversized_batches += 1
             if source in self.known_vms:
                 self.metrics_for(source).rejected += 1
-            return self.codec.encode_reply(
-                Reply(seq=-1,
-                      error=(f"router: batch of {len(batch.commands)} "
-                             f"commands exceeds limit "
-                             f"{self.max_batch_commands}"),
-                      complete_time=arrival)
-            )
-        answered = self._resolve_refs(batch.commands, arrival, batch.vm_id)
+            return self._refuse(
+                f"router: batch of {len(commands)} commands exceeds limit "
+                f"{self.max_batch_commands}", arrival)
+        answered = self._resolve_refs(commands, arrival, message.vm_id)
         if answered is not None:
             return answered
-        tracer = _tele.active()
         replies = []
         at = arrival
-        for index, command in enumerate(batch.commands):
+        for index, command in enumerate(commands):
             # the frame is received (and the worker woken) once: inner
             # commands after the first pay the cheaper batched dispatch
             reply = self._route(command, at, batched=index > 0)
@@ -567,22 +530,24 @@ class Router:
             # program order within the VM: the next command is released
             # no earlier than this one completed
             at = max(at, reply.complete_time)
-        if tracer.enabled:
-            tracer.record_span(
-                "router.batch", arrival, at, layer="router",
-                vm_id=batch.vm_id, function="<batch>",
-                commands=len(batch.commands),
-                errors=sum(1 for r in replies if r.error is not None),
-            )
-        result = ReplyBatch(replies=replies, complete_time=at)
+        if batch:
+            tracer = _tele.active()
+            if tracer.enabled:
+                tracer.record_span(
+                    "router.batch", arrival, at, layer="router",
+                    vm_id=message.vm_id, function="<batch>",
+                    commands=len(commands),
+                    errors=sum(1 for r in replies if r.error is not None),
+                )
+            answer, seq = ReplyBatch(replies=replies, complete_time=at), -1
+        else:
+            answer, seq, at = reply, message.seq, reply.complete_time
         try:
-            return self.codec.encode_reply(result, reply_to=batch)
+            return self.codec.encode_reply(answer, reply_to=message)
         except CodecError as err:
-            return self.codec.encode_reply(
-                Reply(seq=-1,
-                      error=f"router: reply encoding failed ({err})",
-                      complete_time=at)
-            )
+            # a reply the wire can't carry must not take the router down
+            return self._refuse(f"router: reply encoding failed ({err})",
+                                at, seq)
 
     def _route(self, command: Command, arrival: float,
                batched: bool = False) -> Reply:

@@ -64,7 +64,9 @@ class WireBuffer:
     The donation contract:
 
     * Between construction and the completion of the send (the return of
-      ``Transport.deliver`` / ``deliver_batch``), the memory belongs to
+      ``Transport.deliver`` / ``deliver_batch`` — both entry points of
+      one exchange, so the window is the same for a command and for a
+      batch, with or without fault injection), the memory belongs to
       the remoting layer — the donor MUST NOT mutate it.  The encoder
       may splice a view of it directly into the outgoing frame.
     * After the send returns, ownership reverts to the donor; call

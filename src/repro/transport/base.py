@@ -10,7 +10,7 @@ shortcut.  Timing comes from each transport's cost parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.remoting.codec import (
     Command,
@@ -19,7 +19,7 @@ from repro.remoting.codec import (
     Reply,
     ReplyBatch,
 )
-from repro.remoting.wire import InterpretedCodec, WireCodec
+from repro.remoting.wire import FrameLike, InterpretedCodec, WireCodec
 from repro.telemetry import tracer as _tele
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -154,52 +154,22 @@ class Transport:
         returned timestamps let the guest runtime implement sync and
         async semantics without the transport caring which it is.
         """
-        wire = self.codec.encode_command(command)
-        nbytes = len(wire)
-        self.tx_bytes += nbytes
-        self.messages += 1
-        cost = (self.enqueue_cost(nbytes) if asynchronous
-                else self.send_cost(nbytes))
-        sent_at = guest_now + cost
-        tracer = _tele.active()
-        if tracer.enabled:
-            tracer.record_span(
-                "transport.send", guest_now, sent_at,
-                layer="transport",
-                parent_id=command.span_id,
-                vm_id=command.vm_id, api=command.api,
-                function=command.function,
-                transport=self.name, wire_bytes=nbytes,
-                submit="async" if asynchronous else "sync",
-                **self.span_attrs(nbytes),
-            )
-        # the channel, not the frame, attests who is sending: the router's
-        # circuit breaker keys on this even when the frame won't decode.
-        # The frame crosses as-is — a zero-copy codec's vectored
-        # [header, *buffer_views] segments are never flattened here.
-        reply_wire = self.router.deliver(wire, arrival=sent_at,
-                                         source=command.vm_id)
-        decoded = self.codec.decode_reply(reply_wire, reply_to=command)
-        self.rx_bytes += len(reply_wire)
-        if isinstance(decoded, NeedBytes):
+        sent_at, answer, completed_at, reply_bytes, lost = self._exchange(
+            command, guest_now,
+            self.enqueue_cost if asynchronous else self.send_cost,
+            "async" if asynchronous else "sync")
+        need_bytes = None
+        if isinstance(answer, NeedBytes):
             # the frame's cached refs missed: nothing executed; the
             # guest runtime restores the payloads and re-delivers
-            return DeliveryResult(
-                reply=Reply(seq=command.seq,
-                            complete_time=decoded.complete_time),
-                sent_at=sent_at,
-                completed_at=decoded.complete_time,
-                reply_cost=self.recv_cost(len(reply_wire)),
-                need_bytes=decoded,
-            )
-        if not isinstance(decoded, Reply):
+            need_bytes, answer = answer, Reply(
+                seq=command.seq, complete_time=completed_at)
+        elif not isinstance(answer, Reply):
             raise TransportError("router returned a non-reply message")
         return DeliveryResult(
-            reply=decoded,
-            sent_at=sent_at,
-            completed_at=decoded.complete_time,
-            reply_cost=self.recv_cost(len(reply_wire)),
-        )
+            reply=answer, sent_at=sent_at, completed_at=completed_at,
+            reply_cost=0.0 if lost else self.recv_cost(reply_bytes),
+            timed_out=lost, need_bytes=need_bytes)
 
     def deliver_batch(self, batch: CommandBatch,
                       guest_now: float) -> BatchDeliveryResult:
@@ -209,41 +179,71 @@ class Transport:
         frame, one doorbell-equivalent fixed charge — and the router
         answers with a single :class:`ReplyBatch`.
         """
-        wire = self.codec.encode_command(batch)
+        sent_at, answer, completed_at, _, lost = self._exchange(
+            batch, guest_now,
+            lambda nbytes: self.flush_cost(nbytes, len(batch)), "batch")
+        if isinstance(answer, ReplyBatch):
+            return BatchDeliveryResult(
+                replies=answer.replies, sent_at=sent_at,
+                completed_at=completed_at)
+        if isinstance(answer, NeedBytes):
+            return BatchDeliveryResult(
+                sent_at=sent_at, completed_at=completed_at,
+                need_bytes=answer)
+        # one Reply for the whole frame: it was lost in flight, or the
+        # router rejected it without unbundling
+        return BatchDeliveryResult(
+            sent_at=sent_at, completed_at=completed_at, timed_out=lost,
+            error=answer.error or "router returned an empty reply")
+
+    def _exchange(self, frame: Any, guest_now: float,
+                  cost: Callable[[int], float],
+                  submit: str) -> Tuple[float, Any, float, int, bool]:
+        """Put one frame across the channel and read the answer.
+
+        The one body behind both entry points: they differ only in the
+        ``cost`` hook that prices the frame and the ``submit`` kind its
+        span records.  Returns what :meth:`_cross` returns.
+        """
+        wire = self.codec.encode_command(frame)
         nbytes = len(wire)
         self.tx_bytes += nbytes
         self.messages += 1
-        sent_at = guest_now + self.flush_cost(nbytes, len(batch))
+        sent_at = guest_now + cost(nbytes)
         tracer = _tele.active()
         if tracer.enabled:
+            # a command's send hangs off the guest call that issued
+            # it; a batch's flush names how many calls it carries
+            span, whose = (
+                ("transport.flush",
+                 {"function": "<batch>", "commands": len(frame)})
+                if isinstance(frame, CommandBatch) else
+                ("transport.send",
+                 {"parent_id": frame.span_id, "api": frame.api,
+                  "function": frame.function}))
             tracer.record_span(
-                "transport.flush", guest_now, sent_at,
-                layer="transport",
-                vm_id=batch.vm_id, function="<batch>",
-                transport=self.name, wire_bytes=nbytes,
-                commands=len(batch), submit="batch",
-                **self.span_attrs(nbytes),
-            )
+                span, guest_now, sent_at, layer="transport",
+                vm_id=frame.vm_id, transport=self.name, wire_bytes=nbytes,
+                **whose, submit=submit, **self.span_attrs(nbytes))
+        return self._cross(frame, wire, sent_at)
+
+    def _cross(self, frame: Any, wire: FrameLike,
+               sent_at: float) -> Tuple[float, Any, float, int, bool]:
+        """The crossing step: hand the encoded frame to the router.
+
+        Returns ``(sent_at, answer, completed_at, reply_bytes, lost)``;
+        the fault injector overrides this step and nothing else, and
+        only it reports ``lost`` (``answer`` is then the timeout
+        :class:`Reply`) or moves the two timestamps.
+        """
+        # the channel, not the frame, attests who is sending: the router's
+        # circuit breaker keys on this even when the frame won't decode.
+        # The frame crosses as-is — a zero-copy codec's vectored
+        # [header, *buffer_views] segments are never flattened here.
         reply_wire = self.router.deliver(wire, arrival=sent_at,
-                                         source=batch.vm_id)
-        decoded = self.codec.decode_reply(reply_wire, reply_to=batch)
+                                         source=frame.vm_id)
+        answer = self.codec.decode_reply(reply_wire, reply_to=frame)
         self.rx_bytes += len(reply_wire)
-        if isinstance(decoded, ReplyBatch):
-            return BatchDeliveryResult(
-                replies=decoded.replies, sent_at=sent_at,
-                completed_at=decoded.complete_time,
-            )
-        if isinstance(decoded, NeedBytes):
-            return BatchDeliveryResult(
-                replies=[], sent_at=sent_at,
-                completed_at=decoded.complete_time,
-                need_bytes=decoded,
-            )
-        if isinstance(decoded, Reply):
-            # batch-level rejection: the router never unbundled the frame
-            return BatchDeliveryResult(
-                replies=[], sent_at=sent_at,
-                completed_at=decoded.complete_time,
-                error=decoded.error or "router returned an empty reply",
-            )
-        raise TransportError("router returned a non-reply message")
+        if not isinstance(answer, (Reply, ReplyBatch, NeedBytes)):
+            raise TransportError("router returned a non-reply message")
+        return sent_at, answer, answer.complete_time, len(reply_wire), False

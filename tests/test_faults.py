@@ -26,7 +26,7 @@ from repro.faults import (
 )
 from repro.faults.chaos import run_chaos
 from repro.guest.library import RemotingError
-from repro.remoting.codec import Command
+from repro.remoting.codec import Command, CommandBatch
 from repro.stack import make_hypervisor
 from repro.workloads import BFSWorkload
 from repro.workloads.base import open_env
@@ -169,6 +169,101 @@ class TestRetries:
         runtime = vm.runtimes["opencl"]
         assert runtime.retries == 3
         assert runtime.giveups == 1
+
+
+class TestSharedCrossing:
+    """One crossing step serves single commands and batches alike."""
+
+    FRAMES = 60
+
+    def crossing_events(self, plan, batched):
+        """(kind, leg) of every fault over ``FRAMES`` one-command frames
+        sent straight through the injector, as commands or batches."""
+        hypervisor, vm = fresh_stack()
+        transport = FaultyTransport(vm.driver.transport, plan)
+        for seq in range(self.FRAMES):
+            # the router refuses the call, and says so in a reply
+            # frame: all the reply leg needs
+            command = Command(seq=seq, vm_id=vm.vm_id, api="opencl",
+                              function="noSuchCall", mode="async")
+            if batched:
+                transport.deliver_batch(
+                    CommandBatch(vm_id=vm.vm_id, commands=[command]),
+                    seq * 1e-3)
+            else:
+                transport.deliver(command, seq * 1e-3)
+        assert transport.messages == self.FRAMES
+        return [(event.kind, event.leg) for event in plan.events]
+
+    @pytest.mark.parametrize("rates, expected", [
+        (dict(drop=0.3, drop_replies=0.3),
+         {("drop", "command"), ("drop", "reply")}),
+        # detected corruption ends the exchange: with every reply also
+        # marked for loss, no reply-leg decision is ever drawn
+        (dict(corrupt=1.0, drop_replies=1.0), {("corrupt", "command")}),
+        (dict(delay=0.3, delay_replies=0.3),
+         {("delay", "command"), ("delay", "reply")}),
+        (dict(duplicate=0.3, delay_replies=0.3),
+         {("duplicate", "command"), ("delay", "reply")}),
+    ], ids=["drop", "corrupt", "delay", "duplicate"])
+    def test_same_seed_same_events_for_either_frame_kind(self, rates,
+                                                         expected):
+        single = self.crossing_events(FaultPlan(seed=SEED, **rates),
+                                      batched=False)
+        batch = self.crossing_events(FaultPlan(seed=SEED, **rates),
+                                     batched=True)
+        assert single == batch
+        assert set(single) == expected
+
+    def test_total_loss_recovery_matches_the_parent_commit(self):
+        """``drop=1.0``: what one sync call and one flushed batch cost
+        in retries, give-ups and guest time, pinned from the commit
+        before the two retry loops became one."""
+        from repro.guest.batching import BatchPolicy
+
+        data = np.arange(16, dtype=np.float32)
+        hypervisor, vm = fresh_stack()
+        env = opened_env(vm)
+        mem = env.buffer(data.nbytes, host=data)
+        hypervisor.install_fault_plan(FaultPlan(seed=SEED, drop=1.0),
+                                      retry_policy=RetryPolicy())
+        with pytest.raises(RemotingError, match="timeout"):
+            env.write(mem, data)
+        runtime = vm.runtimes["opencl"]
+        assert (runtime.retries, runtime.giveups) == (5, 1)
+        assert vm.clock.now == 0.0018239422773333337
+
+        hypervisor = make_hypervisor(apis=("opencl",))
+        vm = hypervisor.create_vm("v1", batch_policy=BatchPolicy())
+        env = opened_env(vm)
+        mem = env.buffer(data.nbytes, host=data)
+        hypervisor.install_fault_plan(FaultPlan(seed=SEED, drop=1.0),
+                                      retry_policy=RetryPolicy())
+        env.write(mem, data, blocking=False)
+        env.write(mem, data, blocking=False)
+        vm.flush()
+        runtime = vm.runtimes["opencl"]
+        assert runtime.batches_flushed == 1
+        assert (runtime.retries, runtime.giveups) == (5, 1)
+        assert runtime.pending_async_error is not None
+        assert vm.clock.now == 0.0018147644373333336
+
+    def test_second_plan_reaches_channels_the_first_wrapped(self):
+        hypervisor, vm0 = fresh_stack("vm0")
+        env = opened_env(vm0)
+        plan1, plan2 = FaultPlan(drop=0.0), FaultPlan(drop=1.0)
+        hypervisor.install_fault_plan(plan1)
+        env.finish()
+        hypervisor.install_fault_plan(plan2)
+        vm1 = hypervisor.create_vm("vm1")
+        for vm in (vm0, vm1):
+            assert vm.driver.transport.plan is plan2
+            # re-pointed, not wrapped a second time
+            assert not isinstance(vm.driver.transport.inner,
+                                  FaultyTransport)
+        with pytest.raises(RemotingError, match="timeout"):
+            env.finish()
+        assert plan1.events == [] and plan2.counts()["drop"] >= 1
 
 
 class TestWorkerCrash:

@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.remoting.codec import Command, Reply, decode_message, encode_message
+from repro.faults import FaultPlan, FaultyTransport
+from repro.remoting.codec import (
+    CodecError,
+    Command,
+    CommandBatch,
+    Reply,
+    ReplyBatch,
+    decode_message,
+    encode_message,
+)
+from repro.telemetry import Tracer
+from repro.telemetry import tracer as tele
 from repro.transport.base import Transport, TransportError
 from repro.transport.inproc import InProcTransport
 from repro.transport.network import NetworkTransport
@@ -141,3 +152,124 @@ class TestAbstractBase:
         transport = InProcTransport(BadRouter())
         with pytest.raises(TransportError):
             transport.deliver(make_command(), 0.0)
+
+
+class BatchEchoRouter(EchoRouter):
+    """Also answers batches, and damaged frames the way the router does."""
+
+    def deliver(self, wire, arrival, source=None):
+        try:
+            message = decode_message(bytes(wire))
+        except CodecError as err:
+            return encode_message(
+                Reply(seq=-1, error=f"malformed ({err})",
+                      complete_time=arrival))
+        self.delivered.append((message, arrival))
+        if isinstance(message, CommandBatch):
+            return encode_message(ReplyBatch(
+                replies=[Reply(seq=command.seq, return_value=0,
+                               complete_time=arrival + 1e-6)
+                         for command in message.commands],
+                complete_time=arrival + 1e-6))
+        return encode_message(Reply(seq=message.seq, return_value=0,
+                                    complete_time=arrival + 1e-6))
+
+
+def make_batch(count=3):
+    return CommandBatch(vm_id="vm", commands=[
+        Command(seq=seq, vm_id="vm", api="x", function="f", mode="async",
+                in_buffers={"data": b"p" * seq})
+        for seq in range(1, count + 1)])
+
+
+class CostOnlyTransport(Transport):
+    """The subclassing contract: override the cost hooks, nothing else."""
+
+    name = "cost-only"
+
+    def send_cost(self, nbytes):
+        return 3e-6 + nbytes * 1e-9
+
+    def recv_cost(self, nbytes):
+        return 2e-6 + nbytes * 1e-9
+
+    def enqueue_cost(self, nbytes):
+        return 1e-6
+
+
+class TestSharedExchange:
+    """``deliver`` and ``deliver_batch`` are one exchange; the fault
+    injector replaces only its crossing step."""
+
+    @pytest.mark.parametrize(
+        "factory", [InProcTransport, RingTransport, NetworkTransport])
+    def test_idle_injector_is_transparent_on_both_entry_points(
+            self, factory):
+        bare = factory(BatchEchoRouter())
+        inner = factory(BatchEchoRouter())
+        faulty = FaultyTransport(inner, FaultPlan())
+        for asynchronous in (False, True):
+            assert faulty.deliver(make_command(b"abc"), 1.0,
+                                  asynchronous=asynchronous) == \
+                bare.deliver(make_command(b"abc"), 1.0,
+                             asynchronous=asynchronous)
+        assert faulty.deliver_batch(make_batch(), 2.0) == \
+            bare.deliver_batch(make_batch(), 2.0)
+        assert (faulty.messages, faulty.tx_bytes, faulty.rx_bytes) == \
+            (bare.messages, bare.tx_bytes, bare.rx_bytes)
+        assert faulty.messages == 3
+        # the injector never calls through the transport it wraps
+        assert inner.messages == inner.tx_bytes == inner.rx_bytes == 0
+        assert faulty.plan.events == []
+
+    def test_cost_hooks_are_the_whole_subclassing_contract(self):
+        transport = CostOnlyTransport(BatchEchoRouter())
+        tracer = Tracer()
+        with tele.use(tracer):
+            single = transport.deliver(make_command(b"abc"), 1.0)
+            queued = transport.deliver(make_command(), 1.0,
+                                       asynchronous=True)
+            batch = transport.deliver_batch(make_batch(), 2.0)
+        assert single.sent_at == 1.0 + transport.send_cost(
+            len(encode_message(make_command(b"abc"))))
+        assert queued.sent_at == 1.0 + 1e-6
+        # the default flush price is one enqueue for the whole frame
+        assert batch.sent_at == 2.0 + 1e-6
+        assert [reply.seq for reply in batch.replies] == [1, 2, 3]
+        assert single.reply_cost > 0.0 and not single.timed_out
+        assert transport.messages == 3
+        assert transport.tx_bytes > 0 and transport.rx_bytes > 0
+        spans = [(span.name, span.attrs["submit"], span.attrs["transport"])
+                 for span in tracer.all_spans()]
+        assert spans == [("transport.send", "sync", "cost-only"),
+                         ("transport.send", "async", "cost-only"),
+                         ("transport.flush", "batch", "cost-only")]
+        flush = tracer.all_spans()[-1]
+        assert flush.function == "<batch>" and flush.attrs["commands"] == 3
+
+    def test_per_class_instrumentation_meets_each_frame_once(
+            self, monkeypatch):
+        """Wrap both entry points on ``Transport`` and then on
+        ``FaultyTransport``, in that order, the way the observatory's
+        tracing does: a frame must enter exactly one wrapper."""
+        entered = []
+
+        def wrap(fn):
+            def traced(*args, **kwargs):
+                entered.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return traced
+
+        for cls in (Transport, FaultyTransport):
+            monkeypatch.setattr(cls, "deliver", wrap(cls.deliver))
+            monkeypatch.setattr(cls, "deliver_batch",
+                                wrap(cls.deliver_batch))
+        bare = InProcTransport(BatchEchoRouter())
+        faulty = FaultyTransport(InProcTransport(BatchEchoRouter()),
+                                 FaultPlan())
+        for transport in (bare, faulty):
+            del entered[:]
+            transport.deliver(make_command(), 0.0)
+            assert entered == ["deliver"]
+            transport.deliver_batch(make_batch(), 0.0)
+            assert entered == ["deliver", "deliver_batch"]
