@@ -14,16 +14,26 @@ The wall-clock numbers land in ``BENCH_codec.json``; byte identity is
 *not* re-proven here (that is ``tests/test_codec_parity.py``'s job) —
 a single checksum comparison guards against benching divergent codecs.
 
-``test_gate`` at the bottom is fixture-free on purpose: CI runs it
-without pytest-benchmark and fails the job when the speedup falls
-under 2x.
+A second, bulk-shaped section prices the other end of the data path:
+one 64 KiB / 1 MiB / 4 MiB write command and read reply per codec,
+encode + decode nanoseconds per payload byte, and whether the decoded
+payload is the input's memory (borrowed) or a copy of it.
+
+``test_gate`` and ``test_bulk_gate`` at the bottom are fixture-free on
+purpose: CI runs them without pytest-benchmark and fails the job when
+the speedup falls under 2x, or when the specialized round trip of the
+4 MiB pair allocates a payload's worth of memory.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+
+from repro.remoting.buffers import borrow_bytes
 from repro.remoting.codec import Command, Reply
 from repro.remoting.speccodec import SpecializedCodec
 from repro.remoting.wire import InterpretedCodec, frame_bytes
@@ -164,8 +174,82 @@ def _measure():
     return pairs, interp_rate, spec_rate, snap
 
 
+#: the observatory's ``bulk`` transfer sizes
+BULK_SIZES = (64 << 10, 1 << 20, 4 << 20)
+
+
+def _bulk_pair(size):
+    """A blocking write as the guest stub marshals it (the caller's
+    array, borrowed) and a read-back's reply as the server stub does
+    (its staging buffer)."""
+    data = np.arange(size, dtype=np.uint32).astype(np.uint8)
+    common = dict(
+        vm_id="vm-bench", api="opencl", mode="sync", issue_time=0.5,
+        handles={"command_queue": 3, "buf": 4, "event_wait_list": None})
+    write = Command(
+        seq=1, function="clEnqueueWriteBuffer",
+        scalars={"blocking_write": 1, "offset": 0, "size": size,
+                 "num_events_in_wait_list": 0},
+        in_buffers={"ptr": borrow_bytes(data)}, **common)
+    read = Command(
+        seq=2, function="clEnqueueReadBuffer",
+        scalars={"blocking_read": 1, "offset": 0, "size": size,
+                 "num_events_in_wait_list": 0},
+        out_sizes={"ptr": size}, **common)
+    reply = Reply(seq=2, return_value=0,
+                  out_payloads={"ptr": bytearray(data)}, complete_time=1.0)
+    return write, read, reply
+
+
+def _bulk_round_trip(codec, write, read, reply):
+    """Both payloads as their consumers receive them."""
+    command = codec.decode_command(codec.encode_command(write))
+    answer = codec.decode_reply(codec.encode_reply(reply, reply_to=read),
+                                reply_to=read)
+    return command.in_buffers["ptr"], answer.out_payloads["ptr"]
+
+
+def _measure_bulk(repeats=7):
+    rows = []
+    for size in BULK_SIZES:
+        write, read, reply = _bulk_pair(size)
+        for codec in (InterpretedCodec(), _specialized()):
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                got = _bulk_round_trip(codec, write, read, reply)
+                best = min(best, time.perf_counter() - start)
+            sent = (write.in_buffers["ptr"], reply.out_payloads["ptr"])
+            assert [bytes(g) for g in got] == [bytes(s) for s in sent]
+            rows.append({
+                "payload_bytes": size, "codec": codec.name,
+                "ns_per_byte": best * 1e9 / (2 * size),
+                "aliases_input": all(
+                    np.shares_memory(np.frombuffer(g, dtype=np.uint8),
+                                     np.frombuffer(s, dtype=np.uint8))
+                    for g, s in zip(got, sent)),
+            })
+    return rows
+
+
+def _bulk_allocation(size):
+    """Peak bytes the specialized round trip of one pair allocates."""
+    codec = _specialized()
+    write, read, reply = _bulk_pair(size)
+    _bulk_round_trip(codec, write, read, reply)  # warm
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _bulk_round_trip(codec, write, read, reply)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_codec_throughput(once, bench_json):
     pairs, interp_rate, spec_rate, snap = once(_measure)
+    bulk = _measure_bulk()
     ratio = spec_rate / interp_rate
 
     print_table(
@@ -177,8 +261,18 @@ def test_codec_throughput(once, bench_json):
         ],
     )
 
+    print_table(
+        "bulk write command + read reply (encode+decode)",
+        ["payload", "codec", "ns/byte", "decoded payload"],
+        [[f"{row['payload_bytes'] >> 10} KiB", row["codec"],
+          f"{row['ns_per_byte']:.4f}",
+          "borrowed" if row["aliases_input"] else "copied"]
+         for row in bulk],
+    )
+
     bench_json("codec", {
         "figure": "codec",
+        "bulk": bulk,
         "messages": len(pairs),
         "apis": list(APIS),
         "payload_sizes": list(PAYLOAD_SIZES),
@@ -192,6 +286,8 @@ def test_codec_throughput(once, bench_json):
     # the mix must genuinely ride the fast path, not its fallback
     assert snap["fallback_encodes"] == 0
     assert snap["fallback_decodes"] == 0
+    assert all(row["aliases_input"] == (row["codec"] == "specialized")
+               for row in bulk)
 
 
 def test_gate():
@@ -208,3 +304,13 @@ def test_gate():
     assert ratio >= 2.0, f"specialized only {ratio:.2f}x interpreted"
     assert snap["fallback_encodes"] == 0
     assert snap["fallback_decodes"] == 0
+
+
+def test_bulk_gate():
+    """CI gate, fixture-free: the specialized round trip of the 4 MiB
+    write command + read reply borrows its payloads end to end — it
+    allocates less than one payload (headers only, in fact)."""
+    size = BULK_SIZES[-1]
+    peak = _bulk_allocation(size)
+    print(f"\nbulk gate: {size >> 20} MiB pair allocates {peak:,} B")
+    assert peak < size, f"round trip allocated {peak} B for {size} B"

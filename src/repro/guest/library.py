@@ -20,8 +20,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.guest.batching import BatchPolicy
 from repro.guest.driver import GuestDriver
-from repro.remoting.buffers import OutBox, read_bytes, write_back
+from repro.remoting.buffers import (
+    OutBox,
+    borrow_bytes,
+    own_bytes,
+    own_payloads,
+    read_bytes,
+    write_back,
+)
 from repro.remoting.codec import Command, CommandBatch, Reply
+from repro.remoting.speccodec import _SPLICE_THRESHOLD
 from repro.remoting.xfercache import TransferCache
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import tracer as _tele
@@ -189,13 +197,17 @@ class GuestRuntime:
             fn(*args)
 
     @staticmethod
-    def read_buffer(value: Any, nbytes: int, param: str) -> bytes:
+    def read_buffer(value: Any, nbytes: int, param: str) -> Any:
+        """The call's view of an ``in`` buffer: owned ``bytes`` below the
+        splice threshold, the caller's memory borrowed until the call
+        returns at or above it (see :func:`borrow_bytes`)."""
         if nbytes < 0:
             raise RemotingError(
                 f"size expression for parameter {param!r} evaluated to "
                 f"{nbytes} (< 0)"
             )
-        data = read_bytes(value, limit=nbytes)
+        data = (read_bytes if nbytes < _SPLICE_THRESHOLD
+                else borrow_bytes)(value, limit=nbytes)
         if len(data) < nbytes:
             raise RemotingError(
                 f"parameter {param!r}: caller buffer has {len(data)} bytes, "
@@ -552,6 +564,15 @@ class GuestRuntime:
         """
         policy = self.batch_policy
         clock = self.driver.clock
+        # the queue outlives the call: what it holds of the caller's
+        # memory (payloads, and originals kept for a NeedBytes resend)
+        # is copied here, as of the call
+        if command.in_buffers or elided:
+            own_payloads(command.in_buffers)
+            for name, (kind, original, digest,
+                       size) in (elided or {}).items():
+                if kind == "buf":
+                    elided[name] = (kind, own_bytes(original), digest, size)
         # re-execution after a lost batch must not mint handles the
         # guest would leak — same idempotence rule as sync retries
         retry_safe = (ret_kind != "handle" and not any(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Set
 
+from repro.remoting.buffers import own_payloads
 from repro.remoting.codec import Command, Reply
 from repro.spec.model import RecordKind
 
@@ -68,13 +69,9 @@ class CallRecorder:
         if "__ret__" in created or created or kind in (
             RecordKind.CONFIG, RecordKind.CREATE, RecordKind.MODIFY
         ):
-            # the log outlives the wire frame: donated memoryview
-            # payloads (zero-copy decode) must be materialized before
-            # being retained — see the buffer-donation contract in
-            # repro.remoting.buffers
-            for name, chunk in command.in_buffers.items():
-                if isinstance(chunk, memoryview):
-                    command.in_buffers[name] = bytes(chunk)
+            # the log outlives the call: borrowed payloads are copied
+            # before being retained (repro.remoting.buffers)
+            own_payloads(command.in_buffers)
             self.log.append(
                 RecordedCall(
                     command=command,
@@ -96,11 +93,8 @@ class CallRecorder:
         if not dead:
             return
         if self.destroy_listeners:
-            # the command outlives the wire frame once a listener keeps
-            # it — materialize donated memoryview payloads first
-            for name, chunk in command.in_buffers.items():
-                if isinstance(chunk, memoryview):
-                    command.in_buffers[name] = bytes(chunk)
+            # a listener may keep the command past the call
+            own_payloads(command.in_buffers)
             for listener in self.destroy_listeners:
                 listener(command, set(dead))
         kept: List[RecordedCall] = []

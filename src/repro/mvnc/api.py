@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.mvnc.device import AllocatedGraph, SimulatedNCS
 from repro.mvnc.graph import GraphDefinition, GraphError
-from repro.remoting.buffers import OutBox, read_bytes, write_back
+from repro.remoting.buffers import OutBox, borrow_bytes, read_bytes, write_back
 from repro.vclock import VirtualClock
 
 # -- status codes (NCSDK v1 values) ------------------------------------------
@@ -157,7 +157,7 @@ def mvncAllocateGraph(device_handle: Any, graph_handle: OutBox,
         return MVNC_INVALID_PARAMETERS
     if not device_handle.opened:
         return MVNC_GONE
-    blob = read_bytes(graph_file, limit=int(graph_file_length))
+    blob = borrow_bytes(graph_file, limit=int(graph_file_length))
     try:
         definition = GraphDefinition.deserialize(blob)
     except GraphError:

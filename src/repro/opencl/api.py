@@ -34,7 +34,7 @@ from repro.opencl.device import SimulatedGPU
 from repro.opencl.errors import CLError, check
 from repro.opencl import runtime as rt
 from repro.opencl import types
-from repro.remoting.buffers import OutBox, read_bytes, write_back
+from repro.remoting.buffers import OutBox, borrow_bytes, write_back
 
 #: fixed virtual cost of crossing into the native library
 NATIVE_CALL_OVERHEAD = 0.2e-6
@@ -323,7 +323,7 @@ def clCreateBuffer(context: rt.Context, flags: int, size: int, host_ptr: Any,
               "flags require host_ptr")
         mem = rt.MemObject(ctx, flags, int(size), ctx.devices[0])
         if needs_host:
-            payload = read_bytes(host_ptr, limit=int(size))
+            payload = borrow_bytes(host_ptr, limit=int(size))
             mem.data[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
             # initializing from host memory is a synchronous H2D copy
             sess = rt.current_session()
@@ -362,7 +362,7 @@ def clCreateImage(context: rt.Context, flags: int, image_channel_order: int,
             shape=(int(image_height), int(image_width), channels),
         )
         if host_ptr is not None and flags & types.CL_MEM_COPY_HOST_PTR:
-            payload = read_bytes(host_ptr, limit=size)
+            payload = borrow_bytes(host_ptr, limit=size)
             mem.data[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
             sess = rt.current_session()
             timer = mem.device.execute(
@@ -465,7 +465,7 @@ def clEnqueueWriteBuffer(command_queue: rt.CommandQueue, buf: rt.MemObject,
         mem = _expect(buf, rt.MemObject, types.CL_INVALID_MEM_OBJECT)
         check(ptr is not None, types.CL_INVALID_VALUE, "ptr is NULL")
         _check_wait_list(num_events_in_wait_list, event_wait_list)
-        payload = read_bytes(ptr, limit=int(size))
+        payload = borrow_bytes(ptr, limit=int(size))
         check(len(payload) >= int(size), types.CL_INVALID_VALUE,
               "host buffer smaller than write size")
         evt = rt.enqueue_write(
@@ -508,7 +508,7 @@ def clEnqueueFillBuffer(command_queue: rt.CommandQueue, buf: rt.MemObject,
                         types.CL_INVALID_COMMAND_QUEUE)
         mem = _expect(buf, rt.MemObject, types.CL_INVALID_MEM_OBJECT)
         _check_wait_list(num_events_in_wait_list, event_wait_list)
-        pattern_bytes = read_bytes(pattern, limit=int(pattern_size))
+        pattern_bytes = borrow_bytes(pattern, limit=int(pattern_size))
         evt = rt.enqueue_fill(queue, mem, pattern_bytes, int(offset),
                               int(size))
         _set_box(event, evt)

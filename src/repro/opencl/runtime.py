@@ -376,8 +376,9 @@ def enqueue_read(
     offset: int,
     size: int,
     blocking: bool,
-) -> Tuple[bytes, Event]:
-    """Device → host copy; returns the bytes read."""
+) -> Tuple[memoryview, Event]:
+    """Device → host copy; returns the bytes read, as a view of device
+    memory the caller copies out of before its API call returns."""
     check(offset >= 0 and size >= 0 and offset + size <= mem.size,
           types.CL_INVALID_VALUE,
           f"read range [{offset}, {offset + size}) outside buffer "
@@ -386,7 +387,7 @@ def enqueue_read(
     ready = _touch(mem, sess.clock.now)
     cost = queue.device.copy_cost(size)
     timer = queue.device.execute(cost, ready, "d2h_copy")
-    payload = mem.data[offset:offset + size].tobytes()
+    payload = memoryview(mem.data)[offset:offset + size]
     event = Event("d2h_copy", queued=sess.clock.now, start=timer.start,
                   end=timer.end)
     queue.record(event)
@@ -434,10 +435,8 @@ def enqueue_fill(
     ready = _touch(mem, sess.clock.now)
     cost = queue.device.device_copy_cost(size) / 2  # write-only traffic
     timer = queue.device.execute(cost, ready, "fill")
-    repeated = np.frombuffer(
-        pattern * (size // len(pattern)), dtype=np.uint8
-    )
-    mem.data[offset:offset + size] = repeated
+    mem.data[offset:offset + size] = np.tile(
+        np.frombuffer(pattern, dtype=np.uint8), size // len(pattern))
     event = Event("fill", queued=sess.clock.now, start=timer.start,
                   end=timer.end)
     queue.record(event)

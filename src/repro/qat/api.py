@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Sequence
 
 from repro.qat.device import SimulatedQAT
-from repro.remoting.buffers import OutBox, read_bytes, write_back
+from repro.remoting.buffers import OutBox, borrow_bytes, write_back
 from repro.vclock import VirtualClock
 
 CPA_STATUS_SUCCESS = 0
@@ -186,7 +186,7 @@ def _run_request(session: DcSession, src: Any, src_size: int, dst: Any,
                 else CPA_DC_DIR_COMPRESS)
     if session.direction != expected:
         return CPA_STATUS_INVALID_PARAM
-    payload = read_bytes(src, limit=int(src_size))
+    payload = borrow_bytes(src, limit=int(src_size))
     if len(payload) < int(src_size):
         return CPA_STATUS_INVALID_PARAM
     try:

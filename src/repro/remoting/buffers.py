@@ -9,15 +9,22 @@ The generated code works with three buffer shapes:
   for C's ``cl_event *event``).
 
 :class:`WireBuffer` is the buffer-donation contract for the zero-copy
-data path: instead of the ad-hoc ``bytes|bytearray|memoryview|ndarray``
-isinstance ladders that used to live in codec/xfercache/bindings code,
-callers that hand a payload to the remoting layer wrap it once and the
-wrapper documents exactly who may touch the memory afterwards.
+data path, and its rule is the data path's only one: **a payload is
+borrowed until the call returns; whoever keeps it, copies it.**  The
+guest stub hands the caller's memory on as a read-only view
+(:func:`borrow_bytes`), the codec splices and decodes it by reference,
+the native call memcpys it into device memory, and on the way back the
+reply carries the server stub's staging buffer by reference into the
+caller's out-buffer.  The only places a payload outlives its call —
+the guest's coalescing queue (staged commands and originals kept for a
+``NeedBytes`` resend), the migration recorder's log and destroy
+listeners, the transfer store, native objects that keep their input
+(``read_bytes``) — take their copy through :func:`own_bytes`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -185,35 +192,52 @@ def as_byte_view(obj: Any) -> memoryview:
     )
 
 
-def read_bytes(obj: Any, limit: Optional[int] = None) -> bytes:
-    """Serialize an input buffer to bytes (truncated to ``limit``)."""
+def borrow_bytes(obj: Any, limit: Optional[int] = None) -> Any:
+    """An input buffer's bytes (truncated to ``limit``), *borrowed*.
+
+    Contiguous ndarray / bytearray / memoryview memory comes back as a
+    read-only flat view of the caller's own storage — no copy — valid
+    until the call it was handed to returns; ``bytes`` pass through and
+    strided arrays and strings cost their one copy.  For consumers
+    that are done with the payload when they return (a memcpy into
+    device memory, a digest, a codec splice); whoever keeps it past
+    that calls :func:`own_bytes`.
+    """
     if limit is not None and limit < 0:
         raise ValueError("buffer size expression evaluated negative")
     if obj is None:
         return b""
     if isinstance(obj, WireBuffer):
         obj = obj.view()
-    if isinstance(obj, np.ndarray):
-        if limit is not None and obj.flags.c_contiguous:
-            # slice the view first so a limited read copies `limit`
-            # bytes once, not nbytes then limit
-            return memoryview(obj).cast("B")[:limit].tobytes()
-        data = obj.tobytes()
-    elif isinstance(obj, bytes):
-        return obj if limit is None or limit >= len(obj) else obj[:limit]
-    elif isinstance(obj, bytearray):
-        # slice through a view: one copy, never bytearray→slice→bytes
-        return bytes(memoryview(obj)[:limit])
-    elif isinstance(obj, memoryview):
-        view = obj if obj.itemsize == 1 and obj.ndim == 1 else obj.cast("B")
-        return view.tobytes() if limit is None else view[:limit].tobytes()
+    if isinstance(obj, np.ndarray) and not (
+            obj.flags.c_contiguous and obj.size):
+        obj = obj.tobytes()  # strided (or empty): the one copy
     elif isinstance(obj, str):
-        data = obj.encode("utf-8")
-    else:
+        obj = obj.encode("utf-8")
+    if isinstance(obj, bytes):
+        return obj if limit is None or limit >= len(obj) else obj[:limit]
+    if not isinstance(obj, (np.ndarray, bytearray, memoryview)):
         raise TypeError(f"not a buffer-like object: {type(obj).__name__}")
-    if limit is not None:
-        data = data[:limit]
-    return data
+    view = WireBuffer(obj).view()
+    return view if limit is None else view[:limit]
+
+
+def own_bytes(chunk: Any) -> bytes:
+    """``chunk`` as immutable bytes its holder may keep: the one place
+    a borrowed payload is copied (``bytes`` are kept as they are)."""
+    return chunk if type(chunk) is bytes else bytes(chunk)
+
+
+def own_payloads(payloads: Dict[str, Any]) -> None:
+    """Materialize, in place, every borrowed payload of a name → bytes
+    mapping its holder is about to keep past the call."""
+    for name, chunk in payloads.items():
+        payloads[name] = own_bytes(chunk)
+
+
+def read_bytes(obj: Any, limit: Optional[int] = None) -> bytes:
+    """Serialize an input buffer to owned bytes (truncated to ``limit``)."""
+    return own_bytes(borrow_bytes(obj, limit))
 
 
 def write_back(target: Any, payload: bytes) -> None:

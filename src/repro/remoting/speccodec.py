@@ -7,9 +7,12 @@ header constant per entry count plus the declared parameters in spec
 order, each with its precomputed key bytes and the value tags its kind
 admits — and one encode walker and one decode walker serve all seven
 sections.  Encode appends straight into one growing frame allocation
-(:class:`FrameBuilder`, length patched with ``pack_into`` at finish),
-decode slices a single ``memoryview`` over the frame so bulk
-``in``-buffers reach the worker zero-copy.
+(:class:`FrameBuilder`, length patched with ``pack_into`` at finish)
+and splices bulk payloads in by reference; decode walks such a vectored
+frame without joining it and hands the payload segments on as they
+are (a contiguous frame is sliced through one ``memoryview``), so in
+both directions a payload is borrowed from its producer to its
+consumer — see :mod:`repro.remoting.buffers` for who may keep one.
 
 **One fallback rule.**  A section rides the fast path when it carries
 an *in-order subset* of its declared parameters, which is what the
@@ -50,10 +53,10 @@ _F64 = struct.Struct(">d")
 _TI64 = struct.Struct(">cq")
 _TF64 = struct.Struct(">cd")
 
-#: payloads at or above this many bytes are spliced into the frame as
-#: memoryview segments (vectored send); smaller ones are copied into
-#: the contiguous header allocation where a copy is cheaper than a
-#: segment
+#: the one size line of the data path: payloads at or above this many
+#: bytes are borrowed (the guest stub hands a view, frames carry it as
+#: a segment, decode passes it on); smaller ones are copied into the
+#: contiguous header allocation, where a copy is cheaper than a segment
 _SPLICE_THRESHOLD = 512
 
 
@@ -105,19 +108,14 @@ class FrameBuilder:
 
     def finish(self, magic: bytes) -> Any:
         first = self.first
+        first[0:2] = magic
         if self.parts is None:
-            first[0:2] = magic
             _U32.pack_into(first, 2, len(first) - 6)
             return bytes(first)
-        parts = [p for p in self.parts if isinstance(p, memoryview)
-                 or len(p) > 0 or p is first]
-        total = -6
-        for part in parts:
-            total += part.nbytes if isinstance(part, memoryview) \
-                else len(part)
-        first[0:2] = magic
-        _U32.pack_into(first, 2, total)
-        return WireFrame(parts)
+        # inline run, payload, inline run, ..., inline run: the shape
+        # the decoder walks without joining (see WireFrame)
+        _U32.pack_into(first, 2, sum(map(len, self.parts)) - 6)
+        return WireFrame(self.parts)
 
 
 def _payload_view(value: Any) -> Tuple[Any, int]:
@@ -127,7 +125,7 @@ def _payload_view(value: Any) -> Tuple[Any, int]:
     if isinstance(value, bytes):
         return value, len(value)
     if isinstance(value, bytearray):
-        return memoryview(value).cast("B"), len(value)
+        return memoryview(value), len(value)
     if isinstance(value, memoryview):
         if not value.c_contiguous:
             value = bytes(value)
@@ -284,15 +282,15 @@ def _enc_value(cur: bytearray, value: Any, tags: bytes) -> None:
 
 
 def _enc_sections(builder: FrameBuilder, sections: Tuple[_Section, ...],
-                  dicts: Tuple[Dict[str, Any], ...], splice: bool) -> None:
+                  dicts: Tuple[Dict[str, Any], ...]) -> None:
     """Append a message's sections, each any in-order subset of its
     declared entries.
 
     Every message dict is walked against its section's entries in spec
     order; a key that is unknown, or known but behind the walk, cannot
     be emitted in the interpreted encoder's (dict) order and falls
-    back.  ``splice`` lets payloads of :data:`_SPLICE_THRESHOLD` bytes
-    and up ride as frame segments instead of being copied.
+    back.  Payloads of :data:`_SPLICE_THRESHOLD` bytes and up ride as
+    frame segments, by reference, instead of being copied.
     """
     cur = builder.cur
     for section, values in zip(sections, dicts):
@@ -316,7 +314,7 @@ def _enc_sections(builder: FrameBuilder, sections: Tuple[_Section, ...],
                 view, nbytes = _payload_view(value)
                 cur += b"B"
                 cur += _U32.pack(nbytes)
-                if splice and nbytes >= _SPLICE_THRESHOLD:
+                if nbytes >= _SPLICE_THRESHOLD:
                     builder.splice(view)
                     cur = builder.cur
                 else:
@@ -346,7 +344,7 @@ def _enc_command_body(builder: FrameBuilder, command: Command,
     cur += mode
     _enc_sections(builder, table.sections,
                   (command.scalars, command.handles, command.in_buffers,
-                   command.out_sizes), True)
+                   command.out_sizes))
     cur = builder.cur
     cur += _T_KEY
     cur += _F64.pack(command.issue_time)
@@ -364,10 +362,10 @@ def _enc_reply_body(builder: FrameBuilder, reply: Reply,
     cur += _I64.pack(reply.seq)
     cur += _RET_KEY
     _enc_value(cur, reply.return_value, _ANY)
-    # out-payloads are copied inline: reply frames stay contiguous
     _enc_sections(builder, table.sections,
                   (reply.out_payloads, reply.out_scalars,
-                   reply.new_handles), False)
+                   reply.new_handles))
+    cur = builder.cur
     cur += _REPLY_TAIL
     cur += _F64.pack(reply.complete_time)
 
@@ -396,7 +394,7 @@ def _enc_batch_frame(tables: Dict[Tuple[str, str], Any],
 
 def _enc_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
                            batch: ReplyBatch,
-                           reply_to: CommandBatch) -> bytes:
+                           reply_to: CommandBatch) -> Any:
     if (len(batch.replies) != len(reply_to.commands)
             or type(batch.complete_time) is not float):
         raise _Fallback
@@ -407,6 +405,7 @@ def _enc_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
     for reply, command in zip(batch.replies, reply_to.commands):
         _enc_reply_body(
             builder, reply, tables[(command.api, command.function)][1])
+    cur = builder.cur
     cur += _T_KEY
     cur += _F64.pack(batch.complete_time)
     return builder.finish(_codec._REPLY_BATCH_MAGIC)
@@ -464,8 +463,8 @@ def _dec_value(data: bytes, o: int, end: int, tags: bytes,
 
 
 def _dec_sections(data: bytes, o: int, end: int,
-                  sections: Tuple[_Section, ...],
-                  mv: memoryview) -> Tuple[List[Dict[str, Any]], int]:
+                  sections: Tuple[_Section, ...], mv: memoryview,
+                  spliced: Any) -> Tuple[List[Dict[str, Any]], int]:
     """Decode a message's sections, each any in-order subset of its
     declared entries.
 
@@ -474,7 +473,9 @@ def _dec_sections(data: bytes, o: int, end: int,
     walk consumed fewer entries than the section's count field says
     are there — keys out of spec order, a duplicate, an unknown key, a
     forged count — the frame falls back.  Payloads come back as
-    zero-copy slices of ``mv``.
+    zero-copy slices of ``mv``, or, when ``spliced`` holds a segment
+    for exactly where the ``B`` value's body starts and it is as long
+    as the value declares, as that segment itself (:func:`_open_frame`).
     """
     results = []
     for section in sections:
@@ -496,10 +497,15 @@ def _dec_sections(data: bytes, o: int, end: int,
                 elif tag == _TAG_B and tag in tags:
                     length = _U32.unpack_from(data, o + 1)[0]
                     o += 5
-                    if length > end - o:
+                    if spliced and o in spliced:
+                        result[name] = spliced.pop(o)
+                        if len(result[name]) != length:
+                            raise _Fallback
+                    elif length > end - o:
                         raise _Fallback
-                    result[name] = mv[o:o + length]
-                    o += length
+                    else:
+                        result[name] = mv[o:o + length]
+                        o += length
                 else:
                     result[name], o = _dec_value(data, o, end, tags)
             if len(result) != count:
@@ -509,8 +515,8 @@ def _dec_sections(data: bytes, o: int, end: int,
 
 
 def _dec_command(data: bytes, o: int, end: int,
-                 wire_tables: Dict[bytes, Any],
-                 mv: memoryview) -> Tuple[Command, int]:
+                 wire_tables: Dict[bytes, Any], mv: memoryview,
+                 spliced: Any) -> Tuple[Command, int]:
     """One command's wire dict, at ``o``; returns it and the offset
     past it.
 
@@ -543,7 +549,7 @@ def _dec_command(data: bytes, o: int, end: int,
     else:
         raise _Fallback
     (scalars, handles, in_buffers, out_sizes), o = _dec_sections(
-        data, o, end, table.sections, mv)
+        data, o, end, table.sections, mv, spliced)
     o = _expect(data, o, _T_KEY)
     issue_time = _F64.unpack_from(data, o)[0]
     # dataclass __init__ re-runs default factories; the fields are all
@@ -560,13 +566,13 @@ def _dec_command(data: bytes, o: int, end: int,
 
 
 def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
-               mv: memoryview) -> Tuple[Reply, int]:
+               mv: memoryview, spliced: Any) -> Tuple[Reply, int]:
     o = _expect(data, o, _REPLY_PREFIX)
     seq = _I64.unpack_from(data, o)[0]
     return_value, o = _dec_value(
         data, _expect(data, o + 8, _RET_KEY), end, _ANY)
     (out_payloads, out_scalars, new_handles), o = _dec_sections(
-        data, o, end, table.sections, mv)
+        data, o, end, table.sections, mv, spliced)
     o = _expect(data, o, _REPLY_TAIL)
     complete_time = _F64.unpack_from(data, o)[0]
     # dataclass __init__ re-runs default factories; build directly
@@ -580,20 +586,51 @@ def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
     return reply, o + 8
 
 
-def _frame_end(data: bytes) -> int:
-    """Offset one past the frame body, per its length field."""
+def _open_frame(frame: FrameLike) -> Tuple[bytes, int, memoryview, Any]:
+    """What the walkers read a frame through: ``(data, end, mv, spliced)``.
+
+    A contiguous frame is its own ``data``, ``end`` one past its body
+    per its length field.  A vectored frame is not joined: ``data`` is
+    its inline runs (the even segments) back to back and ``spliced``
+    its payload segments, each under the offset in ``data`` where the
+    ``B`` value it is the body of must start.  The walk is
+    the joined frame's when every segment was claimed by such a value
+    (the decoders check ``spliced`` is empty) and ``data`` was consumed
+    to its end; anything else falls back to the joined bytes.
+    """
+    if type(frame) is WireFrame and len(frame.segments) > 1:
+        segments = frame.segments
+        runs = segments[0::2]
+        data = b"".join(runs)
+        spliced, at = {}, 0
+        total = len(data)
+        for run, payload in zip(runs, segments[1::2]):
+            at += len(run)
+            # a payload is handed on as it is: it must be flat bytes
+            if type(payload) is not bytes and not (
+                    type(payload) is memoryview and payload.format == "B"
+                    and payload.ndim == 1 and payload.c_contiguous):
+                raise _Fallback
+            total += len(payload)
+            spliced[at] = payload
+        # an odd count of segments (no two payloads back to back), runs
+        # whose len() counts their bytes, the length field the vector's
+        if (len(runs) != len(spliced) + 1 or at + len(runs[-1]) != len(data)
+                or len(data) < 6
+                or 6 + _U32.unpack_from(data, 2)[0] != total):
+            raise _Fallback
+        return data, len(data), memoryview(data), spliced
+    data = frame if type(frame) is bytes else frame_bytes(frame)
     if len(data) < 6:
         raise _Fallback
     end = 6 + _U32.unpack_from(data, 2)[0]
     if end > len(data):
         raise _Fallback
-    return end
+    return data, end, memoryview(data), ()
 
 
-def _dec_batch_frame(wire_tables: Dict[bytes, Any],
-                     data: bytes) -> CommandBatch:
-    end = _frame_end(data)
-    mv = memoryview(data)
+def _dec_batch_frame(wire_tables: Dict[bytes, Any], data: bytes, end: int,
+                     mv: memoryview, spliced: Any) -> CommandBatch:
     vm_id, o = _dec_str(data, _expect(data, 6, _BATCH_PREFIX), end)
     o = _expect(data, o, _CMDS_KEY)
     count = _U32.unpack_from(data, o)[0]
@@ -602,7 +639,7 @@ def _dec_batch_frame(wire_tables: Dict[bytes, Any],
         raise _Fallback
     commands: List[Command] = []
     for _ in range(count):
-        command, o = _dec_command(data, o, end, wire_tables, mv)
+        command, o = _dec_command(data, o, end, wire_tables, mv, spliced)
         commands.append(command)
     o = _expect(data, o, _T_KEY)
     if o + 8 != end:
@@ -613,10 +650,9 @@ def _dec_batch_frame(wire_tables: Dict[bytes, Any],
 
 
 def _dec_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
-                           data: bytes,
+                           data: bytes, end: int, mv: memoryview,
+                           spliced: Any,
                            reply_to: CommandBatch) -> ReplyBatch:
-    end = _frame_end(data)
-    mv = memoryview(data)
     o = _expect(data, 6, _RB_PREFIX)
     if _U32.unpack_from(data, o)[0] != len(reply_to.commands):
         raise _Fallback
@@ -624,7 +660,8 @@ def _dec_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
     replies: List[Reply] = []
     for command in reply_to.commands:
         reply, o = _dec_reply(
-            data, o, end, tables[(command.api, command.function)][1], mv)
+            data, o, end, tables[(command.api, command.function)][1], mv,
+            spliced)
         replies.append(reply)
     o = _expect(data, o, _T_KEY)
     if o + 8 != end:
@@ -724,57 +761,64 @@ class SpecializedCodec(WireCodec):
     # -- decode -----------------------------------------------------------
 
     def decode_command(self, data: FrameLike) -> Any:
-        buf = frame_bytes(data)
         try:
+            buf, end, mv, spliced = _open_frame(data)
             magic = buf[0:2]
             if magic == _codec._COMMAND_MAGIC:
-                end = _frame_end(buf)
                 message, o = _dec_command(buf, 6, end, self.wire_tables,
-                                          memoryview(buf))
+                                          mv, spliced)
                 if o != end:
                     raise _Fallback
             elif magic == _codec._COMMAND_BATCH_MAGIC:
-                message = _dec_batch_frame(self.wire_tables, buf)
+                message = _dec_batch_frame(self.wire_tables, buf, end, mv,
+                                           spliced)
             else:
+                raise _Fallback
+            if spliced:  # a payload segment no B value claimed
                 raise _Fallback
         except _DECODE_SURPRISES:
             self.fallback_decodes += 1
-            return _codec.decode_message(buf)
+            return _codec.decode_message(frame_bytes(data))
         self.fast_decodes += 1
         return message
 
     def decode_reply(self, data: FrameLike, reply_to: Any = None) -> Any:
-        buf = frame_bytes(data)
         try:
+            buf, end, mv, spliced = _open_frame(data)
             magic = buf[0:2]
             if magic == _codec._REPLY_MAGIC and type(reply_to) is Command:
-                end = _frame_end(buf)
                 message, o = _dec_reply(
                     buf, 6, end,
                     self.tables[(reply_to.api, reply_to.function)][1],
-                    memoryview(buf))
+                    mv, spliced)
                 if o != end:
                     raise _Fallback
             elif (magic == _codec._REPLY_BATCH_MAGIC
                   and type(reply_to) is CommandBatch):
-                message = _dec_reply_batch_frame(self.tables, buf, reply_to)
+                message = _dec_reply_batch_frame(self.tables, buf, end, mv,
+                                                 spliced, reply_to)
             else:
+                raise _Fallback
+            if spliced:  # a payload segment no B value claimed
                 raise _Fallback
         except _DECODE_SURPRISES:
             self.fallback_decodes += 1
-            return _codec.decode_message(buf)
+            return _codec.decode_message(frame_bytes(data))
         self.fast_decodes += 1
         return message
 
     def decode_message(self, data: FrameLike, reply_to: Any = None) -> Any:
-        buf = frame_bytes(data)
-        magic = buf[0:2] if len(buf) >= 2 else b""
+        if type(data) is WireFrame and len(data.segments) > 1:
+            magic = bytes(data.segments[0][0:2])
+        else:
+            data = frame_bytes(data)
+            magic = data[0:2]
         if magic in (_codec._COMMAND_MAGIC, _codec._COMMAND_BATCH_MAGIC):
-            return self.decode_command(buf)
+            return self.decode_command(data)
         if magic in (_codec._REPLY_MAGIC, _codec._REPLY_BATCH_MAGIC):
-            return self.decode_reply(buf, reply_to=reply_to)
+            return self.decode_reply(data, reply_to=reply_to)
         # NeedBytes and unknown magics: interpreted, always
-        return _codec.decode_message(buf)
+        return _codec.decode_message(frame_bytes(data))
 
     def snapshot(self) -> Dict[str, int]:
         return {

@@ -40,12 +40,16 @@ FrameLike = Union[bytes, bytearray, memoryview, "WireFrame"]
 class WireFrame:
     """One encoded message as a vector of byte-like segments.
 
-    The first segment carries the frame header and all inline-encoded
-    fields; each further segment is a donated payload view spliced in
-    without copying.  Transports that price on size use :func:`len`
-    (total bytes, no materialization); consumers that need contiguous
-    bytes call :meth:`join` (or ``bytes(frame)``), which concatenates
-    once and caches the result.
+    Segments alternate: an inline run (the frame header and every
+    inline-encoded field up to the next payload), then a payload
+    spliced in by reference, and so on, ending on an inline run.  A
+    specialized decoder walks exactly that shape without joining it
+    and hands each payload segment on as the ``B`` value it is; any
+    other shape is decoded from the joined bytes.  Transports that
+    price on size use :func:`len` (total bytes, no materialization);
+    a consumer that needs contiguous bytes (fault injection, the
+    interpreted codec) calls :meth:`join` (or ``bytes(frame)``), which
+    concatenates once and caches the result.
     """
 
     __slots__ = ("segments", "_joined")
@@ -98,10 +102,15 @@ class WireCodec:
 
     Capability flags:
 
-    * ``zero_copy`` — encoded frames may be :class:`WireFrame` vectors
-      whose payload segments alias caller memory, and decoded
-      in-buffers may be ``memoryview`` slices over the incoming frame.
-      Consumers that need to mutate or retain payloads must copy.
+    * ``zero_copy`` — payloads are *borrowed until the call returns;
+      whoever keeps, copies*: encoded frames (commands and replies)
+      may be :class:`WireFrame` vectors whose payload segments alias
+      the caller's memory or the server stub's staging buffer, and
+      decoded in-buffers / out-payloads may be those same segments or
+      ``memoryview`` slices of the incoming frame.  The owners — the
+      guest's coalescing queue, the migration recorder, the transfer
+      store, native objects that keep their input — materialize with
+      :func:`repro.remoting.buffers.own_bytes`; nobody else copies.
     * ``batch_aware`` — :meth:`encode_command` accepts
       :class:`~repro.remoting.codec.CommandBatch` frames natively on
       a specialized path (every codec *handles* batches; this flag

@@ -23,6 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.remoting.buffers import own_bytes
 from repro.remoting.xfercache import digest_payload
 
 
@@ -99,7 +100,6 @@ class TransferStore:
         in an empty store are refused (returns ``None``) rather than
         flushing the entire working set.
         """
-        data = bytes(data)
         if len(data) > min(self.capacity_bytes, self.max_entry_bytes):
             return None
         digest = digest_payload(data)
@@ -107,7 +107,8 @@ class TransferStore:
             self._entries.move_to_end(digest)
             self.stats.duplicate_inserts += 1
             return digest
-        self._entries[digest] = data
+        # the store outlives the call: copy, but only what it keeps
+        self._entries[digest] = own_bytes(data)
         self.bytes_used += len(data)
         self.stats.inserts += 1
         while (self.bytes_used > self.capacity_bytes

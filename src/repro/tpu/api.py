@@ -22,7 +22,7 @@ from repro.codegen.pyfront import (
     OutBuffer,
     OutScalar,
 )
-from repro.remoting.buffers import OutBox, read_bytes, write_back
+from repro.remoting.buffers import OutBox, borrow_bytes, read_bytes, write_back
 from repro.tpu.device import SimulatedTPU
 from repro.tpu.graphs import (
     BINARY_OPS,
@@ -251,7 +251,7 @@ def tpuRun(graph_handle: Handle, feed_node: int, feed_data: InBuffer,
         shape = graph_handle.nodes_shape(int(feed_node))
     except GraphError:
         return TPU_GRAPH_ERROR
-    payload = read_bytes(feed_data, limit=int(feed_data_size))
+    payload = borrow_bytes(feed_data, limit=int(feed_data_size))
     if len(payload) != shape[0] * shape[1] * 4:
         return TPU_INVALID
     feed = np.frombuffer(payload, dtype=np.float32).reshape(shape)

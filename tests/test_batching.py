@@ -449,6 +449,27 @@ class TestEndToEnd:
         assert flush.attrs["reason"] in ("sync", "threshold", "reply-leg")
 
 
+class TestStagedPayloadsAreOwned:
+    """A staged command outlives the call that made it, so it may not
+    hold the caller's memory: payloads are borrowed only until the
+    call returns."""
+
+    def test_array_overwritten_before_the_flush(self):
+        _, session = batched_session("vm-al")
+        env = open_env(session.lib)
+        data = np.arange(4096, dtype=np.uint8)
+        mem = env.buffer(data.nbytes)
+        as_of_call = data.copy()
+        env.write(mem, data, blocking=False)
+        runtime = session.runtime()
+        (staged,) = runtime._queue
+        assert type(staged.command.in_buffers["ptr"]) is bytes
+        data[:] = 0xEE
+        session.flush()
+        got = env.read(mem, data.nbytes, dtype=np.uint8)
+        assert np.array_equal(got, as_of_call)
+
+
 class TestFaultsOnBatchedFrames:
     @pytest.mark.parametrize("mode", ["drop", "corrupt", "duplicate"])
     def test_chaos_modes_contained_with_batching(self, mode):

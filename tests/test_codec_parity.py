@@ -17,6 +17,13 @@ The fast path has one fallback rule: a section that carries an
 tables, anything else re-runs the interpreted codec.
 ``TestInOrderSubsets`` pins the first half for every function,
 ``TestFallbackRule`` the second.
+
+Frames with payloads of 512 B and up are vectored
+(:class:`~repro.remoting.wire.WireFrame`), and the specialized decoder
+walks them without joining: ``TestVectoredDecode`` holds that walk to
+the decode of the joined bytes, field for field and with no fallback,
+``TestVectoredHostility`` holds every malformed vector to what the
+interpreted codec makes of its joined bytes.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from repro.remoting.codec import (
     Reply,
     ReplyBatch,
 )
-from repro.remoting.speccodec import SpecializedCodec
-from repro.remoting.wire import InterpretedCodec, frame_bytes
+from repro.remoting.speccodec import _SPLICE_THRESHOLD, SpecializedCodec
+from repro.remoting.wire import InterpretedCodec, WireFrame, frame_bytes
 from repro.stack import build_stack
 
 APIS = ("opencl", "mvnc", "qat", "tpu")
@@ -342,6 +349,227 @@ class TestInOrderSubsets:
         assert (codec.decode_reply(fast, reply_to=command)
                 == INTERP.decode_reply(fast, reply_to=command))
         _assert_all_fast(codec, 2)
+
+
+# ---------------------------------------------------------------------------
+# vectored frames: decoded without joining, equal to the joined decode
+# ---------------------------------------------------------------------------
+
+PAYLOAD_FUNCTIONS = [
+    (api, fn) for api, fn in FUNCTIONS
+    if LAYOUTS[api][fn]["inbufs"] or LAYOUTS[api][fn]["outs"]
+]
+
+
+@st.composite
+def payloads(draw):
+    """A payload on either side of the splice threshold, in any of the
+    shapes a stub hands over."""
+    size = draw(st.sampled_from(
+        (0, 1, _SPLICE_THRESHOLD - 1, _SPLICE_THRESHOLD,
+         _SPLICE_THRESHOLD + 1, 4096)))
+    data = draw(st.binary(min_size=size, max_size=size))
+    shape = draw(st.sampled_from((bytes, bytearray, memoryview)))
+    return shape(data)
+
+
+@st.composite
+def payload_commands(draw) -> Command:
+    api, fn = draw(st.sampled_from(PAYLOAD_FUNCTIONS))
+    lay = LAYOUTS[api][fn]
+    return Command(
+        seq=draw(st.integers(0, 2 ** 31)), vm_id="vm-0", api=api,
+        function=fn, mode=draw(st.sampled_from(("sync", "async"))),
+        scalars={name: 7 for name, kind in lay["scalars"].items()
+                 if kind in ("int", "num")},
+        in_buffers={name: draw(payloads()) for name in lay["inbufs"]},
+        out_sizes={name: 64 for name in lay["outsz"]},
+        issue_time=draw(st.floats(0, 1e6)),
+    )
+
+
+@st.composite
+def payload_replies(draw):
+    api, fn = draw(st.sampled_from(PAYLOAD_FUNCTIONS))
+    lay = LAYOUTS[api][fn]
+    reply = Reply(
+        seq=draw(st.integers(0, 2 ** 31)),
+        return_value=0 if lay["ret"] == "scalar" else None,
+        out_payloads={name: draw(payloads()) for name in lay["outs"]},
+        complete_time=draw(st.floats(0, 1e6)),
+    )
+    return reply, Command(seq=reply.seq, vm_id="vm-0", api=api, function=fn)
+
+
+def _payloads_of(message):
+    if isinstance(message, (CommandBatch, ReplyBatch)):
+        inner = getattr(message, "commands", None) or message.replies
+        return [chunk for each in inner for chunk in _payloads_of(each)]
+    chunks = (message.in_buffers if isinstance(message, Command)
+              else message.out_payloads)
+    return list(chunks.values())
+
+
+def _assert_walked_by_reference(codec, frame, decoded, joined_decode, sent):
+    """The vectored walk equals the joined decode, never fell back,
+    and took every spliced payload as the segment it is."""
+    assert decoded == joined_decode
+    for got, want in zip(_payloads_of(decoded), _payloads_of(joined_decode)):
+        assert bytes(got) == bytes(want)
+    snap = codec.snapshot()
+    assert snap["fallback_encodes"] == snap["fallback_decodes"] == 0
+    spliced = [chunk for chunk in _payloads_of(sent)
+               if len(chunk) >= _SPLICE_THRESHOLD]
+    assert isinstance(frame, WireFrame) == bool(spliced)
+    if spliced:
+        assert len(frame.segments) == 2 * len(spliced) + 1
+        by_reference = [chunk for chunk in _payloads_of(decoded)
+                        if len(chunk) >= _SPLICE_THRESHOLD]
+        for chunk, segment in zip(by_reference, frame.segments[1::2]):
+            assert chunk is segment
+
+
+class TestVectoredDecode:
+
+    @settings(max_examples=120, deadline=None)
+    @given(payload_commands())
+    def test_command_walk_equals_joined_decode(self, command):
+        codec = _specialized()
+        frame = codec.encode_command(command)
+        assert bytes(frame) == INTERP.encode_command(command)
+        _assert_walked_by_reference(
+            codec, frame, codec.decode_command(frame),
+            codec.decode_command(bytes(frame)), command)
+
+    @settings(max_examples=120, deadline=None)
+    @given(payload_replies())
+    def test_reply_walk_equals_joined_decode(self, pair):
+        reply, command = pair
+        codec = _specialized()
+        frame = codec.encode_reply(reply, reply_to=command)
+        assert bytes(frame) == INTERP.encode_reply(reply, reply_to=command)
+        _assert_walked_by_reference(
+            codec, frame, codec.decode_reply(frame, reply_to=command),
+            codec.decode_reply(bytes(frame), reply_to=command), reply)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(payload_commands(), min_size=1, max_size=4),
+           st.floats(0, 1e6))
+    def test_batch_walk_equals_joined_decode(self, commands, flush_time):
+        batch = CommandBatch(vm_id="vm-0", commands=commands,
+                             flush_time=flush_time)
+        codec = _specialized()
+        frame = codec.encode_command(batch)
+        assert bytes(frame) == INTERP.encode_command(batch)
+        _assert_walked_by_reference(
+            codec, frame, codec.decode_command(frame),
+            codec.decode_command(bytes(frame)), batch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(payload_replies(), min_size=1, max_size=4),
+           st.floats(0, 1e6))
+    def test_reply_batch_walk_equals_joined_decode(self, pairs,
+                                                   complete_time):
+        batch = ReplyBatch(replies=[reply for reply, _ in pairs],
+                           complete_time=complete_time)
+        reply_to = CommandBatch(vm_id="vm-0",
+                                commands=[cmd for _, cmd in pairs])
+        codec = _specialized()
+        frame = codec.encode_reply(batch, reply_to=reply_to)
+        assert bytes(frame) == INTERP.encode_reply(batch, reply_to=reply_to)
+        _assert_walked_by_reference(
+            codec, frame, codec.decode_reply(frame, reply_to=reply_to),
+            codec.decode_reply(bytes(frame), reply_to=reply_to), batch)
+
+
+def _outcome(decode, *args, **kwargs):
+    try:
+        return decode(*args, **kwargs)
+    except CodecError:
+        return CodecError
+
+
+class TestVectoredHostility:
+    """A vector the walk cannot vouch for is decoded from its joined
+    bytes: same value or same :class:`CodecError` as the interpreted
+    codec gives."""
+
+    def _write_batch(self, *sizes):
+        return CommandBatch(vm_id="vm-0", flush_time=2.0, commands=[
+            _opencl("clEnqueueWriteBuffer", mode="async",
+                    scalars={"blocking_write": 0, "offset": 0,
+                             "size": size, "num_events_in_wait_list": 0},
+                    handles={"command_queue": 3, "buf": 4},
+                    in_buffers={"ptr": bytes([index + 1]) * size})
+            for index, size in enumerate(sizes)])
+
+    def _malformations(self, segments):
+        """Every single-segment resize, and every reordering."""
+        import itertools
+
+        for index, segment in enumerate(segments):
+            for mutated in (segment[:-1], segment[1:], segment[:-7],
+                            bytes(segment) + b"\0", b""):
+                yield (segments[:index] + [mutated] + segments[index + 1:])
+        for order in itertools.permutations(range(len(segments))):
+            yield [segments[i] for i in order]
+        yield segments[:-1]
+        yield segments + [b"tail"]
+
+    def _check_command(self, segments):
+        codec = _specialized()
+        fast = _outcome(codec.decode_command, WireFrame(segments))
+        slow = _outcome(INTERP.decode_command, b"".join(segments))
+        assert fast == slow
+        return fast, codec
+
+    def test_resized_truncated_and_reordered_command_segments(self):
+        batch = self._write_batch(600, 1024)
+        frame = SPEC.encode_command(batch)
+        assert len(frame.segments) == 5
+        results = [self._check_command(list(segments))[0]
+                   for segments in self._malformations(frame.segments)]
+        # the identity reordering is in there and decodes; damage does not
+        assert any(result == batch for result in results)
+        assert any(result is CodecError for result in results)
+
+    def test_equal_length_payloads_swapped_is_a_valid_other_frame(self):
+        batch = self._write_batch(1024, 1024)
+        s = SPEC.encode_command(batch).segments
+        swapped, codec = self._check_command([s[0], s[3], s[2], s[1], s[4]])
+        assert swapped.commands[0].in_buffers["ptr"] == bytes([2]) * 1024
+        assert codec.snapshot()["fallback_decodes"] == 0
+
+    def test_declared_length_disagreeing_with_its_segment_falls_back(self):
+        batch = self._write_batch(600)
+        first, payload, tail = SPEC.encode_command(batch).segments
+        for delta in (-1, 1):
+            # resize the payload *and* the frame length field, so only
+            # the B value's own length disagrees with its segment
+            resized = (payload[:delta] if delta < 0
+                       else bytes(payload) + b"\0")
+            head = _patch_u32(bytes(first), 2, delta)
+            fast, codec = self._check_command([head, resized, tail])
+            assert fast is CodecError
+            assert codec.snapshot()["fallback_decodes"] == 1
+
+    def test_malformed_reply_vectors(self):
+        command = MEASURED_SHAPES["read-without-event"]
+        reply = Reply(seq=21, return_value=0,
+                      out_payloads={"ptr": bytes(range(256)) * 16},
+                      complete_time=5.0)
+        frame = SPEC.encode_reply(reply, reply_to=command)
+        assert len(frame.segments) == 3
+        decoded = []
+        for segments in self._malformations(frame.segments):
+            codec = _specialized()
+            fast = _outcome(codec.decode_reply, WireFrame(segments),
+                            reply_to=command)
+            slow = _outcome(INTERP.decode_reply, b"".join(segments))
+            assert fast == slow
+            decoded.append(fast)
+        assert any(result == reply for result in decoded)
+        assert any(result is CodecError for result in decoded)
 
 
 def _opencl(fn, mode="sync", **sections) -> Command:

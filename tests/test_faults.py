@@ -171,6 +171,149 @@ class TestRetries:
         assert runtime.giveups == 1
 
 
+def assert_only_owned_bytes(hypervisor, vm):
+    """What outlives an exchange — the migration log, the transfer
+    store, the coalescing queue — holds ``bytes`` of its own, never a
+    view of the caller's memory or of a frame.  Reads only: no clock
+    moves, so it is safe after every exchange of a sanitized run."""
+    clocks = (vm.clock.now, hypervisor.worker(vm.vm_id, "opencl").clock.now)
+    kept = [chunk
+            for entry in hypervisor.worker(vm.vm_id, "opencl").recorder.log
+            for chunk in entry.command.in_buffers.values()]
+    store = hypervisor.xfer_stores.get(vm.vm_id)
+    if store is not None:
+        kept.extend(store._entries.values())
+    for staged in vm.runtimes["opencl"]._queue:
+        kept.extend(staged.command.in_buffers.values())
+        kept.extend(original for kind, original, _digest, _size
+                    in staged.elided.values() if kind == "buf")
+    assert all(type(chunk) is bytes for chunk in kept)
+    assert clocks == (vm.clock.now,
+                      hypervisor.worker(vm.vm_id, "opencl").clock.now)
+
+
+class TestBorrowedPayloadsUnderFaults:
+    """An async write's payload is borrowed only until the call
+    returns: no fault makes a later frame carry the caller's array as
+    it is by then."""
+
+    def written_then_overwritten(self, **rates):
+        hypervisor, vm = fresh_stack()
+        env = opened_env(vm)
+        data = np.arange(4096, dtype=np.uint8)
+        mem = env.buffer(data.nbytes, host=np.zeros_like(data))
+        plan = FaultPlan(seed=SEED, **rates)
+        hypervisor.install_fault_plan(plan, retry_policy=RetryPolicy())
+        as_of_call = data.copy()
+        env.write(mem, data, blocking=False)
+        data[:] = 0xEE
+        assert_only_owned_bytes(hypervisor, vm)
+        return hypervisor, vm, env, mem, as_of_call, plan
+
+    def test_duplicated_async_write_lands_the_call_time_bytes(self):
+        hypervisor, vm, env, mem, as_of_call, plan = (
+            self.written_then_overwritten(duplicate=1.0))
+        assert plan.counts()["duplicate"] == 1
+        hypervisor.install_fault_plan(FaultPlan(seed=SEED))
+        got = env.read(mem, as_of_call.nbytes, dtype=np.uint8)
+        assert np.array_equal(got, as_of_call)
+
+    def test_dropped_async_write_is_lost_not_resent_stale(self):
+        hypervisor, vm, env, mem, as_of_call, plan = (
+            self.written_then_overwritten(drop=1.0))
+        runtime = vm.runtimes["opencl"]
+        assert runtime.retries == 0  # async frames are never retried
+        assert runtime.pending_async_error is not None
+        hypervisor.install_fault_plan(FaultPlan(seed=SEED))  # recovery
+        assert env.cl.clFinish(env.queue) != 0  # the deferred error
+        got = env.read(mem, as_of_call.nbytes, dtype=np.uint8)
+        assert not got.any()  # the write never landed, in any version
+        fresh = as_of_call[::-1].copy()
+        env.write(mem, fresh, blocking=False)
+        fresh[:] = 0xEE
+        got = env.read(mem, as_of_call.nbytes, dtype=np.uint8)
+        assert np.array_equal(got, as_of_call[::-1])
+
+
+class TestVectoredReplyFaults:
+    """Every fault mode against reply frames that carry their payload
+    by reference: a 1 MiB blocking read, and a batch carrying one."""
+
+    SIZE = 1 << 20
+    ROUNDS = 6
+    RATES = {
+        "drop": dict(drop=0.3, drop_replies=0.3),
+        "corrupt": dict(corrupt=0.4),
+        "delay": dict(delay=0.5, delay_replies=0.5),
+        "duplicate": dict(duplicate=0.5),
+    }
+    #: ``kind/leg`` of every fault injected under seed 1234, recorded at
+    #: the commit before reply frames became vectored (one exchange is
+    #: one frame each way, so a command and a batch draw alike)
+    PARENT_LOGS = {
+        "corrupt": " ".join(["corrupt/command"] * 6),
+        "delay": ("delay/command delay/command delay/reply delay/command "
+                  "delay/reply delay/command"),
+        "drop": ("drop/reply drop/reply drop/command drop/reply drop/reply "
+                 "drop/reply drop/command drop/command drop/reply "
+                 "drop/command drop/reply"),
+        "duplicate": "duplicate/command duplicate/command",
+    }
+
+    def exchanges(self, mode, batched):
+        from repro.guest.batching import BatchPolicy
+        from repro.opencl import types
+
+        hypervisor = make_hypervisor(apis=("opencl",))
+        vm = hypervisor.create_vm(
+            "v1", batch_policy=BatchPolicy() if batched else None)
+        env = opened_env(vm)
+        data = (np.arange(self.SIZE, dtype=np.uint32) % 251).astype(np.uint8)
+        mem = env.buffer(data.nbytes, host=data)
+        scratch = env.buffer(2048)
+        plan = FaultPlan(seed=1234, **self.RATES[mode])
+        hypervisor.install_fault_plan(plan, retry_policy=RetryPolicy())
+        runtime = vm.runtimes["opencl"]
+        exact = 0
+        for _ in range(self.ROUNDS):
+            out = np.zeros_like(data)
+            try:
+                if batched:
+                    # a spliced write and the read cross as one batch;
+                    # its reply batch carries the 1 MiB by reference
+                    env.write(scratch, data[:2048], blocking=False)
+                assert env.cl.clEnqueueReadBuffer(
+                    env.queue, mem,
+                    types.CL_FALSE if batched else types.CL_TRUE,
+                    0, out.nbytes, out, 0, None, None) == 0
+            except RemotingError as err:
+                assert "timeout" in str(err)
+            if runtime.pending_async_error is not None:
+                runtime.pending_async_error = None  # typed, and seen
+            if out.any():
+                assert np.array_equal(out, data)  # exact bytes, or none
+                exact += 1
+            assert_only_owned_bytes(hypervisor, vm)
+        assert exact
+        return hypervisor, plan
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["command", "batch"])
+    @pytest.mark.parametrize("mode", sorted(RATES))
+    def test_typed_error_or_exact_bytes(self, mode, batched):
+        hypervisor, plan = self.exchanges(mode, batched)
+        legs = {event.leg for event in plan.events}
+        assert "command" in legs
+        if mode in ("drop", "delay"):
+            assert "reply" in legs
+        if mode == "corrupt":
+            # every damaged frame was caught at the router's boundary
+            assert (hypervisor.router.malformed_frames
+                    == plan.counts()["corrupt"])
+        log = " ".join(f"{e.kind}/{e.leg}" for e in plan.events)
+        assert log == self.PARENT_LOGS[mode]
+
+
 class TestSharedCrossing:
     """One crossing step serves single commands and batches alike."""
 

@@ -155,6 +155,25 @@ class TestTransferStore:
         assert store.insert(b"b" * 2048) is None
         assert len(store) == 1  # the resident entry survived
 
+    def test_insert_copies_only_what_it_keeps(self):
+        """Re-seeded and oversized payloads are digested in place: the
+        store copies a payload only when it really inserts it."""
+        class Counting(bytearray):
+            copies = 0
+
+            def __bytes__(self):
+                Counting.copies += 1
+                return bytes(memoryview(self))
+
+        store = self.make(capacity_bytes=2 * len(PAYLOAD))
+        digest = store.insert(Counting(PAYLOAD))
+        assert Counting.copies == 1 and type(store.get(digest)) is bytes
+        assert store.insert(Counting(PAYLOAD)) == digest
+        assert store.insert(memoryview(PAYLOAD)) == digest
+        assert store.stats.duplicate_inserts == 2
+        assert store.insert(Counting(PAYLOAD * 3)) is None
+        assert Counting.copies == 1 and store.stats.inserts == 1
+
     def test_lru_eviction_by_bytes(self):
         store = self.make(capacity_bytes=1024)
         first = store.insert(b"a" * 512)
@@ -384,6 +403,31 @@ class TestEndToEnd:
         # the heal re-learned the digest: the next send hits again
         env.write(buffer, data)
         assert hypervisor.router.metrics_for(vm.vm_id).xfer_hits >= 2
+
+    def test_staged_elided_write_resends_the_call_time_bytes(self):
+        """The original kept for a NeedBytes resend is the payload as
+        of the call, not a view of the caller's (since overwritten)
+        array."""
+        from repro.guest.batching import BatchPolicy
+
+        hypervisor = make_hypervisor(apis=("opencl",))
+        vm = hypervisor.create_vm("v1", batch_policy=BatchPolicy(),
+                                  cache_policy=CachePolicy())
+        env = open_env(vm.library("opencl"))
+        data = np.arange(8192, dtype=np.uint16).view(np.uint8)
+        buffer = env.buffer(data.nbytes)
+        env.write(buffer, data)                   # seeds the store
+        env.write(buffer, np.zeros_like(data))
+        as_of_call = data.copy()
+        env.write(buffer, data, blocking=False)   # staged as a ref
+        (staged,) = vm.runtime("opencl")._queue
+        assert staged.command.cached_refs and staged.elided
+        hypervisor.xfer_stores[vm.vm_id].clear("test")  # the ref misses
+        data[:] = 0xEE
+        vm.flush()
+        assert vm.xfer_cache.retransmits == 1
+        got = env.read(buffer, data.nbytes, dtype=np.uint8)
+        assert np.array_equal(got, as_of_call)
 
     def test_second_need_bytes_surfaces_typed_error(self):
         from repro.remoting.codec import NeedBytes as NB
