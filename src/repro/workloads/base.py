@@ -8,7 +8,8 @@ to an AvA guest library, because the call surface is identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -174,7 +175,55 @@ class WorkloadResult:
     detail: str = ""
 
 
-class OpenCLWorkload:
+#: ``reference()`` outputs, one read-only mapping per workload ``memo_key``
+_REFERENCES: Dict[Any, Any] = {}
+
+
+def once_per_key(memo: Dict[Any, Any], key: Any,
+                 compute: Callable[[], Any]) -> Any:
+    """``memo[key]``, computed on the first request in this process; an
+    unhashable key cannot name an entry, so its value is just computed."""
+    try:
+        hash(key)
+    except TypeError:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+class Deterministic:
+    """A workload whose outputs are a function of :attr:`memo_key`:
+    ``reference()`` (and the native baseline, see
+    :mod:`repro.harness.runner`) is computed once per process per key and
+    handed out read-only.  Inputs are regenerated per run, never kept."""
+
+    @property
+    def memo_key(self) -> Any:
+        """The class and everything the instance holds (constructor
+        arguments and the sizes derived from them).  A class holding an
+        unhashable attribute states its own key or goes unmemoised."""
+        return (type(self), *sorted(vars(self).items()))
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "reference" in cls.__dict__:
+            uncached = cls.__dict__["reference"]
+
+            def cached(self, _uncached=uncached):
+                def compute():
+                    outputs = _uncached(self)
+                    for array in outputs.values():
+                        array.flags.writeable = False
+                    return MappingProxyType(outputs)
+
+                return once_per_key(_REFERENCES, self.memo_key, compute)
+
+            cached.__doc__ = uncached.__doc__
+            cls.reference = cached
+
+
+class OpenCLWorkload(Deterministic):
     """Base class: a named, sized, verifiable OpenCL application."""
 
     name = "abstract"
@@ -184,22 +233,6 @@ class OpenCLWorkload:
     def __init__(self, scale: float = 1.0, seed: int = 42) -> None:
         self.scale = scale
         self.seed = seed
-        self._reference_cache: Optional[Dict[str, np.ndarray]] = None
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        """Memoize ``reference()`` — workloads verify against it on every
-        run and the reference computation can rival the run itself."""
-        super().__init_subclass__(**kwargs)
-        if "reference" in cls.__dict__:
-            uncached = cls.__dict__["reference"]
-
-            def cached(self, _uncached=uncached):
-                if self._reference_cache is None:
-                    self._reference_cache = _uncached(self)
-                return self._reference_cache
-
-            cached.__doc__ = uncached.__doc__
-            cls.reference = cached
 
     def run(self, cl: Any) -> WorkloadResult:
         """Run against an API object; must verify its own results."""

@@ -35,7 +35,10 @@ def make_corpus(blocks: int, block_bytes: int, seed: int) -> list:
 
 
 class CompressionWorkload:
-    """Compress + decompress a corpus, verifying the round trip."""
+    """Compress + decompress a corpus, verifying the round trip.
+
+    Not ``Deterministic``: the round trip is its own check (there is no
+    ``reference()``) and the harness has no native QAT runner to memoise."""
 
     name = "compression"
 

@@ -33,7 +33,7 @@ from repro.mvnc.graph import (
     Layer,
 )
 from repro.remoting.buffers import OutBox
-from repro.workloads.base import WorkloadResult
+from repro.workloads.base import Deterministic, WorkloadResult
 
 
 def build_inception_graph(seed: int = 42, input_hw: int = 32,
@@ -81,7 +81,7 @@ def build_inception_graph(seed: int = 42, input_hw: int = 32,
     )
 
 
-class InceptionWorkload:
+class InceptionWorkload(Deterministic):
     """Batch inference through the MVNC API (native or forwarded)."""
 
     name = "inception"
@@ -94,6 +94,12 @@ class InceptionWorkload:
         self.classes = 10
         self.graph_def = build_inception_graph(seed, self.input_hw,
                                                self.classes)
+
+    @property
+    def memo_key(self) -> Any:
+        """``graph_def`` is a function of the rest, and not hashable."""
+        return (type(self), self.seed, self.batch, self.input_hw,
+                self.classes)
 
     def _images(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed + 1)

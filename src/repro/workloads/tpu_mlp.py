@@ -16,10 +16,10 @@ import numpy as np
 from repro.remoting.buffers import OutBox
 from repro.tpu import api as tpu_api
 from repro.tpu.graphs import OP_ADD, OP_MATMUL, OP_RELU, OP_SOFTMAX
-from repro.workloads.base import WorkloadResult
+from repro.workloads.base import Deterministic, WorkloadResult
 
 
-class TPUMLPWorkload:
+class TPUMLPWorkload(Deterministic):
     """Batched MLP inference: x→dense(128)→relu→dense(classes)→softmax."""
 
     name = "tpu_mlp"

@@ -1,8 +1,5 @@
 """Tests for record/replay VM migration (§4.3) — stop-the-world and live."""
 
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -625,22 +622,10 @@ class TestMigrationSeedGaps:
 
 
 class TestFigure5BitIdentity:
-    def test_no_migration_reproduces_stored_figure5(self):
+    def test_no_migration_reproduces_stored_figure5(
+            self, figure5_matches_stored):
         """With the live-migration machinery present but unused, the
         default stack reproduces BENCH_figure5.json bit for bit."""
         from repro.harness import run_figure5
 
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "benchmarks", "BENCH_figure5.json")
-        with open(path, encoding="utf-8") as handle:
-            stored = json.load(handle)
-        rows = run_figure5()
-        got = {
-            row.name: (row.native.runtime, row.virtualized.runtime)
-            for row in rows
-        }
-        want = {
-            row["name"]: (row["native_runtime"], row["virtualized_runtime"])
-            for row in stored["rows"]
-        }
-        assert got == want
+        figure5_matches_stored(run_figure5())

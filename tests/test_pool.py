@@ -1,8 +1,5 @@
 """Device pools: classes, placement, the pool engine, integration."""
 
-import json
-import os
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -418,7 +415,8 @@ class TestHypervisorIntegration:
 
 
 class TestFigure5BitIdentity:
-    def test_single_member_pool_reproduces_stored_json_exactly(self):
+    def test_single_member_pool_reproduces_stored_json_exactly(
+            self, figure5_matches_stored):
         """Routing figure 5 through a 1-member baseline pool changes
         nothing: every runtime matches the stored JSON bit for bit."""
         from repro.harness import run_figure5
@@ -429,20 +427,7 @@ class TestFigure5BitIdentity:
             hv.add_device(DeviceClass.baseline_gpu())
             return hv
 
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "benchmarks", "BENCH_figure5.json")
-        with open(path, encoding="utf-8") as handle:
-            stored = json.load(handle)
-        rows = run_figure5(hypervisor_factory=factory)
-        got = {
-            row.name: (row.native.runtime, row.virtualized.runtime)
-            for row in rows
-        }
-        want = {
-            row["name"]: (row["native_runtime"], row["virtualized_runtime"])
-            for row in stored["rows"]
-        }
-        assert got == want
+        figure5_matches_stored(run_figure5(hypervisor_factory=factory))
 
 
 class TestRebalancer:

@@ -9,9 +9,6 @@ operation — so virtual-time results stay bit-identical; disarmed, every
 hook site is one attribute read on the module NOOP.
 """
 
-import json
-import os
-
 import pytest
 
 from repro.analysis import sanitizer as san
@@ -229,24 +226,12 @@ class TestChaosUnderSanitizer:
 class TestBitIdentity:
     """Armed or not, the sanitizer never touches virtual time."""
 
-    def test_figure5_reproduces_stored_json_with_sanitizer_armed(self):
+    def test_figure5_reproduces_stored_json_with_sanitizer_armed(
+            self, figure5_matches_stored):
         from repro.harness import run_figure5
 
         s = armed()
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "benchmarks", "BENCH_figure5.json")
-        with open(path, encoding="utf-8") as handle:
-            stored = json.load(handle)
-        rows = run_figure5()
-        got = {
-            row.name: (row.native.runtime, row.virtualized.runtime)
-            for row in rows
-        }
-        want = {
-            row["name"]: (row["native_runtime"], row["virtualized_runtime"])
-            for row in stored["rows"]
-        }
-        assert got == want
+        figure5_matches_stored(run_figure5())
         assert s.checks["dispatch-order"] > 1000
         assert s.violations == []
 

@@ -641,20 +641,8 @@ class TestCavaSloCLI:
 class TestBitIdentity:
     """The SLO/flightrec/histogram machinery costs nothing when off."""
 
-    def test_figure5_reproduces_stored_json_exactly(self):
+    def test_figure5_reproduces_stored_json_exactly(
+            self, figure5_matches_stored):
         from repro.harness import run_figure5
 
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "benchmarks", "BENCH_figure5.json")
-        with open(path, encoding="utf-8") as handle:
-            stored = json.load(handle)
-        rows = run_figure5()
-        got = {
-            row.name: (row.native.runtime, row.virtualized.runtime)
-            for row in rows
-        }
-        want = {
-            row["name"]: (row["native_runtime"], row["virtualized_runtime"])
-            for row in stored["rows"]
-        }
-        assert got == want
+        figure5_matches_stored(run_figure5())

@@ -8,9 +8,6 @@ data — and with the policy disarmed the wire and every virtual-time
 result are bit-identical to the uncached stack.
 """
 
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -532,22 +529,10 @@ class TestBitIdentity:
         disabled = self.run_one(CachePolicy(enabled=False))
         assert disabled == baseline
 
-    def test_figure5_reproduces_stored_json_exactly(self):
+    def test_figure5_reproduces_stored_json_exactly(
+            self, figure5_matches_stored):
         """The default-config stack reproduces BENCH_figure5.json bit
         for bit — the cache code's existence costs nothing."""
         from repro.harness import run_figure5
 
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "benchmarks", "BENCH_figure5.json")
-        with open(path, encoding="utf-8") as handle:
-            stored = json.load(handle)
-        rows = run_figure5()
-        got = {
-            row.name: (row.native.runtime, row.virtualized.runtime)
-            for row in rows
-        }
-        want = {
-            row["name"]: (row["native_runtime"], row["virtualized_runtime"])
-            for row in stored["rows"]
-        }
-        assert got == want
+        figure5_matches_stored(run_figure5())
