@@ -3,7 +3,9 @@
 AvA migrates by replaying recorded calls and restoring buffer
 snapshots.  The bench measures downtime as device state grows, and the
 log-size reduction from Nooks-style object tracking (destroyed objects
-drop out of the log).
+drop out of the log) and from the spec's ``supersedes`` keys (a steady
+set-arg/launch/rewrite loop leaves the log no longer, and a destroy
+visits only the dead object's records).
 
 The live sections compare the iterative pre-copy protocol against the
 seed's stop-the-world migration under sustained guest traffic (gate:
@@ -18,9 +20,11 @@ import os
 
 import numpy as np
 
+from repro.migration.recorder import RecordedCall
 from repro.opencl import types
 from repro.remoting.buffers import OutBox
 from repro.stack import make_hypervisor
+from repro.workloads.base import open_env
 
 SRC = ("__kernel void vector_scale(__global float* x, float alpha, "
        "int n) {}")
@@ -112,6 +116,66 @@ def test_object_tracking_prunes_log(once):
           "tracking)")
     assert after == baseline
     assert pruned >= 100
+    rows = bounded_log()
+    _print_bounded(rows)
+    _assert_bounded(rows)
+
+
+def bounded_log():
+    """The log under a steady-state guest: N iterations of set three
+    kernel arguments, launch, rewrite the input buffer; then one destroy
+    among K live buffers, counted in records visited (not seconds)."""
+    rows = []
+    for iterations, live_objects in ((10, 100), (100, 1000), (1000, 10000)):
+        hv = make_hypervisor(apis=("opencl",))
+        cl = hv.create_vm("vm-steady").library("opencl")
+        env = open_env(cl)
+        kernel = env.kernel(env.program(SRC), "vector_scale")
+        mem = env.buffer(4096)
+        recorder = hv.worker("vm-steady", "opencl").recorder
+        data = np.ones(1024, dtype=np.float32)
+        for index in range(iterations):
+            env.set_args(kernel, mem, 1.0 + index % 3, 1024)
+            env.launch(kernel, [1024])
+            env.write(mem, data, blocking=False)
+        env.finish()
+        log_entries = len(recorder)
+
+        extras = [env.buffer(64) for _ in range(live_objects)]
+        visits = []
+        inner = RecordedCall.created_ids
+        RecordedCall.created_ids = \
+            lambda entry: visits.append(entry.serial) or inner(entry)
+        try:
+            cl.clReleaseMemObject(extras[live_objects // 2])
+            env.finish()
+        finally:
+            RecordedCall.created_ids = inner
+        rows.append({
+            "iterations": iterations,
+            "log_entries": log_entries,
+            "live_objects": live_objects,
+            "log_entries_at_destroy": log_entries + live_objects,
+            "destroy_record_visits": len(visits),
+        })
+    return rows
+
+
+def _assert_bounded(rows):
+    assert len({row["log_entries"] for row in rows}) == 1, (
+        f"log length grew with the iteration count: {rows}")
+    assert len({row["destroy_record_visits"] for row in rows}) == 1, (
+        f"destroy cost grew with the log: {rows}")
+
+
+def _print_bounded(rows):
+    print("\n=== bounded log: set-arg / launch / rewrite loop ===")
+    print(f"{'iterations':>11s} {'log':>6s} {'live objs':>10s} "
+          f"{'destroy visits':>15s}")
+    for row in rows:
+        print(f"{row['iterations']:11d} {row['log_entries']:6d} "
+              f"{row['live_objects']:10d} "
+              f"{row['destroy_record_visits']:15d}")
 
 
 def live_vs_stop_the_world():
@@ -255,17 +319,23 @@ def test_gate():
     Gates: live downtime <= 25% of stop-the-world on the same state
     under sustained traffic, and the rebalancer demonstrably moves a
     tenant off the hot member, shrinking the pool's utilization spread.
+    The steady-state loop leaves the log no longer and a destroy visits
+    the same few records whatever the log holds.
     Writes BENCH_migration.json for dashboards and regression diffs.
     """
     live_rows = live_vs_stop_the_world()
     rebalance = rebalance_demo()
+    bounded_rows = bounded_log()
     _print_live(live_rows, rebalance)
+    _print_bounded(bounded_rows)
     _assert_gates(live_rows, rebalance)
+    _assert_bounded(bounded_rows)
     path = os.path.join(os.path.dirname(__file__),
                         "BENCH_migration.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({
             "figure": "migration",
+            "bounded_log": bounded_rows,
             "live_vs_stop_the_world": live_rows,
             "rebalance": rebalance,
         }, handle, indent=2, sort_keys=True)

@@ -131,6 +131,7 @@ def main():
         routing_table=stack.routing_table(),
         dispatch=stack.dispatch(),
         record_kinds=stack.record_kinds(),
+        supersedes=stack.supersedes(),
         guest_module=stack.guest_module,
         session_binder=lambda worker: (
             lambda w: contextlib.nullcontext()  # stateless native library

@@ -70,6 +70,9 @@ CODE_TABLE: Dict[str, tuple] = {
     "CAVA204": (Severity.WARNING,
                 "async release can race a later synchronous use of the "
                 "same handle type"),
+    "CAVA205": (Severity.WARNING,
+                "recorded `modify` call declares no `supersedes` key: its "
+                "records accumulate for the object's lifetime"),
     # generated-code AST
     "CAVA301": (Severity.ERROR,
                 "guest encode order diverges from server decode order"),

@@ -26,6 +26,10 @@ Diagnostics fall out of the reachable transitions:
   (CAVA203),
 * an ``async`` release racing a later synchronous use is the ordering
   hazard the transport must otherwise guarantee away (CAVA204).
+
+One finding is about the migration log's lifetime rather than a handle's:
+a ``record(modify)`` function without a ``supersedes(...)`` key leaves one
+record per call until the object it touches is destroyed (CAVA205).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.codegen.classify import ParamClass, classify_param, classify_return
-from repro.spec.model import ApiSpec, FunctionSpec
+from repro.spec.model import ApiSpec, FunctionSpec, RecordKind
 
 
 class HandleState(enum.Enum):
@@ -207,4 +211,18 @@ def analyze_lifecycle(spec: ApiSpec) -> Tuple[List[Diagnostic], int]:
                     f"({shown}); unless the transport preserves per-VM "
                     f"FIFO order, the release can overtake a later use",
                 ))
+
+    for fname in sorted(spec.functions):
+        func = spec.functions[fname]
+        if func.unsupported or func.record_kind is not RecordKind.MODIFY:
+            continue
+        checks += 1
+        if not func.supersedes:
+            diags.append(Diagnostic(
+                "CAVA205", fname,
+                f"{fname!r} is record(modify) without supersedes(...): "
+                f"the migration log keeps every call until the object it "
+                f"modifies is destroyed; name the parameters that key "
+                f"the state it sets, or justify why each record is needed",
+            ))
     return diags, checks

@@ -68,6 +68,8 @@ def _render_function(func: FunctionSpec) -> str:
         body.append("async;")
     if func.record_kind is not None:
         body.append(f"record({func.record_kind.value});")
+    if func.supersedes:
+        body.append(f"supersedes({', '.join(func.supersedes)});")
     for resource, expr in sorted(func.resources.items()):
         body.append(f"consumes({resource}, {expr.to_source()});")
     if func.unsupported:

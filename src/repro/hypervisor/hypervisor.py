@@ -51,6 +51,9 @@ class ApiRegistration:
     routing_table: RoutingTable
     dispatch: Dict[str, Any]
     record_kinds: Dict[str, RecordKind]
+    #: the generated ``SUPERSEDES`` table: function → (parameters keying
+    #: its migration record, return value meaning it took effect)
+    supersedes: Dict[str, Any]
     guest_module: Any
     #: called once per new worker; returns that worker's session factory
     session_binder: Callable[[ApiServerWorker], Callable[..., ContextManager]]
@@ -306,6 +309,7 @@ class Hypervisor:
                 RuntimeError("session factory not bound")
             ),
             record_kinds=registration.record_kinds,
+            supersedes=registration.supersedes,
         )
         if pool_device is not None:
             # explicit binding: live migration builds its destination on

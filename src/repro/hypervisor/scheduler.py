@@ -173,10 +173,6 @@ class StreamStats:
     def max_wait(self) -> float:
         return max(self.waits) if self.waits else 0.0
 
-    @property
-    def mean_wait(self) -> float:
-        return self.total_wait / self.completed if self.completed else 0.0
-
 
 class ContendedDevice:
     """Discrete-event simulation of N closed-loop guests sharing a device.

@@ -9,10 +9,11 @@ parts the stack already has:
 * **Background replay.**  A destination worker is spawned next to the
   serving source and the recorded call log (spec ``record(...)``
   annotations) is replayed onto it *incrementally* — each pre-copy round
-  replays only the log suffix that appeared since the last round, under
-  the original guest ids.  Destroys observed meanwhile (which prune the
-  log) are forwarded through the recorder's destroy listeners and
-  replayed too, so the destination never leaks dead objects.
+  replays only the log suffix (by record serial) that appeared since the
+  last round, under the original guest ids.  Destroys observed meanwhile
+  (which prune the log) are forwarded through the recorder's destroy
+  listeners and replayed too, so the destination never leaks dead
+  objects.
 * **Iterative pre-copy.**  Each round digests every live source buffer
   and ships only the ones whose contents differ from what the
   destination already holds.  Dirty tracking cannot rely on ``modify``
@@ -157,8 +158,10 @@ class LiveMigration:
         self.aborted = False
         self._began_at = 0.0
         self._frozen = False
-        #: RecordedCall identities already replayed on the destination
-        self._replayed_ids: Set[int] = set()
+        #: serial of the newest source record the destination has seen.
+        #: Serials only grow, so a record made after a prune can never
+        #: be mistaken for one already replayed
+        self._replayed_through = 0
         #: destroys observed since the last suffix replay
         self._pending_destroys: List[Tuple[Command, Set[int]]] = []
         #: guest id → digest of the bytes the destination holds for it
@@ -255,11 +258,12 @@ class LiveMigration:
                 )
             replayed += 1
         self._pending_destroys.clear()
-        for entry in self.source.recorder.log:
-            if id(entry) in self._replayed_ids:
-                continue
+        # a record superseded since the last round is either already on
+        # the destination (its replacement is in this suffix) or was
+        # never needed
+        for entry in self.source.recorder.since(self._replayed_through):
             replay_entry(self.dest, entry)
-            self._replayed_ids.add(id(entry))
+            self._replayed_through = entry.serial
             replayed += 1
             # the replayed call may have (re)written destination
             # buffers — record what the destination now holds, so the

@@ -213,10 +213,6 @@ class TransferCache:
         for digest in digests:
             self._known.pop(digest, None)
 
-    def invalidate(self) -> None:
-        """Drop every local belief about server-side residency."""
-        self._known.clear()
-
     # -- reporting ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, int]:

@@ -46,6 +46,7 @@ class ApiServerWorker:
         dispatch: Dict[str, ServerStub],
         session_factory: Callable[["ApiServerWorker"], ContextManager],
         record_kinds: Optional[Dict[str, RecordKind]] = None,
+        supersedes: Optional[Dict[str, Any]] = None,
         dispatch_cost: float = 0.5e-6,
         batch_dispatch_cost: float = 0.2e-6,
         clock: Optional[VirtualClock] = None,
@@ -62,7 +63,7 @@ class ApiServerWorker:
         self.batch_dispatch_cost = batch_dispatch_cost
         self.clock = clock or VirtualClock(f"worker-{vm_id}-{api_name}")
         self.handles = HandleTable(vm_id)
-        self.recorder = CallRecorder()
+        self.recorder = CallRecorder(supersedes)
         self.stats = WorkerStats()
         #: during migration replay: param name → guest id(s) to force
         self.handle_override: Optional[Dict[str, Any]] = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.spec.errors import SpecSemanticError
 from repro.spec.expr import Evaluator, Expr, Literal
@@ -118,10 +118,6 @@ class ParamSpec:
     #: explicitly inferred (not developer-written) — surfaced as guidance
     inferred: bool = False
 
-    @property
-    def is_buffer(self) -> bool:
-        return self.buffer_size is not None or self.is_string
-
     def element_size(self, sizeof_table: Mapping[str, int]) -> int:
         """Size of one pointee element, for element-count buffers."""
         if not self.ctype.is_pointer:
@@ -187,6 +183,10 @@ class FunctionSpec:
     params: List[ParamSpec] = field(default_factory=list)
     sync_policy: SyncPolicy = field(default_factory=SyncPolicy)
     record_kind: Optional[RecordKind] = None
+    #: parameters whose values key this call's migration record: a later
+    #: successful call with equal values makes the earlier record dead
+    #: (``supersedes(kernel, arg_index);``, see docs/migration.md)
+    supersedes: Tuple[str, ...] = ()
     #: resource-name → cost expression (§4.3 scheduling approximations)
     resources: Dict[str, Expr] = field(default_factory=dict)
     unsupported: bool = False
@@ -205,14 +205,6 @@ class FunctionSpec:
         return [p.name for p in self.params]
 
     @property
-    def has_outputs(self) -> bool:
-        """True if any data flows back (needed for async fidelity)."""
-        return any(
-            p.direction in (Direction.OUT, Direction.INOUT)
-            for p in self.params
-        )
-
-    @property
     def has_required_outputs(self) -> bool:
         """Outputs the caller cannot opt out of (non-nullable).
 
@@ -225,10 +217,6 @@ class FunctionSpec:
             and not p.nullable
             for p in self.params
         )
-
-    def is_forwardable_async(self) -> bool:
-        """Async forwarding is only faithful without required outputs."""
-        return not self.has_required_outputs
 
 
 @dataclass
@@ -258,9 +246,14 @@ class ApiSpec:
 
     def success_value_of(self, func: FunctionSpec) -> float:
         """Numeric success value for ``func``'s return type (async path)."""
+        declared = self.declared_success_of(func)
+        return 0.0 if declared is None else declared
+
+    def declared_success_of(self, func: FunctionSpec) -> Optional[float]:
+        """The ``success(...)`` constant of ``func``'s return type, if any."""
         type_spec = self.types.get(func.return_type.base)
         if type_spec is None or type_spec.success_value is None:
-            return 0.0
+            return None
         name = type_spec.success_value
         if name in self.constants:
             return self.constants[name]
@@ -335,6 +328,29 @@ class ApiSpec:
                             f"{func.name}: resource {resource!r} estimate "
                             f"references unknown name {name!r}"
                         )
+            if func.supersedes and func.record_kind is not RecordKind.MODIFY:
+                problems.append(
+                    f"{func.name}: supersedes() keys migration records, "
+                    "but the function is not record(modify)"
+                )
+            for name in func.supersedes:
+                if name not in param_names:
+                    problems.append(
+                        f"{func.name}: supersedes() names unknown "
+                        f"parameter {name!r}"
+                    )
+                    continue
+                param = func.param(name)
+                # a key is compared by value when the call is recorded:
+                # only handles and scalars passed by value qualify
+                if (param.ctype.is_pointer
+                        or param.direction is not Direction.IN
+                        or param.is_anyvalue or param.is_callback):
+                    problems.append(
+                        f"{func.name}: supersedes() parameter {name!r} is "
+                        "an out-parameter or a buffer; a key must be a "
+                        "handle or scalar passed by value"
+                    )
         return problems
 
     def require_valid(self) -> None:

@@ -325,6 +325,16 @@ class _SpecParser:
             self._advance()
             self._expect_punct(";")
             func.record_kind = None
+        elif token.is_ident("supersedes"):
+            self._advance()
+            self._expect_punct("(")
+            names = [self._expect_ident().value]
+            while self._peek().is_punct(","):
+                self._advance()
+                names.append(self._expect_ident().value)
+            self._expect_punct(")")
+            self._expect_punct(";")
+            func.supersedes = tuple(names)
         elif token.is_ident("unsupported"):
             self._advance()
             self._expect_punct(";")

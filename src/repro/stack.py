@@ -253,6 +253,7 @@ class VirtualStack:
                     routing_table=stack.routing_table(),
                     dispatch=stack.dispatch(),
                     record_kinds=stack.record_kinds(),
+                    supersedes=stack.supersedes(),
                     guest_module=stack.guest_module,
                     session_binder=binder,
                 )

@@ -106,10 +106,6 @@ class VirtualClock:
         finally:
             self._trace_enabled = previous
 
-    def fork(self, name: str) -> "VirtualClock":
-        """A new clock starting at this clock's current time."""
-        return VirtualClock(name=name, start=self._now)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock({self.name!r}, now={self._now:.6f})"
 

@@ -126,6 +126,19 @@ class TestLifecycle:
         report = lint_bad("lifecycle_async_release")
         assert "CAVA204" in codes(report)
 
+    def test_unkeyed_recorded_modify_is_warned(self):
+        spec = bad_spec("lifecycle_unkeyed_modify")
+        assert verify_spec(spec).ok
+        report = lint_spec(spec)
+        flagged = [d for d in report.diagnostics if d.code == "CAVA205"]
+        # setMode, which declares its key, is not flagged
+        assert [d.subject for d in flagged] == ["setGain"]
+        assert flagged[0].severity is Severity.WARNING
+        assert report.gate("error") and not report.gate("warning")
+        justified = parse_suppressions(
+            "CAVA205 setGain: every gain step is replayed on purpose\n")
+        assert lint_spec(spec, suppressions=justified).gate("warning")
+
     def test_sync_release_does_not_race(self):
         spec = parse_spec(
             "api(x);\ntype(widget) { handle; }\n"
@@ -418,7 +431,7 @@ class TestShippedSpecs:
         path = os.path.join(default_specs_dir(), "opencl.cava")
         report = lint_path(path)
         suppressed_codes = {d.code for d, _ in report.suppressed}
-        assert {"CAVA202", "CAVA204"} <= suppressed_codes
+        assert {"CAVA202", "CAVA204", "CAVA205"} <= suppressed_codes
         assert all(why.strip() for _, why in report.suppressed)
 
     def test_global_work_offset_regression(self):

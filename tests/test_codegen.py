@@ -169,6 +169,32 @@ class TestGeneratedSources:
         assert kinds["makeThing"].value == "create"
         assert kinds["freeThing"].value == "destroy"
 
+    def test_supersedes_table_exported(self, tmp_path):
+        """Key parameters and the success constant travel in the
+        generated server module, beside RECORD_KINDS."""
+        keyed = parse_spec(
+            SPEC_TEXT
+            + "st setThing(hdl thing, int slot, float value) "
+            "{ supersedes(thing, slot); }\n"
+            + "void writeThing(hdl thing, int slot) "
+            "{ supersedes(thing); }\n"
+        )
+        keyed.constants["OK"] = 0.0
+        stack = generate_api(keyed, str(tmp_path), "repro.opencl.api")
+        assert stack.supersedes() == {
+            "setThing": (("thing", "slot"), 0),
+            # no success() on the return type: every call counts
+            "writeThing": (("thing",), None),
+        }
+
+    def test_supersedes_round_trips_through_specwriter(self):
+        spec = parse_spec(
+            "api(k);\ntype(hdl) { handle; }\n"
+            "int setThing(hdl thing, int slot) { supersedes(thing, slot); }\n"
+        )
+        again = parse_spec(render_spec(spec))
+        assert again.function("setThing").supersedes == ("thing", "slot")
+
 
 class TestSpecWriter:
     def test_render_parses_back(self):

@@ -164,6 +164,7 @@ def deploy(spec, native_module):
         routing_table=RoutingTable.from_spec(spec),
         dispatch=stack.dispatch(),
         record_kinds={},
+        supersedes={},
         guest_module=stack.guest_module,
         session_binder=lambda worker: (
             lambda w: contextlib.nullcontext()

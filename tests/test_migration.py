@@ -6,7 +6,7 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.guest.library import RemotingError
 from repro.migration import MigrationAborted, MigrationPolicy
-from repro.migration.recorder import CallRecorder
+from repro.migration.recorder import CallRecorder, RecordedCall
 from repro.migration.replayer import MigrationError, migrate_worker
 from repro.opencl import types
 from repro.remoting.buffers import OutBox
@@ -20,6 +20,10 @@ from repro.workloads.base import open_env
 VECTOR_SRC = (
     "__kernel void vector_add(__global float* a, __global float* b, "
     "__global float* c, int n) {}"
+)
+
+SCALE_SRC = (
+    "__kernel void vector_scale(__global float* x, float alpha, int n) {}"
 )
 
 
@@ -80,6 +84,177 @@ class TestRecorderObjectTracking:
             RecordKind.CREATE,
         )
         assert recorder.live_created_ids() == {20, 21}
+
+
+#: a generated SUPERSEDES table in miniature: key parameters, and the
+#: return value that means the call took effect
+KEYED = {"set": (("h", "slot"), 0), "put": (("h",), None)}
+
+
+def keyed_set(recorder, slot, handle=10, ret=0, value=0, new_handles=None):
+    cmd = Command(seq=1, vm_id="vm", api="x", function="set",
+                  handles={"h": handle},
+                  scalars={"slot": slot, "value": value})
+    recorder.record(cmd, Reply(seq=1, return_value=ret,
+                               new_handles=new_handles or {}),
+                    RecordKind.MODIFY)
+
+
+class TestRecorderSupersede:
+    """A later successful call with the same key replaces the earlier
+    record (docs/migration.md, "What the log keeps")."""
+
+    def test_same_key_replaces_and_moves_to_the_end(self):
+        recorder = CallRecorder(KEYED)
+        keyed_set(recorder, slot=0, value=1)
+        keyed_set(recorder, slot=1, value=2)
+        keyed_set(recorder, slot=0, value=3)
+        assert [(e.command.scalars["slot"], e.command.scalars["value"])
+                for e in recorder.log] == [(1, 2), (0, 3)]
+        serials = [e.serial for e in recorder.log]
+        assert serials == sorted(serials) and len(set(serials)) == 2
+
+    def test_other_function_or_no_table_accumulates(self):
+        recorder = CallRecorder(KEYED)
+        for _ in range(3):
+            recorder.record(command("tweak", handles={"h": 10}),
+                            Reply(seq=1), RecordKind.MODIFY)
+        assert len(recorder) == 3
+        plain = CallRecorder()
+        for _ in range(3):
+            keyed_set(plain, slot=0)
+        assert len(plain) == 3
+
+    def test_failed_call_supersedes_nothing_and_is_not_kept(self):
+        recorder = CallRecorder(KEYED)
+        keyed_set(recorder, slot=0, value=1)
+        keyed_set(recorder, slot=0, value=2, ret=-50)
+        (entry,) = recorder.log
+        assert entry.command.scalars["value"] == 1
+
+    def test_undeclared_success_counts_every_call(self):
+        recorder = CallRecorder(KEYED)
+        for ret in (None, 7, -1):
+            recorder.record(command("put", handles={"h": 10}),
+                            Reply(seq=1, return_value=ret),
+                            RecordKind.MODIFY)
+        assert len(recorder) == 1
+
+    def test_record_that_created_handles_is_never_superseded(self):
+        recorder = CallRecorder(KEYED)
+        keyed_set(recorder, slot=0, value=1, new_handles={"event": 77})
+        keyed_set(recorder, slot=0, value=2)
+        keyed_set(recorder, slot=0, value=3)
+        assert [e.command.scalars["value"] for e in recorder.log] == [1, 3]
+        assert recorder.live_created_ids() == {77}
+
+    def test_absent_or_unhashable_key_accumulates(self):
+        recorder = CallRecorder(KEYED)
+        for _ in range(2):
+            recorder.record(command("set", handles={"h": 10}),
+                            Reply(seq=1, return_value=0),
+                            RecordKind.MODIFY)      # no "slot"
+            recorder.record(command("put", handles={"h": [10, 11]}),
+                            Reply(seq=1), RecordKind.MODIFY)
+        assert len(recorder) == 4
+
+    def test_superseding_through_other_handles_reindexes(self):
+        """Same key, different handle set (a write through another
+        queue): object tracking must follow the handles of the record
+        that is in the log now."""
+        recorder = CallRecorder({"write": (("buf",), 0)})
+
+        def write(queue):
+            recorder.record(
+                command("write", handles={"queue": queue, "buf": 9}),
+                Reply(seq=1, return_value=0), RecordKind.MODIFY)
+
+        write(queue=3)
+        write(queue=3)
+        write(queue=4)
+        assert len(recorder) == 1
+        recorder.record(command("free", handles={"queue": 3}),
+                        Reply(seq=2), RecordKind.DESTROY)
+        assert len(recorder) == 1       # queue 3 no longer matters
+        recorder.record(command("free", handles={"queue": 4}),
+                        Reply(seq=3), RecordKind.DESTROY)
+        assert len(recorder) == 0
+        assert not recorder._by_key and not recorder._by_handle
+
+    def test_destroy_forgets_the_key(self):
+        recorder = CallRecorder(KEYED)
+        keyed_set(recorder, slot=0)
+        recorder.record(command("free", handles={"h": 10}), Reply(seq=2),
+                        RecordKind.DESTROY)
+        assert len(recorder) == 0 and recorder.pruned_calls == 1
+        keyed_set(recorder, slot=0)     # the id is reused by a new object
+        keyed_set(recorder, slot=0)
+        assert len(recorder) == 1
+
+    def test_since_returns_the_suffix_in_replay_order(self):
+        recorder = CallRecorder(KEYED)
+        keyed_set(recorder, slot=0)
+        keyed_set(recorder, slot=1)
+        seen = recorder.log[-1].serial
+        assert recorder.since(seen) == []
+        keyed_set(recorder, slot=0)     # replaces a record already seen
+        keyed_set(recorder, slot=2)
+        assert [e.command.scalars["slot"]
+                for e in recorder.since(seen)] == [0, 2]
+        assert recorder.since(0) == list(recorder.log)
+
+    def test_log_length_constant_over_1e5_sets_and_rewrites(self):
+        table = {"clSetKernelArg": (("kernel", "arg_index"), 0),
+                 "clEnqueueWriteBuffer": (("buf", "offset", "size"), 0)}
+        recorder = CallRecorder(table)
+        payload = b"x" * 64
+
+        def burst(count):
+            for index in range(count):
+                recorder.record(
+                    Command(seq=index, vm_id="vm", api="opencl",
+                            function="clSetKernelArg",
+                            handles={"kernel": 7},
+                            scalars={"arg_index": index % 3,
+                                     "arg_size": 8, "arg_value": index}),
+                    Reply(seq=index, return_value=0), RecordKind.MODIFY)
+                recorder.record(
+                    Command(seq=index, vm_id="vm", api="opencl",
+                            function="clEnqueueWriteBuffer",
+                            handles={"command_queue": 3,
+                                     "buf": 9 + index % 2},
+                            scalars={"offset": 0, "size": 64},
+                            in_buffers={"ptr": payload}),
+                    Reply(seq=index, return_value=0), RecordKind.MODIFY)
+
+        burst(10)
+        settled = len(recorder)
+        assert settled == 5     # three slots, two buffers
+        burst(50_000)
+        assert len(recorder) == settled
+        assert len(recorder._by_key) == settled
+        assert sorted(recorder._by_handle) == [3, 7, 9, 10]
+
+    def test_destroy_visits_only_the_dead_objects_records(self,
+                                                          monkeypatch):
+        recorder = CallRecorder(KEYED)
+        for gid in range(100, 10_100):
+            recorder.record(command("make", handles={"ctx": 1}),
+                            Reply(seq=1, new_handles={"h": gid}),
+                            RecordKind.CREATE)
+            keyed_set(recorder, slot=0, handle=gid)
+        assert len(recorder) == 20_000
+        visited = []
+        real = RecordedCall.created_ids
+        monkeypatch.setattr(
+            RecordedCall, "created_ids",
+            lambda entry: visited.append(entry.serial) or real(entry))
+        recorder.record(command("free", handles={"h": 5_000}),
+                        Reply(seq=2), RecordKind.DESTROY)
+        assert len(recorder) == 19_998 and recorder.pruned_calls == 2
+        # the scan this replaces looked at all 20,000 records
+        assert len(visited) <= 8
+        assert 5_000 not in recorder.live_created_ids()
 
 
 def build_state(cl, n=64):
@@ -165,6 +340,54 @@ class TestWorkerMigration:
         assert extra not in new_worker.handles
         assert state["mem"] in new_worker.handles
         assert report.restored_buffers == 1
+
+    def test_failed_set_arg_does_not_displace_the_good_one(self):
+        """A call that returned an error changed nothing, so it must not
+        supersede the record of the call that did."""
+        hv = make_hypervisor(apis=("opencl",))
+        cl = hv.create_vm("vm-bad-arg").library("opencl")
+        env = open_env(cl)
+        kernel = env.kernel(env.program(SCALE_SRC), "vector_scale")
+        mem = env.buffer(4 * 8, host=np.ones(8, dtype=np.float32))
+        env.set_args(kernel, mem, 3.0, 8)
+        env.finish()
+        # same slot, a value the slot cannot hold; then a slot that
+        # does not exist.  Both are async: the error arrives deferred.
+        cl.clSetKernelArg(kernel, 0, 8, 2.5)
+        assert cl.clFinish(env.queue) == types.CL_INVALID_ARG_VALUE
+        cl.clSetKernelArg(kernel, 9, 8, 1)
+        assert cl.clFinish(env.queue) == types.CL_INVALID_ARG_INDEX
+        recorder = hv.worker("vm-bad-arg", "opencl").recorder
+        assert sum(e.command.function == "clSetKernelArg"
+                   for e in recorder.log) == 3
+
+        assert not hv.live_migrate_vm("vm-bad-arg", "opencl").aborted
+        env.launch(kernel, [8])
+        assert np.allclose(env.read(mem, 4 * 8), 3.0)
+
+    def test_write_that_made_an_event_stays_while_the_event_lives(self):
+        hv = make_hypervisor(apis=("opencl",))
+        cl = hv.create_vm("vm-event").library("opencl")
+        env = open_env(cl)
+        mem = env.buffer(4 * 8)
+        data = np.arange(8, dtype=np.float32)
+        recorder = hv.worker("vm-event", "opencl").recorder
+        base = len(recorder)
+        events = []
+        for _ in range(3):
+            box = OutBox()
+            assert cl.clEnqueueWriteBuffer(
+                env.queue, mem, types.CL_TRUE, 0, data.nbytes, data, 0,
+                None, box) == types.CL_SUCCESS
+            events.append(box.value)
+        assert len(recorder) == base + 3    # each one created a handle
+        for _ in range(3):
+            env.write(mem, data)            # no event: same key, one record
+        assert len(recorder) == base + 4
+        hv.migrate_vm("vm-event", "opencl")
+        moved = hv.worker("vm-event", "opencl")
+        assert all(event in moved.handles for event in events)
+        assert np.allclose(env.read(mem, data.nbytes), data)
 
     def test_migrate_requires_fresh_target(self):
         hv = make_hypervisor(apis=("opencl",))
@@ -400,6 +623,46 @@ class TestLiveMigration:
         dest = hv.worker("vm-churn-live", "opencl")
         assert temp not in dest.handles
         assert state["mem"] in dest.handles
+
+    def test_record_made_after_a_prune_reaches_the_destination(self):
+        """The destination tracks what it has seen by record serial.  It
+        used to remember ``id(entry)``: a record pruned after a round
+        frees its address, the next record may be allocated there, and
+        was then skipped as "already replayed"."""
+        hv, vm, cl, state = live_stack("vm-serial")
+        source = hv.worker("vm-serial", "opencl")
+        err = OutBox()
+        engine = hv.start_live_migration("vm-serial", "opencl")
+        for _ in range(20):
+            temp = cl.clCreateBuffer(state["ctx"], 0, 256, None, err)
+            engine.precopy_round()      # the destination replays it
+            seen = engine._replayed_through
+            assert seen == source.recorder.log[-1].serial
+            assert cl.clReleaseMemObject(temp) == 0
+            cl.clFinish(state["queue"])     # prune: the record is freed
+            fresh = cl.clCreateBuffer(state["ctx"], 0, 256, None, err)
+            assert source.recorder.log[-1].serial > seen
+            engine.precopy_round()
+            assert fresh in engine.dest.handles
+            assert temp not in engine.dest.handles
+        assert not engine.cutover().aborted
+
+    def test_superseded_mid_migration_replacement_follows(self):
+        hv, vm, cl, state = live_stack("vm-sup")
+        source = hv.worker("vm-sup", "opencl")
+        kernel, n = state["kernel"], state["n"]
+        assert cl.clSetKernelArg(kernel, 3, 8, 5) == 0
+        engine = hv.start_live_migration("vm-sup", "opencl")
+        engine.precopy_round()
+        before = len(source.recorder)
+        assert cl.clSetKernelArg(kernel, 3, 8, n) == 0
+        cl.clFinish(state["queue"])
+        assert len(source.recorder) == before   # replaced, not appended
+        engine.precopy_round()
+        assert engine.report.replayed_calls == before + 1
+        assert not engine.cutover().aborted
+        dest = hv.worker("vm-sup", "opencl")
+        assert dest.handles.lookup(kernel).args[3] == n
 
     def test_precopy_elides_store_known_bytes(self):
         """Dirty contents the per-VM transfer store has already seen

@@ -48,7 +48,7 @@ class TestParameterInference:
     def test_handle_scalar_param(self, spec):
         param = spec.function("clReleaseMemObject").param("memobj")
         assert param.is_handle
-        assert not param.is_buffer
+        assert param.buffer_size is None and not param.is_string
 
     def test_const_void_pointer_is_input(self, spec):
         param = spec.function("clSetKernelArg").param("arg_value")

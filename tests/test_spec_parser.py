@@ -4,8 +4,9 @@ import textwrap
 
 import pytest
 
+from repro.codegen.verify import verify_spec
 from repro.spec import parse_spec, parse_spec_file
-from repro.spec.errors import SpecSyntaxError
+from repro.spec.errors import SpecSemanticError, SpecSyntaxError
 from repro.spec.model import Direction, RecordKind, SyncMode
 
 FIGURE4 = """
@@ -232,3 +233,46 @@ class TestShrinks:
             "{ parameter(data) { buffer(data_size); shrinks(produced); } }"
         )
         assert any("not an output" in p for p in spec.validate())
+
+
+class TestSupersedes:
+    """``supersedes(param, …)``: the key of a call's migration record."""
+
+    SPEC = (
+        "type(status) {{ success(0); }}\ntype(widget) {{ handle; }}\n"
+        "status setGain(widget w, int channel, const float *gains, "
+        "int gains_size, int *applied) {{ {body} }}\n"
+    )
+
+    def _spec(self, body):
+        return parse_spec(self.SPEC.format(body=body))
+
+    def test_supersedes_annotation(self):
+        spec = self._spec("supersedes(w, channel);")
+        assert spec.function("setGain").supersedes == ("w", "channel")
+        assert spec.validate() == []
+
+    def test_supersedes_needs_a_recorded_modify(self):
+        problems = self._spec("norecord; supersedes(w);").validate()
+        assert any("not record(modify)" in p for p in problems)
+        problems = self._spec("record(create); supersedes(w);").validate()
+        assert any("not record(modify)" in p for p in problems)
+
+    def test_supersedes_unknown_parameter_invalid(self):
+        problems = self._spec("supersedes(w, ghost);").validate()
+        assert any("ghost" in p for p in problems)
+
+    @pytest.mark.parametrize("name", ["gains", "applied"])
+    def test_supersedes_buffer_or_out_parameter_invalid(self, name):
+        spec = self._spec(f"supersedes(w, {name});")
+        assert any(repr(name) in p and "passed by value" in p
+                   for p in spec.validate())
+        with pytest.raises(SpecSemanticError):
+            spec.require_valid()
+        assert not verify_spec(spec).ok  # what `cava verify` reports
+
+    def test_supersedes_needs_parentheses_and_names(self):
+        with pytest.raises(SpecSyntaxError):
+            self._spec("supersedes;")
+        with pytest.raises(SpecSyntaxError):
+            self._spec("supersedes();")

@@ -62,14 +62,6 @@ class TestVirtualClock:
         clock.advance_to(3.0)
         assert clock.now == 5.0
 
-    def test_fork_inherits_time(self):
-        clock = VirtualClock()
-        clock.advance(2.0)
-        child = clock.fork("child")
-        assert child.now == 2.0
-        child.advance(1.0)
-        assert clock.now == 2.0  # independent afterwards
-
     def test_tracing_records_events(self):
         clock = VirtualClock()
         with clock.tracing() as events:
