@@ -1,18 +1,18 @@
 """§4.3 migration: record/replay cost and the object-tracking payoff.
 
-AvA migrates by replaying recorded calls and restoring buffer
-snapshots.  The bench measures downtime as device state grows, and the
-log-size reduction from Nooks-style object tracking (destroyed objects
-drop out of the log) and from the spec's ``supersedes`` keys (a steady
-set-arg/launch/rewrite loop leaves the log no longer, and a destroy
-visits only the dead object's records).
+AvA migrates by replaying recorded calls and shipping buffer contents.
+The bench measures stop-the-world downtime as device state grows, and
+the log-size reduction from Nooks-style object tracking (destroyed
+objects drop out of the log) and from the spec's ``supersedes`` keys (a
+steady set-arg/launch/rewrite loop leaves the log no longer, and a
+destroy visits only the dead object's records).
 
-The live sections compare the iterative pre-copy protocol against the
-seed's stop-the-world migration under sustained guest traffic (gate:
-live downtime <= 25% of stop-the-world), and demonstrate the elastic
-rebalancer flattening a pool's utilization spread by moving a tenant
-off the hot member.  ``test_gate`` is the fixture-free CI entry; it
-also writes ``BENCH_migration.json``.
+The live sections compare the two policies of the one migration engine
+under sustained guest traffic, iterative pre-copy against stop-the-world
+(zero pre-copy rounds; gate: live downtime <= 25% of stop-the-world),
+and demonstrate the elastic rebalancer flattening a pool's utilization
+spread by moving a tenant off the hot member.  ``test_gate`` is the
+fixture-free CI entry; it also writes ``BENCH_migration.json``.
 """
 
 import json
@@ -20,6 +20,7 @@ import os
 
 import numpy as np
 
+from repro.migration import MigrationPolicy
 from repro.migration.recorder import RecordedCall
 from repro.opencl import types
 from repro.remoting.buffers import OutBox
@@ -28,6 +29,9 @@ from repro.workloads.base import open_env
 
 SRC = ("__kernel void vector_scale(__global float* x, float alpha, "
        "int n) {}")
+
+#: no pre-copy rounds: the whole replay and every buffer ship frozen
+STOP_THE_WORLD = MigrationPolicy(max_rounds=0)
 
 
 def build_guest_state(cl, num_buffers, buffer_bytes):
@@ -57,7 +61,8 @@ def downtime_sweep():
         cl = vm.library("opencl")
         _, queue, mems = build_guest_state(cl, num_buffers,
                                            buffer_kib * 1024)
-        report = hv.migrate_vm("vm-mig", "opencl")
+        report = hv.live_migrate_vm("vm-mig", "opencl",
+                                    policy=STOP_THE_WORLD)
         # post-migration correctness: spot-check one buffer
         out = np.zeros(buffer_kib * 256, dtype=np.float32)
         code = cl.clEnqueueReadBuffer(queue, mems[1], types.CL_TRUE, 0,
@@ -185,11 +190,12 @@ def live_vs_stop_the_world():
         nbytes = buffer_kib * 1024
 
         # stop-the-world baseline: the guest is frozen for the whole
-        # snapshot + replay + restore sequence
+        # log replay and every buffer transfer
         hv = make_hypervisor(apis=("opencl",))
         cl = hv.create_vm("vm-stw").library("opencl")
         build_guest_state(cl, num_buffers, nbytes)
-        stw = hv.migrate_vm("vm-stw", "opencl")
+        stw = hv.live_migrate_vm("vm-stw", "opencl",
+                                 policy=STOP_THE_WORLD)
 
         # live: the guest keeps writing between pre-copy rounds; only
         # the cutover window is frozen

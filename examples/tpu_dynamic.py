@@ -10,7 +10,7 @@ Google TPU."  Here that pipeline runs end to end:
    annotations into the same ApiSpec the C path produces,
 3. the unchanged CAvA generator emits the guest/server/routing modules,
 4. a guest VM runs TensorFlow-style MLP inference through them,
-5. the hypervisor migrates the graph to a fresh TPU mid-session.
+5. the hypervisor live-migrates the graph to a fresh TPU mid-session.
 
 Run:  python examples/tpu_dynamic.py
 """
@@ -63,13 +63,14 @@ def main():
     tp.tpuBinaryOp(graph.value, OP_MATMUL, x.value, wnode.value, y)
     tp.tpuCompile(graph.value, OutBox())
 
-    report = hv.migrate_vm("tf-guest-2", "tpu")
+    report = hv.live_migrate_vm("tf-guest-2", "tpu")
     feed = np.ones((4, 4), dtype=np.float32)
     out = np.zeros((4, 4), dtype=np.float32)
     tp.tpuRun(graph.value, x.value, feed, feed.nbytes, y.value, out,
               out.nbytes, OutBox())
-    print(f"\nmigrated the compiled graph ({report.replayed_calls} calls "
-          f"replayed, downtime {report.downtime * 1e3:.3f} ms); "
+    print(f"\n{report.mode}-migrated the compiled graph "
+          f"({report.replayed_calls} calls replayed, downtime "
+          f"{report.downtime * 1e3:.3f} ms); "
           f"post-migration result correct: {np.allclose(out, feed @ w)}")
 
 

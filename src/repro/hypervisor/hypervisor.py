@@ -2,9 +2,10 @@
 
 The hypervisor wires the pieces together: it owns the router (the
 interposition point), creates guest VMs with their chosen transport,
-lazily spawns one API server worker per (VM, API) pair, and implements
-VM migration by draining a worker and replaying its recorded state onto
-a fresh one (typically bound to a different physical device).
+lazily spawns one API server worker per (VM, API) pair, and migrates a
+VM's worker onto a fresh one (typically bound to a different physical
+device) through the one engine in :mod:`repro.migration.live`: live by
+default, stop-the-world with ``MigrationPolicy(max_rounds=0)``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.hypervisor.policy import RateLimiter, ResourcePolicy
 from repro.hypervisor.pool import DeviceClass, DevicePool, PooledDevice
 from repro.hypervisor.router import Router, RoutingTable
 from repro.hypervisor.vm import GuestVM
-from repro.migration.replayer import MigrationReport, migrate_worker
+from repro.migration.replayer import MigrationReport
 from repro.remoting.xfercache import CachePolicy, TransferCache
 from repro.server.api_server import ApiServerWorker
 from repro.server.xferstore import TransferStore
@@ -335,26 +336,6 @@ class Hypervisor:
 
     # -- migration ----------------------------------------------------------------
 
-    def migrate_vm(self, vm_id: str, api_name: str) -> MigrationReport:
-        """Migrate one VM's device state onto a fresh worker.
-
-        The fresh worker is created through the API's session binder, so
-        if the binder allocates per-worker devices the VM lands on new
-        hardware — the disaggregation/evacuation scenario.
-        """
-        key = (vm_id, api_name)
-        source = self.workers.get(key)
-        if source is None:
-            raise KeyError(f"VM {vm_id!r} has no active worker for {api_name!r}")
-        registration = self.apis[api_name]
-        target = self._spawn_worker(vm_id, registration)
-        report = migrate_worker(source, target)
-        self.workers[key] = target
-        # the guest resumes no earlier than the migration finished
-        self.vms[vm_id].clock.advance_to(target.clock.now, "migration")
-        self.migrations.append(report)
-        return report
-
     def start_live_migration(self, vm_id: str, api_name: str,
                              target_device_id: Optional[str] = None,
                              policy: Optional[Any] = None):
@@ -377,8 +358,9 @@ class Hypervisor:
                         policy: Optional[Any] = None,
                         serve: Optional[Callable[[int], Any]] = None,
                         ) -> MigrationReport:
-        """Live-migrate one (VM, API) worker: iterative pre-copy, then a
-        short frozen cutover.  Raises
+        """Migrate one (VM, API) worker: iterative pre-copy, then a
+        short frozen cutover (no rounds at all, i.e. stop-the-world,
+        under ``MigrationPolicy(max_rounds=0)``).  Raises
         :class:`~repro.migration.live.MigrationAborted` on failure, with
         the source still serving.
 

@@ -4,13 +4,15 @@ AvA migrates accelerator state without device-specific drivers: calls
 annotated ``record(...)`` in the spec are logged during normal execution
 (:mod:`repro.migration.recorder`, with Nooks-style object tracking so
 destroyed objects drop out of the log); migration replays the log on a
-fresh API server with forced handle ids and restores device-buffer
-contents from a synthesized snapshot (:mod:`repro.migration.replayer`).
+fresh API server with forced handle ids
+(:func:`~repro.migration.replayer.replay_entry`) and ships device-buffer
+contents to it.
 
-:mod:`repro.migration.live` upgrades the protocol to live migration:
-iterative pre-copy rounds replay the log and ship dirty buffer contents
-while the source keeps serving, so guest-visible downtime shrinks to a
-short frozen cutover window.
+:mod:`repro.migration.live` is the one engine.  Its pre-copy rounds
+replay the log and ship dirty buffers while the source keeps serving,
+so downtime shrinks to a short frozen cutover window; with
+``MigrationPolicy(max_rounds=0)`` there are no rounds and it is the
+classic stop-the-world migration.
 """
 
 from repro.migration.live import (
@@ -22,11 +24,7 @@ from repro.migration.recorder import CallRecorder, RecordedCall
 from repro.migration.replayer import (
     MigrationError,
     MigrationReport,
-    migrate_worker,
     replay_entry,
-    replay_log,
-    restore_buffers,
-    snapshot_buffers,
 )
 
 __all__ = [
@@ -37,9 +35,5 @@ __all__ = [
     "MigrationPolicy",
     "MigrationReport",
     "RecordedCall",
-    "migrate_worker",
     "replay_entry",
-    "replay_log",
-    "restore_buffers",
-    "snapshot_buffers",
 ]

@@ -1,10 +1,10 @@
-"""Live migration: iterative pre-copy with a short frozen cutover.
+"""The migration engine: iterative pre-copy with a short frozen cutover.
 
-The seed's :func:`~repro.migration.replayer.migrate_worker` is
-stop-the-world: the guest is suspended for the whole snapshot + replay +
-restore sequence, so downtime grows linearly with device state.  This
-module upgrades it to the classic live protocol, built entirely from
-parts the stack already has:
+One engine, two policies.  The default :class:`MigrationPolicy` runs
+live migration; ``MigrationPolicy(max_rounds=0)`` runs no pre-copy
+round, so the whole log replay and every buffer ship inside the frozen
+window: stop-the-world.  Both share the same destination setup, abort
+semantics and report.  Built entirely from parts the stack already has:
 
 * **Background replay.**  A destination worker is spawned next to the
   serving source and the recorded call log (spec ``record(...)``
@@ -24,11 +24,12 @@ parts the stack already has:
   :class:`~repro.server.xferstore.TransferStore`: bytes the store has
   already seen cross as ~:attr:`MigrationPolicy.ref_bytes` refs.
 * **Frozen cutover.**  When a round's dirty set is small enough (or the
-  round budget runs out), the guest's queued async commands are drained,
-  the router freezes the VM, the final log suffix and dirty delta ship,
-  and the (VM, API) worker slot is re-bound to the destination.  Only
-  this window is guest-visible downtime; the router charges the stall to
-  the first post-thaw call instead of silently warping the guest clock.
+  round budget, possibly zero, runs out), the guest's queued async
+  commands are drained, the router freezes the VM, the final log suffix
+  and dirty delta ship, and the (VM, API) worker slot is re-bound to the
+  destination.  Only this window is guest-visible downtime; the router
+  charges the stall to the first post-thaw call instead of silently
+  warping the guest clock.
 * **Clean abort.**  Any failure — replay error, destination crash, a
   migration frame exhausting its retransmission budget under an armed
   :class:`~repro.faults.plan.FaultPlan` — discards the destination
@@ -77,7 +78,7 @@ class MigrationAborted(MigrationError):
 
 @dataclass(frozen=True)
 class MigrationPolicy:
-    """Knobs of the live pre-copy/cutover engine.
+    """Knobs of the pre-copy/cutover engine.
 
     Defaults model a host-to-host migration channel with PCIe-class
     bandwidth; see ``docs/migration.md`` for how each knob moves the
@@ -85,6 +86,7 @@ class MigrationPolicy:
     """
 
     #: pre-copy rounds before cutting over regardless of convergence
+    #: (0 = stop-the-world: everything ships inside the frozen window)
     max_rounds: int = 8
     #: cut over once a round ships no more than this many payload bytes
     convergence_bytes: int = 64 * 1024
@@ -103,8 +105,8 @@ class MigrationPolicy:
     digest_byte_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        if self.max_rounds < 0:
+            raise ValueError("max_rounds cannot be negative")
         if self.channel_bps <= 0:
             raise ValueError("channel_bps must be positive")
         if self.convergence_bytes < 0:
@@ -114,7 +116,7 @@ class MigrationPolicy:
 
 
 class LiveMigration:
-    """One in-flight live migration of a (VM, API) worker.
+    """One in-flight migration of a (VM, API) worker.
 
     Driven by :meth:`Hypervisor.live_migrate_vm` (or manually:
     ``begin()`` → ``precopy_round()``\\ * → ``cutover()``).  Aborting at
@@ -149,7 +151,8 @@ class LiveMigration:
         self.channel = MigrationChannel(vm_id, self.policy,
                                         plan=hypervisor.fault_plan)
         self.report = MigrationReport(
-            source_vm=vm_id, mode="live", api=api_name,
+            source_vm=vm_id, api=api_name,
+            mode="live" if self.policy.max_rounds else "stop-the-world",
             target_device=self.member.device_id if self.member else "",
         )
         self.rounds = 0

@@ -1,19 +1,17 @@
-"""Migration replay: rebuild a guest's device state on a fresh worker.
+"""Migration replay: re-execute one recorded call on a destination worker.
 
-The sequence (paper §4.3): suspend invocations, synthesize copies of all
-extant device buffers to host memory, free device resources; migrate the
-VM by any technique; then replay the recorded calls to reinitialize the
-device and reallocate objects *under their original guest ids*, restore
-buffer contents, and resume.
+Replaying the recorded calls (paper §4.3) reinitializes the device and
+reallocates objects *under their original guest ids*.
+:func:`replay_entry` is the only function that re-executes a record;
+:class:`~repro.migration.live.LiveMigration` drives it, and owns buffer
+shipping, freezing and abort.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict
-
-from repro.migration.recorder import CallRecorder
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a server↔migration cycle
     from repro.server.api_server import ApiServerWorker
@@ -27,25 +25,24 @@ class MigrationError(Exception):
 class MigrationReport:
     """What one migration cost.
 
-    Stop-the-world migrations fill the original fields; live migrations
-    (:mod:`repro.migration.live`) additionally account the pre-copy
-    rounds, so ``downtime`` is only the frozen cutover window while
-    ``total_time`` covers the whole background transfer.
+    ``downtime`` is the frozen cutover window and ``total_time`` covers
+    the whole migration.  A stop-the-world migration (zero pre-copy
+    rounds) replays the whole log and ships every buffer inside that
+    window.
     """
 
     replayed_calls: int = 0
     restored_buffers: int = 0
     snapshot_bytes: int = 0
-    #: virtual seconds of guest-visible downtime.  Stop-the-world:
-    #: snapshot + replay + restore.  Live: the frozen cutover window.
+    #: virtual seconds of guest-visible downtime (the frozen window)
     downtime: float = 0.0
     source_vm: str = ""
-    #: "stop-the-world" or "live"
+    #: "stop-the-world" (``max_rounds == 0``) or "live"
     mode: str = "stop-the-world"
     api: str = ""
     #: destination pool member, when the migration targeted a pool
     target_device: str = ""
-    # -- live-migration accounting (zero for stop-the-world) ----------
+    # -- pre-copy accounting (zero for stop-the-world) ----------------
     #: pre-copy rounds run before the cutover
     rounds: int = 0
     #: payload bytes shipped during pre-copy (source kept serving)
@@ -70,49 +67,6 @@ def _is_buffer_object(obj: Any) -> bool:
     return hasattr(obj, "data") and hasattr(obj, "size") and hasattr(obj, "device")
 
 
-def snapshot_buffers(worker: "ApiServerWorker") -> Dict[int, bytes]:
-    """Synthesized device→host copies of every live buffer object.
-
-    Charges the worker clock for the copies, as the real system would
-    spend PCIe time here.
-    """
-    snapshot: Dict[int, bytes] = {}
-    for guest_id, obj in worker.handles.items():
-        if _is_buffer_object(obj) and not getattr(obj, "released", False):
-            snapshot[guest_id] = obj.data.tobytes()
-            worker.clock.advance(obj.device.copy_cost(obj.size), "snapshot")
-    return snapshot
-
-
-def restore_buffers(worker: "ApiServerWorker",
-                    snapshot: Dict[int, bytes]) -> int:
-    """Write snapshot contents into the replayed objects."""
-    import numpy as np
-
-    restored = 0
-    for guest_id, payload in snapshot.items():
-        try:
-            obj = worker.handles.lookup(guest_id)
-        except Exception as err:
-            raise MigrationError(
-                f"snapshot names handle {guest_id:#x} but replay did not "
-                f"recreate it: {err}"
-            ) from err
-        if not _is_buffer_object(obj):
-            raise MigrationError(
-                f"handle {guest_id:#x} is not a buffer after replay"
-            )
-        if obj.size != len(payload):
-            raise MigrationError(
-                f"buffer {guest_id:#x} replayed with size {obj.size}, "
-                f"snapshot has {len(payload)} bytes"
-            )
-        obj.data[:] = np.frombuffer(payload, dtype=np.uint8)
-        worker.clock.advance(obj.device.copy_cost(obj.size), "restore")
-        restored += 1
-    return restored
-
-
 def replay_entry(target: "ApiServerWorker", entry: Any) -> None:
     """Re-execute one recorded call on ``target`` with forced ids."""
     # Forced ids must be copied: bind() pops from lists in place.
@@ -126,48 +80,3 @@ def replay_entry(target: "ApiServerWorker", entry: Any) -> None:
         raise MigrationError(
             f"replaying {entry.command.function} failed: {reply.error}"
         )
-
-
-def replay_log(target: "ApiServerWorker", recorder: CallRecorder) -> int:
-    """Re-execute recorded calls on ``target`` with forced handle ids."""
-    replayed = 0
-    for entry in recorder.log:
-        replay_entry(target, entry)
-        replayed += 1
-    return replayed
-
-
-def migrate_worker(
-    source: "ApiServerWorker",
-    target: "ApiServerWorker",
-) -> MigrationReport:
-    """Move one VM's device state from ``source`` to ``target``.
-
-    ``target`` must be a fresh worker (same VM id, same API, typically a
-    different physical device).  On return, every guest handle that was
-    valid against ``source`` resolves on ``target`` and buffer contents
-    match.
-    """
-    if target.handles.allocated_total:
-        raise MigrationError("target worker is not fresh")
-    if source.vm_id != target.vm_id or source.api_name != target.api_name:
-        raise MigrationError("source/target VM or API mismatch")
-
-    began = source.clock.now
-    snapshot = snapshot_buffers(source)
-    # replay begins on the target no earlier than the source suspended
-    target.clock.advance_to(source.clock.now, "migration_start")
-    replayed = replay_log(target, source.recorder)
-    restored = restore_buffers(target, snapshot)
-    # migration state carries over: the target continues the same log
-    target.recorder = source.recorder
-    return MigrationReport(
-        replayed_calls=replayed,
-        restored_buffers=restored,
-        snapshot_bytes=sum(len(p) for p in snapshot.values()),
-        downtime=target.clock.now - began,
-        source_vm=source.vm_id,
-        mode="stop-the-world",
-        api=source.api_name,
-        total_time=target.clock.now - began,
-    )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.codegen.classify import ParamClass, classify_param
 from repro.guest.library import GuestRuntime, RemotingError
+from repro.migration import MigrationPolicy
 from repro.opencl import api as cl_api
 from repro.opencl import session, types
 from repro.remoting.buffers import OutBox
@@ -138,7 +139,8 @@ class TestForwardedPath:
         events = []
         cl.clBuildProgram(prog, 0, None, "", events.append, None)
         assert len(events) == 1
-        hv.migrate_vm("vm-cb-mig", "opencl")
+        hv.live_migrate_vm("vm-cb-mig", "opencl",
+                           policy=MigrationPolicy(max_rounds=0))
         # replay happened server-side; the deferred upcalls of replayed
         # commands are not re-delivered to the guest (no reply path)
         assert len(events) == 1

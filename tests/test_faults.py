@@ -728,14 +728,17 @@ class TestXferCacheChaos:
 
 
 class TestMigrationChaos:
-    """Every fault mode against the live-migration channel's two legs.
+    """Every fault mode against the migration channel's two legs.
 
     The containment invariant, extended to migrations: whatever the
     plan injects into pre-copy or cutover frames (or the destination
-    worker), a live migration either completes with full fidelity or
-    aborts back to a still-serving source.  There is never a
-    half-migrated worker, a stuck frozen VM, or wrong bytes.
+    worker), a migration either completes with full fidelity or aborts
+    back to a still-serving source.  There is never a half-migrated
+    worker, a stuck frozen VM, or wrong bytes.  Both policies of the one
+    engine are held to it: stop-the-world (zero pre-copy rounds, only
+    the cutover leg) and live (the default round budget).
     """
+
 
     N = 1024
 
@@ -755,15 +758,28 @@ class TestMigrationChaos:
                 last = err
         raise AssertionError(f"never read back: {last}")
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_every_mode_never_half_migrates(self, mode):
+    @staticmethod
+    def policy(max_rounds):
+        """``None`` is the default (live) policy."""
+        from repro.migration import MigrationPolicy
+
+        if max_rounds is None:
+            return None
+        return MigrationPolicy(max_rounds=max_rounds)
+
+    @pytest.mark.parametrize(
+        "mode,max_rounds",
+        [(mode, None) for mode in MODES] + [(mode, 0) for mode in MODES],
+        ids=list(MODES) + [f"stop-the-world-{mode}" for mode in MODES])
+    def test_every_mode_never_half_migrates(self, mode, max_rounds):
         from repro.migration import MigrationAborted
 
         hypervisor, vm, env, mem, data = self.migration_stack()
         source = hypervisor.worker(vm.vm_id, "opencl")
         hypervisor.install_fault_plan(FaultPlan.for_mode(mode, seed=SEED))
         try:
-            report = hypervisor.live_migrate_vm(vm.vm_id, "opencl")
+            report = hypervisor.live_migrate_vm(
+                vm.vm_id, "opencl", policy=self.policy(max_rounds))
         except MigrationAborted:
             # clean abort: the source slot is untouched and serving
             assert hypervisor.worker(vm.vm_id, "opencl") is source
@@ -771,6 +787,9 @@ class TestMigrationChaos:
         else:
             assert not report.aborted
             assert hypervisor.worker(vm.vm_id, "opencl") is not source
+            if max_rounds == 0:
+                assert report.rounds == 0
+                assert report.mode == "stop-the-world"
         # no stuck frozen window either way
         assert vm.vm_id not in hypervisor.router.frozen_vms
         # and in both outcomes the guest reads its own bytes back
@@ -787,9 +806,16 @@ class TestMigrationChaos:
         # clean, so "source still serving" is directly observable
         plan = FaultPlan(seed=SEED, drop=1.0)
         hypervisor.fault_plan = plan
-        with pytest.raises(MigrationAborted):
-            hypervisor.live_migrate_vm(vm.vm_id, "opencl")
-        assert hypervisor.worker(vm.vm_id, "opencl") is source
+        # live first, then stop-the-world against the same source
+        for max_rounds in (None, 0):
+            with pytest.raises(MigrationAborted):
+                hypervisor.live_migrate_vm(vm.vm_id, "opencl",
+                                           policy=self.policy(max_rounds))
+            assert hypervisor.worker(vm.vm_id, "opencl") is source
+            assert vm.vm_id not in hypervisor.router.frozen_vms
+        assert [m.mode for m in hypervisor.migrations] == \
+            ["live", "stop-the-world"]
+        assert all(m.aborted for m in hypervisor.migrations)
         assert any(event.leg == "cutover" for event in plan.events)
         got = env.read(mem, data.nbytes)
         assert got.tobytes() == data.tobytes()

@@ -1,13 +1,14 @@
-"""Tests for record/replay VM migration (§4.3) — stop-the-world and live."""
+"""Tests for record/replay VM migration (§4.3): one engine, two policies —
+stop-the-world (zero pre-copy rounds) and live."""
 
 import numpy as np
 import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.guest.library import RemotingError
-from repro.migration import MigrationAborted, MigrationPolicy
+from repro.hypervisor.pool import DeviceClass
+from repro.migration import MigrationAborted, MigrationError, MigrationPolicy
 from repro.migration.recorder import CallRecorder, RecordedCall
-from repro.migration.replayer import MigrationError, migrate_worker
 from repro.opencl import types
 from repro.remoting.buffers import OutBox
 from repro.remoting.codec import Command, Reply
@@ -25,6 +26,13 @@ VECTOR_SRC = (
 SCALE_SRC = (
     "__kernel void vector_scale(__global float* x, float alpha, int n) {}"
 )
+
+#: no pre-copy rounds: the whole replay and every buffer ship frozen
+STOP_THE_WORLD = MigrationPolicy(max_rounds=0)
+
+
+def stop_the_world(hv, vm_id, api="opencl"):
+    return hv.live_migrate_vm(vm_id, api, policy=STOP_THE_WORLD)
 
 
 def command(fn, seq=1, handles=None):
@@ -284,7 +292,9 @@ class TestWorkerMigration:
         state = build_state(cl)
         old_device = hv.worker("vm-m", "opencl").native_session.devices[0]
 
-        report = hv.migrate_vm("vm-m", "opencl")
+        report = stop_the_world(hv, "vm-m")
+        assert report.mode == "stop-the-world" and report.rounds == 0
+        assert report.precopy_bytes == 0
         assert report.replayed_calls >= 4
         assert report.restored_buffers == 1
         assert report.downtime > 0
@@ -309,7 +319,7 @@ class TestWorkerMigration:
         update = np.full(128, 7.5, dtype=np.float32)
         cl.clEnqueueWriteBuffer(state["queue"], state["mem"], types.CL_TRUE,
                                 0, 4 * 128, update, 0, None, None)
-        hv.migrate_vm("vm-k", "opencl")
+        stop_the_world(hv, "vm-k")
         out = np.zeros(128, dtype=np.float32)
         cl.clEnqueueReadBuffer(state["queue"], state["mem"], types.CL_TRUE,
                                0, 4 * 128, out, 0, None, None)
@@ -320,7 +330,7 @@ class TestWorkerMigration:
         vm = hv.create_vm("vm-w")
         cl = vm.library("opencl")
         build_state(cl)
-        hv.migrate_vm("vm-w", "opencl")
+        stop_the_world(hv, "vm-w")
         result = KMeansWorkload(scale=0.05).run(cl)
         assert result.verified
 
@@ -335,7 +345,7 @@ class TestWorkerMigration:
         cl.clFinish(state["queue"])  # drain async release
         worker = hv.worker("vm-r", "opencl")
         assert extra not in worker.handles
-        report = hv.migrate_vm("vm-r", "opencl")
+        report = stop_the_world(hv, "vm-r")
         new_worker = hv.worker("vm-r", "opencl")
         assert extra not in new_worker.handles
         assert state["mem"] in new_worker.handles
@@ -384,39 +394,75 @@ class TestWorkerMigration:
         for _ in range(3):
             env.write(mem, data)            # no event: same key, one record
         assert len(recorder) == base + 4
-        hv.migrate_vm("vm-event", "opencl")
+        stop_the_world(hv, "vm-event")
         moved = hv.worker("vm-event", "opencl")
         assert all(event in moved.handles for event in events)
         assert np.allclose(env.read(mem, data.nbytes), data)
 
-    def test_migrate_requires_fresh_target(self):
-        hv = make_hypervisor(apis=("opencl",))
-        vm = hv.create_vm("vm-x")
-        cl = vm.library("opencl")
-        build_state(cl)
-        source = hv.worker("vm-x", "opencl")
-        with pytest.raises(MigrationError):
-            migrate_worker(source, source)
-
     def test_migrate_unknown_vm(self):
         hv = make_hypervisor(apis=("opencl",))
         with pytest.raises(KeyError):
-            hv.migrate_vm("ghost", "opencl")
+            stop_the_world(hv, "ghost")
 
     def test_downtime_scales_with_buffer_bytes(self):
         hv = make_hypervisor(apis=("opencl",))
         vm = hv.create_vm("vm-small")
         cl = vm.library("opencl")
         build_state(cl, n=64)
-        small = hv.migrate_vm("vm-small", "opencl")
+        small = stop_the_world(hv, "vm-small")
 
         hv2 = make_hypervisor(apis=("opencl",))
         vm2 = hv2.create_vm("vm-big")
         cl2 = vm2.library("opencl")
         build_state(cl2, n=1 << 18)
-        big = hv2.migrate_vm("vm-big", "opencl")
+        big = stop_the_world(hv2, "vm-big")
         assert big.snapshot_bytes > small.snapshot_bytes
         assert big.downtime > small.downtime
+
+
+class TestStopTheWorldOnAPool:
+    """On a pool, stop-the-world moves the VM to another member, gives
+    the old member its memory back and retires the source; with no
+    other member it refuses rather than "migrating" in place."""
+
+    MIB = 1 << 20
+
+    def test_moves_to_another_member_and_frees_the_old_one(self):
+        hv = make_hypervisor(apis=("opencl",))
+        hv.add_device(DeviceClass.baseline_gpu(), "dev-a")
+        hv.add_device(DeviceClass.baseline_gpu(), "dev-b")
+        env = open_env(hv.create_vm("vm-pool").library("opencl"))
+        source = hv.worker("vm-pool", "opencl")
+        home = hv.pool.assignments["vm-pool"]
+        native = home.native_device("opencl")
+        before = native.allocated_bytes
+        data = np.arange(self.MIB // 4, dtype=np.float32)
+        mem = env.buffer(self.MIB, host=data)
+        assert native.allocated_bytes == before + self.MIB
+
+        report = stop_the_world(hv, "vm-pool")
+        assert report.mode == "stop-the-world" and report.rounds == 0
+        moved_to = hv.pool.assignments["vm-pool"]
+        assert moved_to is not home
+        assert report.target_device == moved_to.device_id
+        assert native.allocated_bytes == before
+        assert source.poisoned == f"migrated to {moved_to.device_id}"
+        assert hv.worker("vm-pool", "opencl") is not source
+        assert np.array_equal(env.read(mem, self.MIB), data)
+
+    def test_one_member_pool_refuses_instead_of_moving_in_place(self):
+        hv = make_hypervisor(apis=("opencl",))
+        hv.add_device(DeviceClass.baseline_gpu(), "dev-a")
+        env = open_env(hv.create_vm("vm-alone").library("opencl"))
+        data = np.arange(self.MIB // 4, dtype=np.float32)
+        mem = env.buffer(self.MIB, host=data)
+        source = hv.worker("vm-alone", "opencl")
+        with pytest.raises(MigrationError, match="no member to migrate to"):
+            stop_the_world(hv, "vm-alone")
+        assert hv.worker("vm-alone", "opencl") is source
+        assert source.poisoned is None
+        assert hv.pool.assignments["vm-alone"].device_id == "dev-a"
+        assert np.array_equal(env.read(mem, self.MIB), data)
 
 
 class TestMVNCMigration:
@@ -439,7 +485,7 @@ class TestMVNCMigration:
                                     len(blob)) == mvnc_api.MVNC_OK
 
         old_stick = hv.worker("vm-ncs-m", "mvnc").native_session.devices[0]
-        report = hv.migrate_vm("vm-ncs-m", "mvnc")
+        report = stop_the_world(hv, "vm-ncs-m", "mvnc")
         new_stick = hv.worker("vm-ncs-m", "mvnc").native_session.devices[0]
         assert new_stick is not old_stick
         assert report.replayed_calls >= 2
@@ -471,7 +517,7 @@ class TestMVNCMigration:
         assert mv.mvncDeallocateGraph(graph.value) == mvnc_api.MVNC_OK
         worker = hv.worker("vm-ncs-d", "mvnc")
         assert graph.value not in worker.handles
-        report = hv.migrate_vm("vm-ncs-d", "mvnc")
+        report = stop_the_world(hv, "vm-ncs-d", "mvnc")
         new_worker = hv.worker("vm-ncs-d", "mvnc")
         assert graph.value not in new_worker.handles
         assert device.value in new_worker.handles
@@ -585,7 +631,7 @@ class TestLiveMigration:
         live = hv_live.live_migrate_vm("vm-big-live", "opencl")
 
         hv_stw, _, _, _ = live_stack("vm-big-stw", n=n)
-        stw = hv_stw.migrate_vm("vm-big-stw", "opencl")
+        stw = stop_the_world(hv_stw, "vm-big-stw")
 
         assert live.downtime > 0
         assert live.downtime < live.total_time
@@ -729,8 +775,9 @@ class TestLiveMigration:
             hv.start_live_migration("ghost", "opencl")
 
     def test_policy_validation(self):
+        assert MigrationPolicy(max_rounds=0).max_rounds == 0
         with pytest.raises(ValueError):
-            MigrationPolicy(max_rounds=0)
+            MigrationPolicy(max_rounds=-1)
         with pytest.raises(ValueError):
             MigrationPolicy(channel_bps=0)
         with pytest.raises(ValueError):
@@ -847,15 +894,22 @@ class TestMVNCLiveMigration:
 
 
 class TestMigrationSeedGaps:
-    """Backfill for the seed's stop-the-world path."""
+    """Replay failures and log churn, under both policies."""
 
     def test_partial_replay_surfaces_migration_error(self):
         hv, vm, cl, state = live_stack("vm-tamper")
         worker = hv.worker("vm-tamper", "opencl")
         # corrupt one log entry: replay cannot reconstruct the state
         worker.recorder.log[2].command.function = "clTotallyBogus"
-        with pytest.raises(MigrationError):
-            hv.migrate_vm("vm-tamper", "opencl")
+        with pytest.raises(MigrationError):   # MigrationAborted is one
+            stop_the_world(hv, "vm-tamper")
+        assert hv.worker("vm-tamper", "opencl") is worker
+        assert "vm-tamper" not in hv.router.frozen_vms
+        out = np.zeros(64, dtype=np.float32)
+        assert cl.clEnqueueReadBuffer(state["queue"], state["mem"],
+                                      types.CL_TRUE, 0, 4 * 64, out, 0,
+                                      None, None) == types.CL_SUCCESS
+        assert np.allclose(out, state["data"])
 
     def test_partial_live_replay_aborts_to_source(self):
         hv, vm, cl, state = live_stack("vm-tamper-live")

@@ -2,9 +2,11 @@
 
 Random guest programs (create/write/read/release over device buffers,
 kernel-argument sets and launches) run twice — once plain, once with a
-live migration started at a random point mid-stream and cut over before
-the final reads.  Every guest-visible outcome must be identical: per-op
-results, final buffer contents, and the worker's live handle set.
+migration started at a random point mid-stream and cut over before the
+final reads.  Every guest-visible outcome must be identical: per-op
+results, final buffer contents, and the worker's live handle set.  The
+migration runs zero pre-copy rounds (stop-the-world) or two (live),
+drawn per example: one engine, both policies.
 
 A second property holds the migration log's supersede rule
 (``docs/migration.md``, "What the log keeps") against its reference:
@@ -26,8 +28,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.migration import replay_log, restore_buffers, snapshot_buffers
+from repro.migration import MigrationPolicy, replay_entry
 from repro.migration.recorder import CallRecorder
+from repro.opencl.runtime import MemObject
 from repro.stack import make_hypervisor
 from repro.workloads.base import open_env
 
@@ -44,7 +47,8 @@ SCALE_SRC = ("__kernel void vector_scale(__global float* x, float alpha, "
 
 @st.composite
 def programs(draw, max_ops=MAX_OPS):
-    """A random op list plus the index the migration starts at."""
+    """A random op list, the index the migration starts at, and how
+    many pre-copy rounds it runs (0 = stop-the-world)."""
     ops = draw(st.lists(
         st.one_of(
             st.tuples(st.just("create")),
@@ -64,7 +68,8 @@ def programs(draw, max_ops=MAX_OPS):
         min_size=1, max_size=max_ops,
     ))
     cut = draw(st.integers(0, len(ops)))
-    return ops, cut
+    rounds = draw(st.sampled_from([0, 2]))
+    return ops, cut, rounds
 
 
 class _Harness:
@@ -193,35 +198,59 @@ class _Harness:
         return tuple(self.trace), tuple(final), handles
 
 
-def run_program(ops, cut, migrate):
+def begin_migration(harness, rounds):
+    """Start a migration with a ``rounds``-round budget; the first of
+    those rounds (if any) runs now, while the guest keeps going."""
+    engine = harness.hv.start_live_migration(
+        harness.vm_id, "opencl", policy=MigrationPolicy(max_rounds=rounds))
+    if rounds:
+        engine.precopy_round()
+    return engine
+
+
+def finish_migration(engine):
+    """Spend the rest of the round budget, then cut over."""
+    while engine.rounds < engine.policy.max_rounds:
+        engine.precopy_round()
+    report = engine.cutover()
+    assert not report.aborted
+    return report
+
+
+def run_program(ops, cut, rounds, migrate):
     harness = _Harness("vm-prop")
     engine = None
     for index, op in enumerate(ops):
         if migrate and index == cut:
-            engine = harness.hv.start_live_migration("vm-prop", "opencl")
-            engine.precopy_round()
+            engine = begin_migration(harness, rounds)
         harness.apply(op)
     if migrate:
         if engine is None:  # cut == len(ops)
-            engine = harness.hv.start_live_migration("vm-prop", "opencl")
-            engine.precopy_round()
-        engine.precopy_round()
-        report = engine.cutover()
-        assert not report.aborted
+            engine = begin_migration(harness, rounds)
+        finish_migration(engine)
     return harness.finalize()
+
+
+def buffer_bytes(worker):
+    """Every live buffer's bytes, read straight from the handle table."""
+    return {gid: obj.data.tobytes() for gid, obj in worker.handles.items()
+            if isinstance(obj, MemObject) and not obj.released}
 
 
 def replica_state(harness, recorder, snapshot):
     """Replay ``recorder`` onto a fresh worker and report what it built:
     live handle ids, buffer bytes straight after the replay, and (with
-    the snapshot restored and the replica serving) what a launch and
-    the final reads show the guest."""
+    the snapshot written back and the replica serving) what a launch
+    and the final reads show the guest."""
     hv, key = harness.hv, (harness.vm_id, "opencl")
     replica = hv._spawn_worker(harness.vm_id, hv.apis["opencl"])
-    replay_log(replica, recorder)
+    for entry in recorder.log:
+        replay_entry(replica, entry)
     handles = frozenset(replica.handles.snapshot_ids())
-    replayed = snapshot_buffers(replica)
-    restore_buffers(replica, snapshot)
+    replayed = buffer_bytes(replica)
+    for gid, payload in snapshot.items():
+        replica.handles.lookup(gid).data[:] = np.frombuffer(payload,
+                                                            dtype=np.uint8)
     serving = hv.workers[key]
     hv.workers[key] = replica
     try:
@@ -238,29 +267,29 @@ class TestMigrationInvisible:
               suppress_health_check=[HealthCheck.too_slow])
     @given(programs())
     def test_migrated_run_matches_unmigrated_run(self, program):
-        ops, cut = program
-        plain = run_program(ops, cut, migrate=False)
-        migrated = run_program(ops, cut, migrate=True)
+        ops, cut, rounds = program
+        plain = run_program(ops, cut, rounds, migrate=False)
+        migrated = run_program(ops, cut, rounds, migrate=True)
         assert migrated == plain
 
     @settings(max_examples=EXAMPLES, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(programs())
     def test_migration_reports_are_sane(self, program):
-        ops, cut = program
+        ops, cut, rounds = program
         harness = _Harness("vm-prop")
         for op in ops[:cut]:
             harness.apply(op)
-        engine = harness.hv.start_live_migration("vm-prop", "opencl")
-        engine.precopy_round()
+        engine = begin_migration(harness, rounds)
         for op in ops[cut:]:
             harness.apply(op)
-        engine.precopy_round()
-        report = engine.cutover()
-        assert not report.aborted
+        report = finish_migration(engine)
         assert report.downtime > 0
         assert report.downtime <= report.total_time
-        assert report.rounds == 2
+        assert report.rounds == rounds
+        assert report.mode == ("live" if rounds else "stop-the-world")
+        if not rounds:
+            assert report.precopy_bytes == report.precopy_frames == 0
         # the destination serves and every live buffer reads back
         harness.finalize()
 
@@ -273,7 +302,7 @@ class TestCompactedLogEquivalence:
               suppress_health_check=[HealthCheck.too_slow])
     @given(programs(max_ops=10 * MAX_OPS))
     def test_compacted_log_replays_like_full_log(self, program):
-        ops, _cut = program
+        ops, _cut, _rounds = program
         harness = _Harness("vm-prop")
         source = harness.hv.worker("vm-prop", "opencl")
         for op in ops:
@@ -282,6 +311,6 @@ class TestCompactedLogEquivalence:
         compacted, full = source.recorder, harness.full_log
         assert len(compacted) <= len(full)
 
-        snapshot = snapshot_buffers(source)
+        snapshot = buffer_bytes(source)
         assert replica_state(harness, compacted, snapshot) == \
             replica_state(harness, full, snapshot)

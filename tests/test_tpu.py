@@ -12,6 +12,7 @@ from repro.codegen.pyfront import (
     spec_from_module,
 )
 from repro.codegen.verify import verify_spec
+from repro.migration import MigrationPolicy
 from repro.remoting.buffers import OutBox
 from repro.spec.errors import SpecSemanticError
 from repro.spec.model import RecordKind
@@ -222,7 +223,9 @@ class TestWorkload:
         flops = OutBox()
         assert tp.tpuCompile(graph.value, flops) == api.TPU_OK
 
-        report = hv.migrate_vm("vm-tpu-m", "tpu")
+        report = hv.live_migrate_vm("vm-tpu-m", "tpu",
+                                    policy=MigrationPolicy(max_rounds=0))
+        assert report.mode == "stop-the-world"
         assert report.replayed_calls >= 5
 
         feed = np.ones((2, 2), dtype=np.float32)
