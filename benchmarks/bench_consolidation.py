@@ -5,6 +5,9 @@ and AvA's call-granularity scheduler is what makes sharing safe.  This
 bench extracts *real* device-command traces from the Figure 5 workloads
 (actual kernel/copy durations, actual host think gaps) and replays
 pairs of them on one device under the router's scheduling policies.
+
+Output: the ``rodinia`` and ``consolidation`` sections of
+``BENCH_scheduling.json``.
 """
 
 from repro.harness.traces import extract_device_trace, trace_summary
@@ -50,7 +53,7 @@ def test_trace_shapes(once):
             > 50 * trace_summary(traces["nw"])["mean_duration"])
 
 
-def test_real_traces_shared_device(once):
+def test_real_traces_shared_device(once, bench_json):
     """gaussian + srad co-resident: fair-share protects the lighter one."""
 
     def run():
@@ -79,6 +82,7 @@ def test_real_traces_shared_device(once):
         return outcomes
 
     outcomes = once(run)
+    bench_json("scheduling", outcomes, section="rodinia")
     print("\n=== two real Rodinia traces on one GPU ===")
     for label, entry in outcomes.items():
         waits = ", ".join(
@@ -102,7 +106,7 @@ def _bursty(items, think_factor=2.0):
     ]
 
 
-def test_consolidation_throughput(once):
+def test_consolidation_throughput(once, bench_json):
     """Sharing one device between bursty tenants beats giving each a
     dedicated time slice — the consolidation argument of §1/§6."""
 
@@ -121,6 +125,10 @@ def test_consolidation_throughput(once):
         return shared_finish, alone_nw, alone_srad
 
     shared_finish, alone_nw, alone_srad = once(run)
+    bench_json("scheduling", {
+        "shared_makespan": shared_finish,
+        "alone_makespan": {"nw": alone_nw, "srad": alone_srad},
+    }, section="consolidation")
     sequential = alone_nw + alone_srad
     print(f"\nshared-device makespan {shared_finish * 1e3:.3f} ms vs "
           f"time-sliced sequential {sequential * 1e3:.3f} ms "

@@ -5,6 +5,8 @@ scheduling or resource utilization constraints beyond command
 rate-limiting" — rate limiting is AvA's baseline enforcement.  The
 bench shows a throttled VM's throughput tracking its configured limit
 while an unthrottled VM sharing the router is unaffected.
+
+Output: the ``rate_limit`` section of ``BENCH_scheduling.json``.
 """
 
 import pytest
@@ -41,8 +43,9 @@ def run_sweep():
     return rows
 
 
-def test_rate_limit_tracks_policy(once):
+def test_rate_limit_tracks_policy(once, bench_json):
     rows = once(run_sweep)
+    bench_json("scheduling", rows, section="rate_limit")
 
     print("\n=== router rate limiting (§4.3) ===")
     print(f"{'limit (cmd/s)':>14s} {'limited VM (cmd/s)':>19s} "

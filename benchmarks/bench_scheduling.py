@@ -5,6 +5,10 @@ conjecture that these approximations will still provide a useful level
 of performance isolation."  The bench puts asymmetric closed-loop
 guests on one device under three policies and measures device-time
 shares (Jain index) and weighted allocations.
+
+Output: the ``policies``, ``weighted`` and ``head_of_line`` sections of
+``BENCH_scheduling.json`` (``bench_consolidation.py`` and
+``bench_ratelimit.py`` write the others).
 """
 
 import pytest
@@ -55,8 +59,9 @@ def run_policies():
     return results
 
 
-def test_fair_share_beats_fifo(once):
+def test_fair_share_beats_fifo(once, bench_json):
     results = once(run_policies)
+    bench_json("scheduling", results, section="policies")
 
     print("\n=== device-time scheduling across VMs (§4.3) ===")
     print(f"{'policy':12s} {'hog':>9s} {'mouse1':>9s} {'mouse2':>9s} "
@@ -84,7 +89,7 @@ def test_fair_share_beats_fifo(once):
     assert fifo["hog"] > fifo["mouse1"] * 2
 
 
-def test_weighted_shares(once):
+def test_weighted_shares(once, bench_json):
     policy = ResourcePolicy()
     policy.set_policy("gold", VMPolicy(weight=4.0))
     policy.set_policy("silver", VMPolicy(weight=2.0))
@@ -99,6 +104,7 @@ def test_weighted_shares(once):
         return shares_at_common_horizon(stats)
 
     shares = once(run)
+    bench_json("scheduling", shares, section="weighted")
     print("\n=== weighted fair share (4:2:1) ===")
     for vm in ("gold", "silver", "bronze"):
         print(f"{vm:8s} {shares[vm] * 1e3:8.1f} ms of device time")
@@ -106,7 +112,7 @@ def test_weighted_shares(once):
     assert shares["silver"] / shares["bronze"] == pytest.approx(2.0, rel=0.1)
 
 
-def test_non_preemptive_limitation(once):
+def test_non_preemptive_limitation(once, bench_json):
     """AvA schedules at call granularity and cannot preempt a running
     kernel — a giant kernel delays everyone (the approximation's limit,
     which the paper concedes)."""
@@ -120,6 +126,8 @@ def test_non_preemptive_limitation(once):
         return stats["tiny"].max_wait
 
     max_wait = once(run)
+    bench_json("scheduling", {"tiny_max_wait": max_wait},
+               section="head_of_line")
     print(f"\ntiny-kernel VM worst-case wait behind 100 ms kernels: "
           f"{max_wait * 1e3:.1f} ms (head-of-line blocking is inherent "
           "to call-granularity scheduling)")

@@ -43,11 +43,20 @@ def bench_json():
 
     The file lands next to the benchmarks so dashboards and regression
     scripts can diff virtual-time results without parsing pytest output.
+    With ``section``, ``payload`` replaces only that top-level key of the
+    file, so several benches can share one file in any order.
     """
 
-    def writer(name, payload):
+    def writer(name, payload, section=None):
         path = os.path.join(os.path.dirname(__file__),
                             f"BENCH_{name}.json")
+        if section is not None:
+            merged = {}
+            if os.path.exists(path):
+                with open(path, "r", encoding="utf-8") as handle:
+                    merged = json.load(handle)
+            merged[section] = payload
+            payload = merged
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
