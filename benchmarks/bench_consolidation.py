@@ -11,8 +11,8 @@ Output: the ``rodinia`` and ``consolidation`` sections of
 """
 
 from repro.harness.traces import extract_device_trace, trace_summary
+from repro.hypervisor.pool import DeviceClass, DevicePool, PoolScheduler
 from repro.hypervisor.scheduler import (
-    ContendedDevice,
     FairShareScheduler,
     FifoScheduler,
     jain_fairness,
@@ -23,6 +23,12 @@ from repro.workloads import (
     NWWorkload,
     SradWorkload,
 )
+
+
+def run_one_device(streams, pick=None):
+    """Per-VM stats of ``streams`` sharing one baseline GPU."""
+    pool = DevicePool.from_classes([DeviceClass.baseline_gpu()])
+    return PoolScheduler(pool, pick=pick).run(streams).vm_stats
 
 
 def gather_traces():
@@ -62,11 +68,11 @@ def test_real_traces_shared_device(once, bench_json):
         # loop the shorter trace so both stay active together
         streams = {"gaussian": gaussian * 2, "srad": srad * 4}
         outcomes = {}
-        for label, scheduler in (("fifo", FifoScheduler()),
-                                 ("fair-share", FairShareScheduler())):
-            stats = ContendedDevice(scheduler).run({
+        for label, pick in (("fifo", FifoScheduler),
+                            ("fair-share", FairShareScheduler)):
+            stats = run_one_device({
                 vm: list(items) for vm, items in streams.items()
-            })
+            }, pick)
             horizon = min(s.finish_time for s in stats.values())
             shares = {
                 vm: sum(
@@ -113,15 +119,13 @@ def test_consolidation_throughput(once, bench_json):
     def run():
         nw = _bursty(extract_device_trace(NWWorkload()))
         srad = _bursty(extract_device_trace(SradWorkload()))
-        shared = ContendedDevice(FairShareScheduler()).run(
-            {"nw": list(nw), "srad": list(srad)}
-        )
+        shared = run_one_device({"nw": list(nw), "srad": list(srad)})
         shared_finish = max(s.finish_time for s in shared.values())
         # dedicated: each runs alone (device to itself)
-        alone_nw = ContendedDevice(FifoScheduler()).run(
-            {"nw": list(nw)})["nw"].finish_time
-        alone_srad = ContendedDevice(FifoScheduler()).run(
-            {"srad": list(srad)})["srad"].finish_time
+        alone_nw = run_one_device(
+            {"nw": list(nw)}, FifoScheduler)["nw"].finish_time
+        alone_srad = run_one_device(
+            {"srad": list(srad)}, FifoScheduler)["srad"].finish_time
         return shared_finish, alone_nw, alone_srad
 
     shared_finish, alone_nw, alone_srad = once(run)

@@ -12,7 +12,8 @@ Output: the ``rate_limit`` section of ``BENCH_scheduling.json``.
 import pytest
 
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy, VMPolicy
-from repro.hypervisor.scheduler import ContendedDevice, FifoScheduler, WorkItem
+from repro.hypervisor.pool import DeviceClass, DevicePool, PoolScheduler
+from repro.hypervisor.scheduler import FifoScheduler, WorkItem
 from repro.stack import make_hypervisor
 from repro.workloads import NWWorkload
 
@@ -26,13 +27,14 @@ def run_sweep():
             policy.set_policy(
                 "limited", VMPolicy(command_rate=limit, command_burst=1)
             )
-        device = ContendedDevice(FifoScheduler(),
-                                 rate_limiter=RateLimiter(policy))
+        device = PoolScheduler(
+            DevicePool.from_classes([DeviceClass.baseline_gpu()], policy),
+            rate_limiter=RateLimiter(policy), pick=FifoScheduler)
         streams = {
             "limited": [WorkItem(duration=20e-6) for _ in range(2000)],
             "free": [WorkItem(duration=20e-6) for _ in range(2000)],
         }
-        stats = device.run(streams)
+        stats = device.run(streams).vm_stats
         rows.append({
             "limit": limit,
             "limited_rate": stats["limited"].completed

@@ -14,14 +14,21 @@ Output: the ``policies``, ``weighted`` and ``head_of_line`` sections of
 import pytest
 
 from repro.hypervisor.policy import ResourcePolicy, VMPolicy
+from repro.hypervisor.pool import DeviceClass, DevicePool, PoolScheduler
 from repro.hypervisor.scheduler import (
-    ContendedDevice,
     FairShareScheduler,
     FifoScheduler,
     RoundRobinScheduler,
     WorkItem,
     jain_fairness,
 )
+
+
+def run_one_device(streams, pick=None, policy=None):
+    """Per-VM stats of ``streams`` sharing one baseline device."""
+    pool = DevicePool.from_classes([DeviceClass.baseline_gpu()],
+                                   policy=policy)
+    return PoolScheduler(pool, pick=pick).run(streams).vm_stats
 
 
 def asymmetric_streams():
@@ -45,12 +52,12 @@ def shares_at_common_horizon(stats):
 
 def run_policies():
     results = {}
-    for name, scheduler in (
-        ("fifo", FifoScheduler()),
-        ("round-robin", RoundRobinScheduler()),
-        ("fair-share", FairShareScheduler()),
+    for name, pick in (
+        ("fifo", FifoScheduler),
+        ("round-robin", RoundRobinScheduler),
+        ("fair-share", FairShareScheduler),
     ):
-        stats = ContendedDevice(scheduler).run(asymmetric_streams())
+        stats = run_one_device(asymmetric_streams(), pick)
         shares = shares_at_common_horizon(stats)
         results[name] = {
             "shares": shares,
@@ -74,11 +81,10 @@ def test_fair_share_beats_fifo(once, bench_json):
 
     # visualize the two extremes
     from repro.harness.report import format_gantt
-    from repro.hypervisor.scheduler import ContendedDevice as _CD
 
-    for label, scheduler in (("fifo", FifoScheduler()),
-                             ("fair-share", FairShareScheduler())):
-        stats = _CD(scheduler).run(asymmetric_streams())
+    for label, pick in (("fifo", FifoScheduler),
+                        ("fair-share", FairShareScheduler)):
+        stats = run_one_device(asymmetric_streams(), pick)
         print(f"\n{label} timeline (completions per VM):")
         print(format_gantt(stats, width=64))
 
@@ -100,7 +106,7 @@ def test_weighted_shares(once, bench_json):
             vm: [WorkItem(1e-3) for _ in range(3000)]
             for vm in ("gold", "silver", "bronze")
         }
-        stats = ContendedDevice(FairShareScheduler(policy)).run(streams)
+        stats = run_one_device(streams, policy=policy)
         return shares_at_common_horizon(stats)
 
     shares = once(run)
@@ -122,7 +128,7 @@ def test_non_preemptive_limitation(once, bench_json):
             "giant": [WorkItem(100e-3) for _ in range(10)],
             "tiny": [WorkItem(0.1e-3) for _ in range(100)],
         }
-        stats = ContendedDevice(FairShareScheduler()).run(streams)
+        stats = run_one_device(streams)
         return stats["tiny"].max_wait
 
     max_wait = once(run)

@@ -147,10 +147,6 @@ class Diagnostic:
         if self.severity is None:
             self.severity = CODE_TABLE[self.code][0]
 
-    @property
-    def key(self) -> tuple:
-        return (self.code, self.subject)
-
     def format(self) -> str:
         where = f" [{self.spec_path}]" if self.spec_path else ""
         return (f"{self.severity.value.upper():7s} {self.code} "

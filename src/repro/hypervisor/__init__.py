@@ -6,7 +6,8 @@ the hypervisor regains interposition.  This package is that layer:
 :class:`~repro.hypervisor.router.Router` verifies, rate-limits, accounts
 and schedules every command; :class:`~repro.hypervisor.hypervisor.Hypervisor`
 owns VM and API-server lifecycles; :mod:`repro.hypervisor.scheduler`
-provides the device-time schedulers used for cross-VM sharing.
+provides the device-time pick policies that
+:class:`~repro.hypervisor.pool.PoolScheduler` runs for cross-VM sharing.
 """
 
 from repro.hypervisor.policy import (
@@ -24,7 +25,6 @@ from repro.hypervisor.pool import (
 )
 from repro.hypervisor.router import Router, RoutingInfo, RoutingTable
 from repro.hypervisor.scheduler import (
-    ContendedDevice,
     FairShareScheduler,
     FifoScheduler,
     RoundRobinScheduler,
@@ -34,7 +34,6 @@ from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.vm import GuestVM
 
 __all__ = [
-    "ContendedDevice",
     "DeviceClass",
     "DevicePool",
     "FairShareScheduler",

@@ -11,11 +11,12 @@ concern:
 * :class:`PooledDevice` / :class:`DevicePool` — pool membership,
   capacity-aware least-loaded placement with QoS steering, and lazy
   construction of the *native* simulated devices workers bind to,
-* :class:`PoolScheduler` — a discrete-event engine layered on
-  :class:`~repro.hypervisor.scheduler.FairShareScheduler`: weighted fair
-  share *within* each device, least-loaded placement plus work stealing
-  *across* devices, per-tenant device-time quotas, and both closed-loop
-  (think time) and open-loop (arrival timestamps) traffic.
+* :class:`PoolScheduler` — the repository's one discrete-event device
+  engine: a pluggable pick policy *within* each device (weighted fair
+  share by default), least-loaded placement plus work stealing *across*
+  devices, per-tenant device-time quotas, and both closed-loop (think
+  time) and open-loop (arrival timestamps) traffic.  One shared device
+  is a one-member pool.
 
 Costs are expressed in **nominal seconds** — the wall time an item would
 take on the baseline device (the GTX 1080 of the figure-5 experiments).
@@ -27,11 +28,12 @@ the only currency comparable across a heterogeneous pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy
 from repro.hypervisor.scheduler import (
     FairShareScheduler,
+    Scheduler,
     StreamStats,
     WorkItem,
 )
@@ -397,15 +399,20 @@ class PoolRunResult:
 class PoolScheduler:
     """Discrete-event engine over a :class:`DevicePool`.
 
-    Within a device: weighted start-time fair queuing (one
-    :class:`FairShareScheduler` per member, same ``ResourcePolicy``).
+    Each member is non-preemptive (AvA schedules at call granularity —
+    it cannot preempt a running kernel).  Within a member, ``pick``
+    chooses among the homed VMs with ready work: a :class:`Scheduler`
+    class or zero-argument factory, built fresh per member per run;
+    the default is weighted start-time fair queuing
+    (:class:`FairShareScheduler` over the pool's ``ResourcePolicy``).
     Across devices: VMs are homed by :meth:`DevicePool.place`; when the
     idlest member would otherwise sit idle while another member is
     backlogged, it *steals* one queued item from the VM whose
     completion improves most — the VM's home is untouched, and the
     stolen service still counts against its home fair share.
     Per-tenant ``device_time`` quotas drop work beyond the allowance
-    instead of queueing it.
+    instead of queueing it.  An optional router rate limiter delays
+    each item's release at submission.
     """
 
     def __init__(
@@ -413,11 +420,13 @@ class PoolScheduler:
         pool: DevicePool,
         rate_limiter: Optional[RateLimiter] = None,
         allow_stealing: bool = True,
+        pick: Optional[Callable[[], Scheduler]] = None,
     ) -> None:
         self.pool = pool
         self.policy = pool.policy
         self.rate_limiter = rate_limiter
         self.allow_stealing = allow_stealing
+        self.pick = pick or (lambda: FairShareScheduler(self.policy))
 
     def run(
         self,
@@ -451,13 +460,12 @@ class PoolScheduler:
         free_at: Dict[str, float] = {
             d.device_id: 0.0 for d in self.pool.devices
         }
-        schedulers: Dict[str, FairShareScheduler] = {}
-        usage: Dict[str, Dict[str, float]] = {}
-        for device in self.pool.devices:
-            scheduler = FairShareScheduler(self.policy)
-            scheduler.reset()
-            schedulers[device.device_id] = scheduler
-            usage[device.device_id] = {}
+        schedulers: Dict[str, Scheduler] = {
+            d.device_id: self.pick() for d in self.pool.devices
+        }
+        usage: Dict[str, Dict[str, float]] = {
+            d.device_id: {} for d in self.pool.devices
+        }
 
         stats = {vm: StreamStats(vm_id=vm) for vm in streams}
         device_stats = {
@@ -611,15 +619,16 @@ class PoolScheduler:
 
             tracer = _tele.active()
             if tracer.enabled:
+                policy = type(schedulers[device_id]).__name__
                 if start > release[chosen]:
                     tracer.record_span(
                         "router.queue", release[chosen], start,
-                        layer="router", vm_id=chosen, policy="PoolScheduler",
+                        layer="router", vm_id=chosen, policy=policy,
                         device=device_id,
                     )
                 tracer.record_span(
                     "device.compute", start, end, layer="device",
-                    vm_id=chosen, policy="PoolScheduler", op="pool",
+                    vm_id=chosen, policy=policy, op="pool",
                     device=device_id,
                 )
 
@@ -703,28 +712,22 @@ class RebalancePolicy:
 class PoolRebalancer:
     """Moves tenants off hot pool members with live migration.
 
-    Watches per-member utilization through a
-    :class:`~repro.telemetry.metrics.MetricsRegistry` (delta-absorbed,
-    so repeated observation never double counts), and when the pool's
-    utilization spread exceeds :attr:`RebalancePolicy.min_spread`, picks
-    the hot member's busiest resident VM and live-migrates every one of
-    its workers to the coolest member that fits it.  The move itself is
-    the pre-copy/cutover protocol of :mod:`repro.migration.live` — the
+    Reads per-member utilization from the pool's native devices, and
+    when the pool's utilization spread exceeds
+    :attr:`RebalancePolicy.min_spread`, picks the hot member's busiest
+    resident VM and live-migrates every one of its workers to the
+    coolest member that fits it.  The move itself is the
+    pre-copy/cutover protocol of :mod:`repro.migration.live` — the
     victim keeps serving on the hot member until its cutover windows.
     """
 
-    def __init__(self, hypervisor: Any, registry: Any = None,
+    def __init__(self, hypervisor: Any,
                  policy: Optional[RebalancePolicy] = None,
                  migration_policy: Any = None) -> None:
         if hypervisor.pool is None:
             raise PoolCapacityError(
                 "rebalancing requires a device pool")
-        if registry is None:
-            from repro.telemetry.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
         self.hv = hypervisor
-        self.registry = registry
         self.policy = policy or RebalancePolicy()
         self.migration_policy = migration_policy
         #: completed migration reports, in the order moves were made
@@ -733,14 +736,16 @@ class PoolRebalancer:
     # -- observation -------------------------------------------------------
 
     def utilizations(self) -> Dict[str, float]:
-        """Fresh per-member utilization (absorbs the pool first)."""
-        self.registry.absorb_pool(self.hv.pool)
-        return {
-            member.device_id:
-                self.registry.devices[member.device_id].utilization
-                if member.device_id in self.registry.devices else 0.0
-            for member in self.hv.pool.devices
-        }
+        """Per-member utilization: busy time summed over the member's
+        native devices, over the latest of their timelines."""
+        utils = {}
+        for member in self.hv.pool.devices:
+            natives = member._native.values()
+            busy = sum(float(getattr(n, "busy_time", 0.0)) for n in natives)
+            horizon = max((float(getattr(n, "timeline", 0.0))
+                           for n in natives), default=0.0)
+            utils[member.device_id] = busy / horizon if horizon else 0.0
+        return utils
 
     def utilization_spread(self) -> float:
         """Hottest-minus-coolest member utilization, [0, 1]."""

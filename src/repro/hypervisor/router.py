@@ -204,7 +204,6 @@ class Router:
     def metrics_for(self, vm_id: str) -> VMMetrics:
         entry = self.metrics.get(vm_id)
         if entry is None:
-            # created on a miss only: this runs twice per routed command
             entry = self.metrics[vm_id] = VMMetrics()
         return entry
 
@@ -286,7 +285,7 @@ class Router:
                 continue  # estimate only; never fail the call over it
         return estimates
 
-    def _check_quota(self, vm_id: str,
+    def _check_quota(self, vm_id: str, entry: VMMetrics,
                      estimates: Dict[str, float]) -> Optional[str]:
         """The resource (if any) this command would push past its quota."""
         if self.policy is None or not estimates:
@@ -294,7 +293,6 @@ class Router:
         limits = self.policy.policy_for(vm_id).resource_limits
         if not limits:
             return None
-        entry = self.metrics_for(vm_id)
         for resource, amount in estimates.items():
             limit = limits.get(resource)
             if limit is not None and \
@@ -302,9 +300,8 @@ class Router:
                 return resource
         return None
 
-    def _account(self, command: Command,
+    def _account(self, entry: VMMetrics, command: Command,
                  estimates: Dict[str, float]) -> None:
-        entry = self.metrics_for(command.vm_id)
         entry.commands += 1
         entry.payload_bytes += command.payload_bytes()
         entry.per_function[command.function] = (
@@ -364,11 +361,15 @@ class Router:
         if not has_refs and store is None:
             return None
         first_seq = commands[0].seq
+        # ``vm_id`` is untrusted bytes: only VMs this hypervisor created
+        # are accounted, so a forged id cannot grow ``metrics``
+        entry = self.metrics_for(vm_id) if vm_id in self.known_vms \
+            else None
         if has_refs and store is None:
             # refs without an armed cache are a protocol violation, not
             # a miss — a retransmission could never succeed either
-            if vm_id in self.known_vms:
-                self.metrics_for(vm_id).rejected += 1
+            if entry is not None:
+                entry.rejected += 1
             return self._refuse(
                 "router: cached refs without a transfer store (cache not "
                 "armed for this VM)", arrival, first_seq)
@@ -376,11 +377,10 @@ class Router:
         missing: List[Any] = []
         resolved: List[Any] = []
         for command in commands:
-            for param, entry in command.cached_refs.items():
-                digest, size, kind = entry
+            for param, (digest, size, kind) in command.cached_refs.items():
                 if size > self.max_payload_bytes:
-                    if vm_id in self.known_vms:
-                        self.metrics_for(vm_id).rejected += 1
+                    if entry is not None:
+                        entry.rejected += 1
                     return self._refuse(
                         f"router: cached ref {param!r} claims {size} B, "
                         f"beyond limit {self.max_payload_bytes} B",
@@ -396,8 +396,6 @@ class Router:
                         san.verify_digest(digest, data, vm_id=vm_id)
                     resolved.append((command, param, data, kind))
         if missing:
-            entry = self.metrics_for(vm_id) \
-                if vm_id in self.known_vms else None
             if entry is not None:
                 entry.xfer_misses += len(missing)
             if tracer.enabled:
@@ -415,8 +413,8 @@ class Router:
                 try:
                     command.scalars[param] = data.decode("utf-8")
                 except UnicodeDecodeError:
-                    if vm_id in self.known_vms:
-                        self.metrics_for(vm_id).rejected += 1
+                    if entry is not None:
+                        entry.rejected += 1
                     return self._refuse(
                         f"router: cached ref {param!r} resolves to "
                         f"non-UTF-8 bytes for kind 'str'",
@@ -427,8 +425,7 @@ class Router:
         for command, param, data, kind in resolved:
             command.cached_refs = {}
             hit_bytes += len(data)
-        if resolved and vm_id in self.known_vms:
-            entry = self.metrics_for(vm_id)
+        if resolved and entry is not None:
             entry.xfer_hits += len(resolved)
             entry.xfer_bytes_elided += hit_bytes
         if resolved and tracer.enabled:
@@ -581,10 +578,11 @@ class Router:
             return Reply(seq=command.seq, error=f"router: {err}",
                          complete_time=arrival)
 
+        # verified, so the VM is known: its counters, resolved once
+        entry = self.metrics_for(command.vm_id)
         estimates = self._estimate(command, info, self.tables[command.api])
-        exhausted = self._check_quota(command.vm_id, estimates)
+        exhausted = self._check_quota(command.vm_id, entry, estimates)
         if exhausted is not None:
-            entry = self.metrics_for(command.vm_id)
             entry.rejected += 1
             if tracer.enabled:
                 tracer.record_span(
@@ -606,17 +604,16 @@ class Router:
                 # the first calls after a live-migration cutover absorb
                 # the frozen window here, visibly, instead of the guest
                 # clock being warped underneath the application
-                self.metrics_for(command.vm_id).migration_stall += (
-                    resume - release)
+                entry.migration_stall += resume - release
                 release = resume
             else:
                 del self.thaw_at[command.vm_id]
         if self.rate_limiter is not None:
             allowed = self.rate_limiter.next_allowed(command.vm_id, release)
-            self.metrics_for(command.vm_id).rate_delay += allowed - release
+            entry.rate_delay += allowed - release
             release = allowed
 
-        self._account(command, estimates)
+        self._account(entry, command, estimates)
 
         if tracer.enabled:
             # the interposition window: verification + resource accounting
@@ -642,7 +639,8 @@ class Router:
         try:
             worker = self.worker_resolver(command.vm_id, command.api)
         except WorkerLost as err:
-            return self._server_lost_reply(command, release, str(err))
+            return self._server_lost_reply(entry, command, release,
+                                           str(err))
         if worker is None:
             return Reply(seq=command.seq,
                          error=f"router: no API server for VM "
@@ -671,7 +669,8 @@ class Router:
             # clean server-lost error — other VMs' workers are untouched
             if self.on_worker_lost is not None:
                 self.on_worker_lost(command.vm_id, command.api, str(err))
-            return self._server_lost_reply(command, release, str(err))
+            return self._server_lost_reply(entry, command, release,
+                                           str(err))
 
     def _observe(self, command: Command, arrival: float,
                  reply: Reply) -> None:
@@ -692,9 +691,8 @@ class Router:
                 latency=latency, error=reply.error,
             )
 
-    def _server_lost_reply(self, command: Command, release: float,
-                           reason: str) -> Reply:
-        entry = self.metrics_for(command.vm_id)
+    def _server_lost_reply(self, entry: VMMetrics, command: Command,
+                           release: float, reason: str) -> Reply:
         entry.server_lost += 1
         tracer = _tele.active()
         if tracer.enabled:

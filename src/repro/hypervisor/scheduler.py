@@ -1,18 +1,20 @@
-"""Device-time schedulers and the contended-device simulation.
+"""Device-time pick policies and the per-VM outcome of a scheduled run.
 
 AvA's router "schedules execution at function call granularity" using
 resource-usage approximations from the spec (§4.3).  This module provides
-three policies over a shared device and a small discrete-event engine to
-evaluate them:
+three policies for choosing which VM's next command a shared device
+runs:
 
 * :class:`FifoScheduler` — arrival order (no isolation),
 * :class:`RoundRobinScheduler` — alternate among VMs with ready work,
 * :class:`FairShareScheduler` — weighted device-time fairness via
   virtual-time tags (start-time fair queuing at call granularity).
 
-Each guest stream is *closed-loop*: a VM submits its next command some
-think-time after its previous command completes — which is how real
-guest applications behave and what makes fairness measurable.
+The discrete-event engine that evaluates them is
+:class:`~repro.hypervisor.pool.PoolScheduler`; one shared device is a
+one-member pool, and ``pick=`` chooses the policy.  Policies are
+stateful (rotation cursor, virtual-time tags), so the engine builds a
+fresh one per member per run.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.hypervisor.policy import RateLimiter, ResourcePolicy
-from repro.telemetry import tracer as _tele
+from repro.hypervisor.policy import ResourcePolicy
 
 
 @dataclass
@@ -45,11 +46,6 @@ class Scheduler:
     def weight_of(self, vm_id: str) -> float:
         return 1.0
 
-    def reset(self) -> None:
-        """Discard per-run state.  :meth:`ContendedDevice.run` calls this
-        at the start of every run so a scheduler instance can be reused
-        across runs without leaking rotation or virtual-time state."""
-
 
 class FifoScheduler(Scheduler):
     """No policy: whichever ready VM queued first (alphabetical tiebreak
@@ -64,12 +60,6 @@ class RoundRobinScheduler(Scheduler):
 
     def __init__(self) -> None:
         self._last: Optional[str] = None
-
-    def reset(self) -> None:
-        # the rotation cursor is per-run state: without this, a second
-        # run() on the same scheduler instance starts mid-rotation and
-        # back-to-back runs of identical streams are not reproducible
-        self._last = None
 
     def pick(self, ready: Sequence[str], usage: Dict[str, float]) -> str:
         ordered = sorted(ready)
@@ -109,11 +99,6 @@ class FairShareScheduler(Scheduler):
         #: the ready set at the previous pick (re-entry detection)
         self._prev_ready: frozenset = frozenset()
 
-    def reset(self) -> None:
-        self._tags.clear()
-        self._seen_usage.clear()
-        self._prev_ready = frozenset()
-
     def weight_of(self, vm_id: str) -> float:
         weight = self.policy.effective_weight(vm_id)
         if weight <= 0:
@@ -150,7 +135,7 @@ class FairShareScheduler(Scheduler):
 
 @dataclass
 class StreamStats:
-    """Per-VM outcome of a contended run."""
+    """Per-VM outcome of a scheduled run."""
 
     vm_id: str
     completed: int = 0
@@ -172,102 +157,6 @@ class StreamStats:
     @property
     def max_wait(self) -> float:
         return max(self.waits) if self.waits else 0.0
-
-
-class ContendedDevice:
-    """Discrete-event simulation of N closed-loop guests sharing a device.
-
-    The engine is deliberately simple: one non-preemptive device (AvA
-    schedules at call granularity — it cannot preempt a running kernel),
-    per-VM closed-loop streams, an optional router rate limiter applied
-    at submission, and a pluggable pick policy.
-    """
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        rate_limiter: Optional[RateLimiter] = None,
-    ) -> None:
-        self.scheduler = scheduler
-        self.rate_limiter = rate_limiter
-
-    def run(self, streams: Dict[str, List[WorkItem]]) -> Dict[str, StreamStats]:
-        if not streams:
-            raise ValueError("no streams to schedule")
-        # schedulers are stateful (rotation cursor, virtual-time tags);
-        # a fresh run must not inherit a previous run's position
-        self.scheduler.reset()
-        stats = {vm: StreamStats(vm_id=vm) for vm in streams}
-        index = {vm: 0 for vm in streams}
-        next_submit = {vm: 0.0 for vm in streams}
-        usage: Dict[str, float] = {vm: 0.0 for vm in streams}
-        device_free = 0.0
-        # the rate limiter is stateful (token bucket): consult it exactly
-        # once per item, when the item becomes pending
-        release_cache: Dict[str, Optional[float]] = {vm: None
-                                                     for vm in streams}
-
-        def remaining(vm: str) -> bool:
-            return index[vm] < len(streams[vm])
-
-        while any(remaining(vm) for vm in streams):
-            release = {}
-            for vm in streams:
-                if remaining(vm):
-                    if release_cache[vm] is None:
-                        submit = next_submit[vm]
-                        if self.rate_limiter is not None:
-                            submit = self.rate_limiter.next_allowed(
-                                vm, submit
-                            )
-                        release_cache[vm] = submit
-                    release[vm] = release_cache[vm]
-            ready = [vm for vm, t in release.items() if t <= device_free]
-            if not ready:
-                device_free = min(release.values())
-                ready = [vm for vm, t in release.items() if t <= device_free]
-            ready.sort(key=lambda vm: (release[vm], vm))
-            chosen = self.scheduler.pick(ready, usage)
-            item = streams[chosen][index[chosen]]
-            start = max(device_free, release[chosen])
-            end = start + item.duration
-            device_free = end
-            usage[chosen] += item.duration
-
-            tracer = _tele.active()
-            if tracer.enabled:
-                policy = type(self.scheduler).__name__
-                if start > release[chosen]:
-                    tracer.record_span(
-                        "router.queue", release[chosen], start,
-                        layer="router", vm_id=chosen, policy=policy,
-                    )
-                tracer.record_span(
-                    "device.compute", start, end, layer="device",
-                    vm_id=chosen, policy=policy, op="contended",
-                )
-
-            entry = stats[chosen]
-            entry.completed += 1
-            entry.device_time += item.duration
-            entry.finish_time = end
-            # queueing (waiting behind other VMs' device time) and
-            # admission throttling (token-bucket delay) are different
-            # phenomena: report them separately, with total_wait kept
-            # as their sum for compatibility
-            queue_wait = start - release[chosen]
-            throttle_wait = release[chosen] - next_submit[chosen]
-            entry.total_wait += queue_wait + throttle_wait
-            entry.total_queue_wait += queue_wait
-            entry.total_throttle_wait += throttle_wait
-            entry.waits.append(queue_wait + throttle_wait)
-            entry.queue_waits.append(queue_wait)
-            entry.completions.append(end)
-
-            index[chosen] += 1
-            next_submit[chosen] = end + item.think_time
-            release_cache[chosen] = None
-        return stats
 
 
 def jain_fairness(values: Sequence[float]) -> float:

@@ -130,9 +130,6 @@ class KernelRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._impls
 
-    def names(self) -> List[str]:
-        return sorted(self._impls)
-
 
 #: the process-wide registry (workload modules populate it at import)
 REGISTRY = KernelRegistry()

@@ -212,14 +212,3 @@ class TransferCache:
         """The server reported these digests missing (``NeedBytes``)."""
         for digest in digests:
             self._known.pop(digest, None)
-
-    # -- reporting ---------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "elided_payloads": self.elided_payloads,
-            "elided_bytes": self.elided_bytes,
-            "digested_payloads": self.digested_payloads,
-            "retransmits": self.retransmits,
-            "known_digests": len(self._known),
-        }

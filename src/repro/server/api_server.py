@@ -81,9 +81,6 @@ class ApiServerWorker:
 
     # -- helpers the generated server stubs call ------------------------------
 
-    def lookup(self, guest_id: Any) -> Any:
-        return self.handles.lookup(guest_id)
-
     def lookup_optional(self, guest_id: Any) -> Any:
         return self.handles.lookup_optional(guest_id)
 

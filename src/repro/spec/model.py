@@ -56,11 +56,6 @@ class CType:
     def is_pointer(self) -> bool:
         return self.pointer_depth > 0
 
-    def pointee(self) -> "CType":
-        if not self.is_pointer:
-            raise SpecSemanticError(f"{self} is not a pointer type")
-        return CType(self.base, self.pointer_depth - 1, False)
-
     def to_source(self) -> str:
         const = "const " if self.is_const else ""
         return f"{const}{self.base}{' ' + '*' * self.pointer_depth if self.pointer_depth else ''}"

@@ -2,11 +2,14 @@
 
 The :class:`MetricsRegistry` is the aggregate view over the tracer's
 span stream: per-VM / per-function call counts, error counts, sync/async
-split, payload bytes and latency distributions, plus per-layer time.
-It subsumes the router's ad-hoc ``VMMetrics`` — feed a router's metrics
-dict through :meth:`MetricsRegistry.absorb_router` to fold its
-verification-level counters (rejections, rate delay, resource
-estimates) into the same per-VM view.
+split, payload bytes, retries and latency distributions, plus per-layer
+span counts.  It holds only what it derives from spans.  Every other
+counter has exactly one live store, read where it lives: the router's
+per-VM ``VMMetrics`` (``router.metrics_for(vm)``: rejections, rate
+delay, resource estimates, transfer-cache hits), the guest runtimes'
+``retries``/``giveups``, the SLO monitor's breaches, and the pool
+members' native devices (busy time) — ``Hypervisor.admin_report()``
+renders them together.
 
 Layer attribution uses *self time* (a span's duration minus its direct
 children's), so nested spans of the same layer — the ``dispatch`` span
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.tracer import Span
@@ -181,21 +184,6 @@ class VMTelemetry:
     functions: Dict[str, FunctionMetrics] = field(default_factory=dict)
     #: layer → span count (completed op spans attributed to this VM)
     layer_spans: Dict[str, int] = field(default_factory=dict)
-    #: router-level counters absorbed from the router's VMMetrics
-    rejected: int = 0
-    rate_delay: float = 0.0
-    #: commands answered server-lost because the VM's worker crashed
-    server_lost: int = 0
-    resources: Dict[str, float] = field(default_factory=dict)
-    #: guest-runtime recovery counters (absorbed from the runtimes)
-    retries: int = 0
-    giveups: int = 0
-    #: transfer-cache counters (absorbed from the router's VMMetrics)
-    xfer_hits: int = 0
-    xfer_misses: int = 0
-    xfer_bytes_elided: int = 0
-    #: SLO breach events attributed to this VM (absorbed from a monitor)
-    slo_breaches: int = 0
 
     def function_metrics(self, function: str) -> FunctionMetrics:
         entry = self.functions.get(function)
@@ -216,27 +204,6 @@ class VMTelemetry:
         return sum(f.total_time for f in self.functions.values())
 
 
-@dataclass
-class DeviceTelemetry:
-    """Per-pool-member aggregate: who runs there and how busy it is."""
-
-    device_id: str
-    device_class: str = ""
-    compute_scale: float = 1.0
-    #: wall-clock busy time across the member's native devices
-    busy_time: float = 0.0
-    #: latest device-timeline value observed (utilization horizon)
-    horizon: float = 0.0
-    #: busy time per native API on this member
-    per_api: Dict[str, float] = field(default_factory=dict)
-    #: VMs resident at the last absorption (snapshot, not a delta)
-    vms: List[str] = field(default_factory=list)
-
-    @property
-    def utilization(self) -> float:
-        return self.busy_time / self.horizon if self.horizon else 0.0
-
-
 class MetricsRegistry:
     """Aggregates completed spans into per-VM / per-function metrics.
 
@@ -246,20 +213,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.vms: Dict[str, VMTelemetry] = {}
-        #: per-pool-member utilization (absorbed from a DevicePool)
-        self.devices: Dict[str, DeviceTelemetry] = {}
-        # per-source counter snapshots: absorbing the same source twice
-        # adds only the delta since the previous absorption, so repeated
-        # admin_report() calls cannot double count (and sources whose
-        # counters keep growing between absorptions stay correct)
-        self._absorbed: Dict[Hashable, Dict[str, float]] = {}
-
-    def _delta(self, key: Hashable, current: Dict[str, float]
-               ) -> Dict[str, float]:
-        previous = self._absorbed.get(key, {})
-        self._absorbed[key] = current
-        return {name: value - previous.get(name, 0)
-                for name, value in current.items()}
 
     def vm(self, vm_id: str) -> VMTelemetry:
         entry = self.vms.get(vm_id)
@@ -297,100 +250,6 @@ class MetricsRegistry:
         for span in spans:
             registry.ingest(span)
         return registry
-
-    def absorb_router(self, router_metrics: Dict[str, Any]) -> None:
-        """Fold the router's per-VM ``VMMetrics`` into this registry.
-
-        This is what makes the registry a superset of the router's
-        ad-hoc accounting: rejections, rate-limit delay, and resource
-        estimates land next to the span-derived counters.  Absorption is
-        idempotent per source VM: repeated calls (two ``admin_report()``
-        invocations, say) fold in only what changed since the last one.
-        """
-        for vm_id, metrics in router_metrics.items():
-            entry = self.vm(vm_id)
-            snapshot = {
-                "rejected": metrics.rejected,
-                "rate_delay": metrics.rate_delay,
-                "server_lost": getattr(metrics, "server_lost", 0),
-                "xfer_hits": getattr(metrics, "xfer_hits", 0),
-                "xfer_misses": getattr(metrics, "xfer_misses", 0),
-                "xfer_bytes_elided": getattr(
-                    metrics, "xfer_bytes_elided", 0
-                ),
-            }
-            for resource, amount in metrics.resources.items():
-                snapshot[f"resource:{resource}"] = amount
-            delta = self._delta(("router", vm_id), snapshot)
-            entry.rejected += int(delta["rejected"])
-            entry.rate_delay += delta["rate_delay"]
-            entry.server_lost += int(delta["server_lost"])
-            entry.xfer_hits += int(delta["xfer_hits"])
-            entry.xfer_misses += int(delta["xfer_misses"])
-            entry.xfer_bytes_elided += int(delta["xfer_bytes_elided"])
-            for name, amount in delta.items():
-                if name.startswith("resource:"):
-                    resource = name[len("resource:"):]
-                    entry.resources[resource] = (
-                        entry.resources.get(resource, 0.0) + amount
-                    )
-
-    def absorb_runtime(self, vm_id: str, runtime: Any) -> None:
-        """Fold one guest runtime's recovery counters into this registry.
-
-        VM-level ``retries``/``giveups`` come from the runtimes (they
-        exist with tracing off); per-function retry counts come from
-        ingested ``retry`` spans when tracing is on.  Idempotent per
-        (VM, API) source, like :meth:`absorb_router`.
-        """
-        entry = self.vm(vm_id)
-        key = ("runtime", vm_id, getattr(runtime, "api_name", None))
-        delta = self._delta(key, {
-            "retries": runtime.retries,
-            "giveups": runtime.giveups,
-        })
-        entry.retries += int(delta["retries"])
-        entry.giveups += int(delta["giveups"])
-
-    def absorb_pool(self, pool: Any) -> None:
-        """Fold a :class:`~repro.hypervisor.pool.DevicePool`'s member
-        utilization into this registry.
-
-        Busy time is absorbed as a delta per (member, API) source —
-        idempotent like :meth:`absorb_router` — while the resident-VM
-        list and the utilization horizon are point-in-time snapshots.
-        """
-        for member in pool.devices:
-            entry = self.devices.get(member.device_id)
-            if entry is None:
-                entry = self.devices[member.device_id] = DeviceTelemetry(
-                    device_id=member.device_id,
-                    device_class=member.device_class.name,
-                    compute_scale=member.device_class.compute_scale,
-                )
-            entry.vms = sorted(member.resident)
-            for api, native in member._native.items():
-                busy = float(getattr(native, "busy_time", 0.0))
-                horizon = float(getattr(native, "timeline", 0.0))
-                delta = self._delta(
-                    ("pool", member.device_id, api), {"busy": busy}
-                )
-                entry.busy_time += delta["busy"]
-                entry.per_api[api] = (
-                    entry.per_api.get(api, 0.0) + delta["busy"]
-                )
-                entry.horizon = max(entry.horizon, horizon)
-
-    def absorb_slo(self, monitor: Any) -> None:
-        """Fold an SLO monitor's per-VM breach counts into this registry.
-
-        Idempotent: repeated absorption of the same monitor adds only
-        breaches raised since the previous call.
-        """
-        for vm_id, breaches in monitor.breaches_by_vm().items():
-            entry = self.vm(vm_id)
-            delta = self._delta(("slo", vm_id), {"breaches": breaches})
-            entry.slo_breaches += int(delta["breaches"])
 
 
 # ---------------------------------------------------------------------------

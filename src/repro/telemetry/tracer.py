@@ -231,16 +231,6 @@ class Tracer:
         )
         return self.end_span(span, end)
 
-    @contextlib.contextmanager
-    def span(self, name: str, clock: Any, **kwargs: Any) -> Iterator[Span]:
-        """Span over a ``with`` body, timed on ``clock.now``."""
-        opened = self.start_span(name, clock.now, **kwargs)
-        try:
-            yield opened
-        finally:
-            if not opened.finished:
-                self.end_span(opened, clock.now)
-
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
@@ -288,11 +278,6 @@ class Tracer:
                 span.end = max(horizon, span.start)
             result.append(span)
         return result
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._stack.clear()
-        self._containers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Tracer({self.trace_id!r}, spans={len(self.spans)}, "

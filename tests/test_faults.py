@@ -546,13 +546,11 @@ class TestFaultTelemetry:
         names = {span.name for span in tracer.spans}
         assert "fault.drop" in names
         assert "retry" in names
+        # span-derived per-function retries agree with the runtime's own
+        # counter, the one live store of VM-level retries
         runtime = vm.runtimes["opencl"]
-        registry.absorb_runtime("v1", runtime)
-        registry.absorb_router(hypervisor.router.metrics)
-        entry = registry.vm("v1")
-        assert entry.retries == runtime.retries > 0
-        per_function = entry.functions["clEnqueueWriteBuffer"]
-        assert per_function.retries == runtime.retries
+        per_function = registry.vm("v1").functions["clEnqueueWriteBuffer"]
+        assert per_function.retries == runtime.retries > 0
 
     def test_faulty_transport_costs_delegate(self):
         hypervisor, vm = fresh_stack()

@@ -125,14 +125,16 @@ class TestReport:
 class TestGantt:
     def test_gantt_shape(self):
         from repro.harness.report import format_gantt
-        from repro.hypervisor.scheduler import (
-            ContendedDevice, FairShareScheduler, WorkItem,
+        from repro.hypervisor.pool import (
+            DeviceClass, DevicePool, PoolScheduler,
         )
+        from repro.hypervisor.scheduler import WorkItem
 
-        stats = ContendedDevice(FairShareScheduler()).run({
+        pool = DevicePool.from_classes([DeviceClass.baseline_gpu()])
+        stats = PoolScheduler(pool).run({
             "alpha": [WorkItem(1e-3) for _ in range(10)],
             "beta": [WorkItem(1e-3) for _ in range(10)],
-        })
+        }).vm_stats
         text = format_gantt(stats, width=40)
         lines = text.splitlines()
         assert len(lines) == 3  # two VMs + axis

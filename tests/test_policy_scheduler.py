@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy, VMPolicy
+from repro.hypervisor.pool import DeviceClass, DevicePool, PoolScheduler
 from repro.hypervisor.scheduler import (
-    ContendedDevice,
-    FairShareScheduler,
     FifoScheduler,
     RoundRobinScheduler,
     WorkItem,
@@ -87,23 +86,36 @@ def uniform_streams(vms, count=50, duration=1e-3, think=0.0):
             for vm in vms}
 
 
+def one_device(pick=None, policy=None, rate_limiter=None):
+    """The engine over one baseline device shared by every VM."""
+    pool = DevicePool.from_classes([DeviceClass.baseline_gpu()],
+                                   policy=policy)
+    return PoolScheduler(pool, rate_limiter=rate_limiter, pick=pick)
+
+
+def run_one_device(streams, pick=None, policy=None, rate_limiter=None):
+    return one_device(pick, policy, rate_limiter).run(streams).vm_stats
+
+
 class TestContendedDevice:
+    """Several VMs contending for one device (a one-member pool)."""
+
     def test_everything_completes(self):
-        device = ContendedDevice(FifoScheduler())
-        stats = device.run(uniform_streams(["a", "b"], count=10))
+        stats = run_one_device(uniform_streams(["a", "b"], count=10),
+                               FifoScheduler)
         assert stats["a"].completed == 10
         assert stats["b"].completed == 10
 
     def test_device_serializes(self):
-        device = ContendedDevice(FifoScheduler())
-        stats = device.run(uniform_streams(["a", "b"], count=10))
+        stats = run_one_device(uniform_streams(["a", "b"], count=10),
+                               FifoScheduler)
         total = stats["a"].device_time + stats["b"].device_time
         finish = max(s.finish_time for s in stats.values())
         assert finish == pytest.approx(total)
 
     def test_empty_streams_rejected(self):
         with pytest.raises(ValueError):
-            ContendedDevice(FifoScheduler()).run({})
+            run_one_device({}, FifoScheduler)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -115,8 +127,7 @@ class TestContendedDevice:
             "hog": [WorkItem(10e-3) for _ in range(200)],
             "mouse": [WorkItem(1e-3) for _ in range(200)],
         }
-        device = ContendedDevice(FairShareScheduler())
-        stats = device.run(streams)
+        stats = run_one_device(streams)
         # while both were active, device time should be near-equal:
         # compare usage at the moment the mouse finished
         mouse_done = stats["mouse"].finish_time
@@ -134,16 +145,15 @@ class TestContendedDevice:
             "gold": [WorkItem(1e-3) for _ in range(400)],
             "bronze": [WorkItem(1e-3) for _ in range(400)],
         }
-        device = ContendedDevice(FairShareScheduler(policy))
-        stats = device.run(streams)
+        stats = run_one_device(streams, policy=policy)
         done = min(s.finish_time for s in stats.values())
         gold = sum(1 for t in stats["gold"].completions if t <= done)
         bronze = sum(1 for t in stats["bronze"].completions if t <= done)
         assert gold / bronze == pytest.approx(3.0, rel=0.15)
 
     def test_round_robin_alternates(self):
-        device = ContendedDevice(RoundRobinScheduler())
-        stats = device.run(uniform_streams(["a", "b"], count=20))
+        stats = run_one_device(uniform_streams(["a", "b"], count=20),
+                               RoundRobinScheduler)
         # completions interleave: finish times alternate between VMs
         merged = sorted(
             [(t, "a") for t in stats["a"].completions]
@@ -155,8 +165,8 @@ class TestContendedDevice:
         assert alternations >= len(merged) * 0.8
 
     def test_fifo_favors_nobody_with_equal_streams(self):
-        device = ContendedDevice(FifoScheduler())
-        stats = device.run(uniform_streams(["a", "b", "c"], count=30))
+        stats = run_one_device(uniform_streams(["a", "b", "c"], count=30),
+                               FifoScheduler)
         times = [s.device_time for s in stats.values()]
         assert jain_fairness(times) > 0.99
 
@@ -165,18 +175,17 @@ class TestContendedDevice:
         policy.set_policy("throttled",
                           VMPolicy(command_rate=100.0, command_burst=1))
         limiter = RateLimiter(policy)
-        device = ContendedDevice(FifoScheduler(), rate_limiter=limiter)
         streams = uniform_streams(["throttled", "free"], count=100,
                                   duration=0.1e-3)
-        stats = device.run(streams)
+        stats = run_one_device(streams, FifoScheduler,
+                               rate_limiter=limiter)
         # 100 commands at 100/s ≈ 1s for the throttled VM
         assert stats["throttled"].finish_time >= 0.9
         assert stats["free"].finish_time < 0.1
 
     def test_think_time_creates_idle_device(self):
-        device = ContendedDevice(FifoScheduler())
         streams = {"a": [WorkItem(1e-3, think_time=9e-3) for _ in range(10)]}
-        stats = device.run(streams)
+        stats = run_one_device(streams, FifoScheduler)
         assert stats["a"].finish_time == pytest.approx(
             10 * 1e-3 + 9 * 9e-3
         )
@@ -220,8 +229,7 @@ class TestSfqReentry:
             "late": [WorkItem(0.0, think_time=join_at)]
             + [WorkItem(1e-3) for _ in range(400)],
         }
-        device = ContendedDevice(FairShareScheduler())
-        stats = device.run(streams)
+        stats = run_one_device(streams)
         window_end = join_at + 0.2
         late_wins = sum(
             1 for t in stats["late"].completions if join_at < t <= window_end
@@ -243,7 +251,7 @@ class TestSfqReentry:
     def test_continuously_busy_vms_unaffected(self):
         # the re-entry clamp must be a no-op when everyone stays ready
         streams = uniform_streams(["a", "b"], count=200, duration=1e-3)
-        stats = ContendedDevice(FairShareScheduler()).run(streams)
+        stats = run_one_device(streams)
         done = min(s.finish_time for s in stats.values())
         a = sum(1 for t in stats["a"].completions if t <= done)
         b = sum(1 for t in stats["b"].completions if t <= done)
@@ -252,11 +260,12 @@ class TestSfqReentry:
 
 class TestRoundRobinReset:
     """Regression: the rotation cursor leaked across run() calls, so a
-    second run on the same scheduler instance started mid-rotation and
-    back-to-back identical runs produced different stats."""
+    second run on the same engine started mid-rotation and back-to-back
+    identical runs produced different stats.  The engine now builds a
+    fresh pick policy per run."""
 
     def test_same_streams_twice_identical_stats(self):
-        device = ContendedDevice(RoundRobinScheduler())
+        device = one_device(RoundRobinScheduler)
 
         def make_streams():
             return {
@@ -265,18 +274,17 @@ class TestRoundRobinReset:
                 "c": [WorkItem(1e-3) for _ in range(20)],
             }
 
-        first = device.run(make_streams())
-        second = device.run(make_streams())
+        first = device.run(make_streams()).vm_stats
+        second = device.run(make_streams()).vm_stats
         for vm in first:
             assert first[vm].completions == second[vm].completions
             assert first[vm].finish_time == second[vm].finish_time
             assert first[vm].total_wait == second[vm].total_wait
 
     def test_fair_share_also_resets(self):
-        device = ContendedDevice(FairShareScheduler())
-        streams = uniform_streams(["a", "b"], count=40)
-        first = device.run(streams)
-        second = device.run(uniform_streams(["a", "b"], count=40))
+        device = one_device()
+        first = device.run(uniform_streams(["a", "b"], count=40)).vm_stats
+        second = device.run(uniform_streams(["a", "b"], count=40)).vm_stats
         for vm in first:
             assert first[vm].completions == second[vm].completions
 
@@ -295,11 +303,9 @@ class TestWaitSplit:
 
     def test_solo_throttled_vm_has_no_queue_wait(self):
         # alone on the device, every wait is admission throttling
-        device = ContendedDevice(
-            FifoScheduler(), rate_limiter=self.make_limited(rate=100.0)
-        )
-        stats = device.run(
-            {"limited": [WorkItem(0.1e-3) for _ in range(50)]}
+        stats = run_one_device(
+            {"limited": [WorkItem(0.1e-3) for _ in range(50)]},
+            FifoScheduler, rate_limiter=self.make_limited(rate=100.0),
         )
         entry = stats["limited"]
         assert entry.total_throttle_wait > 0
@@ -307,14 +313,12 @@ class TestWaitSplit:
         assert entry.total_wait == pytest.approx(entry.total_throttle_wait)
 
     def test_contended_throttled_vm_splits_both(self):
-        device = ContendedDevice(
-            FifoScheduler(), rate_limiter=self.make_limited(rate=100.0)
-        )
         streams = {
             "limited": [WorkItem(0.1e-3) for _ in range(50)],
             "free": [WorkItem(5e-3) for _ in range(50)],
         }
-        stats = device.run(streams)
+        stats = run_one_device(streams, FifoScheduler,
+                               rate_limiter=self.make_limited(rate=100.0))
         limited = stats["limited"]
         # throttled *and* stuck behind the free VM's 5 ms kernels
         assert limited.total_throttle_wait > 0
@@ -328,14 +332,12 @@ class TestWaitSplit:
         assert free.total_wait == pytest.approx(free.total_queue_wait)
 
     def test_per_item_lists_consistent(self):
-        device = ContendedDevice(
-            FifoScheduler(), rate_limiter=self.make_limited(rate=200.0)
-        )
         streams = {
             "limited": [WorkItem(0.1e-3) for _ in range(30)],
             "free": [WorkItem(1e-3) for _ in range(30)],
         }
-        stats = device.run(streams)
+        stats = run_one_device(streams, FifoScheduler,
+                               rate_limiter=self.make_limited(rate=200.0))
         for entry in stats.values():
             assert len(entry.queue_waits) == len(entry.waits)
             assert sum(entry.queue_waits) == pytest.approx(
@@ -352,7 +354,7 @@ class TestEngineEdgeCases:
             "idle": [],
             "busy": [WorkItem(1e-3) for _ in range(10)],
         }
-        stats = ContendedDevice(FifoScheduler()).run(streams)
+        stats = run_one_device(streams, FifoScheduler)
         assert stats["idle"].completed == 0
         assert stats["idle"].device_time == 0.0
         assert stats["busy"].completed == 10
@@ -363,7 +365,7 @@ class TestEngineEdgeCases:
             "zero": [WorkItem(0.0) for _ in range(5)],
             "busy": [WorkItem(1e-3) for _ in range(5)],
         }
-        stats = ContendedDevice(RoundRobinScheduler()).run(streams)
+        stats = run_one_device(streams, RoundRobinScheduler)
         assert stats["zero"].completed == 5
         assert stats["zero"].device_time == 0.0
         assert stats["busy"].completed == 5
@@ -371,39 +373,7 @@ class TestEngineEdgeCases:
     def test_equal_release_ties_are_alphabetical(self):
         # all VMs ready at t=0 with identical tags: FIFO must pick the
         # alphabetically first, deterministically
-        device = ContendedDevice(FifoScheduler())
-        stats = device.run(uniform_streams(["c", "a", "b"], count=1))
+        stats = run_one_device(uniform_streams(["c", "a", "b"], count=1),
+                               FifoScheduler)
         order = sorted(stats, key=lambda vm: stats[vm].completions[0])
         assert order == ["a", "b", "c"]
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["a", "b", "c", "d"]),
-            st.lists(
-                st.builds(
-                    WorkItem,
-                    st.floats(min_value=0.0, max_value=5e-3),
-                    st.floats(min_value=0.0, max_value=2e-3),
-                ),
-                min_size=0,
-                max_size=12,
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        st.sampled_from(["fifo", "rr", "fair"]),
-    )
-    def test_device_time_conserved_under_any_policy(self, streams, kind):
-        scheduler = {
-            "fifo": FifoScheduler,
-            "rr": RoundRobinScheduler,
-            "fair": FairShareScheduler,
-        }[kind]()
-        stats = ContendedDevice(scheduler).run(streams)
-        expected = sum(
-            item.duration for items in streams.values() for item in items
-        )
-        observed = sum(s.device_time for s in stats.values())
-        assert observed == pytest.approx(expected)
-        for vm, entry in stats.items():
-            assert entry.completed == len(streams[vm])

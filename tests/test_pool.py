@@ -16,8 +16,7 @@ from repro.hypervisor.pool import (
     nominal_cost,
 )
 from repro.hypervisor.scheduler import (
-    ContendedDevice,
-    FairShareScheduler,
+    FifoScheduler,
     WorkItem,
     jain_fairness,
 )
@@ -159,27 +158,6 @@ class TestPlacement:
 
 
 class TestPoolEngine:
-    def test_single_device_matches_contended_device_exactly(self):
-        """A 1-member baseline pool is the pre-pool scheduler, exactly."""
-        streams = {
-            "vm-a": [WorkItem(2e-3, think_time=1e-3) for _ in range(50)],
-            "vm-b": [WorkItem(1e-3) for _ in range(80)],
-            "vm-c": [WorkItem(5e-4, think_time=5e-4) for _ in range(60)],
-        }
-        policy = ResourcePolicy()
-        policy.set_policy("vm-a", VMPolicy(weight=2.0))
-        want = ContendedDevice(FairShareScheduler(policy)).run(
-            {vm: list(items) for vm, items in streams.items()}
-        )
-        pool = DevicePool.from_classes([DeviceClass.baseline_gpu()],
-                                       policy=policy)
-        got = PoolScheduler(pool).run(streams)
-        for vm in streams:
-            assert got.vm_stats[vm].completed == want[vm].completed
-            assert got.vm_stats[vm].finish_time == want[vm].finish_time
-            assert got.vm_stats[vm].total_wait == want[vm].total_wait
-            assert got.vm_stats[vm].completions == want[vm].completions
-
     def test_fast_device_finishes_sooner(self):
         streams = uniform_streams(1, items=10)
         slow = PoolScheduler(
@@ -398,20 +376,43 @@ class TestHypervisorIntegration:
         assert devices[home]["apis"]["opencl"]["busy_time"] > 0
         assert 0 < devices[home]["apis"]["opencl"]["utilization"] <= 1
 
-    def test_absorb_pool_is_idempotent(self):
-        from repro.telemetry.metrics import MetricsRegistry
-        from repro.workloads import BFSWorkload
 
-        hv = self.make_pooled_hypervisor([DeviceClass.baseline_gpu()])
-        vm = hv.create_vm("vm-a")
-        BFSWorkload(scale=0.25).run(vm.library("opencl"))
-        registry = MetricsRegistry()
-        registry.absorb_pool(hv.pool)
-        first = registry.devices["dev0-gtx1080"].busy_time
-        assert first > 0
-        registry.absorb_pool(hv.pool)
-        assert registry.devices["dev0-gtx1080"].busy_time == first
-        assert registry.devices["dev0-gtx1080"].vms == ["vm-a"]
+class TestTopDevices:
+    """``cava top --devices`` over a traced engine run: one row per
+    member, named by its id, counting that member's items."""
+
+    def device_rows(self, tmp_path, pool, streams, pick=None):
+        from repro.telemetry import Tracer, use
+        from repro.telemetry.cli import run_top
+        from repro.telemetry.exporters import write_jsonl
+
+        tracer = Tracer()
+        with use(tracer):
+            result = PoolScheduler(pool, pick=pick).run(streams)
+        path = write_jsonl(tracer.all_spans(), str(tmp_path / "pool.jsonl"))
+        output = run_top(path, devices=True)
+        table = output.split("devices:", 1)[1].strip().splitlines()
+        # header and rule, then one row per device
+        rows = {line.split()[0]: line.split() for line in table[2:]}
+        return result, rows
+
+    def test_two_members_each_row_counts_its_items(self, tmp_path):
+        pool = DevicePool.from_classes(
+            [DeviceClass.big_gpu(), DeviceClass.baseline_gpu()])
+        result, rows = self.device_rows(tmp_path, pool,
+                                        uniform_streams(4, items=10))
+        assert set(rows) == set(result.device_stats)
+        for device_id, stats in result.device_stats.items():
+            assert stats.completed > 0
+            assert int(rows[device_id][1]) == stats.completed
+
+    def test_one_member_fifo_run_is_attributed(self, tmp_path):
+        pool = DevicePool.from_classes([DeviceClass.baseline_gpu()])
+        _, rows = self.device_rows(tmp_path, pool,
+                                   uniform_streams(2, items=5),
+                                   pick=FifoScheduler)
+        assert set(rows) == {"dev0-gtx1080"}
+        assert int(rows["dev0-gtx1080"][1]) == 10
 
 
 class TestFigure5BitIdentity:

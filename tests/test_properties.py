@@ -4,17 +4,19 @@ These tests attack the invariants that keep the system trustworthy: the
 router must survive arbitrary guest bytes, the rate limiter must never
 exceed its configured envelope, the migration recorder must track object
 lifetimes exactly, expressions must round-trip through their source
-form, and the contended-device engine must conserve time.
+form, and the device engine must conserve time.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import sanitizer as _sanitize
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy, VMPolicy
+from repro.hypervisor.pool import DeviceClass, DevicePool, PoolScheduler
 from repro.hypervisor.scheduler import (
-    ContendedDevice,
     FairShareScheduler,
     FifoScheduler,
+    RoundRobinScheduler,
     WorkItem,
 )
 from repro.migration.recorder import CallRecorder
@@ -248,29 +250,66 @@ class TestExpressionRoundTrip:
 
 
 class TestSchedulerConservation:
-    @settings(max_examples=30, deadline=None)
+    """The one device engine, under any pick policy, pool size and
+    stealing setting: every item runs exactly once, no member runs two
+    items at a time, and device time billed to VMs is device time the
+    members delivered."""
+
+    @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.integers(min_value=1, max_value=20), min_size=1,
-                 max_size=4),
-        st.sampled_from(["fifo", "fair"]),
+        st.dictionaries(
+            st.sampled_from(["vm0", "vm1", "vm2", "vm3"]),
+            st.lists(
+                st.builds(WorkItem, st.floats(0.0, 5e-3),
+                          st.floats(0.0, 2e-3)),
+                max_size=12,
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.lists(
+            st.sampled_from([DeviceClass.baseline_gpu(),
+                             DeviceClass.big_gpu(),
+                             DeviceClass.small_gpu()]),
+            min_size=1, max_size=3,
+        ),
+        st.sampled_from([FifoScheduler, RoundRobinScheduler,
+                         FairShareScheduler]),
+        st.booleans(),
     )
-    def test_time_conserved_and_no_overlap(self, counts, policy):
-        streams = {
-            f"vm{i}": [WorkItem(1e-3) for _ in range(count)]
-            for i, count in enumerate(counts)
-        }
-        scheduler = FifoScheduler() if policy == "fifo" \
-            else FairShareScheduler()
-        stats = ContendedDevice(scheduler).run(streams)
+    def test_time_conserved_and_no_overlap(self, streams, classes, pick,
+                                           steal):
+        from repro.telemetry import Tracer, use
+
+        pool = DevicePool.from_classes(classes)
+        tracer = Tracer()
+        was_armed = _sanitize.active().enabled
+        sanitizer = _sanitize.install()
+        checked = sanitizer.checks.get("pool-conservation", 0)
+        try:
+            with use(tracer):
+                result = PoolScheduler(pool, allow_stealing=steal,
+                                       pick=pick).run(streams)
+        finally:
+            if not was_armed:
+                _sanitize.uninstall()
+        assert sanitizer.checks["pool-conservation"] == checked + 1
         # everything completed
         for vm, items in streams.items():
-            assert stats[vm].completed == len(items)
-        # the device never overlaps: merged completions are ≥1ms apart
-        merged = sorted(
-            t for s in stats.values() for t in s.completions
-        )
-        for first, second in zip(merged, merged[1:]):
-            assert second - first >= 1e-3 - 1e-12
-        # busy time equals total demand
-        total = sum(s.device_time for s in stats.values())
-        assert total == pytest.approx(sum(counts) * 1e-3)
+            assert result.vm_stats[vm].completed == len(items)
+        # no member overlaps itself
+        by_member = {}
+        for span in tracer.spans:
+            if span.name == "device.compute":
+                by_member.setdefault(span.attrs["device"], []).append(span)
+        for spans in by_member.values():
+            spans.sort(key=lambda s: (s.start, s.end))
+            for first, second in zip(spans, spans[1:]):
+                assert second.start >= first.end - 1e-12
+        # device time billed to VMs equals service the members delivered
+        billed = sum(s.device_time for s in result.vm_stats.values())
+        delivered = sum(d.nominal_time
+                        for d in result.device_stats.values())
+        assert billed == pytest.approx(delivered)
+        assert billed == pytest.approx(sum(
+            item.duration for items in streams.values() for item in items
+        ))

@@ -216,22 +216,6 @@ class TestEndToEndTrace:
             assert span.attrs == source.attrs
         assert load_trace(path)[0].trace_id == spans[0].trace_id
 
-    def test_absorb_router_subsumes_vm_metrics(self, traced_run):
-        tracer, _ = traced_run
-        registry = MetricsRegistry.from_spans(tracer.all_spans())
-
-        class FakeRouterMetrics:
-            rejected = 3
-            rate_delay = 0.25
-            resources = {"bus_bytes": 128.0}
-
-        registry.absorb_router({"vm-kmeans": FakeRouterMetrics()})
-        telemetry = registry.vm("vm-kmeans")
-        assert telemetry.rejected == 3
-        assert telemetry.rate_delay == 0.25
-        assert telemetry.resources["bus_bytes"] == 128.0
-        assert telemetry.calls > 0  # span-derived counters still there
-
 
 class TestZeroCostWhenOff:
     def test_noop_default_is_bit_identical(self):
@@ -388,83 +372,3 @@ class TestSelfTimeEdgeCases:
 
     def test_breakdown_empty_input(self):
         assert breakdown([], lambda s: s.layer) == {}
-
-
-class TestAbsorbIdempotency:
-    class FakeRouterMetrics:
-        def __init__(self):
-            self.rejected = 3
-            self.rate_delay = 0.25
-            self.server_lost = 1
-            self.xfer_hits = 5
-            self.xfer_misses = 2
-            self.xfer_bytes_elided = 1024
-            self.resources = {"bus_bytes": 128.0}
-
-    class FakeRuntime:
-        api_name = "opencl"
-
-        def __init__(self):
-            self.retries = 4
-            self.giveups = 1
-
-    def test_absorb_router_twice_counts_once(self):
-        registry = MetricsRegistry()
-        source = {"v1": self.FakeRouterMetrics()}
-        registry.absorb_router(source)
-        registry.absorb_router(source)  # e.g. two admin_report() calls
-        telemetry = registry.vm("v1")
-        assert telemetry.rejected == 3
-        assert telemetry.rate_delay == pytest.approx(0.25)
-        assert telemetry.server_lost == 1
-        assert telemetry.xfer_hits == 5
-        assert telemetry.resources["bus_bytes"] == pytest.approx(128.0)
-
-    def test_absorb_router_folds_only_growth(self):
-        registry = MetricsRegistry()
-        metrics = self.FakeRouterMetrics()
-        registry.absorb_router({"v1": metrics})
-        metrics.rejected += 2
-        metrics.resources["bus_bytes"] += 64.0
-        registry.absorb_router({"v1": metrics})
-        telemetry = registry.vm("v1")
-        assert telemetry.rejected == 5
-        assert telemetry.resources["bus_bytes"] == pytest.approx(192.0)
-
-    def test_absorb_runtime_twice_counts_once(self):
-        registry = MetricsRegistry()
-        runtime = self.FakeRuntime()
-        registry.absorb_runtime("v1", runtime)
-        registry.absorb_runtime("v1", runtime)
-        telemetry = registry.vm("v1")
-        assert telemetry.retries == 4
-        assert telemetry.giveups == 1
-        runtime.retries += 3
-        registry.absorb_runtime("v1", runtime)
-        assert telemetry.retries == 7
-
-    def test_absorb_runtime_per_api_sources(self):
-        registry = MetricsRegistry()
-
-        class OtherRuntime(self.FakeRuntime):
-            api_name = "mvnc"
-
-        registry.absorb_runtime("v1", self.FakeRuntime())
-        registry.absorb_runtime("v1", OtherRuntime())
-        # distinct (vm, api) sources both count
-        assert registry.vm("v1").retries == 8
-
-    def test_absorb_slo_idempotent(self):
-        from repro.telemetry.slo import (BurnRateWindow, SLOMonitor,
-                                         SLOTarget)
-
-        monitor = SLOMonitor([SLOTarget(
-            name="t", objective=0.9,
-            windows=(BurnRateWindow(1.0, 0.2, 3.0),))])
-        for i in range(5):
-            monitor.record("v1", "f", 0.0, error=True, now=i * 0.01)
-        assert monitor.breached
-        registry = MetricsRegistry()
-        registry.absorb_slo(monitor)
-        registry.absorb_slo(monitor)
-        assert registry.vm("v1").slo_breaches == len(monitor.events)

@@ -477,19 +477,21 @@ class TestEndToEnd:
         assert "xfer" not in report[plain.vm_id]
 
     def test_registry_absorbs_xfer_counters(self):
-        from repro.telemetry.metrics import MetricsRegistry
-
+        # the router's VMMetrics is the one live store: the admin report
+        # renders it, it does not copy it
         hypervisor, vm = fresh_stack(cache_policy=CachePolicy(min_bytes=64))
         env = open_env(vm.library("opencl"))
         data = np.arange(4096, dtype=np.uint8)
         buffer = env.buffer(data.nbytes)
         env.write(buffer, data)
         env.write(buffer, data)
-        registry = MetricsRegistry()
-        registry.absorb_router(hypervisor.router.metrics)
-        telemetry = registry.vm(vm.vm_id)
-        assert telemetry.xfer_hits == 1
-        assert telemetry.xfer_bytes_elided == data.nbytes
+        metrics = hypervisor.router.metrics_for(vm.vm_id)
+        xfer = hypervisor.admin_report()[vm.vm_id]["xfer"]
+        assert (xfer["hits"], xfer["misses"], xfer["bytes_elided"]) == (
+            metrics.xfer_hits, metrics.xfer_misses,
+            metrics.xfer_bytes_elided)
+        assert metrics.xfer_hits == 1
+        assert metrics.xfer_bytes_elided == data.nbytes
 
     def test_hit_and_miss_spans_recorded(self):
         from repro.telemetry import Tracer
