@@ -14,15 +14,20 @@ The wall-clock numbers land in ``BENCH_codec.json``; byte identity is
 *not* re-proven here (that is ``tests/test_codec_parity.py``'s job) —
 a single checksum comparison guards against benching divergent codecs.
 
-A second, bulk-shaped section prices the other end of the data path:
+A ``refs`` section prices the frames the transfer cache and the tracer
+add: the observatory's ``managed`` batch (32 async commands, one of them
+a 64 KiB write elided to a cached ref) and a traced synchronous call,
+each with its reply.  Both must ride the fast path too.
+
+A bulk-shaped section prices the other end of the data path:
 one 64 KiB / 1 MiB / 4 MiB write command and read reply per codec,
 encode + decode nanoseconds per payload byte, and whether the decoded
 payload is the input's memory (borrowed) or a copy of it.
 
 ``test_gate`` and ``test_bulk_gate`` at the bottom are fixture-free on
 purpose: CI runs them without pytest-benchmark and fails the job when
-the speedup falls under 2x, or when the specialized round trip of the
-4 MiB pair allocates a payload's worth of memory.
+the speedup on either mix falls under 2x, or when the specialized round
+trip of the 4 MiB pair allocates a payload's worth of memory.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.remoting.buffers import borrow_bytes
-from repro.remoting.codec import Command, Reply
+from repro.remoting.codec import Command, CommandBatch, Reply, ReplyBatch
 from repro.remoting.speccodec import SpecializedCodec
 from repro.remoting.wire import InterpretedCodec, frame_bytes
 from repro.stack import build_stack
@@ -130,6 +135,54 @@ def _message_mix():
     return pairs
 
 
+def _ref_mix():
+    """(frame, reply) pairs shaped like ``managed`` traffic.
+
+    One coalesced batch as the poke stream flushes it — a 64 KiB
+    ``clEnqueueWriteBuffer`` whose payload the cache elided to a ref,
+    then ``clSetKernelArg`` x2 + ``clEnqueueNDRangeKernel`` over and
+    over, 32 commands — and one traced blocking ``clFinish``.
+    """
+    commands = [Command(
+        seq=0, vm_id="vm0", api="opencl", function="clEnqueueWriteBuffer",
+        mode="async",
+        scalars={"blocking_write": 0, "offset": 0, "size": 65536,
+                 "num_events_in_wait_list": 0},
+        handles={"command_queue": 3, "buf": 4, "event_wait_list": None},
+        cached_refs={"ptr": [bytes(range(16)), 65536, "buf"]},
+        issue_time=0.5)]
+    while len(commands) < 32:
+        seq = len(commands)
+        if seq % 3:
+            commands.append(Command(
+                seq=seq, vm_id="vm0", api="opencl", function="clSetKernelArg",
+                mode="async", handles={"kernel": 5},
+                scalars={"arg_index": seq % 3, "arg_size": 8,
+                         "arg_value": 1000 + seq},
+                issue_time=0.5 + seq))
+        else:
+            commands.append(Command(
+                seq=seq, vm_id="vm0", api="opencl",
+                function="clEnqueueNDRangeKernel", mode="async",
+                scalars={"work_dim": 1, "global_work_size": [1],
+                         "num_events_in_wait_list": 0},
+                handles={"command_queue": 3, "kernel": 5,
+                         "event_wait_list": None},
+                issue_time=0.5 + seq))
+    batch = CommandBatch(vm_id="vm0", commands=commands, flush_time=40.0)
+    replies = ReplyBatch(
+        replies=[Reply(seq=command.seq, return_value=0,
+                       complete_time=41.0 + command.seq)
+                 for command in commands],
+        complete_time=80.0)
+    finish = Command(seq=32, vm_id="vm0", api="opencl", function="clFinish",
+                     handles={"command_queue": 3}, issue_time=81.0,
+                     trace_id="trace-managed", span_id=4242)
+    finished = Reply(seq=32, return_value=0, complete_time=82.0,
+                     span_id=4243)
+    return [(batch, replies), (finish, finished)]
+
+
 def _roundtrip_rate(codec, pairs, repeats=5, rounds=30):
     """Best-of-``repeats`` round trips/second over the message mix.
 
@@ -172,6 +225,27 @@ def _measure():
     spec_rate = _roundtrip_rate(spec, pairs)
     snap = spec.snapshot()
     return pairs, interp_rate, spec_rate, snap
+
+
+def _measure_refs():
+    """The same race on :func:`_ref_mix` (a batch counts as one round
+    trip); the snapshot is the specialized codec's over all of it."""
+    pairs = _ref_mix()
+    interp = InterpretedCodec()
+    spec = _specialized()
+    assert _checksum(spec, pairs) == _checksum(interp, pairs), \
+        "codecs diverged on the ref mix; parity suite must be failing"
+    interp_rate = _roundtrip_rate(interp, pairs, rounds=20)
+    spec_rate = _roundtrip_rate(spec, pairs, rounds=20)
+    return {
+        "frames": len(pairs),
+        "commands": sum(len(getattr(frame, "commands", [frame]))
+                        for frame, _ in pairs),
+        "interpreted_roundtrips_per_s": interp_rate,
+        "specialized_roundtrips_per_s": spec_rate,
+        "speedup": spec_rate / interp_rate,
+        "fast_path": spec.snapshot(),
+    }
 
 
 #: the observatory's ``bulk`` transfer sizes
@@ -249,6 +323,7 @@ def _bulk_allocation(size):
 
 def test_codec_throughput(once, bench_json):
     pairs, interp_rate, spec_rate, snap = once(_measure)
+    refs = _measure_refs()
     bulk = _measure_bulk()
     ratio = spec_rate / interp_rate
 
@@ -258,6 +333,17 @@ def test_codec_throughput(once, bench_json):
         [
             ["interpreted", f"{interp_rate:,.0f}", "1.00x"],
             ["specialized", f"{spec_rate:,.0f}", f"{ratio:.2f}x"],
+        ],
+    )
+
+    print_table(
+        "managed-shaped frames: cached ref + trace context (round trips)",
+        ["codec", "round trips/s", "speedup"],
+        [
+            ["interpreted", f"{refs['interpreted_roundtrips_per_s']:,.0f}",
+             "1.00x"],
+            ["specialized", f"{refs['specialized_roundtrips_per_s']:,.0f}",
+             f"{refs['speedup']:.2f}x"],
         ],
     )
 
@@ -280,12 +366,14 @@ def test_codec_throughput(once, bench_json):
         "specialized_roundtrips_per_s": spec_rate,
         "speedup": ratio,
         "fast_path": snap,
+        "refs": refs,
     })
 
     assert ratio >= 2.0, f"specialized only {ratio:.2f}x interpreted"
-    # the mix must genuinely ride the fast path, not its fallback
+    # the mixes must genuinely ride the fast path, not its fallback
     assert snap["fallback_encodes"] == 0
     assert snap["fallback_decodes"] == 0
+    _assert_refs_fast(refs)
     assert all(row["aliases_input"] == (row["codec"] == "specialized")
                for row in bulk)
 
@@ -294,8 +382,9 @@ def test_gate():
     """CI gate, fixture-free on purpose (runs without pytest-benchmark).
 
     Fails when the specialized codec cannot sustain 2x the interpreted
-    round-trip rate on the workload-shaped mix, or when any message in
-    the mix falls off the fast path.
+    round-trip rate on the workload-shaped mix or on the ref-carrying
+    ``managed`` mix, or when any message of either falls off the fast
+    path.
     """
     _, interp_rate, spec_rate, snap = _measure()
     ratio = spec_rate / interp_rate
@@ -304,6 +393,16 @@ def test_gate():
     assert ratio >= 2.0, f"specialized only {ratio:.2f}x interpreted"
     assert snap["fallback_encodes"] == 0
     assert snap["fallback_decodes"] == 0
+    refs = _measure_refs()
+    print(f"refs gate: {refs['speedup']:.2f}x on managed-shaped frames")
+    _assert_refs_fast(refs)
+
+
+def _assert_refs_fast(refs):
+    assert refs["speedup"] >= 2.0, \
+        f"ref-carrying frames only {refs['speedup']:.2f}x interpreted"
+    assert refs["fast_path"]["fallback_encodes"] == 0
+    assert refs["fast_path"]["fallback_decodes"] == 0
 
 
 def test_bulk_gate():

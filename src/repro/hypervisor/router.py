@@ -15,7 +15,7 @@ path around it.  The router (paper §4.1, §4.3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.errors import WorkerCrashed, WorkerLost
 from repro.remoting.codec import (
@@ -342,7 +342,7 @@ class Router:
         return self.store_resolver(vm_id)
 
     def _resolve_refs(self, commands: List[Command], arrival: float,
-                      vm_id: str) -> Optional[bytes]:
+                      vm_id: str, tracer: Any, san: Any) -> Optional[bytes]:
         """Resolve every cached ref in one frame, transactionally.
 
         Returns ``None`` when the frame is fully materialized (refs
@@ -354,7 +354,8 @@ class Router:
         :class:`Reply` for refs that are hostile rather than merely
         stale.  All-or-nothing resolution keeps batch semantics simple:
         a frame either routes exactly as if it had carried full
-        payloads, or it does not route at all.
+        payloads, or it does not route at all.  ``tracer`` and ``san``
+        are the frame's active tracer and sanitizer.
         """
         store = self._store_for(vm_id)
         has_refs = any(command.cached_refs for command in commands)
@@ -373,10 +374,11 @@ class Router:
             return self._refuse(
                 "router: cached refs without a transfer store (cache not "
                 "armed for this VM)", arrival, first_seq)
-        tracer = _tele.active()
         missing: List[Any] = []
         resolved: List[Any] = []
-        for command in commands:
+        # (command index, param) -> digest of each payload served
+        served: Dict[Tuple[int, str], bytes] = {}
+        for index, command in enumerate(commands):
             for param, (digest, size, kind) in command.cached_refs.items():
                 if size > self.max_payload_bytes:
                     if entry is not None:
@@ -389,12 +391,12 @@ class Router:
                 if data is None or len(data) != size:
                     missing.append([command.seq, param, digest])
                 else:
-                    san = _sanitize.active()
                     if san.enabled:
                         # never-stale: the served bytes must still hash
                         # to the digest the guest addressed them by
                         san.verify_digest(digest, data, vm_id=vm_id)
                     resolved.append((command, param, data, kind))
+                    served[(index, param)] = digest
         if missing:
             if entry is not None:
                 entry.xfer_misses += len(missing)
@@ -434,31 +436,35 @@ class Router:
                 vm_id=vm_id, function="<xfer>",
                 hits=len(resolved), bytes_elided=hit_bytes,
             )
-        self._seed_store(commands, store)
+        self._seed_store(commands, store, served)
         return None
 
-    def _seed_store(self, commands: List[Command],
-                    store: Optional[Any]) -> None:
-        """Remember this frame's literal payloads for future refs.
+    def _seed_store(self, commands: List[Command], store: Optional[Any],
+                    served: Dict[Tuple[int, str], bytes]) -> None:
+        """Remember this frame's payloads for future refs.
 
-        Digests are computed server-side from the bytes actually
-        received — the wire carries no digest for full payloads (frames
-        from a cache-armed guest are byte-identical to uncached ones
-        until the first elision), and a guest cannot poison the store
-        with a digest its bytes do not hash to.
+        Digests of literal payloads are computed server-side from the
+        bytes actually received — the wire carries no digest for full
+        payloads (frames from a cache-armed guest are byte-identical to
+        uncached ones until the first elision), and a guest cannot
+        poison the store with a digest its bytes do not hash to.  A
+        payload a ref was just served from is refreshed in the same
+        walk order under the digest the store served it by
+        (``served``: ``(command index, param) -> digest``), not hashed
+        again.
         """
         if store is None:
             return
-        for command in commands:
-            for chunk in command.in_buffers.values():
+        for index, command in enumerate(commands):
+            for name, chunk in command.in_buffers.items():
                 if store.min_bytes <= len(chunk) <= store.max_entry_bytes:
-                    store.insert(chunk)
-            for value in command.scalars.values():
+                    store.insert(chunk, served.get((index, name)))
+            for name, value in command.scalars.items():
                 if isinstance(value, str):
                     encoded = value.encode("utf-8")
                     if store.min_bytes <= len(encoded) \
                             <= store.max_entry_bytes:
-                        store.insert(encoded)
+                        store.insert(encoded, served.get((index, name)))
 
     # -- the data path -----------------------------------------------------------
 
@@ -512,7 +518,11 @@ class Router:
             return self._refuse(
                 f"router: batch of {len(commands)} commands exceeds limit "
                 f"{self.max_batch_commands}", arrival)
-        answered = self._resolve_refs(commands, arrival, message.vm_id)
+        # looked up once per frame, not once per inner command
+        tracer = _tele.active()
+        san = _sanitize.active()
+        answered = self._resolve_refs(commands, arrival, message.vm_id,
+                                      tracer, san)
         if answered is not None:
             return answered
         replies = []
@@ -520,7 +530,8 @@ class Router:
         for index, command in enumerate(commands):
             # the frame is received (and the worker woken) once: inner
             # commands after the first pay the cheaper batched dispatch
-            reply = self._route(command, at, batched=index > 0)
+            reply = self._route(command, at, tracer, san,
+                                batched=index > 0)
             replies.append(reply)
             if self.slo_monitor is not None:
                 self._observe(command, at, reply)
@@ -528,7 +539,6 @@ class Router:
             # no earlier than this one completed
             at = max(at, reply.complete_time)
         if batch:
-            tracer = _tele.active()
             if tracer.enabled:
                 tracer.record_span(
                     "router.batch", arrival, at, layer="router",
@@ -546,10 +556,10 @@ class Router:
             return self._refuse(f"router: reply encoding failed ({err})",
                                 at, seq)
 
-    def _route(self, command: Command, arrival: float,
-               batched: bool = False) -> Reply:
-        """Verify, schedule and dispatch one decoded command."""
-        tracer = _tele.active()
+    def _route(self, command: Command, arrival: float, tracer: Any,
+               san: Any, batched: bool = False) -> Reply:
+        """Verify, schedule and dispatch one decoded command, under the
+        frame's active ``tracer`` and sanitizer ``san``."""
         frozen = self.frozen_vms.get(command.vm_id)
         if frozen is not None:
             entry = self.metrics_for(command.vm_id)
@@ -640,13 +650,12 @@ class Router:
             worker = self.worker_resolver(command.vm_id, command.api)
         except WorkerLost as err:
             return self._server_lost_reply(entry, command, release,
-                                           str(err))
+                                           str(err), tracer)
         if worker is None:
             return Reply(seq=command.seq,
                          error=f"router: no API server for VM "
                                f"{command.vm_id!r} API {command.api!r}",
                          complete_time=release)
-        san = _sanitize.active()
         if san.enabled:
             # the device-side dispatch record: this is where guest
             # program order either survived the channel or did not
@@ -670,7 +679,7 @@ class Router:
             if self.on_worker_lost is not None:
                 self.on_worker_lost(command.vm_id, command.api, str(err))
             return self._server_lost_reply(entry, command, release,
-                                           str(err))
+                                           str(err), tracer)
 
     def _observe(self, command: Command, arrival: float,
                  reply: Reply) -> None:
@@ -692,9 +701,9 @@ class Router:
             )
 
     def _server_lost_reply(self, entry: VMMetrics, command: Command,
-                           release: float, reason: str) -> Reply:
+                           release: float, reason: str,
+                           tracer: Any) -> Reply:
         entry.server_lost += 1
-        tracer = _tele.active()
         if tracer.enabled:
             tracer.record_span(
                 "router.server-lost", release, release, layer="router",

@@ -14,13 +14,23 @@ are (a contiguous frame is sliced through one ``memoryview``), so in
 both directions a payload is borrowed from its producer to its
 consumer — see :mod:`repro.remoting.buffers` for who may keep one.
 
+The two optional trailing fields of a command ride the same walk:
+trace context ``tr`` (``[trace id, span id]``, and the span id alone on
+a reply) and the transfer cache's ``xr`` section, whose entries a
+:class:`CommandTable` precomputes once per parameter a cached ref may
+stand in for — each in-buffer (kind ``buf``) and each string scalar
+(kind ``str``) — so a ref-carrying frame marshals in one pass too.
+
 **One fallback rule.**  A section rides the fast path when it carries
 an *in-order subset* of its declared parameters, which is what the
 generated stubs produce (they fill their dicts in parameter order and
-omit NULL pointers).  Anything else — keys out of spec order, a
-duplicated or unknown key, a value whose tag the kind does not admit,
-trace context, cached refs, an error reply, a truncated or hostile
-frame — raises the internal :class:`_Fallback` and
+omit NULL pointers); ``xr`` counts as a section whose entries are
+``[16-byte digest, non-negative size, the parameter's kind]`` with no
+literal payload for the same parameter.  Anything else — keys out of
+spec order, a duplicated or unknown key, a value whose tag the kind
+does not admit, a malformed ref or trace context, callbacks, an error
+reply, a truncated or hostile frame — raises the internal
+:class:`_Fallback` (an encoder before it emits anything) and
 :class:`SpecializedCodec` re-runs the interpreted path on the original
 input.
 
@@ -178,6 +188,11 @@ class _Section:
             self.entries.append((_key(name), _KIND_TAGS[kind], name))
 
 
+#: a cached ref's value up to its digest: ``L[B digest, I size, S kind]``
+#: with the digest as long as the transfer cache makes it
+_REF_HEAD = b"L" + _U32.pack(3) + b"B" + _U32.pack(_codec._DIGEST_BYTES)
+
+
 class CommandTable:
     """Precomputed wire layout for one function's Command frames."""
 
@@ -188,16 +203,26 @@ class CommandTable:
                  outsz: Iterable[str] = ()) -> None:
         self.api = api
         self.fn = fn
+        scalars = scalars or {}
+        inbufs = list(inbufs)
         #: the raw ``api`` + ``fn`` wire region, also the decode-side
         #: lookup key for this table
         self.api_fn = _key("api") + _s(api) + _key("fn") + _s(fn)
         #: the frame's sections in wire order
         self.sections = (
-            _Section("scalars", scalars or {}),
+            _Section("scalars", scalars),
             _Section("handles", handles or {}),
             _Section("inbufs", dict.fromkeys(inbufs, "buf")),
             _Section("outsz", dict.fromkeys(outsz, "size")),
         )
+        #: the optional ``xr`` section: (key + value head, kind run,
+        #: name, kind) per parameter a cached ref may stand in for, in
+        #: the guest's elision order — in-buffers, then string scalars
+        self.refs = tuple(
+            (_key(name) + _REF_HEAD, _s(kind), name, kind)
+            for name, kind in [(name, "buf") for name in inbufs] + [
+                (name, "str") for name, kind in scalars.items()
+                if kind == "str"])
 
 
 class ReplyTable:
@@ -222,7 +247,11 @@ class ReplyTable:
 
 
 # static frame runs shared by every function
-_CMD_PREFIX = b"M" + _U32.pack(10) + _key("seq") + b"I"
+#: the command dict's head, by how many of the optional trailing
+#: fields (``tr``, ``xr``) follow its ten fixed ones
+_CMD_PREFIXES = {extra: b"M" + _U32.pack(10 + extra) + _key("seq") + b"I"
+                 for extra in range(3)}
+_CMD_EXTRA = {prefix: extra for extra, prefix in _CMD_PREFIXES.items()}
 _VM_KEY = _key("vm") + b"S"
 _API_KEY = _key("api") + b"S"
 _FN_KEY = _key("fn") + b"S"
@@ -231,14 +260,25 @@ _MODES = {mode: _key("mode") + _s(mode) for mode in ("sync", "async")}
 _T_KEY = _key("t") + b"D"
 _BATCH_PREFIX = b"M" + _U32.pack(3) + _key("vm") + b"S"
 _CMDS_KEY = _key("cmds") + b"L"
-_REPLY_PREFIX = b"M" + _U32.pack(8) + _key("seq") + b"I"
+#: the reply dict's head, untraced (8 fields) and traced (+ ``tr``)
+_REPLY_PREFIXES = (b"M" + _U32.pack(8) + _key("seq") + b"I",
+                   b"M" + _U32.pack(9) + _key("seq") + b"I")
+_REPLY_TRACED = {prefix: traced
+                 for traced, prefix in enumerate(_REPLY_PREFIXES)}
 _RET_KEY = _key("ret")
 #: callbacks empty + error None (anything else falls back), then time
 _REPLY_TAIL = (_key("cbs") + b"L" + _U32.pack(0) + _key("err") + b"N"
                + _T_KEY)
 _RB_PREFIX = b"M" + _U32.pack(2) + _key("replies") + b"L"
+#: trace context: ``[trace id, span id]`` on a command, the span id
+#: alone on a reply
+_TR_KEY = _key("tr") + b"L" + _U32.pack(2) + b"S"
+_REPLY_TR_KEY = _key("tr") + b"I"
+_XR_KEY = _key("xr") + b"M"
 
-_LP = len(_CMD_PREFIX)
+_LP = len(_CMD_PREFIXES[0])
+_LRP = len(_REPLY_PREFIXES[0])
+_LTR = len(_TR_KEY)
 _LVM = len(_VM_KEY)
 _LAPI = len(_API_KEY)
 _LFN = len(_FN_KEY)
@@ -323,18 +363,57 @@ def _enc_sections(builder: FrameBuilder, sections: Tuple[_Section, ...],
                 _enc_value(cur, value, tags)
 
 
+def _enc_refs(command: Command, table: CommandTable) -> bytearray:
+    """The command's ``xr`` section, checked whole before any of the
+    frame is emitted: each ref an in-order entry of ``table.refs`` with
+    a 16-byte digest, a non-negative int size and its entry's kind, and
+    no literal payload beside it."""
+    refs = command.cached_refs
+    if type(refs) is not dict or len(refs) > len(table.refs):
+        raise _Fallback
+    out = bytearray(_XR_KEY)
+    out += _U32.pack(len(refs))
+    declared = iter(table.refs)
+    for name, ref in refs.items():
+        for head, tail, declared_name, kind in declared:
+            if declared_name == name:
+                break
+        else:
+            raise _Fallback
+        if type(ref) is not list or len(ref) != 3:
+            raise _Fallback
+        digest, size, ref_kind = ref
+        if (type(digest) is not bytes
+                or len(digest) != _codec._DIGEST_BYTES
+                or type(size) is not int or size < 0
+                or type(ref_kind) is not str or ref_kind != kind
+                or name in command.in_buffers or name in command.scalars):
+            raise _Fallback
+        out += head
+        out += digest
+        out += _TI64.pack(b"I", size)
+        out += tail
+    return out
+
+
 def _enc_command_body(builder: FrameBuilder, command: Command,
                       table: CommandTable) -> None:
     """The command's wire dict, byte-identical to the interpreted path."""
-    if (command.trace_id is not None or command.span_id is not None
-            or command.cached_refs):
-        raise _Fallback
     mode = _MODES.get(command.mode)
     if (type(command.seq) is not int or type(command.vm_id) is not str
             or mode is None or type(command.issue_time) is not float):
         raise _Fallback
+    trace_id, span_id = command.trace_id, command.span_id
+    trace = None
+    if trace_id is not None or span_id is not None:
+        if type(trace_id) is not str or type(span_id) is not int:
+            raise _Fallback
+        encoded = trace_id.encode("utf-8")
+        trace = (_TR_KEY + _U32.pack(len(encoded)) + encoded
+                 + _TI64.pack(b"I", span_id))
+    refs = _enc_refs(command, table) if command.cached_refs else None
     cur = builder.cur
-    cur += _CMD_PREFIX
+    cur += _CMD_PREFIXES[(trace is not None) + (refs is not None)]
     cur += _I64.pack(command.seq)
     cur += _VM_KEY
     vm = command.vm_id.encode("utf-8")
@@ -348,17 +427,25 @@ def _enc_command_body(builder: FrameBuilder, command: Command,
     cur = builder.cur
     cur += _T_KEY
     cur += _F64.pack(command.issue_time)
+    if trace is not None:
+        cur += trace
+    if refs is not None:
+        cur += refs
 
 
 def _enc_reply_body(builder: FrameBuilder, reply: Reply,
                     table: ReplyTable) -> None:
-    if (reply.span_id is not None or reply.error is not None
-            or reply.callbacks):
+    if reply.error is not None or reply.callbacks:
         raise _Fallback
     if type(reply.seq) is not int or type(reply.complete_time) is not float:
         raise _Fallback
+    trace = None
+    if reply.span_id is not None:
+        if type(reply.span_id) is not int:
+            raise _Fallback
+        trace = _REPLY_TR_KEY + _I64.pack(reply.span_id)
     cur = builder.cur
-    cur += _REPLY_PREFIX
+    cur += _REPLY_PREFIXES[trace is not None]
     cur += _I64.pack(reply.seq)
     cur += _RET_KEY
     _enc_value(cur, reply.return_value, _ANY)
@@ -368,6 +455,8 @@ def _enc_reply_body(builder: FrameBuilder, reply: Reply,
     cur = builder.cur
     cur += _REPLY_TAIL
     cur += _F64.pack(reply.complete_time)
+    if trace is not None:
+        cur += trace
 
 
 def _enc_batch_frame(tables: Dict[Tuple[str, str], Any],
@@ -514,6 +603,37 @@ def _dec_sections(data: bytes, o: int, end: int,
     return results, o
 
 
+def _dec_refs(data: bytes, o: int, table: CommandTable,
+              literals: Tuple[Dict[str, Any], ...],
+              ) -> Tuple[Dict[str, List[Any]], int]:
+    """A command's ``xr`` section at ``o``: any in-order subset of
+    ``table.refs``, none of them beside a literal payload in
+    ``literals``."""
+    o = _expect(data, o, _XR_KEY)
+    count = _U32.unpack_from(data, o)[0]
+    o += 4
+    refs: Dict[str, List[Any]] = {}
+    for head, tail, name, kind in table.refs:
+        if not data.startswith(head, o):
+            continue
+        o += len(head)
+        digest = data[o:o + _codec._DIGEST_BYTES]
+        o += _codec._DIGEST_BYTES
+        if data[o] != _TAG_I:
+            raise _Fallback
+        size = _I64.unpack_from(data, o + 1)[0]
+        o += 9
+        if size < 0 or not data.startswith(tail, o):
+            raise _Fallback
+        o += len(tail)
+        if any(name in literal for literal in literals):
+            raise _Fallback
+        refs[name] = [digest, size, kind]
+    if len(refs) != count:
+        raise _Fallback
+    return refs, o
+
+
 def _dec_command(data: bytes, o: int, end: int,
                  wire_tables: Dict[bytes, Any], mv: memoryview,
                  spliced: Any) -> Tuple[Command, int]:
@@ -524,7 +644,8 @@ def _dec_command(data: bytes, o: int, end: int,
     (each table's ``api_fn`` constant), so finding the function's
     tables needs no utf-8 decode and no tuple allocation.
     """
-    if not data.startswith(_CMD_PREFIX, o):
+    extra = _CMD_EXTRA.get(data[o:o + _LP])
+    if extra is None:
         raise _Fallback
     o += _LP
     seq = _I64.unpack_from(data, o)[0]
@@ -552,6 +673,20 @@ def _dec_command(data: bytes, o: int, end: int,
         data, o, end, table.sections, mv, spliced)
     o = _expect(data, o, _T_KEY)
     issue_time = _F64.unpack_from(data, o)[0]
+    o += 8
+    trace_id = span_id = None
+    refs: Dict[str, List[Any]] = {}
+    if extra and data.startswith(_TR_KEY, o):
+        trace_id, o = _dec_str(data, o + _LTR, end)
+        if data[o] != _TAG_I:
+            raise _Fallback
+        span_id = _I64.unpack_from(data, o + 1)[0]
+        o += 9
+        extra -= 1
+    if extra == 1:
+        refs, o = _dec_refs(data, o, table, (in_buffers, scalars))
+    elif extra:
+        raise _Fallback
     # dataclass __init__ re-runs default factories; the fields are all
     # in hand, so build the instance dict directly
     command = Command.__new__(Command)
@@ -559,15 +694,19 @@ def _dec_command(data: bytes, o: int, end: int,
         "seq": seq, "vm_id": vm_id, "api": table.api,
         "function": table.fn, "mode": mode, "scalars": scalars,
         "handles": handles, "in_buffers": in_buffers,
-        "out_sizes": out_sizes, "cached_refs": {},
-        "issue_time": issue_time, "trace_id": None, "span_id": None,
+        "out_sizes": out_sizes, "cached_refs": refs,
+        "issue_time": issue_time, "trace_id": trace_id,
+        "span_id": span_id,
     }
-    return command, o + 8
+    return command, o
 
 
 def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
                mv: memoryview, spliced: Any) -> Tuple[Reply, int]:
-    o = _expect(data, o, _REPLY_PREFIX)
+    traced = _REPLY_TRACED.get(data[o:o + _LRP])
+    if traced is None:
+        raise _Fallback
+    o += _LRP
     seq = _I64.unpack_from(data, o)[0]
     return_value, o = _dec_value(
         data, _expect(data, o + 8, _RET_KEY), end, _ANY)
@@ -575,15 +714,21 @@ def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
         data, o, end, table.sections, mv, spliced)
     o = _expect(data, o, _REPLY_TAIL)
     complete_time = _F64.unpack_from(data, o)[0]
+    o += 8
+    span_id = None
+    if traced:
+        o = _expect(data, o, _REPLY_TR_KEY)
+        span_id = _I64.unpack_from(data, o)[0]
+        o += 8
     # dataclass __init__ re-runs default factories; build directly
     reply = Reply.__new__(Reply)
     reply.__dict__ = {
         "seq": seq, "return_value": return_value,
         "out_payloads": out_payloads, "out_scalars": out_scalars,
         "new_handles": new_handles, "callbacks": [], "error": None,
-        "complete_time": complete_time, "span_id": None,
+        "complete_time": complete_time, "span_id": span_id,
     }
-    return reply, o + 8
+    return reply, o
 
 
 def _open_frame(frame: FrameLike) -> Tuple[bytes, int, memoryview, Any]:

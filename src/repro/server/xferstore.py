@@ -92,17 +92,22 @@ class TransferStore:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, data: bytes) -> Optional[bytes]:
+    def insert(self, data: bytes,
+               digest: Optional[bytes] = None) -> Optional[bytes]:
         """Remember one payload; returns its digest.
 
         The digest is computed here, from the bytes actually received —
-        never trusted from the wire.  Payloads that could not fit even
-        in an empty store are refused (returns ``None``) rather than
-        flushing the entire working set.
+        never trusted from the wire.  The one exception is ``digest``:
+        the key this store itself just served ``data`` under (the
+        router refreshing a resolved ref), which it verified when the
+        bytes first came in.  Payloads that could not fit even in an
+        empty store are refused (returns ``None``) rather than flushing
+        the entire working set.
         """
         if len(data) > min(self.capacity_bytes, self.max_entry_bytes):
             return None
-        digest = digest_payload(data)
+        if digest is None:
+            digest = digest_payload(data)
         if digest in self._entries:
             self._entries.move_to_end(digest)
             self.stats.duplicate_inserts += 1

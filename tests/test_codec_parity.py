@@ -16,7 +16,11 @@ The fast path has one fallback rule: a section that carries an
 *in-order subset* of its declared parameters rides the generated
 tables, anything else re-runs the interpreted codec.
 ``TestInOrderSubsets`` pins the first half for every function,
-``TestFallbackRule`` the second.
+``TestFallbackRule`` the second.  The optional trailing fields — trace
+context and the transfer cache's refs — ride the tables too:
+``TestRefsAndTrace`` fuzzes them fast and identical, and
+``TestRefHostility`` holds every malformed one to the interpreted
+decode's outcome.
 
 Frames with payloads of 512 B and up are vectored
 (:class:`~repro.remoting.wire.WireFrame`), and the specialized decoder
@@ -287,12 +291,23 @@ class TestFastPathEngaged:
     def test_deviating_command_falls_back_identically(self):
         codec = _specialized()
         command = self._conformant()
-        command.cached_refs = {"graph_file": [b"\x02" * 16, 4096, "buf"]}
-        command.in_buffers = {}
+        # a nested list is no int scalar: the interpreter's to encode
+        command.scalars = {"graph_file_length": [[4096]]}
         wire = frame_bytes(codec.encode_command(command))
         assert wire == frame_bytes(INTERP.encode_command(command))
         assert codec.snapshot()["fallback_encodes"] == 1
         assert codec.decode_command(wire) == command
+
+    def test_ref_carrying_command_is_fast(self):
+        codec = _specialized()
+        command = self._conformant()
+        command.cached_refs = {"graph_file": [b"\x02" * 16, 4096, "buf"]}
+        command.in_buffers = {}
+        command.trace_id, command.span_id = "trace-1", 77
+        wire = frame_bytes(codec.encode_command(command))
+        assert wire == frame_bytes(INTERP.encode_command(command))
+        assert codec.decode_command(wire) == command
+        _assert_all_fast(codec, 2)
 
     def test_large_payload_is_spliced_zero_copy(self):
         codec = _specialized()
@@ -676,6 +691,218 @@ class TestFallbackRule:
         assert fast is CodecError
         assert slow is CodecError
         assert codec.snapshot()["fallback_decodes"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the optional trailing fields: trace context (tr) and cached refs (xr)
+# ---------------------------------------------------------------------------
+
+def _ref_eligible(lay):
+    """What a cached ref may stand in for, in the guest's elision
+    order: in-buffers (kind buf), then string scalars (kind str)."""
+    return ([(name, "buf") for name in lay["inbufs"]]
+            + [(name, "str") for name, kind in lay["scalars"].items()
+               if kind == "str"])
+
+
+REF_FUNCTIONS = [(api, fn) for api, fn in FUNCTIONS
+                 if _ref_eligible(LAYOUTS[api][fn])]
+
+trace_contexts = st.tuples(st.text(max_size=12),
+                           st.integers(0, 2 ** 63 - 1))
+
+
+@st.composite
+def ref_commands(draw, traced=None) -> Command:
+    """A conformant command with cached refs and/or trace context, as a
+    cache-armed, traced guest sends it: each ref replaces the literal
+    it stands in for, in elision order."""
+    api, fn = draw(st.sampled_from(REF_FUNCTIONS))
+    command = draw(layout_commands((api, fn), conformant=True))
+    refs = {}
+    for name, kind in _ref_eligible(LAYOUTS[api][fn]):
+        if draw(st.booleans()):
+            # (an any-value parameter is declared in both sections)
+            command.in_buffers.pop(name, None)
+            command.scalars.pop(name, None)
+            refs[name] = [draw(st.binary(min_size=16, max_size=16)),
+                          draw(st.integers(0, 2 ** 40)), kind]
+    command.cached_refs = refs
+    if traced if traced is not None else draw(st.booleans()):
+        command.trace_id, command.span_id = draw(trace_contexts)
+    return command
+
+
+class TestRefsAndTrace:
+    """Ref-carrying and traced frames equal the interpreter's bytes and
+    decode in one walk: no fallback in either direction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ref_commands())
+    def test_command_frames_identical_and_fast(self, command):
+        codec = _specialized()
+        fast = frame_bytes(codec.encode_command(command))
+        assert fast == frame_bytes(INTERP.encode_command(command))
+        assert codec.decode_command(fast) == INTERP.decode_command(fast)
+        _assert_all_fast(codec, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(ref_commands(),
+                              layout_commands(conformant=True)),
+                    min_size=1, max_size=4),
+           st.floats(0, 1e6))
+    def test_batch_frames_identical_and_fast(self, commands, flush_time):
+        batch = CommandBatch(vm_id="vm-0", commands=commands,
+                             flush_time=flush_time)
+        codec = _specialized()
+        frame = codec.encode_command(batch)
+        assert bytes(frame) == INTERP.encode_command(batch)
+        decoded = codec.decode_command(frame)
+        assert decoded == INTERP.decode_command(bytes(frame))
+        _assert_all_fast(codec, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_traced_replies_identical_and_fast(self, data):
+        reply, command = data.draw(layout_replies(conformant=True))
+        reply.span_id = data.draw(st.integers(0, 2 ** 63 - 1))
+        reply_to = CommandBatch(vm_id="vm-0", commands=[command])
+        batch = ReplyBatch(replies=[reply], complete_time=1.0)
+        codec = _specialized()
+        for message, to in ((reply, command), (batch, reply_to)):
+            fast = frame_bytes(codec.encode_reply(message, reply_to=to))
+            assert fast == frame_bytes(INTERP.encode_reply(message,
+                                                           reply_to=to))
+            assert (codec.decode_reply(fast, reply_to=to)
+                    == INTERP.decode_reply(fast, reply_to=to))
+        _assert_all_fast(codec, 4)
+
+    @pytest.mark.parametrize("deviation", [
+        {"cached_refs": {"ptr": [b"\x01" * 15, 64, "buf"]}},
+        {"cached_refs": {"ptr": [b"\x01" * 16, -1, "buf"]}},
+        {"cached_refs": {"ptr": [b"\x01" * 16, True, "buf"]}},
+        {"cached_refs": {"ptr": [b"\x01" * 16, 64, "str"]}},
+        {"cached_refs": {"bogus": [b"\x01" * 16, 64, "buf"]}},
+        {"cached_refs": {"ptr": [b"\x01" * 16, 64, "buf"]},
+         "in_buffers": {"ptr": b"x"}},
+        {"trace_id": "t", "span_id": None},
+        {"trace_id": None, "span_id": 3},
+        {"trace_id": "t", "span_id": True},
+    ], ids=lambda deviation: repr(deviation)[:48])
+    def test_deviating_refs_and_trace_fall_back(self, deviation):
+        command = _opencl(
+            "clEnqueueWriteBuffer", mode="async",
+            scalars={"blocking_write": 0, "offset": 0, "size": 64,
+                     "num_events_in_wait_list": 0},
+            handles={"command_queue": 3, "buf": 4})
+        for name, value in deviation.items():
+            setattr(command, name, value)
+        codec = _specialized()
+        wire = frame_bytes(codec.encode_command(command))
+        assert wire == frame_bytes(INTERP.encode_command(command))
+        assert codec.snapshot()["fallback_encodes"] == 1
+        fast, slow = _both_decode_command(wire, codec)
+        assert fast == slow
+        assert codec.snapshot()["fast_decodes"] == 0
+
+
+def _ref_frame(**overrides) -> bytes:
+    """An interpreted ``clEnqueueWriteBuffer`` frame carrying one ref
+    and trace context; ``overrides`` replace Command fields, so the
+    interpreter encodes whatever hostile value they hold."""
+    command = _opencl(
+        "clEnqueueWriteBuffer", mode="async",
+        scalars={"blocking_write": 0, "offset": 0, "size": 4096,
+                 "num_events_in_wait_list": 0},
+        handles={"command_queue": 3, "buf": 4},
+        cached_refs={"ptr": [bytes(range(16)), 4096, "buf"]})
+    command.trace_id, command.span_id = "trace-9", 41
+    for name, value in overrides.items():
+        setattr(command, name, value)
+    return frame_bytes(INTERP.encode_command(command))
+
+
+class TestRefHostility:
+    """A hostile ``xr``/``tr`` frame leaves the walk before it builds
+    anything, and the interpreted decode has the last word: the same
+    :class:`CodecError` (or the same message) as :data:`INTERP`."""
+
+    def _parity(self, wire):
+        codec = _specialized()
+        fast, slow = _both_decode_command(wire, codec)
+        assert fast == slow
+        assert codec.snapshot()["fast_decodes"] == 0
+        return fast
+
+    def test_well_formed_ref_frame_is_fast(self):
+        codec = _specialized()
+        wire = _ref_frame()
+        assert codec.decode_command(wire) == INTERP.decode_command(wire)
+        _assert_all_fast(codec, 1)
+
+    @pytest.mark.parametrize("length", [0, 15, 17, 65])
+    def test_digest_lengths(self, length):
+        outcome = self._parity(_ref_frame(
+            cached_refs={"ptr": [b"\x07" * length, 4096, "buf"]}))
+        # the interpreter takes any digest of 1..64 bytes
+        assert (outcome is CodecError) == (length in (0, 65))
+
+    @pytest.mark.parametrize("size", [-1, True])
+    def test_bad_sizes(self, size):
+        assert self._parity(_ref_frame(
+            cached_refs={"ptr": [bytes(16), size, "buf"]})) is CodecError
+
+    def test_unknown_kind(self):
+        assert self._parity(_ref_frame(
+            cached_refs={"ptr": [bytes(16), 64, "blob"]})) is CodecError
+
+    def test_unknown_param_and_wrong_kind(self):
+        for refs in ({"bogus": [bytes(16), 64, "buf"]},
+                     {"ptr": [bytes(16), 64, "str"]}):
+            # well-formed for the interpreter: the router judges these
+            assert isinstance(self._parity(_ref_frame(cached_refs=refs)),
+                              Command)
+
+    def test_ref_beside_literal(self):
+        assert self._parity(_ref_frame(
+            in_buffers={"ptr": b"\x01" * 8})) is CodecError
+
+    def test_malformed_trace_context(self):
+        assert self._parity(_ref_frame(trace_id=5)).trace_id == 5
+        wire = _ref_frame()
+        # [S, I] becomes a three-item list: [S, I, I]
+        at = wire.index(b"\x00\x00\x00\x02trL") + len(b"....trL")
+        forged = _patch_u32(wire, at, 1)
+        tail = forged.index(b"xr") - 4
+        forged = forged[:tail] + b"I" + bytes(8) + forged[tail:]
+        forged = _patch_u32(forged, 2, 9)
+        assert self._parity(forged) is CodecError
+
+    def test_forged_dict_counts(self):
+        wire = _ref_frame()
+        for delta in (-2, -1, 1):
+            # the command's own count: 12 fields on the wire
+            assert self._parity(_patch_u32(wire, 7, delta)) is CodecError
+        xr_count = wire.index(b"xrM") + 3
+        for delta in (-1, 1):
+            assert self._parity(_patch_u32(wire, xr_count, delta)) \
+                is CodecError
+
+    def test_truncation_inside_xr(self):
+        wire = _ref_frame()
+        start = wire.index(b"xrM") - 4
+        for cut in range(start, len(wire)):
+            # the length field agrees with the cut: only xr is short
+            short = _patch_u32(wire[:cut], 2, cut - len(wire))
+            assert self._parity(short) is CodecError
+
+    def test_hostile_ref_in_a_batch(self):
+        good = INTERP.decode_command(_ref_frame())
+        bad = INTERP.decode_command(_ref_frame())
+        bad.cached_refs = {"ptr": [bytes(16), -1, "buf"]}
+        wire = frame_bytes(INTERP.encode_command(CommandBatch(
+            vm_id="vm-0", commands=[good, bad], flush_time=1.0)))
+        assert self._parity(wire) is CodecError
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.guest.library import RemotingError
 from repro.remoting.codec import (
     CodecError,
     Command,
+    CommandBatch,
     NeedBytes,
     Reply,
     decode_message,
@@ -350,6 +351,56 @@ class TestRouterResolution:
             encode_message(command), arrival=0.0, source=vm.vm_id))
         assert isinstance(answer, Reply)
         assert answer.error
+
+    @pytest.mark.parametrize("ref_first", [False, True],
+                             ids=["literal-then-ref", "ref-then-literal"])
+    @pytest.mark.parametrize("capacity", [1024, 1],
+                             ids=["roomy", "literal-evicts-served"])
+    def test_served_ref_refreshed_without_rehash(self, monkeypatch,
+                                                 ref_first, capacity):
+        import repro.server.xferstore as xferstore
+
+        hypervisor, vm = fresh_stack(cache_policy=CachePolicy(
+            min_bytes=64, capacity_entries=capacity))
+        store = hypervisor.xfer_stores[vm.vm_id]
+        served, literal, other = (bytes([i]) * 4096 for i in (1, 2, 3))
+        # what the store held before the frame, oldest first
+        held = [served, other][:capacity]
+        for payload in held:
+            store.insert(payload)
+        frame = [
+            Command(seq=901, vm_id=vm.vm_id, api="opencl",
+                    function="clEnqueueWriteBuffer",
+                    in_buffers={"ptr": literal}),
+            self.command(vm, digest_payload(served), len(served), seq=902),
+        ]
+        if ref_first:
+            frame.reverse()
+        # the old resolution, replayed on a twin store: serve the ref,
+        # then hash and re-insert every payload of the frame in order
+        twin = TransferStore(vm.vm_id, store.capacity_bytes,
+                             store.capacity_entries, store.min_bytes,
+                             store.max_entry_bytes)
+        for payload in held:
+            twin.insert(payload)
+        twin.get(digest_payload(served))
+        for command in frame:
+            twin.insert(command.in_buffers.get("ptr", served))
+
+        hashed = []
+
+        def counting_digest(data):
+            hashed.append(bytes(data))
+            return digest_payload(data)
+
+        monkeypatch.setattr(xferstore, "digest_payload", counting_digest)
+        hypervisor.router.deliver(
+            encode_message(CommandBatch(vm_id=vm.vm_id, commands=frame)),
+            arrival=0.0, source=vm.vm_id)
+        assert hypervisor.router.metrics_for(vm.vm_id).xfer_hits == 1
+        assert hashed == [literal]
+        assert list(store._entries) == list(twin._entries)
+        assert store.stats == twin.stats
 
     def test_router_seeds_store_from_full_payloads(self):
         hypervisor, vm = self.stack()
