@@ -1,4 +1,4 @@
-"""Marshaling fast path: specialized vs interpreted codec throughput.
+"""Marshaling: the generated walker vs the interpreted oracle.
 
 The generated codec's pitch is mechanical: per-function tables replace
 per-field tag dispatch, one frame allocation replaces the wire-dict
@@ -8,7 +8,9 @@ message mix (the commands and replies of three shipped APIs, small
 control messages through multi-KiB tensor uploads, with the NULL-
 pointer subset shapes real workloads send in about their measured
 proportion) and asserts the headline: the specialized codec sustains
-at least **2x** the interpreted round-trip rate.
+at least **2x** the round-trip rate of the self-describing codec that
+interprets the same format field by field (``tests/wire_oracle.py``,
+the parity suite's oracle; the runtime has no other codec).
 
 The wall-clock numbers land in ``BENCH_codec.json``; byte identity is
 *not* re-proven here (that is ``tests/test_codec_parity.py``'s job) —
@@ -27,7 +29,8 @@ payload is the input's memory (borrowed) or a copy of it.
 ``test_gate`` and ``test_bulk_gate`` at the bottom are fixture-free on
 purpose: CI runs them without pytest-benchmark and fails the job when
 the speedup on either mix falls under 2x, or when the specialized round
-trip of the 4 MiB pair allocates a payload's worth of memory.
+trip of the 4 MiB pair allocates a payload's worth of memory.  Run it
+from the repository root (it imports the oracle from ``tests``).
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ import numpy as np
 from repro.remoting.buffers import borrow_bytes
 from repro.remoting.codec import Command, CommandBatch, Reply, ReplyBatch
 from repro.remoting.speccodec import SpecializedCodec
-from repro.remoting.wire import InterpretedCodec, frame_bytes
+from repro.remoting.wire import frame_bytes
 from repro.stack import build_stack
+from tests.wire_oracle import OracleCodec
 
 from conftest import print_table
 
@@ -217,7 +221,7 @@ def _checksum(codec, pairs):
 
 def _measure():
     pairs = _message_mix()
-    interp = InterpretedCodec()
+    interp = OracleCodec()
     spec = _specialized()
     assert _checksum(spec, pairs) == _checksum(interp, pairs), \
         "codecs diverged on the bench mix; parity suite must be failing"
@@ -231,7 +235,7 @@ def _measure_refs():
     """The same race on :func:`_ref_mix` (a batch counts as one round
     trip); the snapshot is the specialized codec's over all of it."""
     pairs = _ref_mix()
-    interp = InterpretedCodec()
+    interp = OracleCodec()
     spec = _specialized()
     assert _checksum(spec, pairs) == _checksum(interp, pairs), \
         "codecs diverged on the ref mix; parity suite must be failing"
@@ -287,7 +291,7 @@ def _measure_bulk(repeats=7):
     rows = []
     for size in BULK_SIZES:
         write, read, reply = _bulk_pair(size)
-        for codec in (InterpretedCodec(), _specialized()):
+        for codec in (OracleCodec(), _specialized()):
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -370,9 +374,7 @@ def test_codec_throughput(once, bench_json):
     })
 
     assert ratio >= 2.0, f"specialized only {ratio:.2f}x interpreted"
-    # the mixes must genuinely ride the fast path, not its fallback
-    assert snap["fallback_encodes"] == 0
-    assert snap["fallback_decodes"] == 0
+    _assert_walked(snap, 2 * len(pairs))
     _assert_refs_fast(refs)
     assert all(row["aliases_input"] == (row["codec"] == "specialized")
                for row in bulk)
@@ -383,26 +385,35 @@ def test_gate():
 
     Fails when the specialized codec cannot sustain 2x the interpreted
     round-trip rate on the workload-shaped mix or on the ref-carrying
-    ``managed`` mix, or when any message of either falls off the fast
-    path.
+    ``managed`` mix, or when its snapshot stops counting every frame
+    of either as one walk.
     """
-    _, interp_rate, spec_rate, snap = _measure()
+    pairs, interp_rate, spec_rate, snap = _measure()
     ratio = spec_rate / interp_rate
     print(f"\ncodec gate: interpreted {interp_rate:,.0f} rt/s, "
           f"specialized {spec_rate:,.0f} rt/s ({ratio:.2f}x)")
     assert ratio >= 2.0, f"specialized only {ratio:.2f}x interpreted"
-    assert snap["fallback_encodes"] == 0
-    assert snap["fallback_decodes"] == 0
+    _assert_walked(snap, 2 * len(pairs))
     refs = _measure_refs()
     print(f"refs gate: {refs['speedup']:.2f}x on managed-shaped frames")
     _assert_refs_fast(refs)
 
 
+def _assert_walked(snap, frames_per_round):
+    """The snapshot the observatory reads: its three keys, and every
+    frame of the mix counted — whole round trips, plus the checksum's
+    one encode of each."""
+    assert set(snap) == {"fast_encodes", "fast_decodes", "functions"}
+    assert snap["functions"] > 0
+    assert snap["fast_decodes"] > 0
+    assert snap["fast_decodes"] % frames_per_round == 0
+    assert snap["fast_encodes"] == snap["fast_decodes"] + frames_per_round
+
+
 def _assert_refs_fast(refs):
     assert refs["speedup"] >= 2.0, \
         f"ref-carrying frames only {refs['speedup']:.2f}x interpreted"
-    assert refs["fast_path"]["fallback_encodes"] == 0
-    assert refs["fast_path"]["fallback_decodes"] == 0
+    _assert_walked(refs["fast_path"], 2 * refs["frames"])
 
 
 def test_bulk_gate():

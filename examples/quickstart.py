@@ -85,6 +85,7 @@ def main():
     from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
     from repro.remoting.buffers import OutBox
     from repro.spec import infer_preliminary_spec, parse_header, parse_spec
+    from repro.stack import resolve_codec
 
     workdir = tempfile.mkdtemp(prefix="cava_quickstart_")
 
@@ -125,7 +126,7 @@ def main():
     # Step 4 — deploy: hypervisor + VM, run a forwarded FFT
     import contextlib
 
-    hv = Hypervisor()
+    hv = Hypervisor(resolve_codec(None, [stack]))
     hv.register_api(ApiRegistration(
         name="toyfft",
         routing_table=stack.routing_table(),

@@ -38,7 +38,7 @@ produced it:
 * and the generated codec module holds tables only — no function
   definitions, no import but :mod:`repro.remoting.speccodec` — so all
   unpacking and slicing is the shared bounds-checked walkers' and
-  hostile frames always hit the fallback-guarded decoders (CAVA312).
+  hostile frames always meet their CodecError (CAVA312).
 
 Because the checks run on source text, tests can also feed tampered
 sources to prove each invariant actually bites — the checker is the
@@ -487,11 +487,11 @@ def analyze_generated_codec(
     The specialized codec's byte-identity guarantee rests on two legs:
     the ``LAYOUT`` tables must describe exactly what the guest stub
     marshals and the server stub collects (CAVA310/311), and every
-    frame must be produced and consumed by the shared, bounds-checked,
-    fallback-guarded walkers, so the module may hold nothing but
-    tables (CAVA312).  All three are decidable from the module source
-    alone — ``LAYOUT`` is required to be a pure literal for this
-    reason.
+    frame must be produced and consumed by the shared, bounds-checked
+    walkers, which refuse what the tables do not describe, so the
+    module may hold nothing but tables (CAVA312).  All three are
+    decidable from the module source alone — ``LAYOUT`` is required to
+    be a pure literal for this reason.
     """
     if sources is None:
         sources = generate_sources(spec, native_module)
@@ -570,7 +570,7 @@ def analyze_generated_codec(
                 "CAVA312", name,
                 f"generated codec module defines function {name!r}; "
                 f"marshaling code outside the shared bounds-checked "
-                f"walkers bypasses the fallback guarantee",
+                f"walkers bypasses their trust-boundary checks",
             ))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             imported = [

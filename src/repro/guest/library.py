@@ -34,6 +34,11 @@ from repro.remoting.xfercache import TransferCache
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import tracer as _tele
 
+#: payloads the transfer cache elided from one command, kept guest-side
+#: so a NeedBytes answer can restore them: param → (kind, original,
+#: digest, size, position in its section)
+Elided = Dict[str, Tuple[str, Any, bytes, int, int]]
+
 
 class RemotingError(Exception):
     """Infrastructure failure of the forwarding path itself.
@@ -54,9 +59,8 @@ class _StagedCall:
     out_targets: Dict[str, Tuple[str, Any]]
     success: Any
     retry_safe: bool
-    #: payloads elided by the transfer cache: param → (kind, original),
-    #: kept guest-side so a NeedBytes answer can restore them
-    elided: Dict[str, Tuple[str, Any]] = field(default_factory=dict)
+    #: payloads elided by the transfer cache
+    elided: Elided = field(default_factory=dict)
     #: digests of eligible payloads this command carried in full
     sent_digests: List[Tuple[bytes, int]] = field(default_factory=list)
 
@@ -279,7 +283,7 @@ class GuestRuntime:
             # is only ever False in sanitizer tests that seed ordering
             # violations on purpose.)
             self._flush("sync")
-        elided: Dict[str, Tuple[str, Any, bytes, int]] = {}
+        elided: Elided = {}
         sent_digests: List[Tuple[bytes, int]] = []
         cached_refs: Dict[str, List[Any]] = {}
         if self.xfer_cache is not None and self.xfer_cache.policy.enabled:
@@ -348,7 +352,7 @@ class GuestRuntime:
                     and not result.timed_out):
                 # resent in full, and it arrived: the store holds the
                 # once-elided payloads again
-                for _kind, _original, digest, size in elided.values():
+                for _kind, _original, digest, size, _at in elided.values():
                     cache.note_delivered(digest, size)
         if cache is not None and not result.timed_out:
             for digest, size in sent_digests:
@@ -415,8 +419,7 @@ class GuestRuntime:
         in_buffers: Dict[str, bytes],
         scalars: Dict[str, Any],
         clock: Any,
-    ) -> Tuple[Dict[str, bytes], Dict[str, Any],
-               Dict[str, Tuple[str, Any, bytes, int]],
+    ) -> Tuple[Dict[str, bytes], Dict[str, Any], Elided,
                List[Tuple[bytes, int]], Dict[str, List[Any]]]:
         """Replace cache-resident payloads with digest-only refs.
 
@@ -431,7 +434,7 @@ class GuestRuntime:
         """
         cache = self.xfer_cache
         cost = 0.0
-        elided: Dict[str, Tuple[str, Any, bytes, int]] = {}
+        elided: Elided = {}
         sent_digests: List[Tuple[bytes, int]] = []
         refs: Dict[str, List[Any]] = {}
         kept_buffers: Dict[str, bytes] = {}
@@ -439,7 +442,8 @@ class GuestRuntime:
             ref, decide_cost, digest = cache.consider(name, chunk, "buf")
             cost += decide_cost
             if ref is not None:
-                elided[name] = ("buf", chunk, digest, len(chunk))
+                elided[name] = ("buf", chunk, digest, len(chunk),
+                                list(in_buffers).index(name))
                 refs[name] = ref.to_wire()
             else:
                 kept_buffers[name] = chunk
@@ -456,7 +460,8 @@ class GuestRuntime:
                 if reduced_scalars is None:
                     reduced_scalars = dict(scalars)
                 del reduced_scalars[name]
-                elided[name] = ("str", value, digest, len(encoded))
+                elided[name] = ("str", value, digest, len(encoded),
+                                list(scalars).index(name))
                 refs[name] = ref.to_wire()
             elif digest is not None:
                 sent_digests.append((digest, len(encoded)))
@@ -469,14 +474,18 @@ class GuestRuntime:
     @staticmethod
     def _restore_elided(
         command: Command,
-        elided: Dict[str, Tuple[str, Any, bytes, int]],
+        elided: Elided,
     ) -> None:
-        """Put every elided payload back into a command, dropping refs."""
-        for name, (kind, original, _digest, _size) in elided.items():
-            if kind == "buf":
-                command.in_buffers[name] = original
-            else:
-                command.scalars[name] = original
+        """Put every elided payload back into a command, dropping refs.
+
+        Each goes back where the stub put it, so the resent frame is the
+        one an uncached call sends: its sections stay in spec order.
+        """
+        for name, (kind, original, _digest, _size, at) in elided.items():
+            section = "in_buffers" if kind == "buf" else "scalars"
+            items = list(getattr(command, section).items())
+            items.insert(at, (name, original))
+            setattr(command, section, dict(items))
         command.cached_refs = {}
 
     def _recover(self, redeliver: Callable[[float], Any], result: Any,
@@ -553,7 +562,7 @@ class GuestRuntime:
         payload: int,
         tracer: Any,
         span: Any,
-        elided: Optional[Dict[str, Tuple[str, Any, bytes, int]]] = None,
+        elided: Optional[Elided] = None,
         sent_digests: Optional[List[Tuple[bytes, int]]] = None,
     ) -> None:
         """Park an async command in the coalescing queue.
@@ -569,10 +578,11 @@ class GuestRuntime:
         # is copied here, as of the call
         if command.in_buffers or elided:
             own_payloads(command.in_buffers)
-            for name, (kind, original, digest,
-                       size) in (elided or {}).items():
+            for name, (kind, original, digest, size,
+                       at) in (elided or {}).items():
                 if kind == "buf":
-                    elided[name] = (kind, own_bytes(original), digest, size)
+                    elided[name] = (kind, own_bytes(original), digest, size,
+                                    at)
         # re-execution after a lost batch must not mint handles the
         # guest would leak — same idempotence rule as sync retries
         retry_safe = (ret_kind != "handle" and not any(
@@ -647,8 +657,7 @@ class GuestRuntime:
             for entry in staged:
                 for digest, size in entry.sent_digests:
                     self.xfer_cache.note_delivered(digest, size)
-                for _name, (_kind, _orig, digest,
-                            size) in entry.elided.items():
+                for _kind, _orig, digest, size, _at in entry.elided.values():
                     if not entry.command.cached_refs:
                         # the batch was retransmitted in full
                         self.xfer_cache.note_delivered(digest, size)

@@ -23,6 +23,7 @@ from repro.hypervisor.pool import DeviceClass, DevicePool, PooledDevice
 from repro.hypervisor.router import Router, RoutingTable
 from repro.hypervisor.vm import GuestVM
 from repro.migration.replayer import MigrationReport
+from repro.remoting.wire import WireCodec
 from repro.remoting.xfercache import CachePolicy, TransferCache
 from repro.server.api_server import ApiServerWorker
 from repro.server.xferstore import TransferStore
@@ -63,10 +64,10 @@ class ApiRegistration:
 class Hypervisor:
     """The host: router + VMs + API server workers."""
 
-    def __init__(self, policy: Optional[ResourcePolicy] = None,
+    def __init__(self, codec: WireCodec,
+                 policy: Optional[ResourcePolicy] = None,
                  batch_policy: Optional[Any] = None,
-                 cache_policy: Optional[CachePolicy] = None,
-                 codec: Optional[Any] = None) -> None:
+                 cache_policy: Optional[CachePolicy] = None) -> None:
         # arm the runtime sanitizer when the environment asks for it
         # (CAVA_SANITIZE=1); otherwise the NOOP stays installed and
         # every hook site is a single attribute check
@@ -80,13 +81,13 @@ class Hypervisor:
         #: cache policy is armed)
         self.xfer_stores: Dict[str, TransferStore] = {}
         self.rate_limiter = RateLimiter(self.policy)
-        #: the wire codec every channel of this hypervisor frames with
-        #: (None → the router installs the interpreted reference codec)
-        self.router = Router(self._worker_for, rate_limiter=self.rate_limiter,
+        #: the router holds the wire codec every channel of this
+        #: hypervisor frames with
+        self.router = Router(self._worker_for, codec,
+                             rate_limiter=self.rate_limiter,
                              policy=self.policy,
                              on_worker_lost=self._on_worker_lost,
-                             store_resolver=self.xfer_stores.get,
-                             codec=codec)
+                             store_resolver=self.xfer_stores.get)
         self.apis: Dict[str, ApiRegistration] = {}
         self.vms: Dict[str, GuestVM] = {}
         self.workers: Dict[Tuple[str, str], ApiServerWorker] = {}

@@ -4,12 +4,10 @@ These are the pieces of AvA that do *not* depend on which accelerator API
 is being virtualized.  CAvA-generated guest and server modules call into
 them; the hypervisor transport moves the encoded messages they produce.
 
-Marshaling goes through a pluggable :class:`WireCodec` instance:
-:class:`InterpretedCodec` (the runtime-interpreted tagged format) or
-:class:`SpecializedCodec` (generated per-function fast path, zero-copy,
-byte-identical on the wire).  The ``encode_message`` /
-``decode_message`` free functions remain as deprecated shims over the
-interpreted path.
+Marshaling goes through a :class:`WireCodec` instance; the runtime's
+one codec is :class:`SpecializedCodec`, which walks the per-function
+tables generated from the spec (zero-copy, one pass per frame, and a
+:class:`CodecError` for any frame outside the layout).
 """
 
 from repro.remoting.buffers import (
@@ -27,9 +25,6 @@ from repro.remoting.codec import (
     NeedBytes,
     Reply,
     ReplyBatch,
-    StreamFramer,
-    decode_message,
-    encode_message,
 )
 from repro.remoting.handles import HandleError, HandleTable
 from repro.remoting.speccodec import (
@@ -38,7 +33,6 @@ from repro.remoting.speccodec import (
     SpecializedCodec,
 )
 from repro.remoting.wire import (
-    InterpretedCodec,
     WireCodec,
     WireFrame,
     frame_bytes,
@@ -61,22 +55,18 @@ __all__ = [
     "CommandTable",
     "HandleError",
     "HandleTable",
-    "InterpretedCodec",
     "NeedBytes",
     "OutBox",
     "Reply",
     "ReplyBatch",
     "ReplyTable",
     "SpecializedCodec",
-    "StreamFramer",
     "TransferCache",
     "WireBuffer",
     "WireCodec",
     "WireFrame",
     "as_byte_view",
     "byte_size_of",
-    "decode_message",
     "digest_payload",
-    "encode_message",
     "frame_bytes",
 ]

@@ -1,10 +1,12 @@
 """Wire format for forwarded API calls.
 
 A forwarded invocation crosses the guest/hypervisor/host boundary as a
-:class:`Command`; the host answers with a :class:`Reply`.  Both have an
-explicit self-describing binary encoding (no pickle — the router must be
-able to treat guest input as untrusted data), implemented as a small
-tagged-value format:
+:class:`Command`; the host answers with a :class:`Reply` (or, batched,
+:class:`CommandBatch` and :class:`ReplyBatch`; a transfer-cache miss is
+answered with :class:`NeedBytes`).  This module holds those messages,
+:class:`CodecError`, and the small tagged-value format every frame is
+written in (no pickle — the router must be able to treat guest input as
+untrusted data):
 
 ========  =======================================
 tag byte  payload
@@ -18,6 +20,13 @@ tag byte  payload
 ``L``     list          (u32 count, then items)
 ``M``     dict[str, v]  (u32 count, then pairs)
 ========  =======================================
+
+A frame is a two-byte magic, a u32 body length, and the message's wire
+dict as one ``M`` value.  The one codec that writes and reads frames is
+the table-driven walker of :mod:`repro.remoting.speccodec`; it packs the
+common tags inline and hands everything else to the shared
+:func:`_encode_value` / :func:`_decode_value` below, which
+:mod:`repro.mvnc.graph` uses too.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.remoting.buffers import BYTES_LIKE, WireBuffer
+from repro.remoting.buffers import WireBuffer
 
 
 class CodecError(Exception):
@@ -205,83 +214,8 @@ def decode_value(data: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _checked(value: Any, types: Any, what: str) -> Any:
-    """Require a decoded wire field to have its declared type.
-
-    Message fields come from guests; building a :class:`Command` out of
-    mistyped ones would defer the blow-up to the router's accounting or
-    dispatch path (or worse: ``bytes(huge_int)`` is a memory bomb).
-    """
-    accepted = types if isinstance(types, tuple) else (types,)
-    mistyped = not isinstance(value, accepted) or (
-        isinstance(value, bool) and bool not in accepted
-    )
-    if mistyped:
-        raise CodecError(f"{what} has wire type {type(value).__name__}")
-    return value
-
-
-def _buffer_dict(value: Any, what: str) -> Dict[str, bytes]:
-    """Validate and normalize a dict of bulk byte payloads."""
-    _checked(value, dict, what)
-    result: Dict[str, bytes] = {}
-    for key, chunk in value.items():
-        if not isinstance(chunk, BYTES_LIKE):
-            raise CodecError(
-                f"{what} entry {key!r} must be bytes, "
-                f"got {type(chunk).__name__}"
-            )
-        result[key] = bytes(chunk)
-    return result
-
-
 #: digest length the transfer cache puts on the wire (blake2b-16)
 _DIGEST_BYTES = 16
-
-#: payload kinds a cached ref may replace: a bulk ``in`` buffer or a
-#: large string scalar (kernel/program source)
-_CACHED_REF_KINDS = ("buf", "str")
-
-
-def _cached_ref_dict(value: Any, what: str) -> Dict[str, List[Any]]:
-    """Validate a dict of ``param -> [digest, size, kind]`` cached refs.
-
-    Refs come from guests and stand in for real payload bytes, so every
-    field is load-bearing at the trust boundary: the digest keys the
-    server store, the size feeds quota/cost accounting before any bytes
-    exist, and the kind decides where the resolved payload lands.
-    """
-    _checked(value, dict, what)
-    result: Dict[str, List[Any]] = {}
-    for key, entry in value.items():
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise CodecError(
-                f"{what} entry {key!r} must be [digest, size, kind]"
-            )
-        digest, size, kind = entry
-        if not isinstance(digest, BYTES_LIKE):
-            raise CodecError(
-                f"{what} entry {key!r} digest must be bytes, "
-                f"got {type(digest).__name__}"
-            )
-        digest = bytes(digest)
-        if not 1 <= len(digest) <= 64:
-            raise CodecError(
-                f"{what} entry {key!r} digest length {len(digest)} "
-                f"outside [1, 64]"
-            )
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise CodecError(
-                f"{what} entry {key!r} size must be a non-negative int, "
-                f"got {size!r}"
-            )
-        if kind not in _CACHED_REF_KINDS:
-            raise CodecError(
-                f"{what} entry {key!r} kind must be one of "
-                f"{_CACHED_REF_KINDS}, got {kind!r}"
-            )
-        result[key] = [digest, size, kind]
-    return result
 
 
 @dataclass
@@ -318,67 +252,6 @@ class Command:
         """Bytes of bulk payload carried guest → host."""
         return sum(len(chunk) for chunk in self.in_buffers.values())
 
-    def to_wire_dict(self) -> Dict[str, Any]:
-        wire: Dict[str, Any] = {
-            "seq": self.seq,
-            "vm": self.vm_id,
-            "api": self.api,
-            "fn": self.function,
-            "mode": self.mode,
-            "scalars": self.scalars,
-            "handles": self.handles,
-            "inbufs": self.in_buffers,
-            "outsz": self.out_sizes,
-            "t": self.issue_time,
-        }
-        if self.trace_id is not None or self.span_id is not None:
-            wire["tr"] = [self.trace_id, self.span_id]
-        if self.cached_refs:
-            wire["xr"] = self.cached_refs
-        return wire
-
-    @classmethod
-    def from_wire_dict(cls, data: Dict[str, Any]) -> "Command":
-        trace = data.get("tr")
-        if trace is None:
-            trace = (None, None)
-        elif not isinstance(trace, (list, tuple)) or len(trace) != 2:
-            raise CodecError(f"malformed trace context {trace!r}")
-        try:
-            command = cls(
-                seq=_checked(data["seq"], int, "command seq"),
-                vm_id=_checked(data["vm"], str, "command vm"),
-                api=_checked(data["api"], str, "command api"),
-                function=_checked(data["fn"], str, "command fn"),
-                mode=_checked(data["mode"], str, "command mode"),
-                scalars=_checked(data["scalars"], dict, "command scalars"),
-                handles=_checked(data["handles"], dict, "command handles"),
-                in_buffers=_buffer_dict(data["inbufs"], "command inbufs"),
-                out_sizes=_checked(data["outsz"], dict, "command outsz"),
-                issue_time=_checked(data["t"], (int, float), "command t"),
-                trace_id=trace[0],
-                span_id=trace[1],
-                cached_refs=_cached_ref_dict(data.get("xr", {}),
-                                             "command xr"),
-            )
-        except KeyError as missing:
-            raise CodecError(f"command missing field {missing}") from None
-        for name, size in command.out_sizes.items():
-            if not isinstance(size, int) or isinstance(size, bool):
-                raise CodecError(
-                    f"command out-size {name!r} must be an int, "
-                    f"got {type(size).__name__}"
-                )
-        for name in command.cached_refs:
-            # a ref and a literal payload for the same parameter is
-            # contradictory — resolving it would silently pick one
-            if name in command.in_buffers:
-                raise CodecError(
-                    f"command parameter {name!r} carries both a cached "
-                    f"ref and literal payload bytes"
-                )
-        return command
-
 
 @dataclass
 class Reply:
@@ -405,43 +278,6 @@ class Reply:
         """Bytes of bulk payload carried host → guest."""
         return sum(len(chunk) for chunk in self.out_payloads.values())
 
-    def to_wire_dict(self) -> Dict[str, Any]:
-        wire: Dict[str, Any] = {
-            "seq": self.seq,
-            "ret": self.return_value,
-            "outs": self.out_payloads,
-            "oscal": self.out_scalars,
-            "new": self.new_handles,
-            "cbs": self.callbacks,
-            "err": self.error,
-            "t": self.complete_time,
-        }
-        if self.span_id is not None:
-            wire["tr"] = self.span_id
-        return wire
-
-    @classmethod
-    def from_wire_dict(cls, data: Dict[str, Any]) -> "Reply":
-        error = data.get("err")
-        if error is not None and not isinstance(error, str):
-            raise CodecError(
-                f"reply err has wire type {type(error).__name__}"
-            )
-        try:
-            return cls(
-                seq=_checked(data["seq"], int, "reply seq"),
-                return_value=data["ret"],
-                out_payloads=_buffer_dict(data["outs"], "reply outs"),
-                out_scalars=_checked(data["oscal"], dict, "reply oscal"),
-                new_handles=_checked(data["new"], dict, "reply new"),
-                callbacks=_checked(data.get("cbs", []), list, "reply cbs"),
-                error=error,
-                complete_time=_checked(data["t"], (int, float), "reply t"),
-                span_id=data.get("tr"),
-            )
-        except KeyError as missing:
-            raise CodecError(f"reply missing field {missing}") from None
-
 
 @dataclass
 class CommandBatch:
@@ -466,33 +302,6 @@ class CommandBatch:
         """Bytes of bulk payload carried guest → host, summed."""
         return sum(command.payload_bytes() for command in self.commands)
 
-    def to_wire_dict(self) -> Dict[str, Any]:
-        return {
-            "vm": self.vm_id,
-            "cmds": [command.to_wire_dict() for command in self.commands],
-            "t": self.flush_time,
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: Dict[str, Any]) -> "CommandBatch":
-        try:
-            vm_id = _checked(data["vm"], str, "batch vm")
-            entries = _checked(data["cmds"], list, "batch cmds")
-            flush_time = _checked(data["t"], (int, float), "batch t")
-        except KeyError as missing:
-            raise CodecError(f"batch missing field {missing}") from None
-        if not entries:
-            raise CodecError("batch carries no commands")
-        commands: List[Command] = []
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise CodecError(
-                    f"batch command #{index} has wire type "
-                    f"{type(entry).__name__}"
-                )
-            commands.append(Command.from_wire_dict(entry))
-        return cls(vm_id=vm_id, commands=commands, flush_time=flush_time)
-
 
 @dataclass
 class ReplyBatch:
@@ -514,30 +323,6 @@ class ReplyBatch:
         """Bytes of bulk payload carried host → guest, summed."""
         return sum(reply.payload_bytes() for reply in self.replies)
 
-    def to_wire_dict(self) -> Dict[str, Any]:
-        return {
-            "replies": [reply.to_wire_dict() for reply in self.replies],
-            "t": self.complete_time,
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: Dict[str, Any]) -> "ReplyBatch":
-        try:
-            entries = _checked(data["replies"], list, "reply-batch replies")
-            complete_time = _checked(data["t"], (int, float),
-                                     "reply-batch t")
-        except KeyError as missing:
-            raise CodecError(f"reply batch missing field {missing}") from None
-        replies: List[Reply] = []
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise CodecError(
-                    f"reply-batch reply #{index} has wire type "
-                    f"{type(entry).__name__}"
-                )
-            replies.append(Reply.from_wire_dict(entry))
-        return cls(replies=replies, complete_time=complete_time)
-
 
 @dataclass
 class NeedBytes:
@@ -556,143 +341,9 @@ class NeedBytes:
     #: host virtual time at which the miss was detected
     complete_time: float = 0.0
 
-    def to_wire_dict(self) -> Dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "miss": self.missing,
-            "t": self.complete_time,
-        }
-
-    @classmethod
-    def from_wire_dict(cls, data: Dict[str, Any]) -> "NeedBytes":
-        try:
-            seq = _checked(data["seq"], int, "need-bytes seq")
-            entries = _checked(data["miss"], list, "need-bytes miss")
-            complete_time = _checked(data["t"], (int, float),
-                                     "need-bytes t")
-        except KeyError as missing:
-            raise CodecError(
-                f"need-bytes missing field {missing}"
-            ) from None
-        if not entries:
-            raise CodecError("need-bytes names no missing refs")
-        parsed: List[Any] = []
-        for index, entry in enumerate(entries):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise CodecError(
-                    f"need-bytes miss #{index} must be "
-                    f"[seq, param, digest]"
-                )
-            cmd_seq, param, digest = entry
-            _checked(cmd_seq, int, f"need-bytes miss #{index} seq")
-            _checked(param, str, f"need-bytes miss #{index} param")
-            if not isinstance(digest, BYTES_LIKE):
-                raise CodecError(
-                    f"need-bytes miss #{index} digest must be bytes, "
-                    f"got {type(digest).__name__}"
-                )
-            parsed.append([cmd_seq, param, bytes(digest)])
-        return cls(seq=seq, missing=parsed, complete_time=complete_time)
-
 
 _COMMAND_MAGIC = b"\xabC"
 _REPLY_MAGIC = b"\xabR"
 _COMMAND_BATCH_MAGIC = b"\xabB"
 _REPLY_BATCH_MAGIC = b"\xabP"
 _NEED_BYTES_MAGIC = b"\xabN"
-
-_MESSAGE_MAGICS = {
-    Command: _COMMAND_MAGIC,
-    Reply: _REPLY_MAGIC,
-    CommandBatch: _COMMAND_BATCH_MAGIC,
-    ReplyBatch: _REPLY_BATCH_MAGIC,
-    NeedBytes: _NEED_BYTES_MAGIC,
-}
-
-
-def encode_message(message: Any) -> bytes:
-    """Encode a Command/Reply/CommandBatch/ReplyBatch to wire bytes.
-
-    Deprecated shim: this is the interpreted slow path, kept so
-    external callers don't break.  New code should go through a
-    :class:`repro.remoting.wire.WireCodec` instance —
-    ``InterpretedCodec`` for this exact behavior, ``SpecializedCodec``
-    for the generated fast path.
-    """
-    magic = _MESSAGE_MAGICS.get(type(message))
-    if magic is None:
-        raise CodecError(
-            f"cannot encode {type(message).__name__} as a message"
-        )
-    body = encode_value(message.to_wire_dict())
-    return magic + _U32.pack(len(body)) + body
-
-
-def decode_message(data: bytes) -> Any:
-    """Decode wire bytes produced by :func:`encode_message`.
-
-    Like :func:`decode_value`, a trust boundary: any malformation raises
-    :class:`CodecError`.
-
-    Deprecated shim for new code — prefer a
-    :class:`repro.remoting.wire.WireCodec` instance.  Accepts any
-    byte-like frame (bytes, bytearray, memoryview, ``WireFrame``) and
-    normalizes it once.
-    """
-    if not isinstance(data, bytes):
-        data = bytes(data)
-    if len(data) < 6:
-        raise CodecError("message too short")
-    magic, length = data[:2], _unpack_from(_U32, data, 2)
-    body = data[6:6 + length]
-    if len(body) != length:
-        raise CodecError("truncated message body")
-    decoded = decode_value(body)
-    if not isinstance(decoded, dict):
-        raise CodecError(
-            f"message body is a {type(decoded).__name__}, not a dict"
-        )
-    try:
-        if magic == _COMMAND_MAGIC:
-            return Command.from_wire_dict(decoded)
-        if magic == _REPLY_MAGIC:
-            return Reply.from_wire_dict(decoded)
-        if magic == _COMMAND_BATCH_MAGIC:
-            return CommandBatch.from_wire_dict(decoded)
-        if magic == _REPLY_BATCH_MAGIC:
-            return ReplyBatch.from_wire_dict(decoded)
-        if magic == _NEED_BYTES_MAGIC:
-            return NeedBytes.from_wire_dict(decoded)
-    except (TypeError, AttributeError, ValueError) as err:
-        raise CodecError(f"malformed message fields: {err}") from err
-    raise CodecError(f"bad message magic {magic!r}")
-
-
-class StreamFramer:
-    """Stateful framing helper for stream transports (sockets).
-
-    Feed raw stream chunks in with :meth:`feed`; complete messages pop
-    out of :meth:`messages`.
-
-    (Formerly named ``WireCodec``; that name now belongs to the codec
-    protocol in :mod:`repro.remoting.wire`.)
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> None:
-        self._buffer.extend(chunk)
-
-    def messages(self) -> List[Any]:
-        """Drain and decode all complete messages buffered so far."""
-        result = []
-        while len(self._buffer) >= 6:
-            (length,) = _U32.unpack_from(self._buffer, 2)
-            total = 6 + length
-            if len(self._buffer) < total:
-                break
-            frame = bytes(self._buffer[:total])
-            del self._buffer[:total]
-            result.append(decode_message(frame))
-        return result

@@ -1,10 +1,10 @@
-"""The generated-codec fast path: table-driven marshaling drivers.
+"""The runtime codec: table-driven marshaling walkers.
 
 At codegen time, :mod:`repro.codegen.codec_gen` emits one module per
 API holding a :class:`CommandTable` / :class:`ReplyTable` pair per
 function.  A table describes each of its frame sections once — a
 header constant per entry count plus the declared parameters in spec
-order, each with its precomputed key bytes and the value tags its kind
+order, each with its precomputed key bytes and the values its kind
 admits — and one encode walker and one decode walker serve all seven
 sections.  Encode appends straight into one growing frame allocation
 (:class:`FrameBuilder`, length patched with ``pack_into`` at finish)
@@ -14,31 +14,38 @@ are (a contiguous frame is sliced through one ``memoryview``), so in
 both directions a payload is borrowed from its producer to its
 consumer — see :mod:`repro.remoting.buffers` for who may keep one.
 
-The two optional trailing fields of a command ride the same walk:
-trace context ``tr`` (``[trace id, span id]``, and the span id alone on
-a reply) and the transfer cache's ``xr`` section, whose entries a
-:class:`CommandTable` precomputes once per parameter a cached ref may
-stand in for — each in-buffer (kind ``buf``) and each string scalar
-(kind ``str``) — so a ref-carrying frame marshals in one pass too.
+The optional fields ride the same walk: trace context ``tr``
+(``[trace id, span id]``, and the span id alone on a reply), the
+transfer cache's ``xr`` section, whose entries a :class:`CommandTable`
+precomputes once per parameter a cached ref may stand in for — each
+in-buffer (kind ``buf``) and each string scalar (kind ``str``) — and a
+reply's callbacks (``cbs``) and error text (``err``).  Frames that need
+no table walk too: a refusal reply (empty sections, so it encodes and
+decodes with no ``reply_to`` or under a :class:`CommandBatch` one) and
+a :class:`NeedBytes` answer.
 
-**One fallback rule.**  A section rides the fast path when it carries
-an *in-order subset* of its declared parameters, which is what the
-generated stubs produce (they fill their dicts in parameter order and
-omit NULL pointers); ``xr`` counts as a section whose entries are
-``[16-byte digest, non-negative size, the parameter's kind]`` with no
-literal payload for the same parameter.  Anything else — keys out of
-spec order, a duplicated or unknown key, a value whose tag the kind
-does not admit, a malformed ref or trace context, callbacks, an error
-reply, a truncated or hostile frame — raises the internal
-:class:`_Fallback` (an encoder before it emits anything) and
-:class:`SpecializedCodec` re-runs the interpreted path on the original
-input.
+**One conformance rule.**  A section carries an *in-order subset* of
+its declared parameters, which is what the generated stubs produce
+(they fill their dicts in parameter order and omit NULL pointers);
+``xr`` counts as a section whose entries are ``[16-byte digest,
+non-negative size, the parameter's kind]`` with no literal payload for
+the same parameter.  Payload slots hold bytes and out-size slots ints;
+a scalar, handle or reply value outside its kind's inline tags (a
+bool, a nested list) goes through the shared tagged-value writer and
+reader of :mod:`repro.remoting.codec`.  Anything else — keys out of
+spec order, a duplicated or unknown key, a function without tables, a
+mode other than sync/async, a malformed ref or trace context, an
+integer time, a truncated, forged or trailing-byte frame, nesting
+deeper than 64 — is a :class:`~repro.remoting.codec.CodecError` raised
+by the walker itself (an encoder before it returns a frame).  A batch
+holding one such command is malformed as a whole.  Nothing decodes a
+frame twice.
 
-**Byte identity is the contract.**  For every message the fast path
-encodes, the emitted bytes equal the interpreted encoder's exactly,
-and because every deviation ends in the interpreted codec the fast
-path inherits every :class:`~repro.remoting.codec.CodecError`
-guarantee of the trust boundary, verbatim.
+**Byte identity is the contract.**  For every message it encodes, the
+walker emits exactly the bytes of the self-describing tagged-value
+encoding of the message's wire dict, and decodes them back to the same
+message; ``tests/wire_oracle.py`` keeps that encoding as the oracle the
+parity fuzz holds the walker to.
 """
 
 from __future__ import annotations
@@ -47,10 +54,12 @@ import struct
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.remoting import codec as _codec
-from repro.remoting.buffers import WireBuffer
+from repro.remoting.buffers import BYTES_LIKE, WireBuffer
 from repro.remoting.codec import (
+    CodecError,
     Command,
     CommandBatch,
+    NeedBytes,
     Reply,
     ReplyBatch,
 )
@@ -69,9 +78,9 @@ _TF64 = struct.Struct(">cd")
 #: contiguous header allocation, where a copy is cheaper than a segment
 _SPLICE_THRESHOLD = 512
 
-
-class _Fallback(Exception):
-    """Internal: this message needs the interpreted path."""
+#: what a walker's own reads and packs raise on a frame or message it
+#: cannot carry; each codec operation reports them as CodecError
+_MALFORMED = (struct.error, IndexError, UnicodeError)
 
 
 def _key(name: str) -> bytes:
@@ -143,7 +152,7 @@ def _payload_view(value: Any) -> Tuple[Any, int]:
         if value.ndim != 1 or value.itemsize != 1:
             value = value.cast("B")
         return value, value.nbytes
-    raise _Fallback
+    raise CodecError(f"payload must be bytes, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,39 +162,35 @@ def _payload_view(value: Any) -> Tuple[Any, int]:
 #: integer tag bytes for single-index comparisons (faster than slicing)
 _TAG_N, _TAG_I, _TAG_D, _TAG_S, _TAG_L, _TAG_B = b"NIDSLB"
 
-#: kind → the wire tags a conforming value may carry (``N`` is None).
-#: The first five are what a generated ``LAYOUT`` declares for scalars
-#: and handles; the tables assign ``size`` to out-sizes, ``buf`` to
+#: kind → the one tag its slot admits, or 0 for any tagged value.  The
+#: first five are what a generated ``LAYOUT`` declares for scalars and
+#: handles; the tables assign ``size`` to out-sizes, ``buf`` to
 #: payloads and ``any`` to reply values, which the spec does not type.
-_KIND_TAGS = {
-    "int": b"NI", "float": b"NID", "num": b"NID", "str": b"NS",
-    "ints": b"NL", "size": b"I", "buf": b"B", "any": b"NIDSL",
+_KIND_TAG = {
+    "int": 0, "float": 0, "num": 0, "str": 0, "ints": 0, "any": 0,
+    "size": _TAG_I, "buf": _TAG_B,
 }
-_ANY = _KIND_TAGS["any"]
-
-#: exact Python type → the tag the interpreted encoder gives it
-_TYPE_TAG = {type(None): _TAG_N, int: _TAG_I, float: _TAG_D,
-             str: _TAG_S, list: _TAG_L}
 
 
 class _Section:
     """One frame section (an ``M`` dict under a fixed key), described
     once for both walkers."""
 
-    __slots__ = ("key", "headers", "entries")
+    __slots__ = ("name", "key", "headers", "entries")
 
     def __init__(self, key: str, kinds: Dict[str, str]) -> None:
+        self.name = key
         #: section key + ``M`` tag; ``headers[n]`` adds the u32 count n
         self.key = _key(key) + b"M"
         self.headers = [self.key + _U32.pack(count)
                         for count in range(len(kinds) + 1)]
-        #: (key constant, tags the kind admits, name) in spec order
-        self.entries: List[Tuple[bytes, bytes, str]] = []
+        #: (key constant, the kind's one tag or 0, name) in spec order
+        self.entries: List[Tuple[bytes, int, str]] = []
         for name, kind in kinds.items():
-            if kind not in _KIND_TAGS:
+            if kind not in _KIND_TAG:
                 raise ValueError(
                     f"{key}: unknown kind {kind!r} for {name!r}")
-            self.entries.append((_key(name), _KIND_TAGS[kind], name))
+            self.entries.append((_key(name), _KIND_TAG[kind], name))
 
 
 #: a cached ref's value up to its digest: ``L[B digest, I size, S kind]``
@@ -246,6 +251,11 @@ class ReplyTable:
         )
 
 
+#: the layout of a reply that answers no one function — a refusal of a
+#: whole frame, or any reply without its command as ``reply_to``: it
+#: carries no outputs, so every section is empty
+_BARE_REPLY = ReplyTable()
+
 # static frame runs shared by every function
 #: the command dict's head, by how many of the optional trailing
 #: fields (``tr``, ``xr``) follow its ten fixed ones
@@ -266,15 +276,19 @@ _REPLY_PREFIXES = (b"M" + _U32.pack(8) + _key("seq") + b"I",
 _REPLY_TRACED = {prefix: traced
                  for traced, prefix in enumerate(_REPLY_PREFIXES)}
 _RET_KEY = _key("ret")
-#: callbacks empty + error None (anything else falls back), then time
-_REPLY_TAIL = (_key("cbs") + b"L" + _U32.pack(0) + _key("err") + b"N"
-               + _T_KEY)
+_CBS_KEY = _key("cbs")
+_ERR_KEY = _key("err")
+#: the common reply tail: no callbacks, no error, then the time
+_REPLY_TAIL = _CBS_KEY + b"L" + _U32.pack(0) + _ERR_KEY + b"N" + _T_KEY
 _RB_PREFIX = b"M" + _U32.pack(2) + _key("replies") + b"L"
 #: trace context: ``[trace id, span id]`` on a command, the span id
 #: alone on a reply
 _TR_KEY = _key("tr") + b"L" + _U32.pack(2) + b"S"
 _REPLY_TR_KEY = _key("tr") + b"I"
 _XR_KEY = _key("xr") + b"M"
+#: a NeedBytes answer: seq, then its ``miss`` list, then the time
+_NB_PREFIX = b"M" + _U32.pack(3) + _key("seq") + b"I"
+_MISS_KEY = _key("miss")
 
 _LP = len(_CMD_PREFIXES[0])
 _LRP = len(_REPLY_PREFIXES[0])
@@ -285,10 +299,10 @@ _LFN = len(_FN_KEY)
 
 
 class _Tables(dict):
-    """Table registry: a function without tables takes the fallback."""
+    """Table registry: a function without tables has no frame."""
 
     def __missing__(self, key: Any) -> Any:
-        raise _Fallback
+        raise CodecError(f"no marshaling tables for {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +310,30 @@ class _Tables(dict):
 # ---------------------------------------------------------------------------
 
 
-def _enc_value(cur: bytearray, value: Any, tags: bytes) -> None:
-    """One tagged value, exact-typed, if ``tags`` admits its type."""
-    tag = _TYPE_TAG.get(type(value), 0)
-    if tag not in tags:
-        raise _Fallback
-    if tag == _TAG_I:
+def _enc_value(cur: bytearray, value: Any) -> None:
+    """One tagged value: None, ints, floats, strings and flat int lists
+    inline, anything else through the shared tagged-value writer."""
+    kind = type(value)
+    if kind is int:
         cur += _TI64.pack(b"I", value)
-    elif tag == _TAG_D:
+    elif kind is float:
         cur += _TF64.pack(b"D", value)
-    elif tag == _TAG_N:
+    elif value is None:
         cur += b"N"
-    elif tag == _TAG_S:
+    elif kind is str:
         encoded = value.encode("utf-8")
         cur += b"S"
         cur += _U32.pack(len(encoded))
         cur += encoded
-    else:  # a flat int list; anything nested is the interpreter's
+    elif kind is list and all(type(item) is int for item in value):
         cur += b"L"
         cur += _U32.pack(len(value))
         for item in value:
-            if type(item) is not int:
-                raise _Fallback
             cur += _TI64.pack(b"I", item)
+    else:
+        parts: List[Any] = []
+        _codec._encode_value(value, parts)
+        cur += b"".join(parts)
 
 
 def _enc_sections(builder: FrameBuilder, sections: Tuple[_Section, ...],
@@ -327,30 +342,29 @@ def _enc_sections(builder: FrameBuilder, sections: Tuple[_Section, ...],
     declared entries.
 
     Every message dict is walked against its section's entries in spec
-    order; a key that is unknown, or known but behind the walk, cannot
-    be emitted in the interpreted encoder's (dict) order and falls
-    back.  Payloads of :data:`_SPLICE_THRESHOLD` bytes and up ride as
-    frame segments, by reference, instead of being copied.
+    order; a key that is unknown, or known but behind the walk, is
+    refused.  Payloads of :data:`_SPLICE_THRESHOLD` bytes and up ride
+    as frame segments, by reference, instead of being copied.
     """
     cur = builder.cur
     for section, values in zip(sections, dicts):
         entries = section.entries
         if len(values) > len(entries):
-            raise _Fallback
+            raise CodecError(f"{section.name}: {len(values)} entries, "
+                             f"{len(entries)} declared")
         cur += section.headers[len(values)]
         if not values:
             continue
         declared = iter(entries)
         for name, value in values.items():
-            for key, tags, declared_name in declared:
+            for key, want, declared_name in declared:
                 if declared_name == name:
                     break
             else:
-                raise _Fallback
+                raise CodecError(f"{section.name}: {name!r} is undeclared "
+                                 f"or out of spec order")
             cur += key
-            if type(value) is int and _TAG_I in tags:  # dominant, inlined
-                cur += _TI64.pack(b"I", value)
-            elif tags == b"B":
+            if want == _TAG_B:
                 view, nbytes = _payload_view(value)
                 cur += b"B"
                 cur += _U32.pack(nbytes)
@@ -359,8 +373,13 @@ def _enc_sections(builder: FrameBuilder, sections: Tuple[_Section, ...],
                     cur = builder.cur
                 else:
                     cur += view
+            elif type(value) is int:  # dominant, inlined
+                cur += _TI64.pack(b"I", value)
+            elif want:
+                raise CodecError(f"{section.name}: {name!r} must be an int, "
+                                 f"got {type(value).__name__}")
             else:
-                _enc_value(cur, value, tags)
+                _enc_value(cur, value)
 
 
 def _enc_refs(command: Command, table: CommandTable) -> bytearray:
@@ -370,7 +389,7 @@ def _enc_refs(command: Command, table: CommandTable) -> bytearray:
     no literal payload beside it."""
     refs = command.cached_refs
     if type(refs) is not dict or len(refs) > len(table.refs):
-        raise _Fallback
+        raise CodecError("xr: more refs than ref-eligible parameters")
     out = bytearray(_XR_KEY)
     out += _U32.pack(len(refs))
     declared = iter(table.refs)
@@ -379,16 +398,17 @@ def _enc_refs(command: Command, table: CommandTable) -> bytearray:
             if declared_name == name:
                 break
         else:
-            raise _Fallback
+            raise CodecError(f"xr: {name!r} is not ref-eligible in spec "
+                             f"order")
         if type(ref) is not list or len(ref) != 3:
-            raise _Fallback
+            raise CodecError(f"xr: {name!r} must be [digest, size, kind]")
         digest, size, ref_kind = ref
         if (type(digest) is not bytes
                 or len(digest) != _codec._DIGEST_BYTES
                 or type(size) is not int or size < 0
                 or type(ref_kind) is not str or ref_kind != kind
                 or name in command.in_buffers or name in command.scalars):
-            raise _Fallback
+            raise CodecError(f"xr: malformed ref for {name!r}")
         out += head
         out += digest
         out += _TI64.pack(b"I", size)
@@ -398,16 +418,18 @@ def _enc_refs(command: Command, table: CommandTable) -> bytearray:
 
 def _enc_command_body(builder: FrameBuilder, command: Command,
                       table: CommandTable) -> None:
-    """The command's wire dict, byte-identical to the interpreted path."""
+    """The command's wire dict."""
     mode = _MODES.get(command.mode)
+    if mode is None:
+        raise CodecError(f"mode {command.mode!r} is neither sync nor async")
     if (type(command.seq) is not int or type(command.vm_id) is not str
-            or mode is None or type(command.issue_time) is not float):
-        raise _Fallback
+            or type(command.issue_time) is not float):
+        raise CodecError("command seq, vm or t has the wrong type")
     trace_id, span_id = command.trace_id, command.span_id
     trace = None
     if trace_id is not None or span_id is not None:
         if type(trace_id) is not str or type(span_id) is not int:
-            raise _Fallback
+            raise CodecError("tr must be [trace id, span id]")
         encoded = trace_id.encode("utf-8")
         trace = (_TR_KEY + _U32.pack(len(encoded)) + encoded
                  + _TI64.pack(b"I", span_id))
@@ -435,25 +457,38 @@ def _enc_command_body(builder: FrameBuilder, command: Command,
 
 def _enc_reply_body(builder: FrameBuilder, reply: Reply,
                     table: ReplyTable) -> None:
-    if reply.error is not None or reply.callbacks:
-        raise _Fallback
     if type(reply.seq) is not int or type(reply.complete_time) is not float:
-        raise _Fallback
+        raise CodecError("reply seq or t has the wrong type")
     trace = None
     if reply.span_id is not None:
         if type(reply.span_id) is not int:
-            raise _Fallback
+            raise CodecError("reply tr must be a span id")
         trace = _REPLY_TR_KEY + _I64.pack(reply.span_id)
     cur = builder.cur
     cur += _REPLY_PREFIXES[trace is not None]
     cur += _I64.pack(reply.seq)
     cur += _RET_KEY
-    _enc_value(cur, reply.return_value, _ANY)
+    _enc_value(cur, reply.return_value)
     _enc_sections(builder, table.sections,
                   (reply.out_payloads, reply.out_scalars,
                    reply.new_handles))
     cur = builder.cur
-    cur += _REPLY_TAIL
+    callbacks, error = reply.callbacks, reply.error
+    if type(callbacks) is not list:
+        raise CodecError("reply cbs must be a list")
+    if not callbacks and error is None:
+        cur += _REPLY_TAIL
+    else:
+        cur += _CBS_KEY
+        _enc_value(cur, callbacks)
+        cur += _ERR_KEY
+        if error is None:
+            cur += b"N"
+        elif type(error) is str:
+            _enc_value(cur, error)
+        else:
+            raise CodecError("reply err must be a string or None")
+        cur += _T_KEY
     cur += _F64.pack(reply.complete_time)
     if trace is not None:
         cur += trace
@@ -463,7 +498,7 @@ def _enc_batch_frame(tables: Dict[Tuple[str, str], Any],
                      batch: CommandBatch) -> Any:
     if (type(batch.vm_id) is not str or not batch.commands
             or type(batch.flush_time) is not float):
-        raise _Fallback
+        raise CodecError("batch vm, cmds or t is malformed")
     builder = FrameBuilder()
     cur = builder.cur
     cur += _BATCH_PREFIX
@@ -486,7 +521,7 @@ def _enc_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
                            reply_to: CommandBatch) -> Any:
     if (len(batch.replies) != len(reply_to.commands)
             or type(batch.complete_time) is not float):
-        raise _Fallback
+        raise CodecError("reply batch does not answer its command batch")
     builder = FrameBuilder()
     cur = builder.cur
     cur += _RB_PREFIX
@@ -500,15 +535,40 @@ def _enc_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
     return builder.finish(_codec._REPLY_BATCH_MAGIC)
 
 
+def _check_missing(missing: Any) -> None:
+    """A NeedBytes ``miss`` list: one or more ``[seq, param, digest]``."""
+    if type(missing) is not list or not missing or not all(
+            type(entry) in (list, tuple) and len(entry) == 3
+            and type(entry[0]) is int and type(entry[1]) is str
+            and isinstance(entry[2], BYTES_LIKE) for entry in missing):
+        raise CodecError("need-bytes miss must be [seq, param, digest]s")
+
+
+def _enc_need_bytes_frame(message: NeedBytes) -> bytes:
+    if (type(message.seq) is not int
+            or type(message.complete_time) is not float):
+        raise CodecError("need-bytes seq or t has the wrong type")
+    _check_missing(message.missing)
+    builder = FrameBuilder()
+    cur = builder.cur
+    cur += _NB_PREFIX
+    cur += _I64.pack(message.seq)
+    cur += _MISS_KEY
+    _enc_value(cur, message.missing)
+    cur += _T_KEY
+    cur += _F64.pack(message.complete_time)
+    return builder.finish(_codec._NEED_BYTES_MAGIC)
+
+
 # ---------------------------------------------------------------------------
 # decode (all reads bounds-checked against the frame end)
 # ---------------------------------------------------------------------------
 
 
 def _expect(data: bytes, o: int, run: bytes) -> int:
-    """Step over a static run of frame bytes, or fall back."""
+    """Step over a static run of frame bytes, or refuse the frame."""
     if not data.startswith(run, o):
-        raise _Fallback
+        raise CodecError(f"unexpected bytes at offset {o}")
     return o + len(run)
 
 
@@ -516,52 +576,52 @@ def _dec_str(data: bytes, o: int, end: int) -> Tuple[str, int]:
     length = _U32.unpack_from(data, o)[0]
     o += 4
     if length > end - o:
-        raise _Fallback
+        raise CodecError("truncated string")
     return str(data[o:o + length], "utf-8"), o + length
 
 
-def _dec_value(data: bytes, o: int, end: int, tags: bytes,
+def _dec_value(data: bytes, o: int, end: int, depth: int,
                ) -> Tuple[Any, int]:
-    """One tagged value, if ``tags`` admits its tag."""
+    """One tagged value at ``o``: None, ints, floats, strings and flat
+    int lists inline, anything else through the shared tagged-value
+    reader (``depth`` is the value's nesting depth in the message)."""
     tag = data[o]
-    if tag not in tags:
-        raise _Fallback
-    o += 1
     if tag == _TAG_I:
-        return _I64.unpack_from(data, o)[0], o + 8
-    if tag == _TAG_D:
-        return _F64.unpack_from(data, o)[0], o + 8
+        return _I64.unpack_from(data, o + 1)[0], o + 9
     if tag == _TAG_N:
-        return None, o
+        return None, o + 1
     if tag == _TAG_S:
-        return _dec_str(data, o, end)
-    if tag != _TAG_L:
-        raise _Fallback
-    # a flat int list; anything nested is the interpreter's
-    count = _U32.unpack_from(data, o)[0]
-    o += 4
-    if count * 9 > end - o:
-        raise _Fallback
-    items = []
-    for _ in range(count):
-        if data[o] != _TAG_I:
-            raise _Fallback
-        items.append(_I64.unpack_from(data, o + 1)[0])
-        o += 9
-    return items, o
+        return _dec_str(data, o + 1, end)
+    if tag == _TAG_D:
+        return _F64.unpack_from(data, o + 1)[0], o + 9
+    if tag == _TAG_L:
+        count = _U32.unpack_from(data, o + 1)[0]
+        at = o + 5
+        if count * 9 <= end - at:
+            items = []
+            for _ in range(count):
+                if data[at] != _TAG_I:
+                    break
+                items.append(_I64.unpack_from(data, at + 1)[0])
+                at += 9
+            else:
+                return items, at
+    # bools, nested or mixed lists, bytes, dicts
+    return _codec._decode_value(data, o, depth)
 
 
 def _dec_sections(data: bytes, o: int, end: int,
                   sections: Tuple[_Section, ...], mv: memoryview,
-                  spliced: Any) -> Tuple[List[Dict[str, Any]], int]:
+                  spliced: Any, depth: int,
+                  ) -> Tuple[List[Dict[str, Any]], int]:
     """Decode a message's sections, each any in-order subset of its
-    declared entries.
+    declared entries; ``depth`` is their values' nesting depth.
 
     Each declared key is one precomputed constant compare (no length
     unpack, no slice, no dict probe); absent ones are skipped.  If the
     walk consumed fewer entries than the section's count field says
     are there — keys out of spec order, a duplicate, an unknown key, a
-    forged count — the frame falls back.  Payloads come back as
+    forged count — the frame is refused.  Payloads come back as
     zero-copy slices of ``mv``, or, when ``spliced`` holds a segment
     for exactly where the ``B`` value's body starts and it is as long
     as the value declares, as that segment itself (:func:`_open_frame`).
@@ -569,36 +629,42 @@ def _dec_sections(data: bytes, o: int, end: int,
     results = []
     for section in sections:
         if not data.startswith(section.key, o):
-            raise _Fallback
+            raise CodecError(f"expected section {section.name!r}")
         o += len(section.key)
         count = _U32.unpack_from(data, o)[0]
         o += 4
         result: Dict[str, Any] = {}
         if count:
-            for key, tags, name in section.entries:
+            for key, want, name in section.entries:
                 if not data.startswith(key, o):
                     continue
                 o += len(key)
                 tag = data[o]
-                if tag == _TAG_I and tag in tags:  # dominant, inlined
+                if tag == _TAG_I and want != _TAG_B:  # dominant, inlined
                     result[name] = _I64.unpack_from(data, o + 1)[0]
                     o += 9
-                elif tag == _TAG_B and tag in tags:
+                elif tag == _TAG_B and want == _TAG_B:
                     length = _U32.unpack_from(data, o + 1)[0]
                     o += 5
                     if spliced and o in spliced:
                         result[name] = spliced.pop(o)
                         if len(result[name]) != length:
-                            raise _Fallback
+                            raise CodecError(
+                                f"{name!r}: segment length disagrees "
+                                f"with its B value")
                     elif length > end - o:
-                        raise _Fallback
+                        raise CodecError(f"{name!r}: truncated payload")
                     else:
                         result[name] = mv[o:o + length]
                         o += length
+                elif want:
+                    raise CodecError(f"{section.name}: {name!r} has the "
+                                     f"wrong wire type")
                 else:
-                    result[name], o = _dec_value(data, o, end, tags)
+                    result[name], o = _dec_value(data, o, end, depth)
             if len(result) != count:
-                raise _Fallback
+                raise CodecError(f"{section.name}: {count} entries "
+                                 f"promised, {len(result)} in spec order")
         results.append(result)
     return results, o
 
@@ -620,25 +686,26 @@ def _dec_refs(data: bytes, o: int, table: CommandTable,
         digest = data[o:o + _codec._DIGEST_BYTES]
         o += _codec._DIGEST_BYTES
         if data[o] != _TAG_I:
-            raise _Fallback
+            raise CodecError(f"xr: {name!r} size must be an int")
         size = _I64.unpack_from(data, o + 1)[0]
         o += 9
         if size < 0 or not data.startswith(tail, o):
-            raise _Fallback
+            raise CodecError(f"xr: malformed ref for {name!r}")
         o += len(tail)
         if any(name in literal for literal in literals):
-            raise _Fallback
+            raise CodecError(f"xr: {name!r} carries a ref and a literal")
         refs[name] = [digest, size, kind]
     if len(refs) != count:
-        raise _Fallback
+        raise CodecError(f"xr: {count} refs promised, {len(refs)} in "
+                         f"spec order")
     return refs, o
 
 
 def _dec_command(data: bytes, o: int, end: int,
                  wire_tables: Dict[bytes, Any], mv: memoryview,
-                 spliced: Any) -> Tuple[Command, int]:
-    """One command's wire dict, at ``o``; returns it and the offset
-    past it.
+                 spliced: Any, depth: int) -> Tuple[Command, int]:
+    """One command's wire dict, at ``o`` and nesting ``depth``; returns
+    it and the offset past it.
 
     ``wire_tables`` is keyed by the raw ``api``+``fn`` wire region
     (each table's ``api_fn`` constant), so finding the function's
@@ -646,31 +713,31 @@ def _dec_command(data: bytes, o: int, end: int,
     """
     extra = _CMD_EXTRA.get(data[o:o + _LP])
     if extra is None:
-        raise _Fallback
+        raise CodecError("not a command dict in spec field order")
     o += _LP
     seq = _I64.unpack_from(data, o)[0]
     o += 8
     if not data.startswith(_VM_KEY, o):
-        raise _Fallback
+        raise CodecError("expected the command's vm")
     vm_id, o = _dec_str(data, o + _LVM, end)
     region = o
     if not data.startswith(_API_KEY, o):
-        raise _Fallback
+        raise CodecError("expected the command's api")
     o += _LAPI + 4 + _U32.unpack_from(data, o + _LAPI)[0]
     if not data.startswith(_FN_KEY, o):
-        raise _Fallback
+        raise CodecError("expected the command's fn")
     o += _LFN + 4 + _U32.unpack_from(data, o + _LFN)[0]
     if o > end:
-        raise _Fallback
+        raise CodecError("truncated api/fn")
     table = wire_tables[data[region:o]][0]
     for mode, run in _MODES.items():
         if data.startswith(run, o):
             o += len(run)
             break
     else:
-        raise _Fallback
+        raise CodecError("mode is neither sync nor async")
     (scalars, handles, in_buffers, out_sizes), o = _dec_sections(
-        data, o, end, table.sections, mv, spliced)
+        data, o, end, table.sections, mv, spliced, depth + 2)
     o = _expect(data, o, _T_KEY)
     issue_time = _F64.unpack_from(data, o)[0]
     o += 8
@@ -679,14 +746,14 @@ def _dec_command(data: bytes, o: int, end: int,
     if extra and data.startswith(_TR_KEY, o):
         trace_id, o = _dec_str(data, o + _LTR, end)
         if data[o] != _TAG_I:
-            raise _Fallback
+            raise CodecError("tr must be [trace id, span id]")
         span_id = _I64.unpack_from(data, o + 1)[0]
         o += 9
         extra -= 1
     if extra == 1:
         refs, o = _dec_refs(data, o, table, (in_buffers, scalars))
     elif extra:
-        raise _Fallback
+        raise CodecError("a command carries tr then xr, nothing else")
     # dataclass __init__ re-runs default factories; the fields are all
     # in hand, so build the instance dict directly
     command = Command.__new__(Command)
@@ -702,17 +769,34 @@ def _dec_command(data: bytes, o: int, end: int,
 
 
 def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
-               mv: memoryview, spliced: Any) -> Tuple[Reply, int]:
+               mv: memoryview, spliced: Any,
+               depth: int) -> Tuple[Reply, int]:
     traced = _REPLY_TRACED.get(data[o:o + _LRP])
     if traced is None:
-        raise _Fallback
+        raise CodecError("not a reply dict in spec field order")
     o += _LRP
     seq = _I64.unpack_from(data, o)[0]
     return_value, o = _dec_value(
-        data, _expect(data, o + 8, _RET_KEY), end, _ANY)
+        data, _expect(data, o + 8, _RET_KEY), end, depth + 1)
     (out_payloads, out_scalars, new_handles), o = _dec_sections(
-        data, o, end, table.sections, mv, spliced)
-    o = _expect(data, o, _REPLY_TAIL)
+        data, o, end, table.sections, mv, spliced, depth + 2)
+    callbacks: List[Any] = []
+    error = None
+    if data.startswith(_REPLY_TAIL, o):
+        o += len(_REPLY_TAIL)
+    else:
+        callbacks, o = _dec_value(
+            data, _expect(data, o, _CBS_KEY), end, depth + 1)
+        o = _expect(data, o, _ERR_KEY)
+        if data[o] == _TAG_S:
+            error, o = _dec_str(data, o + 1, end)
+        elif data[o] == _TAG_N:
+            o += 1
+        else:
+            raise CodecError("reply err must be a string or None")
+        if type(callbacks) is not list:
+            raise CodecError("reply cbs must be a list")
+        o = _expect(data, o, _T_KEY)
     complete_time = _F64.unpack_from(data, o)[0]
     o += 8
     span_id = None
@@ -725,7 +809,7 @@ def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
     reply.__dict__ = {
         "seq": seq, "return_value": return_value,
         "out_payloads": out_payloads, "out_scalars": out_scalars,
-        "new_handles": new_handles, "callbacks": [], "error": None,
+        "new_handles": new_handles, "callbacks": callbacks, "error": error,
         "complete_time": complete_time, "span_id": span_id,
     }
     return reply, o
@@ -738,10 +822,10 @@ def _open_frame(frame: FrameLike) -> Tuple[bytes, int, memoryview, Any]:
     per its length field.  A vectored frame is not joined: ``data`` is
     its inline runs (the even segments) back to back and ``spliced``
     its payload segments, each under the offset in ``data`` where the
-    ``B`` value it is the body of must start.  The walk is
-    the joined frame's when every segment was claimed by such a value
-    (the decoders check ``spliced`` is empty) and ``data`` was consumed
-    to its end; anything else falls back to the joined bytes.
+    ``B`` value it is the body of must start.  The walk is the joined
+    frame's when every segment was claimed by such a value (the
+    decoders check ``spliced`` is empty) and ``data`` was consumed to
+    its end; any other vector is refused.
     """
     if type(frame) is WireFrame and len(frame.segments) > 1:
         segments = frame.segments
@@ -755,7 +839,7 @@ def _open_frame(frame: FrameLike) -> Tuple[bytes, int, memoryview, Any]:
             if type(payload) is not bytes and not (
                     type(payload) is memoryview and payload.format == "B"
                     and payload.ndim == 1 and payload.c_contiguous):
-                raise _Fallback
+                raise CodecError("a payload segment is not flat bytes")
             total += len(payload)
             spliced[at] = payload
         # an odd count of segments (no two payloads back to back), runs
@@ -763,14 +847,14 @@ def _open_frame(frame: FrameLike) -> Tuple[bytes, int, memoryview, Any]:
         if (len(runs) != len(spliced) + 1 or at + len(runs[-1]) != len(data)
                 or len(data) < 6
                 or 6 + _U32.unpack_from(data, 2)[0] != total):
-            raise _Fallback
+            raise CodecError("segments disagree with the frame length")
         return data, len(data), memoryview(data), spliced
     data = frame if type(frame) is bytes else frame_bytes(frame)
     if len(data) < 6:
-        raise _Fallback
+        raise CodecError("frame too short")
     end = 6 + _U32.unpack_from(data, 2)[0]
     if end > len(data):
-        raise _Fallback
+        raise CodecError("truncated frame body")
     return data, end, memoryview(data), ()
 
 
@@ -781,14 +865,14 @@ def _dec_batch_frame(wire_tables: Dict[bytes, Any], data: bytes, end: int,
     count = _U32.unpack_from(data, o)[0]
     o += 4
     if count == 0 or count > end - o:
-        raise _Fallback
+        raise CodecError(f"batch command count {count} is impossible")
     commands: List[Command] = []
     for _ in range(count):
-        command, o = _dec_command(data, o, end, wire_tables, mv, spliced)
+        command, o = _dec_command(data, o, end, wire_tables, mv, spliced, 2)
         commands.append(command)
     o = _expect(data, o, _T_KEY)
     if o + 8 != end:
-        raise _Fallback
+        raise CodecError("trailing bytes after the batch")
     flush_time = _F64.unpack_from(data, o)[0]
     return CommandBatch(vm_id=vm_id, commands=commands,
                         flush_time=flush_time)
@@ -800,26 +884,31 @@ def _dec_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
                            reply_to: CommandBatch) -> ReplyBatch:
     o = _expect(data, 6, _RB_PREFIX)
     if _U32.unpack_from(data, o)[0] != len(reply_to.commands):
-        raise _Fallback
+        raise CodecError("reply batch does not answer its command batch")
     o += 4
     replies: List[Reply] = []
     for command in reply_to.commands:
         reply, o = _dec_reply(
             data, o, end, tables[(command.api, command.function)][1], mv,
-            spliced)
+            spliced, 2)
         replies.append(reply)
     o = _expect(data, o, _T_KEY)
     if o + 8 != end:
-        raise _Fallback
+        raise CodecError("trailing bytes after the reply batch")
     return ReplyBatch(replies=replies,
                       complete_time=_F64.unpack_from(data, o)[0])
 
 
-#: every surprise the fast decoders may hit on hostile frames — caught
-#: and retried on the interpreted path, which raises the canonical
-#: CodecError (or succeeds, for layouts the fast path doesn't cover)
-_DECODE_SURPRISES = (_Fallback, struct.error, IndexError,
-                     UnicodeDecodeError, OverflowError)
+def _dec_need_bytes_frame(data: bytes, end: int) -> NeedBytes:
+    o = _expect(data, 6, _NB_PREFIX)
+    seq = _I64.unpack_from(data, o)[0]
+    missing, o = _dec_value(data, _expect(data, o + 8, _MISS_KEY), end, 1)
+    _check_missing(missing)
+    o = _expect(data, o, _T_KEY)
+    if o + 8 != end:
+        raise CodecError("trailing bytes after need-bytes")
+    return NeedBytes(seq=seq, missing=missing,
+                     complete_time=_F64.unpack_from(data, o)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -828,14 +917,12 @@ _DECODE_SURPRISES = (_Fallback, struct.error, IndexError,
 
 
 class SpecializedCodec(WireCodec):
-    """Generated fast-path codec with interpreted fallback.
+    """The generated, table-driven codec: the one the runtime uses.
 
     Holds a registry of per-function marshaling tables merged from
-    generated codec modules (:meth:`register_module`).  Messages whose
-    function has no registered table — or that deviate from the
-    generated layout in any way — transparently take the interpreted
-    path, so this codec is *always* safe to install, byte-identical on
-    the wire, and never weaker at the trust boundary.
+    generated codec modules (:meth:`register_module`).  Every
+    operation is one walk; a message or frame outside the conformance
+    rule raises :class:`~repro.remoting.codec.CodecError`.
     """
 
     name = "specialized"
@@ -848,11 +935,9 @@ class SpecializedCodec(WireCodec):
         #: raw api+fn wire region → the same entries (command decode
         #: resolves tables without decoding the name strings)
         self.wire_tables: Dict[bytes, Any] = _Tables()
-        #: fallback + fast-path counters, surfaced by benchmarks/tests
+        #: frames encoded and decoded, surfaced by benchmarks/tests
         self.fast_encodes = 0
         self.fast_decodes = 0
-        self.fallback_encodes = 0
-        self.fallback_decodes = 0
         for module in modules:
             self.register_module(module)
 
@@ -878,28 +963,32 @@ class SpecializedCodec(WireCodec):
             elif type(command) is CommandBatch:
                 frame = _enc_batch_frame(self.tables, command)
             else:
-                raise _Fallback
-        except (_Fallback, struct.error):
-            self.fallback_encodes += 1
-            return _codec.encode_message(command)
+                raise CodecError(f"cannot encode {type(command).__name__} "
+                                 f"as a command frame")
+        except _MALFORMED as err:
+            raise CodecError(f"unencodable command: {err}") from err
         self.fast_encodes += 1
         return frame
 
     def encode_reply(self, reply: Any, reply_to: Any = None) -> FrameLike:
         try:
-            if type(reply) is Reply and type(reply_to) is Command:
+            if type(reply) is Reply:
                 builder = FrameBuilder()
                 _enc_reply_body(
                     builder, reply,
-                    self.tables[(reply_to.api, reply_to.function)][1])
+                    self.tables[(reply_to.api, reply_to.function)][1]
+                    if type(reply_to) is Command else _BARE_REPLY)
                 frame = builder.finish(_codec._REPLY_MAGIC)
             elif type(reply) is ReplyBatch and type(reply_to) is CommandBatch:
                 frame = _enc_reply_batch_frame(self.tables, reply, reply_to)
+            elif type(reply) is NeedBytes:
+                frame = _enc_need_bytes_frame(reply)
             else:
-                raise _Fallback
-        except (_Fallback, struct.error):
-            self.fallback_encodes += 1
-            return _codec.encode_message(reply)
+                raise CodecError(f"cannot encode {type(reply).__name__} "
+                                 f"as a reply frame to "
+                                 f"{type(reply_to).__name__}")
+        except _MALFORMED as err:
+            raise CodecError(f"unencodable reply: {err}") from err
         self.fast_encodes += 1
         return frame
 
@@ -911,19 +1000,18 @@ class SpecializedCodec(WireCodec):
             magic = buf[0:2]
             if magic == _codec._COMMAND_MAGIC:
                 message, o = _dec_command(buf, 6, end, self.wire_tables,
-                                          mv, spliced)
+                                          mv, spliced, 0)
                 if o != end:
-                    raise _Fallback
+                    raise CodecError("trailing bytes after the command")
             elif magic == _codec._COMMAND_BATCH_MAGIC:
                 message = _dec_batch_frame(self.wire_tables, buf, end, mv,
                                            spliced)
             else:
-                raise _Fallback
-            if spliced:  # a payload segment no B value claimed
-                raise _Fallback
-        except _DECODE_SURPRISES:
-            self.fallback_decodes += 1
-            return _codec.decode_message(frame_bytes(data))
+                raise CodecError(f"not a command frame (magic {magic!r})")
+            if spliced:
+                raise CodecError("a payload segment no B value claims")
+        except _MALFORMED as err:
+            raise CodecError(f"malformed command frame: {err}") from err
         self.fast_decodes += 1
         return message
 
@@ -931,24 +1019,28 @@ class SpecializedCodec(WireCodec):
         try:
             buf, end, mv, spliced = _open_frame(data)
             magic = buf[0:2]
-            if magic == _codec._REPLY_MAGIC and type(reply_to) is Command:
+            if magic == _codec._REPLY_MAGIC:
                 message, o = _dec_reply(
                     buf, 6, end,
-                    self.tables[(reply_to.api, reply_to.function)][1],
-                    mv, spliced)
+                    self.tables[(reply_to.api, reply_to.function)][1]
+                    if type(reply_to) is Command else _BARE_REPLY,
+                    mv, spliced, 0)
                 if o != end:
-                    raise _Fallback
+                    raise CodecError("trailing bytes after the reply")
             elif (magic == _codec._REPLY_BATCH_MAGIC
                   and type(reply_to) is CommandBatch):
                 message = _dec_reply_batch_frame(self.tables, buf, end, mv,
                                                  spliced, reply_to)
+            elif magic == _codec._NEED_BYTES_MAGIC:
+                message = _dec_need_bytes_frame(buf, end)
             else:
-                raise _Fallback
-            if spliced:  # a payload segment no B value claimed
-                raise _Fallback
-        except _DECODE_SURPRISES:
-            self.fallback_decodes += 1
-            return _codec.decode_message(frame_bytes(data))
+                raise CodecError(f"not a reply frame to "
+                                 f"{type(reply_to).__name__} "
+                                 f"(magic {magic!r})")
+            if spliced:
+                raise CodecError("a payload segment no B value claims")
+        except _MALFORMED as err:
+            raise CodecError(f"malformed reply frame: {err}") from err
         self.fast_decodes += 1
         return message
 
@@ -960,16 +1052,11 @@ class SpecializedCodec(WireCodec):
             magic = data[0:2]
         if magic in (_codec._COMMAND_MAGIC, _codec._COMMAND_BATCH_MAGIC):
             return self.decode_command(data)
-        if magic in (_codec._REPLY_MAGIC, _codec._REPLY_BATCH_MAGIC):
-            return self.decode_reply(data, reply_to=reply_to)
-        # NeedBytes and unknown magics: interpreted, always
-        return _codec.decode_message(frame_bytes(data))
+        return self.decode_reply(data, reply_to=reply_to)
 
     def snapshot(self) -> Dict[str, int]:
         return {
             "fast_encodes": self.fast_encodes,
             "fast_decodes": self.fast_decodes,
-            "fallback_encodes": self.fallback_encodes,
-            "fallback_decodes": self.fallback_decodes,
             "functions": len(self.tables),
         }

@@ -1,24 +1,16 @@
-"""The pluggable codec boundary of the remoting stack.
+"""The codec boundary of the remoting stack.
 
 Everything that turns a :class:`~repro.remoting.codec.Command` /
-:class:`~repro.remoting.codec.Reply` (or their batch forms) into wire
-bytes and back goes through a :class:`WireCodec` instance.  Two
-implementations ship:
-
-* :class:`InterpretedCodec` — the original tagged-value codec from
-  :mod:`repro.remoting.codec`, interpreting the layout field-by-field
-  at runtime.  Always available, spec-agnostic.
-* ``SpecializedCodec`` (:mod:`repro.remoting.speccodec`) — drives
-  per-function marshaling tables emitted at codegen time, skipping
-  per-field tag dispatch and splicing large payloads into frames as
-  ``memoryview`` segments instead of copies.
-
-The two are **frame-for-frame interoperable**: for any message the
-specialized path encodes, the emitted bytes are identical to the
-interpreted encoder's, and both decoders accept either's output.  The
-specialized codec guarantees this by construction — whenever a message
-strays from the generated layout (trace context attached, cached refs,
-exotic scalar types), it silently falls back to the interpreted path.
+:class:`~repro.remoting.codec.Reply` (or their batch forms, or a
+:class:`~repro.remoting.codec.NeedBytes`) into wire bytes and back goes
+through a :class:`WireCodec` instance.  The runtime has one:
+``SpecializedCodec`` (:mod:`repro.remoting.speccodec`), which drives
+per-function marshaling tables emitted at codegen time and splices
+large payloads into frames as ``memoryview`` segments instead of
+copies.  The router, every transport and the hypervisor take the codec
+they are given; ``repro.stack.resolve_codec`` builds the default.  The
+self-describing reference encoding the walker is held to lives with
+the tests (``tests/wire_oracle.py``), as a :class:`WireCodec` too.
 
 Frames produced by a zero-copy encoder are :class:`WireFrame` objects:
 a sequence of byte-like segments suitable for a vectored
@@ -30,8 +22,6 @@ memoryview, or WireFrame.
 from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Union
-
-from repro.remoting import codec as _codec
 
 #: anything a codec accepts as an incoming frame
 FrameLike = Union[bytes, bytearray, memoryview, "WireFrame"]
@@ -45,11 +35,10 @@ class WireFrame:
     spliced in by reference, and so on, ending on an inline run.  A
     specialized decoder walks exactly that shape without joining it
     and hands each payload segment on as the ``B`` value it is; any
-    other shape is decoded from the joined bytes.  Transports that
-    price on size use :func:`len` (total bytes, no materialization);
-    a consumer that needs contiguous bytes (fault injection, the
-    interpreted codec) calls :meth:`join` (or ``bytes(frame)``), which
-    concatenates once and caches the result.
+    other shape is refused.  Transports that price on size use
+    :func:`len` (total bytes, no materialization); a consumer that
+    needs contiguous bytes (fault injection) calls :meth:`join` (or
+    ``bytes(frame)``), which concatenates once and caches the result.
     """
 
     __slots__ = ("segments", "_joined")
@@ -116,11 +105,14 @@ class WireCodec:
       a specialized path (every codec *handles* batches; this flag
       marks single-allocation batch assembly).
 
-    ``decode_reply``/``decode_message`` take an optional ``reply_to``
-    hint — the Command or CommandBatch this frame answers — which
-    specialized decoders use to pick the per-function reply layout.
-    Codecs must decode correctly without the hint (falling back to the
-    interpreted path), so hint-less callers stay correct.
+    ``encode_reply``/``decode_reply``/``decode_message`` take a
+    ``reply_to`` hint — the Command or CommandBatch this frame answers
+    — which picks the per-function reply layout.  **A reply that
+    carries outputs needs its reply_to**; a reply batch needs its
+    command batch.  Only frames without outputs work without one: a
+    refusal (an error reply with empty sections, also under a
+    CommandBatch hint, which is how a whole rejected batch is
+    answered) and a NeedBytes.
     """
 
     name = "abstract"
@@ -145,13 +137,6 @@ class WireCodec:
         """Decode a host→guest frame (Reply, ReplyBatch, NeedBytes)."""
         raise NotImplementedError
 
-    # -- generic entry points (direction-agnostic callers) ------------------
-
-    def encode_message(self, message: Any, reply_to: Any = None) -> FrameLike:
-        if isinstance(message, (_codec.Command, _codec.CommandBatch)):
-            return self.encode_command(message)
-        return self.encode_reply(message, reply_to=reply_to)
-
     def decode_message(self, data: FrameLike, reply_to: Any = None) -> Any:
         """Decode any frame; routes on the magic byte pair."""
         raise NotImplementedError
@@ -164,31 +149,3 @@ class WireCodec:
             flags.append("batch_aware")
         suffix = f" [{', '.join(flags)}]" if flags else ""
         return f"<{type(self).__name__} {self.name}{suffix}>"
-
-
-class InterpretedCodec(WireCodec):
-    """The original runtime-interpreted tagged-value codec.
-
-    Spec-agnostic and copy-based: every buffer crosses as fresh
-    ``bytes``.  This is the reference implementation every other codec
-    must match byte-for-byte on the wire.
-    """
-
-    name = "interpreted"
-    zero_copy = False
-    batch_aware = False
-
-    def encode_command(self, command: Any) -> bytes:
-        return _codec.encode_message(command)
-
-    def decode_command(self, data: FrameLike) -> Any:
-        return _codec.decode_message(frame_bytes(data))
-
-    def encode_reply(self, reply: Any, reply_to: Any = None) -> bytes:
-        return _codec.encode_message(reply)
-
-    def decode_reply(self, data: FrameLike, reply_to: Any = None) -> Any:
-        return _codec.decode_message(frame_bytes(data))
-
-    def decode_message(self, data: FrameLike, reply_to: Any = None) -> Any:
-        return _codec.decode_message(frame_bytes(data))

@@ -19,7 +19,7 @@ from repro.codegen.generator import GeneratedStack, generate_api
 from repro.guest.batching import BatchPolicy
 from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
 from repro.remoting.speccodec import SpecializedCodec
-from repro.remoting.wire import InterpretedCodec, WireCodec
+from repro.remoting.wire import WireCodec
 from repro.remoting.xfercache import CachePolicy
 from repro.hypervisor.policy import ResourcePolicy
 from repro.hypervisor.vm import GuestVM
@@ -47,16 +47,12 @@ def resolve_codec(codec: Any,
                   stacks: Sequence[GeneratedStack]) -> WireCodec:
     """Turn a codec selector into a :class:`WireCodec` instance.
 
-    ``codec`` may be a ready instance, ``"interpreted"``, or
-    ``"specialized"``/``None`` — the default: a
-    :class:`SpecializedCodec` loaded with every generated stack's
-    marshaling tables, falling back to the interpreted path (and its
-    exact wire bytes) for anything the tables don't cover.
+    ``codec`` may be a ready instance, or ``"specialized"``/``None`` —
+    the default: a :class:`SpecializedCodec` loaded with every
+    generated stack's marshaling tables.
     """
     if isinstance(codec, WireCodec):
         return codec
-    if codec == "interpreted":
-        return InterpretedCodec()
     if codec is None or codec == "specialized":
         specialized = SpecializedCodec()
         for stack in stacks:
@@ -64,8 +60,8 @@ def resolve_codec(codec: Any,
                 specialized.register_module(stack.codec_module)
         return specialized
     raise ValueError(
-        f"unknown codec {codec!r}; pass a WireCodec instance, "
-        f"'specialized', or 'interpreted'"
+        f"unknown codec {codec!r}; pass a WireCodec instance or "
+        f"'specialized'"
     )
 
 
@@ -210,9 +206,7 @@ class VirtualStack:
         bit-identical to the unbatched path).  ``cache_policy`` likewise
         becomes the default transfer-cache policy (None = full payloads
         on every crossing, bit-identical to the uncached path).
-        ``codec`` selects the wire codec (see :func:`resolve_codec`);
-        the default generated fast path emits the same wire bytes as
-        ``"interpreted"``, frame for frame.
+        ``codec`` selects the wire codec (see :func:`resolve_codec`).
         """
         if not apis:
             apis = ("opencl",)

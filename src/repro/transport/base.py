@@ -19,7 +19,7 @@ from repro.remoting.codec import (
     Reply,
     ReplyBatch,
 )
-from repro.remoting.wire import FrameLike, InterpretedCodec, WireCodec
+from repro.remoting.wire import FrameLike, WireCodec
 from repro.telemetry import tracer as _tele
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -99,10 +99,7 @@ class Transport:
         self.router = router
         #: the codec this channel marshals frames with; defaults to the
         #: router's, so both ends of the channel agree
-        self.codec: WireCodec = (
-            codec if codec is not None
-            else getattr(router, "codec", None) or InterpretedCodec()
-        )
+        self.codec: WireCodec = codec if codec is not None else router.codec
         #: bytes moved guest→host / host→guest (metrics)
         self.tx_bytes = 0
         self.rx_bytes = 0

@@ -9,9 +9,10 @@ from repro.migration import MigrationPolicy
 from repro.opencl import api as cl_api
 from repro.opencl import session, types
 from repro.remoting.buffers import OutBox
-from repro.remoting.codec import Reply, decode_message, encode_message
+from repro.remoting.codec import Reply
 from repro.spec import parse_spec
 from repro.stack import load_spec, make_hypervisor
+from tests.wire_oracle import decode_message, encode_message
 
 SRC = (
     "__kernel void vector_add(__global float* a, __global float* b, "

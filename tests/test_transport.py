@@ -9,8 +9,6 @@ from repro.remoting.codec import (
     CommandBatch,
     Reply,
     ReplyBatch,
-    decode_message,
-    encode_message,
 )
 from repro.telemetry import Tracer
 from repro.telemetry import tracer as tele
@@ -18,10 +16,14 @@ from repro.transport.base import Transport, TransportError
 from repro.transport.inproc import InProcTransport
 from repro.transport.network import NetworkTransport
 from repro.transport.ring import RingTransport
+from tests.wire_oracle import ORACLE, decode_message, encode_message
 
 
 class EchoRouter:
     """Minimal router double: replies success at arrival time."""
+
+    #: the codec a transport built on this router marshals with
+    codec = ORACLE
 
     def __init__(self):
         self.delivered = []
@@ -146,6 +148,8 @@ class TestAbstractBase:
 
     def test_non_reply_result_rejected(self):
         class BadRouter:
+            codec = ORACLE
+
             def deliver(self, wire, arrival, source=None):
                 return encode_message(make_command())
 

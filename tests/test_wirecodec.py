@@ -9,8 +9,8 @@ Three layers of the zero-copy data path:
   hands over memory the encoder cannot splice);
 * codec selection — ``VirtualStack.build(codec=...)`` threading one
   :class:`WireCodec` through hypervisor, router, and transports, with
-  the specialized fast path producing the *same virtual-time results*
-  as the interpreted baseline (the figure-5 bit-identity property).
+  the generated walker producing the *same virtual-time results* as
+  the self-describing oracle (the figure-5 bit-identity property).
 """
 
 from __future__ import annotations
@@ -26,14 +26,10 @@ from repro.remoting.buffers import (
 )
 from repro.remoting.codec import Command
 from repro.remoting.speccodec import SpecializedCodec
-from repro.remoting.wire import (
-    InterpretedCodec,
-    WireCodec,
-    WireFrame,
-    frame_bytes,
-)
+from repro.remoting.wire import WireCodec, WireFrame, frame_bytes
 from repro.stack import VirtualStack, build_stack, resolve_codec
 from repro.transport.base import Transport
+from tests.wire_oracle import OracleCodec
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +135,14 @@ class TestWireBuffer:
 class TestResolveCodec:
 
     def test_instance_passes_through(self):
-        codec = InterpretedCodec()
+        codec = OracleCodec()
         assert resolve_codec(codec, []) is codec
 
     def test_interpreted_by_name(self):
-        assert isinstance(resolve_codec("interpreted", []),
-                          InterpretedCodec)
+        # the runtime has one codec: the self-describing one is a test
+        # oracle, not a selector
+        with pytest.raises(ValueError):
+            resolve_codec("interpreted", [])
 
     def test_specialized_default_loads_generated_tables(self):
         stack = build_stack("opencl")
@@ -167,12 +165,15 @@ class TestResolveCodec:
         assert transport.codec is router.codec
 
     def test_transport_codec_override(self):
-        stack = VirtualStack.build("opencl", codec="interpreted")
-        assert isinstance(stack.hypervisor.router.codec, InterpretedCodec)
+        oracle = OracleCodec()
+        stack = VirtualStack.build("opencl", codec=oracle)
+        session = stack.add_vm("vm-oracle")
+        assert stack.hypervisor.router.codec is oracle
+        assert session.vm.driver.transport.codec is oracle
 
 
 # ---------------------------------------------------------------------------
-# stack equivalence: fast path vs interpreted baseline
+# stack equivalence: the walker vs the oracle
 # ---------------------------------------------------------------------------
 
 def _vector_add(codec):
@@ -191,7 +192,7 @@ class TestStackEquivalence:
         fast_stack, fast_session, (expect_f, got_f) = \
             _vector_add("specialized")
         slow_stack, slow_session, (expect_s, got_s) = \
-            _vector_add("interpreted")
+            _vector_add(OracleCodec())
         np.testing.assert_allclose(got_f, expect_f)
         np.testing.assert_allclose(got_s, expect_s)
         # virtual time is bit-identical: the codec changes how frames
@@ -203,8 +204,7 @@ class TestStackEquivalence:
         snap = stack.hypervisor.router.codec.snapshot()
         assert snap["fast_encodes"] > 0
         assert snap["fast_decodes"] > 0
-        assert snap["fallback_encodes"] == 0
-        assert snap["fallback_decodes"] == 0
+        assert set(snap) == {"fast_encodes", "fast_decodes", "functions"}
 
     def test_figure5_sample_bit_identical(self):
         """The figure-5 measurement is invariant under codec choice."""
@@ -219,14 +219,14 @@ class TestStackEquivalence:
         slow = run_virtualized(
             GaussianWorkload(scale=0.25), vm_id="vm-s",
             hypervisor=make_hypervisor(apis=("opencl",),
-                                       codec="interpreted"))
+                                       codec=OracleCodec()))
         assert fast.runtime == slow.runtime
         assert fast.calls_sync == slow.calls_sync
         assert fast.calls_async == slow.calls_async
 
 
 # ---------------------------------------------------------------------------
-# hint-less decoding (callers without a reply_to stay correct)
+# hint-less decoding: a reply without outputs needs no reply_to
 # ---------------------------------------------------------------------------
 
 class TestHintlessDecode:
@@ -243,6 +243,23 @@ class TestHintlessDecode:
         wire = codec.encode_reply(reply, reply_to=command)
         assert codec.decode_reply(wire) == reply
         assert codec.decode_reply(wire, reply_to=command) == reply
+
+    def test_reply_with_outputs_needs_its_reply_to(self):
+        from repro.remoting.codec import CodecError, Reply
+
+        codec = SpecializedCodec()
+        codec.register_module(build_stack("opencl").codec_module)
+        read = Command(seq=6, vm_id="vm-0", api="opencl",
+                       function="clEnqueueReadBuffer",
+                       out_sizes={"ptr": 4})
+        reply = Reply(seq=6, return_value=0, out_payloads={"ptr": b"abcd"},
+                      complete_time=1.0)
+        with pytest.raises(CodecError):
+            codec.encode_reply(reply)
+        wire = codec.encode_reply(reply, reply_to=read)
+        with pytest.raises(CodecError):
+            codec.decode_reply(wire)
+        assert codec.decode_reply(wire, reply_to=read) == reply
 
     def test_abstract_base_refuses(self):
         codec = WireCodec()

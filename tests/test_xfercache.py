@@ -18,8 +18,6 @@ from repro.remoting.codec import (
     CommandBatch,
     NeedBytes,
     Reply,
-    decode_message,
-    encode_message,
 )
 from repro.remoting.xfercache import (
     CachePolicy,
@@ -31,6 +29,7 @@ from repro.server.xferstore import TransferStore
 from repro.stack import make_hypervisor
 from repro.workloads import BFSWorkload
 from repro.workloads.base import open_env
+from tests.wire_oracle import decode_message, encode_message
 
 
 def fresh_stack(vm_id="v1", cache_policy=None, transport="inproc"):
@@ -282,11 +281,19 @@ class TestRouterResolution:
     def stack(self):
         return fresh_stack(cache_policy=CachePolicy(min_bytes=64))
 
-    def command(self, vm, digest, size, seq=900, kind="buf"):
+    def command(self, vm, digest, size, seq=900):
         return Command(
             seq=seq, vm_id=vm.vm_id, api="opencl",
             function="clEnqueueWriteBuffer",
-            cached_refs={"ptr": [digest, size, kind]},
+            cached_refs={"ptr": [digest, size, "buf"]},
+        )
+
+    def str_command(self, vm, digest, size):
+        """A ref standing in for a program's build options, as a
+        cache-armed guest elides a long ``options`` string."""
+        return Command(
+            seq=900, vm_id=vm.vm_id, api="opencl", function="clBuildProgram",
+            cached_refs={"options": [digest, size, "str"]},
         )
 
     def test_miss_answers_need_bytes_and_executes_nothing(self):
@@ -333,20 +340,29 @@ class TestRouterResolution:
         source = "__kernel void k() {}" * 16
         digest = store.insert(source.encode("utf-8"))
         raw = source.encode("utf-8")
-        command = self.command(vm, digest, len(raw), kind="str")
+        command = self.str_command(vm, digest, len(raw))
         # resolution happens before routing; the routed function will
         # fail (no such handle args) but the scalar must be restored
+        seen = []
+        worker_execute = hypervisor.worker(vm.vm_id, "opencl").execute
+
+        def execute(command, release, **kwargs):
+            seen.append(dict(command.scalars))
+            return worker_execute(command, release, **kwargs)
+
+        hypervisor.worker(vm.vm_id, "opencl").execute = execute
         hypervisor.router.deliver(encode_message(command), arrival=0.0,
                                   source=vm.vm_id)
         metrics = hypervisor.router.metrics_for(vm.vm_id)
         assert metrics.xfer_hits == 1
+        assert seen == [{"options": source}]
 
     def test_non_utf8_str_ref_rejected(self):
         hypervisor, vm = self.stack()
         store = hypervisor.xfer_stores[vm.vm_id]
         raw = b"\xff\xfe" * 64
         digest = store.insert(raw)
-        command = self.command(vm, digest, len(raw), kind="str")
+        command = self.str_command(vm, digest, len(raw))
         answer = decode_message(hypervisor.router.deliver(
             encode_message(command), arrival=0.0, source=vm.vm_id))
         assert isinstance(answer, Reply)
@@ -476,6 +492,47 @@ class TestEndToEnd:
         assert vm.xfer_cache.retransmits == 1
         got = env.read(buffer, data.nbytes, dtype=np.uint8)
         assert np.array_equal(got, as_of_call)
+
+    def test_resent_build_is_the_frame_an_uncached_build_sends(self):
+        """A NeedBytes resend puts an elided ``options`` string back
+        where the stub put it — before ``pfn_notify`` — so the resent
+        frame is the uncached call's, byte for byte (the issue time
+        aside: the cached guest's clock also paid for digests)."""
+        from dataclasses import replace
+
+        options = "-D WIDTH=64 " * 16  # long enough to be elided
+        last = {}
+        for label, policy in (("uncached", None), ("cached", CachePolicy(
+                shared_index=False, min_bytes=64))):
+            hypervisor, vm = fresh_stack(cache_policy=policy)
+            env = open_env(vm.library("opencl"))
+            program = env.program(
+                "__kernel void vector_add(__global float* a, __global "
+                "float* b, __global float* c, int n) {}")
+            deliver = hypervisor.router.deliver
+            frames = []
+
+            def capture(wire, arrival, source=None, deliver=deliver,
+                        frames=frames):
+                frames.append(bytes(wire))
+                return deliver(wire, arrival, source=source)
+
+            hypervisor.router.deliver = capture
+            assert env.cl.clBuildProgram(program, 0, None, options,
+                                         None, None) == 0
+            if policy is not None:
+                # the guest learned the digest and now elides options:
+                # empty the store so the ref misses
+                hypervisor.xfer_stores[vm.vm_id].clear("test")
+            assert env.cl.clBuildProgram(program, 0, None, options,
+                                         None, None) == 0
+            last[label] = decode_message(frames[-1])
+        assert vm.xfer_cache.retransmits == 1
+        resent, uncached = last["cached"], last["uncached"]
+        assert list(resent.scalars) == ["num_devices", "options",
+                                        "pfn_notify"]
+        assert encode_message(resent) == encode_message(
+            replace(uncached, issue_time=resent.issue_time))
 
     def test_second_need_bytes_surfaces_typed_error(self):
         from repro.remoting.codec import NeedBytes as NB
