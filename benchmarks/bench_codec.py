@@ -21,16 +21,24 @@ add: the observatory's ``managed`` batch (32 async commands, one of them
 a 64 KiB write elided to a cached ref) and a traced synchronous call,
 each with its reply.  Both must ride the fast path too.
 
+A ``chatty`` section prices the observatory's per-call workload: its
+four calls (``clSetKernelArg`` x2, a launch with NULL offset, local size
+and event, ``clFinish``) with their plain replies, as the round-trip
+race and as microseconds per codec operation — the codec layer of one
+``chatty`` call.
+
 A bulk-shaped section prices the other end of the data path:
 one 64 KiB / 1 MiB / 4 MiB write command and read reply per codec,
 encode + decode nanoseconds per payload byte, and whether the decoded
 payload is the input's memory (borrowed) or a copy of it.
 
-``test_gate`` and ``test_bulk_gate`` at the bottom are fixture-free on
-purpose: CI runs them without pytest-benchmark and fails the job when
-the speedup on either mix falls under 2x, or when the specialized round
-trip of the 4 MiB pair allocates a payload's worth of memory.  Run it
-from the repository root (it imports the oracle from ``tests``).
+``test_gate``, ``test_chatty_gate`` and ``test_bulk_gate`` at the bottom
+are fixture-free on purpose: CI runs them without pytest-benchmark and
+fails the job when the speedup on the workload or ``managed`` mix falls
+under 2x, on the ``chatty`` mix under :data:`CHATTY_GATE`, or when the
+specialized round trip of the 4 MiB pair allocates a payload's worth of
+memory.  Run it from the repository root (it imports the oracle from
+``tests``).
 """
 
 from __future__ import annotations
@@ -187,6 +195,70 @@ def _ref_mix():
     return [(batch, replies), (finish, finished)]
 
 
+def _chatty_mix():
+    """(command, reply) pairs exactly as the observatory's ``chatty``
+    stream sends them: ``clSetKernelArg`` x2, ``clEnqueueNDRangeKernel``
+    with NULL offset, local size and event, and a blocking ``clFinish``,
+    each answered by a plain reply (int return, nothing else)."""
+    kernel, queue = 200937477, 200937475
+    commands = [
+        Command(seq=399, vm_id="vm0", api="opencl",
+                function="clSetKernelArg", mode="async",
+                scalars={"arg_index": 1, "arg_size": 8, "arg_value": 495},
+                handles={"kernel": kernel}, issue_time=7.403e-4),
+        Command(seq=400, vm_id="vm0", api="opencl",
+                function="clSetKernelArg", mode="async",
+                scalars={"arg_index": 2, "arg_size": 8,
+                         "arg_value": 1839403214},
+                handles={"kernel": kernel}, issue_time=7.410e-4),
+        Command(seq=401, vm_id="vm0", api="opencl",
+                function="clEnqueueNDRangeKernel", mode="async",
+                scalars={"work_dim": 1, "global_work_size": [1],
+                         "num_events_in_wait_list": 0},
+                handles={"command_queue": queue, "kernel": kernel,
+                         "event_wait_list": None},
+                issue_time=7.418e-4),
+        Command(seq=402, vm_id="vm0", api="opencl", function="clFinish",
+                handles={"command_queue": queue}, issue_time=7.425e-4),
+    ]
+    return [(command, Reply(seq=command.seq, return_value=0,
+                            complete_time=command.issue_time + 1.25e-6))
+            for command in commands]
+
+
+#: the four codec operations of one forwarded call, as a layer
+OPERATIONS = ("encode_command", "decode_command", "encode_reply",
+              "decode_reply")
+
+
+def _per_operation_us(codec, pairs, repeats=5, rounds=2000):
+    """Best-of-``repeats`` microseconds per call of each operation,
+    averaged over ``pairs``."""
+    frames = [(command, reply, codec.encode_command(command),
+               codec.encode_reply(reply, reply_to=command))
+              for command, reply in pairs]
+    calls = {
+        "encode_command": lambda c, r, w, rw: codec.encode_command(c),
+        "decode_command": lambda c, r, w, rw: codec.decode_command(w),
+        "encode_reply": lambda c, r, w, rw: codec.encode_reply(
+            r, reply_to=c),
+        "decode_reply": lambda c, r, w, rw: codec.decode_reply(
+            rw, reply_to=c),
+    }
+    result = {}
+    for name in OPERATIONS:
+        call = calls[name]
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(rounds):
+                for frame in frames:
+                    call(*frame)
+            best = min(best, time.perf_counter() - start)
+        result[name] = best * 1e6 / (rounds * len(frames))
+    return result
+
+
 def _roundtrip_rate(codec, pairs, repeats=5, rounds=30):
     """Best-of-``repeats`` round trips/second over the message mix.
 
@@ -249,6 +321,30 @@ def _measure_refs():
         "specialized_roundtrips_per_s": spec_rate,
         "speedup": spec_rate / interp_rate,
         "fast_path": spec.snapshot(),
+    }
+
+
+def _measure_chatty():
+    """The race on :func:`_chatty_mix`, plus each codec's microseconds
+    per operation: the codec layer of one ``chatty`` call."""
+    pairs = _chatty_mix()
+    interp = OracleCodec()
+    spec = _specialized()
+    assert _checksum(spec, pairs) == _checksum(interp, pairs), \
+        "codecs diverged on the chatty mix; parity suite must be failing"
+    interp_rate = _roundtrip_rate(interp, pairs, rounds=300)
+    spec_rate = _roundtrip_rate(spec, pairs, rounds=300)
+    snap = spec.snapshot()
+    return {
+        "frames": len(pairs),
+        "interpreted_roundtrips_per_s": interp_rate,
+        "specialized_roundtrips_per_s": spec_rate,
+        "speedup": spec_rate / interp_rate,
+        "fast_path": snap,
+        "us_per_operation": {
+            "interpreted": _per_operation_us(interp, pairs),
+            "specialized": _per_operation_us(spec, pairs),
+        },
     }
 
 
@@ -328,6 +424,7 @@ def _bulk_allocation(size):
 def test_codec_throughput(once, bench_json):
     pairs, interp_rate, spec_rate, snap = once(_measure)
     refs = _measure_refs()
+    chatty = _measure_chatty()
     bulk = _measure_bulk()
     ratio = spec_rate / interp_rate
 
@@ -352,6 +449,14 @@ def test_codec_throughput(once, bench_json):
     )
 
     print_table(
+        "chatty frames: one call's four operations, plain replies (us)",
+        ["codec", *OPERATIONS, "speedup"],
+        [[name, *(f"{per_op[op]:.2f}" for op in OPERATIONS),
+          "1.00x" if name == "interpreted" else f"{chatty['speedup']:.2f}x"]
+         for name, per_op in chatty["us_per_operation"].items()],
+    )
+
+    print_table(
         "bulk write command + read reply (encode+decode)",
         ["payload", "codec", "ns/byte", "decoded payload"],
         [[f"{row['payload_bytes'] >> 10} KiB", row["codec"],
@@ -371,11 +476,13 @@ def test_codec_throughput(once, bench_json):
         "speedup": ratio,
         "fast_path": snap,
         "refs": refs,
+        "chatty": chatty,
     })
 
     assert ratio >= 2.0, f"specialized only {ratio:.2f}x interpreted"
     _assert_walked(snap, 2 * len(pairs))
     _assert_refs_fast(refs)
+    _assert_chatty_fast(chatty)
     assert all(row["aliases_input"] == (row["codec"] == "specialized")
                for row in bulk)
 
@@ -397,6 +504,29 @@ def test_gate():
     refs = _measure_refs()
     print(f"refs gate: {refs['speedup']:.2f}x on managed-shaped frames")
     _assert_refs_fast(refs)
+
+
+#: the ``chatty`` mix's round-trip speedup over the oracle as recorded
+#: in BENCH_codec.json when its replies became one ``struct`` run
+#: (3.22x; 2.46x before), less a 20 % margin for a busy host
+CHATTY_GATE = 2.58
+
+
+def test_chatty_gate():
+    """CI gate, fixture-free: the walker's round trip of the observatory's
+    ``chatty`` call mix stays at :data:`CHATTY_GATE` times the oracle's,
+    every frame one walk."""
+    chatty = _measure_chatty()
+    walker = chatty["us_per_operation"]["specialized"]
+    print(f"\nchatty gate: {chatty['speedup']:.2f}x the oracle; walker "
+          + ", ".join(f"{op} {walker[op]:.2f} us" for op in OPERATIONS))
+    _assert_chatty_fast(chatty)
+
+
+def _assert_chatty_fast(chatty):
+    assert chatty["speedup"] >= CHATTY_GATE, \
+        f"chatty frames only {chatty['speedup']:.2f}x interpreted"
+    _assert_walked(chatty["fast_path"], 2 * chatty["frames"])
 
 
 def _assert_walked(snap, frames_per_round):

@@ -28,11 +28,12 @@ from repro.remoting.buffers import (
     read_bytes,
     write_back,
 )
-from repro.remoting.codec import Command, CommandBatch, Reply
+from repro.remoting.codec import CodecError, Command, CommandBatch, Reply
 from repro.remoting.speccodec import _SPLICE_THRESHOLD
 from repro.remoting.xfercache import TransferCache
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import tracer as _tele
+from repro.transport.base import BatchDeliveryResult
 
 #: payloads the transfer cache elided from one command, kept guest-side
 #: so a NeedBytes answer can restore them: param → (kind, original,
@@ -289,7 +290,8 @@ class GuestRuntime:
         if self.xfer_cache is not None and self.xfer_cache.policy.enabled:
             (in_buffers, scalars, elided, sent_digests,
              cached_refs) = self._elide_payloads(in_buffers, scalars, clock)
-        payload = sum(len(chunk) for chunk in in_buffers.values())
+        payload = (sum(map(len, in_buffers.values()))
+                   if in_buffers else 0)
         marshal_start = clock.now
         clock.advance(
             self.marshal_call_cost + payload * self.marshal_byte_cost,
@@ -328,32 +330,37 @@ class GuestRuntime:
                         elided, sent_digests)
             return success
 
-        result = self.driver.transport.deliver(
-            command, clock.now, asynchronous=(mode == "async")
-        )
+        try:
+            result = self.driver.transport.deliver(
+                command, clock.now, asynchronous=(mode == "async")
+            )
+            if result.timed_out or result.need_bytes is not None:
+                result = self._recover(
+                    lambda now: self.driver.transport.deliver(
+                        command, now, asynchronous=(mode == "async")),
+                    result, [(command, elided)],
+                    self._retryable(mode, ret_kind, out_targets),
+                    {"function": function, "seq": command.seq}, span)
+        except CodecError as err:
+            # an argument the wire cannot carry is the forwarding
+            # path's failure, not an API error code
+            raise RemotingError(f"{function}: {err}") from err
         cache = self.xfer_cache
-        if result.timed_out or result.need_bytes is not None:
-            result = self._recover(
-                lambda now: self.driver.transport.deliver(
-                    command, now, asynchronous=(mode == "async")),
-                result, [(command, elided)],
-                self._retryable(mode, ret_kind, out_targets),
-                {"function": function, "seq": command.seq}, span)
-            if result.need_bytes is not None:
-                # the resent frame carried every payload in full, so a
-                # second NeedBytes is a protocol violation: surface it
-                # as a remoting error, never as wrong bytes
-                result = replace(result, need_bytes=None, reply=Reply(
-                    seq=command.seq,
-                    error=("transfer cache: full-payload retransmission "
-                           "answered NeedBytes again"),
-                    complete_time=result.completed_at))
-            elif (elided and not command.cached_refs and cache is not None
-                    and not result.timed_out):
-                # resent in full, and it arrived: the store holds the
-                # once-elided payloads again
-                for _kind, _original, digest, size, _at in elided.values():
-                    cache.note_delivered(digest, size)
+        if result.need_bytes is not None:
+            # the resent frame carried every payload in full, so a
+            # second NeedBytes is a protocol violation: surface it as a
+            # remoting error, never as wrong bytes
+            result = replace(result, need_bytes=None, reply=Reply(
+                seq=command.seq,
+                error=("transfer cache: full-payload retransmission "
+                       "answered NeedBytes again"),
+                complete_time=result.completed_at))
+        elif (elided and not command.cached_refs and cache is not None
+                and not result.timed_out):
+            # resent in full (the refs are gone), and it arrived: the
+            # store holds the once-elided payloads again
+            for _kind, _original, digest, size, _at in elided.values():
+                cache.note_delivered(digest, size)
         if cache is not None and not result.timed_out:
             for digest, size in sent_digests:
                 cache.note_delivered(digest, size)
@@ -625,17 +632,26 @@ class GuestRuntime:
             flush_time=clock.now,
         )
         flush_start = clock.now
-        result = self.driver.transport.deliver_batch(batch, clock.now)
-        if result.timed_out or result.need_bytes is not None:
-            # if recovery fails too, the result surfaces below as the
-            # usual deferred async error
-            result = self._recover(
-                lambda now: self.driver.transport.deliver_batch(batch, now),
-                result, [(entry.command, entry.elided) for entry in staged],
-                (self.retry_policy is not None
-                 and all(entry.retry_safe for entry in staged)),
-                {"what": "batch", "seq": (batch.commands[0].seq
-                                          if batch.commands else -1)})
+        try:
+            result = self.driver.transport.deliver_batch(batch, clock.now)
+            if result.timed_out or result.need_bytes is not None:
+                # if recovery fails too, the result surfaces below as
+                # the usual deferred async error
+                result = self._recover(
+                    lambda now: self.driver.transport.deliver_batch(batch,
+                                                                    now),
+                    result,
+                    [(entry.command, entry.elided) for entry in staged],
+                    (self.retry_policy is not None
+                     and all(entry.retry_safe for entry in staged)),
+                    {"what": "batch", "seq": (batch.commands[0].seq
+                                              if batch.commands else -1)})
+        except CodecError as err:
+            # a staged argument the wire cannot carry: the frame never
+            # left, and the batch fails as a whole, like a lost one
+            result = BatchDeliveryResult(sent_at=flush_start,
+                                         completed_at=flush_start,
+                                         error=f"codec: {err}")
         clock.advance_to(result.sent_at, "transport")
         self.batches_flushed += 1
         self.commands_coalesced += len(staged)

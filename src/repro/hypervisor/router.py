@@ -235,7 +235,9 @@ class Router:
 
     # -- verification ----------------------------------------------------------
 
-    def _verify(self, command: Command) -> RoutingInfo:
+    def _verify(self, command: Command) -> Tuple[RoutingInfo, int]:
+        """The command's routing info and its payload bytes, or a
+        :class:`RouterError`."""
         if command.vm_id not in self.known_vms:
             raise RouterError(f"unknown VM {command.vm_id!r}")
         table = self.tables.get(command.api)
@@ -259,7 +261,7 @@ class Router:
                 raise RouterError(
                     f"out-buffer {name!r} of {size} B exceeds router limit"
                 )
-        return info
+        return info, payload
 
     def _estimate(self, command: Command, info: RoutingInfo,
                   table: RoutingTable) -> Dict[str, float]:
@@ -299,9 +301,9 @@ class Router:
         return None
 
     def _account(self, entry: VMMetrics, command: Command,
-                 estimates: Dict[str, float]) -> None:
+                 estimates: Dict[str, float], payload: int) -> None:
         entry.commands += 1
-        entry.payload_bytes += command.payload_bytes()
+        entry.payload_bytes += payload
         entry.per_function[command.function] = (
             entry.per_function.get(command.function, 0) + 1
         )
@@ -571,7 +573,7 @@ class Router:
                          error=f"router: vm-frozen ({frozen})",
                          complete_time=arrival)
         try:
-            info = self._verify(command)
+            info, payload = self._verify(command)
         except RouterError as err:
             # only account VMs this hypervisor actually created:
             # ``command.vm_id`` is untrusted bytes, and growing the
@@ -625,7 +627,7 @@ class Router:
             entry.rate_delay += allowed - release
             release = allowed
 
-        self._account(entry, command, estimates)
+        self._account(entry, command, estimates, payload)
 
         if tracer.enabled:
             # the interposition window: verification + resource accounting
@@ -636,7 +638,7 @@ class Router:
                 "router.policy", arrival, verified_at, layer="router",
                 parent_id=command.span_id, vm_id=command.vm_id,
                 api=command.api, function=command.function,
-                payload_bytes=command.payload_bytes(), **policy_attrs,
+                payload_bytes=payload, **policy_attrs,
             )
             # the scheduling decision: token-bucket release of the command
             tracer.record_span(

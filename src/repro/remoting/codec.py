@@ -250,7 +250,7 @@ class Command:
 
     def payload_bytes(self) -> int:
         """Bytes of bulk payload carried guest → host."""
-        return sum(len(chunk) for chunk in self.in_buffers.values())
+        return sum(map(len, self.in_buffers.values()))
 
 
 @dataclass
@@ -276,7 +276,7 @@ class Reply:
 
     def payload_bytes(self) -> int:
         """Bytes of bulk payload carried host → guest."""
-        return sum(len(chunk) for chunk in self.out_payloads.values())
+        return sum(map(len, self.out_payloads.values()))
 
 
 @dataclass

@@ -10,9 +10,10 @@ sections.  Encode appends straight into one growing frame allocation
 (:class:`FrameBuilder`, length patched with ``pack_into`` at finish)
 and splices bulk payloads in by reference; decode walks such a vectored
 frame without joining it and hands the payload segments on as they
-are (a contiguous frame is sliced through one ``memoryview``), so in
-both directions a payload is borrowed from its producer to its
-consumer — see :mod:`repro.remoting.buffers` for who may keep one.
+are (a contiguous frame's payloads come back as ``memoryview`` slices
+of it), so in both directions a payload is borrowed from its producer
+to its consumer — see :mod:`repro.remoting.buffers` for who may keep
+one.
 
 The optional fields ride the same walk: trace context ``tr``
 (``[trace id, span id]``, and the span id alone on a reply), the
@@ -35,11 +36,23 @@ bool, a nested list) goes through the shared tagged-value writer and
 reader of :mod:`repro.remoting.codec`.  Anything else — keys out of
 spec order, a duplicated or unknown key, a function without tables, a
 mode other than sync/async, a malformed ref or trace context, an
-integer time, a truncated, forged or trailing-byte frame, nesting
-deeper than 64 — is a :class:`~repro.remoting.codec.CodecError` raised
-by the walker itself (an encoder before it returns a frame).  A batch
-holding one such command is malformed as a whole.  Nothing decodes a
-frame twice.
+integer time, a section that is not a dict, a truncated, forged or
+trailing-byte frame, nesting deeper than 64 — is a
+:class:`~repro.remoting.codec.CodecError` raised by the walker itself
+(an encoder before it returns a frame).  A batch holding one such
+command is malformed as a whole.  Nothing decodes a frame twice.
+
+Where the rule leaves only numbers free, the walk is one precomputed
+run.  A *plain* reply — an ``int`` return value, every section
+``== {}``, ``callbacks == []``, ``error is None``, untraced — is the
+same layout for every function, so its body is one ``struct.Struct``
+(fixed run, seq, fixed run, return value, fixed run, time): one pack,
+or one unpack and three constant compares, alone or inside a
+:class:`ReplyBatch`; a body that fails them walks.  A command's
+``api`` + ``fn`` + ``mode`` run is a per-mode table constant
+(:attr:`CommandTable.heads`): the encoder appends it, the decoder finds
+table and mode with one dict probe, and a run of empty sections is
+stepped over with one compare (:attr:`CommandTable.empty_runs`).
 
 **Byte identity is the contract.**  For every message it encodes, the
 walker emits exactly the bytes of the self-describing tagged-value
@@ -197,6 +210,15 @@ class _Section:
 #: with the digest as long as the transfer cache makes it
 _REF_HEAD = b"L" + _U32.pack(3) + b"B" + _U32.pack(_codec._DIGEST_BYTES)
 
+#: a command's ``mode`` field, by mode
+_MODES = {mode: _key("mode") + _s(mode) for mode in ("sync", "async")}
+
+
+def _empty_runs(sections: Tuple[_Section, ...]) -> Tuple[bytes, ...]:
+    """``runs[i]``: the wire run of ``sections[i:]``, every one empty."""
+    return tuple(b"".join(section.headers[0] for section in sections[i:])
+                 for i in range(len(sections)))
+
 
 class CommandTable:
     """Precomputed wire layout for one function's Command frames."""
@@ -210,9 +232,10 @@ class CommandTable:
         self.fn = fn
         scalars = scalars or {}
         inbufs = list(inbufs)
-        #: the raw ``api`` + ``fn`` wire region, also the decode-side
-        #: lookup key for this table
-        self.api_fn = _key("api") + _s(api) + _key("fn") + _s(fn)
+        #: the raw ``api`` + ``fn`` + ``mode`` wire region, by mode: what
+        #: the encoder appends and the decoder looks this table up by
+        api_fn = _key("api") + _s(api) + _key("fn") + _s(fn)
+        self.heads = {mode: api_fn + run for mode, run in _MODES.items()}
         #: the frame's sections in wire order
         self.sections = (
             _Section("scalars", scalars),
@@ -220,6 +243,9 @@ class CommandTable:
             _Section("inbufs", dict.fromkeys(inbufs, "buf")),
             _Section("outsz", dict.fromkeys(outsz, "size")),
         )
+        #: ``empty_runs[i]``: the wire run of sections ``i`` onward, all
+        #: of them empty (decode steps over such a tail in one compare)
+        self.empty_runs = _empty_runs(self.sections)
         #: the optional ``xr`` section: (key + value head, kind run,
         #: name, kind) per parameter a cached ref may stand in for, in
         #: the guest's elision order — in-buffers, then string scalars
@@ -249,6 +275,7 @@ class ReplyTable:
             _Section("oscal", dict.fromkeys(oscal, "any")),
             _Section("new", dict.fromkeys(new_names, "any")),
         )
+        self.empty_runs = _empty_runs(self.sections)
 
 
 #: the layout of a reply that answers no one function — a refusal of a
@@ -263,9 +290,6 @@ _CMD_PREFIXES = {extra: b"M" + _U32.pack(10 + extra) + _key("seq") + b"I"
                  for extra in range(3)}
 _CMD_EXTRA = {prefix: extra for extra, prefix in _CMD_PREFIXES.items()}
 _VM_KEY = _key("vm") + b"S"
-_API_KEY = _key("api") + b"S"
-_FN_KEY = _key("fn") + b"S"
-_MODES = {mode: _key("mode") + _s(mode) for mode in ("sync", "async")}
 #: issue/flush/complete times come off the virtual clock: floats
 _T_KEY = _key("t") + b"D"
 _BATCH_PREFIX = b"M" + _U32.pack(3) + _key("vm") + b"S"
@@ -280,6 +304,14 @@ _CBS_KEY = _key("cbs")
 _ERR_KEY = _key("err")
 #: the common reply tail: no callbacks, no error, then the time
 _REPLY_TAIL = _CBS_KEY + b"L" + _U32.pack(0) + _ERR_KEY + b"N" + _T_KEY
+#: the plain reply — an int return, every section empty, no callbacks,
+#: no error, untraced — is one fixed layout whatever the function:
+#: (head run, seq, ``ret`` run, return value, tail run, time)
+_PLAIN_HEAD = _REPLY_PREFIXES[0]
+_PLAIN_RET = _RET_KEY + b"I"
+_PLAIN_TAIL = _BARE_REPLY.empty_runs[0] + _REPLY_TAIL
+_PLAIN_REPLY = struct.Struct(f">{len(_PLAIN_HEAD)}sq{len(_PLAIN_RET)}sq"
+                             f"{len(_PLAIN_TAIL)}sd")
 _RB_PREFIX = b"M" + _U32.pack(2) + _key("replies") + b"L"
 #: trace context: ``[trace id, span id]`` on a command, the span id
 #: alone on a reply
@@ -294,8 +326,13 @@ _LP = len(_CMD_PREFIXES[0])
 _LRP = len(_REPLY_PREFIXES[0])
 _LTR = len(_TR_KEY)
 _LVM = len(_VM_KEY)
-_LAPI = len(_API_KEY)
-_LFN = len(_FN_KEY)
+#: where the u32 length of the api, fn and mode strings sits in each
+#: field's run: past its key and the ``S`` tag
+_LAPI, _LFN, _LMODE = (len(_key(name)) + 1 for name in ("api", "fn", "mode"))
+_LPLAIN = _PLAIN_REPLY.size
+
+#: how many VM ids' ``vm`` runs a codec keeps (``SpecializedCodec.vm_runs``)
+_VM_RUNS_BOUND = 1024
 
 
 class _Tables(dict):
@@ -348,13 +385,16 @@ def _enc_sections(builder: FrameBuilder, sections: Tuple[_Section, ...],
     """
     cur = builder.cur
     for section, values in zip(sections, dicts):
-        entries = section.entries
-        if len(values) > len(entries):
-            raise CodecError(f"{section.name}: {len(values)} entries, "
-                             f"{len(entries)} declared")
-        cur += section.headers[len(values)]
         if not values:
+            if not isinstance(values, dict):
+                raise CodecError(f"{section.name} must be a dict")
+            cur += section.headers[0]
             continue
+        entries = section.entries
+        if not isinstance(values, dict) or len(values) > len(entries):
+            raise CodecError(f"{section.name} must be a dict of at most "
+                             f"{len(entries)} declared entries")
+        cur += section.headers[len(values)]
         declared = iter(entries)
         for name, value in values.items():
             for key, want, declared_name in declared:
@@ -417,14 +457,21 @@ def _enc_refs(command: Command, table: CommandTable) -> bytearray:
 
 
 def _enc_command_body(builder: FrameBuilder, command: Command,
-                      table: CommandTable) -> None:
-    """The command's wire dict."""
-    mode = _MODES.get(command.mode)
-    if mode is None:
+                      table: CommandTable, vm_runs: Dict[str, bytes]) -> None:
+    """The command's wire dict; ``vm_runs`` caches each VM id's run."""
+    head = table.heads.get(command.mode)
+    if head is None:
         raise CodecError(f"mode {command.mode!r} is neither sync nor async")
-    if (type(command.seq) is not int or type(command.vm_id) is not str
+    vm_id = command.vm_id
+    if (type(command.seq) is not int or type(vm_id) is not str
             or type(command.issue_time) is not float):
         raise CodecError("command seq, vm or t has the wrong type")
+    vm = vm_runs.get(vm_id)
+    if vm is None:
+        if len(vm_runs) >= _VM_RUNS_BOUND:
+            vm_runs.clear()
+        encoded = vm_id.encode("utf-8")
+        vm = vm_runs[vm_id] = _VM_KEY + _U32.pack(len(encoded)) + encoded
     trace_id, span_id = command.trace_id, command.span_id
     trace = None
     if trace_id is not None or span_id is not None:
@@ -437,12 +484,8 @@ def _enc_command_body(builder: FrameBuilder, command: Command,
     cur = builder.cur
     cur += _CMD_PREFIXES[(trace is not None) + (refs is not None)]
     cur += _I64.pack(command.seq)
-    cur += _VM_KEY
-    vm = command.vm_id.encode("utf-8")
-    cur += _U32.pack(len(vm))
     cur += vm
-    cur += table.api_fn
-    cur += mode
+    cur += head
     _enc_sections(builder, table.sections,
                   (command.scalars, command.handles, command.in_buffers,
                    command.out_sizes))
@@ -459,6 +502,14 @@ def _enc_reply_body(builder: FrameBuilder, reply: Reply,
                     table: ReplyTable) -> None:
     if type(reply.seq) is not int or type(reply.complete_time) is not float:
         raise CodecError("reply seq or t has the wrong type")
+    if (type(reply.return_value) is int and reply.span_id is None
+            and reply.error is None and reply.callbacks == []
+            and reply.out_payloads == {} and reply.out_scalars == {}
+            and reply.new_handles == {}):
+        builder.cur += _PLAIN_REPLY.pack(
+            _PLAIN_HEAD, reply.seq, _PLAIN_RET, reply.return_value,
+            _PLAIN_TAIL, reply.complete_time)
+        return
     trace = None
     if reply.span_id is not None:
         if type(reply.span_id) is not int:
@@ -495,7 +546,7 @@ def _enc_reply_body(builder: FrameBuilder, reply: Reply,
 
 
 def _enc_batch_frame(tables: Dict[Tuple[str, str], Any],
-                     batch: CommandBatch) -> Any:
+                     vm_runs: Dict[str, bytes], batch: CommandBatch) -> Any:
     if (type(batch.vm_id) is not str or not batch.commands
             or type(batch.flush_time) is not float):
         raise CodecError("batch vm, cmds or t is malformed")
@@ -509,7 +560,8 @@ def _enc_batch_frame(tables: Dict[Tuple[str, str], Any],
     cur += _U32.pack(len(batch.commands))
     for command in batch.commands:
         _enc_command_body(
-            builder, command, tables[(command.api, command.function)][0])
+            builder, command, tables[(command.api, command.function)][0],
+            vm_runs)
     cur = builder.cur
     cur += _T_KEY
     cur += _F64.pack(batch.flush_time)
@@ -610,63 +662,67 @@ def _dec_value(data: bytes, o: int, end: int, depth: int,
     return _codec._decode_value(data, o, depth)
 
 
-def _dec_sections(data: bytes, o: int, end: int,
-                  sections: Tuple[_Section, ...], mv: memoryview,
-                  spliced: Any, depth: int,
-                  ) -> Tuple[List[Dict[str, Any]], int]:
-    """Decode a message's sections, each any in-order subset of its
-    declared entries; ``depth`` is their values' nesting depth.
+def _dec_sections(data: bytes, o: int, end: int, table: Any,
+                  results: Tuple[Dict[str, Any], ...], spliced: Any,
+                  depth: int) -> int:
+    """Decode a message's sections into ``results`` (one empty dict per
+    section, the caller's), each any in-order subset of its declared
+    entries; ``depth`` is their values' nesting depth.  Returns the
+    offset past them.
 
-    Each declared key is one precomputed constant compare (no length
-    unpack, no slice, no dict probe); absent ones are skipped.  If the
-    walk consumed fewer entries than the section's count field says
-    are there — keys out of spec order, a duplicate, an unknown key, a
-    forged count — the frame is refused.  Payloads come back as
-    zero-copy slices of ``mv``, or, when ``spliced`` holds a segment
-    for exactly where the ``B`` value's body starts and it is as long
-    as the value declares, as that segment itself (:func:`_open_frame`).
+    Where the remaining sections are all empty, one compare against
+    the table's precomputed run steps over them.  Each declared key is
+    one precomputed constant compare (no length unpack, no slice, no
+    dict probe); absent ones are skipped.  If the walk consumed fewer
+    entries than the section's count field says are there — keys out
+    of spec order, a duplicate, an unknown key, a forged count — the
+    frame is refused.  Payloads come back as zero-copy slices of
+    ``data``, or, when ``spliced`` holds a segment for exactly where
+    the ``B`` value's body starts and it is as long as the value
+    declares, as that segment itself (:func:`_open_frame`).
     """
-    results = []
-    for section in sections:
+    for section, rest, result in zip(table.sections, table.empty_runs,
+                                     results):
+        if data.startswith(rest, o):
+            return o + len(rest)
         if not data.startswith(section.key, o):
             raise CodecError(f"expected section {section.name!r}")
         o += len(section.key)
         count = _U32.unpack_from(data, o)[0]
         o += 4
-        result: Dict[str, Any] = {}
-        if count:
-            for key, want, name in section.entries:
-                if not data.startswith(key, o):
-                    continue
-                o += len(key)
-                tag = data[o]
-                if tag == _TAG_I and want != _TAG_B:  # dominant, inlined
-                    result[name] = _I64.unpack_from(data, o + 1)[0]
-                    o += 9
-                elif tag == _TAG_B and want == _TAG_B:
-                    length = _U32.unpack_from(data, o + 1)[0]
-                    o += 5
-                    if spliced and o in spliced:
-                        result[name] = spliced.pop(o)
-                        if len(result[name]) != length:
-                            raise CodecError(
-                                f"{name!r}: segment length disagrees "
-                                f"with its B value")
-                    elif length > end - o:
-                        raise CodecError(f"{name!r}: truncated payload")
-                    else:
-                        result[name] = mv[o:o + length]
-                        o += length
-                elif want:
-                    raise CodecError(f"{section.name}: {name!r} has the "
-                                     f"wrong wire type")
+        if not count:
+            continue
+        for key, want, name in section.entries:
+            if not data.startswith(key, o):
+                continue
+            o += len(key)
+            tag = data[o]
+            if tag == _TAG_I and want != _TAG_B:  # dominant, inlined
+                result[name] = _I64.unpack_from(data, o + 1)[0]
+                o += 9
+            elif tag == _TAG_B and want == _TAG_B:
+                length = _U32.unpack_from(data, o + 1)[0]
+                o += 5
+                if spliced and o in spliced:
+                    result[name] = spliced.pop(o)
+                    if len(result[name]) != length:
+                        raise CodecError(
+                            f"{name!r}: segment length disagrees "
+                            f"with its B value")
+                elif length > end - o:
+                    raise CodecError(f"{name!r}: truncated payload")
                 else:
-                    result[name], o = _dec_value(data, o, end, depth)
-            if len(result) != count:
-                raise CodecError(f"{section.name}: {count} entries "
-                                 f"promised, {len(result)} in spec order")
-        results.append(result)
-    return results, o
+                    result[name] = memoryview(data)[o:o + length]
+                    o += length
+            elif want:
+                raise CodecError(f"{section.name}: {name!r} has the "
+                                 f"wrong wire type")
+            else:
+                result[name], o = _dec_value(data, o, end, depth)
+        if len(result) != count:
+            raise CodecError(f"{section.name}: {count} entries "
+                             f"promised, {len(result)} in spec order")
+    return o
 
 
 def _dec_refs(data: bytes, o: int, table: CommandTable,
@@ -702,42 +758,35 @@ def _dec_refs(data: bytes, o: int, table: CommandTable,
 
 
 def _dec_command(data: bytes, o: int, end: int,
-                 wire_tables: Dict[bytes, Any], mv: memoryview,
-                 spliced: Any, depth: int) -> Tuple[Command, int]:
+                 heads: Dict[bytes, Any], spliced: Any,
+                 depth: int) -> Tuple[Command, int]:
     """One command's wire dict, at ``o`` and nesting ``depth``; returns
     it and the offset past it.
 
-    ``wire_tables`` is keyed by the raw ``api``+``fn`` wire region
-    (each table's ``api_fn`` constant), so finding the function's
-    tables needs no utf-8 decode and no tuple allocation.
+    ``heads`` is keyed by the raw ``api``+``fn``+``mode`` wire region
+    (each table's ``heads`` constants), so finding the function's table
+    and the mode is one slice and one dict probe: no utf-8 decode, no
+    tuple allocation, and anything but a known function in a known
+    mode is refused by the probe.
     """
     extra = _CMD_EXTRA.get(data[o:o + _LP])
     if extra is None:
         raise CodecError("not a command dict in spec field order")
-    o += _LP
-    seq = _I64.unpack_from(data, o)[0]
-    o += 8
+    seq = _I64.unpack_from(data, o + _LP)[0]
+    o += _LP + 8
     if not data.startswith(_VM_KEY, o):
         raise CodecError("expected the command's vm")
     vm_id, o = _dec_str(data, o + _LVM, end)
     region = o
-    if not data.startswith(_API_KEY, o):
-        raise CodecError("expected the command's api")
+    # step by the three length fields; the probe vouches for the bytes
     o += _LAPI + 4 + _U32.unpack_from(data, o + _LAPI)[0]
-    if not data.startswith(_FN_KEY, o):
-        raise CodecError("expected the command's fn")
     o += _LFN + 4 + _U32.unpack_from(data, o + _LFN)[0]
+    o += _LMODE + 4 + _U32.unpack_from(data, o + _LMODE)[0]
     if o > end:
-        raise CodecError("truncated api/fn")
-    table = wire_tables[data[region:o]][0]
-    for mode, run in _MODES.items():
-        if data.startswith(run, o):
-            o += len(run)
-            break
-    else:
-        raise CodecError("mode is neither sync nor async")
-    (scalars, handles, in_buffers, out_sizes), o = _dec_sections(
-        data, o, end, table.sections, mv, spliced, depth + 2)
+        raise CodecError("truncated api/fn/mode")
+    table, mode = heads[data[region:o]]
+    scalars, handles, in_buffers, out_sizes = sections = {}, {}, {}, {}
+    o = _dec_sections(data, o, end, table, sections, spliced, depth + 2)
     o = _expect(data, o, _T_KEY)
     issue_time = _F64.unpack_from(data, o)[0]
     o += 8
@@ -769,8 +818,23 @@ def _dec_command(data: bytes, o: int, end: int,
 
 
 def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
-               mv: memoryview, spliced: Any,
-               depth: int) -> Tuple[Reply, int]:
+               spliced: Any, depth: int) -> Tuple[Reply, int]:
+    """One reply's wire dict, at ``o`` and nesting ``depth``; returns it
+    and the offset past it.  A plain reply is one unpack and three
+    constant compares; any other walks."""
+    if end - o >= _LPLAIN:
+        head, seq, ret_run, ret, tail, complete_time = \
+            _PLAIN_REPLY.unpack_from(data, o)
+        if (head == _PLAIN_HEAD and ret_run == _PLAIN_RET
+                and tail == _PLAIN_TAIL):
+            reply = Reply.__new__(Reply)
+            reply.__dict__ = {
+                "seq": seq, "return_value": ret, "out_payloads": {},
+                "out_scalars": {}, "new_handles": {}, "callbacks": [],
+                "error": None, "complete_time": complete_time,
+                "span_id": None,
+            }
+            return reply, o + _LPLAIN
     traced = _REPLY_TRACED.get(data[o:o + _LRP])
     if traced is None:
         raise CodecError("not a reply dict in spec field order")
@@ -778,8 +842,8 @@ def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
     seq = _I64.unpack_from(data, o)[0]
     return_value, o = _dec_value(
         data, _expect(data, o + 8, _RET_KEY), end, depth + 1)
-    (out_payloads, out_scalars, new_handles), o = _dec_sections(
-        data, o, end, table.sections, mv, spliced, depth + 2)
+    out_payloads, out_scalars, new_handles = sections = {}, {}, {}
+    o = _dec_sections(data, o, end, table, sections, spliced, depth + 2)
     callbacks: List[Any] = []
     error = None
     if data.startswith(_REPLY_TAIL, o):
@@ -815,17 +879,18 @@ def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
     return reply, o
 
 
-def _open_frame(frame: FrameLike) -> Tuple[bytes, int, memoryview, Any]:
-    """What the walkers read a frame through: ``(data, end, mv, spliced)``.
+def _open_frame(frame: FrameLike) -> Tuple[bytes, int, Any]:
+    """What the walkers read a frame through: ``(data, end, spliced)``.
 
     A contiguous frame is its own ``data``, ``end`` one past its body
-    per its length field.  A vectored frame is not joined: ``data`` is
-    its inline runs (the even segments) back to back and ``spliced``
-    its payload segments, each under the offset in ``data`` where the
-    ``B`` value it is the body of must start.  The walk is the joined
-    frame's when every segment was claimed by such a value (the
-    decoders check ``spliced`` is empty) and ``data`` was consumed to
-    its end; any other vector is refused.
+    per its length field (the decoders read a ``bytes`` frame so
+    inline).  A vectored frame is not joined: ``data`` is its inline
+    runs (the even segments) back to back and ``spliced`` its payload
+    segments, each under the offset in ``data`` where the ``B`` value it
+    is the body of must start.  The walk is the joined frame's when
+    every segment was claimed by such a value (the decoders check
+    ``spliced`` is empty) and ``data`` was consumed to its end; any
+    other vector is refused.
     """
     if type(frame) is WireFrame and len(frame.segments) > 1:
         segments = frame.segments
@@ -848,18 +913,18 @@ def _open_frame(frame: FrameLike) -> Tuple[bytes, int, memoryview, Any]:
                 or len(data) < 6
                 or 6 + _U32.unpack_from(data, 2)[0] != total):
             raise CodecError("segments disagree with the frame length")
-        return data, len(data), memoryview(data), spliced
-    data = frame if type(frame) is bytes else frame_bytes(frame)
+        return data, len(data), spliced
+    data = frame_bytes(frame)
     if len(data) < 6:
         raise CodecError("frame too short")
     end = 6 + _U32.unpack_from(data, 2)[0]
     if end > len(data):
         raise CodecError("truncated frame body")
-    return data, end, memoryview(data), ()
+    return data, end, ()
 
 
-def _dec_batch_frame(wire_tables: Dict[bytes, Any], data: bytes, end: int,
-                     mv: memoryview, spliced: Any) -> CommandBatch:
+def _dec_batch_frame(heads: Dict[bytes, Any], data: bytes, end: int,
+                     spliced: Any) -> CommandBatch:
     vm_id, o = _dec_str(data, _expect(data, 6, _BATCH_PREFIX), end)
     o = _expect(data, o, _CMDS_KEY)
     count = _U32.unpack_from(data, o)[0]
@@ -868,7 +933,7 @@ def _dec_batch_frame(wire_tables: Dict[bytes, Any], data: bytes, end: int,
         raise CodecError(f"batch command count {count} is impossible")
     commands: List[Command] = []
     for _ in range(count):
-        command, o = _dec_command(data, o, end, wire_tables, mv, spliced, 2)
+        command, o = _dec_command(data, o, end, heads, spliced, 2)
         commands.append(command)
     o = _expect(data, o, _T_KEY)
     if o + 8 != end:
@@ -879,8 +944,7 @@ def _dec_batch_frame(wire_tables: Dict[bytes, Any], data: bytes, end: int,
 
 
 def _dec_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
-                           data: bytes, end: int, mv: memoryview,
-                           spliced: Any,
+                           data: bytes, end: int, spliced: Any,
                            reply_to: CommandBatch) -> ReplyBatch:
     o = _expect(data, 6, _RB_PREFIX)
     if _U32.unpack_from(data, o)[0] != len(reply_to.commands):
@@ -889,7 +953,7 @@ def _dec_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
     replies: List[Reply] = []
     for command in reply_to.commands:
         reply, o = _dec_reply(
-            data, o, end, tables[(command.api, command.function)][1], mv,
+            data, o, end, tables[(command.api, command.function)][1],
             spliced, 2)
         replies.append(reply)
     o = _expect(data, o, _T_KEY)
@@ -932,9 +996,12 @@ class SpecializedCodec(WireCodec):
     def __init__(self, modules: Iterable[Any] = ()) -> None:
         #: (api, fn) → (CommandTable, ReplyTable)
         self.tables: Dict[Tuple[str, str], Any] = _Tables()
-        #: raw api+fn wire region → the same entries (command decode
-        #: resolves tables without decoding the name strings)
-        self.wire_tables: Dict[bytes, Any] = _Tables()
+        #: raw api+fn+mode wire region → (CommandTable, mode): command
+        #: decode resolves both without decoding the name strings
+        self.heads: Dict[bytes, Any] = _Tables()
+        #: each sender's ``vm`` run by VM id, as the encoder writes it (a
+        #: guest puts its own id on every command); bounded
+        self.vm_runs: Dict[str, bytes] = {}
         #: frames encoded and decoded, surfaced by benchmarks/tests
         self.fast_encodes = 0
         self.fast_decodes = 0
@@ -946,9 +1013,9 @@ class SpecializedCodec(WireCodec):
         api = module.API_NAME
         reply_tables = module.REPLY_TABLES
         for fn, ctable in module.COMMAND_TABLES.items():
-            entry = (ctable, reply_tables[fn])
-            self.tables[(api, fn)] = entry
-            self.wire_tables[ctable.api_fn] = entry
+            self.tables[(api, fn)] = (ctable, reply_tables[fn])
+            for mode, head in ctable.heads.items():
+                self.heads[head] = (ctable, mode)
 
     # -- encode -----------------------------------------------------------
 
@@ -958,10 +1025,11 @@ class SpecializedCodec(WireCodec):
                 builder = FrameBuilder()
                 _enc_command_body(
                     builder, command,
-                    self.tables[(command.api, command.function)][0])
+                    self.tables[(command.api, command.function)][0],
+                    self.vm_runs)
                 frame = builder.finish(_codec._COMMAND_MAGIC)
             elif type(command) is CommandBatch:
-                frame = _enc_batch_frame(self.tables, command)
+                frame = _enc_batch_frame(self.tables, self.vm_runs, command)
             else:
                 raise CodecError(f"cannot encode {type(command).__name__} "
                                  f"as a command frame")
@@ -996,16 +1064,21 @@ class SpecializedCodec(WireCodec):
 
     def decode_command(self, data: FrameLike) -> Any:
         try:
-            buf, end, mv, spliced = _open_frame(data)
+            if type(data) is bytes:
+                buf, spliced = data, ()
+                end = 6 + _U32.unpack_from(buf, 2)[0]
+                if end > len(buf):
+                    raise CodecError("truncated frame body")
+            else:
+                buf, end, spliced = _open_frame(data)
             magic = buf[0:2]
             if magic == _codec._COMMAND_MAGIC:
-                message, o = _dec_command(buf, 6, end, self.wire_tables,
-                                          mv, spliced, 0)
+                message, o = _dec_command(buf, 6, end, self.heads, spliced,
+                                          0)
                 if o != end:
                     raise CodecError("trailing bytes after the command")
             elif magic == _codec._COMMAND_BATCH_MAGIC:
-                message = _dec_batch_frame(self.wire_tables, buf, end, mv,
-                                           spliced)
+                message = _dec_batch_frame(self.heads, buf, end, spliced)
             else:
                 raise CodecError(f"not a command frame (magic {magic!r})")
             if spliced:
@@ -1017,19 +1090,25 @@ class SpecializedCodec(WireCodec):
 
     def decode_reply(self, data: FrameLike, reply_to: Any = None) -> Any:
         try:
-            buf, end, mv, spliced = _open_frame(data)
+            if type(data) is bytes:
+                buf, spliced = data, ()
+                end = 6 + _U32.unpack_from(buf, 2)[0]
+                if end > len(buf):
+                    raise CodecError("truncated frame body")
+            else:
+                buf, end, spliced = _open_frame(data)
             magic = buf[0:2]
             if magic == _codec._REPLY_MAGIC:
                 message, o = _dec_reply(
                     buf, 6, end,
                     self.tables[(reply_to.api, reply_to.function)][1]
                     if type(reply_to) is Command else _BARE_REPLY,
-                    mv, spliced, 0)
+                    spliced, 0)
                 if o != end:
                     raise CodecError("trailing bytes after the reply")
             elif (magic == _codec._REPLY_BATCH_MAGIC
                   and type(reply_to) is CommandBatch):
-                message = _dec_reply_batch_frame(self.tables, buf, end, mv,
+                message = _dec_reply_batch_frame(self.tables, buf, end,
                                                  spliced, reply_to)
             elif magic == _codec._NEED_BYTES_MAGIC:
                 message = _dec_need_bytes_frame(buf, end)

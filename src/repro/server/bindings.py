@@ -11,14 +11,41 @@ table, and optionally with AvA's swap memory-manager installed.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, ContextManager, Iterator, List, Optional, Sequence
+from typing import Any, Callable, ContextManager, List, Optional, Sequence
 
 from repro.opencl.device import SimulatedGPU
-from repro.opencl.runtime import MemoryManager, Session, pop_session, push_session
+from repro.opencl.runtime import MemoryManager, Session
+from repro.opencl.runtime import _SESSION_STACK as _CL_STACK
 from repro.mvnc.api import NCSSession, _SESSION_STACK as _NCS_STACK
 from repro.mvnc.device import SimulatedNCS
 from repro.server.api_server import ApiServerWorker
+
+
+class SessionScope:
+    """A worker's one persistent session, pushed on its API's session
+    stack around every command and popped after.
+
+    Built once per worker when it is bound.  It is its own session
+    factory: the worker calls it with itself and enters what comes
+    back, so a command pays one push and one pop, not a generator
+    context manager.
+    """
+
+    __slots__ = ("session", "stack")
+
+    def __init__(self, session: Any, stack: List[Any]) -> None:
+        self.session = session
+        self.stack = stack
+
+    def __call__(self, _worker: ApiServerWorker) -> "SessionScope":
+        return self
+
+    def __enter__(self) -> Any:
+        self.stack.append(self.session)
+        return self.session
+
+    def __exit__(self, *exc: Any) -> None:
+        self.stack.pop()
 
 
 def _pool_devices(worker: ApiServerWorker, api: str) -> Optional[List]:
@@ -56,16 +83,7 @@ def opencl_session_binder(
             ),
         )
         worker.native_session = session  # introspection for tests/migration
-
-        @contextlib.contextmanager
-        def factory(_worker: ApiServerWorker) -> Iterator[Session]:
-            push_session(session)
-            try:
-                yield session
-            finally:
-                pop_session()
-
-        return factory
+        return SessionScope(session, _CL_STACK)
 
     return bind
 
@@ -81,16 +99,7 @@ def mvnc_session_binder(
             clock=worker.clock,
         )
         worker.native_session = session
-
-        @contextlib.contextmanager
-        def factory(_worker: ApiServerWorker) -> Iterator[NCSSession]:
-            _NCS_STACK.append(session)
-            try:
-                yield session
-            finally:
-                _NCS_STACK.pop()
-
-        return factory
+        return SessionScope(session, _NCS_STACK)
 
     return bind
 
@@ -107,16 +116,7 @@ def qat_session_binder(
             clock=worker.clock,
         )
         worker.native_session = session
-
-        @contextlib.contextmanager
-        def factory(_worker: ApiServerWorker) -> Iterator[QATSession]:
-            _QAT_STACK.append(session)
-            try:
-                yield session
-            finally:
-                _QAT_STACK.pop()
-
-        return factory
+        return SessionScope(session, _QAT_STACK)
 
     return bind
 
@@ -130,16 +130,7 @@ def tpu_session_binder(
     def bind(worker: ApiServerWorker) -> Callable[[ApiServerWorker], ContextManager]:
         session = TPUSession(devices=devices_factory(), clock=worker.clock)
         worker.native_session = session
-
-        @contextlib.contextmanager
-        def factory(_worker: ApiServerWorker) -> Iterator[TPUSession]:
-            _TPU_STACK.append(session)
-            try:
-                yield session
-            finally:
-                _TPU_STACK.pop()
-
-        return factory
+        return SessionScope(session, _TPU_STACK)
 
     return bind
 

@@ -16,7 +16,7 @@ from repro.faults import FaultPlan
 from repro.faults.chaos import run_chaos
 from repro.guest.batching import BatchPolicy
 from repro.guest.driver import GuestDriver
-from repro.guest.library import GuestRuntime
+from repro.guest.library import GuestRuntime, RemotingError
 from repro.hypervisor.router import Router, RoutingInfo, RoutingTable
 from repro.remoting.codec import (
     CodecError,
@@ -344,6 +344,50 @@ class TestDeferredErrors:
         submit(runtime)
         runtime.flush()
         assert runtime.pending_async_error == -1001.0
+
+
+class TestUnencodableArgument:
+    """An argument the wire cannot carry (an index past int64) fails the
+    call it belongs to, as a remoting failure: raised by that call's
+    stub when it crosses alone, and as the failed batch's deferred
+    error when it was staged — never a raw CodecError out of a later
+    call, never a silently dropped queue."""
+
+    SRC = ("__kernel void vector_scale(__global float* x, float alpha, "
+           "int n) {}")
+
+    def _kernel(self, **kwargs):
+        stack = VirtualStack.build("opencl")
+        session = stack.add_vm("vm-wide", **kwargs)
+        env = open_env(session.lib)
+        kernel = env.kernel(env.program(self.SRC), "vector_scale")
+        hv = stack.hypervisor
+        return session, env, kernel, hv.router.metrics_for("vm-wide")
+
+    def test_staged_argument_fails_its_batch(self):
+        session, env, kernel, routed = self._kernel(
+            batch_policy=BatchPolicy())
+        cl, runtime = session.lib, session.runtime()
+        before = routed.commands
+        assert cl.clSetKernelArg(kernel, 1, 8, 7) == 0
+        assert cl.clSetKernelArg(kernel, 2 ** 64, 8, 5) == 0
+        # the sync point flushes the queue: its frame cannot be encoded,
+        # so the whole batch failed and that is the error delivered
+        assert cl.clFinish(env.queue) == -1001.0
+        assert runtime.batches_flushed == 1
+        assert runtime.commands_coalesced == 2
+        assert runtime.pending_async_error is None
+        # nothing of the batch reached the router; the clFinish did
+        assert routed.commands == before + 1
+        assert cl.clFinish(env.queue) == 0
+
+    def test_lone_argument_raises_from_its_stub(self):
+        session, env, kernel, routed = self._kernel()
+        before = routed.commands
+        with pytest.raises(RemotingError, match="^clSetKernelArg: "):
+            session.lib.clSetKernelArg(kernel, 2 ** 64, 8, 5)
+        assert routed.commands == before
+        assert session.lib.clFinish(env.queue) == 0
 
 
 class TestRouterUnbundling:

@@ -413,6 +413,18 @@ class TestFastPathEngaged:
         assert codec.decode_command(wire) == command
         _assert_all_fast(codec, 2)
 
+    def test_vm_runs_stay_bounded(self):
+        """The encoder keeps each sender's ``vm`` run, but not without
+        bound: a stream of distinct ids leaves at most 1,024 behind,
+        and every frame is still the oracle's."""
+        codec = _specialized()
+        command = self._conformant()
+        for index in range(1500):
+            command.vm_id = f"vm-{index}"
+            assert (frame_bytes(codec.encode_command(command))
+                    == frame_bytes(ORACLE.encode_command(command)))
+        assert 0 < len(codec.vm_runs) <= 1024
+
     def test_large_payload_is_spliced_zero_copy(self):
         codec = _specialized()
         command = self._conformant()
@@ -899,6 +911,125 @@ class TestRefusedForms:
             verdicts.append(fast is CodecError)
         # the bound falls inside the swept depths
         assert verdicts[0] is False and verdicts[-1] is True
+
+
+# ---------------------------------------------------------------------------
+# the plain reply: one fixed run, and every reply one field off it
+# ---------------------------------------------------------------------------
+
+#: functions the plain run answers: no outputs, and outputs declared
+#: but not sent (the run is the same for both)
+PLAIN_COMMANDS = [
+    _opencl("clFinish", handles={"command_queue": 3}),
+    MEASURED_SHAPES["ndrange-null-offset-local"],
+    MEASURED_SHAPES["read-without-event"],
+]
+
+
+def _plain(**off) -> Reply:
+    """A plain reply (int return, empty sections, no callbacks, no
+    error, untraced), with the fields in ``off`` set instead."""
+    reply = Reply(seq=21, return_value=0, complete_time=5.25)
+    for name, value in off.items():
+        setattr(reply, name, value)
+    return reply
+
+
+#: replies one field off plain; each must stay byte-identical
+ONE_OFF = {
+    "plain": {},
+    "ret-true": {"return_value": True},
+    "ret-false": {"return_value": False},
+    "ret-int64-min": {"return_value": -2 ** 63},
+    "ret-int64-max": {"return_value": 2 ** 63 - 1},
+    "ret-float": {"return_value": 1.0},
+    "ret-none": {"return_value": None},
+    "empty-error": {"error": ""},
+    "one-callback": {"callbacks": [[1, [2, "x"]]]},
+    "span-zero": {"span_id": 0},
+}
+
+
+def _same(decoded, reply):
+    """Equal, and the return value of the same type (``True == 1`` and
+    ``1.0 == 1`` would hide a plain-run misread)."""
+    return (decoded == reply
+            and type(decoded.return_value) is type(reply.return_value))
+
+
+@pytest.mark.parametrize("command", PLAIN_COMMANDS,
+                         ids=lambda command: command.function)
+class TestPlainReplyBoundary:
+    """The plain reply rides one ``struct`` run; anything one field off
+    it walks.  Both are the oracle's bytes, alone and inside a
+    :class:`ReplyBatch`, and decode back to the same reply."""
+
+    @pytest.mark.parametrize("case", sorted(ONE_OFF))
+    def test_one_field_off_plain(self, command, case):
+        reply = _plain(**ONE_OFF[case])
+        codec = _specialized()
+        wire = frame_bytes(codec.encode_reply(reply, reply_to=command))
+        assert wire == frame_bytes(ORACLE.encode_reply(reply))
+        assert _same(codec.decode_reply(wire, reply_to=command), reply)
+        batch = ReplyBatch(replies=[reply, _plain(seq=22)],
+                           complete_time=6.0)
+        reply_to = CommandBatch(vm_id="vm-0", commands=[command, command])
+        wire = frame_bytes(codec.encode_reply(batch, reply_to=reply_to))
+        assert wire == frame_bytes(ORACLE.encode_reply(batch))
+        decoded = codec.decode_reply(wire, reply_to=reply_to)
+        assert decoded == batch
+        assert all(map(_same, decoded.replies, batch.replies))
+        _assert_all_fast(codec, 4)
+
+    def test_int64_overflow_is_refused(self, command):
+        reply = _plain(return_value=2 ** 63)
+        with pytest.raises(CodecError):
+            SPEC.encode_reply(reply, reply_to=command)
+        with pytest.raises(CodecError):
+            SPEC.encode_reply(
+                ReplyBatch(replies=[_plain(), reply], complete_time=6.0),
+                reply_to=CommandBatch(vm_id="vm-0",
+                                      commands=[command, command]))
+
+    @pytest.mark.parametrize("section",
+                             ["out_payloads", "out_scalars", "new_handles"])
+    def test_section_given_as_a_list_is_refused(self, command, section):
+        """``[]`` is not ``{}``: the oracle writes it as a list and then
+        refuses its own frame; the walker refuses both ways."""
+        reply = _plain(**{section: []})
+        batch = ReplyBatch(replies=[reply], complete_time=6.0)
+        reply_to = CommandBatch(vm_id="vm-0", commands=[command])
+        for message, to in ((reply, command), (batch, reply_to)):
+            wire = frame_bytes(ORACLE.encode_reply(message))
+            assert _outcome(ORACLE.decode_reply, wire) is CodecError
+            with pytest.raises(CodecError):
+                SPEC.encode_reply(message, reply_to=to)
+            with pytest.raises(CodecError):
+                SPEC.decode_reply(wire, reply_to=to)
+
+    def test_every_byte_flip_refused_or_agreed(self, command):
+        """Damage anywhere in a plain frame, alone or batched: the walker
+        refuses it or decodes what the oracle decodes."""
+        reply_to = CommandBatch(vm_id="vm-0", commands=[command, command])
+        frames = [
+            (frame_bytes(SPEC.encode_reply(_plain(), reply_to=command)),
+             command),
+            (frame_bytes(SPEC.encode_reply(
+                ReplyBatch(replies=[_plain(), _plain(seq=22)],
+                           complete_time=6.0), reply_to=reply_to)),
+             reply_to),
+        ]
+        for wire, to in frames:
+            for index in range(len(wire)):
+                for flip in (0x01, 0x80, 0xFF):
+                    mutated = bytearray(wire)
+                    mutated[index] ^= flip
+                    fast = _outcome(SPEC.decode_reply, bytes(mutated),
+                                    reply_to=to)
+                    slow = _outcome(ORACLE.decode_reply, bytes(mutated))
+                    _refuses_or_agrees(fast, slow)
+                    if isinstance(fast, Reply):
+                        assert _same(fast, slow)
 
 
 # ---------------------------------------------------------------------------
