@@ -183,21 +183,13 @@ def _scan_server_function(fn: ast.FunctionDef, api_func: str) -> _ServerStub:
                     stub.decode_order.append(name)
                     stub.decode_sources[name] = ast.unparse(sub.value)
 
-    def scan_body(statements: List[ast.stmt]) -> None:
-        nonlocal before_native
-        for statement in statements:
-            if isinstance(statement, ast.Try):
-                scan_body(statement.body)
-                continue
-            if is_native_call(statement):
-                before_native = False
-                continue
-            if before_native:
-                record_decode(statement)
-            else:
-                collect_nodes.append(statement)
-
-    scan_body(fn.body)
+    for statement in fn.body:
+        if is_native_call(statement):
+            before_native = False
+        elif before_native:
+            record_decode(statement)
+        else:
+            collect_nodes.append(statement)
     for node in collect_nodes:
         stub.collect_source += ast.unparse(node) + "\n"
         for call in _calls_in(node):

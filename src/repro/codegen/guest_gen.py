@@ -208,29 +208,32 @@ def _emit_function(writer: CodeWriter, spec: ApiSpec,
             )
             return
         writer.line("_rt = self._rt")
-        writer.line(f"_tsp = _rt.trace_begin({func.name!r})")
-        with writer.block("try:"):
-            writer.line("_scalars = {}")
-            writer.line("_handles = {}")
-            writer.line("_in_buffers = {}")
-            writer.line("_out_sizes = {}")
-            writer.line("_out_targets = {}")
-            for param in func.params:
-                _emit_param_marshal(writer, spec, func, param)
-            writer.line(f"_mode = {_mode_expr(spec, func)}")
-            ret_kind = classify_return(spec, func)
-            success = spec.success_value_of(func)
-            success_repr = (
-                str(int(success)) if float(success).is_integer()
-                else repr(success)
-            )
-            writer.line(
-                f"return _rt.submit({func.name!r}, _mode, _scalars, _handles, "
-                f"_in_buffers, _out_sizes, _out_targets, "
-                f"ret_kind={ret_kind!r}, success={success_repr})"
-            )
-        with writer.block("finally:"):
-            writer.line("_rt.trace_end(_tsp)")
+        writer.line("_scalars = {}")
+        writer.line("_handles = {}")
+        writer.line("_in_buffers = {}")
+        writer.line("_out_sizes = {}")
+        writer.line("_out_targets = {}")
+        for param in func.params:
+            _emit_param_marshal(writer, spec, func, param)
+        writer.line(f"_mode = {_mode_expr(spec, func)}")
+        ret_kind = classify_return(spec, func)
+        success = spec.success_value_of(func)
+        success_repr = (
+            str(int(success)) if float(success).is_integer()
+            else repr(success)
+        )
+        # a call carrying a guest callback must see its reply leg; the
+        # flag belongs to this call, so a stub that fails to marshal
+        # cannot leave it set for the next one
+        callbacks = " or ".join(
+            f"{p.name} is not None" for p in func.params
+            if classify_param(spec, p) is ParamClass.CALLBACK)
+        armed = f", callback={callbacks}" if callbacks else ""
+        writer.line(
+            f"return _rt.submit({func.name!r}, _mode, _scalars, _handles, "
+            f"_in_buffers, _out_sizes, _out_targets, "
+            f"ret_kind={ret_kind!r}, success={success_repr}{armed})"
+        )
 
 
 def generate_guest_module(spec: ApiSpec) -> str:

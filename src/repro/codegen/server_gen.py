@@ -120,25 +120,21 @@ def _emit_server_stub(writer: CodeWriter, spec: ApiSpec,
         # the reply exists before the native call so callback proxies can
         # append deferred invocations to it
         writer.line("_reply = Reply(seq=cmd.seq)")
-        writer.line("_tsp = worker.trace_begin(cmd)")
-        with writer.block("try:"):
-            for param in func.params:
-                _emit_unmarshal(writer, spec, param)
-            call_args = ", ".join(func.param_names())
-            writer.line(f"_ret = _native.{func.name}({call_args})")
-            ret_kind = classify_return(spec, func)
-            if ret_kind == "handle":
-                with writer.block("if _ret is not None:"):
-                    writer.line(
-                        "_reply.new_handles['__ret__'] = "
-                        "worker.bind('__ret__', _ret)"
-                    )
-            elif ret_kind == "scalar":
-                writer.line("_reply.return_value = _wire_scalar(_ret)")
-            for param in func.params:
-                _emit_collect(writer, spec, param)
-        with writer.block("finally:"):
-            writer.line("worker.trace_end(_tsp, _reply)")
+        for param in func.params:
+            _emit_unmarshal(writer, spec, param)
+        call_args = ", ".join(func.param_names())
+        writer.line(f"_ret = _native.{func.name}({call_args})")
+        ret_kind = classify_return(spec, func)
+        if ret_kind == "handle":
+            with writer.block("if _ret is not None:"):
+                writer.line(
+                    "_reply.new_handles['__ret__'] = "
+                    "worker.bind('__ret__', _ret)"
+                )
+        elif ret_kind == "scalar":
+            writer.line("_reply.return_value = _wire_scalar(_ret)")
+        for param in func.params:
+            _emit_collect(writer, spec, param)
         writer.line("return _reply")
 
 

@@ -86,11 +86,12 @@ class GuestRuntime:
         #: RetryPolicy for transport timeouts; None disables retries
         #: (the default, so the fault-free path is cost-identical)
         self.retry_policy = retry_policy
-        #: BatchPolicy for async coalescing; None (or enabled=False)
-        #: keeps the per-call async path bit-identical
+        #: coalescing queue state and counters
+        self._queue: List[_StagedCall] = []
+        self._queued_bytes = 0
+        self.batches_flushed = 0
+        self.commands_coalesced = 0
         self.batch_policy = batch_policy
-        #: TransferCache for content-addressed payload elision; None (or
-        #: a disabled policy) keeps wire frames bit-identical
         self.xfer_cache = xfer_cache
         #: deferred error from an earlier async call (delivered later)
         self.pending_async_error: Optional[float] = None
@@ -103,47 +104,34 @@ class GuestRuntime:
         #: transport-failure recovery counters
         self.retries = 0
         self.giveups = 0
-        #: coalescing queue state and counters
-        self._queue: List[_StagedCall] = []
-        self._queued_bytes = 0
-        self.batches_flushed = 0
-        self.commands_coalesced = 0
-        self._callback_armed = False
+
+    # -- the per-runtime plan: decided when a policy is assigned -----------------
+
+    @property
+    def batch_policy(self) -> Optional[BatchPolicy]:
+        """BatchPolicy for async coalescing; None (or enabled=False)
+        keeps the per-call async path bit-identical."""
+        return self._batch_policy
+
+    @batch_policy.setter
+    def batch_policy(self, policy: Optional[BatchPolicy]) -> None:
+        self._batch_policy = policy
+        self._batching = policy is not None and policy.enabled
+
+    @property
+    def xfer_cache(self) -> Optional[TransferCache]:
+        """TransferCache for content-addressed payload elision; None (or
+        a disabled policy) keeps wire frames bit-identical."""
+        return self._xfer_cache
+
+    @xfer_cache.setter
+    def xfer_cache(self, cache: Optional[TransferCache]) -> None:
+        self._xfer_cache = cache
+        self._caching = cache is not None and cache.policy.enabled
 
     @property
     def clock(self):
         return self.driver.clock
-
-    # -- tracing hooks generated stubs call ------------------------------------
-
-    def trace_begin(self, function: str):
-        """Open the per-call ``function`` span (no-op when tracing is off).
-
-        Generated guest stubs call this on entry, so *generated code is
-        traced code*: the span tree for every forwarded call is rooted at
-        the guest stub, exactly where a real application enters the API.
-        """
-        tracer = _tele.active()
-        if not tracer.enabled:
-            return None
-        parent = tracer.container(
-            self.driver.vm_id, self.api_name, self.clock.now
-        )
-        return tracer.start_span(
-            function,
-            self.clock.now,
-            layer="guest",
-            kind="function",
-            vm_id=self.driver.vm_id,
-            api=self.api_name,
-            function=function,
-            parent_id=parent.span_id if parent is not None else None,
-        )
-
-    def trace_end(self, span) -> None:
-        """Close a span opened by :meth:`trace_begin` at guest-now."""
-        if span is not None and not span.finished:
-            _tele.active().end_span(span, self.clock.now)
 
     # -- helpers generated stubs call ------------------------------------------
 
@@ -180,9 +168,6 @@ class GuestRuntime:
                 f"callback parameter expects a callable, got "
                 f"{type(fn).__name__}"
             )
-        # a callback-bearing call must see its reply leg: flag the next
-        # submission so a staged version flushes immediately
-        self._callback_armed = True
         for cb_id, existing in self._callbacks.items():
             if existing is fn:
                 return cb_id
@@ -233,191 +218,184 @@ class GuestRuntime:
         out_targets: Dict[str, Tuple[str, Any]],
         ret_kind: str = "scalar",
         success: Any = 0,
+        callback: bool = False,
     ) -> Any:
         """Forward one call.  ``out_targets`` maps parameter names to
         (kind, target) pairs with kind in {"buffer", "scalar_box",
-        "handle_box", "handle_array"}."""
+        "handle_box", "handle_array"}; ``callback`` says the call
+        carries a guest callback, so it must see its reply leg.
+
+        An unarmed call (no tracer, batching or transfer cache) runs
+        the base plan: marshal charge, ``Command``, deliver, apply
+        outputs, map the return.  Every other stage is one flag the
+        policy setters decided, or the tracer read once here.
+        """
         tracer = _tele.active()
-        span = None
-        owns_span = False
-        if tracer.enabled:
-            span = tracer.current()
-            if span is None or span.kind != "function":
-                # caller bypassed the generated stub (hand-written tests,
-                # exploratory use): open the root span here instead
-                span = self.trace_begin(function)
-                owns_span = True
-        try:
-            return self._submit(
-                function, mode, scalars, handles, in_buffers, out_sizes,
-                out_targets, ret_kind, success, tracer, span,
-            )
-        finally:
-            if owns_span:
-                self.trace_end(span)
-
-    def _submit(
-        self,
-        function: str,
-        mode: str,
-        scalars: Dict[str, Any],
-        handles: Dict[str, Any],
-        in_buffers: Dict[str, bytes],
-        out_sizes: Dict[str, int],
-        out_targets: Dict[str, Tuple[str, Any]],
-        ret_kind: str,
-        success: Any,
-        tracer: Any,
-        span: Any,
-    ) -> Any:
         clock = self.driver.clock
-        # did marshaling this call register a guest callback?  (stubs
-        # call register_callback immediately before submit)
-        wants_callback = self._callback_armed
-        self._callback_armed = False
-        if self._queue and mode == "sync" and (
-                self.batch_policy is None
-                or self.batch_policy.flush_before_sync):
-            # synchronization point: queued async work crosses the
-            # channel ahead of the blocking call, preserving program
-            # order and the deferred-error contract.  (flush_before_sync
-            # is only ever False in sanitizer tests that seed ordering
-            # violations on purpose.)
-            self._flush("sync")
-        elided: Elided = {}
-        sent_digests: List[Tuple[bytes, int]] = []
-        cached_refs: Dict[str, List[Any]] = {}
-        if self.xfer_cache is not None and self.xfer_cache.policy.enabled:
-            (in_buffers, scalars, elided, sent_digests,
-             cached_refs) = self._elide_payloads(in_buffers, scalars, clock)
-        payload = (sum(map(len, in_buffers.values()))
-                   if in_buffers else 0)
-        marshal_start = clock.now
-        clock.advance(
-            self.marshal_call_cost + payload * self.marshal_byte_cost,
-            "marshal",
-        )
-        command = Command(
-            seq=self.driver.next_seq(),
-            vm_id=self.driver.vm_id,
-            api=self.api_name,
-            function=function,
-            mode=mode,
-            scalars=scalars,
-            handles=handles,
-            in_buffers=in_buffers,
-            out_sizes=out_sizes,
-            issue_time=clock.now,
-            cached_refs=cached_refs,
-        )
-        if span is not None:
-            span.attrs.update(
-                seq=command.seq, mode=mode, payload_bytes=payload,
+        span = None
+        if tracer.enabled:
+            # the per-call root span, where the application entered the
+            # API: the runtime, not the generated stub, owns it
+            parent = tracer.container(self.driver.vm_id, self.api_name,
+                                      clock.now)
+            span = tracer.start_span(
+                function, clock.now, layer="guest", kind="function",
+                vm_id=self.driver.vm_id, api=self.api_name,
+                function=function, parent_id=parent.span_id,
             )
-            # propagate the trace context on the wire: host-side layers
-            # parent their spans on these ids, not on shared state
-            command.trace_id = tracer.trace_id
-            command.span_id = span.span_id
-            tracer.record_span(
-                "marshal", marshal_start, clock.now,
-                layer="guest", bytes=payload,
-            )
-        if (mode == "async" and self.batch_policy is not None
-                and self.batch_policy.enabled):
-            self.calls_async += 1
-            self._stage(command, function, out_targets, ret_kind,
-                        success, wants_callback, payload, tracer, span,
-                        elided, sent_digests)
-            return success
-
         try:
-            result = self.driver.transport.deliver(
-                command, clock.now, asynchronous=(mode == "async")
+            if self._queue and mode == "sync" and (
+                    self._batch_policy is None
+                    or self._batch_policy.flush_before_sync):
+                # synchronization point: queued async work crosses the
+                # channel ahead of the blocking call, preserving program
+                # order and the deferred-error contract.
+                # (flush_before_sync is only ever False in sanitizer
+                # tests that seed ordering violations on purpose.)
+                self._flush("sync")
+            elided: Elided = {}
+            sent_digests: List[Tuple[bytes, int]] = []
+            cached_refs: Dict[str, List[Any]] = {}
+            if self._caching:
+                (in_buffers, scalars, elided, sent_digests,
+                 cached_refs) = self._elide_payloads(in_buffers, scalars,
+                                                     clock)
+            payload = (sum(map(len, in_buffers.values()))
+                       if in_buffers else 0)
+            marshal_start = clock.now if span is not None else 0.0
+            issued = clock.advance(
+                self.marshal_call_cost + payload * self.marshal_byte_cost,
+                "marshal",
             )
-            if result.timed_out or result.need_bytes is not None:
-                result = self._recover(
-                    lambda now: self.driver.transport.deliver(
-                        command, now, asynchronous=(mode == "async")),
-                    result, [(command, elided)],
-                    self._retryable(mode, ret_kind, out_targets),
-                    {"function": function, "seq": command.seq}, span)
-        except CodecError as err:
-            # an argument the wire cannot carry is the forwarding
-            # path's failure, not an API error code
-            raise RemotingError(f"{function}: {err}") from err
-        cache = self.xfer_cache
-        if result.need_bytes is not None:
-            # the resent frame carried every payload in full, so a
-            # second NeedBytes is a protocol violation: surface it as a
-            # remoting error, never as wrong bytes
-            result = replace(result, need_bytes=None, reply=Reply(
-                seq=command.seq,
-                error=("transfer cache: full-payload retransmission "
-                       "answered NeedBytes again"),
-                complete_time=result.completed_at))
-        elif (elided and not command.cached_refs and cache is not None
-                and not result.timed_out):
-            # resent in full (the refs are gone), and it arrived: the
-            # store holds the once-elided payloads again
-            for _kind, _original, digest, size, _at in elided.values():
-                cache.note_delivered(digest, size)
-        if cache is not None and not result.timed_out:
-            for digest, size in sent_digests:
-                cache.note_delivered(digest, size)
-        clock.advance_to(result.sent_at, "transport")
-
-        if mode == "async":
-            self.calls_async += 1
-            self._note_async_outcome(result.reply, success)
-            # Outputs that did come back are applied eagerly: semantically
-            # the data "lands by the time the guest synchronizes", which a
-            # well-formed guest cannot distinguish.  Errors remain the
-            # fidelity loss async forwarding cannot repair (§4.2).
-            if result.reply.error is None:
-                self._apply_outputs(result.reply, out_targets, function)
-                self._deliver_callbacks(result.reply, function)
-            return success
-
-        self.calls_sync += 1
-        reply = result.reply
-        if reply.error is not None:
+            command = Command(
+                seq=self.driver.next_seq(),
+                vm_id=self.driver.vm_id,
+                api=self.api_name,
+                function=function,
+                mode=mode,
+                scalars=scalars,
+                handles=handles,
+                in_buffers=in_buffers,
+                out_sizes=out_sizes,
+                issue_time=issued,
+                cached_refs=cached_refs,
+            )
             if span is not None:
-                span.attrs["error"] = reply.error
-            raise RemotingError(f"{function}: {reply.error}")
-        # wait for host completion, then pay the reply leg and unmarshal
-        wait_start = clock.now
-        clock.advance_to(result.completed_at, "host_wait")
-        recv_start = clock.now
-        clock.advance(result.reply_cost, "transport")
-        reply_bytes = reply.payload_bytes()
-        unmarshal_start = clock.now
-        clock.advance(
-            self.marshal_call_cost + reply_bytes * self.marshal_byte_cost,
-            "marshal",
-        )
-        if span is not None:
-            if recv_start > wait_start:
-                tracer.record_span(
-                    "wait.reply", wait_start, recv_start, layer="guest",
-                    server_span=reply.span_id,
+                span.attrs.update(
+                    seq=command.seq, mode=mode, payload_bytes=payload,
                 )
-            tracer.record_span(
-                "transport.recv", recv_start, unmarshal_start,
-                layer="transport", bytes=reply_bytes,
+                # propagate the trace context on the wire: host-side
+                # layers parent their spans on these ids, not on shared
+                # state
+                command.trace_id = tracer.trace_id
+                command.span_id = span.span_id
+                tracer.record_span(
+                    "marshal", marshal_start, issued,
+                    layer="guest", bytes=payload,
+                )
+            asynchronous = mode == "async"
+            if asynchronous and self._batching:
+                self.calls_async += 1
+                self._stage(command, function, out_targets, ret_kind,
+                            success, callback, payload, tracer, span,
+                            elided, sent_digests)
+                return success
+
+            transport = self.driver.transport
+            try:
+                result = transport.deliver(command, issued,
+                                           asynchronous=asynchronous)
+                if result.timed_out or result.need_bytes is not None:
+                    result = self._recover(
+                        lambda now: transport.deliver(
+                            command, now, asynchronous=asynchronous),
+                        result, [(command, elided)],
+                        self._retryable(mode, ret_kind, out_targets),
+                        {"function": function, "seq": command.seq}, span)
+            except CodecError as err:
+                # an argument the wire cannot carry is the forwarding
+                # path's failure, not an API error code
+                raise RemotingError(f"{function}: {err}") from err
+            if result.need_bytes is not None:
+                # the resent frame carried every payload in full, so a
+                # second NeedBytes is a protocol violation: surface it
+                # as a remoting error, never as wrong bytes
+                result = replace(result, need_bytes=None, reply=Reply(
+                    seq=command.seq,
+                    error=("transfer cache: full-payload retransmission "
+                           "answered NeedBytes again"),
+                    complete_time=result.completed_at))
+            elif elided and not command.cached_refs \
+                    and not result.timed_out:
+                # resent in full (the refs are gone), and it arrived: the
+                # store holds the once-elided payloads again
+                for _kind, _original, digest, size, _at in elided.values():
+                    self._xfer_cache.note_delivered(digest, size)
+            if sent_digests and not result.timed_out:
+                for digest, size in sent_digests:
+                    self._xfer_cache.note_delivered(digest, size)
+            clock.advance_to(result.sent_at, "transport")
+            reply = result.reply
+
+            if asynchronous:
+                self.calls_async += 1
+                if reply.error is not None or \
+                        reply.return_value not in (None, success):
+                    self._note_async_outcome(reply, success)
+                # Outputs that did come back are applied eagerly:
+                # semantically the data "lands by the time the guest
+                # synchronizes", which a well-formed guest cannot
+                # distinguish.  Errors remain the fidelity loss async
+                # forwarding cannot repair (§4.2).
+                if reply.error is None and (out_targets or reply.callbacks):
+                    self._apply_outputs(reply, out_targets, function)
+                return success
+
+            self.calls_sync += 1
+            if reply.error is not None:
+                if span is not None:
+                    span.attrs["error"] = reply.error
+                raise RemotingError(f"{function}: {reply.error}")
+            # wait for host completion, then pay the reply leg and
+            # unmarshal
+            wait_start = clock.now
+            recv_start = clock.advance_to(result.completed_at, "host_wait")
+            unmarshal_start = clock.advance(result.reply_cost, "transport")
+            reply_bytes = reply.payload_bytes()
+            done = clock.advance(
+                self.marshal_call_cost + reply_bytes * self.marshal_byte_cost,
+                "marshal",
             )
-            tracer.record_span(
-                "unmarshal", unmarshal_start, clock.now,
-                layer="guest", bytes=reply_bytes,
-            )
-            span.attrs["reply_bytes"] = reply_bytes
-        self._apply_outputs(reply, out_targets, function)
-        self._deliver_callbacks(reply, function)
-        value = self._map_return(reply, ret_kind)
-        if self.pending_async_error is not None and ret_kind == "scalar":
-            deferred, self.pending_async_error = self.pending_async_error, None
-            if value == success:
-                return deferred
-        return value
+            if span is not None:
+                if recv_start > wait_start:
+                    tracer.record_span(
+                        "wait.reply", wait_start, recv_start,
+                        layer="guest", server_span=reply.span_id,
+                    )
+                tracer.record_span(
+                    "transport.recv", recv_start, unmarshal_start,
+                    layer="transport", bytes=reply_bytes,
+                )
+                tracer.record_span(
+                    "unmarshal", unmarshal_start, done,
+                    layer="guest", bytes=reply_bytes,
+                )
+                span.attrs["reply_bytes"] = reply_bytes
+            self._apply_outputs(reply, out_targets, function)
+            if ret_kind == "handle":
+                return reply.new_handles.get("__ret__")
+            if ret_kind == "none":
+                return None
+            value = reply.return_value
+            if self.pending_async_error is not None and ret_kind == "scalar":
+                deferred, self.pending_async_error = (
+                    self.pending_async_error, None)
+                if value == success:
+                    return deferred
+            return value
+        finally:
+            if span is not None:
+                tracer.end_span(span, clock.now)
 
     # -- the transfer cache (guest half) ------------------------------------------
 
@@ -439,7 +417,7 @@ class GuestRuntime:
         kept originals, the digests of eligible payloads still sent in
         full, and the wire-form refs.
         """
-        cache = self.xfer_cache
+        cache = self._xfer_cache
         cost = 0.0
         elided: Elided = {}
         sent_digests: List[Tuple[bytes, int]] = []
@@ -531,7 +509,7 @@ class GuestRuntime:
         carries every elided payload in full, so it cannot miss again.
         """
         clock = self.driver.clock
-        cache = self.xfer_cache
+        cache = self._xfer_cache
         needed = result.need_bytes
         # live through the failed exchange: command leg, host detection,
         # and the (digest-sized) NeedBytes reply leg — charged where the
@@ -565,7 +543,7 @@ class GuestRuntime:
         out_targets: Dict[str, Tuple[str, Any]],
         ret_kind: str,
         success: Any,
-        wants_callback: bool,
+        callback: bool,
         payload: int,
         tracer: Any,
         span: Any,
@@ -578,7 +556,7 @@ class GuestRuntime:
         any async call does); the command crosses the channel at the
         next flush, as part of one batched wire frame.
         """
-        policy = self.batch_policy
+        policy = self._batch_policy
         clock = self.driver.clock
         # the queue outlives the call: what it holds of the caller's
         # memory (payloads, and originals kept for a NeedBytes resend)
@@ -607,7 +585,7 @@ class GuestRuntime:
                                        elided=elided or {},
                                        sent_digests=sent_digests or []))
         self._queued_bytes += payload
-        needs_reply = wants_callback or any(
+        needs_reply = callback or any(
             target is not None for _kind, target in out_targets.values())
         if needs_reply:
             # outputs/callbacks must land by the time the guest could
@@ -669,20 +647,19 @@ class GuestRuntime:
             if self.pending_async_error is None:
                 self.pending_async_error = -1001.0
             return
-        if self.xfer_cache is not None:
+        if self._xfer_cache is not None:
             for entry in staged:
                 for digest, size in entry.sent_digests:
-                    self.xfer_cache.note_delivered(digest, size)
+                    self._xfer_cache.note_delivered(digest, size)
                 for _kind, _orig, digest, size, _at in entry.elided.values():
                     if not entry.command.cached_refs:
                         # the batch was retransmitted in full
-                        self.xfer_cache.note_delivered(digest, size)
+                        self._xfer_cache.note_delivered(digest, size)
         for entry, reply in zip(staged, result.replies):
             self._note_async_outcome(reply, entry.success)
             if reply.error is None:
                 self._apply_outputs(reply, entry.out_targets,
                                     entry.function)
-                self._deliver_callbacks(reply, entry.function)
 
     # -- transport-failure recovery ---------------------------------------------
 
@@ -761,6 +738,8 @@ class GuestRuntime:
         out_targets: Dict[str, Tuple[str, Any]],
         function: str,
     ) -> None:
+        """Land a successful reply: its outputs in the caller's buffers
+        and boxes, then the guest callbacks it carries."""
         for name, (kind, target) in out_targets.items():
             if target is None:
                 continue
@@ -783,10 +762,5 @@ class GuestRuntime:
                 raise RemotingError(
                     f"{function}: unknown output kind {kind!r} for {name!r}"
                 )
-
-    def _map_return(self, reply: Reply, ret_kind: str) -> Any:
-        if ret_kind == "handle":
-            return reply.new_handles.get("__ret__")
-        if ret_kind == "none":
-            return None
-        return reply.return_value
+        if reply.callbacks:
+            self._deliver_callbacks(reply, function)

@@ -9,7 +9,7 @@ policy object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 #: QoS classes, as a weight multiplier folded into the fair-share
 #: weight.  The class also steers pool placement (see
@@ -58,12 +58,16 @@ class ResourcePolicy:
 
     default: VMPolicy = field(default_factory=VMPolicy)
     per_vm: Dict[str, VMPolicy] = field(default_factory=dict)
+    #: version counter bumped by every :meth:`set_policy` (on any
+    #: instance): a router's per-VM plans are rebuilt when it moves
+    version: ClassVar[int] = 0
 
     def policy_for(self, vm_id: str) -> VMPolicy:
         return self.per_vm.get(vm_id, self.default)
 
     def set_policy(self, vm_id: str, policy: VMPolicy) -> None:
         self.per_vm[vm_id] = policy
+        ResourcePolicy.version += 1
 
     def effective_weight(self, vm_id: str) -> float:
         """The VM's scheduling weight with its QoS multiplier applied."""

@@ -11,41 +11,14 @@ table, and optionally with AvA's swap memory-manager installed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ContextManager, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.opencl.device import SimulatedGPU
 from repro.opencl.runtime import MemoryManager, Session
 from repro.opencl.runtime import _SESSION_STACK as _CL_STACK
 from repro.mvnc.api import NCSSession, _SESSION_STACK as _NCS_STACK
 from repro.mvnc.device import SimulatedNCS
-from repro.server.api_server import ApiServerWorker
-
-
-class SessionScope:
-    """A worker's one persistent session, pushed on its API's session
-    stack around every command and popped after.
-
-    Built once per worker when it is bound.  It is its own session
-    factory: the worker calls it with itself and enters what comes
-    back, so a command pays one push and one pop, not a generator
-    context manager.
-    """
-
-    __slots__ = ("session", "stack")
-
-    def __init__(self, session: Any, stack: List[Any]) -> None:
-        self.session = session
-        self.stack = stack
-
-    def __call__(self, _worker: ApiServerWorker) -> "SessionScope":
-        return self
-
-    def __enter__(self) -> Any:
-        self.stack.append(self.session)
-        return self.session
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stack.pop()
+from repro.server.api_server import ApiServerWorker, SessionScope
 
 
 def _pool_devices(worker: ApiServerWorker, api: str) -> Optional[List]:
@@ -62,7 +35,7 @@ def _pool_devices(worker: ApiServerWorker, api: str) -> Optional[List]:
 def opencl_session_binder(
     devices_factory: Callable[[], List[SimulatedGPU]],
     memory_manager_factory: Optional[Callable[[], MemoryManager]] = None,
-) -> Callable[[ApiServerWorker], Callable[[ApiServerWorker], ContextManager]]:
+) -> Callable[[ApiServerWorker], SessionScope]:
     """Binder for OpenCL workers.
 
     ``devices_factory`` is called once per worker, so each worker can get
@@ -72,7 +45,7 @@ def opencl_session_binder(
     member's native GPU instead.
     """
 
-    def bind(worker: ApiServerWorker) -> Callable[[ApiServerWorker], ContextManager]:
+    def bind(worker: ApiServerWorker) -> SessionScope:
         session = Session(
             devices=_pool_devices(worker, "opencl") or devices_factory(),
             clock=worker.clock,
@@ -90,10 +63,10 @@ def opencl_session_binder(
 
 def mvnc_session_binder(
     devices_factory: Callable[[], List[SimulatedNCS]],
-) -> Callable[[ApiServerWorker], Callable[[ApiServerWorker], ContextManager]]:
+) -> Callable[[ApiServerWorker], SessionScope]:
     """Binder for MVNC workers (one persistent NCS session per worker)."""
 
-    def bind(worker: ApiServerWorker) -> Callable[[ApiServerWorker], ContextManager]:
+    def bind(worker: ApiServerWorker) -> SessionScope:
         session = NCSSession(
             devices=_pool_devices(worker, "mvnc") or devices_factory(),
             clock=worker.clock,
@@ -106,11 +79,11 @@ def mvnc_session_binder(
 
 def qat_session_binder(
     devices_factory: Callable[[], List],
-) -> Callable[[ApiServerWorker], Callable[[ApiServerWorker], ContextManager]]:
+) -> Callable[[ApiServerWorker], SessionScope]:
     """Binder for QuickAssist workers (one persistent QAT session)."""
     from repro.qat.api import QATSession, _SESSION_STACK as _QAT_STACK
 
-    def bind(worker: ApiServerWorker) -> Callable[[ApiServerWorker], ContextManager]:
+    def bind(worker: ApiServerWorker) -> SessionScope:
         session = QATSession(
             devices=_pool_devices(worker, "qat") or devices_factory(),
             clock=worker.clock,
@@ -123,11 +96,11 @@ def qat_session_binder(
 
 def tpu_session_binder(
     devices_factory: Callable[[], List],
-) -> Callable[[ApiServerWorker], Callable[[ApiServerWorker], ContextManager]]:
+) -> Callable[[ApiServerWorker], SessionScope]:
     """Binder for TPU workers (one persistent TPU session)."""
     from repro.tpu.api import TPUSession, _SESSION_STACK as _TPU_STACK
 
-    def bind(worker: ApiServerWorker) -> Callable[[ApiServerWorker], ContextManager]:
+    def bind(worker: ApiServerWorker) -> SessionScope:
         session = TPUSession(devices=devices_factory(), clock=worker.clock)
         worker.native_session = session
         return SessionScope(session, _TPU_STACK)

@@ -2,7 +2,7 @@
 
 AvA's architectural claim is *recovered interposition*: every forwarded
 call crosses the hypervisor router.  The tracer makes that path visible
-— each guest-stub invocation opens a ``function`` span, and every layer
+— each forwarded call opens a ``function`` span, and every layer
 it crosses (marshal, transport, router, API server, simulated device)
 records child spans with virtual-time start/end and structured
 attributes.  Trace context propagates the way it would in a real
@@ -21,7 +21,7 @@ Span taxonomy (``kind`` / typical ``name``):
 
 * ``vm`` — one container span per guest VM,
 * ``api`` — one container per (VM, API) runtime binding,
-* ``function`` — one per guest-stub invocation (the per-call tree root),
+* ``function`` — one per forwarded call (the per-call tree root),
 * ``op`` — per-layer children: ``marshal``, ``transport.send``,
   ``router.policy``, ``router.queue``, ``dispatch``, the server stub
   (named after the API function), ``device.compute``, ``device.copy``,

@@ -187,12 +187,12 @@ class TestGeneratedAst:
     def test_decode_reorder_caught(self):
         spec, sources = self._sources()
         block = (
-            "        input_tensor = cmd.in_buffers.get('input_tensor')\n"
-            "        input_tensor_length = cmd.scalars.get('input_tensor_length')\n"
+            "    input_tensor = cmd.in_buffers.get('input_tensor')\n"
+            "    input_tensor_length = cmd.scalars.get('input_tensor_length')\n"
         )
         swapped = (
-            "        input_tensor_length = cmd.scalars.get('input_tensor_length')\n"
-            "        input_tensor = cmd.in_buffers.get('input_tensor')\n"
+            "    input_tensor_length = cmd.scalars.get('input_tensor_length')\n"
+            "    input_tensor = cmd.in_buffers.get('input_tensor')\n"
         )
         tampered = self._tampered(
             sources, server_source=(block, swapped))
@@ -262,10 +262,10 @@ class TestGeneratedAst:
         tampered = self._tampered(sources, server_source=(
             "_ret = _native.mvncLoadTensor",
             "try:\n"
-            "            pass\n"
-            "        except Exception:\n"
-            "            pass\n"
-            "        _ret = _native.mvncLoadTensor",
+            "        pass\n"
+            "    except Exception:\n"
+            "        pass\n"
+            "    _ret = _native.mvncLoadTensor",
         ))
         diags, _ = analyze_generated(spec, sources=tampered)
         assert any(d.code == "CAVA304" for d in diags)

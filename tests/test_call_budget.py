@@ -1,0 +1,89 @@
+"""A deterministic per-call budget for the forwarding path.
+
+Wall-clock gates on a shared host swing by tens of percent; the number
+of Python function calls one forwarded call makes does not.  This test
+counts ``call`` events with :func:`sys.setprofile` while a
+``chatty``-shaped stream (two async ``clSetKernelArg`` and an async
+``clEnqueueNDRangeKernel`` per iteration, ``clFinish`` every 64) runs
+through ``VirtualStack.build("opencl")`` untraced, and divides by the
+commands the router forwarded.
+
+The bound is the count measured when the unarmed call became a straight
+line (per-VM plans in guest, router and server), plus 5 %.  A change
+that puts work back on every call trips it; raise the bound only with a
+measurement that says why.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+
+from repro.opencl.kernels import BUFFER, SCALAR, register_kernel
+from repro.stack import VirtualStack
+from repro.workloads.base import open_env
+
+#: Python calls per forwarded call, measured (78.95) plus 5 %
+BUDGET = 82.9
+
+SOURCE = "__kernel void budget_poke(__global int *s, int a, int b) {}"
+SLOTS = 64
+
+
+@register_kernel("budget_poke", [BUFFER, SCALAR, SCALAR])
+def _budget_poke(ctx):
+    ctx.buf(0, np.int32)[int(ctx.scalar(1))] = int(ctx.scalar(2))
+
+
+def calls_per_forwarded_call(iterations=256):
+    """Python ``call`` events per forwarded command, and a per-function
+    breakdown of where they went."""
+    session = VirtualStack.build("opencl").add_vm("vm0")
+    cl = session.lib
+    env = open_env(cl)
+    kernel = env.kernel(env.program(SOURCE), "budget_poke")
+    env.set_args(kernel, env.buffer(SLOTS * 4,
+                                    host=np.zeros(SLOTS, dtype=np.int32)))
+    metrics = session.stack.hypervisor.router.metrics_for("vm0")
+
+    def step(i):
+        cl.clSetKernelArg(kernel, 1, 8, i % SLOTS)
+        cl.clSetKernelArg(kernel, 2, 8, i)
+        cl.clEnqueueNDRangeKernel(env.queue, kernel, 1, None, (1,), None,
+                                  0, None, None)
+        if i % 64 == 63:
+            cl.clFinish(env.queue)
+
+    for i in range(64):   # warm every one-time cache first
+        step(i)
+    where = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            where[f"{code.co_filename.rsplit('/', 1)[-1]}:"
+                  f"{code.co_name}"] += 1
+
+    before = metrics.commands
+    sys.setprofile(profile)
+    try:
+        for i in range(iterations):
+            step(i)
+    finally:
+        sys.setprofile(None)
+    forwarded = metrics.commands - before
+    return sum(where.values()) / forwarded, where
+
+
+def test_forwarded_call_stays_within_budget():
+    per_call, where = calls_per_forwarded_call()
+    top = ", ".join(f"{name} {count}" for name, count
+                    in where.most_common(12))
+    assert per_call <= BUDGET, (
+        f"{per_call:.2f} Python calls per forwarded call, budget "
+        f"{BUDGET}; busiest: {top}")
+
+
+if __name__ == "__main__":
+    per_call, where = calls_per_forwarded_call()
+    sys.stdout.write(f"{per_call:.2f} Python calls per forwarded call\n")

@@ -4,6 +4,7 @@ supports structures, nested arrays, callbacks")."""
 import pytest
 
 from repro.codegen.classify import ParamClass, classify_param
+from repro.guest.batching import BatchPolicy
 from repro.guest.library import GuestRuntime, RemotingError
 from repro.migration import MigrationPolicy
 from repro.opencl import api as cl_api
@@ -120,6 +121,25 @@ class TestForwardedPath:
         first = runtime.register_callback(notifier)
         second = runtime.register_callback(notifier)
         assert first == second
+
+    def test_failed_marshal_does_not_arm_the_next_call(self):
+        """A callback registered by a call that then fails to marshal
+        belongs to that call: the next async call is staged as usual,
+        not flushed at once for a reply leg nobody asked for."""
+        hv = make_hypervisor(apis=("opencl",), batch_policy=BatchPolicy())
+        vm = hv.create_vm("vm-cb-leak")
+        cl = vm.library("opencl")
+        ctx, err = build_env(cl)
+        prog = cl.clCreateProgramWithSource(ctx, 1, SRC, None, err)
+        kernel = cl.clCreateKernel(prog, "vector_add", err)
+        runtime = vm.runtimes["opencl"]
+        with pytest.raises(RemotingError, match="user_data"):
+            cl.clBuildProgram(prog, 0, None, None, lambda status: None,
+                              object())
+        flushed = runtime.batches_flushed
+        assert cl.clSetKernelArg(kernel, 3, 4, 7) == types.CL_SUCCESS
+        assert len(runtime._queue) == 1
+        assert runtime.batches_flushed == flushed
 
     def test_unknown_callback_id_raises(self):
         runtime = GuestRuntime.__new__(GuestRuntime)

@@ -177,10 +177,10 @@ class TestGeneratedOrdering:
         spec, sources = self._sources()
         tampered = self._tampered(
             sources, "guest_source",
-            "            _mode = 'async'\n"
-            "            return _rt.submit('mvncLoadTensor'",
-            "            _mode = 'sync'\n"
-            "            return _rt.submit('mvncLoadTensor'",
+            "        _mode = 'async'\n"
+            "        return _rt.submit('mvncLoadTensor'",
+            "        _mode = 'sync'\n"
+            "        return _rt.submit('mvncLoadTensor'",
         )
         diags, _ = analyze_generated_ordering(spec, sources=tampered)
         assert any(d.code == "CAVA308" and d.subject == "mvncLoadTensor"

@@ -187,6 +187,112 @@ class TestSLOMonitor:
         assert seen == monitor.events
 
 
+class _ReferenceMonitor:
+    """The monitor's contract, naively: every target is matched on every
+    request, every (target, VM) keeps its whole outcome history, and
+    each window's good/bad split is recounted from it.  A window forgets
+    outcomes from its oldest end only, while they are older than its
+    span (so an out-of-order timestamp can hold older ones in)."""
+
+    def __init__(self, targets):
+        self.targets = list(targets)
+        self.events = []
+        self.history = {}   # (index, vm) -> [(time, good)]
+        self.fronts = {}    # (index, vm) -> [front per window]
+        self.armed = {}
+
+    def record(self, vm_id, function, latency, error, now):
+        import fnmatch
+
+        for index, target in enumerate(self.targets):
+            if not (fnmatch.fnmatchcase(vm_id, target.vm)
+                    and fnmatch.fnmatchcase(function or "",
+                                            target.function)):
+                continue
+            key = (index, vm_id)
+            good = not error and (target.latency is None
+                                  or latency <= target.latency)
+            history = self.history.setdefault(key, [])
+            history.append((now, good))
+            fronts = self.fronts.setdefault(key, [0] * 2 * len(
+                target.windows))
+            armed = self.armed.setdefault(key, [True] * len(target.windows))
+            for i, pair in enumerate(target.windows):
+                burns = []
+                for j, span in ((2 * i, pair.long_window),
+                                (2 * i + 1, pair.short_window)):
+                    while history[fronts[j]][0] < now - span:
+                        fronts[j] += 1
+                    inside = history[fronts[j]:]
+                    bad = sum(1 for _, ok in inside if not ok)
+                    burns.append(bad / len(inside) / target.error_budget)
+                firing = all(burn > pair.max_burn_rate for burn in burns)
+                if firing and armed[i]:
+                    armed[i] = False
+                    self.events.append((now, target.name, vm_id, pair,
+                                        burns[0], burns[1]))
+                elif not firing and burns[0] <= pair.max_burn_rate:
+                    armed[i] = True
+
+    def summary(self):
+        rows = []
+        for (index, vm_id), history in sorted(self.history.items()):
+            good = sum(1 for _, ok in history if ok)
+            rows.append((self.targets[index].name, vm_id, len(history),
+                         good))
+        return rows
+
+
+class TestOutcomeLogMatchesReference:
+    """One log per (target, VM) with per-window cursors and running
+    counts, and matching remembered per (VM, function), give exactly the
+    events and summary of the naive model."""
+
+    TARGETS = [
+        SLOTarget(name="all", latency=2e-3, objective=0.9,
+                  windows=(BurnRateWindow(0.05, 0.01, 2.0),
+                           BurnRateWindow(0.2, 0.05, 1.5))),
+        SLOTarget(name="vm-a", vm="vm-a*", objective=0.8,
+                  windows=(BurnRateWindow(0.03, 0.03, 1.2),)),
+        SLOTarget(name="writes", vm="vm-?1", function="clEnqueue*",
+                  latency=1e-3, objective=0.95),
+        SLOTarget(name="finish", function="clFinish", objective=0.99,
+                  windows=(BurnRateWindow(0.1, 0.02, 3.0),)),
+    ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_streams(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        monitor = SLOMonitor(self.TARGETS)
+        reference = _ReferenceMonitor(self.TARGETS)
+        now = 0.0
+        for _ in range(3000):
+            # mostly forward in time, sometimes a step back
+            now += rng.choice((1e-4, 5e-4, 2e-3, 1e-2, -3e-3))
+            args = (rng.choice(("vm-a1", "vm-a2", "vm-b1", "vm-c")),
+                    rng.choice(("clFinish", "clEnqueueWriteBuffer",
+                                "clSetKernelArg", "")),
+                    rng.choice((0.2e-3, 1.5e-3, 5e-3)),
+                    rng.random() < 0.15, now)
+            monitor.record(*args)
+            reference.record(*args)
+        assert [(e.time, e.target, e.vm_id, e.window, e.burn_long,
+                 e.burn_short) for e in monitor.events] == reference.events
+        assert len(reference.events) > 10
+        assert [(r["target"], r["vm"], r["total"], r["good"])
+                for r in monitor.summary()] == reference.summary()
+
+    def test_logs_stay_bounded(self):
+        monitor = SLOMonitor([SLOTarget(
+            name="t", windows=(BurnRateWindow(0.01, 0.001, 2.0),))])
+        for i in range(20_000):
+            monitor.record("v1", "f", 0.0, error=False, now=i * 1e-4)
+        (state,) = monitor._states.values()
+        assert len(state.log) < 400
+
+
 class TestTargetFiles:
     def test_parse_full_entry(self):
         targets = parse_slo_targets({"targets": [{
