@@ -15,8 +15,8 @@ from repro.stack import default_specs_dir, load_spec
 def test_codegen_effort_table(once):
     specs = default_specs_dir()
     reports = once(lambda: [
-        measure_effort("opencl", specs, "repro.opencl.api"),
-        measure_effort("mvnc", specs, "repro.mvnc.api"),
+        measure_effort("opencl", specs),
+        measure_effort("mvnc", specs),
     ])
 
     print("\n=== CAvA developer effort (§5) ===")

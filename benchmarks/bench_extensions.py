@@ -16,7 +16,7 @@ import contextlib
 
 from repro.qat import api as qat_api
 from repro.qat.device import SimulatedQAT
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.tpu import api as tpu_api
 from repro.vclock import VirtualClock
 from repro.workloads.compression import CompressionWorkload
@@ -30,7 +30,7 @@ def measure_pair(api_name, workload, native_module, session_cm):
     assert native_result.verified, native_result.detail
     native = clock.now
 
-    hv = make_hypervisor(apis=(api_name,))
+    hv = VirtualStack.build(api_name).hypervisor
     vm = hv.create_vm(f"vm-ext-{api_name}")
     forwarded_result = workload.run(vm.library(api_name))
     assert forwarded_result.verified, forwarded_result.detail

@@ -24,7 +24,7 @@ from repro.migration import MigrationPolicy
 from repro.migration.recorder import RecordedCall
 from repro.opencl import types
 from repro.remoting.buffers import OutBox
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads.base import open_env
 
 SRC = ("__kernel void vector_scale(__global float* x, float alpha, "
@@ -56,7 +56,7 @@ def downtime_sweep():
     rows = []
     for num_buffers, buffer_kib in ((2, 64), (8, 256), (16, 1024),
                                     (16, 4096)):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-mig")
         cl = vm.library("opencl")
         _, queue, mems = build_guest_state(cl, num_buffers,
@@ -102,7 +102,7 @@ def test_object_tracking_prunes_log(once):
     """Creating and destroying K temporaries leaves the log no bigger."""
 
     def run():
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-churn")
         cl = vm.library("opencl")
         ctx, queue, _ = build_guest_state(cl, 2, 4096)
@@ -132,7 +132,7 @@ def bounded_log():
     among K live buffers, counted in records visited (not seconds)."""
     rows = []
     for iterations, live_objects in ((10, 100), (100, 1000), (1000, 10000)):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         cl = hv.create_vm("vm-steady").library("opencl")
         env = open_env(cl)
         kernel = env.kernel(env.program(SRC), "vector_scale")
@@ -191,7 +191,7 @@ def live_vs_stop_the_world():
 
         # stop-the-world baseline: the guest is frozen for the whole
         # log replay and every buffer transfer
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         cl = hv.create_vm("vm-stw").library("opencl")
         build_guest_state(cl, num_buffers, nbytes)
         stw = hv.live_migrate_vm("vm-stw", "opencl",
@@ -199,7 +199,7 @@ def live_vs_stop_the_world():
 
         # live: the guest keeps writing between pre-copy rounds; only
         # the cutover window is frozen
-        hv2 = make_hypervisor(apis=("opencl",))
+        hv2 = VirtualStack.build("opencl").hypervisor
         cl2 = hv2.create_vm("vm-live").library("opencl")
         _, queue, mems = build_guest_state(cl2, num_buffers, nbytes)
         engine = hv2.start_live_migration("vm-live", "opencl")
@@ -246,7 +246,7 @@ def rebalance_demo():
     from repro.workloads import BFSWorkload
 
     def run(rebalance):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         hv.add_device(DeviceClass.baseline_gpu(), "dev-hot")
         for vm_id in ("vm-a", "vm-b"):
             vm = hv.create_vm(vm_id)

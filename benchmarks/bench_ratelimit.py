@@ -14,7 +14,7 @@ import pytest
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy, VMPolicy
 from repro.hypervisor.pool import DeviceClass, DevicePool, PoolScheduler
 from repro.hypervisor.scheduler import FifoScheduler, WorkItem
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import NWWorkload
 
 
@@ -76,7 +76,7 @@ def test_rate_limit_end_to_end(once):
         if limit:
             policy.set_policy("vm-rl", VMPolicy(command_rate=limit,
                                                 command_burst=8))
-        hv = make_hypervisor(policy=policy, apis=("opencl",))
+        hv = VirtualStack.build("opencl", policy=policy).hypervisor
         vm = hv.create_vm("vm-rl")
         result = NWWorkload(scale=0.25).run(vm.library("opencl"))
         assert result.verified

@@ -24,7 +24,7 @@ import tracemalloc
 
 import numpy as np
 
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads.base import open_env
 
 CALLS = int(os.environ.get("CAVA_SOAK_CALLS", "200000"))
@@ -50,7 +50,7 @@ def _held_bytes():
 
 
 def soak(calls=CALLS):
-    hv = make_hypervisor(apis=("opencl",))
+    hv = VirtualStack.build("opencl").hypervisor
     cl = hv.create_vm("vm-soak").library("opencl")
     env = open_env(cl)
     kernel = env.kernel(env.program(SRC), "vector_scale")

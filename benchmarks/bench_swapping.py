@@ -12,7 +12,7 @@ footprint.
 from repro.opencl import runtime as rt
 from repro.opencl.device import DeviceSpec, SimulatedGPU
 from repro.server.swap import ObjectSwapManager, PageSwapManager
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import NWWorkload
 
 
@@ -71,13 +71,13 @@ def test_guest_survives_oversubscription(once):
     """No OOM reaches the guest: nw on a device half its footprint."""
 
     def run():
-        hv = make_hypervisor(
-            apis=("opencl",),
-            gpu_factory=lambda: SimulatedGPU(
+        hv = VirtualStack.build(
+            "opencl",
+            devices={"opencl": lambda: SimulatedGPU(
                 DeviceSpec.small_gpu(mem_bytes=96 * 1024)
-            ),
+            )},
             memory_manager_factory=ObjectSwapManager,
-        )
+        ).hypervisor
         vm = hv.create_vm("vm-swap")
         result = NWWorkload(scale=0.5).run(vm.library("opencl"))
         return result, vm.clock.now
@@ -94,13 +94,13 @@ def test_swap_overhead_vs_fitting_device(once):
     workload = NWWorkload(scale=0.5)
 
     def run(mem_bytes):
-        hv = make_hypervisor(
-            apis=("opencl",),
-            gpu_factory=lambda: SimulatedGPU(
+        hv = VirtualStack.build(
+            "opencl",
+            devices={"opencl": lambda: SimulatedGPU(
                 DeviceSpec.small_gpu(mem_bytes=mem_bytes)
-            ),
+            )},
             memory_manager_factory=ObjectSwapManager,
-        )
+        ).hypervisor
         vm = hv.create_vm("vm-sz")
         assert workload.run(vm.library("opencl")).verified
         return vm.clock.now

@@ -13,7 +13,7 @@ Run:  python examples/compression_offload.py
 
 from repro.qat import api as qat_api
 from repro.remoting.buffers import OutBox
-from repro.stack import load_spec, make_hypervisor
+from repro.stack import VirtualStack, load_spec
 from repro.workloads.compression import CompressionWorkload, make_corpus
 
 
@@ -23,7 +23,7 @@ def main():
     print(f"QAT spec: {len(spec.functions)} functions; compressed output "
           f"buffer shrinks to {dst.shrinks_to!r} on the wire\n")
 
-    hv = make_hypervisor(apis=("qat",))
+    hv = VirtualStack.build("qat").hypervisor
     vm = hv.create_vm("log-shipper")
     qa = vm.library("qat")
 

@@ -12,12 +12,12 @@ against multi-millisecond inferences.
 Run:  python examples/disaggregated_ncs.py
 """
 
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import InceptionWorkload
 
 
 def run(transport: str):
-    hv = make_hypervisor(apis=("mvnc",))
+    hv = VirtualStack.build("mvnc").hypervisor
     vm = hv.create_vm(f"vm-{transport}", transport=transport)
     workload = InceptionWorkload(batch=8)
     result = workload.run(vm.library("mvnc"))

@@ -12,7 +12,7 @@ Run:  python examples/multi_tenant.py
 
 from repro.guest.library import RemotingError
 from repro.hypervisor.policy import ResourcePolicy, VMPolicy
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import BFSWorkload, GaussianWorkload, KMeansWorkload
 
 
@@ -21,7 +21,7 @@ def main():
     # tenant-c is rate-limited to 2000 commands/s (it pays for a small slice)
     policy.set_policy("tenant-c", VMPolicy(command_rate=2000.0,
                                            command_burst=16))
-    hv = make_hypervisor(policy=policy, apis=("opencl",))
+    hv = VirtualStack.build("opencl", policy=policy).hypervisor
 
     tenants = {
         "tenant-a": GaussianWorkload(scale=0.25),

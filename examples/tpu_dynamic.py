@@ -21,7 +21,7 @@ from repro.codegen.pyfront import spec_from_module
 from repro.codegen.specwriter import render_spec
 from repro.codegen.verify import format_report, verify_spec
 from repro.remoting.buffers import OutBox
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.tpu import api as tpu_api
 from repro.tpu.graphs import OP_MATMUL
 from repro.workloads.tpu_mlp import TPUMLPWorkload
@@ -38,7 +38,7 @@ def main():
     print(format_report(verify_spec(spec)))
 
     # --- 3+4: generate, deploy, run ----------------------------------------
-    hv = make_hypervisor(apis=("tpu",))
+    hv = VirtualStack.build("tpu").hypervisor
     vm = hv.create_vm("tf-guest")
     workload = TPUMLPWorkload(steps=6)
     result = workload.run(vm.library("tpu"))

@@ -18,14 +18,14 @@ import numpy as np
 from repro.migration import MigrationPolicy
 from repro.opencl import types
 from repro.remoting.buffers import OutBox
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 
 SRC = ("__kernel void vector_scale(__global float* x, float alpha, "
        "int n) {}")
 
 
 def main():
-    hv = make_hypervisor(apis=("opencl",))
+    hv = VirtualStack.build("opencl").hypervisor
     vm = hv.create_vm("prod-vm")
     cl = vm.library("opencl")
 

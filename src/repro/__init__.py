@@ -3,10 +3,11 @@
 The public surface, by role:
 
 Deploying the shipped stacks
-    :func:`repro.make_hypervisor` builds a hypervisor with generated
-    stacks for any of the shipped APIs ("opencl", "mvnc", "qat", "tpu");
-    ``hypervisor.create_vm(...)`` then yields guest VMs whose
-    ``library(api)`` objects speak the accelerator API.
+    :meth:`repro.VirtualStack.build` builds a hypervisor with generated
+    stacks for any of the APIs in :data:`repro.apis.APIS` ("opencl",
+    "mvnc", "qat", "tpu"); ``add_vm(...)`` (or ``.hypervisor.create_vm``)
+    then yields guest VMs whose ``library(api)`` objects speak the
+    accelerator API.
 
 Virtualizing a new API (the CAvA workflow)
     Parse a spec (:func:`repro.parse_spec_file` or, for C headers,
@@ -26,7 +27,7 @@ from repro.hypervisor.policy import ResourcePolicy, VMPolicy
 from repro.hypervisor.vm import GuestVM
 from repro.remoting.buffers import OutBox
 from repro.spec import parse_spec, parse_spec_file
-from repro.stack import build_stack, load_spec, make_hypervisor
+from repro.stack import VirtualStack, build_stack, load_spec
 from repro.vclock import CostModel, VirtualClock
 
 __version__ = "0.1.0"
@@ -40,10 +41,10 @@ __all__ = [
     "ResourcePolicy",
     "VMPolicy",
     "VirtualClock",
+    "VirtualStack",
     "build_stack",
     "generate_api",
     "load_spec",
-    "make_hypervisor",
     "parse_spec",
     "parse_spec_file",
     "run_figure5",

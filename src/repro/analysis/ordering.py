@@ -50,6 +50,7 @@ from repro.analysis.suppressions import (
     apply_suppressions,
     parse_suppression_file,
 )
+from repro.apis import APIS
 from repro.spec.errors import SpecError
 from repro.spec.model import ApiSpec
 from repro.spec.parser import parse_spec_file
@@ -217,12 +218,8 @@ def race_path(
 
     spec = parse_spec_file(spec_path)
 
-    if native_module is None:
-        try:
-            from repro.stack import NATIVE_MODULES
-            native_module = NATIVE_MODULES.get(spec.name)
-        except ImportError:  # pragma: no cover - stack always importable
-            native_module = None
+    if native_module is None and spec.name in APIS:
+        native_module = APIS[spec.name].native_module
 
     suppressions: Optional[SuppressionFile] = None
     candidate = suppress_path or default_suppression_path(spec_path)

@@ -21,6 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.apis import APIS
 from repro.codegen.generator import write_api
 from repro.codegen.specwriter import render_spec
 from repro.spec import (
@@ -133,10 +134,9 @@ def _cmd_race(args: argparse.Namespace) -> int:
 def _cmd_effort(args: argparse.Namespace) -> int:
     from repro.harness.effort import effort_rows, measure_effort
     from repro.harness.report import format_table
-    from repro.stack import NATIVE_MODULES, default_specs_dir
+    from repro.stack import default_specs_dir
 
-    report = measure_effort(args.api, default_specs_dir(),
-                            NATIVE_MODULES[args.api])
+    report = measure_effort(args.api, default_specs_dir())
     print(format_table(
         ["api", "functions", "annotated", "inferred", "spec LoC",
          "generated LoC", "leverage"],
@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     effort = sub.add_parser(
         "effort", help="developer-effort metrics for a shipped API (§5)"
     )
-    effort.add_argument("api", choices=["opencl", "mvnc", "qat"])
+    effort.add_argument("api", choices=[
+        name for name, plugin in APIS.items() if plugin.header])
     effort.set_defaults(func=_cmd_effort)
 
     trace = sub.add_parser(

@@ -128,7 +128,7 @@ def run_chaos(
     from repro.analysis import sanitizer as _sanitize
     from repro.guest.batching import BatchPolicy
     from repro.guest.library import RemotingError
-    from repro.stack import make_hypervisor
+    from repro.stack import VirtualStack
     from repro.workloads import OPENCL_WORKLOADS
     from repro.workloads.base import WorkloadError
 
@@ -142,7 +142,7 @@ def run_chaos(
     if sanitize:
         _sanitize.install(_sanitize.Sanitizer())
     try:
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         plan = FaultPlan.for_mode(mode, seed=seed)
         hypervisor.install_fault_plan(plan)
         batch_policy = BatchPolicy() if batching else None

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.apis import APIS
 from repro.codegen.generator import generate_sources
 from repro.spec import parse_header_file, parse_spec_file
 from repro.spec.infer import infer_preliminary_spec
@@ -73,17 +74,18 @@ def _annotated_functions(spec: ApiSpec) -> int:
     return count
 
 
-def measure_effort(api_name: str, specs_dir: str,
-                   native_module: str) -> EffortReport:
-    """Compute the effort report for one shipped API spec."""
-    spec_path = os.path.join(specs_dir, f"{api_name}.cava")
-    header_path = os.path.join(specs_dir, f"{'cl' if api_name == 'opencl' else api_name}.h")
+def measure_effort(api_name: str, specs_dir: str) -> EffortReport:
+    """Compute the effort report for one shipped API whose spec was
+    inferred from a C header (its descriptor names both files)."""
+    plugin = APIS[api_name]
+    spec_path = os.path.join(specs_dir, f"{plugin.spec}.cava")
+    header_path = os.path.join(specs_dir, plugin.header)
     spec = parse_spec_file(spec_path)
     with open(spec_path, "r", encoding="utf-8") as handle:
         spec_text = handle.read()
     with open(header_path, "r", encoding="utf-8") as handle:
         header_text = handle.read()
-    sources = generate_sources(spec, native_module)
+    sources = generate_sources(spec, plugin.native_module)
     generated_loc = (
         count_loc(sources.guest_source)
         + count_loc(sources.server_source)

@@ -19,7 +19,7 @@ from repro.mvnc.device import SimulatedNCS
 from repro.opencl import api as cl_api
 from repro.opencl.device import SimulatedGPU
 from repro.opencl.runtime import session
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.telemetry import tracer as _tele
 from repro.vclock import VirtualClock
 from repro.workloads import OPENCL_WORKLOADS, InceptionWorkload
@@ -104,7 +104,7 @@ def run_virtualized(
     payloads through the content-addressed transfer cache (None = full
     payloads on every crossing).
     """
-    hv = hypervisor or make_hypervisor(apis=(api_name,))
+    hv = hypervisor or VirtualStack.build(api_name).hypervisor
     vm = hv.create_vm(vm_id, transport=transport,
                       batch_policy=batch_policy,
                       cache_policy=cache_policy)

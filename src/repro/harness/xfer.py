@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.opencl.kernels import BUFFER, SCALAR, LaunchContext, register_kernel
 from repro.remoting.xfercache import CachePolicy
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads.base import (
     OpenCLWorkload,
     WorkloadResult,
@@ -179,7 +179,7 @@ def run_cache_compare(
     armed = policy if policy is not None else CachePolicy()
     legs: Dict[str, XferRun] = {}
     for label, cache_policy in (("off", None), ("on", armed)):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-xfer", transport=transport,
                           cache_policy=cache_policy)
         workload = workload_cls(scale=scale, **workload_kwargs)

@@ -9,7 +9,8 @@ policy object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Optional
+from types import MappingProxyType
+from typing import ClassVar, Dict, Mapping, Optional
 
 #: QoS classes, as a weight multiplier folded into the fair-share
 #: weight.  The class also steers pool placement (see
@@ -22,9 +23,15 @@ QOS_CLASSES: Dict[str, float] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VMPolicy:
-    """Per-VM resource limits and scheduling weight."""
+    """Per-VM resource limits and scheduling weight.
+
+    Immutable: the router plans each VM from its policy when the policy
+    is installed, so a change is a new policy given to
+    :meth:`ResourcePolicy.set_policy` (``dataclasses.replace`` builds
+    one), never an edit in place.
+    """
 
     #: sustained forwarded-command rate, commands per virtual second
     #: (None = unlimited)
@@ -42,7 +49,7 @@ class VMPolicy:
     #: the spec's `consumes` annotations declare (e.g. "bus_bytes",
     #: "device_memory", "kernel_launches"); the router rejects commands
     #: that would exceed one (§4.3's administration interface)
-    resource_limits: Dict[str, float] = field(default_factory=dict)
+    resource_limits: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.qos not in QOS_CLASSES:
@@ -50,6 +57,8 @@ class VMPolicy:
                 f"unknown QoS class {self.qos!r}; "
                 f"choose from {sorted(QOS_CLASSES)}"
             )
+        object.__setattr__(self, "resource_limits",
+                           MappingProxyType(dict(self.resource_limits)))
 
 
 @dataclass

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.apis import APIS
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy
 from repro.hypervisor.scheduler import (
     FairShareScheduler,
@@ -208,21 +209,7 @@ class PooledDevice:
         """The native simulated device for ``api``, shared by every
         worker bound to this pool member."""
         if api not in self._native:
-            cls = self.device_class
-            if api == "opencl":
-                from repro.opencl.device import SimulatedGPU
-
-                self._native[api] = SimulatedGPU(spec=cls.gpu_spec())
-            elif api == "mvnc":
-                from repro.mvnc.device import SimulatedNCS
-
-                self._native[api] = SimulatedNCS(spec=cls.ncs_spec())
-            elif api == "qat":
-                from repro.qat.device import SimulatedQAT
-
-                self._native[api] = SimulatedQAT(spec=cls.qat_spec())
-            else:
-                raise ValueError(f"unknown API {api!r}")
+            self._native[api] = APIS[api].pooled_device(self.device_class)
         return self._native[api]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -4,6 +4,8 @@ This is the "auto-generated scripts to integrate the generated
 components with the API-independent components and deploy them" step of
 the paper's workflow: parse the shipped specifications, run CAvA, and
 wire the generated modules into a hypervisor with simulated devices.
+Which APIs exist, and how each is built, is the registry's
+(:data:`repro.apis.APIS`).
 
 Generated stacks are cached per process — the generator is fast, but
 tests create many hypervisors.
@@ -15,6 +17,7 @@ import os
 import tempfile
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.apis import APIS
 from repro.codegen.generator import GeneratedStack, generate_api
 from repro.guest.batching import BatchPolicy
 from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
@@ -23,24 +26,11 @@ from repro.remoting.wire import WireCodec
 from repro.remoting.xfercache import CachePolicy
 from repro.hypervisor.policy import ResourcePolicy
 from repro.hypervisor.vm import GuestVM
-from repro.mvnc.device import SimulatedNCS
-from repro.opencl.device import SimulatedGPU
-from repro.opencl.runtime import MemoryManager
-from repro.server.bindings import (
-    mvnc_session_binder,
-    opencl_session_binder,
-)
+from repro.server.bindings import session_binder
 from repro.spec import parse_spec_file
 from repro.spec.model import ApiSpec
 
 _STACK_CACHE: Dict[str, GeneratedStack] = {}
-
-NATIVE_MODULES = {
-    "opencl": "repro.opencl.api",
-    "mvnc": "repro.mvnc.api",
-    "qat": "repro.qat.api",
-    "tpu": "repro.tpu.api",
-}
 
 
 def resolve_codec(codec: Any,
@@ -81,18 +71,12 @@ def default_specs_dir() -> str:
 
 
 def load_spec(api_name: str) -> ApiSpec:
-    """Parse one of the shipped specifications.
-
-    Most APIs ship a ``.cava`` file; the TPU is the dynamic-language
-    target whose spec comes from introspecting its Python module.
-    """
-    if api_name == "tpu":
-        from repro.codegen.pyfront import spec_from_module
-        from repro.tpu import api as tpu_api
-
-        return spec_from_module(tpu_api, "tpu", "tpu")
-    path = os.path.join(default_specs_dir(), f"{api_name}.cava")
-    return parse_spec_file(path)
+    """Parse one of the shipped specifications: the API's ``.cava``
+    file, or the spec its descriptor introspects."""
+    spec = APIS[api_name].spec
+    if callable(spec):
+        return spec()
+    return parse_spec_file(os.path.join(default_specs_dir(), f"{spec}.cava"))
 
 
 def build_stack(api_name: str, out_dir: Optional[str] = None,
@@ -100,9 +84,7 @@ def build_stack(api_name: str, out_dir: Optional[str] = None,
     """Generate (or fetch the cached) stack for a shipped API."""
     if not refresh and api_name in _STACK_CACHE:
         return _STACK_CACHE[api_name]
-    native = NATIVE_MODULES.get(api_name)
-    if native is None:
-        raise KeyError(f"no native module known for API {api_name!r}")
+    native = APIS[api_name].native_module
     spec = load_spec(api_name)
     target = out_dir or os.path.join(
         tempfile.gettempdir(), f"cava_generated_{os.getpid()}"
@@ -175,8 +157,8 @@ class VirtualStack:
     ``VirtualStack.build("opencl").add_vm("vm0")`` parses the spec, runs
     CAvA, registers the generated stack with a fresh hypervisor, creates
     the VM and binds its guest libraries — returning a ready
-    :class:`GuestSession`.  ``make_hypervisor`` remains as a thin
-    wrapper for callers that want the bare hypervisor.
+    :class:`GuestSession`.  Callers that want the bare hypervisor take
+    ``VirtualStack.build(...).hypervisor``.
     """
 
     def __init__(self, hypervisor: Hypervisor,
@@ -192,14 +174,19 @@ class VirtualStack:
         policy: Optional[ResourcePolicy] = None,
         batch_policy: Optional[BatchPolicy] = None,
         cache_policy: Optional[CachePolicy] = None,
-        gpu_factory: Optional[Callable[[], SimulatedGPU]] = None,
-        shared_gpus: Optional[List[SimulatedGPU]] = None,
-        ncs_factory: Optional[Callable[[], SimulatedNCS]] = None,
-        memory_manager_factory: Optional[
-            Callable[[], MemoryManager]] = None,
+        devices: Optional[Dict[str, Callable[[], Any]]] = None,
+        memory_manager_factory: Optional[Callable[[], Any]] = None,
         codec: Any = "specialized",
     ) -> "VirtualStack":
         """Generate and register the requested API stacks.
+
+        By default each VM's worker gets a *private* simulated device
+        (the paper's measurement setup: one tenant per accelerator while
+        AvA provides the virtualization plumbing).  ``devices`` maps an
+        API name to a device factory called once per worker instead; a
+        factory that returns one shared device consolidates every VM on
+        it.  ``memory_manager_factory`` installs a swap manager in each
+        session that takes one (OpenCL's).
 
         ``batch_policy`` becomes the default async-coalescing policy for
         every VM this stack creates (None = per-call async forwarding,
@@ -214,33 +201,8 @@ class VirtualStack:
         hypervisor = Hypervisor(policy=policy, batch_policy=batch_policy,
                                 cache_policy=cache_policy,
                                 codec=resolve_codec(codec, list(stacks.values())))
-        for api_name in apis:
-            stack = stacks[api_name]
-            if api_name == "opencl":
-                if shared_gpus is not None:
-                    devices_factory = (
-                        lambda: list(shared_gpus))  # noqa: E731
-                else:
-                    factory = gpu_factory or SimulatedGPU
-                    devices_factory = lambda f=factory: [f()]  # noqa: E731
-                binder = opencl_session_binder(
-                    devices_factory, memory_manager_factory
-                )
-            elif api_name == "mvnc":
-                factory = ncs_factory or SimulatedNCS
-                binder = mvnc_session_binder(lambda f=factory: [f()])
-            elif api_name == "qat":
-                from repro.qat.device import SimulatedQAT
-                from repro.server.bindings import qat_session_binder
-
-                binder = qat_session_binder(lambda: [SimulatedQAT()])
-            elif api_name == "tpu":
-                from repro.server.bindings import tpu_session_binder
-                from repro.tpu.device import SimulatedTPU
-
-                binder = tpu_session_binder(lambda: [SimulatedTPU()])
-            else:
-                raise KeyError(f"unknown API {api_name!r}")
+        devices = devices or {}
+        for api_name, stack in stacks.items():
             hypervisor.register_api(
                 ApiRegistration(
                     name=api_name,
@@ -249,7 +211,9 @@ class VirtualStack:
                     record_kinds=stack.record_kinds(),
                     supersedes=stack.supersedes(),
                     guest_module=stack.guest_module,
-                    session_binder=binder,
+                    session_binder=session_binder(
+                        APIS[api_name], devices.get(api_name),
+                        memory_manager_factory),
                 )
             )
         return cls(hypervisor, apis)
@@ -284,35 +248,3 @@ class VirtualStack:
 
     def admin_report(self) -> Dict[str, Any]:
         return self.hypervisor.admin_report()
-
-
-def make_hypervisor(
-    policy: Optional[ResourcePolicy] = None,
-    apis: Sequence[str] = ("opencl",),
-    gpu_factory: Optional[Callable[[], SimulatedGPU]] = None,
-    shared_gpus: Optional[List[SimulatedGPU]] = None,
-    ncs_factory: Optional[Callable[[], SimulatedNCS]] = None,
-    memory_manager_factory: Optional[Callable[[], MemoryManager]] = None,
-    batch_policy: Optional[BatchPolicy] = None,
-    cache_policy: Optional[CachePolicy] = None,
-    codec: Any = "specialized",
-) -> Hypervisor:
-    """A hypervisor with the requested generated API stacks registered.
-
-    Thin wrapper over :meth:`VirtualStack.build` for callers that want
-    the bare hypervisor.  By default each VM's worker gets a *private*
-    simulated device (the paper's measurement setup: one tenant per
-    accelerator while AvA provides the virtualization plumbing).  Pass
-    ``shared_gpus`` to make all OpenCL workers share devices instead.
-    """
-    return VirtualStack.build(
-        *apis,
-        policy=policy,
-        batch_policy=batch_policy,
-        cache_policy=cache_policy,
-        codec=codec,
-        gpu_factory=gpu_factory,
-        shared_gpus=shared_gpus,
-        ncs_factory=ncs_factory,
-        memory_manager_factory=memory_manager_factory,
-    ).hypervisor

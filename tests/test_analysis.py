@@ -22,6 +22,7 @@ from repro.analysis import (
 )
 from repro.analysis.genast import analyze_generated_codec
 from repro.analysis.suppressions import apply_suppressions
+from repro.apis import APIS
 from repro.codegen.cli import main as cava_main
 from repro.codegen.generator import GeneratedSources, generate_sources
 from repro.codegen.verify import verify_spec
@@ -30,6 +31,9 @@ from repro.spec.parser import parse_spec_file
 from repro.stack import default_specs_dir
 
 BAD_DIR = os.path.join(os.path.dirname(__file__), "specs_bad")
+#: the registered APIs whose spec is a shipped ``.cava`` file
+SHIPPED = [name for name, plugin in APIS.items()
+           if isinstance(plugin.spec, str)]
 
 
 def bad_spec(name):
@@ -353,7 +357,7 @@ class TestGeneratedAst:
         assert any(d.code == "CAVA312" and "struct" in d.message
                    for d in diags)
 
-    @pytest.mark.parametrize("api", ["opencl", "mvnc", "qat"])
+    @pytest.mark.parametrize("api", SHIPPED)
     def test_shipped_codec_modules_hold_tables_only(self, api):
         spec, sources = self._sources(api)
         diags, _ = analyze_generated_codec(spec, sources=sources)
@@ -419,7 +423,7 @@ class TestSuppressions:
 class TestShippedSpecs:
     """Acceptance: all three shipped specs pass at --fail-on error."""
 
-    @pytest.mark.parametrize("api", ["opencl", "mvnc", "qat"])
+    @pytest.mark.parametrize("api", SHIPPED)
     def test_fail_on_error_passes(self, api):
         path = os.path.join(default_specs_dir(), f"{api}.cava")
         report = lint_path(path)
@@ -455,10 +459,10 @@ class TestLintCLI:
 
     def test_shipped_specs_exit_zero(self, capsys):
         specs = [os.path.join(default_specs_dir(), f"{api}.cava")
-                 for api in ("opencl", "mvnc", "qat")]
+                 for api in SHIPPED]
         assert cava_main(["lint", *specs, "--fail-on", "error"]) == 0
         out = capsys.readouterr().out
-        assert out.count("lint '") == 3
+        assert out.count("lint '") == len(specs)
 
     def test_error_spec_exits_one(self, capsys):
         assert cava_main(

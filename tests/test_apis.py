@@ -1,0 +1,97 @@
+"""Conformance of every registered API descriptor (:data:`repro.apis.APIS`).
+
+Each shipped API is described once, by an :class:`ApiPlugin`; these
+tests hold each descriptor to what the stack assumes of it: the native
+module answers every generated dispatch name, a worker binds the
+descriptor's session class, pooled APIs share a pool member's native
+device, and the registry keeps the optional API packages lazy.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.apis import APIS, resolve
+from repro.hypervisor.pool import DeviceClass
+from repro.stack import VirtualStack, build_stack
+
+POOLED = [name for name, plugin in APIS.items() if plugin.device_spec]
+PRIVATE = [name for name, plugin in APIS.items() if not plugin.device_spec]
+
+
+@pytest.mark.parametrize("api", list(APIS))
+def test_dispatch_names_exist_on_native_module(api):
+    native = importlib.import_module(APIS[api].native_module)
+    dispatch = build_stack(api).dispatch()
+    assert dispatch
+    missing = [name for name in dispatch
+               if not callable(getattr(native, name, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("api", list(APIS))
+def test_worker_binds_the_descriptor_session(api):
+    plugin = APIS[api]
+    hv = VirtualStack.build(api).hypervisor
+    hv.create_vm("vm-a")
+    hv.create_vm("vm-b")
+    session_a = hv.worker("vm-a", api).native_session
+    session_b = hv.worker("vm-b", api).native_session
+    assert type(session_a) is resolve(plugin.session)
+    # unpooled, each worker gets a private device of the descriptor's class
+    assert session_a.devices[0] is not session_b.devices[0]
+
+
+def _pooled(api):
+    hv = VirtualStack.build(api).hypervisor
+    member = hv.add_device(DeviceClass.baseline_gpu())
+    devices = []
+    for vm_id in ("vm-a", "vm-b"):
+        hv.create_vm(vm_id)
+        worker = hv.worker(vm_id, api)
+        assert worker.pool_device is member
+        devices.append(worker.native_session.devices[0])
+    return member, devices
+
+
+@pytest.mark.parametrize("api", POOLED)
+def test_coplaced_workers_share_the_member_device(api):
+    member, (dev_a, dev_b) = _pooled(api)
+    assert dev_a is dev_b is member.native_device(api)
+
+
+@pytest.mark.parametrize("api", PRIVATE)
+def test_unpooled_api_keeps_private_devices_on_a_pool(api):
+    member, (dev_a, dev_b) = _pooled(api)
+    assert dev_a is not dev_b
+    with pytest.raises(ValueError, match="no pooled device"):
+        member.native_device(api)
+
+
+def test_shared_device_factory_consolidates():
+    device = resolve(APIS["mvnc"].device)()
+    hv = VirtualStack.build(
+        "mvnc", devices={"mvnc": lambda: device}).hypervisor
+    for vm_id in ("vm-a", "vm-b"):
+        hv.create_vm(vm_id)
+        assert hv.worker(vm_id, "mvnc").native_session.devices == [device]
+
+
+def test_import_keeps_optional_apis_lazy():
+    """``import repro.stack`` pulls in no QAT, TPU or Python-front-end
+    code: the registry names them by string, so set-up time does not
+    pay for APIs a stack does not build."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    lazy = ("repro.qat", "repro.tpu", "repro.codegen.pyfront")
+    code = ("import sys, repro.stack; "
+            f"print([m for m in {lazy!r} if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

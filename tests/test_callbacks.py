@@ -12,7 +12,7 @@ from repro.opencl import session, types
 from repro.remoting.buffers import OutBox
 from repro.remoting.codec import Reply
 from repro.spec import parse_spec
-from repro.stack import load_spec, make_hypervisor
+from repro.stack import VirtualStack, load_spec
 from tests.wire_oracle import decode_message, encode_message
 
 SRC = (
@@ -78,7 +78,7 @@ class TestNativePath:
 
 class TestForwardedPath:
     def test_callback_forwarded_through_stack(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-cb")
         cl = vm.library("opencl")
         ctx, err = build_env(cl)
@@ -91,7 +91,7 @@ class TestForwardedPath:
         assert events == [types.CL_BUILD_SUCCESS]
 
     def test_callback_none_stays_none(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-cb-none")
         cl = vm.library("opencl")
         ctx, err = build_env(cl)
@@ -100,7 +100,7 @@ class TestForwardedPath:
                                  None) == types.CL_SUCCESS
 
     def test_non_callable_rejected_at_guest_boundary(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-cb-bad")
         cl = vm.library("opencl")
         ctx, err = build_env(cl)
@@ -109,7 +109,7 @@ class TestForwardedPath:
             cl.clBuildProgram(prog, 0, None, "", "not-a-function", None)
 
     def test_same_callable_registers_once(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-cb-dedup")
         cl = vm.library("opencl")
         ctx, err = build_env(cl)
@@ -126,7 +126,8 @@ class TestForwardedPath:
         """A callback registered by a call that then fails to marshal
         belongs to that call: the next async call is staged as usual,
         not flushed at once for a reply leg nobody asked for."""
-        hv = make_hypervisor(apis=("opencl",), batch_policy=BatchPolicy())
+        hv = VirtualStack.build("opencl",
+                                batch_policy=BatchPolicy()).hypervisor
         vm = hv.create_vm("vm-cb-leak")
         cl = vm.library("opencl")
         ctx, err = build_env(cl)
@@ -152,7 +153,7 @@ class TestForwardedPath:
     def test_migration_replays_build_and_refires_callback(self):
         """clBuildProgram is a modify record; replay re-invokes the
         notifier — visible, documented record/replay semantics."""
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-cb-mig")
         cl = vm.library("opencl")
         ctx, err = build_env(cl)

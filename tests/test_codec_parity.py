@@ -40,6 +40,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.apis import APIS as REGISTRY  # noqa: E402
 from repro.remoting.codec import (  # noqa: E402
     CodecError,
     Command,
@@ -56,7 +57,7 @@ from repro.remoting.wire import WireFrame, frame_bytes  # noqa: E402
 from repro.stack import build_stack  # noqa: E402
 from tests.wire_oracle import ORACLE, walker  # noqa: E402
 
-APIS = ("opencl", "mvnc", "qat", "tpu")
+APIS = tuple(REGISTRY)
 
 LAYOUTS = {api: build_stack(api).codec_module.LAYOUT for api in APIS}
 FUNCTIONS = sorted(

@@ -27,7 +27,7 @@ from repro.faults import (
 from repro.faults.chaos import run_chaos
 from repro.guest.library import RemotingError
 from repro.remoting.codec import Command, CommandBatch
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import BFSWorkload
 from repro.workloads.base import open_env
 
@@ -35,7 +35,7 @@ SEED = int(os.environ.get("CAVA_CHAOS_SEED", "1234"))
 
 
 def fresh_stack(vm_id="v1"):
-    hypervisor = make_hypervisor(apis=("opencl",))
+    hypervisor = VirtualStack.build("opencl").hypervisor
     vm = hypervisor.create_vm(vm_id)
     return hypervisor, vm
 
@@ -270,7 +270,7 @@ class TestVectoredReplyFaults:
         from repro.guest.batching import BatchPolicy
         from repro.opencl import types
 
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         vm = hypervisor.create_vm(
             "v1", batch_policy=BatchPolicy() if batched else None)
         env = opened_env(vm)
@@ -385,7 +385,7 @@ class TestSharedCrossing:
         assert (runtime.retries, runtime.giveups) == (5, 1)
         assert vm.clock.now == 0.0018239422773333337
 
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         vm = hypervisor.create_vm("v1", batch_policy=BatchPolicy())
         env = opened_env(vm)
         mem = env.buffer(data.nbytes, host=data)
@@ -420,7 +420,7 @@ class TestSharedCrossing:
 
 class TestWorkerCrash:
     def make_two_tenant_stack(self):
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         plan = FaultPlan(seed=SEED, crash_on_call=4, crash_vm="victim")
         hypervisor.install_fault_plan(plan)
         victim = hypervisor.create_vm("victim")
@@ -444,7 +444,7 @@ class TestWorkerCrash:
         assert ("bystander", "opencl") not in hypervisor.lost_workers
 
     def test_crashed_worker_handles_invalidated(self):
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         victim = hypervisor.create_vm("victim")
         env = opened_env(victim)  # 4 calls: platform/device/context/queue
         worker = hypervisor.worker("victim", "opencl")
@@ -484,7 +484,7 @@ class TestBreakerThroughStack:
         env.finish()
 
     def test_other_vm_unaffected_by_open_breaker(self):
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         noisy = hypervisor.create_vm("noisy")
         quiet = hypervisor.create_vm("quiet")
         opened_env(noisy)
@@ -586,7 +586,7 @@ class TestXferCacheChaos:
     def cached_stack(self, shared=True, vm_id="v1"):
         from repro.remoting.xfercache import CachePolicy
 
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         vm = hypervisor.create_vm(
             vm_id,
             cache_policy=CachePolicy(min_bytes=64, shared_index=shared),

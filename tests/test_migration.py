@@ -14,7 +14,7 @@ from repro.remoting.buffers import OutBox
 from repro.remoting.codec import Command, Reply
 from repro.remoting.xfercache import CachePolicy
 from repro.spec.model import RecordKind
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import KMeansWorkload
 from repro.workloads.base import open_env
 
@@ -286,7 +286,7 @@ def build_state(cl, n=64):
 
 class TestWorkerMigration:
     def test_handles_survive_migration(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-m")
         cl = vm.library("opencl")
         state = build_state(cl)
@@ -311,7 +311,7 @@ class TestWorkerMigration:
         assert np.allclose(out, state["data"])
 
     def test_workload_result_unchanged_by_midrun_migration(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-k")
         cl = vm.library("opencl")
         state = build_state(cl, n=128)
@@ -326,7 +326,7 @@ class TestWorkerMigration:
         assert np.allclose(out, update)
 
     def test_full_workload_after_migration(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-w")
         cl = vm.library("opencl")
         build_state(cl)
@@ -335,7 +335,7 @@ class TestWorkerMigration:
         assert result.verified
 
     def test_released_objects_not_replayed(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-r")
         cl = vm.library("opencl")
         state = build_state(cl)
@@ -354,7 +354,7 @@ class TestWorkerMigration:
     def test_failed_set_arg_does_not_displace_the_good_one(self):
         """A call that returned an error changed nothing, so it must not
         supersede the record of the call that did."""
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         cl = hv.create_vm("vm-bad-arg").library("opencl")
         env = open_env(cl)
         kernel = env.kernel(env.program(SCALE_SRC), "vector_scale")
@@ -376,7 +376,7 @@ class TestWorkerMigration:
         assert np.allclose(env.read(mem, 4 * 8), 3.0)
 
     def test_write_that_made_an_event_stays_while_the_event_lives(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         cl = hv.create_vm("vm-event").library("opencl")
         env = open_env(cl)
         mem = env.buffer(4 * 8)
@@ -400,18 +400,18 @@ class TestWorkerMigration:
         assert np.allclose(env.read(mem, data.nbytes), data)
 
     def test_migrate_unknown_vm(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         with pytest.raises(KeyError):
             stop_the_world(hv, "ghost")
 
     def test_downtime_scales_with_buffer_bytes(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-small")
         cl = vm.library("opencl")
         build_state(cl, n=64)
         small = stop_the_world(hv, "vm-small")
 
-        hv2 = make_hypervisor(apis=("opencl",))
+        hv2 = VirtualStack.build("opencl").hypervisor
         vm2 = hv2.create_vm("vm-big")
         cl2 = vm2.library("opencl")
         build_state(cl2, n=1 << 18)
@@ -428,7 +428,7 @@ class TestStopTheWorldOnAPool:
     MIB = 1 << 20
 
     def test_moves_to_another_member_and_frees_the_old_one(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         hv.add_device(DeviceClass.baseline_gpu(), "dev-a")
         hv.add_device(DeviceClass.baseline_gpu(), "dev-b")
         env = open_env(hv.create_vm("vm-pool").library("opencl"))
@@ -451,7 +451,7 @@ class TestStopTheWorldOnAPool:
         assert np.array_equal(env.read(mem, self.MIB), data)
 
     def test_one_member_pool_refuses_instead_of_moving_in_place(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         hv.add_device(DeviceClass.baseline_gpu(), "dev-a")
         env = open_env(hv.create_vm("vm-alone").library("opencl"))
         data = np.arange(self.MIB // 4, dtype=np.float32)
@@ -473,7 +473,7 @@ class TestMVNCMigration:
         from repro.workloads.inception import build_inception_graph
         from repro.mvnc import api as mvnc_api
 
-        hv = make_hypervisor(apis=("mvnc",))
+        hv = VirtualStack.build("mvnc").hypervisor
         vm = hv.create_vm("vm-ncs-m")
         mv = vm.library("mvnc")
 
@@ -506,7 +506,7 @@ class TestMVNCMigration:
         from repro.workloads.inception import build_inception_graph
         from repro.mvnc import api as mvnc_api
 
-        hv = make_hypervisor(apis=("mvnc",))
+        hv = VirtualStack.build("mvnc").hypervisor
         vm = hv.create_vm("vm-ncs-d")
         mv = vm.library("mvnc")
         device = OutBox()
@@ -524,7 +524,7 @@ class TestMVNCMigration:
 
 
 def live_stack(vm_id, n=64, **vm_kwargs):
-    hv = make_hypervisor(apis=("opencl",))
+    hv = VirtualStack.build("opencl").hypervisor
     vm = hv.create_vm(vm_id, **vm_kwargs)
     cl = vm.library("opencl")
     state = build_state(cl, n=n)
@@ -585,7 +585,7 @@ class TestLiveMigration:
     def test_kernel_writes_ship_by_content_digest(self):
         """Kernel launches are not recorded (verb-based inference), so
         only the per-round content-digest scan catches their writes."""
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-kd")
         cl = vm.library("opencl")
         env = open_env(cl)
@@ -713,7 +713,7 @@ class TestLiveMigration:
     def test_precopy_elides_store_known_bytes(self):
         """Dirty contents the per-VM transfer store has already seen
         cross the migration channel as content-addressed refs."""
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-elide",
                           cache_policy=CachePolicy(min_bytes=64))
         cl = vm.library("opencl")
@@ -770,7 +770,7 @@ class TestLiveMigration:
             hv.start_live_migration("vm-dead", "opencl")
 
     def test_unknown_vm_rejected(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         with pytest.raises(KeyError):
             hv.start_live_migration("ghost", "opencl")
 
@@ -864,7 +864,7 @@ class TestMVNCLiveMigration:
         from repro.workloads.inception import build_inception_graph
         from repro.mvnc import api as mvnc_api
 
-        hv = make_hypervisor(apis=("mvnc",))
+        hv = VirtualStack.build("mvnc").hypervisor
         vm = hv.create_vm("vm-ncs-live")
         mv = vm.library("mvnc")
 

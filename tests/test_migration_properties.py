@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.migration import MigrationPolicy, replay_entry
 from repro.migration.recorder import CallRecorder
 from repro.opencl.runtime import MemObject
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads.base import open_env
 
 EXAMPLES = int(os.environ.get("CAVA_MIG_EXAMPLES", "25"))
@@ -76,7 +76,7 @@ class _Harness:
     """One guest VM executing the op DSL, collecting visible outcomes."""
 
     def __init__(self, vm_id):
-        self.hv = make_hypervisor(apis=("opencl",))
+        self.hv = VirtualStack.build("opencl").hypervisor
         self.vm = self.hv.create_vm(vm_id)
         self.vm_id = vm_id
         self.cl = self.vm.library("opencl")

@@ -26,11 +26,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import build_hb_model
+from repro.apis import APIS
 from repro.spec.parser import parse_spec_file
 from repro.stack import default_specs_dir
 
 BAD_DIR = os.path.join(os.path.dirname(__file__), "specs_bad")
-SHIPPED = ("opencl", "mvnc", "qat")
+#: the registered APIs whose spec is a shipped ``.cava`` file
+SHIPPED = tuple(name for name, plugin in APIS.items()
+                if isinstance(plugin.spec, str))
 
 _MODELS = {}
 

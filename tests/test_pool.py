@@ -312,9 +312,9 @@ class TestPoolEngine:
 
 class TestHypervisorIntegration:
     def make_pooled_hypervisor(self, classes, apis=("opencl",)):
-        from repro.stack import make_hypervisor
+        from repro.stack import VirtualStack
 
-        hv = make_hypervisor(apis=apis)
+        hv = VirtualStack.build(*apis).hypervisor
         for device_class in classes:
             hv.add_device(device_class)
         return hv
@@ -421,10 +421,10 @@ class TestFigure5BitIdentity:
         """Routing figure 5 through a 1-member baseline pool changes
         nothing: every runtime matches the stored JSON bit for bit."""
         from repro.harness import run_figure5
-        from repro.stack import make_hypervisor
+        from repro.stack import VirtualStack
 
         def factory(api_name):
-            hv = make_hypervisor(apis=(api_name,))
+            hv = VirtualStack.build(api_name).hypervisor
             hv.add_device(DeviceClass.baseline_gpu())
             return hv
 
@@ -435,10 +435,10 @@ class TestRebalancer:
     """Elastic pool rebalancing: hot members shed tenants live."""
 
     def make_hot_pool(self):
-        from repro.stack import make_hypervisor
+        from repro.stack import VirtualStack
         from repro.workloads import BFSWorkload
 
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         hv.add_device(DeviceClass.baseline_gpu(), "dev-hot")
         for vm_id in ("vm-a", "vm-b"):
             vm = hv.create_vm(vm_id)
@@ -474,9 +474,9 @@ class TestRebalancer:
 
     def test_idle_pool_left_alone(self):
         from repro.hypervisor.pool import PoolRebalancer
-        from repro.stack import make_hypervisor
+        from repro.stack import VirtualStack
 
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         hv.add_device(DeviceClass.baseline_gpu(), "dev-a")
         hv.add_device(DeviceClass.baseline_gpu(), "dev-b")
         rebalancer = PoolRebalancer(hv)
@@ -485,9 +485,9 @@ class TestRebalancer:
 
     def test_rebalancer_requires_a_pool(self):
         from repro.hypervisor.pool import PoolRebalancer
-        from repro.stack import make_hypervisor
+        from repro.stack import VirtualStack
 
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         with pytest.raises(PoolCapacityError):
             PoolRebalancer(hv)
 
@@ -501,10 +501,10 @@ class TestRebalancer:
 
     def test_live_migration_honours_explicit_target(self):
         from repro.migration import MigrationError
-        from repro.stack import make_hypervisor
+        from repro.stack import VirtualStack
         from repro.workloads import BFSWorkload
 
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         hv.add_device(DeviceClass.baseline_gpu(), "dev-a")
         vm = hv.create_vm("vm-t")
         assert BFSWorkload(scale=0.25).run(vm.library("opencl")).verified

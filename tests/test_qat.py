@@ -8,7 +8,7 @@ from repro.codegen.verify import verify_spec
 from repro.qat import api
 from repro.qat.device import QATDeviceSpec, SimulatedQAT
 from repro.remoting.buffers import OutBox
-from repro.stack import load_spec, make_hypervisor
+from repro.stack import VirtualStack, load_spec
 from repro.workloads.compression import CompressionWorkload, make_corpus
 
 
@@ -164,7 +164,7 @@ class TestSpecAndForwarding:
         assert result.verified, result.detail
 
     def test_workload_forwarded(self):
-        hv = make_hypervisor(apis=("qat",))
+        hv = VirtualStack.build("qat").hypervisor
         vm = hv.create_vm("vm-qat")
         result = CompressionWorkload(blocks=4, block_kib=16).run(
             vm.library("qat")
@@ -181,7 +181,7 @@ class TestSpecAndForwarding:
             assert workload.run(api).verified
         native = clock.now
 
-        hv = make_hypervisor(apis=("qat",))
+        hv = VirtualStack.build("qat").hypervisor
         vm = hv.create_vm("vm-qat-f")
         assert workload.run(vm.library("qat")).verified
         ratio = vm.clock.now / native
@@ -190,7 +190,7 @@ class TestSpecAndForwarding:
         assert 1.0 <= ratio < 1.25
 
     def test_handle_table_freed_on_remove(self):
-        hv = make_hypervisor(apis=("qat",))
+        hv = VirtualStack.build("qat").hypervisor
         vm = hv.create_vm("vm-qat-h")
         qa = vm.library("qat")
         worker = hv.worker("vm-qat", "qat") if False else \

@@ -12,14 +12,14 @@ from repro.spec import parse_spec
 from repro.spec.cparser import parse_header
 from repro.spec.infer import infer_preliminary_spec
 from repro.spec.model import RecordKind
-from repro.stack import load_spec, make_hypervisor
+from repro.stack import VirtualStack, load_spec
 
 
 class TestResourceQuotas:
     def _hypervisor(self, limits):
         policy = ResourcePolicy()
         policy.set_policy("vm-q", VMPolicy(resource_limits=limits))
-        return make_hypervisor(policy=policy, apis=("opencl",))
+        return VirtualStack.build("opencl", policy=policy).hypervisor
 
     def _open_context(self, cl):
         plats = [None]
@@ -77,7 +77,7 @@ class TestResourceQuotas:
         assert mem is not None
 
     def test_unlimited_by_default(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-any")
         cl = vm.library("opencl")
         ctx = self._open_context(cl)

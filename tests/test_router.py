@@ -1,5 +1,7 @@
 """Tests for the hypervisor invocation router (interposition point)."""
 
+import dataclasses
+
 import pytest
 
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy, VMPolicy
@@ -124,6 +126,31 @@ class TestSchedulingAndAccounting:
         send(router, make_command(), arrival=0.0)
         _, release2 = worker.executed[1]
         assert release2 >= 0.1
+        assert router.metrics_for("vm1").rate_delay > 0
+
+    def test_policy_changed_in_place_raises(self):
+        """The router plans a VM from its policy when the policy is
+        installed, so an edit in place would go unseen until some
+        unrelated ``set_policy``.  It raises instead; a new policy
+        through ``set_policy`` takes effect on the next command."""
+        policy = ResourcePolicy()
+        worker = StubWorker()
+        router = Router(lambda vm, api: worker, ORACLE,
+                        rate_limiter=RateLimiter(policy), policy=policy)
+        table = RoutingTable(api="testapi")
+        table.functions["doWork"] = RoutingInfo(name="doWork")
+        router.register_api(table)
+        router.register_vm("vm1")
+        send(router, make_command(), arrival=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.default.command_rate = 10.0
+        with pytest.raises(TypeError):
+            policy.default.resource_limits["bus_bytes"] = 1.0
+        assert router.metrics_for("vm1").rate_delay == 0.0
+        policy.set_policy("vm1", dataclasses.replace(
+            policy.default, command_rate=10.0, command_burst=1))
+        for _ in range(50):
+            send(router, make_command(), arrival=0.0)
         assert router.metrics_for("vm1").rate_delay > 0
 
     def test_per_function_counters(self, setup):

@@ -268,9 +268,8 @@ class TestMigrationHandleInvariant:
 
         from repro.opencl import types
         from repro.remoting.buffers import OutBox
-        from repro.stack import make_hypervisor
 
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-san-mig")
         cl = vm.library("opencl")
         plats = [None]

@@ -26,7 +26,7 @@ from repro.harness.loadgen import (
     TraceArrivals,
     run_open_loop,
 )
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.telemetry import flightrec
 from repro.telemetry.exporters import write_jsonl
 from repro.telemetry.flightrec import FlightRecorder, read_dump
@@ -47,7 +47,7 @@ ONE_WINDOW = (BurnRateWindow(long_window=1.0, short_window=0.2,
 
 
 def fresh_stack(vm_id="v1"):
-    hypervisor = make_hypervisor(apis=("opencl",))
+    hypervisor = VirtualStack.build("opencl").hypervisor
     vm = hypervisor.create_vm(vm_id)
     return hypervisor, vm
 
@@ -565,7 +565,7 @@ class TestFlightRecorder:
 
 class TestFlightRecorderHooks:
     def test_worker_crash_dumps_incident(self, tmp_path):
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         hypervisor.install_fault_plan(
             FaultPlan(seed=1, crash_on_call=4, crash_vm="victim"))
         victim = hypervisor.create_vm("victim")

@@ -5,13 +5,7 @@ import os
 import pytest
 
 from repro.codegen.cli import main as cava_main
-from repro.stack import (
-    VirtualStack,
-    build_stack,
-    default_specs_dir,
-    load_spec,
-    make_hypervisor,
-)
+from repro.stack import VirtualStack, build_stack, default_specs_dir, load_spec
 
 
 class TestStack:
@@ -38,24 +32,24 @@ class TestStack:
             build_stack("directx")
 
     def test_hypervisor_with_both_apis(self):
-        hv = make_hypervisor(apis=("opencl", "mvnc"))
+        hv = VirtualStack.build("opencl", "mvnc").hypervisor
         vm = hv.create_vm("vm-both")
         assert vm.library("opencl") is not None
         assert vm.library("mvnc") is not None
 
     def test_duplicate_vm_rejected(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         hv.create_vm("dup")
         with pytest.raises(ValueError):
             hv.create_vm("dup")
 
     def test_unknown_transport_rejected(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         with pytest.raises(ValueError):
             hv.create_vm("vm-t", transport="carrier-pigeon")
 
     def test_destroy_vm(self):
-        hv = make_hypervisor(apis=("opencl",))
+        hv = VirtualStack.build("opencl").hypervisor
         vm = hv.create_vm("vm-d")
         vm.library("opencl").clGetPlatformIDs(1, [None], None)
         assert ("vm-d", "opencl") in hv.workers
@@ -96,9 +90,11 @@ class TestVirtualStackFacade:
         assert ("vm-gone", "opencl") not in stack.hypervisor.workers
 
     def test_make_hypervisor_is_thin_wrapper(self):
-        hv = make_hypervisor(apis=("opencl",))
-        stack = VirtualStack.build("opencl")
-        assert sorted(hv.apis) == sorted(stack.hypervisor.apis)
+        """The bare hypervisor is the stack's: one factory, not two."""
+        stack = VirtualStack.build("opencl", "mvnc")
+        assert sorted(stack.hypervisor.apis) == ["mvnc", "opencl"]
+        assert stack.add_vm("vm-bare").vm is \
+            stack.hypervisor.vms["vm-bare"]
 
     def test_router_and_admin_report_exposed(self):
         stack = VirtualStack.build("opencl")
@@ -186,8 +182,7 @@ class TestEffortAccounting:
     def test_effort_reports(self):
         from repro.harness.effort import measure_effort
 
-        report = measure_effort("opencl", default_specs_dir(),
-                                "repro.opencl.api")
+        report = measure_effort("opencl", default_specs_dir())
         assert report.functions_total == 39
         assert report.spec_loc < report.generated_loc
         assert report.leverage > 3.0
@@ -196,8 +191,7 @@ class TestEffortAccounting:
     def test_mvnc_effort(self):
         from repro.harness.effort import measure_effort
 
-        report = measure_effort("mvnc", default_specs_dir(),
-                                "repro.mvnc.api")
+        report = measure_effort("mvnc", default_specs_dir())
         assert report.functions_total == 13
         assert report.inference_rate > 0.5
 

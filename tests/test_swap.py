@@ -131,17 +131,17 @@ class TestSwapUnderForwarding:
     def test_guest_workload_survives_tiny_device(self):
         """A guest sees no OOM on an oversubscribed device (the paper's
         'avoids exposing out-of-memory conditions' property)."""
-        from repro.stack import make_hypervisor
+        from repro.stack import VirtualStack
         from repro.opencl.device import DeviceSpec, SimulatedGPU
         from repro.workloads import NWWorkload
 
-        hv = make_hypervisor(
-            apis=("opencl",),
-            gpu_factory=lambda: SimulatedGPU(
+        hv = VirtualStack.build(
+            "opencl",
+            devices={"opencl": lambda: SimulatedGPU(
                 DeviceSpec.small_gpu(mem_bytes=192 * 1024)
-            ),
+            )},
             memory_manager_factory=lambda: ObjectSwapManager(),
-        )
+        ).hypervisor
         vm = hv.create_vm("vm-tight")
         # nw at n=128 needs ~66KB score + 64KB similarity + slack
         result = NWWorkload(scale=0.5).run(vm.library("opencl"))

@@ -16,7 +16,7 @@ from repro.migration import MigrationPolicy
 from repro.remoting.buffers import OutBox
 from repro.spec.errors import SpecSemanticError
 from repro.spec.model import RecordKind
-from repro.stack import load_spec, make_hypervisor
+from repro.stack import VirtualStack, load_spec
 from repro.tpu import api
 from repro.tpu.device import SimulatedTPU, TPUDeviceSpec
 from repro.tpu.graphs import (
@@ -177,7 +177,7 @@ class TestWorkload:
         assert result.verified, result.detail
 
     def test_forwarded_mlp(self):
-        hv = make_hypervisor(apis=("tpu",))
+        hv = VirtualStack.build("tpu").hypervisor
         vm = hv.create_vm("vm-tpu")
         result = TPUMLPWorkload(steps=3).run(vm.library("tpu"))
         assert result.verified, result.detail
@@ -191,7 +191,7 @@ class TestWorkload:
             assert workload.run(api).verified
         native = clock.now
 
-        hv = make_hypervisor(apis=("tpu",))
+        hv = VirtualStack.build("tpu").hypervisor
         vm = hv.create_vm("vm-tpu-f")
         assert workload.run(vm.library("tpu")).verified
         ratio = vm.clock.now / native
@@ -204,7 +204,7 @@ class TestWorkload:
 
     def test_migration_of_tpu_graph(self):
         """Dynamic-API state also migrates by record/replay."""
-        hv = make_hypervisor(apis=("tpu",))
+        hv = VirtualStack.build("tpu").hypervisor
         vm = hv.create_vm("vm-tpu-m")
         tp = vm.library("tpu")
         device = OutBox()

@@ -4,8 +4,7 @@ import pytest
 
 from repro.harness.traces import extract_device_trace, trace_summary
 from repro.opencl.device import SimulatedGPU
-from repro.server.bindings import private_device, shared_devices
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import GaussianWorkload, LavaMDWorkload, NWWorkload
 
 
@@ -56,22 +55,11 @@ class TestTraceExtraction:
 
 
 class TestDeviceFactories:
-    def test_shared_devices_returns_same_list(self):
-        devices = [SimulatedGPU(), SimulatedGPU()]
-        factory = shared_devices(devices)
-        assert factory() == devices
-        assert factory()[0] is devices[0]
-
-    def test_private_device_fresh_each_call(self):
-        factory = private_device(SimulatedGPU)
-        first = factory()
-        second = factory()
-        assert first[0] is not second[0]
-
     def test_shared_gpus_hypervisor_consolidates(self):
-        """With shared devices, both VMs' work lands on one timeline."""
+        """With a shared device, both VMs' work lands on one timeline."""
         gpu = SimulatedGPU()
-        hv = make_hypervisor(apis=("opencl",), shared_gpus=[gpu])
+        hv = VirtualStack.build("opencl",
+                                devices={"opencl": lambda: gpu}).hypervisor
         vm_a = hv.create_vm("vm-a")
         vm_b = hv.create_vm("vm-b")
         assert GaussianWorkload(scale=0.1).run(

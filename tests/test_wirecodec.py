@@ -209,17 +209,16 @@ class TestStackEquivalence:
     def test_figure5_sample_bit_identical(self):
         """The figure-5 measurement is invariant under codec choice."""
         from repro.harness import run_virtualized
-        from repro.stack import make_hypervisor
         from repro.workloads import GaussianWorkload
 
         fast = run_virtualized(
             GaussianWorkload(scale=0.25), vm_id="vm-f",
-            hypervisor=make_hypervisor(apis=("opencl",),
-                                       codec="specialized"))
+            hypervisor=VirtualStack.build(
+                "opencl", codec="specialized").hypervisor)
         slow = run_virtualized(
             GaussianWorkload(scale=0.25), vm_id="vm-s",
-            hypervisor=make_hypervisor(apis=("opencl",),
-                                       codec=OracleCodec()))
+            hypervisor=VirtualStack.build(
+                "opencl", codec=OracleCodec()).hypervisor)
         assert fast.runtime == slow.runtime
         assert fast.calls_sync == slow.calls_sync
         assert fast.calls_async == slow.calls_async

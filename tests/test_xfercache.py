@@ -26,14 +26,14 @@ from repro.remoting.xfercache import (
     digest_payload,
 )
 from repro.server.xferstore import TransferStore
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads import BFSWorkload
 from repro.workloads.base import open_env
 from tests.wire_oracle import decode_message, encode_message
 
 
 def fresh_stack(vm_id="v1", cache_policy=None, transport="inproc"):
-    hypervisor = make_hypervisor(apis=("opencl",))
+    hypervisor = VirtualStack.build("opencl").hypervisor
     vm = hypervisor.create_vm(vm_id, transport=transport,
                               cache_policy=cache_policy)
     return hypervisor, vm
@@ -474,7 +474,7 @@ class TestEndToEnd:
         array."""
         from repro.guest.batching import BatchPolicy
 
-        hypervisor = make_hypervisor(apis=("opencl",))
+        hypervisor = VirtualStack.build("opencl").hypervisor
         vm = hypervisor.create_vm("v1", batch_policy=BatchPolicy(),
                                   cache_policy=CachePolicy())
         env = open_env(vm.library("opencl"))

@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.remoting.xfercache import CachePolicy
-from repro.stack import make_hypervisor
+from repro.stack import VirtualStack
 from repro.workloads.base import open_env
 
 EXAMPLES = int(os.environ.get("CAVA_XFER_EXAMPLES", "25"))
@@ -56,7 +56,7 @@ class _Harness:
     """One guest VM running a schedule against real device buffers."""
 
     def __init__(self, cache_policy):
-        self.hypervisor = make_hypervisor(apis=("opencl",))
+        self.hypervisor = VirtualStack.build("opencl").hypervisor
         self.vm = self.hypervisor.create_vm("vm-prop",
                                             cache_policy=cache_policy)
         self.arrays = [bytearray(((s + 7 * i) % 256 for s in range(size)))
