@@ -61,21 +61,31 @@ class VMPolicy:
                            MappingProxyType(dict(self.resource_limits)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourcePolicy:
-    """Policy set for all VMs, with a default for unlisted ones."""
+    """Policy set for all VMs, with a default for unlisted ones.
+
+    Frozen, with ``per_vm`` a read-only view: the router plans each VM
+    from its policy when the policy is installed, so :meth:`set_policy`
+    is the one writer, and an edit that bypassed it would go unplanned.
+    """
 
     default: VMPolicy = field(default_factory=VMPolicy)
-    per_vm: Dict[str, VMPolicy] = field(default_factory=dict)
+    per_vm: Mapping[str, VMPolicy] = field(default_factory=dict)
     #: version counter bumped by every :meth:`set_policy` (on any
     #: instance): a router's per-VM plans are rebuilt when it moves
     version: ClassVar[int] = 0
+
+    def __post_init__(self) -> None:
+        # the one mutable dict behind the view, written by set_policy
+        object.__setattr__(self, "_per_vm", dict(self.per_vm))
+        object.__setattr__(self, "per_vm", MappingProxyType(self._per_vm))
 
     def policy_for(self, vm_id: str) -> VMPolicy:
         return self.per_vm.get(vm_id, self.default)
 
     def set_policy(self, vm_id: str, policy: VMPolicy) -> None:
-        self.per_vm[vm_id] = policy
+        self._per_vm[vm_id] = policy
         ResourcePolicy.version += 1
 
     def effective_weight(self, vm_id: str) -> float:

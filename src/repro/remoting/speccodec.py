@@ -43,12 +43,22 @@ trailing-byte frame, nesting deeper than 64 — is a
 command is malformed as a whole.  Nothing decodes a frame twice.
 
 Where the rule leaves only numbers free, the walk is one precomputed
-run.  A *plain* reply — an ``int`` return value, every section
-``== {}``, ``callbacks == []``, ``error is None``, untraced — is the
-same layout for every function, so its body is one ``struct.Struct``
-(fixed run, seq, fixed run, return value, fixed run, time): one pack,
-or one unpack and three constant compares, alone or inside a
-:class:`ReplyBatch`; a body that fails them walks.  A command's
+run, decided per message and never by a setting.  A *plain* reply — an
+``int`` return value, every section ``== {}``, ``callbacks == []``,
+``error is None``, untraced — is the same layout for every function, so
+its body is one ``struct.Struct`` (fixed run, seq, fixed run, return
+value, fixed run, time): one pack, or one unpack and three constant
+compares, alone or inside a :class:`ReplyBatch`.  A *plain* command —
+every declared scalar and handle present, in spec order, each an
+``int`` (a bool is not); ``in_buffers == {}``, ``out_sizes == {}``, no
+trace context, no cached refs, a float time — is one layout per
+function: everything after its head is its table's one ``struct``
+(:attr:`CommandTable.plain`: static run, value, ..., static run, time),
+one pack, or one unpack and one compare of the static runs, alone or
+inside a :class:`CommandBatch`.  Alone, either plain message skips
+:class:`FrameBuilder`: the frame's magic and length are packed with
+its head, and a plain reply frame decodes, header and all, in one
+unpack.  A message or frame one field off plain walks.  A command's
 ``api`` + ``fn`` + ``mode`` run is a per-mode table constant
 (:attr:`CommandTable.heads`): the encoder appends it, the decoder finds
 table and mode with one dict probe, and a run of empty sections is
@@ -212,6 +222,8 @@ _REF_HEAD = b"L" + _U32.pack(3) + b"B" + _U32.pack(_codec._DIGEST_BYTES)
 
 #: a command's ``mode`` field, by mode
 _MODES = {mode: _key("mode") + _s(mode) for mode in ("sync", "async")}
+#: issue/flush/complete times come off the virtual clock: floats
+_T_KEY = _key("t") + b"D"
 
 
 def _empty_runs(sections: Tuple[_Section, ...]) -> Tuple[bytes, ...]:
@@ -246,6 +258,34 @@ class CommandTable:
         #: ``empty_runs[i]``: the wire run of sections ``i`` onward, all
         #: of them empty (decode steps over such a tail in one compare)
         self.empty_runs = _empty_runs(self.sections)
+        #: the plain run — every declared scalar and handle an int, in
+        #: spec order, no payload or out-size, then the time: one
+        #: ``struct`` of (static run, value) pairs and the time, whose
+        #: static runs (``plain_runs``) are the decoder's one compare
+        #: and fill the even slots of its pack arguments (``plain_args``);
+        #: ``*_slots`` say where in the unpacked run each value sits
+        self.names = (*scalars, *(handles or {}))
+        self.plain_types = (int,) * len(self.names) + (float,)
+        slots = tuple((name, 2 * index + 1)
+                      for index, name in enumerate(self.names))
+        self.scalar_slots = slots[:len(scalars)]
+        self.handle_slots = slots[len(scalars):]
+        runs, run = [], b""
+        for section in self.sections[:2]:
+            run += section.headers[len(section.entries)]
+            for key, _, _ in section.entries:
+                runs.append(run + key + b"I")
+                run = b""
+        runs.append(run + self.empty_runs[2] + _T_KEY)
+        self.plain = struct.Struct(
+            ">" + "".join(f"{len(run)}sq" for run in runs[:-1])
+            + f"{len(runs[-1])}sd")
+        self.plain_runs = tuple(runs)
+        #: where the last static run starts in a plain run: a value of
+        #: another width shifts it, so a walked frame rarely matches it
+        self.plain_tail_at = self.plain.size - 8 - len(runs[-1])
+        self.plain_args: List[Any] = [None] * (2 * len(runs))
+        self.plain_args[0::2] = runs
         #: the optional ``xr`` section: (key + value head, kind run,
         #: name, kind) per parameter a cached ref may stand in for, in
         #: the guest's elision order — in-buffers, then string scalars
@@ -289,9 +329,9 @@ _BARE_REPLY = ReplyTable()
 _CMD_PREFIXES = {extra: b"M" + _U32.pack(10 + extra) + _key("seq") + b"I"
                  for extra in range(3)}
 _CMD_EXTRA = {prefix: extra for extra, prefix in _CMD_PREFIXES.items()}
+#: a plain command frame's head: magic, body length, prefix and seq
+_CMD_FRAME = struct.Struct(f">2sI{len(_CMD_PREFIXES[0])}sq")
 _VM_KEY = _key("vm") + b"S"
-#: issue/flush/complete times come off the virtual clock: floats
-_T_KEY = _key("t") + b"D"
 _BATCH_PREFIX = b"M" + _U32.pack(3) + _key("vm") + b"S"
 _CMDS_KEY = _key("cmds") + b"L"
 #: the reply dict's head, untraced (8 fields) and traced (+ ``tr``)
@@ -310,8 +350,13 @@ _REPLY_TAIL = _CBS_KEY + b"L" + _U32.pack(0) + _ERR_KEY + b"N" + _T_KEY
 _PLAIN_HEAD = _REPLY_PREFIXES[0]
 _PLAIN_RET = _RET_KEY + b"I"
 _PLAIN_TAIL = _BARE_REPLY.empty_runs[0] + _REPLY_TAIL
-_PLAIN_REPLY = struct.Struct(f">{len(_PLAIN_HEAD)}sq{len(_PLAIN_RET)}sq"
-                             f"{len(_PLAIN_TAIL)}sd")
+_PLAIN_REST = f"q{len(_PLAIN_RET)}sq{len(_PLAIN_TAIL)}sd"
+_PLAIN_REPLY = struct.Struct(f">{len(_PLAIN_HEAD)}s{_PLAIN_REST}")
+#: a plain reply alone is a whole frame of one fixed layout too: its
+#: magic and length join the head run
+_PLAIN_FRAME_HEAD = (_codec._REPLY_MAGIC + _U32.pack(_PLAIN_REPLY.size)
+                     + _PLAIN_HEAD)
+_PLAIN_FRAME = struct.Struct(f">{len(_PLAIN_FRAME_HEAD)}s{_PLAIN_REST}")
 _RB_PREFIX = b"M" + _U32.pack(2) + _key("replies") + b"L"
 #: trace context: ``[trace id, span id]`` on a command, the span id
 #: alone on a reply
@@ -330,6 +375,7 @@ _LVM = len(_VM_KEY)
 #: field's run: past its key and the ``S`` tag
 _LAPI, _LFN, _LMODE = (len(_key(name)) + 1 for name in ("api", "fn", "mode"))
 _LPLAIN = _PLAIN_REPLY.size
+_LPLAIN_FRAME = _PLAIN_FRAME.size
 
 #: how many VM ids' ``vm`` runs a codec keeps (``SpecializedCodec.vm_runs``)
 _VM_RUNS_BOUND = 1024
@@ -456,6 +502,43 @@ def _enc_refs(command: Command, table: CommandTable) -> bytearray:
     return out
 
 
+def _vm_run(vm_runs: Dict[str, bytes], vm_id: str) -> bytes:
+    """``vm_id``'s ``vm`` run, kept in ``vm_runs`` (bounded)."""
+    if len(vm_runs) >= _VM_RUNS_BOUND:
+        vm_runs.clear()
+    encoded = vm_id.encode("utf-8")
+    vm = vm_runs[vm_id] = _VM_KEY + _U32.pack(len(encoded)) + encoded
+    return vm
+
+
+def _plain_command(command: Command, table: CommandTable,
+                   vm_runs: Dict[str, bytes]) -> Optional[bytes]:
+    """A plain command's wire run after its seq — its ``vm`` run, head
+    and ``table.plain`` — or None: the command walks.
+
+    Plain is every declared scalar and handle present, in spec order,
+    each an ``int`` (not a bool); no payload, out-size, trace context or
+    cached ref; an ``int`` seq, a ``float`` time and a known mode.
+    """
+    scalars, handles = command.scalars, command.handles
+    if (command.in_buffers != {} or command.out_sizes != {}
+            or type(scalars) is not dict or type(handles) is not dict
+            or (*scalars, *handles) != table.names
+            or len(scalars) != len(table.scalar_slots)
+            or command.trace_id is not None or command.span_id is not None
+            or command.cached_refs or type(command.seq) is not int
+            or type(command.vm_id) is not str):
+        return None
+    values = (*scalars.values(), *handles.values(), command.issue_time)
+    head = table.heads.get(command.mode)
+    if tuple(map(type, values)) != table.plain_types or head is None:
+        return None
+    args = table.plain_args.copy()
+    args[1::2] = values
+    vm = vm_runs.get(command.vm_id) or _vm_run(vm_runs, command.vm_id)
+    return vm + head + table.plain.pack(*args)
+
+
 def _enc_command_body(builder: FrameBuilder, command: Command,
                       table: CommandTable, vm_runs: Dict[str, bytes]) -> None:
     """The command's wire dict; ``vm_runs`` caches each VM id's run."""
@@ -466,12 +549,7 @@ def _enc_command_body(builder: FrameBuilder, command: Command,
     if (type(command.seq) is not int or type(vm_id) is not str
             or type(command.issue_time) is not float):
         raise CodecError("command seq, vm or t has the wrong type")
-    vm = vm_runs.get(vm_id)
-    if vm is None:
-        if len(vm_runs) >= _VM_RUNS_BOUND:
-            vm_runs.clear()
-        encoded = vm_id.encode("utf-8")
-        vm = vm_runs[vm_id] = _VM_KEY + _U32.pack(len(encoded)) + encoded
+    vm = vm_runs.get(vm_id) or _vm_run(vm_runs, vm_id)
     trace_id, span_id = command.trace_id, command.span_id
     trace = None
     if trace_id is not None or span_id is not None:
@@ -498,18 +576,21 @@ def _enc_command_body(builder: FrameBuilder, command: Command,
         cur += refs
 
 
+def _plain_reply(reply: Reply) -> bool:
+    """An ``int`` return, every section ``== {}``, no callbacks, no
+    error, untraced, an ``int`` seq and a ``float`` time: the one fixed
+    run (:data:`_PLAIN_REPLY`, or :data:`_PLAIN_FRAME` alone)."""
+    return (type(reply.return_value) is int and type(reply.seq) is int
+            and type(reply.complete_time) is float and reply.span_id is None
+            and reply.error is None and reply.callbacks == []
+            and reply.out_payloads == {} and reply.out_scalars == {}
+            and reply.new_handles == {})
+
+
 def _enc_reply_body(builder: FrameBuilder, reply: Reply,
                     table: ReplyTable) -> None:
     if type(reply.seq) is not int or type(reply.complete_time) is not float:
         raise CodecError("reply seq or t has the wrong type")
-    if (type(reply.return_value) is int and reply.span_id is None
-            and reply.error is None and reply.callbacks == []
-            and reply.out_payloads == {} and reply.out_scalars == {}
-            and reply.new_handles == {}):
-        builder.cur += _PLAIN_REPLY.pack(
-            _PLAIN_HEAD, reply.seq, _PLAIN_RET, reply.return_value,
-            _PLAIN_TAIL, reply.complete_time)
-        return
     trace = None
     if reply.span_id is not None:
         if type(reply.span_id) is not int:
@@ -559,9 +640,15 @@ def _enc_batch_frame(tables: Dict[Tuple[str, str], Any],
     cur += _CMDS_KEY
     cur += _U32.pack(len(batch.commands))
     for command in batch.commands:
-        _enc_command_body(
-            builder, command, tables[(command.api, command.function)][0],
-            vm_runs)
+        table = tables[(command.api, command.function)][0]
+        plain = _plain_command(command, table, vm_runs)
+        if plain is None:
+            _enc_command_body(builder, command, table, vm_runs)
+        else:
+            cur = builder.cur
+            cur += _CMD_PREFIXES[0]
+            cur += _I64.pack(command.seq)
+            cur += plain
     cur = builder.cur
     cur += _T_KEY
     cur += _F64.pack(batch.flush_time)
@@ -579,8 +666,13 @@ def _enc_reply_batch_frame(tables: Dict[Tuple[str, str], Any],
     cur += _RB_PREFIX
     cur += _U32.pack(len(batch.replies))
     for reply, command in zip(batch.replies, reply_to.commands):
-        _enc_reply_body(
-            builder, reply, tables[(command.api, command.function)][1])
+        if _plain_reply(reply):
+            builder.cur += _PLAIN_REPLY.pack(
+                _PLAIN_HEAD, reply.seq, _PLAIN_RET, reply.return_value,
+                _PLAIN_TAIL, reply.complete_time)
+        else:
+            _enc_reply_body(
+                builder, reply, tables[(command.api, command.function)][1])
     cur = builder.cur
     cur += _T_KEY
     cur += _F64.pack(batch.complete_time)
@@ -785,11 +877,25 @@ def _dec_command(data: bytes, o: int, end: int,
     if o > end:
         raise CodecError("truncated api/fn/mode")
     table, mode = heads[data[region:o]]
-    scalars, handles, in_buffers, out_sizes = sections = {}, {}, {}, {}
-    o = _dec_sections(data, o, end, table, sections, spliced, depth + 2)
-    o = _expect(data, o, _T_KEY)
-    issue_time = _F64.unpack_from(data, o)[0]
-    o += 8
+    plain = table.plain
+    # the last static run screens out a walked frame before the unpack
+    if (not extra and end - o >= plain.size
+            and data.startswith(table.plain_runs[-1], o + table.plain_tail_at)
+            and (run := plain.unpack_from(data, o))[0::2]
+            == table.plain_runs):
+        scalars, handles, in_buffers, out_sizes = {}, {}, {}, {}
+        for name, at in table.scalar_slots:
+            scalars[name] = run[at]
+        for name, at in table.handle_slots:
+            handles[name] = run[at]
+        issue_time = run[-1]
+        o += plain.size
+    else:
+        scalars, handles, in_buffers, out_sizes = sections = {}, {}, {}, {}
+        o = _dec_sections(data, o, end, table, sections, spliced, depth + 2)
+        o = _expect(data, o, _T_KEY)
+        issue_time = _F64.unpack_from(data, o)[0]
+        o += 8
     trace_id = span_id = None
     refs: Dict[str, List[Any]] = {}
     if extra and data.startswith(_TR_KEY, o):
@@ -817,6 +923,20 @@ def _dec_command(data: bytes, o: int, end: int,
     return command, o
 
 
+def _new_plain_reply(seq: int, return_value: int,
+                     complete_time: float) -> Reply:
+    """The reply a plain run decodes to.  (Dataclass ``__init__``
+    re-runs default factories; the fields are all in hand, so the
+    instance dict is built directly.)"""
+    reply = Reply.__new__(Reply)
+    reply.__dict__ = {
+        "seq": seq, "return_value": return_value, "out_payloads": {},
+        "out_scalars": {}, "new_handles": {}, "callbacks": [],
+        "error": None, "complete_time": complete_time, "span_id": None,
+    }
+    return reply
+
+
 def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
                spliced: Any, depth: int) -> Tuple[Reply, int]:
     """One reply's wire dict, at ``o`` and nesting ``depth``; returns it
@@ -827,14 +947,7 @@ def _dec_reply(data: bytes, o: int, end: int, table: ReplyTable,
             _PLAIN_REPLY.unpack_from(data, o)
         if (head == _PLAIN_HEAD and ret_run == _PLAIN_RET
                 and tail == _PLAIN_TAIL):
-            reply = Reply.__new__(Reply)
-            reply.__dict__ = {
-                "seq": seq, "return_value": ret, "out_payloads": {},
-                "out_scalars": {}, "new_handles": {}, "callbacks": [],
-                "error": None, "complete_time": complete_time,
-                "span_id": None,
-            }
-            return reply, o + _LPLAIN
+            return _new_plain_reply(seq, ret, complete_time), o + _LPLAIN
     traced = _REPLY_TRACED.get(data[o:o + _LRP])
     if traced is None:
         raise CodecError("not a reply dict in spec field order")
@@ -1022,12 +1135,16 @@ class SpecializedCodec(WireCodec):
     def encode_command(self, command: Any) -> FrameLike:
         try:
             if type(command) is Command:
-                builder = FrameBuilder()
-                _enc_command_body(
-                    builder, command,
-                    self.tables[(command.api, command.function)][0],
-                    self.vm_runs)
-                frame = builder.finish(_codec._COMMAND_MAGIC)
+                table = self.tables[(command.api, command.function)][0]
+                plain = _plain_command(command, table, self.vm_runs)
+                if plain is not None:
+                    frame = _CMD_FRAME.pack(
+                        _codec._COMMAND_MAGIC, _LP + 8 + len(plain),
+                        _CMD_PREFIXES[0], command.seq) + plain
+                else:
+                    builder = FrameBuilder()
+                    _enc_command_body(builder, command, table, self.vm_runs)
+                    frame = builder.finish(_codec._COMMAND_MAGIC)
             elif type(command) is CommandBatch:
                 frame = _enc_batch_frame(self.tables, self.vm_runs, command)
             else:
@@ -1041,12 +1158,16 @@ class SpecializedCodec(WireCodec):
     def encode_reply(self, reply: Any, reply_to: Any = None) -> FrameLike:
         try:
             if type(reply) is Reply:
-                builder = FrameBuilder()
-                _enc_reply_body(
-                    builder, reply,
-                    self.tables[(reply_to.api, reply_to.function)][1]
-                    if type(reply_to) is Command else _BARE_REPLY)
-                frame = builder.finish(_codec._REPLY_MAGIC)
+                table = (self.tables[(reply_to.api, reply_to.function)][1]
+                         if type(reply_to) is Command else _BARE_REPLY)
+                if _plain_reply(reply):
+                    frame = _PLAIN_FRAME.pack(
+                        _PLAIN_FRAME_HEAD, reply.seq, _PLAIN_RET,
+                        reply.return_value, _PLAIN_TAIL, reply.complete_time)
+                else:
+                    builder = FrameBuilder()
+                    _enc_reply_body(builder, reply, table)
+                    frame = builder.finish(_codec._REPLY_MAGIC)
             elif type(reply) is ReplyBatch and type(reply_to) is CommandBatch:
                 frame = _enc_reply_batch_frame(self.tables, reply, reply_to)
             elif type(reply) is NeedBytes:
@@ -1090,6 +1211,16 @@ class SpecializedCodec(WireCodec):
 
     def decode_reply(self, data: FrameLike, reply_to: Any = None) -> Any:
         try:
+            if type(data) is bytes and len(data) == _LPLAIN_FRAME:
+                head, seq, ret_run, ret, tail, complete_time = \
+                    _PLAIN_FRAME.unpack_from(data)
+                if (head == _PLAIN_FRAME_HEAD and ret_run == _PLAIN_RET
+                        and tail == _PLAIN_TAIL
+                        and (type(reply_to) is not Command
+                             or (reply_to.api, reply_to.function)
+                             in self.tables)):
+                    self.fast_decodes += 1
+                    return _new_plain_reply(seq, ret, complete_time)
             if type(data) is bytes:
                 buf, spliced = data, ()
                 end = 6 + _U32.unpack_from(buf, 2)[0]

@@ -49,6 +49,7 @@ from repro.remoting.codec import (  # noqa: E402
     Reply,
     ReplyBatch,
 )
+from repro.remoting import speccodec  # noqa: E402
 from repro.remoting.speccodec import (  # noqa: E402
     _SPLICE_THRESHOLD,
     SpecializedCodec,
@@ -1031,6 +1032,141 @@ class TestPlainReplyBoundary:
                     _refuses_or_agrees(fast, slow)
                     if isinstance(fast, Reply):
                         assert _same(fast, slow)
+
+
+# ---------------------------------------------------------------------------
+# the plain command: one fixed run per table, and every command one
+# field off it
+# ---------------------------------------------------------------------------
+
+def _set_arg(**off) -> Command:
+    """A plain ``clSetKernelArg`` (a scalar value) as ``chatty`` sends
+    it, with the fields in ``off`` set instead."""
+    command = _opencl("clSetKernelArg", mode="async",
+                      scalars={"arg_index": 1, "arg_size": 8,
+                               "arg_value": 495},
+                      handles={"kernel": 9})
+    for name, value in off.items():
+        setattr(command, name, value)
+    return command
+
+
+#: commands on the plain run and one field off it: (command, walks)
+PLAIN_CASES = {
+    "set-arg": (_set_arg(), False),
+    "set-arg-sync": (_set_arg(mode="sync"), False),
+    "finish": (_opencl("clFinish", handles={"command_queue": 3}), False),
+    "int64-min": (_set_arg(scalars={"arg_index": -2 ** 63, "arg_size": 8,
+                                    "arg_value": 0}), False),
+    "int64-max": (_set_arg(handles={"kernel": 2 ** 63 - 1}), False),
+    "bool-value": (_set_arg(scalars={"arg_index": 1, "arg_size": 8,
+                                     "arg_value": True}), True),
+    "float-value": (_set_arg(scalars={"arg_index": 1, "arg_size": 8,
+                                      "arg_value": 1.0}), True),
+    "none-handle": (_set_arg(handles={"kernel": None}), True),
+    "missing-entry": (_set_arg(scalars={"arg_index": 1,
+                                        "arg_value": 495}), True),
+    "empty-handles": (_opencl("clFinish", handles={}), True),
+    "traced": (_set_arg(trace_id="trace-1", span_id=5), True),
+    "with-ref": (_set_arg(scalars={"arg_index": 1, "arg_size": 8},
+                          cached_refs={"arg_value": [b"\x07" * 16, 8,
+                                                     "buf"]}), True),
+}
+
+
+def _same_command(decoded, command):
+    """Equal, and every scalar and handle of the same type (``True ==
+    1`` and ``1.0 == 1`` would hide a plain-run misread)."""
+    return decoded == command and all(
+        type(decoded_value) is type(value)
+        for got, sent in ((decoded.scalars, command.scalars),
+                          (decoded.handles, command.handles))
+        for decoded_value, value in zip(got.values(), sent.values()))
+
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """How many command sections the walkers walked, by direction (the
+    plain run walks none)."""
+    counts = {"encode": 0, "decode": 0}
+
+    def counted(direction, walker):
+        def walk(*args, **kwargs):
+            counts[direction] += 1
+            return walker(*args, **kwargs)
+        return walk
+
+    monkeypatch.setattr(speccodec, "_enc_sections",
+                        counted("encode", speccodec._enc_sections))
+    monkeypatch.setattr(speccodec, "_dec_sections",
+                        counted("decode", speccodec._dec_sections))
+    return counts
+
+
+class TestPlainCommandBoundary:
+    """A plain command rides its table's one ``struct`` run; anything
+    one field off it walks.  Both are the oracle's bytes, alone and
+    inside a :class:`CommandBatch`, and decode back to the same
+    command."""
+
+    @pytest.mark.parametrize("case", sorted(PLAIN_CASES))
+    def test_one_field_off_plain(self, case, walks):
+        command, walked = PLAIN_CASES[case]
+        codec = _specialized()
+        wire = frame_bytes(codec.encode_command(command))
+        assert wire == frame_bytes(ORACLE.encode_command(command))
+        assert _same_command(codec.decode_command(wire), command)
+        assert walks == {"encode": walked, "decode": walked}
+        batch = CommandBatch(vm_id="vm-0", commands=[command, _set_arg()],
+                             flush_time=6.0)
+        wire = frame_bytes(codec.encode_command(batch))
+        assert wire == frame_bytes(ORACLE.encode_command(batch))
+        decoded = codec.decode_command(wire)
+        assert decoded == batch
+        assert all(map(_same_command, decoded.commands, batch.commands))
+        assert walks == {"encode": 2 * walked, "decode": 2 * walked}
+        _assert_all_fast(codec, 4)
+
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1])
+    def test_int64_overflow_is_refused(self, value):
+        command = _set_arg(handles={"kernel": value})
+        with pytest.raises(CodecError):
+            SPEC.encode_command(command)
+        with pytest.raises(CodecError):
+            SPEC.encode_command(CommandBatch(
+                vm_id="vm-0", commands=[_set_arg(), command],
+                flush_time=6.0))
+
+    def test_out_of_order_keys_are_refused(self):
+        _assert_refused(_set_arg(scalars={"arg_size": 8, "arg_index": 1,
+                                          "arg_value": 495}))
+
+    def test_trailing_bytes_are_refused(self):
+        wire = frame_bytes(ORACLE.encode_command(_set_arg()))
+        padded = _patch_u32(wire + b"N", 2, 1)
+        assert _both_decode_command(padded) == (CodecError, CodecError)
+
+    def test_every_byte_flip_refused_or_agreed(self):
+        """Damage anywhere in a plain frame, alone or batched: the walker
+        refuses it or decodes what the oracle decodes."""
+        frames = [
+            frame_bytes(SPEC.encode_command(_set_arg())),
+            frame_bytes(SPEC.encode_command(CommandBatch(
+                vm_id="vm-0", flush_time=6.0, commands=[
+                    _set_arg(), PLAIN_CASES["finish"][0]]))),
+        ]
+        for wire in frames:
+            for index in range(len(wire)):
+                for flip in (0x01, 0x80, 0xFF):
+                    mutated = bytearray(wire)
+                    mutated[index] ^= flip
+                    fast, slow = _both_decode_command(bytes(mutated))
+                    _refuses_or_agrees(fast, slow)
+                    if isinstance(fast, Command):
+                        assert _same_command(fast, slow)
+                    elif isinstance(fast, CommandBatch):
+                        assert all(map(_same_command, fast.commands,
+                                       slow.commands))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,34 @@ class TestSchedulingAndAccounting:
             send(router, make_command(), arrival=0.0)
         assert router.metrics_for("vm1").rate_delay > 0
 
+    def test_resource_policy_changed_in_place_raises(self):
+        """Neither the default nor a VM's entry can be swapped behind
+        ``set_policy``'s back (an unplanned edit would be ignored until
+        some unrelated ``set_policy``); through ``set_policy`` a new
+        policy throttles the stack's very next calls."""
+        from repro.stack import VirtualStack
+        from repro.workloads.base import open_env
+
+        policy = ResourcePolicy(per_vm={"vmX": VMPolicy()})
+        session = VirtualStack.build("opencl", policy=policy).add_vm("vm0")
+        cl = session.lib
+        env = open_env(cl)
+        metrics = session.stack.hypervisor.router.metrics_for("vm0")
+        throttled = VMPolicy(command_rate=10.0, command_burst=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.default = throttled
+        with pytest.raises(TypeError):
+            policy.per_vm["vm0"] = throttled
+        for _ in range(50):
+            cl.clFinish(env.queue)
+        assert metrics.rate_delay == 0.0
+        assert policy.policy_for("vm0") == VMPolicy()
+        policy.set_policy("vm0", throttled)
+        for _ in range(50):
+            cl.clFinish(env.queue)
+        assert metrics.rate_delay > 0
+        assert dict(policy.per_vm) == {"vmX": VMPolicy(), "vm0": throttled}
+
     def test_per_function_counters(self, setup):
         router, _ = setup
         send(router, make_command())
