@@ -158,6 +158,22 @@ class StreamStats:
     def max_wait(self) -> float:
         return max(self.waits) if self.waits else 0.0
 
+    def record(self, submitted: float, released: float, start: float,
+               end: float, device_time: float) -> None:
+        """Account one item: submitted, released by the rate limiter,
+        started once its device was free, completed at ``end``."""
+        queue_wait = start - released
+        throttle_wait = released - submitted
+        self.completed += 1
+        self.device_time += device_time
+        self.finish_time = end
+        self.total_wait += queue_wait + throttle_wait
+        self.total_queue_wait += queue_wait
+        self.total_throttle_wait += throttle_wait
+        self.waits.append(queue_wait + throttle_wait)
+        self.queue_waits.append(queue_wait)
+        self.completions.append(end)
+
 
 def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly fair, 1/n = maximally unfair."""
