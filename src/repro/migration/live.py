@@ -187,17 +187,8 @@ class LiveMigration:
             if not candidates:
                 raise MigrationError(
                     "pool has no member to migrate to")
-
-            def coolness(device):
-                busy = sum(getattr(n, "busy_time", 0.0)
-                           for n in device._native.values())
-                horizon = max(
-                    [getattr(n, "timeline", 0.0)
-                     for n in device._native.values()] or [0.0])
-                return (busy / horizon if horizon else 0.0,
-                        device.device_id)
-
-            member = min(candidates, key=coolness)
+            member = min(candidates,
+                         key=lambda d: (d.utilization(), d.device_id))
         if member is current:
             raise MigrationError(
                 f"VM {self.vm_id!r} already lives on "
