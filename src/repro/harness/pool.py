@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.hypervisor.policy import RateLimiter, ResourcePolicy
 from repro.hypervisor.pool import DevicePool, PoolRunResult, PoolScheduler
 from repro.hypervisor.scheduler import WorkItem
 from repro.harness.traces import extract_device_trace
@@ -113,22 +112,14 @@ def run_pool_fleet(
     pool: DevicePool,
     streams: Dict[str, List[WorkItem]],
     arrival_processes: Optional[Dict[str, Any]] = None,
-    policy: Optional[ResourcePolicy] = None,
-    rate_limiter: Optional[RateLimiter] = None,
-    allow_stealing: bool = True,
 ) -> PoolRunResult:
     """Drive ``streams`` through ``pool``.
 
     ``arrival_processes`` maps VM ids to loadgen arrival processes
     (anything with ``times(count)``, e.g.
     :class:`~repro.harness.loadgen.PoissonArrivals`); those VMs run
-    open-loop, the rest closed-loop.  ``policy`` overrides the pool's
-    resource policy for this run.
+    open-loop, the rest closed-loop.
     """
-    if policy is not None:
-        pool.policy = policy
-    scheduler = PoolScheduler(pool, rate_limiter=rate_limiter,
-                              allow_stealing=allow_stealing)
     arrivals = None
     if arrival_processes:
         arrivals = {
@@ -136,4 +127,4 @@ def run_pool_fleet(
             for vm, process in arrival_processes.items()
             if vm in streams
         }
-    return scheduler.run(streams, arrivals=arrivals)
+    return PoolScheduler(pool).run(streams, arrivals=arrivals)
