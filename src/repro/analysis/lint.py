@@ -4,13 +4,14 @@
 :func:`lint_path` adds the file-system conventions the CLI uses — the
 default suppression file is ``<spec basename>.lint`` next to the spec,
 and the native-module import line is looked up from the shipped-stack
-registry when the API is a known one.
+registry when the API is a known one.  :func:`run_path` applies the
+same conventions to any analyzer (``cava race`` uses it too).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.diagnostics import Diagnostic, LintReport
@@ -71,12 +72,16 @@ def default_suppression_path(spec_path: str) -> str:
     return base + ".lint"
 
 
-def lint_path(
+def run_path(
+    analyze: Callable[..., LintReport],
     spec_path: str,
     native_module: Optional[str] = None,
     suppress_path: Optional[str] = None,
 ) -> LintReport:
-    """Parse ``spec_path`` and lint it with the CLI's conventions."""
+    """Parse ``spec_path`` and run ``analyze`` (:func:`lint_spec` or
+    :func:`~repro.analysis.ordering.race_spec`) over it with the CLI's
+    conventions: ``<spec>.lint`` suppressions, native module from the
+    shipped-stack registry."""
     spec = parse_spec_file(spec_path)
 
     if native_module is None and spec.name in APIS:
@@ -89,6 +94,15 @@ def lint_path(
     elif suppress_path is not None:
         raise SpecError(f"suppression file not found: {suppress_path}")
 
-    return lint_spec(spec, spec_path=spec_path,
-                     native_module=native_module,
-                     suppressions=suppressions)
+    return analyze(spec, spec_path=spec_path,
+                   native_module=native_module,
+                   suppressions=suppressions)
+
+
+def lint_path(
+    spec_path: str,
+    native_module: Optional[str] = None,
+    suppress_path: Optional[str] = None,
+) -> LintReport:
+    """Parse ``spec_path`` and lint it with the CLI's conventions."""
+    return run_path(lint_spec, spec_path, native_module, suppress_path)

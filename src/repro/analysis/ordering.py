@@ -39,21 +39,14 @@ stale).
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, LintReport
 from repro.analysis.genast import analyze_generated_ordering
 from repro.analysis.hbmodel import HBModel, build_hb_model
-from repro.analysis.suppressions import (
-    SuppressionFile,
-    apply_suppressions,
-    parse_suppression_file,
-)
-from repro.apis import APIS
-from repro.spec.errors import SpecError
+from repro.analysis.lint import _PLACEHOLDER_NATIVE, run_path
+from repro.analysis.suppressions import SuppressionFile, apply_suppressions
 from repro.spec.model import ApiSpec
-from repro.spec.parser import parse_spec_file
 
 #: code prefixes ``cava race`` owns; suppression entries outside these
 #: families belong to ``cava lint`` and are left untouched
@@ -182,8 +175,6 @@ def race_spec(
 ) -> LintReport:
     """Run the ordering analysis (and the generated-code ordering
     checks) over ``spec``, returning a :class:`LintReport`."""
-    from repro.analysis.lint import _PLACEHOLDER_NATIVE
-
     report = LintReport(api=spec.name, spec_path=spec_path, tool="race")
 
     problems = spec.validate()
@@ -214,20 +205,4 @@ def race_path(
     """Parse ``spec_path`` and race-analyze it with the CLI conventions
     (shared with ``cava lint``: ``<spec>.lint`` suppressions, native
     module from the shipped-stack registry)."""
-    from repro.analysis.lint import default_suppression_path
-
-    spec = parse_spec_file(spec_path)
-
-    if native_module is None and spec.name in APIS:
-        native_module = APIS[spec.name].native_module
-
-    suppressions: Optional[SuppressionFile] = None
-    candidate = suppress_path or default_suppression_path(spec_path)
-    if os.path.isfile(candidate):
-        suppressions = parse_suppression_file(candidate)
-    elif suppress_path is not None:
-        raise SpecError(f"suppression file not found: {suppress_path}")
-
-    return race_spec(spec, spec_path=spec_path,
-                     native_module=native_module,
-                     suppressions=suppressions)
+    return run_path(race_spec, spec_path, native_module, suppress_path)

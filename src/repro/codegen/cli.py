@@ -89,36 +89,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    """``cava lint`` and ``cava race``: one report per spec."""
     import json
 
-    from repro.analysis import lint_path
+    from repro.analysis import lint_path, race_path
 
-    reports = [
-        lint_path(spec, suppress_path=args.suppress)
-        for spec in args.specs
-    ]
-    if args.json:
-        if len(reports) == 1:
-            print(reports[0].to_json())
-        else:
-            print(json.dumps(
-                [json.loads(r.to_json()) for r in reports], indent=2))
-    else:
-        for report in reports:
-            print(report.format(verbose=args.verbose))
-    return 0 if all(r.gate(args.fail_on) for r in reports) else 1
-
-
-def _cmd_race(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import race_path
-
-    reports = [
-        race_path(spec, suppress_path=args.suppress)
-        for spec in args.specs
-    ]
+    run = lint_path if args.command == "lint" else race_path
+    reports = [run(spec, suppress_path=args.suppress) for spec in args.specs]
     if args.json:
         if len(reports) == 1:
             print(reports[0].to_json())
@@ -280,44 +258,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit non-zero on warnings, not just errors")
     verify.set_defaults(func=_cmd_verify)
 
-    lint = sub.add_parser(
-        "lint",
-        help="deep static analysis: dataflow, handle lifecycle, and "
-             "generated-code AST invariants (docs/linting.md)",
-    )
-    lint.add_argument("specs", nargs="+", metavar="spec",
-                      help="one or more .cava files")
-    lint.add_argument("--json", action="store_true",
-                      help="machine-readable report")
-    lint.add_argument("--fail-on", choices=["error", "warning"],
-                      default="error",
-                      help="severity threshold gating the exit code")
-    lint.add_argument("--suppress", default=None,
-                      help="suppression file (default: <spec>.lint "
-                           "next to each spec, if present)")
-    lint.add_argument("-v", "--verbose", action="store_true",
-                      help="also list suppressed findings")
-    lint.set_defaults(func=_cmd_lint)
-
-    race = sub.add_parser(
-        "race",
-        help="happens-before ordering analysis: CAVA40x async-reordering "
-             "hazards plus generated-code agreement checks "
-             "(docs/linting.md)",
-    )
-    race.add_argument("specs", nargs="+", metavar="spec",
-                      help="one or more .cava files")
-    race.add_argument("--json", action="store_true",
-                      help="machine-readable report")
-    race.add_argument("--fail-on", choices=["error", "warning"],
-                      default="error",
-                      help="severity threshold gating the exit code")
-    race.add_argument("--suppress", default=None,
-                      help="suppression file (default: <spec>.lint "
-                           "next to each spec, if present)")
-    race.add_argument("-v", "--verbose", action="store_true",
-                      help="also list suppressed findings")
-    race.set_defaults(func=_cmd_race)
+    for name, help_text in (
+        ("lint", "deep static analysis: dataflow, handle lifecycle, and "
+                 "generated-code AST invariants (docs/linting.md)"),
+        ("race", "happens-before ordering analysis: CAVA40x "
+                 "async-reordering hazards plus generated-code agreement "
+                 "checks (docs/linting.md)"),
+    ):
+        analyze = sub.add_parser(name, help=help_text)
+        analyze.add_argument("specs", nargs="+", metavar="spec",
+                             help="one or more .cava files")
+        analyze.add_argument("--json", action="store_true",
+                             help="machine-readable report")
+        analyze.add_argument("--fail-on", choices=["error", "warning"],
+                             default="error",
+                             help="severity threshold gating the exit code")
+        analyze.add_argument("--suppress", default=None,
+                             help="suppression file (default: <spec>.lint "
+                                  "next to each spec, if present)")
+        analyze.add_argument("-v", "--verbose", action="store_true",
+                             help="also list suppressed findings")
+        analyze.set_defaults(func=_cmd_analyze)
 
     effort = sub.add_parser(
         "effort", help="developer-effort metrics for a shipped API (§5)"
