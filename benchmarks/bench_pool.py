@@ -20,14 +20,11 @@ An open-loop leg drives a smaller fleet with Poisson arrivals at 70% of
 pool capacity through the same engine (arrival timestamps instead of
 closed-loop think times).
 
-Output: ``BENCH_pool.json``.  Smoke mode (``CAVA_POOL_SMOKE=1``)
-shrinks per-VM demand but keeps the full 200-VM fleet and all gates.
+Output: ``BENCH_pool.json``.
 """
 
 import json
 import os
-
-import pytest
 
 from repro.harness.loadgen import PoissonArrivals
 from repro.harness.pool import (
@@ -41,12 +38,10 @@ from repro.hypervisor.scheduler import jain_fairness
 from repro.telemetry.metrics import percentile
 from repro.workloads import BFSWorkload, HotspotWorkload
 
-SMOKE = os.environ.get("CAVA_POOL_SMOKE") == "1"
-
 #: fleet size (the acceptance gate requires >= 200 VMs)
 VM_COUNT = 200
 #: per-VM demand: replays of the busiest base trace
-REPEATS = 1 if SMOKE else 2
+REPEATS = 2
 #: workload scale for the Rodinia traces
 SCALE = 0.25
 #: open-loop leg size
@@ -162,7 +157,6 @@ def run_open_loop_leg(bases):
 def run_sweep():
     bases = base_traces()
     return {
-        "smoke": SMOKE,
         "devices": [
             {"class": c.name, "compute_scale": c.compute_scale,
              "transfer_scale": c.transfer_scale,
@@ -213,7 +207,6 @@ def test_pool_gate():
     check_gates(payload)
 
 
-@pytest.mark.skipif(SMOKE, reason="smoke mode runs only the gate test")
 def test_pool_sweep(once, bench_json):
     """The full sweep under pytest-benchmark, printing the tables."""
     payload = once(run_sweep)
