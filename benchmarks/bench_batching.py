@@ -116,19 +116,6 @@ def test_flush_threshold_sweep(once, bench_json):
     assert all(r["speedup"] > -0.05 for r in rows1)
 
 
-def test_disabled_policy_is_per_call():
-    """enabled=False takes the per-call path: same frames, same time.
-
-    The two vm_ids have equal length: the id crosses the wire in every
-    frame, so names of different sizes would price differently.
-    """
-    base = run_one(NWWorkload, None, 1.0, "off-a")
-    off = run_one(NWWorkload, BatchPolicy(enabled=False), 1.0, "off-b")
-    assert off["runtime"] == base["runtime"]
-    assert off["frames"] == base["frames"]
-    assert off["batches"] == 0
-
-
 def test_frame_economy_across_async_heavy_suite():
     """Default policy cuts frames >=5% on every async-heavy workload."""
     for cls in ASYNC_HEAVY_WORKLOADS:

@@ -84,6 +84,7 @@ def main():
     from repro.codegen.specwriter import render_spec
     from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
     from repro.remoting.buffers import OutBox
+    from repro.server.api_server import SessionScope
     from repro.spec import infer_preliminary_spec, parse_header, parse_spec
     from repro.stack import resolve_codec
 
@@ -124,8 +125,6 @@ def main():
         print(f"  {kind}: {path}")
 
     # Step 4 — deploy: hypervisor + VM, run a forwarded FFT
-    import contextlib
-
     hv = Hypervisor(resolve_codec(None, [stack]))
     hv.register_api(ApiRegistration(
         name="toyfft",
@@ -134,9 +133,8 @@ def main():
         record_kinds=stack.record_kinds(),
         supersedes=stack.supersedes(),
         guest_module=stack.guest_module,
-        session_binder=lambda worker: (
-            lambda w: contextlib.nullcontext()  # stateless native library
-        ),
+        # the native library is stateless: its scope holds no session
+        session_binder=lambda worker: SessionScope(None, []),
     ))
     vm = hv.create_vm("guest-1")
     toy = vm.library("toyfft")

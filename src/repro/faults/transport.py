@@ -12,8 +12,8 @@ so a fault-free frame is priced exactly as it would be without it.
 Failure semantics mirror a real channel:
 
 * a **dropped** frame (either leg) surfaces as a guest-side timeout —
-  the synthesized error reply is marked ``timed_out`` so the guest
-  runtime's retry machinery can tell a lost frame from an API error;
+  a result marked ``timed_out``, so the guest runtime's retry
+  machinery can tell a lost frame from an API error;
 * a **corrupted** command frame really reaches the router as damaged
   bytes (exercising the codec's trust boundary); the router's
   malformed-command reply is then surfaced as a retransmittable
@@ -56,9 +56,6 @@ class FaultyTransport(Transport):
 
     def enqueue_cost(self, nbytes: int) -> float:
         return self.inner.enqueue_cost(nbytes)
-
-    def flush_cost(self, nbytes: int, count: int) -> float:
-        return self.inner.flush_cost(nbytes, count)
 
     def span_attrs(self, nbytes: int) -> Dict[str, Any]:
         return self.inner.span_attrs(nbytes)

@@ -17,8 +17,8 @@ frame, flushed
 
 All knobs live here, in one typed dataclass, threaded through
 :class:`repro.stack.VirtualStack` and ``GuestRuntime.__init__``.  With
-``enabled=False`` (or no policy at all) the runtime takes the original
-per-call path and virtual-time results are bit-identical to it.
+no policy (``None``) the runtime takes the original per-call path and
+virtual-time results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ class BatchPolicy:
 
     ``max_commands`` — flush once this many commands are queued.
     ``max_bytes``    — flush once the queued bulk payload reaches this.
-    ``enabled``      — master switch; False restores the per-call async
-                       path bit-identically.
     ``queue_cost``   — guest virtual seconds to stage one command in the
                        coalescing queue (a local append — the shared
                        channel is only touched at flush).
@@ -41,15 +39,7 @@ class BatchPolicy:
 
     max_commands: int = 32
     max_bytes: int = 256 * 1024
-    enabled: bool = True
     queue_cost: float = 0.05e-6
-    #: flush the queue before sync-classified calls.  True is the
-    #: flush-before-sync discipline the CAVA40x happens-before model
-    #: assumes (and CAVA308 verifies generated stubs preserve); False
-    #: deliberately breaks it — a chaos knob for seeding ordering
-    #: violations that the CAVA_SANITIZE=1 runtime checks must catch.
-    #: Never disable it outside sanitizer tests.
-    flush_before_sync: bool = True
 
     def __post_init__(self) -> None:
         if self.max_commands < 1:

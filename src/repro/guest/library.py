@@ -15,7 +15,7 @@ CAvA); this runtime supplies the API-agnostic machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.guest.batching import BatchPolicy
@@ -33,12 +33,15 @@ from repro.remoting.speccodec import _SPLICE_THRESHOLD
 from repro.remoting.xfercache import TransferCache
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import tracer as _tele
-from repro.transport.base import BatchDeliveryResult
+from repro.transport.base import DeliveryResult
 
 #: payloads the transfer cache elided from one command, kept guest-side
 #: so a NeedBytes answer can restore them: param → (kind, original,
 #: digest, size, position in its section)
 Elided = Dict[str, Tuple[str, Any, bytes, int, int]]
+#: one command of a frame being settled: the command, its elided
+#: payloads, and the digests of eligible payloads it carried in full
+_Entry = Tuple[Command, Elided, List[Tuple[bytes, int]]]
 
 
 class RemotingError(Exception):
@@ -61,9 +64,9 @@ class _StagedCall:
     success: Any
     retry_safe: bool
     #: payloads elided by the transfer cache
-    elided: Elided = field(default_factory=dict)
+    elided: Elided
     #: digests of eligible payloads this command carried in full
-    sent_digests: List[Tuple[bytes, int]] = field(default_factory=list)
+    sent_digests: List[Tuple[bytes, int]]
 
 
 class GuestRuntime:
@@ -91,7 +94,11 @@ class GuestRuntime:
         self._queued_bytes = 0
         self.batches_flushed = 0
         self.commands_coalesced = 0
+        #: BatchPolicy for async coalescing; None keeps the per-call
+        #: async path bit-identical
         self.batch_policy = batch_policy
+        #: TransferCache for content-addressed payload elision; None
+        #: keeps wire frames bit-identical
         self.xfer_cache = xfer_cache
         #: deferred error from an earlier async call (delivered later)
         self.pending_async_error: Optional[float] = None
@@ -104,30 +111,6 @@ class GuestRuntime:
         #: transport-failure recovery counters
         self.retries = 0
         self.giveups = 0
-
-    # -- the per-runtime plan: decided when a policy is assigned -----------------
-
-    @property
-    def batch_policy(self) -> Optional[BatchPolicy]:
-        """BatchPolicy for async coalescing; None (or enabled=False)
-        keeps the per-call async path bit-identical."""
-        return self._batch_policy
-
-    @batch_policy.setter
-    def batch_policy(self, policy: Optional[BatchPolicy]) -> None:
-        self._batch_policy = policy
-        self._batching = policy is not None and policy.enabled
-
-    @property
-    def xfer_cache(self) -> Optional[TransferCache]:
-        """TransferCache for content-addressed payload elision; None (or
-        a disabled policy) keeps wire frames bit-identical."""
-        return self._xfer_cache
-
-    @xfer_cache.setter
-    def xfer_cache(self, cache: Optional[TransferCache]) -> None:
-        self._xfer_cache = cache
-        self._caching = cache is not None and cache.policy.enabled
 
     @property
     def clock(self):
@@ -227,8 +210,8 @@ class GuestRuntime:
 
         An unarmed call (no tracer, batching or transfer cache) runs
         the base plan: marshal charge, ``Command``, deliver, apply
-        outputs, map the return.  Every other stage is one flag the
-        policy setters decided, or the tracer read once here.
+        outputs, map the return.  Every other stage is one ``None`` test
+        on its policy, or the tracer read once here.
         """
         tracer = _tele.active()
         clock = self.driver.clock
@@ -244,19 +227,15 @@ class GuestRuntime:
                 function=function, parent_id=parent.span_id,
             )
         try:
-            if self._queue and mode == "sync" and (
-                    self._batch_policy is None
-                    or self._batch_policy.flush_before_sync):
+            if self._queue and mode == "sync":
                 # synchronization point: queued async work crosses the
                 # channel ahead of the blocking call, preserving program
-                # order and the deferred-error contract.
-                # (flush_before_sync is only ever False in sanitizer
-                # tests that seed ordering violations on purpose.)
+                # order and the deferred-error contract
                 self._flush("sync")
             elided: Elided = {}
             sent_digests: List[Tuple[bytes, int]] = []
             cached_refs: Dict[str, List[Any]] = {}
-            if self._caching:
+            if self.xfer_cache is not None:
                 (in_buffers, scalars, elided, sent_digests,
                  cached_refs) = self._elide_payloads(in_buffers, scalars,
                                                      clock)
@@ -294,7 +273,7 @@ class GuestRuntime:
                     layer="guest", bytes=payload,
                 )
             asynchronous = mode == "async"
-            if asynchronous and self._batching:
+            if asynchronous and self.batch_policy is not None:
                 self.calls_async += 1
                 self._stage(command, function, out_targets, ret_kind,
                             success, callback, payload, tracer, span,
@@ -305,37 +284,24 @@ class GuestRuntime:
             try:
                 result = transport.deliver(command, issued,
                                            asynchronous=asynchronous)
-                if result.timed_out or result.need_bytes is not None:
-                    result = self._recover(
+                if (result.timed_out or result.need_bytes is not None
+                        or self.xfer_cache is not None):
+                    # a per-call async submission is never retried: its
+                    # errors already arrive late by design (§4.2)
+                    result = self._settle(
                         lambda now: transport.deliver(
                             command, now, asynchronous=asynchronous),
-                        result, [(command, elided)],
-                        self._retryable(mode, ret_kind, out_targets),
+                        result, [(command, elided, sent_digests)],
+                        (self.retry_policy is not None and not asynchronous
+                         and self._idempotent(ret_kind, out_targets)),
                         {"function": function, "seq": command.seq}, span)
             except CodecError as err:
                 # an argument the wire cannot carry is the forwarding
                 # path's failure, not an API error code
                 raise RemotingError(f"{function}: {err}") from err
-            if result.need_bytes is not None:
-                # the resent frame carried every payload in full, so a
-                # second NeedBytes is a protocol violation: surface it
-                # as a remoting error, never as wrong bytes
-                result = replace(result, need_bytes=None, reply=Reply(
-                    seq=command.seq,
-                    error=("transfer cache: full-payload retransmission "
-                           "answered NeedBytes again"),
-                    complete_time=result.completed_at))
-            elif elided and not command.cached_refs \
-                    and not result.timed_out:
-                # resent in full (the refs are gone), and it arrived: the
-                # store holds the once-elided payloads again
-                for _kind, _original, digest, size, _at in elided.values():
-                    self._xfer_cache.note_delivered(digest, size)
-            if sent_digests and not result.timed_out:
-                for digest, size in sent_digests:
-                    self._xfer_cache.note_delivered(digest, size)
             clock.advance_to(result.sent_at, "transport")
-            reply = result.reply
+            reply = (result.replies[0] if result.replies
+                     else Reply(seq=command.seq, error=result.error))
 
             if asynchronous:
                 self.calls_async += 1
@@ -417,7 +383,7 @@ class GuestRuntime:
         kept originals, the digests of eligible payloads still sent in
         full, and the wire-form refs.
         """
-        cache = self._xfer_cache
+        cache = self.xfer_cache
         cost = 0.0
         elided: Elided = {}
         sent_digests: List[Tuple[bytes, int]] = []
@@ -473,33 +439,54 @@ class GuestRuntime:
             setattr(command, section, dict(items))
         command.cached_refs = {}
 
-    def _recover(self, redeliver: Callable[[float], Any], result: Any,
-                 restores: List[Tuple[Command, Any]], retryable: bool,
-                 ident: Dict[str, Any], span: Any = None) -> Any:
-        """Recover a frame (one command or a batch) whose exchange failed.
+    def _settle(self, redeliver: Callable[[float], DeliveryResult],
+                result: DeliveryResult, entries: List[_Entry],
+                retryable: bool, ident: Dict[str, Any],
+                span: Any = None) -> DeliveryResult:
+        """Recover a frame (one command or a batch) and settle it.
 
-        A timed-out frame is retransmitted with backoff when every
-        command in it is idempotent (``retryable``); a frame whose
-        cached refs missed is resent once in full, and that
-        retransmission retried the same way.  ``redeliver(now)`` sends
-        the frame again; ``ident`` is how logs name it — a command by
-        ``function`` and ``seq``, a batch by ``what="batch"`` and its
-        first ``seq``; ``restores`` pairs each command of the frame with
-        its elided payloads.  Whatever the last attempt came back with
-        is the caller's to interpret.
+        A timed-out frame is retransmitted with backoff when
+        ``retryable`` (a retry policy is installed and every command in
+        the frame is idempotent); a frame whose cached refs missed is
+        resent once in full, and that retransmission retried the same
+        way.  ``redeliver(now)`` sends the frame again; ``ident`` is how
+        logs name it — a command by ``function`` and ``seq``, a batch by
+        ``what="batch"`` and its first ``seq``; ``entries`` holds each
+        command of the frame with its elided payloads and the digests
+        it carried in full.  A frame that did not fail teaches the
+        transfer cache what it carried.  The caller interprets the
+        settled result.
         """
         if result.timed_out and retryable:
             result = self._retry(redeliver, result, ident, span)
         if result.need_bytes is not None:
-            result = self._resend_in_full(redeliver, result, restores,
+            result = self._resend_in_full(redeliver, result, entries,
                                           ident)
             if result.timed_out and retryable:
                 result = self._retry(redeliver, result, ident, span)
+            if result.need_bytes is not None:
+                # the resent frame carried every payload in full, so a
+                # second NeedBytes is a protocol violation: surface it
+                # as a remoting error, never as wrong bytes
+                return DeliveryResult(
+                    [], result.sent_at, result.completed_at,
+                    error=("transfer cache: full-payload retransmission "
+                           "answered NeedBytes again"))
+        cache = self.xfer_cache
+        if cache is not None and not result.failed:
+            for command, elided, sent_digests in entries:
+                for digest, size in sent_digests:
+                    cache.note_delivered(digest, size)
+                if not command.cached_refs:
+                    # resent in full (the refs are gone), and it
+                    # arrived: the store holds the once-elided payloads
+                    for _kind, _orig, digest, size, _at in elided.values():
+                        cache.note_delivered(digest, size)
         return result
 
-    def _resend_in_full(self, redeliver: Callable[[float], Any],
-                        result: Any, restores: List[Tuple[Command, Any]],
-                        ident: Dict[str, Any]) -> Any:
+    def _resend_in_full(self, redeliver: Callable[[float], DeliveryResult],
+                        result: DeliveryResult, entries: List[_Entry],
+                        ident: Dict[str, Any]) -> DeliveryResult:
         """The router asked for elided payloads back: retransmit once.
 
         A ``NeedBytes`` answer guarantees *nothing* executed host-side
@@ -509,20 +496,19 @@ class GuestRuntime:
         carries every elided payload in full, so it cannot miss again.
         """
         clock = self.driver.clock
-        cache = self._xfer_cache
+        cache = self.xfer_cache
         needed = result.need_bytes
         # live through the failed exchange: command leg, host detection,
         # and the (digest-sized) NeedBytes reply leg — charged where the
         # result carries a cost for it: a command's does, a batch's not
         clock.advance_to(result.sent_at, "transport")
         clock.advance_to(result.completed_at, "host_wait")
-        reply_cost = getattr(result, "reply_cost", 0.0)
-        if reply_cost > 0.0:
-            clock.advance(reply_cost, "transport")
+        if result.reply_cost > 0.0:
+            clock.advance(result.reply_cost, "transport")
         if cache is not None:
             cache.forget([entry[2] for entry in needed.missing])
             cache.retransmits += 1
-        for command, elided in restores:
+        for command, elided, _sent in entries:
             self._restore_elided(command, elided)
         tracer = _tele.active()
         if tracer.enabled:
@@ -547,8 +533,8 @@ class GuestRuntime:
         payload: int,
         tracer: Any,
         span: Any,
-        elided: Optional[Elided] = None,
-        sent_digests: Optional[List[Tuple[bytes, int]]] = None,
+        elided: Elided,
+        sent_digests: List[Tuple[bytes, int]],
     ) -> None:
         """Park an async command in the coalescing queue.
 
@@ -556,7 +542,7 @@ class GuestRuntime:
         any async call does); the command crosses the channel at the
         next flush, as part of one batched wire frame.
         """
-        policy = self._batch_policy
+        policy = self.batch_policy
         clock = self.driver.clock
         # the queue outlives the call: what it holds of the caller's
         # memory (payloads, and originals kept for a NeedBytes resend)
@@ -564,15 +550,10 @@ class GuestRuntime:
         if command.in_buffers or elided:
             own_payloads(command.in_buffers)
             for name, (kind, original, digest, size,
-                       at) in (elided or {}).items():
+                       at) in elided.items():
                 if kind == "buf":
                     elided[name] = (kind, own_bytes(original), digest, size,
                                     at)
-        # re-execution after a lost batch must not mint handles the
-        # guest would leak — same idempotence rule as sync retries
-        retry_safe = (ret_kind != "handle" and not any(
-            kind in ("handle_box", "handle_array")
-            for kind, _target in out_targets.values()))
         queue_start = clock.now
         clock.advance(policy.queue_cost, "transport")
         if span is not None:
@@ -580,10 +561,9 @@ class GuestRuntime:
                 "batch.queue", queue_start, clock.now, layer="guest",
                 queued=len(self._queue) + 1, bytes=payload,
             )
-        self._queue.append(_StagedCall(command, function, out_targets,
-                                       success, retry_safe,
-                                       elided=elided or {},
-                                       sent_digests=sent_digests or []))
+        self._queue.append(_StagedCall(
+            command, function, out_targets, success,
+            self._idempotent(ret_kind, out_targets), elided, sent_digests))
         self._queued_bytes += payload
         needs_reply = callback or any(
             target is not None for _kind, target in out_targets.values())
@@ -610,26 +590,23 @@ class GuestRuntime:
             flush_time=clock.now,
         )
         flush_start = clock.now
+        transport = self.driver.transport
         try:
-            result = self.driver.transport.deliver_batch(batch, clock.now)
-            if result.timed_out or result.need_bytes is not None:
-                # if recovery fails too, the result surfaces below as
-                # the usual deferred async error
-                result = self._recover(
-                    lambda now: self.driver.transport.deliver_batch(batch,
-                                                                    now),
-                    result,
-                    [(entry.command, entry.elided) for entry in staged],
-                    (self.retry_policy is not None
-                     and all(entry.retry_safe for entry in staged)),
-                    {"what": "batch", "seq": (batch.commands[0].seq
-                                              if batch.commands else -1)})
+            # if recovery fails, the result surfaces below as the usual
+            # deferred async error
+            result = self._settle(
+                lambda now: transport.deliver_batch(batch, now),
+                transport.deliver_batch(batch, flush_start),
+                [(entry.command, entry.elided, entry.sent_digests)
+                 for entry in staged],
+                (self.retry_policy is not None
+                 and all(entry.retry_safe for entry in staged)),
+                {"what": "batch", "seq": staged[0].command.seq})
         except CodecError as err:
             # a staged argument the wire cannot carry: the frame never
             # left, and the batch fails as a whole, like a lost one
-            result = BatchDeliveryResult(sent_at=flush_start,
-                                         completed_at=flush_start,
-                                         error=f"codec: {err}")
+            result = DeliveryResult([], flush_start, flush_start,
+                                    error=f"codec: {err}")
         clock.advance_to(result.sent_at, "transport")
         self.batches_flushed += 1
         self.commands_coalesced += len(staged)
@@ -647,14 +624,6 @@ class GuestRuntime:
             if self.pending_async_error is None:
                 self.pending_async_error = -1001.0
             return
-        if self._xfer_cache is not None:
-            for entry in staged:
-                for digest, size in entry.sent_digests:
-                    self._xfer_cache.note_delivered(digest, size)
-                for _kind, _orig, digest, size, _at in entry.elided.values():
-                    if not entry.command.cached_refs:
-                        # the batch was retransmitted in full
-                        self._xfer_cache.note_delivered(digest, size)
         for entry, reply in zip(staged, result.replies):
             self._note_async_outcome(reply, entry.success)
             if reply.error is None:
@@ -663,25 +632,23 @@ class GuestRuntime:
 
     # -- transport-failure recovery ---------------------------------------------
 
-    def _retryable(self, mode: str, ret_kind: str,
-                   out_targets: Dict[str, Tuple[str, Any]]) -> bool:
+    @staticmethod
+    def _idempotent(ret_kind: str,
+                    out_targets: Dict[str, Tuple[str, Any]]) -> bool:
         """Only idempotent calls may be retransmitted.
 
         A lost frame leaves the guest unsure whether the call executed
         host-side; retransmission is safe only when re-execution cannot
-        mint fresh handles the guest would then leak (sync calls that
-        neither return nor output handles).  Async submissions are never
-        retried — their errors already arrive late by design (§4.2).
+        mint fresh handles the guest would then leak (calls that neither
+        return nor output handles).
         """
-        if self.retry_policy is None or mode != "sync":
-            return False
-        if ret_kind == "handle":
-            return False
-        return not any(kind in ("handle_box", "handle_array")
-                       for kind, _target in out_targets.values())
+        return ret_kind != "handle" and not any(
+            kind in ("handle_box", "handle_array")
+            for kind, _target in out_targets.values())
 
-    def _retry(self, redeliver: Callable[[float], Any], result: Any,
-               ident: Dict[str, Any], span: Any = None) -> Any:
+    def _retry(self, redeliver: Callable[[float], DeliveryResult],
+               result: DeliveryResult, ident: Dict[str, Any],
+               span: Any = None) -> DeliveryResult:
         """Retransmit a timed-out idempotent frame with backoff."""
         policy = self.retry_policy
         clock = self.driver.clock
@@ -696,14 +663,10 @@ class GuestRuntime:
             clock.advance(backoff, "retry")
             self.retries += 1
             if tracer.enabled:
-                # a lost command's cause is its synthesized reply's
-                # error; a lost batch carries it on the result
-                cause = (result.reply.error if hasattr(result, "reply")
-                         else result.error)
                 tracer.record_span(
                     "retry", backoff_start, clock.now, layer="guest",
                     attempt=attempt + 1, seq=ident["seq"],
-                    backoff=backoff, cause=cause,
+                    backoff=backoff, cause=result.error,
                 )
             result = redeliver(clock.now)
         if result.timed_out:

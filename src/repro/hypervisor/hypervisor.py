@@ -25,7 +25,7 @@ from repro.hypervisor.vm import GuestVM
 from repro.migration.replayer import MigrationReport
 from repro.remoting.wire import WireCodec
 from repro.remoting.xfercache import CachePolicy, TransferCache
-from repro.server.api_server import ApiServerWorker
+from repro.server.api_server import ApiServerWorker, SessionScope
 from repro.server.xferstore import TransferStore
 from repro.spec.model import RecordKind
 from repro.transport.base import Transport
@@ -52,9 +52,8 @@ class ApiRegistration:
     #: its migration record, return value meaning it took effect)
     supersedes: Dict[str, Any]
     guest_module: Any
-    #: called once per new worker; returns that worker's session factory
-    #: (a SessionScope, or a callable returning a context manager)
-    session_binder: Callable[[ApiServerWorker], Any]
+    #: called once per new worker; returns that worker's SessionScope
+    session_binder: Callable[[ApiServerWorker], SessionScope]
 
 
 class Hypervisor:
@@ -181,7 +180,7 @@ class Hypervisor:
         if cache_policy is None:
             cache_policy = self.cache_policy
         xfer_cache = None
-        if cache_policy is not None and cache_policy.enabled:
+        if cache_policy is not None:
             store = TransferStore(
                 vm_id,
                 capacity_bytes=cache_policy.capacity_bytes,
@@ -303,9 +302,7 @@ class Hypervisor:
             vm_id=vm_id,
             api_name=registration.name,
             dispatch=registration.dispatch,
-            session_factory=lambda w: (_ for _ in ()).throw(
-                RuntimeError("session factory not bound")
-            ),
+            session_factory=None,  # bound below, once placement is known
             record_kinds=registration.record_kinds,
             supersedes=registration.supersedes,
         )

@@ -15,9 +15,9 @@ Correctness never depends on the cache: the server store only ever
 returns bytes whose digest it verified at insert time, a missed ref is
 answered with a :class:`~repro.remoting.codec.NeedBytes` reply that
 triggers exactly one full retransmission, and the store is invalidated
-wholesale on worker crash/restart.  ``CachePolicy(enabled=False)`` — or
-no policy at all, the default — leaves wire frames and virtual-time
-results bit-identical to an uncached stack.
+wholesale on worker crash/restart.  No policy (``None``), the default,
+leaves wire frames and virtual-time results bit-identical to an uncached
+stack.
 
 Two index models, selected by ``CachePolicy.shared_index``:
 
@@ -80,8 +80,6 @@ class CachePolicy:
     capacity_bytes: int = 64 * 1024 * 1024
     #: per-VM server store capacity, entries
     capacity_entries: int = 1024
-    #: ``False`` disarms the cache without unthreading the policy
-    enabled: bool = True
     #: guest-side cost of digesting one payload byte, seconds/byte.
     #: Default 0: digests are modeled as computed by a host-offloaded
     #: dedup/CRC engine on the DMA path (RPCAcc-style), not guest CPU.
@@ -167,8 +165,7 @@ class TransferCache:
 
     def eligible(self, nbytes: int) -> bool:
         """Whether a payload of this size participates in caching."""
-        return (self.policy.enabled
-                and self.policy.min_bytes <= nbytes
+        return (self.policy.min_bytes <= nbytes
                 <= self.policy.max_entry_bytes)
 
     def consider(self, param: str, data: bytes, kind: str,

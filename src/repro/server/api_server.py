@@ -33,9 +33,8 @@ class SessionScope:
     """A worker's one persistent session, pushed on its API's session
     stack around every command and popped after.
 
-    Built once per worker by the session binders.  A worker given one
-    as its ``session_factory`` pushes and pops it inline; any other
-    factory is called with the worker and entered as a context manager.
+    Built once per worker by its API's session binder; the worker
+    pushes and pops it inline.
     """
 
     __slots__ = ("session", "stack")
@@ -60,7 +59,7 @@ class ApiServerWorker:
         vm_id: str,
         api_name: str,
         dispatch: Dict[str, ServerStub],
-        session_factory: Any,
+        session_factory: Optional[SessionScope],
         record_kinds: Optional[Dict[str, RecordKind]] = None,
         supersedes: Optional[Dict[str, Any]] = None,
         dispatch_cost: float = 0.5e-6,
@@ -243,15 +242,11 @@ class ApiServerWorker:
             )
         scope = self.session_factory
         try:
-            if type(scope) is not SessionScope:
-                with scope(self):
-                    returned = stub(self, command)
-            else:
-                scope.stack.append(scope.session)
-                try:
-                    returned = stub(self, command)
-                finally:
-                    scope.stack.pop()
+            scope.stack.append(scope.session)
+            try:
+                returned = stub(self, command)
+            finally:
+                scope.stack.pop()
             reply = returned
         except HandleError as err:
             self.stats.faults += 1

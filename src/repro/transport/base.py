@@ -9,7 +9,7 @@ shortcut.  Timing comes from each transport's cost parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.remoting.codec import (
@@ -32,59 +32,40 @@ class TransportError(Exception):
 
 @dataclass
 class DeliveryResult:
-    """Outcome of one forwarded command.
+    """Outcome of one forwarded frame: a lone command or a coalesced
+    :class:`CommandBatch`.
 
+    ``replies``      — one reply per command, in command order; empty
+                       when the frame failed as a whole.
     ``sent_at``      — guest time when the last byte left the guest.
     ``completed_at`` — host time when execution finished.
-    ``reply``        — the decoded reply.
-    ``reply_cost``   — transport seconds for the reply leg (charged to
-                       the guest only if it synchronously waits).
-    ``timed_out``    — no reply arrived before the transport's timeout
-                       (frame lost or damaged in flight); the reply is
-                       a synthesized error and, for idempotent calls,
+    ``reply_cost``   — transport seconds for a lone command's reply leg
+                       (charged to the guest only if it synchronously
+                       waits); a batch's is 0.
+    ``timed_out``    — no answer arrived before the transport's timeout
+                       (frame lost or damaged in flight); ``error``
+                       says why and, when every command is idempotent,
                        the guest runtime may retransmit.
+    ``error``        — why the frame failed as a whole: lost in flight,
+                       or a batch the router refused without unbundling.
     ``need_bytes``   — the router answered with a
-                       :class:`~repro.remoting.codec.NeedBytes` instead
-                       of a reply: cached refs missed the transfer
-                       store and nothing executed.  ``reply`` is a
-                       placeholder; the guest runtime restores the
-                       elided payloads and re-delivers once.
+                       :class:`~repro.remoting.codec.NeedBytes`: cached
+                       refs missed the transfer store and nothing
+                       executed; the guest runtime restores the elided
+                       payloads and re-delivers once.
     """
 
-    reply: Reply
+    replies: List[Reply]
     sent_at: float
     completed_at: float
-    reply_cost: float
-    timed_out: bool = False
-    need_bytes: Optional[NeedBytes] = None
-
-
-@dataclass
-class BatchDeliveryResult:
-    """Outcome of one coalesced :class:`CommandBatch` flush.
-
-    ``replies``      — one reply per inner command, in command order
-                       (empty when the whole frame failed).
-    ``sent_at``      — guest time when the frame left the guest.
-    ``completed_at`` — host time when the last inner command finished.
-    ``timed_out``    — the frame (or its reply) was lost in flight; the
-                       batch dropped *atomically* and, when every inner
-                       command is idempotent, may be retransmitted.
-    ``error``        — batch-level router rejection (breaker open,
-                       oversized batch...); None when routing ran.
-    """
-
-    replies: List[Reply] = field(default_factory=list)
-    sent_at: float = 0.0
-    completed_at: float = 0.0
+    reply_cost: float = 0.0
     timed_out: bool = False
     error: Optional[str] = None
-    #: the router asked for elided payloads back (see DeliveryResult)
     need_bytes: Optional[NeedBytes] = None
 
     @property
     def failed(self) -> bool:
-        """The batch as a whole never produced per-command replies."""
+        """The frame as a whole never produced per-command replies."""
         return (self.timed_out or self.error is not None
                 or self.need_bytes is not None)
 
@@ -123,16 +104,6 @@ class Transport:
         """
         return 0.15e-6
 
-    def flush_cost(self, nbytes: int, count: int) -> float:
-        """Guest-side cost of flushing one coalesced frame.
-
-        A batch is priced as *one* frame: the transport's fixed
-        asynchronous submission overhead (the single doorbell-equivalent
-        charge) is paid once for the whole frame, plus its summed bytes
-        — instead of once per command.  See docs/cost-model.md.
-        """
-        return self.enqueue_cost(nbytes)
-
     def span_attrs(self, nbytes: int) -> Dict[str, Any]:
         """Transport-specific attributes for the ``transport.send`` span.
 
@@ -151,56 +122,30 @@ class Transport:
         returned timestamps let the guest runtime implement sync and
         async semantics without the transport caring which it is.
         """
-        sent_at, answer, completed_at, reply_bytes, lost = self._exchange(
+        return self._exchange(
             command, guest_now,
             self.enqueue_cost if asynchronous else self.send_cost,
             "async" if asynchronous else "sync")
-        need_bytes = None
-        if isinstance(answer, NeedBytes):
-            # the frame's cached refs missed: nothing executed; the
-            # guest runtime restores the payloads and re-delivers
-            need_bytes, answer = answer, Reply(
-                seq=command.seq, complete_time=completed_at)
-        elif not isinstance(answer, Reply):
-            raise TransportError("router returned a non-reply message")
-        return DeliveryResult(
-            reply=answer, sent_at=sent_at, completed_at=completed_at,
-            reply_cost=0.0 if lost else self.recv_cost(reply_bytes),
-            timed_out=lost, need_bytes=need_bytes)
 
     def deliver_batch(self, batch: CommandBatch,
-                      guest_now: float) -> BatchDeliveryResult:
+                      guest_now: float) -> DeliveryResult:
         """Forward one coalesced frame of async commands, as one frame.
 
-        The whole batch crosses the channel in a single delivery — one
-        frame, one doorbell-equivalent fixed charge — and the router
-        answers with a single :class:`ReplyBatch`.
+        The whole batch crosses the channel in a single delivery, priced
+        as one asynchronous submission of its summed bytes (one
+        doorbell-equivalent fixed charge, not one per command), and the
+        router answers with a single :class:`ReplyBatch`.
         """
-        sent_at, answer, completed_at, _, lost = self._exchange(
-            batch, guest_now,
-            lambda nbytes: self.flush_cost(nbytes, len(batch)), "batch")
-        if isinstance(answer, ReplyBatch):
-            return BatchDeliveryResult(
-                replies=answer.replies, sent_at=sent_at,
-                completed_at=completed_at)
-        if isinstance(answer, NeedBytes):
-            return BatchDeliveryResult(
-                sent_at=sent_at, completed_at=completed_at,
-                need_bytes=answer)
-        # one Reply for the whole frame: it was lost in flight, or the
-        # router rejected it without unbundling
-        return BatchDeliveryResult(
-            sent_at=sent_at, completed_at=completed_at, timed_out=lost,
-            error=answer.error or "router returned an empty reply")
+        return self._exchange(batch, guest_now, self.enqueue_cost, "batch")
 
     def _exchange(self, frame: Any, guest_now: float,
                   cost: Callable[[int], float],
-                  submit: str) -> Tuple[float, Any, float, int, bool]:
+                  submit: str) -> DeliveryResult:
         """Put one frame across the channel and read the answer.
 
         The one body behind both entry points: they differ only in the
         ``cost`` hook that prices the frame and the ``submit`` kind its
-        span records.  Returns what :meth:`_cross` returns.
+        span records.  Only a lone command pays for its reply leg.
         """
         wire = self.codec.encode_command(frame)
         nbytes = len(wire)
@@ -222,7 +167,32 @@ class Transport:
                 span, guest_now, sent_at, layer="transport",
                 vm_id=frame.vm_id, transport=self.name, wire_bytes=nbytes,
                 **whose, submit=submit, **self.span_attrs(nbytes))
-        return self._cross(frame, wire, sent_at)
+        sent_at, answer, completed_at, reply_bytes, lost = self._cross(
+            frame, wire, sent_at)
+        if lost:
+            return DeliveryResult([], sent_at, completed_at, timed_out=True,
+                                  error=answer.error)
+        if submit == "batch":
+            if isinstance(answer, ReplyBatch):
+                return DeliveryResult(answer.replies, sent_at, completed_at)
+            if isinstance(answer, NeedBytes):
+                return DeliveryResult([], sent_at, completed_at,
+                                      need_bytes=answer)
+            # one Reply for the whole frame: the router rejected it
+            # without unbundling
+            return DeliveryResult(
+                [], sent_at, completed_at,
+                error=answer.error or "router returned an empty reply")
+        reply_cost = self.recv_cost(reply_bytes)
+        if isinstance(answer, Reply):
+            return DeliveryResult([answer], sent_at, completed_at,
+                                  reply_cost)
+        if isinstance(answer, NeedBytes):
+            # the frame's cached refs missed: nothing executed; the
+            # guest runtime restores the payloads and re-delivers
+            return DeliveryResult([], sent_at, completed_at, reply_cost,
+                                  need_bytes=answer)
+        raise TransportError("router returned a non-reply message")
 
     def _cross(self, frame: Any, wire: FrameLike,
                sent_at: float) -> Tuple[float, Any, float, int, bool]:

@@ -5,8 +5,8 @@ The contract under test (docs/cost-model.md, "Batch pricing"): with a
 the channel as one :class:`CommandBatch` frame — flushed at sync
 points, at queue thresholds, or when a call needs its reply leg — and
 the router unbundles them through the ordinary verification/policy
-path, in order.  With no policy (or ``enabled=False``), virtual-time
-results are bit-identical to per-call async forwarding.
+path, in order.  With no policy, virtual-time results are
+bit-identical to per-call async forwarding.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ from repro.remoting.codec import (
 from repro.stack import VirtualStack
 from repro.telemetry import Tracer
 from repro.telemetry import tracer as tele
-from repro.transport.base import BatchDeliveryResult
+from repro.transport.base import DeliveryResult
 from repro.workloads import GaussianWorkload, NWWorkload
 from repro.workloads.base import close_env, open_env
 from tests.wire_oracle import (
@@ -54,7 +54,6 @@ def batched_session(vm_id="vm-bat", policy=None, **kwargs):
 class TestBatchPolicy:
     def test_defaults(self):
         policy = BatchPolicy()
-        assert policy.enabled
         assert policy.max_commands >= 2
         assert policy.max_bytes > 0
 
@@ -183,11 +182,9 @@ class ScriptedBatchTransport:
         self.results = list(results or [])
 
     def deliver(self, command, guest_now, asynchronous=False):
-        from repro.transport.base import DeliveryResult
-
         self.sent.append(command)
         return DeliveryResult(
-            reply=Reply(seq=command.seq, return_value=0),
+            replies=[Reply(seq=command.seq, return_value=0)],
             sent_at=guest_now + 1e-6,
             completed_at=guest_now + 5e-6,
             reply_cost=1e-6,
@@ -197,7 +194,7 @@ class ScriptedBatchTransport:
         self.batches.append(batch)
         if self.results:
             return self.results.pop(0)
-        return BatchDeliveryResult(
+        return DeliveryResult(
             replies=[Reply(seq=c.seq, return_value=0)
                      for c in batch.commands],
             sent_at=guest_now + 1e-6,
@@ -289,16 +286,10 @@ class TestFlushTriggers:
         sequence = [c.scalars["i"] for c in transport.batches[0].commands]
         assert sequence == [0, 1, 2]
 
-    def test_disabled_policy_takes_per_call_path(self):
-        runtime, transport, _ = make_runtime(BatchPolicy(enabled=False))
-        submit(runtime)
-        assert transport.batches == []
-        assert len(transport.sent) == 1
-
 
 class TestDeferredErrors:
     def test_batched_error_surfaces_at_next_sync(self):
-        result = BatchDeliveryResult(
+        result = DeliveryResult(
             replies=[Reply(seq=1, return_value=-48)],
             sent_at=1e-6, completed_at=5e-6,
         )
@@ -307,8 +298,8 @@ class TestDeferredErrors:
         assert submit(runtime, mode="sync") == -48
 
     def test_lost_batch_is_an_infra_error(self):
-        result = BatchDeliveryResult(sent_at=1e-6, completed_at=200e-6,
-                                     timed_out=True)
+        result = DeliveryResult([], sent_at=1e-6, completed_at=200e-6,
+                                timed_out=True, error="transport: timeout")
         runtime, _, _ = make_runtime(results=[result])
         submit(runtime)
         runtime.flush()
@@ -318,7 +309,7 @@ class TestDeferredErrors:
         assert submit(runtime, mode="sync") == 0
 
     def test_error_does_not_stop_later_commands(self):
-        result = BatchDeliveryResult(
+        result = DeliveryResult(
             replies=[Reply(seq=1, return_value=-48),
                      Reply(seq=2, return_value=0,
                            out_payloads={"p": b"\x07" * 4})],
@@ -335,7 +326,7 @@ class TestDeferredErrors:
         assert submit(runtime, mode="sync") == -48
 
     def test_short_reply_batch_treated_as_frame_loss(self):
-        result = BatchDeliveryResult(
+        result = DeliveryResult(
             replies=[Reply(seq=1, return_value=0)],  # 1 reply, 2 staged
             sent_at=1e-6, completed_at=5e-6,
         )
@@ -468,7 +459,7 @@ class TestRouterUnbundling:
 
 class TestEndToEnd:
     def test_workload_outputs_identical_with_batching(self):
-        _, plain = batched_session("vm-pln", BatchPolicy(enabled=False))
+        plain = VirtualStack.build("opencl").add_vm("vm-pln")
         _, batched = batched_session("vm-bat")
         workload = NWWorkload(scale=SMALL)
         base = workload.run(plain.lib)
@@ -478,7 +469,7 @@ class TestEndToEnd:
             assert np.array_equal(value, out.outputs[key]), key
 
     def test_fewer_frames_same_commands(self):
-        _, plain = batched_session("vm-fa", BatchPolicy(enabled=False))
+        plain = VirtualStack.build("opencl").add_vm("vm-fa")
         _, batched = batched_session("vm-fb")
         workload = GaussianWorkload(scale=SMALL)
         assert workload.run(plain.lib).verified
@@ -490,21 +481,6 @@ class TestEndToEnd:
         stack_a = plain.stack.router.metrics_for("vm-fa").commands
         stack_b = batched.stack.router.metrics_for("vm-fb").commands
         assert stack_a == stack_b
-
-    def test_disabled_policy_bit_identical_virtual_time(self):
-        """The regression gate: enabled=False costs exactly per-call.
-
-        vm_ids share a length — the id crosses the wire in every frame,
-        so differently-sized names would price differently.
-        """
-        _, none_policy = batched_session("vm-x1", BatchPolicy(enabled=False))
-        stack = VirtualStack.build("opencl")
-        no_policy = stack.add_vm("vm-x2")
-        workload = NWWorkload(scale=SMALL)
-        assert workload.run(none_policy.lib).verified
-        assert workload.run(no_policy.lib).verified
-        assert none_policy.time == no_policy.time
-        assert none_policy.runtime().batches_flushed == 0
 
     def test_shutdown_flushes_stragglers(self):
         _, session = batched_session("vm-sd")

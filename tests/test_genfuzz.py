@@ -11,7 +11,6 @@ every output path.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import sys
 import types
@@ -25,6 +24,7 @@ from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
 from repro.hypervisor.router import RoutingTable
 from repro.stack import resolve_codec
 from repro.remoting.buffers import OutBox, read_bytes, write_back
+from repro.server.api_server import SessionScope
 from repro.spec.model import (
     ApiSpec,
     CType,
@@ -167,9 +167,8 @@ def deploy(spec, native_module):
         record_kinds={},
         supersedes={},
         guest_module=stack.guest_module,
-        session_binder=lambda worker: (
-            lambda w: contextlib.nullcontext()
-        ),
+        # the native library is stateless: its scope holds no session
+        session_binder=lambda worker: SessionScope(None, []),
     ))
     return hv
 

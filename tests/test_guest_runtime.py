@@ -23,7 +23,7 @@ class ScriptedTransport:
         reply = (self.replies.pop(0) if self.replies
                  else Reply(seq=command.seq, return_value=0))
         return DeliveryResult(
-            reply=reply,
+            replies=[reply],
             sent_at=guest_now + 1e-6,
             completed_at=guest_now + 5e-6,
             reply_cost=1e-6,

@@ -936,13 +936,3 @@ class TestMigrationSeedGaps:
         assert len(worker.recorder) == baseline
         assert worker.recorder.pruned_calls >= 50
         assert worker.recorder.live_created_ids() == live_ids
-
-
-class TestFigure5BitIdentity:
-    def test_no_migration_reproduces_stored_figure5(
-            self, figure5_matches_stored):
-        """With the live-migration machinery present but unused, the
-        default stack reproduces BENCH_figure5.json bit for bit."""
-        from repro.harness import run_figure5
-
-        figure5_matches_stored(run_figure5())

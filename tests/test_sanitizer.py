@@ -14,6 +14,7 @@ import pytest
 from repro.analysis import sanitizer as san
 from repro.analysis.sanitizer import NOOP, Sanitizer, SanitizerError
 from repro.guest.batching import BatchPolicy
+from repro.guest.library import GuestRuntime
 from repro.remoting.xfercache import CachePolicy, digest_payload
 from repro.stack import VirtualStack
 from repro.workloads import NWWorkload
@@ -31,6 +32,20 @@ def disarm():
 
 def armed():
     return san.install(Sanitizer())
+
+
+@pytest.fixture
+def no_flush_before_sync(monkeypatch):
+    """Seed the ordering violation: queued async work no longer
+    crosses ahead of a sync call, so the sync call overtakes it —
+    exactly the hazard CAVA402/CAVA403 warn about."""
+    flush = GuestRuntime._flush
+
+    def skip_sync(runtime, reason):
+        if reason != "sync":
+            flush(runtime, reason)
+
+    monkeypatch.setattr(GuestRuntime, "_flush", skip_sync)
 
 
 class TestInstall:
@@ -149,27 +164,23 @@ class TestRuntimeIntegration:
         assert s.checks["clock-monotonic"] > 100
         assert s.violations == []
 
-    def test_broken_flush_discipline_is_caught(self):
-        """The chaos knob: BatchPolicy(flush_before_sync=False) lets a
-        sync call overtake queued async commands — exactly the hazard
-        CAVA402/CAVA403 warn about — and the sanitizer must fail the
-        run when the overtaken region flushes."""
+    def test_broken_flush_discipline_is_caught(self, no_flush_before_sync):
+        """A sync call that overtakes queued async commands must fail
+        the run when the overtaken region flushes."""
         armed()
         stack = VirtualStack.build("opencl")
-        session = stack.add_vm(
-            "vm-bad",
-            batch_policy=BatchPolicy(flush_before_sync=False))
+        session = stack.add_vm("vm-bad", batch_policy=BatchPolicy())
         with pytest.raises(SanitizerError, match="program order"):
             NWWorkload(scale=SMALL).run(session.lib)
             session.flush()
 
-    def test_unsanitized_run_tolerates_broken_flush_knob(self):
+    def test_unsanitized_run_tolerates_broken_flush_knob(
+            self, no_flush_before_sync):
         """Without the sanitizer the same seeded stack must not raise —
-        the knob only reorders virtual work, it breaks no machinery."""
+        the skipped flush only reorders virtual work, it breaks no
+        machinery."""
         stack = VirtualStack.build("opencl")
-        session = stack.add_vm(
-            "vm-ok",
-            batch_policy=BatchPolicy(flush_before_sync=False))
+        session = stack.add_vm("vm-ok", batch_policy=BatchPolicy())
         NWWorkload(scale=SMALL).run(session.lib)
         session.flush()
 

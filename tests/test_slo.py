@@ -745,7 +745,9 @@ class TestCavaSloCLI:
 
 
 class TestBitIdentity:
-    """The SLO/flightrec/histogram machinery costs nothing when off."""
+    """The default stack reproduces BENCH_figure5.json bit for bit: with
+    no sanitizer, SLO monitor, batching, transfer cache or migration
+    armed, the code behind each costs nothing."""
 
     def test_figure5_reproduces_stored_json_exactly(
             self, figure5_matches_stored):

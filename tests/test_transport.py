@@ -7,12 +7,13 @@ from repro.remoting.codec import (
     CodecError,
     Command,
     CommandBatch,
+    NeedBytes,
     Reply,
     ReplyBatch,
 )
 from repro.telemetry import Tracer
 from repro.telemetry import tracer as tele
-from repro.transport.base import Transport, TransportError
+from repro.transport.base import DeliveryResult, Transport, TransportError
 from repro.transport.inproc import InProcTransport
 from repro.transport.network import NetworkTransport
 from repro.transport.ring import RingTransport
@@ -46,8 +47,9 @@ class TestDeliveryMechanics:
         router = EchoRouter()
         transport = InProcTransport(router)
         result = transport.deliver(make_command(b"abc"), guest_now=1.0)
-        assert isinstance(result.reply, Reply)
-        assert result.reply.return_value == 0
+        (reply,) = result.replies
+        assert isinstance(reply, Reply)
+        assert reply.return_value == 0
         command, arrival = router.delivered[0]
         assert command.function == "f"
         assert command.in_buffers["data"] == b"abc"
@@ -179,6 +181,26 @@ class BatchEchoRouter(EchoRouter):
                                     complete_time=arrival + 1e-6))
 
 
+class AnswerRouter(BatchEchoRouter):
+    """Answers every frame, lone or batched, the one way it is told:
+    ``"refused"`` with one error reply for the whole frame,
+    ``"need_bytes"`` with a NeedBytes, anything else as the echo does."""
+
+    def __init__(self, answer):
+        super().__init__()
+        self.answer = answer
+
+    def deliver(self, wire, arrival, source=None):
+        if self.answer == "refused":
+            return encode_message(Reply(seq=-1, error="router: refused",
+                                        complete_time=arrival))
+        if self.answer == "need_bytes":
+            return encode_message(NeedBytes(
+                seq=1, missing=[[1, "data", b"x" * 16]],
+                complete_time=arrival))
+        return super().deliver(wire, arrival, source)
+
+
 def make_batch(count=3):
     return CommandBatch(vm_id="vm", commands=[
         Command(seq=seq, vm_id="vm", api="x", function="f", mode="async",
@@ -250,6 +272,43 @@ class TestSharedExchange:
                          ("transport.flush", "batch", "cost-only")]
         flush = tracer.all_spans()[-1]
         assert flush.function == "<batch>" and flush.attrs["commands"] == 3
+
+    @pytest.mark.parametrize(
+        "answer", ["answered", "lost", "refused", "need_bytes"])
+    def test_one_result_contract_for_a_lone_frame_and_a_batch(
+            self, answer):
+        """Both entry points return one result type, whatever the
+        answer; a frame that failed as a whole carries no replies, and
+        only a lone frame that was answered or got NeedBytes pays for
+        its reply leg."""
+
+        def channel():
+            transport = CostOnlyTransport(AnswerRouter(answer))
+            if answer == "lost":
+                return FaultyTransport(transport, FaultPlan(drop=1.0))
+            return transport
+
+        single = channel().deliver(make_command(b"abc"), 1.0)
+        batch = channel().deliver_batch(make_batch(), 2.0)
+        assert type(single) is type(batch) is DeliveryResult
+        assert [reply.error for reply in single.replies] == {
+            "answered": [None], "refused": ["router: refused"],
+        }.get(answer, [])
+        assert [reply.seq for reply in batch.replies] == (
+            [1, 2, 3] if answer == "answered" else [])
+        for result in (single, batch):
+            assert result.timed_out == (answer == "lost")
+            assert (result.need_bytes is not None) == (answer == "need_bytes")
+            if answer == "lost":
+                assert result.error.startswith("transport: timeout")
+        if answer != "lost":
+            assert single.error is None
+            assert batch.error == (
+                "router: refused" if answer == "refused" else None)
+        assert single.failed == (answer in ("lost", "need_bytes"))
+        assert batch.failed == (answer != "answered")
+        assert (single.reply_cost > 0.0) == (answer != "lost")
+        assert batch.reply_cost == 0.0
 
     def test_per_class_instrumentation_meets_each_frame_once(
             self, monkeypatch):
