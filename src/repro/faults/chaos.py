@@ -200,7 +200,7 @@ def run_chaos(
             unknown_rejections=router.unknown_rejections,
             malformed_frames=router.malformed_frames,
             breaker_trips=sum(
-                state.tripped for state in router.breakers.values()
+                state.tripped for state in router.vms.values()
             ),
         )
     finally:

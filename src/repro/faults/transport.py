@@ -43,6 +43,7 @@ class FaultyTransport(Transport):
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
         super().__init__(inner.router, codec=inner.codec)
         self.inner = inner
+        self.vm_id = inner.vm_id
         self.plan = plan
         self.name = f"faulty+{inner.name}"
 
@@ -127,7 +128,7 @@ class FaultyTransport(Transport):
             # at-least-once delivery: the frame arrives twice; the first
             # copy executes too, and its reply is discarded as stale
             inject("duplicate", "command", sent_at)
-            self.router.deliver(wire, sent_at, source=frame.vm_id)
+            self.router.deliver(wire, sent_at, source=self.vm_id)
         sent_at, answer, completed_at, reply_bytes, _ = super()._cross(
             frame, wire, sent_at)
 

@@ -186,7 +186,7 @@ def run_cache_compare(
         result = workload.run(vm.library("opencl"))
         vm.flush()
         metrics = hv.router.metrics_for("vm-xfer")
-        store = hv.xfer_stores.get("vm-xfer")
+        store = metrics.store
         cache = vm.xfer_cache
         legs[label] = XferRun(
             label=label,

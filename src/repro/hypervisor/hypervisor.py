@@ -72,17 +72,13 @@ class Hypervisor:
         self.batch_policy = batch_policy
         #: default transfer-cache policy for new VMs (None = uncached)
         self.cache_policy = cache_policy
-        #: per-VM content-addressed transfer stores (only for VMs whose
-        #: cache policy is armed)
-        self.xfer_stores: Dict[str, TransferStore] = {}
         self.rate_limiter = RateLimiter(self.policy)
         #: the router holds the wire codec every channel of this
         #: hypervisor frames with
         self.router = Router(self._worker_for, codec,
                              rate_limiter=self.rate_limiter,
                              policy=self.policy,
-                             on_worker_lost=self._on_worker_lost,
-                             store_resolver=self.xfer_stores.get)
+                             on_worker_lost=self._on_worker_lost)
         self.apis: Dict[str, ApiRegistration] = {}
         self.vms: Dict[str, GuestVM] = {}
         self.workers: Dict[Tuple[str, str], ApiServerWorker] = {}
@@ -173,13 +169,14 @@ class Hypervisor:
                 f"choose from {sorted(TRANSPORTS)}"
             )
         channel: Transport = transport_cls(self.router, **transport_kwargs)
+        channel.vm_id = vm_id
         if self.fault_plan is not None:
             channel = FaultyTransport(channel, self.fault_plan)
         if batch_policy is None:
             batch_policy = self.batch_policy
         if cache_policy is None:
             cache_policy = self.cache_policy
-        xfer_cache = None
+        xfer_cache = store = None
         if cache_policy is not None:
             store = TransferStore(
                 vm_id,
@@ -188,7 +185,6 @@ class Hypervisor:
                 min_bytes=cache_policy.min_bytes,
                 max_entry_bytes=cache_policy.max_entry_bytes,
             )
-            self.xfer_stores[vm_id] = store
             xfer_cache = TransferCache(
                 cache_policy,
                 store=store if cache_policy.shared_index else None,
@@ -198,18 +194,23 @@ class Hypervisor:
         if self._retry_policy is not None:
             vm.set_retry_policy(self._retry_policy)
         self.vms[vm_id] = vm
-        self.router.register_vm(vm_id)
+        self.router.register_vm(vm_id, store)
         for api in self.apis.values():
             vm.bind_library(api.name, api.guest_module)
         return vm
 
     def destroy_vm(self, vm_id: str) -> None:
+        """Shut the VM down and forget it: its router record, rate
+        bucket, workers and lost-worker marks go, so it is absent from
+        :meth:`admin_report` and a recycled id starts from zero."""
         vm = self.vms.pop(vm_id, None)
         if vm is not None:
             vm.shutdown()
-        self.xfer_stores.pop(vm_id, None)
-        for key in [k for k in self.workers if k[0] == vm_id]:
-            del self.workers[key]
+        self.router.drop_vm(vm_id)
+        self.rate_limiter.forget(vm_id)
+        for table in (self.workers, self.lost_workers):
+            for key in [k for k in table if k[0] == vm_id]:
+                del table[key]
         if self.pool is not None:
             self.pool.release(vm_id)
 
@@ -254,7 +255,7 @@ class Hypervisor:
             )
         # cached payloads lived in the dead server's address space:
         # refs into them must miss, never resolve to stale state
-        store = self.xfer_stores.get(vm_id)
+        store = self.router.vms[vm_id].store
         if store is not None:
             # the guest-side cache is NOT told: its stale beliefs (in
             # local-index mode) surface as NeedBytes misses and heal
@@ -275,7 +276,7 @@ class Hypervisor:
             raise KeyError(
                 f"cannot restart worker for VM {vm_id!r} API {api_name!r}"
             )
-        store = self.xfer_stores.get(vm_id)
+        store = self.router.vms[vm_id].store
         if store is not None:
             # a fresh server process starts with an empty store, even if
             # the crash path never ran (administrative restarts)
@@ -389,13 +390,12 @@ class Hypervisor:
                 "resources": dict(metrics.resources),
                 "per_function": dict(metrics.per_function),
             }
-            store = self.xfer_stores.get(vm_id)
-            if store is not None:
+            if metrics.store is not None:
                 report[vm_id]["xfer"] = {
                     "hits": metrics.xfer_hits,
                     "misses": metrics.xfer_misses,
                     "bytes_elided": metrics.xfer_bytes_elided,
-                    "store": store.snapshot(),
+                    "store": metrics.store.snapshot(),
                 }
             mine = [m for m in self.migrations if m.source_vm == vm_id]
             if mine:

@@ -142,3 +142,8 @@ class RateLimiter:
             self.delay_injected.get(vm_id, 0.0) + (release - arrival)
         )
         return release
+
+    def forget(self, vm_id: str) -> None:
+        """Drop ``vm_id``'s bucket: a recycled id starts full."""
+        for table in (self._tokens, self._last_refill, self.delay_injected):
+            table.pop(vm_id, None)

@@ -123,8 +123,10 @@ class RoutingTable:
 
 
 @dataclass
-class VMMetrics:
-    """Per-VM accounting the router maintains."""
+class VMState:
+    """Everything the router keeps for one live VM: created by
+    :meth:`Router.register_vm` and dropped whole by
+    :meth:`Router.drop_vm`, so a recycled id starts from zero."""
 
     commands: int = 0
     rejected: int = 0
@@ -145,32 +147,22 @@ class VMMetrics:
     #: resource name → accumulated estimate (from `consumes` annotations)
     resources: Dict[str, float] = field(default_factory=dict)
     per_function: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class BreakerState:
-    """Circuit-breaker bookkeeping for one frame source (VM channel)."""
-
-    #: arrival times of recent malformed frames (pruned to the window)
+    #: the malformed-frame breaker: arrival times of recent malformed
+    #: frames from this VM's channel (pruned to the window), the virtual
+    #: time it is rejected outright until, and how often it opened
     strikes: List[float] = field(default_factory=list)
-    #: rejected outright until this virtual time
     open_until: float = 0.0
-    #: how many times the breaker opened for this source
     tripped: int = 0
-
-
-@dataclass
-class _VMPlan:
-    """The policy stages one VM's commands run: only the armed ones,
-    decided when policy is installed (see :meth:`Router._plan`)."""
-
-    entry: VMMetrics
-    #: the :attr:`ResourcePolicy.version` this plan was built under
-    version: int
+    #: the VM's TransferStore, when its cache policy is armed; refs
+    #: from a VM without one are rejected, not silently dropped
+    store: Optional[Any] = None
     #: the freeze reason while a migration cutover holds the VM
     frozen: Optional[str] = None
     #: post-cutover release floor, until a command arrives past it
     resume: Optional[float] = None
+    #: the :attr:`ResourcePolicy.version` the stages below were armed
+    #: under (see :meth:`Router._arm`); -1 arms them on the first command
+    version: int = -1
     #: the token bucket applies (the VM has a command rate)
     rate: bool = False
     #: the VM's resource quotas, when it has any
@@ -192,84 +184,67 @@ class Router:
     verified command is dispatched to; the hypervisor provides it.
     """
 
+    #: seconds of verification and accounting every command pays
+    interposition_cost = 0.4e-6
+    max_payload_bytes = 256 * 1024 * 1024
+    #: malformed frames within the window trip the sender's breaker,
+    #: which then refuses its frames for the cooldown
+    breaker_threshold = 8
+    breaker_window = 1e-3
+    breaker_cooldown = 5e-3
+    #: inner-command bound per coalesced frame: guests have no
+    #: business flushing larger batches, and unbundling is O(count)
+    max_batch_commands = 4096
+
     def __init__(
         self,
         worker_resolver: Callable[[str, str], Any],
         codec: WireCodec,
         rate_limiter: Optional[Any] = None,
         policy: Optional[Any] = None,
-        interposition_cost: float = 0.4e-6,
-        max_payload_bytes: int = 256 * 1024 * 1024,
         on_worker_lost: Optional[Callable[[str, str, str], None]] = None,
-        breaker_threshold: int = 8,
-        breaker_window: float = 1e-3,
-        breaker_cooldown: float = 5e-3,
-        max_batch_commands: int = 4096,
-        store_resolver: Optional[Callable[[str], Any]] = None,
     ) -> None:
         self.worker_resolver = worker_resolver
         #: the wire codec frames cross the router through
         self.codec = codec
-        #: ``store_resolver(vm_id)`` returns the VM's TransferStore (or
-        #: ``None``); absent entirely when no CachePolicy is armed, so
-        #: cached refs are rejected rather than silently dropped
-        self.store_resolver = store_resolver
         self.rate_limiter = rate_limiter
         #: ResourcePolicy supplying per-VM resource quotas (optional)
         self.policy = policy
-        self.interposition_cost = interposition_cost
-        self.max_payload_bytes = max_payload_bytes
         #: notified as (vm_id, api, reason) when a worker dies mid-call
         self.on_worker_lost = on_worker_lost
-        #: malformed frames within this window trip the source's breaker
-        self.breaker_threshold = breaker_threshold
-        self.breaker_window = breaker_window
-        self.breaker_cooldown = breaker_cooldown
-        #: inner-command bound per coalesced frame: guests have no
-        #: business flushing larger batches, and unbundling is O(count)
-        self.max_batch_commands = max_batch_commands
         #: batches rejected wholesale for exceeding that bound
         self.oversized_batches = 0
         self.tables: Dict[str, RoutingTable] = {}
-        self.metrics: Dict[str, VMMetrics] = {}
-        self.known_vms: set = set()
+        #: one record per live VM, and nothing for any other id
+        self.vms: Dict[str, VMState] = {}
         #: rejections of commands claiming an *unknown* VM id — one
-        #: bounded counter: untrusted bytes must not grow ``metrics``
+        #: bounded counter: untrusted bytes must not grow ``vms``
         self.unknown_rejections = 0
-        #: frames that failed decoding entirely (no attributable VM)
+        #: frames that failed decoding, or named a VM other than the
+        #: channel's (no VM is billed for them)
         self.malformed_frames = 0
-        #: per-source circuit breakers, keyed by the transport-attested
-        #: VM id (bounded: sources are hypervisor-created channels, not
-        #: attacker-chosen bytes)
-        self.breakers: Dict[str, BreakerState] = {}
         #: optional SLO monitor fed every routed reply (observation
         #: only — never touches scheduling or completion times)
         self.slo_monitor: Optional[Any] = None
-        #: vm_id → reason, while the VM is frozen (migration cutover)
-        self.frozen_vms: Dict[str, str] = {}
-        #: vm_id → virtual time before which post-thaw commands may not
-        #: release (the cutover window the guest must absorb)
-        self.thaw_at: Dict[str, float] = {}
-        #: vm_id → its planned policy stages (see :meth:`_plan`)
-        self._plans: Dict[str, _VMPlan] = {}
 
     # -- configuration -------------------------------------------------------
 
     def register_api(self, table: RoutingTable) -> None:
         table.fold()
         self.tables[table.api] = table
-        self._plans.clear()
 
-    def register_vm(self, vm_id: str) -> None:
-        self.known_vms.add(vm_id)
-        self.metrics_for(vm_id)
-        self._plans.pop(vm_id, None)
+    def register_vm(self, vm_id: str, store: Optional[Any] = None) -> None:
+        """Give ``vm_id`` a fresh record; ``store`` is its TransferStore
+        when its cache policy is armed."""
+        self.vms[vm_id] = VMState(store=store)
 
-    def metrics_for(self, vm_id: str) -> VMMetrics:
-        entry = self.metrics.get(vm_id)
-        if entry is None:
-            entry = self.metrics[vm_id] = VMMetrics()
-        return entry
+    def drop_vm(self, vm_id: str) -> None:
+        """Forget ``vm_id``: its frames are an unknown VM's from now on."""
+        self.vms.pop(vm_id, None)
+
+    def metrics_for(self, vm_id: str) -> VMState:
+        """The live VM's record; a ``KeyError`` for any other id."""
+        return self.vms[vm_id]
 
     # -- migration freeze window ----------------------------------------------
 
@@ -282,8 +257,7 @@ class Router:
         coalescing queues first), but a frame that does arrive gets a
         typed error instead of racing the handoff.
         """
-        self.frozen_vms[vm_id] = reason
-        self._plans.pop(vm_id, None)
+        self.vms[vm_id].frozen = reason
 
     def thaw_vm(self, vm_id: str,
                 resume_at: Optional[float] = None) -> None:
@@ -295,35 +269,29 @@ class Router:
         guest-visible downtime, charged where it lands instead of
         silently warping the guest clock.
         """
-        self.frozen_vms.pop(vm_id, None)
+        state = self.vms[vm_id]
+        state.frozen = None
         if resume_at is not None:
-            self.thaw_at[vm_id] = max(
-                self.thaw_at.get(vm_id, 0.0), resume_at)
-        self._plans.pop(vm_id, None)
+            state.resume = max(state.resume or 0.0, resume_at)
 
-    def _plan(self, vm_id: str) -> Optional[_VMPlan]:
+    def _arm(self, vm_id: str, state: VMState) -> None:
         """Decide which policy stages ``vm_id``'s commands run, once per
-        policy change; None for a VM this hypervisor did not create (and
-        has not frozen), whose commands verification refuses."""
-        frozen = self.frozen_vms.get(vm_id)
-        if frozen is None and vm_id not in self.known_vms:
-            return None
-        plan = _VMPlan(self.metrics_for(vm_id), ResourcePolicy.version,
-                       frozen=frozen, resume=self.thaw_at.get(vm_id))
+        policy change."""
+        state.version = ResourcePolicy.version
         if self.rate_limiter is not None:
-            plan.rate = self.rate_limiter.policy.policy_for(
+            state.rate = self.rate_limiter.policy.policy_for(
                 vm_id).command_rate is not None
         if self.policy is not None:
-            plan.limits = self.policy.policy_for(vm_id).resource_limits or None
-        self._plans[vm_id] = plan
-        return plan
+            state.limits = (self.policy.policy_for(vm_id).resource_limits
+                            or None)
 
     # -- verification ----------------------------------------------------------
 
-    def _verify(self, command: Command) -> Tuple[RoutingInfo, int]:
+    def _verify(self, command: Command,
+                state: Optional[VMState]) -> Tuple[RoutingInfo, int]:
         """The command's routing info and its payload bytes, or a
         :class:`RouterError`."""
-        if command.vm_id not in self.known_vms:
+        if state is None:
             raise RouterError(f"unknown VM {command.vm_id!r}")
         table = self.tables.get(command.api)
         if table is None:
@@ -349,42 +317,39 @@ class Router:
         return info, payload
 
     @staticmethod
-    def _check_quota(entry: VMMetrics, limits: Dict[str, float],
+    def _check_quota(state: VMState, limits: Dict[str, float],
                      estimates: Dict[str, float]) -> Optional[str]:
         """The resource (if any) this command would push past its quota."""
         for resource, amount in estimates.items():
             limit = limits.get(resource)
             if limit is not None and \
-                    entry.resources.get(resource, 0.0) + amount > limit:
+                    state.resources.get(resource, 0.0) + amount > limit:
                 return resource
         return None
 
     # -- the malformed-frame circuit breaker -----------------------------------
 
-    def _strike(self, source: Optional[str], arrival: float) -> None:
-        """Record a malformed frame from ``source``; maybe open its breaker."""
-        if source is None:
-            return
-        state = self.breakers.setdefault(source, BreakerState())
-        state.strikes = [
-            t for t in state.strikes if t > arrival - self.breaker_window
-        ]
-        state.strikes.append(arrival)
-        if len(state.strikes) >= self.breaker_threshold:
-            state.open_until = arrival + self.breaker_cooldown
-            state.tripped += 1
-            state.strikes.clear()
-
-    def _breaker_open(self, source: Optional[str], arrival: float) -> bool:
-        if source is None:
-            return False
-        state = self.breakers.get(source)
-        return state is not None and arrival < state.open_until
+    def _malformed(self, state: Optional[VMState], error: str,
+                   arrival: float) -> FrameLike:
+        """Refuse a frame no VM is billed for: one ``malformed_frames``,
+        and one strike on the sender's record (when it has one) that may
+        open its breaker."""
+        self.malformed_frames += 1
+        if state is not None:
+            window = arrival - self.breaker_window
+            state.strikes = [t for t in state.strikes if t > window]
+            state.strikes.append(arrival)
+            if len(state.strikes) >= self.breaker_threshold:
+                state.open_until = arrival + self.breaker_cooldown
+                state.tripped += 1
+                state.strikes.clear()
+        return self._refuse(error, arrival)
 
     # -- the transfer cache (content-addressed payload elision) ---------------
 
     def _resolve_refs(self, commands: List[Command], arrival: float,
-                      vm_id: str, store: Optional[Any], tracer: Any,
+                      vm_id: str, state: Optional[VMState],
+                      store: Optional[Any], tracer: Any,
                       san: Any) -> Optional[bytes]:
         """Resolve every cached ref in one frame, transactionally.
 
@@ -397,21 +362,18 @@ class Router:
         :class:`Reply` for refs that are hostile rather than merely
         stale.  All-or-nothing resolution keeps batch semantics simple:
         a frame either routes exactly as if it had carried full
-        payloads, or it does not route at all.  ``store`` is the VM's
-        transfer store (if armed); ``tracer`` and ``san`` are the
-        frame's active tracer and sanitizer.
+        payloads, or it does not route at all.  Called only for a frame
+        that carries refs or whose VM has a transfer store: ``state`` is
+        the VM's record (None for an unknown VM) and ``store`` its
+        transfer store; ``tracer`` and ``san`` are the frame's active
+        tracer and sanitizer.
         """
-        has_refs = any(map(_CACHED_REFS, commands))
         first_seq = commands[0].seq
-        # ``vm_id`` is untrusted bytes: only VMs this hypervisor created
-        # are accounted, so a forged id cannot grow ``metrics``
-        entry = self.metrics_for(vm_id) if vm_id in self.known_vms \
-            else None
-        if has_refs and store is None:
+        if store is None:
             # refs without an armed cache are a protocol violation, not
             # a miss — a retransmission could never succeed either
-            if entry is not None:
-                entry.rejected += 1
+            if state is not None:
+                state.rejected += 1
             return self._refuse(
                 "router: cached refs without a transfer store (cache not "
                 "armed for this VM)", arrival, first_seq)
@@ -422,8 +384,7 @@ class Router:
         for index, command in enumerate(commands):
             for param, (digest, size, kind) in command.cached_refs.items():
                 if size > self.max_payload_bytes:
-                    if entry is not None:
-                        entry.rejected += 1
+                    state.rejected += 1
                     return self._refuse(
                         f"router: cached ref {param!r} claims {size} B, "
                         f"beyond limit {self.max_payload_bytes} B",
@@ -439,8 +400,7 @@ class Router:
                     resolved.append((command, param, data, kind))
                     served[(index, param)] = digest
         if missing:
-            if entry is not None:
-                entry.xfer_misses += len(missing)
+            state.xfer_misses += len(missing)
             if tracer.enabled:
                 tracer.record_span(
                     "xfer.miss", arrival, arrival, layer="router",
@@ -456,8 +416,7 @@ class Router:
                 try:
                     command.scalars[param] = data.decode("utf-8")
                 except UnicodeDecodeError:
-                    if entry is not None:
-                        entry.rejected += 1
+                    state.rejected += 1
                     return self._refuse(
                         f"router: cached ref {param!r} resolves to "
                         f"non-UTF-8 bytes for kind 'str'",
@@ -468,19 +427,19 @@ class Router:
         for command, param, data, kind in resolved:
             command.cached_refs = {}
             hit_bytes += len(data)
-        if resolved and entry is not None:
-            entry.xfer_hits += len(resolved)
-            entry.xfer_bytes_elided += hit_bytes
-        if resolved and tracer.enabled:
-            tracer.record_span(
-                "xfer.hit", arrival, arrival, layer="router",
-                vm_id=vm_id, function="<xfer>",
-                hits=len(resolved), bytes_elided=hit_bytes,
-            )
+        if resolved:
+            state.xfer_hits += len(resolved)
+            state.xfer_bytes_elided += hit_bytes
+            if tracer.enabled:
+                tracer.record_span(
+                    "xfer.hit", arrival, arrival, layer="router",
+                    vm_id=vm_id, function="<xfer>",
+                    hits=len(resolved), bytes_elided=hit_bytes,
+                )
         self._seed_store(commands, store, served)
         return None
 
-    def _seed_store(self, commands: List[Command], store: Optional[Any],
+    def _seed_store(self, commands: List[Command], store: Any,
                     served: Dict[Tuple[int, str], bytes]) -> None:
         """Remember this frame's payloads for future refs.
 
@@ -494,8 +453,6 @@ class Router:
         (``served``: ``(command index, param) -> digest``), not hashed
         again.
         """
-        if store is None:
-            return
         for index, command in enumerate(commands):
             for name, chunk in command.in_buffers.items():
                 if store.min_bytes <= len(chunk) <= store.max_entry_bytes:
@@ -529,47 +486,64 @@ class Router:
         under the existing per-VM policy — coalescing changes how
         commands cross the channel, never what the hypervisor enforces.
 
-        ``source`` is the transport-attested VM id of the sending
-        channel (not a decoded field — the frame may not decode at
-        all); it feeds the malformed-frame circuit breaker.  ``arrival``
-        may be any real number; every reply carries it as a float.
+        ``source`` is the VM id of the sending channel, attested by the
+        transport (not a decoded field — the frame may not decode at
+        all).  A frame naming any other VM is refused as malformed, and
+        so is a batch holding a command that names a VM other than the
+        batch's own; malformed frames strike the sender's breaker.  A
+        frame with no ``source`` (a hand-built channel) is resolved by
+        the VM it names.  ``arrival`` may be any real number; every
+        reply carries it as a float.
         """
         arrival = float(arrival)
-        if self.breakers and self._breaker_open(source, arrival):
-            if source in self.known_vms:
-                self.metrics_for(source).rejected += 1
+        # the sender's record, looked up once per frame
+        state = None if source is None else self.vms.get(source)
+        if state is not None and arrival < state.open_until:
+            state.rejected += 1
             return self._refuse(f"router: circuit open for VM {source!r} "
                                 f"(malformed-frame flood)", arrival)
         try:
             message = self.codec.decode_command(wire)
         except CodecError as err:
-            self.malformed_frames += 1
-            self._strike(source, arrival)
-            return self._refuse(f"router: malformed command ({err})",
-                                arrival)
+            return self._malformed(
+                state, f"router: malformed command ({err})", arrival)
         batch = isinstance(message, CommandBatch)
         if not batch and not isinstance(message, Command):
-            self.malformed_frames += 1
-            self._strike(source, arrival)
-            return self._refuse("router: expected a command", arrival)
+            return self._malformed(state, "router: expected a command",
+                                   arrival)
         # a lone command is the one-command case of a batch: the frame
         # kinds differ only in the size bound, the span and the framing
         # of the answer
         commands = message.commands if batch else [message]
         if batch and len(commands) > self.max_batch_commands:
             self.oversized_batches += 1
-            if source in self.known_vms:
-                self.metrics_for(source).rejected += 1
+            if state is not None:
+                state.rejected += 1
             return self._refuse(
                 f"router: batch of {len(commands)} commands exceeds limit "
                 f"{self.max_batch_commands}", arrival)
+        # every command of the frame is the sender's, checked before
+        # anything executes
+        vm_id = message.vm_id
+        if source is None:
+            state = self.vms.get(vm_id)
+        elif vm_id != source:
+            return self._malformed(
+                state, f"router: frame names VM {vm_id!r}, sent by "
+                       f"{source!r}", arrival)
+        if batch:
+            for command in commands:
+                if command.vm_id != vm_id:
+                    return self._malformed(
+                        state, f"router: frame names VM "
+                               f"{command.vm_id!r}, sent by {vm_id!r}",
+                        arrival)
         # looked up once per frame, not once per inner command
         tracer = _tele.active()
         san = _sanitize.active()
-        store = (None if self.store_resolver is None
-                 else self.store_resolver(message.vm_id))
+        store = None if state is None else state.store
         if store is not None or any(map(_CACHED_REFS, commands)):
-            answered = self._resolve_refs(commands, arrival, message.vm_id,
+            answered = self._resolve_refs(commands, arrival, vm_id, state,
                                           store, tracer, san)
             if answered is not None:
                 return answered
@@ -578,7 +552,7 @@ class Router:
         for index, command in enumerate(commands):
             # the frame is received (and the worker woken) once: inner
             # commands after the first pay the cheaper batched dispatch
-            reply = self._route(command, at, tracer, san,
+            reply = self._route(command, state, at, tracer, san,
                                 batched=index > 0)
             replies.append(reply)
             if self.slo_monitor is not None:
@@ -590,7 +564,7 @@ class Router:
             if tracer.enabled:
                 tracer.record_span(
                     "router.batch", arrival, at, layer="router",
-                    vm_id=message.vm_id, function="<batch>",
+                    vm_id=vm_id, function="<batch>",
                     commands=len(commands),
                     errors=sum(1 for r in replies if r.error is not None),
                 )
@@ -604,30 +578,30 @@ class Router:
             return self._refuse(f"router: reply encoding failed ({err})",
                                 at, seq)
 
-    def _route(self, command: Command, arrival: float, tracer: Any,
-               san: Any, batched: bool = False) -> Reply:
-        """Verify, schedule and dispatch one decoded command, under the
-        frame's active ``tracer`` and sanitizer ``san``.  The VM's plan
-        says which policy stages run; an unarmed one runs none."""
+    def _route(self, command: Command, state: Optional[VMState],
+               arrival: float, tracer: Any, san: Any,
+               batched: bool = False) -> Reply:
+        """Verify, schedule and dispatch one decoded command of the VM
+        whose record is ``state`` (None for an unknown VM), under the
+        frame's active ``tracer`` and sanitizer ``san``; only the
+        record's armed policy stages run."""
         vm_id = command.vm_id
-        plan = self._plans.get(vm_id)
-        if plan is None or plan.version != ResourcePolicy.version:
-            plan = self._plan(vm_id)
-        if plan is not None and plan.frozen is not None:
-            entry = plan.entry
-            entry.rejected += 1
-            entry.frozen_rejected += 1
-            return Reply(seq=command.seq,
-                         error=f"router: vm-frozen ({plan.frozen})",
-                         complete_time=arrival)
+        if state is not None:
+            if state.version != ResourcePolicy.version:
+                self._arm(vm_id, state)
+            if state.frozen is not None:
+                state.rejected += 1
+                state.frozen_rejected += 1
+                return Reply(seq=command.seq,
+                             error=f"router: vm-frozen ({state.frozen})",
+                             complete_time=arrival)
         try:
-            info, payload = self._verify(command)
+            info, payload = self._verify(command, state)
         except RouterError as err:
-            # only account VMs this hypervisor actually created:
-            # ``command.vm_id`` is untrusted bytes, and growing the
-            # metrics table from it would be an unbounded-memory hole
-            if vm_id in self.known_vms:
-                self.metrics_for(vm_id).rejected += 1
+            # only VMs this hypervisor created are accounted: an unknown
+            # id is untrusted bytes, counted in one bounded counter
+            if state is not None:
+                state.rejected += 1
             else:
                 self.unknown_rejections += 1
             if tracer.enabled:
@@ -640,15 +614,14 @@ class Router:
             return Reply(seq=command.seq, error=f"router: {err}",
                          complete_time=arrival)
 
-        # verified, so the VM is known and planned
-        entry = plan.entry
+        # verified, so the VM is live and armed
         estimates = info.constant
         if estimates is None:
             estimates = self.tables[command.api].estimate(info, command)
-        if plan.limits is not None:
-            exhausted = self._check_quota(entry, plan.limits, estimates)
+        if state.limits is not None:
+            exhausted = self._check_quota(state, state.limits, estimates)
             if exhausted is not None:
-                entry.rejected += 1
+                state.rejected += 1
                 if tracer.enabled:
                     tracer.record_span(
                         "router.policy", arrival, arrival, layer="router",
@@ -663,30 +636,29 @@ class Router:
 
         verified_at = arrival + self.interposition_cost
         release = verified_at
-        if plan.resume is not None:
-            if release < plan.resume:
+        if state.resume is not None:
+            if release < state.resume:
                 # the first calls after a live-migration cutover absorb
                 # the frozen window here, visibly, instead of the guest
                 # clock being warped underneath the application
-                entry.migration_stall += plan.resume - release
-                release = plan.resume
+                state.migration_stall += state.resume - release
+                release = state.resume
             else:
-                # the window has passed: the stage leaves the plan
-                self.thaw_at.pop(vm_id, None)
-                plan.resume = None
-        if plan.rate:
+                # the window has passed: the stage is disarmed
+                state.resume = None
+        if state.rate:
             allowed = self.rate_limiter.next_allowed(vm_id, release)
-            entry.rate_delay += allowed - release
+            state.rate_delay += allowed - release
             release = allowed
 
-        entry.commands += 1
-        entry.payload_bytes += payload
-        per_function = entry.per_function
+        state.commands += 1
+        state.payload_bytes += payload
+        per_function = state.per_function
         per_function[command.function] = (
             per_function.get(command.function, 0) + 1)
         for resource, amount in estimates.items():
-            entry.resources[resource] = (
-                entry.resources.get(resource, 0.0) + amount)
+            state.resources[resource] = (
+                state.resources.get(resource, 0.0) + amount)
 
         if tracer.enabled:
             # the interposition window: verification + resource accounting
@@ -712,7 +684,7 @@ class Router:
         try:
             worker = self.worker_resolver(command.vm_id, command.api)
         except WorkerLost as err:
-            return self._server_lost_reply(entry, command, release,
+            return self._server_lost_reply(state, command, release,
                                            str(err), tracer)
         if worker is None:
             return Reply(seq=command.seq,
@@ -741,7 +713,7 @@ class Router:
             # clean server-lost error — other VMs' workers are untouched
             if self.on_worker_lost is not None:
                 self.on_worker_lost(command.vm_id, command.api, str(err))
-            return self._server_lost_reply(entry, command, release,
+            return self._server_lost_reply(state, command, release,
                                            str(err), tracer)
 
     def _observe(self, command: Command, arrival: float,
@@ -763,10 +735,10 @@ class Router:
                 latency=latency, error=reply.error,
             )
 
-    def _server_lost_reply(self, entry: VMMetrics, command: Command,
+    def _server_lost_reply(self, state: VMState, command: Command,
                            release: float, reason: str,
                            tracer: Any) -> Reply:
-        entry.server_lost += 1
+        state.server_lost += 1
         if tracer.enabled:
             tracer.record_span(
                 "router.server-lost", release, release, layer="router",

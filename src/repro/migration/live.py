@@ -283,7 +283,7 @@ class LiveMigration:
         """Ship every dirty live buffer; returns
         ``(payload_bytes, frames, elided_bytes)``."""
         assert self.dest is not None
-        store = self.hv.xfer_stores.get(self.vm_id)
+        store = self.hv.router.vms[self.vm_id].store
         shipped = 0
         frames = 0
         elided = 0

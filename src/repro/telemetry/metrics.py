@@ -5,8 +5,8 @@ span stream: per-VM / per-function call counts, error counts, sync/async
 split, payload bytes, retries and latency distributions, plus per-layer
 span counts.  It holds only what it derives from spans.  Every other
 counter has exactly one live store, read where it lives: the router's
-per-VM ``VMMetrics`` (``router.metrics_for(vm)``: rejections, rate
-delay, resource estimates, transfer-cache hits), the guest runtimes'
+per-VM record (``router.metrics_for(vm)``: rejections, rate delay,
+resource estimates, transfer-cache hits), the guest runtimes'
 ``retries``/``giveups``, the SLO monitor's breaches, and the pool
 members' native devices (busy time) — ``Hypervisor.admin_report()``
 renders them together.

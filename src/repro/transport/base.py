@@ -74,6 +74,9 @@ class Transport:
     """Base class: cost hooks + the shared delivery mechanics."""
 
     name = "abstract"
+    #: the VM whose frames this channel carries (set by ``create_vm``),
+    #: the router's sender; None on a hand-built channel
+    vm_id: Optional[str] = None
 
     def __init__(self, router: "Router",
                  codec: Optional[WireCodec] = None) -> None:
@@ -203,12 +206,13 @@ class Transport:
         only it reports ``lost`` (``answer`` is then the timeout
         :class:`Reply`) or moves the two timestamps.
         """
-        # the channel, not the frame, attests who is sending: the router's
-        # circuit breaker keys on this even when the frame won't decode.
+        # the channel, not the frame, attests who is sending: the router
+        # refuses a frame naming another VM, and its circuit breaker
+        # keys on this even when the frame won't decode.
         # The frame crosses as-is — a zero-copy codec's vectored
         # [header, *buffer_views] segments are never flattened here.
         reply_wire = self.router.deliver(wire, arrival=sent_at,
-                                         source=frame.vm_id)
+                                         source=self.vm_id)
         answer = self.codec.decode_reply(reply_wire, reply_to=frame)
         self.rx_bytes += len(reply_wire)
         if not isinstance(answer, (Reply, ReplyBatch, NeedBytes)):

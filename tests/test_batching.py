@@ -456,6 +456,19 @@ class TestRouterUnbundling:
         assert all("unknown VM" in r.error for r in decoded.replies)
         assert not executed
 
+    def test_inner_command_of_another_vm_refuses_unattested_batch(self):
+        router, executed = self.make_router()
+        router.register_vm("vm2")
+        batch = self.make_batch(2)
+        batch.commands[1].vm_id = "vm2"
+        decoded = decode_message(router.deliver(encode_message(batch), 0.0))
+        assert isinstance(decoded, Reply)
+        assert "frame names VM 'vm2', sent by 'vm1'" in decoded.error
+        assert not executed
+        assert router.malformed_frames == 1
+        assert [router.metrics_for(vm).commands
+                for vm in ("vm1", "vm2")] == [0, 0]
+
 
 class TestEndToEnd:
     def test_workload_outputs_identical_with_batching(self):

@@ -96,7 +96,7 @@ class TestBorrowedBothWays:
         # (ii) the two owners hold bytes of their own
         (logged,) = [c for c in probe.logged_payloads()
                      if len(c) == data.nbytes]
-        store = probe.stack.hypervisor.xfer_stores["vm-dp"]
+        store = probe.stack.hypervisor.router.vms["vm-dp"].store
         (stored,) = store._entries.values()
         for kept in (logged, stored):
             assert type(kept) is bytes and kept == data.tobytes()

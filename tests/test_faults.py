@@ -186,7 +186,7 @@ def assert_only_owned_bytes(hypervisor, vm):
     kept = [chunk
             for entry in hypervisor.worker(vm.vm_id, "opencl").recorder.log
             for chunk in entry.command.in_buffers.values()]
-    store = hypervisor.xfer_stores.get(vm.vm_id)
+    store = hypervisor.router.vms[vm.vm_id].store
     if store is not None:
         kept.extend(store._entries.values())
     for staged in vm.runtimes["opencl"]._queue:
@@ -475,7 +475,7 @@ class TestBreakerThroughStack:
         for index in range(router.breaker_threshold):
             router.deliver(b"\xabC\xff\xff\xff\xff", now + index * 1e-6,
                            source="v1")
-        assert router.breakers["v1"].tripped == 1
+        assert router.vms["v1"].tripped == 1
         # the flooding VM's legitimate traffic is rejected while open
         with pytest.raises(RemotingError, match="circuit open"):
             env.finish()
@@ -492,7 +492,7 @@ class TestBreakerThroughStack:
         for index in range(router.breaker_threshold):
             router.deliver(b"junk", noisy.clock.now + index * 1e-6,
                            source="noisy")
-        assert router.breakers["noisy"].tripped == 1
+        assert router.vms["noisy"].tripped == 1
         env = opened_env(quiet)
         data = np.arange(8, dtype=np.float32)
         mem = env.buffer(data.nbytes, host=data)
@@ -648,7 +648,7 @@ class TestXferCacheChaos:
         assert cache.elided_payloads == 1
 
         hypervisor.install_fault_plan(FaultPlan.for_mode(mode, seed=SEED))
-        store = hypervisor.xfer_stores[vm.vm_id]
+        store = hypervisor.router.vms[vm.vm_id].store
         for round_index in range(8):
             store.clear("chaos: force a miss")
             try:
@@ -702,7 +702,7 @@ class TestXferCacheChaos:
 
         hypervisor.install_fault_plan(
             FaultPlan(seed=SEED, drop_replies=0.5))
-        store = hypervisor.xfer_stores[vm.vm_id]
+        store = hypervisor.router.vms[vm.vm_id].store
         recovered = 0
         for _ in range(6):
             store.clear("chaos: force a miss")
@@ -798,7 +798,7 @@ class TestMigrationChaos:
                 assert report.rounds == 0
                 assert report.mode == "stop-the-world"
         # no stuck frozen window either way
-        assert vm.vm_id not in hypervisor.router.frozen_vms
+        assert hypervisor.router.vms[vm.vm_id].frozen is None
         # and in both outcomes the guest reads its own bytes back
         got = self._read_back(env, mem, data.nbytes)
         assert got.tobytes() == data.tobytes(), \
@@ -819,7 +819,7 @@ class TestMigrationChaos:
                 hypervisor.live_migrate_vm(vm.vm_id, "opencl",
                                            policy=self.policy(max_rounds))
             assert hypervisor.worker(vm.vm_id, "opencl") is source
-            assert vm.vm_id not in hypervisor.router.frozen_vms
+            assert hypervisor.router.vms[vm.vm_id].frozen is None
         assert [m.mode for m in hypervisor.migrations] == \
             ["live", "stop-the-world"]
         assert all(m.aborted for m in hypervisor.migrations)

@@ -92,7 +92,7 @@ def golden_spans():
         buffer = env.buffer(data.nbytes)
         env.write(buffer, data)
         env.write(buffer, data)         # elided: a hit
-        stack.hypervisor.xfer_stores["vm-cache"].clear("golden")
+        stack.hypervisor.router.vms["vm-cache"].store.clear("golden")
         env.write(buffer, data)         # the ref misses once, then resends
 
         env, _, kernel = _kernel_env(stack.add_vm("vm-rate").lib)

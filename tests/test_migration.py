@@ -651,7 +651,7 @@ class TestLiveMigration:
                                       None, None) == types.CL_SUCCESS
         metrics = hv.router.metrics_for("vm-stall")
         assert metrics.migration_stall > 0
-        assert "vm-stall" not in hv.router.frozen_vms
+        assert hv.router.vms["vm-stall"].frozen is None
 
     def test_destroy_churn_during_migration_is_replayed(self):
         hv, vm, cl, state = live_stack("vm-churn-live")
@@ -817,7 +817,7 @@ class TestLiveMigrationAbort:
             engine.cutover()
         assert "cutover" in str(excinfo.value)
         assert hv.worker("vm-lost", "opencl") is source
-        assert "vm-lost" not in hv.router.frozen_vms
+        assert hv.router.vms["vm-lost"].frozen is None
         assert hv.migrations[-1].aborted
         out = np.zeros(64, dtype=np.float32)
         assert cl.clEnqueueReadBuffer(state["queue"], state["mem"],
@@ -904,7 +904,7 @@ class TestMigrationSeedGaps:
         with pytest.raises(MigrationError):   # MigrationAborted is one
             stop_the_world(hv, "vm-tamper")
         assert hv.worker("vm-tamper", "opencl") is worker
-        assert "vm-tamper" not in hv.router.frozen_vms
+        assert hv.router.vms["vm-tamper"].frozen is None
         out = np.zeros(64, dtype=np.float32)
         assert cl.clEnqueueReadBuffer(state["queue"], state["mem"],
                                       types.CL_TRUE, 0, 4 * 64, out, 0,

@@ -344,11 +344,11 @@ class TestErrorReplySeqEcho:
 class TestUnknownVmAccounting:
     def test_unknown_vms_share_one_bounded_counter(self, setup):
         router, _ = setup
-        before = set(router.metrics)
+        before = set(router.vms)
         for index in range(200):
             send(router, make_command(vm=f"intruder-{index}"))
         # untrusted vm_id bytes must not grow the metrics table
-        assert set(router.metrics) == before
+        assert set(router.vms) == before
         assert router.unknown_rejections == 200
 
     def test_known_vm_rejections_still_per_vm(self, setup):
@@ -374,7 +374,7 @@ class TestCircuitBreaker:
     def test_flood_trips_breaker(self, setup):
         router, worker = setup
         self.flood(router, router.breaker_threshold)
-        assert router.breakers["vm1"].tripped == 1
+        assert router.vms["vm1"].tripped == 1
         # even a well-formed command is rejected while the breaker is open
         arrival = router.breaker_threshold * 1e-5
         reply = self.send_from(router, make_command(), arrival, "vm1")
@@ -394,7 +394,7 @@ class TestCircuitBreaker:
         router, _ = setup
         self.flood(router, router.breaker_threshold,
                    step=router.breaker_window * 2)
-        assert router.breakers["vm1"].tripped == 0
+        assert router.vms["vm1"].tripped == 0
 
     def test_other_sources_unaffected(self, setup):
         router, worker = setup
@@ -410,7 +410,7 @@ class TestCircuitBreaker:
         router, _ = setup
         for index in range(50):
             router.deliver(b"garbage", index * 1e-6)  # no source
-        assert router.breakers == {}
+        assert not any(state.strikes for state in router.vms.values())
         assert router.malformed_frames == 50
 
 
@@ -507,16 +507,17 @@ class TestIntegerArrival:
     walker carries only float times: a rejection, a refusal of the whole
     frame and a failed reply encode all still answer with a frame."""
 
-    def answer(self, router, wire, reply_to=None):
+    def answer(self, router, wire, reply_to=None, source="vm1"):
         return router.codec.decode_reply(
-            router.deliver(wire, 2, source="vm1"), reply_to=reply_to)
+            router.deliver(wire, 2, source=source), reply_to=reply_to)
 
     def test_rejected_call_answers_at_its_arrival(self):
         router = _walker_router(StubWorker())
         command = _opencl("clFinish", handles={"command_queue": 3})
         command.vm_id = "intruder"
+        # unattested: on vm1's channel the frame would be a forgery
         reply = self.answer(router, router.codec.encode_command(command),
-                            command)
+                            command, source=None)
         assert "unknown VM" in reply.error
         assert reply.complete_time == 2.0
 
@@ -551,7 +552,7 @@ class TestTightenedForms:
             encode_message(frame), 1.0, source="vm1"))
         assert "malformed command" in reply.error
         assert router.malformed_frames == 1
-        assert len(router.breakers["vm1"].strikes) == 1
+        assert len(router.vms["vm1"].strikes) == 1
         assert router.metrics_for("vm1").rejected == 0
         assert router.metrics_for("vm1").commands == 0
         assert worker.executed == []

@@ -309,7 +309,7 @@ class TestRouterResolution:
 
     def test_size_mismatch_is_a_miss_not_stale_bytes(self):
         hypervisor, vm = self.stack()
-        store = hypervisor.xfer_stores[vm.vm_id]
+        store = hypervisor.router.vms[vm.vm_id].store
         digest = store.insert(PAYLOAD)
         command = self.command(vm, digest, len(PAYLOAD) + 1)
         answer = decode_message(hypervisor.router.deliver(
@@ -335,7 +335,7 @@ class TestRouterResolution:
 
     def test_str_ref_resolves_to_scalar(self):
         hypervisor, vm = self.stack()
-        store = hypervisor.xfer_stores[vm.vm_id]
+        store = hypervisor.router.vms[vm.vm_id].store
         source = "__kernel void k() {}" * 16
         digest = store.insert(source.encode("utf-8"))
         raw = source.encode("utf-8")
@@ -358,7 +358,7 @@ class TestRouterResolution:
 
     def test_non_utf8_str_ref_rejected(self):
         hypervisor, vm = self.stack()
-        store = hypervisor.xfer_stores[vm.vm_id]
+        store = hypervisor.router.vms[vm.vm_id].store
         raw = b"\xff\xfe" * 64
         digest = store.insert(raw)
         command = self.str_command(vm, digest, len(raw))
@@ -377,7 +377,7 @@ class TestRouterResolution:
 
         hypervisor, vm = fresh_stack(cache_policy=CachePolicy(
             min_bytes=64, capacity_entries=capacity))
-        store = hypervisor.xfer_stores[vm.vm_id]
+        store = hypervisor.router.vms[vm.vm_id].store
         served, literal, other = (bytes([i]) * 4096 for i in (1, 2, 3))
         # what the store held before the frame, oldest first
         held = [served, other][:capacity]
@@ -423,7 +423,7 @@ class TestRouterResolution:
         data = np.arange(4096, dtype=np.uint8)
         buffer = env.buffer(data.nbytes)
         env.write(buffer, data)
-        store = hypervisor.xfer_stores[vm.vm_id]
+        store = hypervisor.router.vms[vm.vm_id].store
         assert store.has(digest_payload(data.tobytes()))
 
 
@@ -485,7 +485,7 @@ class TestEndToEnd:
         env.write(buffer, data, blocking=False)   # staged as a ref
         (staged,) = vm.runtime("opencl")._queue
         assert staged.command.cached_refs and staged.elided
-        hypervisor.xfer_stores[vm.vm_id].clear("test")  # the ref misses
+        hypervisor.router.vms[vm.vm_id].store.clear("test")  # the ref misses
         data[:] = 0xEE
         vm.flush()
         assert vm.xfer_cache.retransmits == 1
@@ -522,7 +522,7 @@ class TestEndToEnd:
             if policy is not None:
                 # the guest learned the digest and now elides options:
                 # empty the store so the ref misses
-                hypervisor.xfer_stores[vm.vm_id].clear("test")
+                hypervisor.router.vms[vm.vm_id].store.clear("test")
             assert env.cl.clBuildProgram(program, 0, None, options,
                                          None, None) == 0
             last[label] = decode_message(frames[-1])
@@ -582,7 +582,7 @@ class TestEndToEnd:
         assert "xfer" not in report[plain.vm_id]
 
     def test_registry_absorbs_xfer_counters(self):
-        # the router's VMMetrics is the one live store: the admin report
+        # the router's VM record is the one live store: the admin report
         # renders it, it does not copy it
         hypervisor, vm = fresh_stack(cache_policy=CachePolicy(min_bytes=64))
         env = open_env(vm.library("opencl"))
@@ -611,7 +611,7 @@ class TestEndToEnd:
         with tele.use(tracer):
             env.write(buffer, data)
             env.write(buffer, data)       # hit
-            hypervisor.xfer_stores[vm.vm_id].clear("test")
+            hypervisor.router.vms[vm.vm_id].store.clear("test")
             env.write(buffer, data)       # miss + retransmit
         names = {span.name for span in tracer.spans}
         assert "xfer.hit" in names

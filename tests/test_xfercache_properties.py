@@ -80,7 +80,7 @@ class _Harness:
         array[position % len(array)] = (array[position % len(array)] + 1) % 256
 
     def shed(self, nbytes):
-        store = self.hypervisor.xfer_stores.get(self.vm.vm_id)
+        store = self.hypervisor.router.vms[self.vm.vm_id].store
         if store is not None:
             store.shed(nbytes)
 
