@@ -72,6 +72,9 @@ class NoopSanitizer:
     def check_migration_handles(self, *args: Any, **kw: Any) -> None:  # pragma: no cover
         pass
 
+    def forget(self, vm_id: str) -> None:  # pragma: no cover
+        pass
+
 
 NOOP = NoopSanitizer()
 
@@ -162,6 +165,12 @@ class Sanitizer:
             horizon = state.recent[0][0]
             state.seen = {s for s in state.seen if s >= horizon}
         state.max_seq = max(state.max_seq, seq)
+
+    def forget(self, vm_id: str) -> None:
+        """Drop ``vm_id``'s dispatch orders: a recycled id's program
+        order starts afresh."""
+        for key in [key for key in self._dispatch if key[0] == vm_id]:
+            del self._dispatch[key]
 
     # -- hook: virtual-clock monotonicity ---------------------------------
 

@@ -18,7 +18,7 @@ from repro.faults.errors import WorkerLost
 from repro.faults.plan import FaultPlan
 from repro.telemetry import flightrec
 from repro.faults.transport import FaultyTransport
-from repro.hypervisor.policy import RateLimiter, ResourcePolicy
+from repro.hypervisor.policy import ResourcePolicy
 from repro.hypervisor.pool import DeviceClass, DevicePool, PooledDevice
 from repro.hypervisor.router import Router, RoutingTable
 from repro.hypervisor.vm import GuestVM
@@ -72,12 +72,9 @@ class Hypervisor:
         self.batch_policy = batch_policy
         #: default transfer-cache policy for new VMs (None = uncached)
         self.cache_policy = cache_policy
-        self.rate_limiter = RateLimiter(self.policy)
         #: the router holds the wire codec every channel of this
-        #: hypervisor frames with
-        self.router = Router(self._worker_for, codec,
-                             rate_limiter=self.rate_limiter,
-                             policy=self.policy,
+        #: hypervisor frames with, and enforces ``policy``
+        self.router = Router(self._worker_for, codec, policy=self.policy,
                              on_worker_lost=self._on_worker_lost)
         self.apis: Dict[str, ApiRegistration] = {}
         self.vms: Dict[str, GuestVM] = {}
@@ -88,8 +85,6 @@ class Hypervisor:
         self._retry_policy: Optional[Any] = None
         #: (vm_id, api) → crash reason, until restart_worker() clears it
         self.lost_workers: Dict[Tuple[str, str], str] = {}
-        #: optional SLO monitor observing routed replies (None = off)
-        self.slo_monitor: Optional[Any] = None
         #: device pool; None keeps the pre-pool implicit-singleton
         #: behaviour (binders use their configured device factories)
         self.pool: Optional[DevicePool] = None
@@ -153,7 +148,6 @@ class Hypervisor:
         monitor carries.  Observation only — routing costs are
         unchanged, so runs without a monitor stay bit-identical.
         """
-        self.slo_monitor = monitor
         self.router.slo_monitor = monitor
 
     def create_vm(self, vm_id: str, transport: str = "inproc",
@@ -200,14 +194,17 @@ class Hypervisor:
         return vm
 
     def destroy_vm(self, vm_id: str) -> None:
-        """Shut the VM down and forget it: its router record, rate
-        bucket, workers and lost-worker marks go, so it is absent from
+        """Shut the VM down and forget it: its router record (with its
+        rate bucket), workers, lost-worker marks, SLO states and
+        sanitizer dispatch orders go, so it is absent from
         :meth:`admin_report` and a recycled id starts from zero."""
         vm = self.vms.pop(vm_id, None)
         if vm is not None:
             vm.shutdown()
         self.router.drop_vm(vm_id)
-        self.rate_limiter.forget(vm_id)
+        if self.router.slo_monitor is not None:
+            self.router.slo_monitor.forget(vm_id)
+        _sanitize.active().forget(vm_id)
         for table in (self.workers, self.lost_workers):
             for key in [k for k in table if k[0] == vm_id]:
                 del table[key]
@@ -412,13 +409,14 @@ class Hypervisor:
                     "stall": metrics.migration_stall,
                     "frozen_rejected": metrics.frozen_rejected,
                 }
-        if self.slo_monitor is not None:
-            breaches = self.slo_monitor.breaches_by_vm()
+        monitor = self.router.slo_monitor
+        if monitor is not None:
+            breaches = monitor.breaches_by_vm()
             for vm_id in report:
                 report[vm_id]["slo_breaches"] = breaches.get(vm_id, 0)
             report["_slo"] = {
-                "targets": self.slo_monitor.summary(),
-                "breaches": len(self.slo_monitor.events),
+                "targets": monitor.summary(),
+                "breaches": len(monitor.events),
             }
         if self.pool is not None:
             devices = {}

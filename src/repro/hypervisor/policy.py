@@ -52,6 +52,9 @@ class VMPolicy:
     resource_limits: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.command_rate is not None and not self.command_rate > 0:
+            raise ValueError(
+                f"command_rate must be positive, got {self.command_rate!r}")
         if self.qos not in QOS_CLASSES:
             raise ValueError(
                 f"unknown QoS class {self.qos!r}; "
@@ -94,22 +97,48 @@ class ResourcePolicy:
         return vm_policy.weight * QOS_CLASSES[vm_policy.qos]
 
 
-class RateLimiter:
-    """Token-bucket command rate limiting in virtual time.
+class TokenBucket:
+    """One VM's command-rate token bucket in virtual time: tokens accrue
+    at ``command_rate`` per virtual second up to ``command_burst``, and a
+    command with no token is *delayed* until one lands, never dropped
+    (the paper's baseline "command rate-limiting", even for un-refined
+    specs)."""
 
-    Tokens accrue at ``rate`` per virtual second up to ``burst``.  A
-    command with no token available is *delayed*, not dropped — the
-    returned release time is when the next token lands.  This matches
-    the paper's description of "command rate-limiting" as the baseline
-    enforcement even for un-refined specs.
-    """
+    __slots__ = ("tokens", "last")
+
+    def __init__(self) -> None:
+        #: tokens left after the last command; None is a full bucket
+        self.tokens: Optional[float] = None
+        #: virtual time the tokens were last counted at
+        self.last = 0.0
+
+    def next_allowed(self, vm_policy: VMPolicy, arrival: float) -> float:
+        """Release time for a command arriving at ``arrival`` under
+        ``vm_policy`` (which has a command rate).  Always ≥ arrival."""
+        rate = vm_policy.command_rate
+        burst = float(max(1, vm_policy.command_burst))
+        tokens = burst if self.tokens is None else self.tokens
+        last = self.last
+        if arrival > last:
+            tokens = min(burst, tokens + (arrival - last) * rate)
+            last = arrival
+        if tokens >= 1.0:
+            self.tokens = tokens - 1.0
+            self.last = last
+            return arrival
+        # wait for the fractional remainder of one token
+        self.tokens = 0.0
+        self.last = last + (1.0 - tokens) / rate
+        return self.last
+
+
+class RateLimiter:
+    """Per-VM token buckets under a :class:`ResourcePolicy`,
+    for schedulers that keep no per-VM record of their own."""
 
     def __init__(self, policy: ResourcePolicy) -> None:
         self.policy = policy
-        self._tokens: Dict[str, float] = {}
-        self._last_refill: Dict[str, float] = {}
-        #: total virtual seconds of delay injected, per VM (metrics)
-        self.delay_injected: Dict[str, float] = {}
+        self._buckets: Dict[str, TokenBucket] = {}
 
     def next_allowed(self, vm_id: str, arrival: float) -> float:
         """Release time for a command from ``vm_id`` arriving at
@@ -117,33 +146,7 @@ class RateLimiter:
         vm_policy = self.policy.policy_for(vm_id)
         if vm_policy.command_rate is None:
             return arrival
-        rate = vm_policy.command_rate
-        if rate <= 0:
-            raise ValueError(f"command_rate for {vm_id!r} must be positive")
-        burst = max(1, vm_policy.command_burst)
-
-        tokens = self._tokens.get(vm_id, float(burst))
-        last = self._last_refill.get(vm_id, 0.0)
-        if arrival > last:
-            tokens = min(float(burst), tokens + (arrival - last) * rate)
-            last = arrival
-
-        if tokens >= 1.0:
-            self._tokens[vm_id] = tokens - 1.0
-            self._last_refill[vm_id] = last
-            return arrival
-
-        # wait for the fractional remainder of one token
-        wait = (1.0 - tokens) / rate
-        release = last + wait
-        self._tokens[vm_id] = 0.0
-        self._last_refill[vm_id] = release
-        self.delay_injected[vm_id] = (
-            self.delay_injected.get(vm_id, 0.0) + (release - arrival)
-        )
-        return release
-
-    def forget(self, vm_id: str) -> None:
-        """Drop ``vm_id``'s bucket: a recycled id starts full."""
-        for table in (self._tokens, self._last_refill, self.delay_injected):
-            table.pop(vm_id, None)
+        bucket = self._buckets.get(vm_id)
+        if bucket is None:
+            bucket = self._buckets[vm_id] = TokenBucket()
+        return bucket.next_allowed(vm_policy, arrival)

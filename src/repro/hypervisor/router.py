@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.errors import WorkerCrashed, WorkerLost
-from repro.hypervisor.policy import ResourcePolicy
+from repro.hypervisor.policy import ResourcePolicy, TokenBucket, VMPolicy
 from repro.remoting.codec import (
     CodecError,
     Command,
@@ -163,8 +163,10 @@ class VMState:
     #: the :attr:`ResourcePolicy.version` the stages below were armed
     #: under (see :meth:`Router._arm`); -1 arms them on the first command
     version: int = -1
-    #: the token bucket applies (the VM has a command rate)
-    rate: bool = False
+    #: the VM's policy when it has a command rate (its bucket applies)
+    rate: Optional[VMPolicy] = None
+    #: the VM's command-rate bucket, kept across policy changes
+    bucket: TokenBucket = field(default_factory=TokenBucket)
     #: the VM's resource quotas, when it has any
     limits: Optional[Dict[str, float]] = None
 
@@ -200,15 +202,14 @@ class Router:
         self,
         worker_resolver: Callable[[str, str], Any],
         codec: WireCodec,
-        rate_limiter: Optional[Any] = None,
-        policy: Optional[Any] = None,
+        policy: Optional[ResourcePolicy] = None,
         on_worker_lost: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
         self.worker_resolver = worker_resolver
         #: the wire codec frames cross the router through
         self.codec = codec
-        self.rate_limiter = rate_limiter
-        #: ResourcePolicy supplying per-VM resource quotas (optional)
+        #: ResourcePolicy supplying per-VM command rates and resource
+        #: quotas (optional)
         self.policy = policy
         #: notified as (vm_id, api, reason) when a worker dies mid-call
         self.on_worker_lost = on_worker_lost
@@ -278,21 +279,17 @@ class Router:
         """Decide which policy stages ``vm_id``'s commands run, once per
         policy change."""
         state.version = ResourcePolicy.version
-        if self.rate_limiter is not None:
-            state.rate = self.rate_limiter.policy.policy_for(
-                vm_id).command_rate is not None
         if self.policy is not None:
-            state.limits = (self.policy.policy_for(vm_id).resource_limits
-                            or None)
+            vm_policy = self.policy.policy_for(vm_id)
+            state.rate = (vm_policy if vm_policy.command_rate is not None
+                          else None)
+            state.limits = vm_policy.resource_limits or None
 
     # -- verification ----------------------------------------------------------
 
-    def _verify(self, command: Command,
-                state: Optional[VMState]) -> Tuple[RoutingInfo, int]:
+    def _verify(self, command: Command) -> Tuple[RoutingInfo, int]:
         """The command's routing info and its payload bytes, or a
         :class:`RouterError`."""
-        if state is None:
-            raise RouterError(f"unknown VM {command.vm_id!r}")
         table = self.tables.get(command.api)
         if table is None:
             raise RouterError(f"unknown API {command.api!r}")
@@ -316,17 +313,6 @@ class Router:
                 )
         return info, payload
 
-    @staticmethod
-    def _check_quota(state: VMState, limits: Dict[str, float],
-                     estimates: Dict[str, float]) -> Optional[str]:
-        """The resource (if any) this command would push past its quota."""
-        for resource, amount in estimates.items():
-            limit = limits.get(resource)
-            if limit is not None and \
-                    state.resources.get(resource, 0.0) + amount > limit:
-                return resource
-        return None
-
     # -- the malformed-frame circuit breaker -----------------------------------
 
     def _malformed(self, state: Optional[VMState], error: str,
@@ -348,8 +334,7 @@ class Router:
     # -- the transfer cache (content-addressed payload elision) ---------------
 
     def _resolve_refs(self, commands: List[Command], arrival: float,
-                      vm_id: str, state: Optional[VMState],
-                      store: Optional[Any], tracer: Any,
+                      vm_id: str, state: VMState, tracer: Any,
                       san: Any) -> Optional[bytes]:
         """Resolve every cached ref in one frame, transactionally.
 
@@ -364,16 +349,15 @@ class Router:
         a frame either routes exactly as if it had carried full
         payloads, or it does not route at all.  Called only for a frame
         that carries refs or whose VM has a transfer store: ``state`` is
-        the VM's record (None for an unknown VM) and ``store`` its
-        transfer store; ``tracer`` and ``san`` are the frame's active
-        tracer and sanitizer.
+        the live VM's record; ``tracer`` and ``san`` are the frame's
+        active tracer and sanitizer.
         """
         first_seq = commands[0].seq
+        store = state.store
         if store is None:
             # refs without an armed cache are a protocol violation, not
             # a miss — a retransmission could never succeed either
-            if state is not None:
-                state.rejected += 1
+            state.rejected += 1
             return self._refuse(
                 "router: cached refs without a transfer store (cache not "
                 "armed for this VM)", arrival, first_seq)
@@ -540,26 +524,36 @@ class Router:
                         arrival)
         # looked up once per frame, not once per inner command
         tracer = _tele.active()
-        san = _sanitize.active()
-        store = None if state is None else state.store
-        if store is not None or any(map(_CACHED_REFS, commands)):
-            answered = self._resolve_refs(commands, arrival, vm_id, state,
-                                          store, tracer, san)
-            if answered is not None:
-                return answered
-        replies = []
         at = arrival
-        for index, command in enumerate(commands):
-            # the frame is received (and the worker woken) once: inner
-            # commands after the first pay the cheaper batched dispatch
-            reply = self._route(command, state, at, tracer, san,
-                                batched=index > 0)
-            replies.append(reply)
-            if self.slo_monitor is not None:
-                self._observe(command, at, reply)
-            # program order within the VM: the next command is released
-            # no earlier than this one completed
-            at = max(at, reply.complete_time)
+        if state is None:
+            # an unknown id is untrusted bytes: each command is refused,
+            # counted in one bounded counter, and observed by nobody
+            self.unknown_rejections += len(commands)
+            error = f"unknown VM {vm_id!r}"
+            replies = [self._deny(command, arrival, error, tracer,
+                                  rejected=error) for command in commands]
+        else:
+            if state.version != ResourcePolicy.version:
+                self._arm(vm_id, state)
+            san = _sanitize.active()
+            if state.store is not None or any(map(_CACHED_REFS, commands)):
+                answered = self._resolve_refs(commands, arrival, vm_id,
+                                              state, tracer, san)
+                if answered is not None:
+                    return answered
+            replies = []
+            for index, command in enumerate(commands):
+                # the frame is received (and the worker woken) once:
+                # inner commands after the first pay the cheaper batched
+                # dispatch
+                reply = self._route(command, state, at, tracer, san,
+                                    batched=index > 0)
+                replies.append(reply)
+                if self.slo_monitor is not None:
+                    self._observe(command, at, reply)
+                # program order within the VM: the next command is
+                # released no earlier than this one completed
+                at = max(at, reply.complete_time)
         if batch:
             if tracer.enabled:
                 tracer.record_span(
@@ -570,7 +564,8 @@ class Router:
                 )
             answer, seq = ReplyBatch(replies=replies, complete_time=at), -1
         else:
-            answer, seq, at = reply, message.seq, reply.complete_time
+            [answer], seq = replies, message.seq
+            at = answer.complete_time
         try:
             return self.codec.encode_reply(answer, reply_to=message)
         except CodecError as err:
@@ -578,61 +573,50 @@ class Router:
             return self._refuse(f"router: reply encoding failed ({err})",
                                 at, seq)
 
-    def _route(self, command: Command, state: Optional[VMState],
-               arrival: float, tracer: Any, san: Any,
-               batched: bool = False) -> Reply:
-        """Verify, schedule and dispatch one decoded command of the VM
-        whose record is ``state`` (None for an unknown VM), under the
-        frame's active ``tracer`` and sanitizer ``san``; only the
-        record's armed policy stages run."""
-        vm_id = command.vm_id
-        if state is not None:
-            if state.version != ResourcePolicy.version:
-                self._arm(vm_id, state)
-            if state.frozen is not None:
-                state.rejected += 1
-                state.frozen_rejected += 1
-                return Reply(seq=command.seq,
-                             error=f"router: vm-frozen ({state.frozen})",
-                             complete_time=arrival)
-        try:
-            info, payload = self._verify(command, state)
-        except RouterError as err:
-            # only VMs this hypervisor created are accounted: an unknown
-            # id is untrusted bytes, counted in one bounded counter
-            if state is not None:
-                state.rejected += 1
-            else:
-                self.unknown_rejections += 1
-            if tracer.enabled:
-                tracer.record_span(
-                    "router.policy", arrival, arrival, layer="router",
-                    parent_id=command.span_id, vm_id=vm_id,
-                    api=command.api, function=command.function,
-                    rejected=str(err),
-                )
-            return Reply(seq=command.seq, error=f"router: {err}",
-                         complete_time=arrival)
+    @staticmethod
+    def _deny(command: Command, at: float, error: str, tracer: Any = None,
+              span: str = "router.policy", **attrs: Any) -> Reply:
+        """Refuse one command with ``router: error`` at ``at``; under an
+        enabled ``tracer``, a zero-length ``span`` carrying ``attrs``
+        records why."""
+        if tracer is not None and tracer.enabled:
+            tracer.record_span(
+                span, at, at, layer="router", parent_id=command.span_id,
+                vm_id=command.vm_id, api=command.api,
+                function=command.function, **attrs)
+        return Reply(seq=command.seq, error=f"router: {error}",
+                     complete_time=at)
 
-        # verified, so the VM is live and armed
+    def _route(self, command: Command, state: VMState, arrival: float,
+               tracer: Any, san: Any, batched: bool = False) -> Reply:
+        """Verify, schedule and dispatch one decoded command of the live
+        VM whose armed record is ``state``, under the frame's active
+        ``tracer`` and sanitizer ``san``; only the record's armed policy
+        stages run."""
+        if state.frozen is not None:
+            state.rejected += 1
+            state.frozen_rejected += 1
+            return self._deny(command, arrival,
+                              f"vm-frozen ({state.frozen})")
+        try:
+            info, payload = self._verify(command)
+        except RouterError as err:
+            state.rejected += 1
+            return self._deny(command, arrival, str(err), tracer,
+                              rejected=str(err))
         estimates = info.constant
         if estimates is None:
             estimates = self.tables[command.api].estimate(info, command)
         if state.limits is not None:
-            exhausted = self._check_quota(state, state.limits, estimates)
-            if exhausted is not None:
-                state.rejected += 1
-                if tracer.enabled:
-                    tracer.record_span(
-                        "router.policy", arrival, arrival, layer="router",
-                        parent_id=command.span_id, vm_id=vm_id,
-                        api=command.api, function=command.function,
-                        rejected=f"quota exhausted: {exhausted}",
-                    )
-                return Reply(seq=command.seq,
-                             error=f"router: resource quota exhausted for "
-                                   f"{exhausted!r}",
-                             complete_time=arrival)
+            for resource, amount in estimates.items():
+                limit = state.limits.get(resource)
+                if limit is not None and \
+                        state.resources.get(resource, 0.0) + amount > limit:
+                    state.rejected += 1
+                    return self._deny(
+                        command, arrival,
+                        f"resource quota exhausted for {resource!r}",
+                        tracer, rejected=f"quota exhausted: {resource}")
 
         verified_at = arrival + self.interposition_cost
         release = verified_at
@@ -646,8 +630,8 @@ class Router:
             else:
                 # the window has passed: the stage is disarmed
                 state.resume = None
-        if state.rate:
-            allowed = self.rate_limiter.next_allowed(vm_id, release)
+        if state.rate is not None:
+            allowed = state.bucket.next_allowed(state.rate, release)
             state.rate_delay += allowed - release
             release = allowed
 
@@ -676,21 +660,19 @@ class Router:
                 "router.queue", verified_at, release, layer="router",
                 parent_id=command.span_id, vm_id=command.vm_id,
                 api=command.api, function=command.function,
-                rate_delay=release - verified_at,
-                scheduler=("token-bucket" if self.rate_limiter is not None
-                           else "pass-through"),
+                rate_delay=release - verified_at, scheduler="token-bucket",
             )
 
         try:
             worker = self.worker_resolver(command.vm_id, command.api)
         except WorkerLost as err:
-            return self._server_lost_reply(state, command, release,
-                                           str(err), tracer)
+            state.server_lost += 1
+            return self._deny(command, release, f"server-lost ({err})",
+                              tracer, "router.server-lost", reason=str(err))
         if worker is None:
-            return Reply(seq=command.seq,
-                         error=f"router: no API server for VM "
-                               f"{command.vm_id!r} API {command.api!r}",
-                         complete_time=release)
+            return self._deny(command, release,
+                              f"no API server for VM {command.vm_id!r} "
+                              f"API {command.api!r}")
         if san.enabled:
             # the device-side dispatch record: this is where guest
             # program order either survived the channel or did not
@@ -713,8 +695,9 @@ class Router:
             # clean server-lost error — other VMs' workers are untouched
             if self.on_worker_lost is not None:
                 self.on_worker_lost(command.vm_id, command.api, str(err))
-            return self._server_lost_reply(state, command, release,
-                                           str(err), tracer)
+            state.server_lost += 1
+            return self._deny(command, release, f"server-lost ({err})",
+                              tracer, "router.server-lost", reason=str(err))
 
     def _observe(self, command: Command, arrival: float,
                  reply: Reply) -> None:
@@ -734,18 +717,3 @@ class Router:
                 vm=command.vm_id, function=command.function,
                 latency=latency, error=reply.error,
             )
-
-    def _server_lost_reply(self, state: VMState, command: Command,
-                           release: float, reason: str,
-                           tracer: Any) -> Reply:
-        state.server_lost += 1
-        if tracer.enabled:
-            tracer.record_span(
-                "router.server-lost", release, release, layer="router",
-                parent_id=command.span_id, vm_id=command.vm_id,
-                api=command.api, function=command.function,
-                reason=reason,
-            )
-        return Reply(seq=command.seq,
-                     error=f"router: server-lost ({reason})",
-                     complete_time=release)

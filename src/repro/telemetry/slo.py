@@ -256,6 +256,13 @@ class SLOMonitor:
                 self._flightrec_incident(event)
         return raised
 
+    def forget(self, vm_id: str) -> None:
+        """Drop ``vm_id``'s target states (a recycled id starts from
+        zero); its breach :attr:`events` stay, as history."""
+        for key in [key for key in self._states if key[1] == vm_id]:
+            del self._states[key]
+        self._matched.clear()
+
     def _flightrec_incident(self, event: BreachEvent) -> None:
         from repro.telemetry import flightrec
 

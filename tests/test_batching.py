@@ -456,6 +456,23 @@ class TestRouterUnbundling:
         assert all("unknown VM" in r.error for r in decoded.replies)
         assert not executed
 
+    def test_unknown_vm_batch_with_refs_rejected_per_command(self):
+        from repro.telemetry.slo import SLOMonitor, SLOTarget
+
+        router, executed = self.make_router()
+        router.slo_monitor = SLOMonitor([SLOTarget("all")])
+        batch = self.make_batch(3, vm="evil")
+        batch.commands[1].cached_refs = {"d": [bytes(16), 64, "buf"]}
+        decoded = decode_message(router.deliver(encode_message(batch), 0.0))
+        # the unknown VM is decided before its refs are looked at
+        assert isinstance(decoded, ReplyBatch)
+        assert [r.error for r in decoded.replies] == \
+            ["router: unknown VM 'evil'"] * 3
+        assert router.unknown_rejections == 3
+        assert not executed
+        # untrusted ids are observed by nobody
+        assert router.slo_monitor.summary() == []
+
     def test_inner_command_of_another_vm_refuses_unattested_batch(self):
         router, executed = self.make_router()
         router.register_vm("vm2")

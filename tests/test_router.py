@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.hypervisor.policy import RateLimiter, ResourcePolicy, VMPolicy
+from repro.hypervisor.policy import ResourcePolicy, VMPolicy
 from repro.hypervisor.router import Router, RoutingInfo, RoutingTable
 from repro.remoting.codec import Command, CommandBatch, Reply
 from repro.spec import parse_spec
@@ -117,7 +117,7 @@ class TestSchedulingAndAccounting:
         policy.set_policy("vm1", VMPolicy(command_rate=10.0, command_burst=1))
         worker = StubWorker()
         router = Router(lambda vm, api: worker, ORACLE,
-                        rate_limiter=RateLimiter(policy))
+                        policy=policy)
         table = RoutingTable(api="testapi")
         table.functions["doWork"] = RoutingInfo(name="doWork")
         router.register_api(table)
@@ -136,7 +136,7 @@ class TestSchedulingAndAccounting:
         policy = ResourcePolicy()
         worker = StubWorker()
         router = Router(lambda vm, api: worker, ORACLE,
-                        rate_limiter=RateLimiter(policy), policy=policy)
+                        policy=policy)
         table = RoutingTable(api="testapi")
         table.functions["doWork"] = RoutingInfo(name="doWork")
         router.register_api(table)

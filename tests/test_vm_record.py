@@ -11,9 +11,11 @@ from itertools import chain
 import numpy as np
 import pytest
 
+from repro.analysis import sanitizer as _sanitize
 from repro.hypervisor.policy import ResourcePolicy, VMPolicy
 from repro.remoting.codec import CommandBatch
 from repro.stack import VirtualStack
+from repro.telemetry.slo import SLOMonitor, SLOTarget
 from repro.workloads.base import open_env
 
 
@@ -78,6 +80,25 @@ class TestChannelAttestation:
         assert len(router.vms["vm0"].strikes) == 1
 
 
+@pytest.fixture()
+def sanitizer():
+    """A fresh armed sanitizer; the one armed before comes back after."""
+    previous = _sanitize.active()
+    yield _sanitize.install(_sanitize.Sanitizer())
+    if previous.enabled:
+        _sanitize.install(previous)
+    else:
+        _sanitize.uninstall()
+
+
+def observed_stack(policy):
+    """An opencl hypervisor under ``policy`` with an SLO monitor
+    watching every VM."""
+    hv = VirtualStack.build("opencl", policy=policy).hypervisor
+    hv.install_slo(SLOMonitor([SLOTarget("all")]))
+    return hv
+
+
 def _keys(obj):
     """Every key of every dict or set attribute of ``obj``."""
     for value in vars(obj).values():
@@ -87,29 +108,32 @@ def _keys(obj):
 
 class TestVMLifecycle:
 
-    def test_churn_leaves_no_per_vm_state(self):
+    def test_churn_leaves_no_per_vm_state(self, sanitizer):
         policy = ResourcePolicy(
             default=VMPolicy(command_rate=1e6, command_burst=1))
-        hv = VirtualStack.build("opencl", policy=policy).hypervisor
+        hv = observed_stack(policy)
+        monitor = hv.router.slo_monitor
         for index in range(500):
             vm_id = f"churn-{index}"
             platform_ids(hv.create_vm(vm_id))
             hv.destroy_vm(vm_id)
-        left = [key for key in chain(_keys(hv.router),
-                                     _keys(hv.rate_limiter),
+        left = [key for key in chain(_keys(hv.router), _keys(monitor),
+                                     _keys(sanitizer),
                                      hv.workers, hv.lost_workers)
                 if "churn" in str(key)]
         assert left == []
         # a destroyed VM is gone from the admin surface
-        assert "churn-0" not in hv.admin_report()
+        report = hv.admin_report()
+        assert "churn-0" not in report
+        assert report["_slo"]["targets"] == []
         with pytest.raises(KeyError):
             hv.router.metrics_for("churn-0")
 
-    def test_recycled_id_starts_from_zero(self):
+    def test_recycled_id_starts_from_zero(self, sanitizer):
         policy = ResourcePolicy()
         policy.set_policy("vm-r",
                           VMPolicy(command_rate=1e3, command_burst=2))
-        hv = VirtualStack.build("opencl", policy=policy).hypervisor
+        hv = observed_stack(policy)
         env = open_env(hv.create_vm("vm-r").library("opencl"))
         data = np.arange(256, dtype=np.float32)
         env.write(env.buffer(data.nbytes), data)
@@ -122,8 +146,22 @@ class TestVMLifecycle:
         again = hv.create_vm("vm-r")
         state = hv.router.metrics_for("vm-r")
         assert (state.commands, state.resources) == (0, {})
-        assert "vm-r" not in hv.rate_limiter.delay_injected
+        assert state.bucket.tokens is None
         # a working first call, released at once by a full bucket
         platform_ids(again)
         assert (state.commands, state.server_lost) == (1, 0)
         assert state.rate_delay == 0.0
+        # a program order of its own, and an SLO row of its own
+        assert sanitizer.summary()["duplicates"] == 0
+        [row] = hv.admin_report()["_slo"]["targets"]
+        assert (row["vm"], row["total"]) == ("vm-r", 1)
+
+    def test_recycled_id_passes_the_order_check(self, sanitizer):
+        hv = VirtualStack.build("opencl").hypervisor
+        env = open_env(hv.create_vm("vm-r").library("opencl"))
+        for _ in range(3000):
+            env.cl.clFinish(env.queue)
+        hv.destroy_vm("vm-r")
+        # seq 1 again: no predecessor's order to fall behind
+        platform_ids(hv.create_vm("vm-r"))
+        assert sanitizer.violations == []
