@@ -11,7 +11,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.opencl.kernels import BUFFER, SCALAR, LaunchContext, register_kernel
-from repro.workloads.base import OpenCLWorkload, WorkloadResult, close_env, open_env
+from repro.workloads.base import OpenCLWorkload, WorkloadResult, allclose, close_env, open_env
 
 SOURCE = """
 __kernel void bp_layerforward(__global float *x, __global float *w,
@@ -29,6 +29,14 @@ __kernel void bp_adjust_weights(__global float *delta, __global float *ly,
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _weights(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """``(rng.random(shape) - 0.5) * 0.1`` in float32, built in place."""
+    w = rng.random(shape, dtype=np.float32)
+    w -= 0.5
+    w *= 0.1
+    return w
 
 
 @register_kernel("bp_layerforward", [BUFFER, BUFFER, BUFFER, SCALAR, SCALAR],
@@ -72,7 +80,9 @@ def _bp_adjust_weights(ctx: LaunchContext) -> None:
     delta = ctx.buf(0)[:out_n]
     ly = ctx.buf(1)[:in_n]
     w = ctx.buf(2)[: in_n * out_n].reshape(in_n, out_n)
-    w += eta * np.outer(ly, delta)
+    step = np.outer(ly, delta)
+    step *= eta
+    w += step
 
 
 class BackpropWorkload(OpenCLWorkload):
@@ -91,10 +101,8 @@ class BackpropWorkload(OpenCLWorkload):
         rng = np.random.default_rng(self.seed)
         return {
             "x": rng.random(self.in_n, dtype=np.float32),
-            "w1": (rng.random((self.in_n, self.hid_n), dtype=np.float32)
-                   - 0.5) * 0.1,
-            "w2": (rng.random((self.hid_n, self.out_n), dtype=np.float32)
-                   - 0.5) * 0.1,
+            "w1": _weights(rng, (self.in_n, self.hid_n)),
+            "w2": _weights(rng, (self.hid_n, self.out_n)),
             "target": rng.random(self.out_n, dtype=np.float32),
         }
 
@@ -105,7 +113,10 @@ class BackpropWorkload(OpenCLWorkload):
         delta_o = out * (1 - out) * (v["target"] - out)
         delta_h = hidden * (1 - hidden) * (v["w2"] @ delta_o)
         w2 = v["w2"] + self.eta * np.outer(hidden, delta_o)
-        w1 = v["w1"] + self.eta * np.outer(v["x"], delta_h)
+        w1 = v["w1"]
+        step = np.outer(v["x"], delta_h)
+        step *= self.eta
+        w1 += step
         return {"w1": w1, "w2": w2, "out": out}
 
     def run(self, cl: Any) -> WorkloadResult:
@@ -126,6 +137,7 @@ class BackpropWorkload(OpenCLWorkload):
             out = env.buffer(4 * self.out_n)
             delta_o = env.buffer(4 * self.out_n)
             delta_h = env.buffer(4 * self.hid_n)
+            del v  # the buffers hold the inputs now
 
             env.set_args(forward, x, w1, hidden, self.in_n, self.hid_n)
             env.launch(forward, [self.in_n * self.hid_n])
@@ -151,6 +163,6 @@ class BackpropWorkload(OpenCLWorkload):
         finally:
             close_env(env)
         ref = self.reference()
-        ok = (np.allclose(got_w1, ref["w1"], atol=1e-4)
-              and np.allclose(got_w2, ref["w2"], atol=1e-4))
+        ok = (allclose(got_w1, ref["w1"], atol=1e-4)
+              and allclose(got_w2, ref["w2"], atol=1e-4))
         return WorkloadResult(self.name, {"w1": got_w1, "w2": got_w2}, ok)

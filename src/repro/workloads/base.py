@@ -175,6 +175,24 @@ class WorkloadResult:
     detail: str = ""
 
 
+#: elements per slice :func:`allclose` compares at a time
+_SLICE = 1 << 18
+
+
+def allclose(a: Any, b: Any, rtol: float = 1e-05,
+             atol: float = 1e-08) -> bool:
+    """``np.allclose(a, b, rtol, atol)``; two arrays of one shape are
+    compared a slice of leading-axis rows at a time, so verifying a large
+    output builds no temporary of its size."""
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.shape == b.shape and a.ndim):
+        return np.allclose(a, b, rtol=rtol, atol=atol)
+    step = max(1, _SLICE // max(1, a[:1].size))
+    return all(np.allclose(a[i:i + step], b[i:i + step], rtol=rtol,
+                           atol=atol)
+               for i in range(0, len(a), step))
+
+
 #: ``reference()`` outputs, one read-only mapping per workload ``memo_key``
 _REFERENCES: Dict[Any, Any] = {}
 

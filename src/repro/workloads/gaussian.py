@@ -11,7 +11,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.opencl.kernels import BUFFER, SCALAR, LaunchContext, register_kernel
-from repro.workloads.base import OpenCLWorkload, WorkloadResult, close_env, open_env
+from repro.workloads.base import OpenCLWorkload, WorkloadResult, allclose, close_env, open_env
 
 SOURCE = """
 __kernel void gaussian_fan1(__global float *a, __global float *m, int n,
@@ -95,5 +95,5 @@ class GaussianWorkload(OpenCLWorkload):
         for i in range(n - 1, -1, -1):
             x[i] = (rhs[i] - upper[i, i + 1:] @ x[i + 1:]) / upper[i, i]
         got = x.astype(np.float32)
-        ok = np.allclose(got, self.reference()["x"], atol=1e-2)
+        ok = allclose(got, self.reference()["x"], atol=1e-2)
         return WorkloadResult(self.name, {"x": got}, ok)

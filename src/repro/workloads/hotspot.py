@@ -11,7 +11,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.opencl.kernels import BUFFER, SCALAR, LaunchContext, register_kernel
-from repro.workloads.base import OpenCLWorkload, WorkloadResult, close_env, open_env
+from repro.workloads.base import OpenCLWorkload, WorkloadResult, allclose, close_env, open_env
 
 SOURCE = """
 __kernel void hotspot_step(__global float *temp_in, __global float *power,
@@ -98,6 +98,6 @@ class HotspotWorkload(OpenCLWorkload):
                 self.rows, self.cols)
         finally:
             close_env(env)
-        ok = np.allclose(got, self.reference()["temp"], atol=1e-2)
+        ok = allclose(got, self.reference()["temp"], atol=1e-2)
         return WorkloadResult(self.name, {"temp": got}, ok,
                               detail=f"{self.steps} steps")

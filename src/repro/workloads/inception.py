@@ -33,7 +33,7 @@ from repro.mvnc.graph import (
     Layer,
 )
 from repro.remoting.buffers import OutBox
-from repro.workloads.base import Deterministic, WorkloadResult
+from repro.workloads.base import Deterministic, WorkloadResult, allclose
 
 
 def build_inception_graph(seed: int = 42, input_hw: int = 32,
@@ -156,6 +156,6 @@ class InceptionWorkload(Deterministic):
         mv.mvncCloseDevice(device.value)
 
         got = np.stack(outputs)
-        ok = np.allclose(got, self.reference()["probs"], atol=2e-2)
+        ok = allclose(got, self.reference()["probs"], atol=2e-2)
         return WorkloadResult(self.name, {"probs": got}, bool(ok),
                               detail=f"{self.batch} inferences")

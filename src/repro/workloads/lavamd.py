@@ -11,7 +11,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.opencl.kernels import BUFFER, SCALAR, LaunchContext, register_kernel
-from repro.workloads.base import OpenCLWorkload, WorkloadResult, close_env, open_env
+from repro.workloads.base import OpenCLWorkload, WorkloadResult, allclose, close_env, open_env
 
 SOURCE = """
 __kernel void lavamd_force(__global float *pos, __global float *charge,
@@ -121,6 +121,6 @@ class LavaMDWorkload(OpenCLWorkload):
             got = env.read(b_force, pos.nbytes).reshape(n, 3)
         finally:
             close_env(env)
-        ok = np.allclose(got, self.reference()["force"], atol=1e-3)
+        ok = allclose(got, self.reference()["force"], atol=1e-3)
         return WorkloadResult(self.name, {"force": got}, ok,
                               detail=f"{n} particles")

@@ -12,7 +12,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.opencl.kernels import BUFFER, SCALAR, LaunchContext, register_kernel
-from repro.workloads.base import OpenCLWorkload, WorkloadResult, close_env, open_env
+from repro.workloads.base import OpenCLWorkload, WorkloadResult, allclose, close_env, open_env
 
 SOURCE = """
 __kernel void lud_diagonal(__global float *a, int n, int offset, int bs) {}
@@ -113,5 +113,5 @@ class LUDWorkload(OpenCLWorkload):
         lower = np.tril(decomposed, -1) + np.eye(n, dtype=np.float32)
         upper = np.triu(decomposed)
         product = lower @ upper
-        ok = np.allclose(product, a, atol=self.n * 1e-3)
+        ok = allclose(product, a, atol=self.n * 1e-3)
         return WorkloadResult(self.name, {"lu": decomposed}, bool(ok))

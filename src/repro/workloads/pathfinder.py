@@ -59,7 +59,10 @@ class PathfinderWorkload(OpenCLWorkload):
 
     def _inputs(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        return rng.integers(0, 10, (self.rows, self.cols)).astype(np.int32)
+        wall = np.empty((self.rows, self.cols), dtype=np.int32)
+        for row in wall:   # one row at a time: the same draws, no int64 grid
+            row[:] = rng.integers(0, 10, self.cols)
+        return wall
 
     def reference(self) -> Dict[str, np.ndarray]:
         return {"result": _pathfinder_reference(self._inputs())}

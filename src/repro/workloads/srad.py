@@ -12,7 +12,7 @@ from typing import Any, Dict, Tuple
 import numpy as np
 
 from repro.opencl.kernels import BUFFER, SCALAR, LaunchContext, register_kernel
-from repro.workloads.base import OpenCLWorkload, WorkloadResult, close_env, open_env
+from repro.workloads.base import OpenCLWorkload, WorkloadResult, allclose, close_env, open_env
 
 SOURCE = """
 __kernel void srad_kernel1(__global float *img, __global float *c,
@@ -143,6 +143,6 @@ class SradWorkload(OpenCLWorkload):
             got = env.read(b_img, img.nbytes).reshape(rows, cols)
         finally:
             close_env(env)
-        ok = np.allclose(got, self.reference()["img"], rtol=1e-3, atol=1e-2)
+        ok = allclose(got, self.reference()["img"], rtol=1e-3, atol=1e-2)
         return WorkloadResult(self.name, {"img": got}, bool(ok),
                               detail=f"{self.iterations} iterations")

@@ -16,7 +16,7 @@ import numpy as np
 from repro.remoting.buffers import OutBox
 from repro.tpu import api as tpu_api
 from repro.tpu.graphs import OP_ADD, OP_MATMUL, OP_RELU, OP_SOFTMAX
-from repro.workloads.base import Deterministic, WorkloadResult
+from repro.workloads.base import Deterministic, WorkloadResult, allclose
 
 
 class TPUMLPWorkload(Deterministic):
@@ -130,7 +130,7 @@ class TPUMLPWorkload(Deterministic):
         tp.tpuCloseDevice(device.value)
 
         got = np.stack(outputs)
-        ok = np.allclose(got, self.reference()["probs"], atol=1e-4)
+        ok = allclose(got, self.reference()["probs"], atol=1e-4)
         return WorkloadResult(self.name, {"probs": got}, bool(ok),
                               detail=f"{self.steps} steps, "
                                      f"{int(flops.value):,} flops/step")
