@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis import sanitizer as _sanitize
 from repro.hypervisor.policy import ResourcePolicy, VMPolicy
+from repro.hypervisor.pool import DeviceClass
 from repro.remoting.codec import CommandBatch
 from repro.stack import VirtualStack
 from repro.telemetry.slo import SLOMonitor, SLOTarget
@@ -155,6 +156,22 @@ class TestVMLifecycle:
         assert sanitizer.summary()["duplicates"] == 0
         [row] = hv.admin_report()["_slo"]["targets"]
         assert (row["vm"], row["total"]) == ("vm-r", 1)
+
+    def test_recycled_id_inherits_no_migrations(self):
+        hv = VirtualStack.build("opencl").hypervisor
+        hv.add_device(DeviceClass.baseline_gpu(), "dev-a")
+        hv.add_device(DeviceClass.baseline_gpu(), "dev-b")
+        platform_ids(hv.create_vm("vm0"))
+        assert not hv.live_migrate_vm("vm0", "opencl").aborted
+        assert hv.admin_report()["vm0"]["migration"]["count"] == 1
+        hv.destroy_vm("vm0")
+
+        platform_ids(hv.create_vm("vm0"))
+        report = hv.admin_report()
+        assert "migration" not in report["vm0"]
+        # the fleet totals still count the predecessor's migration
+        assert report["_migration"]["count"] == 1
+        assert len(hv.migrations) == 1
 
     def test_recycled_id_passes_the_order_check(self, sanitizer):
         hv = VirtualStack.build("opencl").hypervisor
