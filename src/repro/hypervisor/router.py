@@ -169,6 +169,8 @@ class VMState:
     bucket: TokenBucket = field(default_factory=TokenBucket)
     #: the VM's resource quotas, when it has any
     limits: Optional[Dict[str, float]] = None
+    #: this VM's migration reports, completed and aborted
+    migrations: List[Any] = field(default_factory=list)
 
 
 #: a frame's commands → whether any carries cached refs

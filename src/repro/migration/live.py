@@ -457,7 +457,7 @@ class LiveMigration:
         self.report.downtime = downtime
         self.report.retransmits = self.channel.retransmits
         self.report.total_time = self.dest.clock.now - self._began_at
-        self.hv.migrations.append(self.report)
+        self._file_report()
         # the state moved: give the source's device allocations back
         # (on a shared pool member, other tenants get this memory)
         self._free_device_state(self.source)
@@ -478,6 +478,14 @@ class LiveMigration:
             )
         return self.report
 
+    def _file_report(self) -> None:
+        """Log the report with the fleet and on the VM's own record
+        (a VM destroyed meanwhile keeps only the fleet entry)."""
+        self.hv.migrations.append(self.report)
+        vm = self.hv.router.vms.get(self.vm_id)
+        if vm is not None:
+            vm.migrations.append(self.report)
+
     # -- abort -------------------------------------------------------------
 
     def _abort(self, reason: str) -> None:
@@ -496,7 +504,7 @@ class LiveMigration:
         self.report.reason = reason
         self.report.rounds = self.rounds
         self.report.retransmits = self.channel.retransmits
-        self.hv.migrations.append(self.report)
+        self._file_report()
         recorder = _flightrec.active()
         if recorder.enabled:
             recorder.incident(
