@@ -12,23 +12,15 @@ per byte of its modest requests but stays far from the full-virt
 regime.
 """
 
-import contextlib
-
-from repro.qat import api as qat_api
-from repro.qat.device import SimulatedQAT
+from repro.harness.runner import run_native
 from repro.stack import VirtualStack
-from repro.tpu import api as tpu_api
-from repro.vclock import VirtualClock
 from repro.workloads.compression import CompressionWorkload
 from repro.workloads.tpu_mlp import TPUMLPWorkload
 
 
-def measure_pair(api_name, workload, native_module, session_cm):
-    clock = VirtualClock(f"{api_name}-native")
-    with session_cm(clock):
-        native_result = workload.run(native_module)
-    assert native_result.verified, native_result.detail
-    native = clock.now
+def measure_pair(api_name, workload):
+    native = run_native(workload, api_name)
+    assert native.verified, native.detail
 
     hv = VirtualStack.build(api_name).hypervisor
     vm = hv.create_vm(f"vm-ext-{api_name}")
@@ -37,23 +29,17 @@ def measure_pair(api_name, workload, native_module, session_cm):
     runtime = vm.runtimes[api_name]
     return {
         "api": api_name,
-        "native": native,
+        "native": native.runtime,
         "ava": vm.clock.now,
         "calls": runtime.calls_sync + runtime.calls_async,
     }
 
 
 def run_extensions():
-    rows = []
-    rows.append(measure_pair(
-        "qat", CompressionWorkload(blocks=8, block_kib=512), qat_api,
-        lambda clock: qat_api.qat_session([SimulatedQAT()], clock=clock),
-    ))
-    rows.append(measure_pair(
-        "tpu", TPUMLPWorkload(steps=8), tpu_api,
-        lambda clock: tpu_api.tpu_session(clock=clock),
-    ))
-    return rows
+    return [
+        measure_pair("qat", CompressionWorkload(blocks=8, block_kib=512)),
+        measure_pair("tpu", TPUMLPWorkload(steps=8)),
+    ]
 
 
 def test_extension_apis_overhead(once):

@@ -10,7 +10,7 @@ import math
 
 from conftest import FULLVIRT_WORKLOADS as WORKLOADS
 from repro.fullvirt import TrapModel, estimate_fullvirt, summarize
-from repro.harness.runner import run_native_opencl, run_virtualized
+from repro.harness.runner import run_native, run_virtualized
 from repro.stack import VirtualStack
 from repro.workloads import GaussianWorkload
 
@@ -20,7 +20,7 @@ def measure():
     for cls in WORKLOADS:
         workload = cls()
         stack = VirtualStack.build("opencl")
-        native = run_native_opencl(workload)
+        native = run_native(workload)
         ava = run_virtualized(workload, hypervisor=stack.hypervisor,
                               vm_id=f"fv-{workload.name}")
         payload = stack.router.metrics_for(
@@ -60,7 +60,7 @@ def test_trap_sensitivity(once):
     """Even a 4x cheaper trap leaves full-virt far behind AvA."""
     workload = GaussianWorkload()
     stack = VirtualStack.build("opencl")
-    native = run_native_opencl(workload)
+    native = run_native(workload)
     ava = run_virtualized(workload, hypervisor=stack.hypervisor,
                           vm_id="fv-sens")
     payload = stack.router.metrics_for("fv-sens").payload_bytes

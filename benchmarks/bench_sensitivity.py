@@ -11,7 +11,7 @@ remoting stops being near-native, which is the design space the paper's
 import statistics
 
 from conftest import SENSITIVITY_WORKLOADS as WORKLOADS
-from repro.harness.runner import run_native_opencl
+from repro.harness.runner import run_native
 from repro.stack import VirtualStack
 
 MULTIPLIERS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -35,7 +35,7 @@ def sweep():
             assert result.verified
             # the native baseline is run once per process (harness memo)
             ratios[workload.name] = (session.time
-                                     / run_native_opencl(workload).runtime)
+                                     / run_native(workload).runtime)
         rows.append((multiplier, ratios))
     return rows
 
@@ -71,7 +71,7 @@ def test_byte_cost_matters_for_copy_heavy(once):
     from repro.workloads import NNWorkload
 
     workload = NNWorkload()
-    native = run_native_opencl(workload)
+    native = run_native(workload)
 
     def run(byte_cost):
         stack = VirtualStack.build("opencl")

@@ -9,11 +9,7 @@ touches coarse-grained ones (lavamd, inception) — which is the workload
 class for which disaggregation is viable.
 """
 
-from repro.harness.runner import (
-    run_native_mvnc,
-    run_native_opencl,
-    run_virtualized,
-)
+from repro.harness.runner import run_native, run_virtualized
 from repro.workloads import (
     BFSWorkload,
     GaussianWorkload,
@@ -28,7 +24,7 @@ def run_matrix():
     rows = []
     for cls in (BFSWorkload, GaussianWorkload, LavaMDWorkload):
         workload = cls()
-        native = run_native_opencl(workload)
+        native = run_native(workload)
         ratios = {}
         for transport in TRANSPORTS:
             measured = run_virtualized(
@@ -39,7 +35,7 @@ def run_matrix():
             ratios[transport] = measured.runtime / native.runtime
         rows.append((workload.name, ratios))
     workload = InceptionWorkload()
-    native = run_native_mvnc(workload)
+    native = run_native(workload, "mvnc")
     ratios = {}
     for transport in TRANSPORTS:
         measured = run_virtualized(

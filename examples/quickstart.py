@@ -20,6 +20,7 @@ or replay with ``cava trace`` / ``cava top``).
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,7 +85,6 @@ def main():
     from repro.codegen.specwriter import render_spec
     from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
     from repro.remoting.buffers import OutBox
-    from repro.server.api_server import SessionScope
     from repro.spec import infer_preliminary_spec, parse_header, parse_spec
     from repro.stack import resolve_codec
 
@@ -133,8 +133,9 @@ def main():
         record_kinds=stack.record_kinds(),
         supersedes=stack.supersedes(),
         guest_module=stack.guest_module,
-        # the native library is stateless: its scope holds no session
-        session_binder=lambda worker: SessionScope(None, []),
+        # the native library is stateless: a placeholder session, with
+        # a stack for the worker to push it on
+        session_binder=lambda worker: SimpleNamespace(stack=[]),
     ))
     vm = hv.create_vm("guest-1")
     toy = vm.library("toyfft")

@@ -43,13 +43,11 @@ class ApiPlugin:
     #: the C header under ``specs/`` the spec was inferred from
     #: (None: the spec has no header)
     header: Optional[str]
-    #: ``module:attr`` of the native session class, and of the session
-    #: stack a worker's session is pushed onto around every command
+    #: ``module:attr`` of the :class:`~repro.native.NativeSession`
+    #: subclass: it names the session stack a worker's session is pushed
+    #: onto around every command, and the simulated device class each
+    #: worker's private device is built from
     session: str
-    session_stack: str
-    #: ``module:attr`` of the simulated device class, called with no
-    #: arguments for each worker's private device
-    device: str
     #: the :class:`~repro.hypervisor.pool.DeviceClass` method that
     #: gives this API's native device spec on a pool member (None: the
     #: API is not pooled, and each worker keeps a private device)
@@ -65,7 +63,7 @@ class ApiPlugin:
         if self.device_spec is None:
             raise ValueError(f"API {self.name!r} has no pooled device")
         spec = getattr(device_class, self.device_spec)()
-        return resolve(self.device)(spec=spec)
+        return resolve(self.session).device(spec=spec)
 
 
 def _tpu_spec() -> "ApiSpec":
@@ -81,30 +79,22 @@ APIS: Dict[str, ApiPlugin] = {plugin.name: plugin for plugin in (
     ApiPlugin(
         name="opencl", native_module="repro.opencl.api", spec="opencl",
         header="cl.h",
-        session="repro.opencl.runtime:Session",
-        session_stack="repro.opencl.runtime:_SESSION_STACK",
-        device="repro.opencl.device:SimulatedGPU", device_spec="gpu_spec",
+        session="repro.opencl.runtime:Session", device_spec="gpu_spec",
         silo_hooks=True,
     ),
     ApiPlugin(
         name="mvnc", native_module="repro.mvnc.api", spec="mvnc",
         header="mvnc.h",
-        session="repro.mvnc.api:NCSSession",
-        session_stack="repro.mvnc.api:_SESSION_STACK",
-        device="repro.mvnc.device:SimulatedNCS", device_spec="ncs_spec",
+        session="repro.mvnc.api:NCSSession", device_spec="ncs_spec",
     ),
     ApiPlugin(
         name="qat", native_module="repro.qat.api", spec="qat",
         header="qat.h",
-        session="repro.qat.api:QATSession",
-        session_stack="repro.qat.api:_SESSION_STACK",
-        device="repro.qat.device:SimulatedQAT", device_spec="qat_spec",
+        session="repro.qat.api:QATSession", device_spec="qat_spec",
     ),
     ApiPlugin(
         name="tpu", native_module="repro.tpu.api", spec=_tpu_spec,
         header=None,
         session="repro.tpu.api:TPUSession",
-        session_stack="repro.tpu.api:_SESSION_STACK",
-        device="repro.tpu.device:SimulatedTPU",
     ),
 )}

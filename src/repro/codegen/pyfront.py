@@ -169,8 +169,8 @@ def spec_from_module(
     for name in sorted(dir(module)):
         if not name.startswith(prefix):
             continue
-        # API functions are camelCase after the prefix; helpers like
-        # `tpu_session` are module plumbing, not API surface
+        # API functions are camelCase after the prefix; a helper named
+        # `tpu_...` is module plumbing, not API surface
         if not name[len(prefix):][:1].isupper():
             continue
         if predicate is not None and not predicate(name):

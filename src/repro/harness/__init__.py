@@ -4,8 +4,7 @@ from repro.harness.runner import (
     FigureFiveRow,
     Measurement,
     run_figure5,
-    run_native_opencl,
-    run_native_mvnc,
+    run_native,
     run_virtualized,
 )
 from repro.harness.loadgen import (
@@ -42,8 +41,7 @@ __all__ = [
     "format_table",
     "rodinia_traces",
     "run_figure5",
-    "run_native_mvnc",
-    "run_native_opencl",
+    "run_native",
     "run_open_loop",
     "run_pool_fleet",
     "run_virtualized",

@@ -15,12 +15,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.hypervisor.pool import DevicePool, PoolRunResult, PoolScheduler
 from repro.hypervisor.scheduler import WorkItem
+from repro.harness.runner import run_native
 from repro.harness.traces import extract_device_trace
-from repro.mvnc import api as mvnc_api
-from repro.mvnc.device import SimulatedNCS
 from repro.telemetry import tracer as _tele
 from repro.telemetry.tracer import Tracer
-from repro.vclock import VirtualClock
 from repro.workloads import InceptionWorkload
 
 
@@ -33,10 +31,8 @@ def extract_inception_trace(batch: int = 6) -> List[WorkItem]:
     """
     workload = InceptionWorkload(batch=batch)
     tracer = Tracer()
-    clock = VirtualClock("trace-ncapp")
     with _tele.use(tracer):
-        with mvnc_api.ncs_session([SimulatedNCS()], clock=clock):
-            result = workload.run(mvnc_api)
+        result = run_native(workload, "mvnc")
     if not result.verified:
         raise ValueError("inception failed verification while tracing")
     ops = sorted(

@@ -10,15 +10,12 @@ isolates the forwarding overhead — the quantity Figure 5 reports.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.apis import APIS, resolve
 from repro.hypervisor.hypervisor import Hypervisor
-from repro.mvnc import api as mvnc_api
-from repro.mvnc.device import SimulatedNCS
-from repro.opencl import api as cl_api
-from repro.opencl.device import SimulatedGPU
-from repro.opencl.runtime import session
 from repro.stack import VirtualStack
 from repro.telemetry import tracer as _tele
 from repro.vclock import VirtualClock
@@ -46,17 +43,22 @@ class Measurement:
 _NATIVES: Dict[Any, Measurement] = {}
 
 
-def _run_native(workload: Any, device: Any, device_cls: Any, clock_name: str,
-                open_session: Callable[..., Any], api: Any) -> Measurement:
-    """The native baseline, run once per process per key: the virtual
-    runtime is a function of the workload's ``memo_key`` and the device
-    spec.  A caller's own device (they want its state afterwards) and an
-    enabled tracer (the device emits spans) always get the real run."""
+def run_native(workload: Any, api: str = "opencl",
+               device: Optional[Any] = None) -> Measurement:
+    """Run ``workload`` directly against ``api``'s native library, on
+    ``device`` or one default device of the API's session class.
+
+    The baseline is run once per process per key: the virtual runtime
+    is a function of the workload's ``memo_key`` and the device spec.  A
+    caller's own device (they want its state afterwards) and an enabled
+    tracer (the device emits spans) always get the real run."""
+    session_class = resolve(APIS[api].session)
+    module = importlib.import_module(APIS[api].native_module)
 
     def run(device: Any) -> Measurement:
-        clock = VirtualClock(clock_name)
-        with open_session([device], clock=clock):
-            result: WorkloadResult = workload.run(api)
+        clock = VirtualClock(f"native-{session_class.clock_name}")
+        with session_class.opened([device], clock=clock):
+            result: WorkloadResult = workload.run(module)
         return Measurement(
             name=workload.name, mode="native", runtime=clock.now,
             verified=result.verified, detail=result.detail,
@@ -64,24 +66,10 @@ def _run_native(workload: Any, device: Any, device_cls: Any, clock_name: str,
 
     key = getattr(workload, "memo_key", None)
     if device is not None or key is None or _tele.active().enabled:
-        return run(device or device_cls())
-    device = device_cls()
+        return run(device or session_class.device())
+    device = session_class.device()
     hit = once_per_key(_NATIVES, (key, device.spec), lambda: run(device))
     return replace(hit, accounts=dict(hit.accounts))
-
-
-def run_native_opencl(workload: Any,
-                      gpu: Optional[SimulatedGPU] = None) -> Measurement:
-    """Run an OpenCL workload directly against the native library."""
-    return _run_native(workload, gpu, SimulatedGPU, "native-app", session,
-                       cl_api)
-
-
-def run_native_mvnc(workload: Any,
-                    ncs: Optional[SimulatedNCS] = None) -> Measurement:
-    """Run an MVNC workload directly against the native library."""
-    return _run_native(workload, ncs, SimulatedNCS, "native-ncapp",
-                       mvnc_api.ncs_session, mvnc_api)
 
 
 def run_virtualized(
@@ -167,7 +155,7 @@ def run_figure5(
                    if workload_classes is not None else OPENCL_WORKLOADS)
     for cls in classes:
         workload = cls(scale=scale)
-        native = run_native_opencl(workload)
+        native = run_native(workload)
         virtualized = run_virtualized(
             workload, api_name="opencl", transport=transport,
             vm_id=f"vm-{workload.name}",
@@ -178,7 +166,7 @@ def run_figure5(
                                   virtualized))
     if include_mvnc:
         workload = InceptionWorkload()
-        native = run_native_mvnc(workload)
+        native = run_native(workload, "mvnc")
         virtualized = run_virtualized(
             workload, api_name="mvnc", transport=transport,
             vm_id="vm-inception",

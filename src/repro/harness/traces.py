@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from typing import Any, List
 
+from repro.harness.runner import run_native
 from repro.hypervisor.scheduler import WorkItem
-from repro.opencl import api as cl_api
 from repro.opencl.device import SimulatedGPU
-from repro.opencl.runtime import session
-from repro.vclock import VirtualClock
 
 
 def extract_device_trace(workload: Any) -> List[WorkItem]:
@@ -29,9 +27,7 @@ def extract_device_trace(workload: Any) -> List[WorkItem]:
     inter-submission gaps (zero when the app had the device saturated).
     """
     device = SimulatedGPU(trace=True)
-    clock = VirtualClock("trace-app")
-    with session([device], clock=clock):
-        result = workload.run(cl_api)
+    result = run_native(workload, device=device)
     if not result.verified:
         raise ValueError(f"workload {workload.name} failed verification")
     ops = device.trace or []

@@ -11,16 +11,15 @@ the buffer via ``mvncGetGraphOption(MVNC_GRAPH_OPTION_OUTPUT_SIZE)``.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.mvnc.device import AllocatedGraph, SimulatedNCS
 from repro.mvnc.graph import GraphDefinition, GraphError
+from repro.native import NativeSession, set_box
 from repro.remoting.buffers import OutBox, borrow_bytes, read_bytes, write_back
-from repro.vclock import VirtualClock
 
 # -- status codes (NCSDK v1 values) ------------------------------------------
 MVNC_OK = 0
@@ -50,59 +49,19 @@ FUNCTION_NAMES = [
     "mvncGetGlobalOption",
 ]
 
-#: fixed virtual cost of crossing into the native NCSDK library
-NATIVE_CALL_OVERHEAD = 0.3e-6
-
-
 @dataclass
-class NCSSession:
+class NCSSession(NativeSession):
     """Binding of the MVNC API to a device set and a caller clock."""
 
-    devices: List[SimulatedNCS]
-    clock: VirtualClock = field(default_factory=lambda: VirtualClock("ncapp"))
+    stack = []
+    device = SimulatedNCS
+    clock_name = "ncapp"
+    call_overhead = 0.3e-6
+
     global_options: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.devices:
-            raise ValueError("an NCS session needs at least one device")
 
-
-_SESSION_STACK: List[NCSSession] = []
-
-
-@contextlib.contextmanager
-def ncs_session(
-    devices: Optional[Sequence[SimulatedNCS]] = None,
-    clock: Optional[VirtualClock] = None,
-) -> Iterator[NCSSession]:
-    sess = NCSSession(
-        devices=list(devices) if devices else [SimulatedNCS()],
-        clock=clock or VirtualClock("ncapp"),
-    )
-    _SESSION_STACK.append(sess)
-    try:
-        yield sess
-    finally:
-        _SESSION_STACK.pop()
-
-
-def current_ncs_session() -> NCSSession:
-    if not _SESSION_STACK:
-        raise RuntimeError(
-            "no NCS session active; wrap calls in `with ncs_session(...)`"
-        )
-    return _SESSION_STACK[-1]
-
-
-def _session() -> NCSSession:
-    sess = current_ncs_session()
-    sess.clock.advance(NATIVE_CALL_OVERHEAD, "api_call")
-    return sess
-
-
-def _set_box(box: Optional[OutBox], value: Any) -> None:
-    if box is not None:
-        box[0] = value
+_session = NCSSession.enter
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +91,7 @@ def mvncOpenDevice(name: Optional[str], device_handle: OutBox) -> int:
             device.opened = True
             # USB enumeration + firmware boot
             sess.clock.advance(2e-3, "device_open")
-            _set_box(device_handle, device)
+            set_box(device_handle, device)
             return MVNC_OK
     return MVNC_DEVICE_NOT_FOUND
 
@@ -171,7 +130,7 @@ def mvncAllocateGraph(device_handle: Any, graph_handle: OutBox,
     sess.clock.advance(
         spec.usb_overhead + len(blob) / spec.usb_bandwidth, "graph_upload"
     )
-    _set_box(graph_handle, graph)
+    set_box(graph_handle, graph)
     return MVNC_OK
 
 
@@ -231,8 +190,8 @@ def mvncGetResult(graph_handle: Any, output_tensor: Any,
         return MVNC_INVALID_PARAMETERS
     sess.clock.advance_to(pending.complete_at, "inference_wait")
     write_back(output_tensor, payload)
-    _set_box(output_length, len(payload))
-    _set_box(user_param, pending.user_param)
+    set_box(output_length, len(payload))
+    set_box(user_param, pending.user_param)
     return MVNC_OK
 
 
@@ -273,8 +232,8 @@ def mvncGetGraphOption(graph_handle: Any, option: int, data: OutBox,
         value = graph_handle.options.get(option, 0)
     else:
         return MVNC_INVALID_PARAMETERS
-    _set_box(data, value)
-    _set_box(data_length, 8)
+    set_box(data, value)
+    set_box(data_length, 8)
     return MVNC_OK
 
 
@@ -292,8 +251,8 @@ def mvncGetDeviceOption(device_handle: Any, option: int, data: OutBox,
     if not isinstance(device_handle, SimulatedNCS) or data is None:
         return MVNC_INVALID_PARAMETERS
     if option == MVNC_DEVICE_OPTION_THERMAL_STATS:
-        _set_box(data, 35.0)  # a comfortably cool simulated stick
-        _set_box(data_length, 8)
+        set_box(data, 35.0)  # a comfortably cool simulated stick
+        set_box(data_length, 8)
         return MVNC_OK
     return MVNC_INVALID_PARAMETERS
 
@@ -312,7 +271,7 @@ def mvncGetGlobalOption(option: int, data: OutBox,
     if data is None:
         return MVNC_INVALID_PARAMETERS
     if option == MVNC_GLOBAL_OPTION_LOG_LEVEL:
-        _set_box(data, sess.global_options.get(option, 0))
-        _set_box(data_length, 8)
+        set_box(data, sess.global_options.get(option, 0))
+        set_box(data_length, 8)
         return MVNC_OK
     return MVNC_INVALID_PARAMETERS

@@ -14,7 +14,7 @@ deterministic.
 
 from repro.opencl.device import DeviceSpec, SimulatedGPU
 from repro.opencl.errors import CLError
-from repro.opencl.runtime import Session, current_session, session
+from repro.opencl.runtime import Session, session
 from repro.opencl import api
 from repro.opencl import types
 
@@ -24,7 +24,6 @@ __all__ = [
     "Session",
     "SimulatedGPU",
     "api",
-    "current_session",
     "session",
     "types",
 ]

@@ -30,14 +30,12 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+from repro.native import set_box
 from repro.opencl.device import SimulatedGPU
 from repro.opencl.errors import CLError, check
 from repro.opencl import runtime as rt
 from repro.opencl import types
 from repro.remoting.buffers import OutBox, borrow_bytes, write_back
-
-#: fixed virtual cost of crossing into the native library
-NATIVE_CALL_OVERHEAD = 0.2e-6
 
 #: the 39 functions this subset virtualizes (paper §5)
 FUNCTION_NAMES = [
@@ -57,15 +55,7 @@ FUNCTION_NAMES = [
 ]
 
 
-def _session() -> rt.Session:
-    sess = rt.current_session()
-    sess.clock.advance(NATIVE_CALL_OVERHEAD, "api_call")
-    return sess
-
-
-def _set_box(box: Optional[OutBox], value: Any) -> None:
-    if box is not None:
-        box[0] = value
+_session = rt.Session.enter
 
 
 def _pack_info(value: Any) -> bytes:
@@ -87,7 +77,7 @@ def _return_info(
     param_value_size_ret: Optional[OutBox],
 ) -> int:
     packed = _pack_info(value)
-    _set_box(param_value_size_ret, len(packed))
+    set_box(param_value_size_ret, len(packed))
     if param_value is not None:
         if param_value_size < len(packed):
             return types.CL_INVALID_VALUE
@@ -117,7 +107,7 @@ def clGetPlatformIDs(num_entries: int, platforms: Optional[list],
             return types.CL_INVALID_VALUE
         for i, plat in enumerate(available[:num_entries]):
             platforms[i] = plat
-    _set_box(num_platforms, len(available))
+    set_box(num_platforms, len(available))
     return types.CL_SUCCESS
 
 
@@ -161,7 +151,7 @@ def clGetDeviceIDs(platform: rt.Platform, device_type: int, num_entries: int,
             return types.CL_INVALID_VALUE
         for i, dev in enumerate(matches[:num_entries]):
             devices[i] = dev
-    _set_box(num_devices, len(matches))
+    set_box(num_devices, len(matches))
     return types.CL_SUCCESS
 
 
@@ -205,10 +195,10 @@ def clCreateContext(properties: Any, num_devices: int,
         check(devices is not None and num_devices >= 1,
               types.CL_INVALID_VALUE, "no devices given")
         context = rt.Context(sess, list(devices)[:num_devices])
-        _set_box(errcode_ret, types.CL_SUCCESS)
+        set_box(errcode_ret, types.CL_SUCCESS)
         return context
     except CLError as err:
-        _set_box(errcode_ret, err.code)
+        set_box(errcode_ret, err.code)
         return None
 
 
@@ -260,10 +250,10 @@ def clCreateCommandQueue(context: rt.Context, device: SimulatedGPU,
     try:
         ctx = _expect(context, rt.Context, types.CL_INVALID_CONTEXT)
         queue = rt.CommandQueue(ctx, device, properties)
-        _set_box(errcode_ret, types.CL_SUCCESS)
+        set_box(errcode_ret, types.CL_SUCCESS)
         return queue
     except CLError as err:
-        _set_box(errcode_ret, err.code)
+        set_box(errcode_ret, err.code)
         return None
 
 
@@ -315,7 +305,7 @@ def clGetCommandQueueInfo(command_queue: rt.CommandQueue, param_name: int,
 
 def clCreateBuffer(context: rt.Context, flags: int, size: int, host_ptr: Any,
                    errcode_ret: Optional[OutBox]) -> Optional[rt.MemObject]:
-    _session()
+    sess = _session()
     try:
         ctx = _expect(context, rt.Context, types.CL_INVALID_CONTEXT)
         needs_host = flags & (types.CL_MEM_COPY_HOST_PTR | types.CL_MEM_USE_HOST_PTR)
@@ -326,16 +316,15 @@ def clCreateBuffer(context: rt.Context, flags: int, size: int, host_ptr: Any,
             payload = borrow_bytes(host_ptr, limit=int(size))
             mem.data[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
             # initializing from host memory is a synchronous H2D copy
-            sess = rt.current_session()
             timer = mem.device.execute(
                 mem.device.copy_cost(len(payload)), sess.clock.now,
                 "h2d_copy",
             )
             sess.clock.advance_to(timer.end, "copy_wait")
-        _set_box(errcode_ret, types.CL_SUCCESS)
+        set_box(errcode_ret, types.CL_SUCCESS)
         return mem
     except CLError as err:
-        _set_box(errcode_ret, err.code)
+        set_box(errcode_ret, err.code)
         return None
 
 
@@ -343,7 +332,7 @@ def clCreateImage(context: rt.Context, flags: int, image_channel_order: int,
                   image_channel_data_type: int, image_width: int,
                   image_height: int, host_ptr: Any,
                   errcode_ret: Optional[OutBox]) -> Optional[rt.MemObject]:
-    _session()
+    sess = _session()
     try:
         ctx = _expect(context, rt.Context, types.CL_INVALID_CONTEXT)
         check(image_width > 0 and image_height > 0,
@@ -364,16 +353,15 @@ def clCreateImage(context: rt.Context, flags: int, image_channel_order: int,
         if host_ptr is not None and flags & types.CL_MEM_COPY_HOST_PTR:
             payload = borrow_bytes(host_ptr, limit=size)
             mem.data[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-            sess = rt.current_session()
             timer = mem.device.execute(
                 mem.device.copy_cost(len(payload)), sess.clock.now,
                 "h2d_copy",
             )
             sess.clock.advance_to(timer.end, "copy_wait")
-        _set_box(errcode_ret, types.CL_SUCCESS)
+        set_box(errcode_ret, types.CL_SUCCESS)
         return mem
     except CLError as err:
-        _set_box(errcode_ret, err.code)
+        set_box(errcode_ret, err.code)
         return None
 
 
@@ -447,7 +435,7 @@ def clEnqueueReadBuffer(command_queue: rt.CommandQueue, buf: rt.MemObject,
             queue, mem, int(offset), int(size), bool(blocking_read)
         )
         write_back(ptr, payload)
-        _set_box(event, evt)
+        set_box(event, evt)
         return types.CL_SUCCESS
     except CLError as err:
         return err.code
@@ -471,7 +459,7 @@ def clEnqueueWriteBuffer(command_queue: rt.CommandQueue, buf: rt.MemObject,
         evt = rt.enqueue_write(
             queue, mem, int(offset), int(size), payload, bool(blocking_write)
         )
-        _set_box(event, evt)
+        set_box(event, evt)
         return types.CL_SUCCESS
     except CLError as err:
         return err.code
@@ -491,7 +479,7 @@ def clEnqueueCopyBuffer(command_queue: rt.CommandQueue, src: rt.MemObject,
         _check_wait_list(num_events_in_wait_list, event_wait_list)
         evt = rt.enqueue_copy(queue, src_mem, dst_mem, int(src_offset),
                               int(dst_offset), int(size))
-        _set_box(event, evt)
+        set_box(event, evt)
         return types.CL_SUCCESS
     except CLError as err:
         return err.code
@@ -511,7 +499,7 @@ def clEnqueueFillBuffer(command_queue: rt.CommandQueue, buf: rt.MemObject,
         pattern_bytes = borrow_bytes(pattern, limit=int(pattern_size))
         evt = rt.enqueue_fill(queue, mem, pattern_bytes, int(offset),
                               int(size))
-        _set_box(event, evt)
+        set_box(event, evt)
         return types.CL_SUCCESS
     except CLError as err:
         return err.code
@@ -535,10 +523,10 @@ def clCreateProgramWithSource(context: rt.Context, count: int, strings: Any,
                   "no source strings")
             source = "".join(strings[:count])
         program = rt.Program(ctx, source)
-        _set_box(errcode_ret, types.CL_SUCCESS)
+        set_box(errcode_ret, types.CL_SUCCESS)
         return program
     except CLError as err:
-        _set_box(errcode_ret, err.code)
+        set_box(errcode_ret, err.code)
         return None
 
 
@@ -646,10 +634,10 @@ def clCreateKernel(program: rt.Program, kernel_name: str,
     try:
         prog = _expect(program, rt.Program, types.CL_INVALID_PROGRAM)
         kernel = rt.Kernel(prog, kernel_name)
-        _set_box(errcode_ret, types.CL_SUCCESS)
+        set_box(errcode_ret, types.CL_SUCCESS)
         return kernel
     except CLError as err:
-        _set_box(errcode_ret, err.code)
+        set_box(errcode_ret, err.code)
         return None
 
 
@@ -667,7 +655,7 @@ def clCreateKernelsInProgram(program: rt.Program, num_kernels: int,
                   "kernels array too small")
             for i, name in enumerate(names):
                 kernels[i] = rt.Kernel(prog, name)
-        _set_box(num_kernels_ret, len(names))
+        set_box(num_kernels_ret, len(names))
         return types.CL_SUCCESS
     except CLError as err:
         return err.code
@@ -778,7 +766,7 @@ def clEnqueueNDRangeKernel(command_queue: rt.CommandQueue, kernel: rt.Kernel,
         evt = rt.enqueue_ndrange(queue, kern, list(global_work_size),
                                  list(local_work_size) if local_work_size
                                  else None)
-        _set_box(event, evt)
+        set_box(event, evt)
         return types.CL_SUCCESS
     except CLError as err:
         return err.code

@@ -4,22 +4,19 @@ This module is the "user-mode driver" layer of the simulated silo: it
 owns platforms, contexts, queues, memory objects, programs, kernels and
 events, and executes queue operations against a :class:`SimulatedGPU`.
 
-A :class:`Session` binds the runtime to a caller clock and a device set.
-Sessions form a stack (``with session(...):``): the top of the stack is
-what the C-shaped API layer operates on.  The native path pushes the
-application's session; AvA's API server pushes a per-VM session around
-each dispatched command — that is how one runtime serves many isolated
-guests.
+A :class:`Session` (a :class:`~repro.native.NativeSession`) binds the
+runtime to a caller clock and a device set; the top of its stack is
+what the C-shaped API layer operates on.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.native import NativeSession
 from repro.opencl.device import SimulatedGPU
 from repro.opencl.errors import CLError, check
 from repro.opencl.kernels import (
@@ -32,7 +29,6 @@ from repro.opencl.kernels import (
     declared_kernels,
 )
 from repro.opencl import types
-from repro.vclock import VirtualClock
 
 
 class MemoryManager:
@@ -60,66 +56,29 @@ class MemoryManager:
 
 
 @dataclass
-class Session:
+class Session(NativeSession):
     """One caller's binding to the simulated platform.
 
-    ``clock`` is the caller's virtual clock (application thread for the
-    native path; API-server worker for the forwarded path).
     ``handle_resolver`` lets an embedding server translate guest handle
     ints that appear in ambiguous positions (``clSetKernelArg``).
     """
 
-    devices: List[SimulatedGPU]
-    clock: VirtualClock = field(default_factory=lambda: VirtualClock("app"))
+    stack = []
+    device = SimulatedGPU
+    clock_name = "app"
+    call_overhead = 0.2e-6
+
     platform_name: str = "AvA Reproduction Platform"
     handle_resolver: Optional[Callable[[int], Any]] = None
     memory_manager: MemoryManager = field(default_factory=MemoryManager)
 
     def __post_init__(self) -> None:
-        if not self.devices:
-            raise ValueError("a session needs at least one device")
+        super().__post_init__()
         self.platform = Platform(self.platform_name, self.devices)
 
 
-_SESSION_STACK: List[Session] = []
-
-
-def push_session(sess: Session) -> None:
-    _SESSION_STACK.append(sess)
-
-
-def pop_session() -> Session:
-    if not _SESSION_STACK:
-        raise RuntimeError("no OpenCL session to pop")
-    return _SESSION_STACK.pop()
-
-
-def current_session() -> Session:
-    if not _SESSION_STACK:
-        raise CLError(
-            types.CL_INVALID_PLATFORM,
-            "no OpenCL session active; wrap calls in `with session(...)`",
-        )
-    return _SESSION_STACK[-1]
-
-
-@contextlib.contextmanager
-def session(
-    devices: Optional[Sequence[SimulatedGPU]] = None,
-    clock: Optional[VirtualClock] = None,
-    **kwargs: Any,
-) -> Iterator[Session]:
-    """Enter a session; creates a default GTX-1080-like device if none."""
-    sess = Session(
-        devices=list(devices) if devices else [SimulatedGPU()],
-        clock=clock or VirtualClock("app"),
-        **kwargs,
-    )
-    push_session(sess)
-    try:
-        yield sess
-    finally:
-        pop_session()
+#: ``with session(...):``, the name ``benchmarks/observatory`` imports
+session = Session.opened
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +247,7 @@ class Kernel(CLObject):
                 check(not value.released, types.CL_INVALID_MEM_OBJECT,
                       "buffer argument was released")
             elif isinstance(value, int):
-                resolver = current_session().handle_resolver
+                resolver = Session.current().handle_resolver
                 check(resolver is not None, types.CL_INVALID_ARG_VALUE,
                       f"kernel {self.name!r} arg {index} expects a buffer")
                 value = resolver(value)

@@ -13,14 +13,12 @@ NCS port makes the same simplification with LoadTensor/GetResult).
 
 from __future__ import annotations
 
-import contextlib
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any
 
+from repro.native import NativeSession, set_box
 from repro.qat.device import SimulatedQAT
 from repro.remoting.buffers import OutBox, borrow_bytes, write_back
-from repro.vclock import VirtualClock
 
 CPA_STATUS_SUCCESS = 0
 CPA_STATUS_FAIL = -1
@@ -38,8 +36,6 @@ FUNCTION_NAMES = [
     "cpaDcDecompressData", "cpaDcGetStats",
 ]
 
-NATIVE_CALL_OVERHEAD = 0.25e-6
-
 
 class DcSession:
     """One compression session bound to an instance."""
@@ -52,54 +48,16 @@ class DcSession:
         self.removed = False
 
 
-@dataclass
-class QATSession:
+class QATSession(NativeSession):
     """Process binding of the QAT API to devices and a caller clock."""
 
-    devices: List[SimulatedQAT]
-    clock: VirtualClock = field(default_factory=lambda: VirtualClock("qatapp"))
-
-    def __post_init__(self) -> None:
-        if not self.devices:
-            raise ValueError("a QAT session needs at least one instance")
+    stack = []
+    device = SimulatedQAT
+    clock_name = "qatapp"
+    call_overhead = 0.25e-6
 
 
-_SESSION_STACK: List[QATSession] = []
-
-
-@contextlib.contextmanager
-def qat_session(
-    devices: Optional[Sequence[SimulatedQAT]] = None,
-    clock: Optional[VirtualClock] = None,
-) -> Iterator[QATSession]:
-    sess = QATSession(
-        devices=list(devices) if devices else [SimulatedQAT()],
-        clock=clock or VirtualClock("qatapp"),
-    )
-    _SESSION_STACK.append(sess)
-    try:
-        yield sess
-    finally:
-        _SESSION_STACK.pop()
-
-
-def current_qat_session() -> QATSession:
-    if not _SESSION_STACK:
-        raise RuntimeError(
-            "no QAT session active; wrap calls in `with qat_session(...)`"
-        )
-    return _SESSION_STACK[-1]
-
-
-def _session() -> QATSession:
-    sess = current_qat_session()
-    sess.clock.advance(NATIVE_CALL_OVERHEAD, "api_call")
-    return sess
-
-
-def _set_box(box: Optional[OutBox], value: Any) -> None:
-    if box is not None:
-        box[0] = value
+_session = QATSession.enter
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +69,7 @@ def cpaDcGetNumInstances(num_instances: OutBox) -> int:
     sess = _session()
     if num_instances is None:
         return CPA_STATUS_INVALID_PARAM
-    _set_box(num_instances, len(sess.devices))
+    set_box(num_instances, len(sess.devices))
     return CPA_STATUS_SUCCESS
 
 
@@ -123,7 +81,7 @@ def cpaDcStartInstance(index: int, instance: OutBox) -> int:
     if device.started:
         return CPA_STATUS_RESOURCE
     device.started = True
-    _set_box(instance, device)
+    set_box(instance, device)
     return CPA_STATUS_SUCCESS
 
 
@@ -156,7 +114,7 @@ def cpaDcInitSession(instance: Any, session: OutBox, level: int,
     if instance.session_count >= instance.spec.max_sessions:
         return CPA_STATUS_RESOURCE
     instance.session_count += 1
-    _set_box(session, DcSession(instance, int(level), int(direction)))
+    set_box(session, DcSession(instance, int(level), int(direction)))
     return CPA_STATUS_SUCCESS
 
 
@@ -199,7 +157,7 @@ def _run_request(session: DcSession, src: Any, src_size: int, dst: Any,
     if len(result) > int(dst_capacity):
         return CPA_DC_OVERFLOW
     write_back(dst, result)
-    _set_box(produced, len(result))
+    set_box(produced, len(result))
     end = session.instance.execute(
         input_bytes=len(payload), output_bytes=len(result),
         not_before=sess.clock.now, decompress=decompress,
@@ -225,7 +183,7 @@ def cpaDcGetStats(instance: Any, bytes_consumed: OutBox,
     _session()
     if not isinstance(instance, SimulatedQAT):
         return CPA_STATUS_INVALID_PARAM
-    _set_box(bytes_consumed, instance.bytes_consumed)
-    _set_box(bytes_produced, instance.bytes_produced)
-    _set_box(num_requests, instance.requests)
+    set_box(bytes_consumed, instance.bytes_consumed)
+    set_box(bytes_produced, instance.bytes_produced)
+    set_box(num_requests, instance.requests)
     return CPA_STATUS_SUCCESS

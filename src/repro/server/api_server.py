@@ -29,21 +29,6 @@ class WorkerError(Exception):
 ServerStub = Callable[["ApiServerWorker", Command], Reply]
 
 
-class SessionScope:
-    """A worker's one persistent session, pushed on its API's session
-    stack around every command and popped after.
-
-    Built once per worker by its API's session binder; the worker
-    pushes and pops it inline.
-    """
-
-    __slots__ = ("session", "stack")
-
-    def __init__(self, session: Any, stack: List[Any]) -> None:
-        self.session = session
-        self.stack = stack
-
-
 @dataclass
 class WorkerStats:
     executed: int = 0
@@ -59,7 +44,6 @@ class ApiServerWorker:
         vm_id: str,
         api_name: str,
         dispatch: Dict[str, ServerStub],
-        session_factory: Optional[SessionScope],
         record_kinds: Optional[Dict[str, RecordKind]] = None,
         supersedes: Optional[Dict[str, Any]] = None,
         dispatch_cost: float = 0.5e-6,
@@ -69,7 +53,10 @@ class ApiServerWorker:
         self.vm_id = vm_id
         self.api_name = api_name
         self.dispatch = dispatch
-        self.session_factory = session_factory
+        #: the worker's one persistent native session, pushed on its
+        #: API's session stack around every command; set by the
+        #: hypervisor from the API's session binder
+        self.native_session: Any = None
         self.record_kinds = record_kinds or {}
         self.dispatch_cost = dispatch_cost
         #: per-command dispatch for commands 2..N of a coalesced frame:
@@ -240,13 +227,13 @@ class ApiServerWorker:
                 vm_id=self.vm_id, api=self.api_name,
                 function=command.function,
             )
-        scope = self.session_factory
+        session = self.native_session
         try:
-            scope.stack.append(scope.session)
+            session.stack.append(session)
             try:
                 returned = stub(self, command)
             finally:
-                scope.stack.pop()
+                session.stack.pop()
             reply = returned
         except HandleError as err:
             self.stats.faults += 1

@@ -2,11 +2,11 @@
 
 A worker executes generated server stubs that call the native API (the
 ``native_module`` of its :class:`~repro.apis.ApiPlugin`).  That API
-resolves state through a session stack; each worker needs *one
-persistent session* (its objects — contexts, queues, graphs — live
-across commands) that is pushed around every dispatched command.  The
-binder here creates that session lazily, bound to the worker's clock,
-for any API the registry describes.
+resolves state through its :class:`~repro.native.NativeSession` stack;
+each worker needs *one persistent session* (its objects — contexts,
+queues, graphs — live across commands) that is pushed around every
+dispatched command.  The binder here creates that session lazily, bound
+to the worker's clock, for any API the registry describes.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.apis import ApiPlugin, resolve
-from repro.server.api_server import ApiServerWorker, SessionScope
+from repro.server.api_server import ApiServerWorker
 
 
 def session_binder(
     plugin: ApiPlugin,
     device_factory: Optional[Callable[[], Any]] = None,
     memory_manager_factory: Optional[Callable[[], Any]] = None,
-) -> Callable[[ApiServerWorker], SessionScope]:
+) -> Callable[[ApiServerWorker], Any]:
     """Binder for ``plugin``'s workers.
 
     ``device_factory`` is called once per worker (default: the API's
@@ -35,11 +35,10 @@ def session_binder(
     installs a swap manager in sessions that take one.
     """
     session_class = resolve(plugin.session)
-    stack = resolve(plugin.session_stack)
-    make_device = device_factory or resolve(plugin.device)
+    make_device = device_factory or session_class.device
     pooled = plugin.device_spec is not None
 
-    def bind(worker: ApiServerWorker) -> SessionScope:
+    def bind(worker: ApiServerWorker) -> Any:
         member = getattr(worker, "pool_device", None) if pooled else None
         device = (member.native_device(plugin.name) if member is not None
                   else make_device())
@@ -48,8 +47,6 @@ def session_binder(
             hooks["handle_resolver"] = worker.handles.lookup
             if memory_manager_factory is not None:
                 hooks["memory_manager"] = memory_manager_factory()
-        session = session_class(devices=[device], clock=worker.clock, **hooks)
-        worker.native_session = session  # introspection for tests/migration
-        return SessionScope(session, stack)
+        return session_class(devices=[device], clock=worker.clock, **hooks)
 
     return bind

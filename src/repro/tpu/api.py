@@ -9,10 +9,6 @@ graph-scoped), compile, run with a feed and a fetch.
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence
-
 import numpy as np
 
 from repro.codegen.pyfront import (
@@ -22,7 +18,8 @@ from repro.codegen.pyfront import (
     OutBuffer,
     OutScalar,
 )
-from repro.remoting.buffers import OutBox, borrow_bytes, read_bytes, write_back
+from repro.native import NativeSession, set_box
+from repro.remoting.buffers import borrow_bytes, read_bytes, write_back
 from repro.tpu.device import SimulatedTPU
 from repro.tpu.graphs import (
     BINARY_OPS,
@@ -30,7 +27,6 @@ from repro.tpu.graphs import (
     GraphError,
     TPUGraph,
 )
-from repro.vclock import VirtualClock
 
 TPU_OK = 0
 TPU_INVALID = -1
@@ -61,55 +57,17 @@ FUNCTION_NAMES = [
     "tpuCompile", "tpuRun", "tpuDeviceStats",
 ]
 
-NATIVE_CALL_OVERHEAD = 0.3e-6
+
+class TPUSession(NativeSession):
+    """Binding of the TPU API to a device set and a caller clock."""
+
+    stack = []
+    device = SimulatedTPU
+    clock_name = "tpuapp"
+    call_overhead = 0.3e-6
 
 
-@dataclass
-class TPUSession:
-    devices: List[SimulatedTPU]
-    clock: VirtualClock = field(default_factory=lambda: VirtualClock("tpuapp"))
-
-    def __post_init__(self) -> None:
-        if not self.devices:
-            raise ValueError("a TPU session needs at least one device")
-
-
-_SESSION_STACK: List[TPUSession] = []
-
-
-@contextlib.contextmanager
-def tpu_session(
-    devices: Optional[Sequence[SimulatedTPU]] = None,
-    clock: Optional[VirtualClock] = None,
-) -> Iterator[TPUSession]:
-    sess = TPUSession(
-        devices=list(devices) if devices else [SimulatedTPU()],
-        clock=clock or VirtualClock("tpuapp"),
-    )
-    _SESSION_STACK.append(sess)
-    try:
-        yield sess
-    finally:
-        _SESSION_STACK.pop()
-
-
-def current_tpu_session() -> TPUSession:
-    if not _SESSION_STACK:
-        raise RuntimeError(
-            "no TPU session active; wrap calls in `with tpu_session(...)`"
-        )
-    return _SESSION_STACK[-1]
-
-
-def _session() -> TPUSession:
-    sess = current_tpu_session()
-    sess.clock.advance(NATIVE_CALL_OVERHEAD, "api_call")
-    return sess
-
-
-def _set_box(box, value) -> None:
-    if box is not None:
-        box[0] = value
+_session = TPUSession.enter
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +83,7 @@ def tpuOpenDevice(device_handle: NewHandle) -> int:
         if not device.opened:
             device.opened = True
             sess.clock.advance(1e-3, "device_open")  # runtime attach
-            _set_box(device_handle, device)
+            set_box(device_handle, device)
             return TPU_OK
     return TPU_BUSY
 
@@ -145,7 +103,7 @@ def tpuCreateGraph(device_handle: Handle, graph_handle: NewHandle) -> int:
     if not isinstance(device_handle, SimulatedTPU) or \
             not device_handle.opened:
         return TPU_INVALID
-    _set_box(graph_handle, TPUGraph(device=device_handle))
+    set_box(graph_handle, TPUGraph(device=device_handle))
     return TPU_OK
 
 
@@ -169,7 +127,7 @@ def tpuPlaceholder(graph_handle: Handle, rows: int, cols: int,
     if not isinstance(graph_handle, TPUGraph):
         return TPU_INVALID
     try:
-        _set_box(node_id, graph_handle.placeholder(int(rows), int(cols)))
+        set_box(node_id, graph_handle.placeholder(int(rows), int(cols)))
     except GraphError:
         return TPU_GRAPH_ERROR
     return TPU_OK
@@ -187,7 +145,7 @@ def tpuConstant(graph_handle: Handle, data: InBuffer, data_size: int,
         int(rows), int(cols)
     )
     try:
-        _set_box(node_id, graph_handle.constant(value))
+        set_box(node_id, graph_handle.constant(value))
     except GraphError:
         return TPU_GRAPH_ERROR
     return TPU_OK
@@ -201,7 +159,7 @@ def tpuBinaryOp(graph_handle: Handle, op_code: int, a_node: int,
     if int(op_code) not in BINARY_OPS:
         return TPU_INVALID
     try:
-        _set_box(node_id,
+        set_box(node_id,
                  graph_handle.binary(int(op_code), int(a_node),
                                      int(b_node)))
     except GraphError:
@@ -217,7 +175,7 @@ def tpuUnaryOp(graph_handle: Handle, op_code: int, a_node: int,
     if int(op_code) not in UNARY_OPS:
         return TPU_INVALID
     try:
-        _set_box(node_id, graph_handle.unary(int(op_code), int(a_node)))
+        set_box(node_id, graph_handle.unary(int(op_code), int(a_node)))
     except GraphError:
         return TPU_GRAPH_ERROR
     return TPU_OK
@@ -235,7 +193,7 @@ def tpuCompile(graph_handle: Handle, flops_estimate: OutScalar) -> int:
     flops = graph_handle.compile()
     # XLA-ish compilation takes real time, proportional to graph size
     sess.clock.advance(0.5e-3 + 20e-6 * len(graph_handle.nodes), "compile")
-    _set_box(flops_estimate, int(flops))
+    set_box(flops_estimate, int(flops))
     return TPU_OK
 
 
@@ -270,7 +228,7 @@ def tpuRun(graph_handle: Handle, feed_node: int, feed_data: InBuffer,
     end = device.execute_step(compute, not_before=sess.clock.now)
     sess.clock.advance_to(end, "step_wait")
     write_back(out_data, blob)
-    _set_box(produced, len(blob))
+    set_box(produced, len(blob))
     return TPU_OK
 
 
@@ -279,6 +237,6 @@ def tpuDeviceStats(device_handle: Handle, steps: OutScalar,
     _session()
     if not isinstance(device_handle, SimulatedTPU):
         return TPU_INVALID
-    _set_box(steps, device_handle.steps_executed)
-    _set_box(busy_us, int(device_handle.busy_time * 1e6))
+    set_box(steps, device_handle.steps_executed)
+    set_box(busy_us, int(device_handle.busy_time * 1e6))
     return TPU_OK

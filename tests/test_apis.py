@@ -2,9 +2,10 @@
 
 Each shipped API is described once, by an :class:`ApiPlugin`; these
 tests hold each descriptor to what the stack assumes of it: the native
-module answers every generated dispatch name, a worker binds the
-descriptor's session class, pooled APIs share a pool member's native
-device, and the registry keeps the optional API packages lazy.
+module answers every generated dispatch name, the session class is a
+:class:`~repro.native.NativeSession` with a stack of its own, a worker
+binds it, pooled APIs share a pool member's native device, and the
+registry keeps the optional API packages lazy.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import pytest
 import repro
 from repro.apis import APIS, resolve
 from repro.hypervisor.pool import DeviceClass
+from repro.native import NativeSession
 from repro.stack import VirtualStack, build_stack
 
 POOLED = [name for name, plugin in APIS.items() if plugin.device_spec]
@@ -31,6 +33,54 @@ def test_dispatch_names_exist_on_native_module(api):
     missing = [name for name in dispatch
                if not callable(getattr(native, name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("api", list(APIS))
+class TestNativeSession:
+    """The session plumbing every API shares."""
+
+    def test_subclass_with_a_stack_of_its_own(self, api):
+        session_class = resolve(APIS[api].session)
+        assert issubclass(session_class, NativeSession)
+        assert "stack" in vars(session_class)
+        others = [resolve(APIS[name].session).stack
+                  for name in APIS if name != api]
+        assert all(stack is not session_class.stack for stack in others)
+
+    def test_opened_with_no_devices_opens_one_default_device(self, api):
+        session_class = resolve(APIS[api].session)
+        with session_class.opened() as sess:
+            [device] = sess.devices
+            assert type(device) is session_class.device
+            assert sess.clock.name == session_class.clock_name
+
+    def test_nested_blocks_restore_the_outer_session(self, api):
+        session_class = resolve(APIS[api].session)
+        with session_class.opened() as outer:
+            with session_class.opened() as inner:
+                assert session_class.current() is inner
+            assert session_class.current() is outer
+            with pytest.raises(KeyError):
+                with session_class.opened():
+                    raise KeyError("raised inside the block")
+            assert session_class.current() is outer
+        assert session_class.stack == []
+
+    def test_enter_charges_exactly_one_call_overhead(self, api):
+        session_class = resolve(APIS[api].session)
+        with session_class.opened() as sess:
+            assert session_class.current() is sess
+            assert sess.clock.accounts() == {}
+            assert session_class.enter() is sess
+            assert sess.clock.accounts() == {
+                "api_call": session_class.call_overhead}
+
+    def test_nothing_open_raises(self, api):
+        session_class = resolve(APIS[api].session)
+        assert session_class.stack == []
+        for ask in (session_class.current, session_class.enter):
+            with pytest.raises(RuntimeError, match="opened"):
+                ask()
 
 
 @pytest.mark.parametrize("api", list(APIS))
@@ -73,7 +123,7 @@ def test_unpooled_api_keeps_private_devices_on_a_pool(api):
 
 
 def test_shared_device_factory_consolidates():
-    device = resolve(APIS["mvnc"].device)()
+    device = resolve(APIS["mvnc"].session).device()
     hv = VirtualStack.build(
         "mvnc", devices={"mvnc": lambda: device}).hypervisor
     for vm_id in ("vm-a", "vm-b"):

@@ -13,7 +13,7 @@ from repro.harness.runner import (
     FigureFiveRow,
     Measurement,
     run_figure5,
-    run_native_opencl,
+    run_native,
     run_virtualized,
 )
 from repro.vclock import CostModel
@@ -64,7 +64,7 @@ class TestTrapModel:
 
 class TestRunner:
     def test_native_measurement_fields(self):
-        result = run_native_opencl(GaussianWorkload(scale=0.1))
+        result = run_native(GaussianWorkload(scale=0.1))
         assert result.mode == "native"
         assert result.verified
         assert result.runtime > 0

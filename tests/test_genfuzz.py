@@ -24,7 +24,6 @@ from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
 from repro.hypervisor.router import RoutingTable
 from repro.stack import resolve_codec
 from repro.remoting.buffers import OutBox, read_bytes, write_back
-from repro.server.api_server import SessionScope
 from repro.spec.model import (
     ApiSpec,
     CType,
@@ -167,8 +166,9 @@ def deploy(spec, native_module):
         record_kinds={},
         supersedes={},
         guest_module=stack.guest_module,
-        # the native library is stateless: its scope holds no session
-        session_binder=lambda worker: SessionScope(None, []),
+        # the native library is stateless: a placeholder session, with
+        # a stack for the worker to push it on
+        session_binder=lambda worker: types.SimpleNamespace(stack=[]),
     ))
     return hv
 

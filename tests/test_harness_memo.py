@@ -13,18 +13,13 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from repro.harness import runner
-from repro.harness.runner import (
-    run_figure5,
-    run_native_mvnc,
-    run_native_opencl,
-)
+from repro.harness.runner import run_figure5, run_native
 from repro.harness.xfer import IterativeUploadWorkload
 from repro.mvnc import api as mvnc_api
 from repro.mvnc.device import SimulatedNCS
 from repro.opencl import api as cl_api
 from repro.opencl.device import DeviceSpec, SimulatedGPU
-from repro.opencl.runtime import current_session
+from repro.opencl.runtime import Session
 from repro.telemetry import Tracer
 from repro.telemetry import tracer as _tele
 from repro.workloads import (
@@ -43,22 +38,22 @@ def native(workload, fresh=False):
     """The harness's native run; ``fresh`` forces the real thing by
     bringing a device, which is one of the two bypass conditions."""
     if isinstance(workload, InceptionWorkload):
-        return run_native_mvnc(workload,
-                               ncs=SimulatedNCS() if fresh else None)
-    return run_native_opencl(workload, gpu=SimulatedGPU() if fresh else None)
+        return run_native(workload, "mvnc",
+                          device=SimulatedNCS() if fresh else None)
+    return run_native(workload, device=SimulatedGPU() if fresh else None)
 
 
 class NativeCallCounter:
     """Wraps every entry point of both native API modules and counts the
-    calls an *application* makes: ``run_native_*`` names its clocks
+    calls an *application* makes: ``run_native`` names its clocks
     ``native-…``, the API server's per-VM sessions do not."""
 
     def __init__(self, monkeypatch):
         self.app_calls = 0
         self.server_calls = 0
         for module, prefix, session in (
-                (cl_api, "cl", current_session),
-                (mvnc_api, "mvnc", mvnc_api.current_ncs_session)):
+                (cl_api, "cl", Session.current),
+                (mvnc_api, "mvnc", mvnc_api.NCSSession.current)):
             for name in dir(module):
                 inner = getattr(module, name)
                 if name.startswith(prefix) and callable(inner):
@@ -187,8 +182,7 @@ class TestKeySeparation:
     def test_device_spec(self, monkeypatch):
         default = native(KMeansWorkload(scale=SCALE))
         small = DeviceSpec.small_gpu()
-        monkeypatch.setattr(runner, "SimulatedGPU",
-                            lambda: SimulatedGPU(small))
+        monkeypatch.setattr(Session, "device", lambda: SimulatedGPU(small))
         slower = native(KMeansWorkload(scale=SCALE))
         assert slower.verified and slower.runtime > default.runtime
         assert asdict(native(KMeansWorkload(scale=SCALE))) == asdict(slower)
@@ -216,12 +210,12 @@ class TestBypass:
     def test_callers_device_is_driven_even_on_a_memoised_key(self):
         memoised = native(KMeansWorkload(scale=SCALE))
         gpu = SimulatedGPU()
-        run = run_native_opencl(KMeansWorkload(scale=SCALE), gpu=gpu)
+        run = run_native(KMeansWorkload(scale=SCALE), device=gpu)
         assert gpu.timeline > 0 and gpu.busy_time > 0
         assert asdict(run) == asdict(memoised)
         ncs = SimulatedNCS()
-        run_native_mvnc(InceptionWorkload(batch=1))
-        run_native_mvnc(InceptionWorkload(batch=1), ncs=ncs)
+        run_native(InceptionWorkload(batch=1), "mvnc")
+        run_native(InceptionWorkload(batch=1), "mvnc", device=ncs)
         assert ncs.timeline > 0
 
     def test_enabled_tracer_gets_the_native_spans(self):

@@ -145,7 +145,7 @@ class TestExecutor:
 
 @pytest.fixture()
 def ncs():
-    with api.ncs_session([SimulatedNCS()]) as sess:
+    with api.NCSSession.opened([SimulatedNCS()]) as sess:
         yield sess
 
 
@@ -216,7 +216,7 @@ class TestGraphLifecycle:
 
     def test_allocate_out_of_memory(self):
         spec = NCSDeviceSpec(graph_memory_bytes=64)
-        with api.ncs_session([SimulatedNCS(spec)]) as sess:
+        with api.NCSSession.opened([SimulatedNCS(spec)]) as sess:
             device = open_device(sess)
             blob = tiny_graph().serialize()
             box = OutBox()

@@ -33,23 +33,19 @@ PROGRAM_SRC = (
 
 class TestSessionStack:
     def test_current_session_requires_push(self):
-        with pytest.raises(CLError):
-            rt.current_session()
+        with pytest.raises(RuntimeError):
+            rt.Session.current()
 
     def test_nested_sessions(self):
         with rt.session() as outer:
-            assert rt.current_session() is outer
+            assert rt.Session.current() is outer
             with rt.session() as inner:
-                assert rt.current_session() is inner
-            assert rt.current_session() is outer
+                assert rt.Session.current() is inner
+            assert rt.Session.current() is outer
 
     def test_session_requires_device(self):
         with pytest.raises(ValueError):
             rt.Session(devices=[])
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(RuntimeError):
-            rt.pop_session()
 
 
 class TestRefcounting:

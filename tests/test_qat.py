@@ -14,7 +14,7 @@ from repro.workloads.compression import CompressionWorkload, make_corpus
 
 @pytest.fixture()
 def qat():
-    with api.qat_session([SimulatedQAT()]) as sess:
+    with api.QATSession.opened([SimulatedQAT()]) as sess:
         yield sess
 
 
@@ -67,7 +67,7 @@ class TestSessions:
 
     def test_session_limit(self):
         spec = QATDeviceSpec(max_sessions=2)
-        with api.qat_session([SimulatedQAT(spec)]) as sess:
+        with api.QATSession.opened([SimulatedQAT(spec)]) as sess:
             instance = start_instance(sess)
             open_session(instance, api.CPA_DC_DIR_COMPRESS)
             open_session(instance, api.CPA_DC_DIR_COMPRESS)
@@ -177,7 +177,7 @@ class TestSpecAndForwarding:
 
         workload = CompressionWorkload(blocks=8, block_kib=512)
         clock = VirtualClock("qat-native")
-        with api.qat_session([SimulatedQAT()], clock=clock):
+        with api.QATSession.opened([SimulatedQAT()], clock=clock):
             assert workload.run(api).verified
         native = clock.now
 

@@ -138,7 +138,9 @@ class TestPyFront:
 
     def test_module_helpers_excluded(self):
         spec = spec_from_module(api, "tpu", "tpu")
-        assert "tpu_session" not in spec.functions
+        assert sorted(spec.functions) == sorted(api.FUNCTION_NAMES)
+        for plumbing in ("TPUSession", "_session", "set_box"):
+            assert plumbing not in spec.functions
 
     def test_inbuffer_without_size_sibling_rejected(self):
         class FakeModule:
@@ -172,7 +174,7 @@ class TestPyFront:
 
 class TestWorkload:
     def test_native_mlp(self):
-        with api.tpu_session():
+        with api.TPUSession.opened():
             result = TPUMLPWorkload(steps=3).run(api)
         assert result.verified, result.detail
 
@@ -187,7 +189,7 @@ class TestWorkload:
 
         workload = TPUMLPWorkload(steps=8)
         clock = VirtualClock("tpu-native")
-        with api.tpu_session(clock=clock):
+        with api.TPUSession.opened(clock=clock):
             assert workload.run(api).verified
         native = clock.now
 

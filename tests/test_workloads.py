@@ -97,10 +97,10 @@ class TestDeterminism:
 class TestInception:
     def test_native_inception(self):
         from repro.mvnc import api as mvnc_api
-        from repro.mvnc.api import ncs_session
+        from repro.mvnc.api import NCSSession
 
         workload = InceptionWorkload(batch=2)
-        with ncs_session():
+        with NCSSession.opened():
             result = workload.run(mvnc_api)
         assert result.verified, result.detail
 
