@@ -121,6 +121,22 @@ class TestPyExpr:
         assert eval(code, {"a": 1, "b": 0, "c": 0})
         assert not eval(code, {"a": 0, "b": 0, "c": 0})
 
+    @pytest.mark.parametrize("source,expected", [
+        ("(a && b) * 4", 4),
+        ("a || b", 1),
+        ("a && b", 1),
+        ("a && 0", 0),
+        ("0 || 0", 0),
+        ("!a", 0),
+        ("!0 + !0", 2),
+        ("(a || b) + (a && b)", 2),
+    ])
+    def test_logical_ops_yield_c_truth_values(self, source, expected):
+        """C's ``&&``, ``||`` and ``!`` yield 0 or 1, never an operand."""
+        code = expr_to_python(parse_expr(source), {"a", "b"}, {}, {})
+        value = eval(code, {"a": 2, "b": 3})
+        assert value == expected and type(value) is int
+
 
 class TestGeneratedSources:
     def test_three_modules_generated(self, spec):
