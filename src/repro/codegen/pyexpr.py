@@ -28,8 +28,11 @@ from repro.spec.expr import (
 _PY_BINARY = {
     "+": "+", "-": "-", "*": "*", "/": "/", "%": "%",
     "==": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">=",
-    "&&": "and", "||": "or",
 }
+
+#: C's logical operators yield 0 or 1, never an operand (Python's
+#: ``2 and 3`` is 3); both short-circuit as in C
+_PY_LOGICAL = {"&&": "and", "||": "or"}
 
 
 def _literal(value: float) -> str:
@@ -73,9 +76,12 @@ def expr_to_python(
             return str(int(sizeof_table[node.type_name]))
         if isinstance(node, Unary):
             if node.op == "!":
-                return f"(not {render(node.operand)})"
+                return f"int(not {render(node.operand)})"
             return f"({node.op}{render(node.operand)})"
         if isinstance(node, Binary):
+            if node.op in _PY_LOGICAL:
+                return (f"int(bool({render(node.left)} "
+                        f"{_PY_LOGICAL[node.op]} {render(node.right)}))")
             op = _PY_BINARY.get(node.op)
             if op is None:
                 raise SpecSemanticError(f"operator {node.op!r} not supported")
