@@ -17,9 +17,9 @@ Run:  python examples/tpu_dynamic.py
 
 import numpy as np
 
+from repro.analysis import lint_spec
 from repro.codegen.pyfront import spec_from_module
 from repro.codegen.specwriter import render_spec
-from repro.codegen.verify import format_report, verify_spec
 from repro.remoting.buffers import OutBox
 from repro.stack import VirtualStack
 from repro.tpu import api as tpu_api
@@ -35,7 +35,7 @@ def main():
     rendered = render_spec(spec)
     print("\n".join(rendered.splitlines()[:24]))
     print(f"... ({len(spec.functions)} functions total)\n")
-    print(format_report(verify_spec(spec)))
+    print(lint_spec(spec, native_module=tpu_api.__name__).format())
 
     # --- 3+4: generate, deploy, run ----------------------------------------
     hv = VirtualStack.build("tpu").hypervisor

@@ -12,6 +12,10 @@ The same per-call view also checks ``shrinks()`` targets (the server
 reads ``target.value`` from an out-scalar box; anything else cannot
 carry a length back) and flags in/out buffer pairs that a caller could
 legally alias, which API remoting executes as two disjoint copies.
+Two slots have no exact wire strategy at all: a pointer with no size
+is OPAQUE and the stub only lets NULL through (CAVA108), and an
+``anyvalue`` slot with no size expression ships a non-scalar value's
+full length (CAVA109).
 """
 
 from __future__ import annotations
@@ -116,8 +120,27 @@ def analyze_dataflow(spec: ApiSpec) -> Tuple[List[Diagnostic], int]:
             continue
         param_by_name = {p.name: p for p in func.params}
 
+        checks += 1
+        opaque = sorted(p.name for p in func.params
+                        if classify_param(spec, p) is ParamClass.OPAQUE)
+        if opaque:
+            diags.append(Diagnostic(
+                "CAVA108", fname,
+                f"{fname!r} parameter(s) {opaque} have no wire strategy; "
+                f"the generated stub asserts the guest passes NULL",
+            ))
+
         for param in func.params:
             subject = f"{fname}.{param.name}"
+            if param.is_anyvalue:
+                checks += 1
+                if param.buffer_size is None:
+                    diags.append(Diagnostic(
+                        "CAVA109", subject,
+                        f"anyvalue parameter {param.name!r} of {fname!r} "
+                        f"has no size expression; a non-scalar value "
+                        f"marshals its full length",
+                    ))
             if param.buffer_size is not None:
                 found, n = _check_expr(
                     spec, func, param.buffer_size, "CAVA101",

@@ -59,6 +59,12 @@ CODE_TABLE: Dict[str, tuple] = {
                 "expression reads a pointer-valued parameter as a number"),
     "CAVA107": (Severity.ERROR,
                 "buffer-size expression references the sized buffer itself"),
+    "CAVA108": (Severity.WARNING,
+                "parameter has no wire strategy (opaque); the generated "
+                "stub asserts the guest passes NULL"),
+    "CAVA109": (Severity.WARNING,
+                "anyvalue parameter has no size expression; a non-scalar "
+                "value marshals its full length"),
     # lifecycle
     "CAVA201": (Severity.ERROR,
                 "handle type has a release operation but no producer: every "
@@ -73,6 +79,14 @@ CODE_TABLE: Dict[str, tuple] = {
     "CAVA205": (Severity.WARNING,
                 "recorded `modify` call declares no `supersedes` key: its "
                 "records accumulate for the object's lifetime"),
+    "CAVA206": (Severity.WARNING,
+                "handle type is used but never produced: guests cannot "
+                "obtain one"),
+    "CAVA207": (Severity.ERROR,
+                "`deallocates` on a parameter that is not a handle"),
+    "CAVA208": (Severity.WARNING,
+                "record(create) with no handle output, or "
+                "record(destroy) with no `deallocates` parameter"),
     # generated-code AST
     "CAVA301": (Severity.ERROR,
                 "guest encode order diverges from server decode order"),

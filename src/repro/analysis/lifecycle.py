@@ -19,7 +19,8 @@ which operations exist at all and what states they can fire from).
 Diagnostics fall out of the reachable transitions:
 
 * a release firing with only ``unborn`` reachable is
-  release-before-any-producer (CAVA201),
+  release-before-any-producer (CAVA201); uses with neither a producer
+  nor a release mean guests can never obtain the handle (CAVA206),
 * ``live`` reachable with no release operation is a leak (CAVA202),
 * two release steps inside one invocation reach ``released──release``
   — double-release — because both slots may bind the same value
@@ -27,9 +28,13 @@ Diagnostics fall out of the reachable transitions:
 * an ``async`` release racing a later synchronous use is the ordering
   hazard the transport must otherwise guarantee away (CAVA204).
 
-One finding is about the migration log's lifetime rather than a handle's:
-a ``record(modify)`` function without a ``supersedes(...)`` key leaves one
-record per call until the object it touches is destroyed (CAVA205).
+Per function, a ``deallocates`` annotation must sit on a handle slot
+(CAVA207).  Two findings are about the migration log rather than a
+handle: a ``record(modify)`` function without a ``supersedes(...)`` key
+leaves one record per call until the object it touches is destroyed
+(CAVA205), and a ``record(create)`` with no handle output or a
+``record(destroy)`` that frees nothing is replayed for side effects only
+(CAVA208).
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ from typing import Dict, List, Set, Tuple
 from repro.analysis.diagnostics import Diagnostic
 from repro.codegen.classify import ParamClass, classify_param, classify_return
 from repro.spec.model import ApiSpec, FunctionSpec, RecordKind
+
+
+_HANDLE_IN = (ParamClass.HANDLE, ParamClass.HANDLE_ARRAY_IN)
+_HANDLE_OUT = (ParamClass.HANDLE_BOX_OUT, ParamClass.HANDLE_ARRAY_OUT)
 
 
 class HandleState(enum.Enum):
@@ -105,7 +114,7 @@ def collect_handle_facts(spec: ApiSpec) -> Dict[str, HandleTypeFacts]:
             elif cls is ParamClass.HANDLE_ARRAY_OUT:
                 add(base, HandleOp(fname, param.name, "produce", many=True,
                                    can_async=can_async, can_sync=can_sync))
-            elif cls in (ParamClass.HANDLE, ParamClass.HANDLE_ARRAY_IN):
+            elif cls in _HANDLE_IN:
                 kind = "release" if param.element_deallocates else "use"
                 add(base, HandleOp(
                     fname, param.name, kind,
@@ -155,6 +164,14 @@ def analyze_lifecycle(spec: ApiSpec) -> Tuple[List[Diagnostic], int]:
                 f"{', '.join(funcs)} but no function in this spec "
                 f"produces one — the only reachable release fires in the "
                 f"'unborn' state",
+            ))
+        elif uses and not produces:
+            funcs = sorted({op.function for op in uses})
+            diags.append(Diagnostic(
+                "CAVA206", type_name,
+                f"handle type {type_name!r} is used by "
+                f"{', '.join(funcs)} but never produced by any function "
+                f"in this spec — guests cannot obtain one",
             ))
         if produces and not releases:
             funcs = sorted({op.function for op in produces})
@@ -214,15 +231,47 @@ def analyze_lifecycle(spec: ApiSpec) -> Tuple[List[Diagnostic], int]:
 
     for fname in sorted(spec.functions):
         func = spec.functions[fname]
-        if func.unsupported or func.record_kind is not RecordKind.MODIFY:
+        if func.unsupported:
             continue
-        checks += 1
-        if not func.supersedes:
-            diags.append(Diagnostic(
-                "CAVA205", fname,
-                f"{fname!r} is record(modify) without supersedes(...): "
-                f"the migration log keeps every call until the object it "
-                f"modifies is destroyed; name the parameters that key "
-                f"the state it sets, or justify why each record is needed",
-            ))
+        classes = {p.name: classify_param(spec, p) for p in func.params}
+        for param in func.params:
+            if not param.element_deallocates:
+                continue
+            checks += 1
+            if classes[param.name] not in _HANDLE_IN:
+                diags.append(Diagnostic(
+                    "CAVA207", f"{fname}.{param.name}",
+                    f"{fname!r} deallocates {param.name!r}, which is not "
+                    f"a handle ({classes[param.name].value}) — there is "
+                    f"no translation-table row to release",
+                ))
+        if func.record_kind is RecordKind.CREATE:
+            checks += 1
+            if classify_return(spec, func) != "handle" and not any(
+                    cls in _HANDLE_OUT for cls in classes.values()):
+                diags.append(Diagnostic(
+                    "CAVA208", fname,
+                    f"{fname!r} is record(create) but has no handle "
+                    f"output — the migration log replays it for side "
+                    f"effects only",
+                ))
+        elif func.record_kind is RecordKind.DESTROY:
+            checks += 1
+            if not any(p.element_deallocates for p in func.params):
+                diags.append(Diagnostic(
+                    "CAVA208", fname,
+                    f"{fname!r} is record(destroy) but no parameter "
+                    f"deallocates — its record frees nothing on replay",
+                ))
+        elif func.record_kind is RecordKind.MODIFY:
+            checks += 1
+            if not func.supersedes:
+                diags.append(Diagnostic(
+                    "CAVA205", fname,
+                    f"{fname!r} is record(modify) without supersedes(...): "
+                    f"the migration log keeps every call until the object "
+                    f"it modifies is destroyed; name the parameters that "
+                    f"key the state it sets, or justify why each record "
+                    f"is needed",
+                ))
     return diags, checks

@@ -76,19 +76,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.codegen.verify import format_report, verify_spec
-
-    spec = parse_spec_file(args.spec)
-    report = verify_spec(spec)
-    print(format_report(report, verbose=args.verbose))
-    if not report.ok:
-        return 1
-    if args.strict and report.warnings:
-        return 1
-    return 0
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """``cava lint`` and ``cava race``: one report per spec."""
     import json
@@ -247,16 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("-o", "--output", required=True,
                           help="output directory")
     generate.set_defaults(func=_cmd_generate)
-
-    verify = sub.add_parser(
-        "verify", help="check the spec's verifiable properties (§3)"
-    )
-    verify.add_argument("spec")
-    verify.add_argument("-v", "--verbose", action="store_true",
-                        help="list established properties per function")
-    verify.add_argument("--strict", action="store_true",
-                        help="exit non-zero on warnings, not just errors")
-    verify.set_defaults(func=_cmd_verify)
 
     for name, help_text in (
         ("lint", "deep static analysis: dataflow, handle lifecycle, and "

@@ -2,8 +2,8 @@
 
 The bad specs under ``tests/specs_bad/`` are the negative corpus: each
 exercises at least one diagnostic per ``CAVA`` code family, and every
-one of them is *accepted* by ``cava verify`` — the whole point of the
-lint pass is the cross-function properties the shallow verifier cannot
+one of them passes ``spec.validate()`` — the whole point of the lint
+pass is the cross-function properties per-function validation cannot
 see.
 """
 
@@ -25,7 +25,6 @@ from repro.analysis.suppressions import apply_suppressions
 from repro.apis import APIS
 from repro.codegen.cli import main as cava_main
 from repro.codegen.generator import GeneratedSources, generate_sources
-from repro.codegen.verify import verify_spec
 from repro.spec import parse_spec
 from repro.spec.parser import parse_spec_file
 from repro.stack import default_specs_dir
@@ -49,9 +48,9 @@ def codes(report):
 
 
 class TestDataflow:
-    def test_out_scalar_in_size_expr_caught_verify_accepts(self):
+    def test_out_scalar_in_size_expr_caught(self):
         spec = bad_spec("dataflow_out_scalar_size")
-        assert verify_spec(spec).ok          # the shallow verifier passes
+        assert spec.validate() == []         # per-function checks pass
         report = lint_spec(spec)
         assert "CAVA101" in codes(report)    # the lint pass does not
         assert not report.gate("error")
@@ -62,7 +61,7 @@ class TestDataflow:
 
     def test_shrinks_to_buffer_caught(self):
         spec = bad_spec("dataflow_shrinks_buffer")
-        assert verify_spec(spec).ok
+        assert spec.validate() == []
         report = lint_spec(spec)
         assert "CAVA104" in codes(report)
 
@@ -99,7 +98,7 @@ class TestDataflow:
 class TestLifecycle:
     def test_release_without_producer_is_error(self):
         spec = bad_spec("lifecycle_release_no_producer")
-        assert verify_spec(spec).ok          # verify only warns here
+        assert spec.validate() == []
         report = lint_spec(spec)
         diags = [d for d in report.diagnostics if d.code == "CAVA201"]
         assert diags and diags[0].severity is Severity.ERROR
@@ -107,7 +106,7 @@ class TestLifecycle:
 
     def test_leaked_handle_type_is_warning(self):
         spec = bad_spec("lifecycle_leak")
-        assert verify_spec(spec).ok
+        assert spec.validate() == []
         report = lint_spec(spec)
         assert "CAVA202" in codes(report)
         assert report.gate("error") and not report.gate("warning")
@@ -132,7 +131,7 @@ class TestLifecycle:
 
     def test_unkeyed_recorded_modify_is_warned(self):
         spec = bad_spec("lifecycle_unkeyed_modify")
-        assert verify_spec(spec).ok
+        assert spec.validate() == []
         report = lint_spec(spec)
         flagged = [d for d in report.diagnostics if d.code == "CAVA205"]
         # setMode, which declares its key, is not flagged
@@ -175,10 +174,10 @@ class TestGeneratedAst:
         return GeneratedSources(**fields)
 
     def test_shrinks_to_buffer_spec_caught_by_ast_layer_alone(self):
-        """A seeded bad *spec* (not tampered source) that verify accepts
-        and the generated-AST layer rejects."""
+        """A seeded bad *spec* (not tampered source) that validates and
+        the generated-AST layer rejects."""
         spec = bad_spec("dataflow_shrinks_buffer")
-        assert verify_spec(spec).ok
+        assert spec.validate() == []
         diags, _ = analyze_generated(spec)
         assert any(d.code == "CAVA307" for d in diags)
 
@@ -520,14 +519,17 @@ class TestLintCLI:
 
 
 class TestVerifyStrict:
+    """``cava lint --fail-on warning`` is the strict gate: warnings
+    alone fail it."""
+
     def test_strict_gates_warnings(self, tmp_path, capsys):
         spec = tmp_path / "warny.cava"
-        # an opaque parameter verifies OK but with a warning
+        # an opaque parameter lints clean of errors but with a warning
         spec.write_text("api(w);\nint f(void *pfn_notify);\n")
-        assert cava_main(["verify", str(spec)]) == 0
-        assert cava_main(["verify", str(spec), "--strict"]) == 1
+        assert cava_main(["lint", str(spec)]) == 0
+        assert cava_main(["lint", str(spec), "--fail-on", "warning"]) == 1
         out = capsys.readouterr().out
-        assert "warning" in out
+        assert "WARNING CAVA108" in out
 
     def test_strict_clean_spec_still_passes(self, tmp_path):
         spec = tmp_path / "clean.cava"
@@ -537,14 +539,95 @@ class TestVerifyStrict:
             "  parameter(data) { buffer(data_size); }\n"
             "}\n"
         )
-        assert cava_main(["verify", str(spec), "--strict"]) == 0
+        assert cava_main(["lint", str(spec), "--fail-on", "warning"]) == 0
 
 
 class TestVerifyDeterminism:
     def test_multi_param_warning_is_sorted(self):
         spec = parse_spec(
             "api(x);\nint f(void *zeta, void *alpha, void *mid);\n")
-        report = verify_spec(spec)
-        warning = next(w for w in report.warnings
-                       if "not marshalable" in w)
-        assert "['alpha', 'mid', 'zeta']" in warning
+        diag = next(d for d in lint_spec(spec).diagnostics
+                    if d.code == "CAVA108")
+        assert "['alpha', 'mid', 'zeta']" in diag.message
+
+
+def findings(report, code):
+    return [d for d in report.diagnostics if d.code == code]
+
+
+class TestSpecPropertyFindings:
+    """The per-function spec properties lint reports alongside its
+    dataflow and lifecycle analyses: opaque and unsized parameters,
+    orphan and mis-annotated handles, and migration records that
+    cannot do what their category says."""
+
+    def test_opaque_parameters_warned_per_function(self):
+        spec = parse_spec("api(x);\nint f(void *pfn_notify, float scale);\n")
+        [diag] = findings(lint_spec(spec), "CAVA108")
+        assert diag.subject == "f" and diag.severity is Severity.WARNING
+        assert "pfn_notify" in diag.message and "NULL" in diag.message
+
+    def test_anyvalue_without_size_warned(self):
+        spec = parse_spec(
+            "api(x);\nint setArg(int index, const void *value) {\n"
+            "  parameter(value) { anyvalue; }\n}\n")
+        [diag] = findings(lint_spec(spec), "CAVA109")
+        assert diag.subject == "setArg.value"
+        assert diag.severity is Severity.WARNING
+
+    def test_sized_anyvalue_not_warned(self):
+        spec = parse_spec(
+            "api(x);\n"
+            "int setArg(int index, const void *value, unsigned int n) {\n"
+            "  parameter(value) { anyvalue; buffer(n); }\n}\n")
+        assert not findings(lint_spec(spec), "CAVA109")
+
+    def test_used_but_never_produced_warned(self):
+        spec = parse_spec(
+            "api(x);\ntype(hdl) { handle; }\nint useIt(hdl h);")
+        [diag] = findings(lint_spec(spec), "CAVA206")
+        assert diag.subject == "hdl" and diag.severity is Severity.WARNING
+        assert "never produced" in diag.message
+
+    def test_release_without_producer_is_only_cava201(self):
+        report = lint_bad("lifecycle_release_no_producer")
+        assert findings(report, "CAVA201")
+        assert not findings(report, "CAVA206")
+
+    def test_deallocates_on_non_handle_is_error(self):
+        spec = parse_spec(
+            "api(x);\nint f(int plain) "
+            "{ parameter(plain) { deallocates; } }")
+        report = lint_spec(spec)
+        [diag] = findings(report, "CAVA207")
+        assert diag.subject == "f.plain"
+        assert diag.severity is Severity.ERROR
+        assert not report.gate("error")
+
+    def test_record_create_without_handle_output_warned(self):
+        spec = parse_spec(
+            "api(x);\nint makeNothing(int n) { record(create); }\n")
+        [diag] = findings(lint_spec(spec), "CAVA208")
+        assert diag.subject == "makeNothing"
+        assert diag.severity is Severity.WARNING
+
+    def test_record_destroy_without_deallocates_warned(self):
+        spec = parse_spec(
+            "api(x);\ntype(hdl) { handle; }\nhdl makeIt(int n);\n"
+            "int dropIt(hdl h) { record(destroy); }\n"
+            "int freeIt(hdl h) { parameter(h) { deallocates; } }\n")
+        assert [d.subject for d in findings(lint_spec(spec), "CAVA208")] \
+            == ["dropIt"]
+
+    def test_opencl_opaque_parameters_are_justified(self):
+        report = lint_path(
+            os.path.join(default_specs_dir(), "opencl.cava"))
+        suppressed = sorted(d.subject for d, _ in report.suppressed
+                            if d.code == "CAVA108")
+        assert suppressed == [
+            "clBuildProgram", "clCompileProgram", "clCreateContext",
+            "clCreateImage", "clCreateProgramWithSource",
+        ]
+        assert report.gate("warning")
+        assert "suppressed CAVA108 clCreateContext" in \
+            report.format(verbose=True)

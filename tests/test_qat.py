@@ -4,7 +4,7 @@ import zlib
 
 import pytest
 
-from repro.codegen.verify import verify_spec
+from repro.analysis import lint_spec
 from repro.qat import api
 from repro.qat.device import QATDeviceSpec, SimulatedQAT
 from repro.remoting.buffers import OutBox
@@ -156,8 +156,8 @@ class TestSpecAndForwarding:
         spec = load_spec("qat")
         assert len(spec.functions) == 8
         assert spec.validate() == []
-        report = verify_spec(spec)
-        assert report.ok, report.errors
+        report = lint_spec(spec)
+        assert report.gate("error"), report.format()
 
     def test_workload_native(self, qat):
         result = CompressionWorkload(blocks=4, block_kib=16).run(api)

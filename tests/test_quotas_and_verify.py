@@ -1,9 +1,12 @@
-"""Tests for router resource quotas and the spec verifier."""
+"""Tests for router resource quotas and the spec properties `cava lint`
+checks."""
+
+import os
 
 import numpy as np
 import pytest
 
-from repro.codegen.verify import format_report, verify_spec
+from repro.analysis import lint_path, lint_spec
 from repro.guest.library import RemotingError
 from repro.hypervisor.policy import ResourcePolicy, VMPolicy
 from repro.opencl import types
@@ -12,7 +15,7 @@ from repro.spec import parse_spec
 from repro.spec.cparser import parse_header
 from repro.spec.infer import infer_preliminary_spec
 from repro.spec.model import RecordKind
-from repro.stack import VirtualStack, load_spec
+from repro.stack import VirtualStack, default_specs_dir, load_spec
 
 
 class TestResourceQuotas:
@@ -86,11 +89,14 @@ class TestResourceQuotas:
 
 
 class TestSpecVerifier:
+    """The checks `cava lint` makes of each function's properties."""
+
     def test_shipped_specs_verify_clean(self):
         for api in ("opencl", "mvnc"):
-            report = verify_spec(load_spec(api))
-            assert report.ok, report.errors
-            assert report.checks_passed > 30
+            report = lint_path(
+                os.path.join(default_specs_dir(), f"{api}.cava"))
+            assert report.gate("warning"), report.format()
+            assert sum(report.checks_passed.values()) > 30
 
     def test_async_with_required_outputs_is_error(self):
         spec = parse_spec(
@@ -100,11 +106,14 @@ class TestSpecVerifier:
             "  parameter(out_data) { out; buffer(out_data_size); }\n"
             "}\n"
         )
-        report = verify_spec(spec)
-        assert not report.ok
-        assert any("required outputs" in e for e in report.errors)
+        report = lint_spec(spec)
+        assert not report.gate("error")
+        assert any(d.code == "CAVA100" and "output" in d.message
+                   for d in report.errors)
 
     def test_conditional_async_with_outputs_is_property(self):
+        """Conditionally async with required outputs is sound: the data
+        is defined by the next synchronization point."""
         spec = parse_spec(
             "api(x);\n"
             "int f(int blocking, float *out_data, int out_data_size) {\n"
@@ -112,36 +121,37 @@ class TestSpecVerifier:
             "  parameter(out_data) { out; buffer(out_data_size); }\n"
             "}\n"
         )
-        report = verify_spec(spec)
-        assert report.ok
-        assert any("synchronization" in p for p in report.properties["f"])
+        report = lint_spec(spec)
+        assert report.gate("warning"), report.format()
 
     def test_deallocates_on_non_handle_is_error(self):
         spec = parse_spec(
             "api(x);\nint f(int plain) "
             "{ parameter(plain) { deallocates; } }"
         )
-        report = verify_spec(spec)
-        assert any("not a handle" in e for e in report.errors)
+        report = lint_spec(spec)
+        assert any(d.code == "CAVA207" and "not a handle" in d.message
+                   for d in report.errors)
 
     def test_orphan_handle_type_warned(self):
         spec = parse_spec(
             "api(x);\ntype(hdl) { handle; }\nint useIt(hdl h);"
         )
-        report = verify_spec(spec)
-        assert any("never produced" in w for w in report.warnings)
+        report = lint_spec(spec)
+        assert any(d.code == "CAVA206" and "never produced" in d.message
+                   for d in report.warnings)
 
     def test_opaque_params_warned_not_errored(self):
         spec = parse_spec("api(x);\nint f(void *pfn_notify);")
-        report = verify_spec(spec)
-        assert report.ok
-        assert any("not marshalable" in w for w in report.warnings)
+        report = lint_spec(spec)
+        assert report.gate("error")
+        assert [d.code for d in report.warnings] == ["CAVA108"]
 
     def test_format_report_verbose(self):
-        report = verify_spec(load_spec("mvnc"))
-        text = format_report(report, verbose=True)
-        assert "mvncLoadTensor" in text
-        assert "✓" in text
+        report = lint_path(os.path.join(default_specs_dir(), "opencl.cava"))
+        text = report.format(verbose=True)
+        assert "invariants checked" in text
+        assert "suppressed CAVA108 clCreateImage" in text
 
 
 class TestRecordVerbInference:

@@ -208,28 +208,6 @@ class TestCavaEffortAndVerifyCLI:
         assert "mvnc" in out
         assert "leverage" in out
 
-    def test_verify_subcommand_ok(self, capsys):
-        spec = os.path.join(default_specs_dir(), "qat.cava")
-        assert cava_main(["verify", spec]) == 0
-        assert "0 errors" in capsys.readouterr().out
-
-    def test_verify_subcommand_verbose(self, capsys):
-        spec = os.path.join(default_specs_dir(), "mvnc.cava")
-        assert cava_main(["verify", spec, "-v"]) == 0
-        assert "mvncGetResult" in capsys.readouterr().out
-
-    def test_verify_subcommand_failing(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cava"
-        bad.write_text(
-            "api(x);\n"
-            "int f(float *out_data, int out_data_size) {\n"
-            "  async;\n"
-            "  parameter(out_data) { out; buffer(out_data_size); }\n"
-            "}\n"
-        )
-        assert cava_main(["verify", str(bad)]) == 1
-        assert "required outputs" in capsys.readouterr().out
-
 
 class TestCavaTopFlags:
     @pytest.fixture(scope="class")

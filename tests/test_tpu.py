@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import lint_spec
 from repro.codegen.pyfront import (
     Handle,
     InBuffer,
@@ -11,7 +12,6 @@ from repro.codegen.pyfront import (
     OutScalar,
     spec_from_module,
 )
-from repro.codegen.verify import verify_spec
 from repro.migration import MigrationPolicy
 from repro.remoting.buffers import OutBox
 from repro.spec.errors import SpecSemanticError
@@ -112,7 +112,7 @@ class TestPyFront:
         spec = spec_from_module(api, "tpu", "tpu")
         assert len(spec.functions) == 11
         assert spec.validate() == []
-        assert verify_spec(spec).ok
+        assert lint_spec(spec).gate("error")
 
     def test_handle_params_detected(self):
         spec = spec_from_module(api, "tpu", "tpu")
