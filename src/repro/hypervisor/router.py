@@ -30,8 +30,7 @@ from repro.remoting.codec import (
 )
 from repro.remoting.wire import FrameLike, WireCodec
 from repro.analysis import sanitizer as _sanitize
-from repro.spec.expr import Evaluator, Expr
-from repro.spec.model import ApiSpec, RecordKind
+from repro.spec.model import RecordKind
 from repro.telemetry import flightrec as _flightrec
 from repro.telemetry import tracer as _tele
 
@@ -42,13 +41,16 @@ class RoutingInfo:
 
     name: str
     record_kind: Optional[RecordKind] = None
-    #: resource name → size/cost expression over the call's scalars
-    resources: Dict[str, Expr] = field(default_factory=dict)
-    #: the call's estimates when no expression names a call argument
-    #: (``consumes(kernel_launches, 1)``), evaluated once by
-    #: :meth:`RoutingTable.fold`; None means every call evaluates them
-    constant: Optional[Dict[str, Any]] = field(default=None, repr=False,
-                                               compare=False)
+    #: resource name → the spec's `consumes` estimate as the generator
+    #: compiled it: a float, or a function of the call's named arguments
+    resources: Dict[str, Any] = field(default_factory=dict)
+    #: some estimate depends on the call's arguments; otherwise every
+    #: call bills ``resources`` as they stand
+    per_call: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.per_call = any(callable(estimate)
+                            for estimate in self.resources.values())
 
 
 @dataclass
@@ -62,64 +64,33 @@ class RoutingTable:
 
     api: str
     functions: Dict[str, RoutingInfo] = field(default_factory=dict)
-    constants: Dict[str, float] = field(default_factory=dict)
-    sizeof_table: Dict[str, int] = field(default_factory=dict)
     #: per-function sync classification ("sync"/"async"/"conditional")
     #: distilled from the spec — the happens-before contract CAVA309
     #: checks the generated routing module against
     ordering: Dict[str, str] = field(default_factory=dict)
     #: functions that can act as sync points (sync-capable calls)
     sync_points: List[str] = field(default_factory=list)
-    #: one evaluator over the merged sizeof table, built on first use
-    evaluator: Optional[Evaluator] = field(default=None, repr=False,
-                                           compare=False)
-
-    @classmethod
-    def from_spec(cls, spec: ApiSpec) -> "RoutingTable":
-        table = cls(api=spec.name, constants=dict(spec.constants),
-                    sizeof_table=spec.sizeof_table())
-        for func in spec.functions.values():
-            if func.unsupported:
-                continue
-            table.functions[func.name] = RoutingInfo(
-                name=func.name,
-                record_kind=func.record_kind,
-                resources=dict(func.resources),
-            )
-            table.ordering[func.name] = func.sync_policy.classification()
-            if func.sync_policy.modes()[0]:
-                table.sync_points.append(func.name)
-        table.sync_points.sort()
-        return table
 
     def estimate(self, info: RoutingInfo,
-                 command: Optional[Command] = None) -> Dict[str, Any]:
-        """``info``'s `consumes` expressions over ``command``'s scalars
-        and buffer sizes; one that fails is left out (an estimate never
-        fails the call)."""
-        env: Dict[str, float] = dict(self.constants)
-        if command is not None:
-            env.update({key: value for key, value in command.scalars.items()
-                        if isinstance(value, (int, float))})
-            for name, chunk in command.in_buffers.items():
-                env.setdefault(name, float(len(chunk)))
-        if self.evaluator is None:
-            self.evaluator = Evaluator(env, self.sizeof_table)
-        self.evaluator.env = env
+                 command: Command) -> Dict[str, Any]:
+        """``info``'s `consumes` estimates for ``command``: a compiled
+        one is called with the call's numeric scalars and in-buffer
+        lengths; one that fails is left out (an estimate never fails
+        the call)."""
+        args: Dict[str, Any] = {
+            key: value for key, value in command.scalars.items()
+            if isinstance(value, (int, float))}
+        for name, chunk in command.in_buffers.items():
+            args.setdefault(name, float(len(chunk)))
         estimates: Dict[str, Any] = {}
-        for resource, expr in info.resources.items():
-            try:
-                estimates[resource] = self.evaluator.evaluate(expr)
-            except Exception:
-                continue
+        for resource, estimate in info.resources.items():
+            if callable(estimate):
+                try:
+                    estimate = estimate(**args)
+                except Exception:
+                    continue
+            estimates[resource] = estimate
         return estimates
-
-    def fold(self) -> None:
-        """Evaluate once the estimates of every function whose
-        expressions name no call argument."""
-        for info in self.functions.values():
-            if not any(expr.names() for expr in info.resources.values()):
-                info.constant = self.estimate(info)
 
 
 @dataclass
@@ -233,7 +204,6 @@ class Router:
     # -- configuration -------------------------------------------------------
 
     def register_api(self, table: RoutingTable) -> None:
-        table.fold()
         self.tables[table.api] = table
 
     def register_vm(self, vm_id: str, store: Optional[Any] = None) -> None:
@@ -606,8 +576,8 @@ class Router:
             state.rejected += 1
             return self._deny(command, arrival, str(err), tracer,
                               rejected=str(err))
-        estimates = info.constant
-        if estimates is None:
+        estimates = info.resources
+        if info.per_call:
             estimates = self.tables[command.api].estimate(info, command)
         if state.limits is not None:
             for resource, amount in estimates.items():

@@ -4,15 +4,15 @@ Specs embed expressions in three places: buffer-size formulas
 (``buffer(count * sizeof(cl_event))``), synchronization conditions
 (``if (blocking_read == CL_TRUE) sync; else async;``) and resource-cost
 estimates (``consumes(bus_bytes, size);``).  This module provides the
-expression AST, a Pratt parser over the shared token stream, and an
-evaluator that resolves names against a call's arguments plus the API's
-constants.
+expression AST and a Pratt parser over the shared token stream.
+Nothing interprets the tree at run time: :mod:`repro.codegen.pyexpr`
+compiles it into the generated guest stubs and routing table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.spec.errors import ExprError
 from repro.spec.lexer import EOF, IDENT, NUMBER, PUNCT, Token
@@ -274,101 +274,3 @@ DEFAULT_SIZEOF: Dict[str, int] = {
     "mvncStatus": 4,
     "float16": 2,
 }
-
-
-class Evaluator:
-    """Evaluates expressions against an environment.
-
-    The environment maps identifiers to numbers; ``sizeof`` is resolved
-    from a type-size table.  Truthiness follows C (non-zero is true).
-    """
-
-    def __init__(
-        self,
-        env: Mapping[str, float],
-        sizeof_table: Optional[Mapping[str, int]] = None,
-    ) -> None:
-        self.env = env
-        self.sizeof_table = dict(DEFAULT_SIZEOF)
-        if sizeof_table:
-            self.sizeof_table.update(sizeof_table)
-
-    def evaluate(self, expr: Expr) -> float:
-        method: Callable[[Expr], float] = getattr(
-            self, "_eval_" + type(expr).__name__.lower(), None
-        )
-        if method is None:
-            raise ExprError(f"cannot evaluate node {type(expr).__name__}")
-        return method(expr)
-
-    def _eval_literal(self, expr: Literal) -> float:
-        return expr.value
-
-    def _eval_name(self, expr: Name) -> float:
-        if expr.identifier not in self.env:
-            raise ExprError(f"unbound name {expr.identifier!r} in expression")
-        value = self.env[expr.identifier]
-        if value is None:
-            return 0.0
-        return float(value)
-
-    def _eval_sizeof(self, expr: SizeOf) -> float:
-        if expr.type_name not in self.sizeof_table:
-            raise ExprError(f"unknown sizeof type {expr.type_name!r}")
-        return float(self.sizeof_table[expr.type_name])
-
-    def _eval_conditional(self, expr: Conditional) -> float:
-        if self.evaluate(expr.condition):
-            return self.evaluate(expr.if_true)
-        return self.evaluate(expr.if_false)
-
-    def _eval_unary(self, expr: Unary) -> float:
-        value = self.evaluate(expr.operand)
-        if expr.op == "-":
-            return -value
-        if expr.op == "!":
-            return 0.0 if value else 1.0
-        raise ExprError(f"unknown unary operator {expr.op!r}")
-
-    def _eval_binary(self, expr: Binary) -> float:
-        op = expr.op
-        if op == "&&":
-            return 1.0 if self.evaluate(expr.left) and self.evaluate(expr.right) else 0.0
-        if op == "||":
-            return 1.0 if self.evaluate(expr.left) or self.evaluate(expr.right) else 0.0
-        left = self.evaluate(expr.left)
-        right = self.evaluate(expr.right)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise ExprError("division by zero in spec expression")
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise ExprError("modulo by zero in spec expression")
-            return float(int(left) % int(right))
-        comparisons = {
-            "==": left == right,
-            "!=": left != right,
-            "<": left < right,
-            ">": left > right,
-            "<=": left <= right,
-            ">=": left >= right,
-        }
-        if op in comparisons:
-            return 1.0 if comparisons[op] else 0.0
-        raise ExprError(f"unknown binary operator {op!r}")
-
-
-def evaluate(
-    expr: Expr,
-    env: Mapping[str, float],
-    sizeof_table: Optional[Mapping[str, int]] = None,
-) -> float:
-    """Convenience wrapper: evaluate ``expr`` in ``env``."""
-    return Evaluator(env, sizeof_table).evaluate(expr)

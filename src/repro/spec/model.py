@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.spec.errors import SpecSemanticError
-from repro.spec.expr import Evaluator, Expr, Literal
+from repro.spec.expr import Expr, Literal
 
 
 class Direction(enum.Enum):
@@ -134,14 +134,6 @@ class SyncPolicy:
     condition: Optional[Expr] = None
     #: mode when ``condition`` evaluates true (default applies otherwise)
     mode_if_true: SyncMode = SyncMode.SYNC
-
-    def resolve(self, env: Mapping[str, float],
-                sizeof_table: Optional[Mapping[str, int]] = None) -> SyncMode:
-        """The effective mode for a concrete invocation."""
-        if self.condition is None:
-            return self.default
-        value = Evaluator(env, sizeof_table).evaluate(self.condition)
-        return self.mode_if_true if value else self.default
 
     def modes(self) -> "tuple":
         """(can_sync, can_async) — the modes a call can take at runtime."""

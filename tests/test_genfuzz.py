@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codegen.generator import generate_sources
 from repro.hypervisor.hypervisor import ApiRegistration, Hypervisor
-from repro.hypervisor.router import RoutingTable
 from repro.stack import resolve_codec
 from repro.remoting.buffers import OutBox, read_bytes, write_back
 from repro.spec.model import (
@@ -161,7 +160,7 @@ def deploy(spec, native_module):
     hv = Hypervisor(resolve_codec(None, [stack]))
     hv.register_api(ApiRegistration(
         name=spec.name,
-        routing_table=RoutingTable.from_spec(spec),
+        routing_table=stack.routing_table(),
         dispatch=stack.dispatch(),
         record_kinds={},
         supersedes={},

@@ -1,18 +1,29 @@
-"""Unit and property tests for the spec expression engine."""
+"""Unit and property tests for spec expressions: the parser, and the
+compiled Python the routing table runs for each `consumes` estimate."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.spec.errors import ExprError
+from repro.codegen.pyexpr import expr_to_python
+from repro.spec.errors import ExprError, SpecSemanticError
 from repro.spec.expr import (
+    DEFAULT_SIZEOF,
     Binary,
-    Evaluator,
     Literal,
     Name,
     SizeOf,
-    evaluate,
     parse_expr,
 )
+
+
+def evaluate(expr, env, sizeof_table=None):
+    """``expr`` compiled as the routing table compiles an estimate (names
+    coerced to float, the result wrapped in ``float``), run with ``env``
+    bound as its parameters."""
+    sizes = {**DEFAULT_SIZEOF, **(sizeof_table or {})}
+    code = "float(%s)" % expr_to_python(expr, set(env), {}, sizes,
+                                        coerce="float")
+    return eval(code, {}, dict(env))
 
 
 class TestParsing:
@@ -26,7 +37,7 @@ class TestParsing:
         assert evaluate(parse_expr("size"), {"size": 128}) == 128
 
     def test_unbound_name_raises(self):
-        with pytest.raises(ExprError):
+        with pytest.raises(SpecSemanticError):
             evaluate(parse_expr("ghost"), {})
 
     def test_arithmetic_precedence(self):
@@ -63,7 +74,7 @@ class TestParsing:
         assert evaluate(parse_expr("4 * sizeof(float)"), {}) == 16
 
     def test_sizeof_unknown_type_raises(self):
-        with pytest.raises(ExprError):
+        with pytest.raises(SpecSemanticError):
             evaluate(parse_expr("sizeof(struct nothing)"), {})
 
     def test_sizeof_custom_table(self):
@@ -74,7 +85,7 @@ class TestParsing:
             parse_expr("1 + 2 }")
 
     def test_division_by_zero(self):
-        with pytest.raises(ExprError):
+        with pytest.raises(ZeroDivisionError):
             evaluate(parse_expr("1 / 0"), {})
 
     def test_modulo(self):
@@ -144,12 +155,20 @@ class TestProperties:
 
 
 class TestEvaluatorEdgeCases:
-    def test_none_env_value_treated_as_zero(self):
-        assert evaluate(parse_expr("x + 1"), {"x": None}) == 1
+    def test_none_env_value_is_not_a_number(self):
+        """The router binds only numeric arguments: a None scalar leaves
+        the estimate unbound, and the router leaves it out."""
+        with pytest.raises(TypeError):
+            evaluate(parse_expr("x + 1"), {"x": None})
+
+    def test_result_is_a_float(self):
+        for source in ("1", "a && b", "a < b", "sizeof(int)"):
+            assert type(evaluate(parse_expr(source), {"a": 1, "b": 2})) \
+                is float
 
     def test_direct_nodes(self):
         expr = Binary("+", Literal(1), Name("n"))
-        assert Evaluator({"n": 2}).evaluate(expr) == 3
+        assert evaluate(expr, {"n": 2}) == 3
 
     def test_sizeof_node_names_empty(self):
         assert SizeOf("float").names() == set()

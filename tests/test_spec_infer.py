@@ -4,7 +4,7 @@ import pytest
 
 from repro.spec.cparser import parse_header
 from repro.spec.infer import SizeConvention, infer_preliminary_spec
-from repro.spec.model import Direction, RecordKind, SyncMode
+from repro.spec.model import Direction, RecordKind
 
 HEADER = """
 #define CL_SUCCESS 0
@@ -103,7 +103,7 @@ class TestFunctionInference:
 
     def test_default_sync(self, spec):
         func = spec.function("clSetKernelArg")
-        assert func.sync_policy.resolve({}) is SyncMode.SYNC
+        assert func.sync_policy.classification() == "sync"
 
     def test_preliminary_spec_validates(self, spec):
         assert spec.validate() == []
