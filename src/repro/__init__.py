@@ -28,12 +28,11 @@ from repro.hypervisor.vm import GuestVM
 from repro.remoting.buffers import OutBox
 from repro.spec import parse_spec, parse_spec_file
 from repro.stack import VirtualStack, build_stack, load_spec
-from repro.vclock import CostModel, VirtualClock
+from repro.vclock import VirtualClock
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostModel",
     "GeneratedStack",
     "GuestVM",
     "Hypervisor",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.harness.runner import Measurement
-from repro.vclock import CostModel
 
 
 @dataclass
@@ -37,11 +36,6 @@ class TrapModel:
     traps_per_call: int = 18
     #: BAR window size — one trap per window of bulk data moved
     bar_window_bytes: int = 4096
-
-    @classmethod
-    def from_cost_model(cls, model: CostModel) -> "TrapModel":
-        return cls(trap_cost=model.mmio_trap_cost,
-                   traps_per_call=model.mmio_traps_per_call)
 
 
 @dataclass

@@ -16,7 +16,6 @@ from repro.harness.runner import (
     run_native,
     run_virtualized,
 )
-from repro.vclock import CostModel
 from repro.workloads import GaussianWorkload, NNWorkload
 
 
@@ -26,11 +25,6 @@ def measurement(name="w", mode="native", runtime=1.0, **kwargs):
 
 
 class TestTrapModel:
-    def test_from_cost_model(self):
-        model = TrapModel.from_cost_model(CostModel())
-        assert model.trap_cost == CostModel().mmio_trap_cost
-        assert model.traps_per_call == CostModel().mmio_traps_per_call
-
     def test_estimate_counts_call_and_data_traps(self):
         native = measurement(runtime=1e-3)
         ava = measurement(mode="ava", runtime=1.1e-3, calls_sync=10,

@@ -243,24 +243,13 @@ class TestZeroCostWhenOff:
 
 class TestClockEventOptIn:
     def test_events_off_by_default(self):
+        """A clock keeps its time and per-category totals, never a
+        per-advance log: hot-path clocks advance millions of times."""
         clock = VirtualClock("c")
-        clock.advance(1.0, "a")
-        assert clock.events == []
-
-    def test_record_events_constructor_opt_in(self):
-        clock = VirtualClock("c", record_events=True)
-        clock.advance(1.0, "a")
-        clock.advance(2.0, "b")
-        assert clock.events == [(1.0, "a"), (3.0, "b")]
-        clock.clear_events()
-        assert clock.events == []
-
-    def test_tracing_context_restores_opt_in(self):
-        clock = VirtualClock("c", record_events=True)
-        with clock.tracing():
+        for _ in range(1000):
             clock.advance(1.0, "a")
-        clock.advance(1.0, "b")  # still recording: ctor opt-in persists
-        assert clock.events == [(1.0, "a"), (2.0, "b")]
+        assert vars(clock) == {"name": "c", "_now": 1000.0,
+                               "_accounts": {"a": 1000.0}}
 
 
 class TestTelemetryCli:
