@@ -53,6 +53,45 @@ class TestInstances:
         assert api.cpaDcStopInstance(instance) == api.CPA_STATUS_SUCCESS
 
 
+class TestOpenStateBelongsToTheOwner:
+    """A started instance and its DC sessions are each native session's
+    own: two tenants of one pooled engine both start it, and a tenant
+    that goes away leaves nothing started behind."""
+
+    def pooled(self, *vm_ids):
+        from repro.hypervisor.pool import DeviceClass
+
+        hv = VirtualStack.build("qat").hypervisor
+        member = hv.add_device(DeviceClass.qat())
+        libs = [hv.create_vm(vm_id).library("qat") for vm_id in vm_ids]
+        return hv, member.native_device("qat"), libs
+
+    def test_second_tenant_starts_a_pooled_instance(self):
+        _hv, engine, (qa_a, qa_b) = self.pooled("vm-a", "vm-b")
+        for qa in (qa_a, qa_b):
+            instance, session = OutBox(), OutBox()
+            assert qa.cpaDcStartInstance(0, instance) == \
+                api.CPA_STATUS_SUCCESS
+            assert qa.cpaDcInitSession(instance.value, session, 6,
+                                       api.CPA_DC_DIR_COMPRESS) == \
+                api.CPA_STATUS_SUCCESS
+        assert qa_b.cpaDcStartInstance(0, OutBox()) == api.CPA_STATUS_RESOURCE
+
+    def test_destroyed_tenant_leaves_nothing_behind(self):
+        hv, engine, (qa_a, qa_b) = self.pooled("vm-a", "vm-b")
+        instance = OutBox()
+        assert qa_a.cpaDcStartInstance(0, instance) == api.CPA_STATUS_SUCCESS
+        assert qa_a.cpaDcInitSession(instance.value, OutBox(), 6,
+                                     api.CPA_DC_DIR_COMPRESS) == \
+            api.CPA_STATUS_SUCCESS
+        hv.destroy_vm("vm-a")
+        assert engine.holders == {}
+        instance = OutBox()
+        assert qa_b.cpaDcStartInstance(0, instance) == api.CPA_STATUS_SUCCESS
+        assert qa_b.cpaDcStopInstance(instance.value) == \
+            api.CPA_STATUS_SUCCESS
+
+
 class TestSessions:
     def test_bad_level(self, qat):
         instance = start_instance(qat)
