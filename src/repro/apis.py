@@ -48,10 +48,10 @@ class ApiPlugin:
     #: onto around every command, and the simulated device class each
     #: worker's private device is built from
     session: str
-    #: the :class:`~repro.hypervisor.pool.DeviceClass` method that
-    #: gives this API's native device spec on a pool member (None: the
-    #: API is not pooled, and each worker keeps a private device)
-    device_spec: Optional[str] = None
+    #: workers on a pool member share the member's device, its spec
+    #: scaled by :meth:`~repro.hypervisor.pool.DeviceClass.scale_spec`
+    #: (False: each worker keeps a private device)
+    pooled: bool = False
     #: the native session reaches back into the API server: it takes the
     #: worker's handle resolver (for handle ints in untyped arguments)
     #: and the stack's swap memory manager
@@ -60,10 +60,10 @@ class ApiPlugin:
     def pooled_device(self, device_class: "DeviceClass") -> Any:
         """The native device a pool member of ``device_class`` serves
         this API with."""
-        if self.device_spec is None:
+        if not self.pooled:
             raise ValueError(f"API {self.name!r} has no pooled device")
-        spec = getattr(device_class, self.device_spec)()
-        return resolve(self.session).device(spec=spec)
+        device = resolve(self.session).device
+        return device(spec=device_class.scale_spec(device.spec_class()))
 
 
 def _tpu_spec() -> "ApiSpec":
@@ -79,18 +79,18 @@ APIS: Dict[str, ApiPlugin] = {plugin.name: plugin for plugin in (
     ApiPlugin(
         name="opencl", native_module="repro.opencl.api", spec="opencl",
         header="cl.h",
-        session="repro.opencl.runtime:Session", device_spec="gpu_spec",
+        session="repro.opencl.runtime:Session", pooled=True,
         silo_hooks=True,
     ),
     ApiPlugin(
         name="mvnc", native_module="repro.mvnc.api", spec="mvnc",
         header="mvnc.h",
-        session="repro.mvnc.api:NCSSession", device_spec="ncs_spec",
+        session="repro.mvnc.api:NCSSession", pooled=True,
     ),
     ApiPlugin(
         name="qat", native_module="repro.qat.api", spec="qat",
         header="qat.h",
-        session="repro.qat.api:QATSession", device_spec="qat_spec",
+        session="repro.qat.api:QATSession", pooled=True,
     ),
     ApiPlugin(
         name="tpu", native_module="repro.tpu.api", spec=_tpu_spec,

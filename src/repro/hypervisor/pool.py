@@ -27,8 +27,9 @@ the only currency comparable across a heterogeneous pool.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apis import APIS
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy
@@ -108,49 +109,26 @@ class DeviceClass:
         return cls(name="qat", compute_scale=0.4, transfer_scale=0.5,
                    memory_bytes=512 * 1024 * 1024)
 
-    # -- native spec builders (lazy imports: no cycles) --------------------
+    # -- native specs ------------------------------------------------------
 
-    def gpu_spec(self):
-        """An OpenCL :class:`~repro.opencl.device.DeviceSpec` for this
-        class.  The baseline class returns the *default* spec object so
-        single-device pools stay bit-identical with the pre-pool stack."""
-        from repro.opencl.device import DeviceSpec
-
-        base = DeviceSpec()
-        if (self.compute_scale == 1.0 and self.transfer_scale == 1.0
-                and self.memory_bytes == base.global_mem_bytes):
+    def scale_spec(self, base: Any) -> Any:
+        """A native device spec for this class: ``base`` with the fields
+        it declares as compute rates (``compute_fields``) and transfer
+        rates (``transfer_fields``) scaled, and its ``capacity_field``
+        set to :attr:`memory_bytes`.  When that changes nothing, ``base``
+        itself comes back, so a baseline pool stays bit-identical with a
+        pool-free stack."""
+        changes = {name: getattr(base, name) * self.compute_scale
+                   for name in base.compute_fields}
+        changes.update({name: getattr(base, name) * self.transfer_scale
+                        for name in base.transfer_fields})
+        if base.capacity_field is not None:
+            changes[base.capacity_field] = self.memory_bytes
+        if all(getattr(base, name) == value
+               for name, value in changes.items()):
             return base
-        return DeviceSpec(
-            name=f"{base.name} ({self.name})",
-            flops=base.flops * self.compute_scale,
-            mem_bandwidth=base.mem_bandwidth * self.compute_scale,
-            pcie_bandwidth=base.pcie_bandwidth * self.transfer_scale,
-            global_mem_bytes=self.memory_bytes,
-        )
-
-    def ncs_spec(self):
-        from repro.mvnc.device import NCSDeviceSpec
-
-        base = NCSDeviceSpec()
-        if self.compute_scale == 1.0 and self.transfer_scale == 1.0:
-            return base
-        return NCSDeviceSpec(
-            name=f"{base.name} ({self.name})",
-            flops=base.flops * self.compute_scale,
-            usb_bandwidth=base.usb_bandwidth * self.transfer_scale,
-        )
-
-    def qat_spec(self):
-        from repro.qat.device import QATDeviceSpec
-
-        base = QATDeviceSpec()
-        if self.compute_scale == 1.0:
-            return base
-        return QATDeviceSpec(
-            name=f"{base.name} ({self.name})",
-            compress_bps=base.compress_bps * self.compute_scale,
-            decompress_bps=base.decompress_bps * self.compute_scale,
-        )
+        return dataclasses.replace(base, name=f"{base.name} ({self.name})",
+                                   **changes)
 
 
 @dataclass
@@ -207,9 +185,8 @@ class PooledDevice:
         """Busy time summed over this member's native devices, over the
         latest of their timelines (0.0 before any of them ran)."""
         natives = self._native.values()
-        busy = sum(float(getattr(n, "busy_time", 0.0)) for n in natives)
-        horizon = max((float(getattr(n, "timeline", 0.0)) for n in natives),
-                      default=0.0)
+        busy = sum(n.busy_time for n in natives)
+        horizon = max((n.timeline for n in natives), default=0.0)
         return busy / horizon if horizon else 0.0
 
     # -- native binding ----------------------------------------------------

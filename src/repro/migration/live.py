@@ -458,9 +458,6 @@ class LiveMigration:
         self.report.retransmits = self.channel.retransmits
         self.report.total_time = self.dest.clock.now - self._began_at
         self._file_report()
-        # the state moved: give the source's device allocations back
-        # (on a shared pool member, other tenants get this memory)
-        self._free_device_state(self.source)
         if tracer.enabled:
             tracer.record_span(
                 "migration.cutover", freeze_start, self.dest.clock.now,
@@ -517,35 +514,7 @@ class LiveMigration:
         self._abort(reason)
         return self.report
 
-    @staticmethod
-    def _free_device_state(worker: "ApiServerWorker") -> None:
-        """Free a worker's device allocations without touching its
-        handle table.
-
-        Matters on shared pool members: a retired source (state moved)
-        or an abandoned destination (migration aborted) must give its
-        device memory back to the member's other tenants."""
-        for _gid, obj in list(worker.handles.items()):
-            if getattr(obj, "released", False) or \
-                    getattr(obj, "deallocated", False):
-                continue
-            device = getattr(obj, "device", None)
-            if device is None:
-                continue
-            if _is_buffer_object(obj) and hasattr(device, "free"):
-                device.free(obj.size)
-                try:
-                    obj.released = True
-                except Exception:  # pragma: no cover - frozen objects
-                    pass
-            elif hasattr(device, "deallocate_graph"):
-                try:
-                    device.deallocate_graph(obj)
-                except Exception:  # pragma: no cover - already dead
-                    pass
-
     def _scrub_destination(self, reason: str) -> None:
         """Discard the half-built destination entirely."""
         assert self.dest is not None
-        self._free_device_state(self.dest)
         self.dest.crash(f"migration aborted: {reason}")

@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.mvnc.device import AllocatedGraph, SimulatedNCS
+from repro.mvnc.device import AllocatedGraph, PendingInference, SimulatedNCS
 from repro.mvnc.graph import GraphDefinition, GraphError
 from repro.native import NativeSession, set_box
 from repro.remoting.buffers import OutBox, borrow_bytes, read_bytes, write_back
@@ -49,7 +49,7 @@ FUNCTION_NAMES = [
     "mvncGetGlobalOption",
 ]
 
-@dataclass
+@dataclass(eq=False)
 class NCSSession(NativeSession):
     """Binding of the MVNC API to a device set and a caller clock."""
 
@@ -86,9 +86,10 @@ def mvncOpenDevice(name: Optional[str], device_handle: OutBox) -> int:
         return MVNC_INVALID_PARAMETERS
     for device in sess.devices:
         if name is None or device.name == name:
-            if device.opened:
+            holding = device.held(sess)
+            if holding.opened:
                 return MVNC_BUSY
-            device.opened = True
+            holding.opened = True
             # USB enumeration + firmware boot
             sess.clock.advance(2e-3, "device_open")
             set_box(device_handle, device)
@@ -97,10 +98,11 @@ def mvncOpenDevice(name: Optional[str], device_handle: OutBox) -> int:
 
 
 def mvncCloseDevice(device_handle: Any) -> int:
-    _session()
-    if not isinstance(device_handle, SimulatedNCS) or not device_handle.opened:
+    sess = _session()
+    if not isinstance(device_handle, SimulatedNCS) or \
+            not device_handle.held(sess).opened:
         return MVNC_INVALID_PARAMETERS
-    device_handle.opened = False
+    device_handle.held(sess).opened = False
     return MVNC_OK
 
 
@@ -114,7 +116,7 @@ def mvncAllocateGraph(device_handle: Any, graph_handle: OutBox,
     sess = _session()
     if not isinstance(device_handle, SimulatedNCS) or graph_handle is None:
         return MVNC_INVALID_PARAMETERS
-    if not device_handle.opened:
+    if not device_handle.held(sess).opened:
         return MVNC_GONE
     blob = borrow_bytes(graph_file, limit=int(graph_file_length))
     try:
@@ -122,9 +124,10 @@ def mvncAllocateGraph(device_handle: Any, graph_handle: OutBox,
     except GraphError:
         return MVNC_UNSUPPORTED_GRAPH_FILE
     try:
-        graph = device_handle.allocate_graph(definition, len(blob))
+        device_handle.allocate(sess, len(blob))
     except MemoryError:
         return MVNC_OUT_OF_MEMORY
+    graph = AllocatedGraph(device_handle, sess, definition, len(blob))
     # graph upload over USB
     spec = device_handle.spec
     sess.clock.advance(
@@ -138,7 +141,8 @@ def mvncDeallocateGraph(graph_handle: Any) -> int:
     _session()
     if not isinstance(graph_handle, AllocatedGraph) or graph_handle.deallocated:
         return MVNC_INVALID_PARAMETERS
-    graph_handle.device.deallocate_graph(graph_handle)
+    graph_handle.device.free(graph_handle.owner, graph_handle.blob_size)
+    graph_handle.deallocated = True
     return MVNC_OK
 
 
@@ -165,12 +169,16 @@ def mvncLoadTensor(graph_handle: Any, input_tensor: Any,
     )
     sess.clock.advance(transfer, "tensor_upload")
     try:
-        device.execute_inference(
-            graph_handle, tensor, not_before=sess.clock.now,
-            user_param=user_param,
-        )
+        # the network runs now (host truth); its completion is queued
+        report = graph_handle.executor.run(tensor)
     except GraphError:
         return MVNC_ERROR
+    cost = graph_handle.infer_cost(
+        input_bytes=tensor.nbytes, output_bytes=report.output.nbytes)
+    timer = device.occupy(cost, sess.clock.now, "inference")
+    graph_handle.inference_time_total += cost
+    graph_handle.pending.append(PendingInference(
+        output=report.output, complete_at=timer.end, user_param=user_param))
     return MVNC_OK
 
 

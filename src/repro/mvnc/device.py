@@ -1,22 +1,22 @@
 """The simulated Neural Compute Stick device.
 
 Timing model: input and output tensors cross a USB3 link; inference runs
-on a fixed-function accelerator at a modest FP16 flop rate.  Like the
-GPU, the device owns a timeline so queued inferences serialize — the
-NCSDK model is explicitly asynchronous (``LoadTensor`` queues work,
-``GetResult`` blocks for the oldest completion).
+on a fixed-function accelerator at a modest FP16 flop rate.  Queued
+inferences serialize on the device timeline — the NCSDK model is
+explicitly asynchronous (``LoadTensor`` queues work, ``GetResult``
+blocks for the oldest completion).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, ClassVar, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.mvnc.graph import GraphDefinition, GraphExecutor, estimate_flops
-from repro.telemetry import tracer as _tele
+from repro.native import SimulatedDevice
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,13 @@ class NCSDeviceSpec:
     #: on-stick memory for graphs, bytes
     graph_memory_bytes: int = 320 * 1024 * 1024
 
+    #: the fields a pool's :class:`~repro.hypervisor.pool.DeviceClass`
+    #: scales by its compute and transfer factors (the stick's graph
+    #: memory is fixed)
+    compute_fields: ClassVar[Tuple[str, ...]] = ("flops",)
+    transfer_fields: ClassVar[Tuple[str, ...]] = ("usb_bandwidth",)
+    capacity_field: ClassVar[Optional[str]] = None
+
 
 @dataclass
 class PendingInference:
@@ -48,9 +55,11 @@ class PendingInference:
 class AllocatedGraph:
     """A graph resident on the stick, with its inference FIFO."""
 
-    def __init__(self, device: "SimulatedNCS", definition: GraphDefinition,
-                 blob_size: int) -> None:
+    def __init__(self, device: "SimulatedNCS", owner: Any,
+                 definition: GraphDefinition, blob_size: int) -> None:
         self.device = device
+        #: the native session whose ledger entry holds the blob
+        self.owner = owner
         self.definition = definition
         self.executor = GraphExecutor(definition)
         self.blob_size = blob_size
@@ -71,67 +80,14 @@ class AllocatedGraph:
         return transfer + compute
 
 
-class SimulatedNCS:
-    """The stick: graph memory ledger plus an execution timeline."""
+class SimulatedNCS(SimulatedDevice):
+    """The stick: graph memory is its ledger, inferences its timeline."""
 
-    def __init__(self, spec: Optional[NCSDeviceSpec] = None,
-                 index: int = 0) -> None:
-        self.spec = spec or NCSDeviceSpec()
-        self.index = index
-        self.timeline: float = 0.0
-        self.busy_time: float = 0.0
-        self.graph_bytes_used: int = 0
-        self.opened = False
+    spec_class = NCSDeviceSpec
+    memory_field = "graph_memory_bytes"
 
     @property
     def name(self) -> str:
-        return f"{self.spec.name} #{self.index}"
-
-    def allocate_graph(self, definition: GraphDefinition,
-                       blob_size: int) -> AllocatedGraph:
-        if self.graph_bytes_used + blob_size > self.spec.graph_memory_bytes:
-            raise MemoryError(
-                f"NCS graph memory exhausted: {self.graph_bytes_used} + "
-                f"{blob_size} > {self.spec.graph_memory_bytes}"
-            )
-        self.graph_bytes_used += blob_size
-        return AllocatedGraph(self, definition, blob_size)
-
-    def deallocate_graph(self, graph: AllocatedGraph) -> None:
-        if not graph.deallocated:
-            self.graph_bytes_used = max(
-                0, self.graph_bytes_used - graph.blob_size
-            )
-            graph.deallocated = True
-
-    def execute_inference(
-        self,
-        graph: AllocatedGraph,
-        input_tensor: np.ndarray,
-        not_before: float,
-        user_param: Any,
-    ) -> PendingInference:
-        """Run the network now (host truth) and queue its completion."""
-        report = graph.executor.run(input_tensor)
-        cost = graph.infer_cost(
-            input_bytes=input_tensor.nbytes,
-            output_bytes=report.output.nbytes,
-        )
-        start = max(self.timeline, not_before)
-        end = start + cost
-        self.timeline = end
-        self.busy_time += cost
-        graph.inference_time_total += cost
-        tracer = _tele.active()
-        if tracer.enabled:
-            tracer.record_span(
-                "device.compute", start, end, layer="device",
-                op="inference", device=self.name,
-                input_bytes=input_tensor.nbytes,
-                output_bytes=report.output.nbytes,
-            )
-        pending = PendingInference(
-            output=report.output, complete_at=end, user_param=user_param
-        )
-        graph.pending.append(pending)
-        return pending
+        # NCSDK names sticks by bus index; each simulated stick is the
+        # first on its own bus
+        return f"{self.spec.name} #0"

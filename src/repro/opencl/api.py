@@ -316,7 +316,7 @@ def clCreateBuffer(context: rt.Context, flags: int, size: int, host_ptr: Any,
             payload = borrow_bytes(host_ptr, limit=int(size))
             mem.data[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
             # initializing from host memory is a synchronous H2D copy
-            timer = mem.device.execute(
+            timer = mem.device.occupy(
                 mem.device.copy_cost(len(payload)), sess.clock.now,
                 "h2d_copy",
             )
@@ -353,7 +353,7 @@ def clCreateImage(context: rt.Context, flags: int, image_channel_order: int,
         if host_ptr is not None and flags & types.CL_MEM_COPY_HOST_PTR:
             payload = borrow_bytes(host_ptr, limit=size)
             mem.data[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-            timer = mem.device.execute(
+            timer = mem.device.occupy(
                 mem.device.copy_cost(len(payload)), sess.clock.now,
                 "h2d_copy",
             )

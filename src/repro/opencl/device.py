@@ -7,19 +7,19 @@ roofline-style cost model: a kernel costs the maximum of its compute time
 bandwidth), plus a fixed launch overhead.  Host↔device copies cost
 bytes / PCIe bandwidth plus a fixed DMA setup overhead.
 
-The device owns a timeline — the virtual time at which it next becomes
-free.  Queue operations serialize on it, which is what makes contention
-between VMs measurable in the scheduling experiments.
+The timeline and memory ledger are :class:`~repro.native.SimulatedDevice`'s:
+queue operations serialize on the timeline, which is what makes
+contention between VMs measurable in the scheduling experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Tuple
 
-from repro.opencl.errors import CLError, check
+from repro.native import SimulatedDevice
+from repro.opencl.errors import CLError
 from repro.opencl import types
-from repro.telemetry import tracer as _tele
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,12 @@ class DeviceSpec:
     global_mem_bytes: int = 8 * 1024**3
     local_mem_bytes: int = 48 * 1024
     max_work_group_size: int = 1024
+
+    #: the fields a pool's :class:`~repro.hypervisor.pool.DeviceClass`
+    #: scales by its compute and transfer factors, and sets to its memory
+    compute_fields: ClassVar[Tuple[str, ...]] = ("flops", "mem_bandwidth")
+    transfer_fields: ClassVar[Tuple[str, ...]] = ("pcie_bandwidth",)
+    capacity_field: ClassVar[Optional[str]] = "global_mem_bytes"
 
     @classmethod
     def gtx1080(cls) -> "DeviceSpec":
@@ -71,59 +77,19 @@ class KernelCost:
     efficiency: float = 1.0
 
 
-@dataclass
-class DeviceTimer:
-    """An executed operation's placement on the device timeline."""
-
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class SimulatedGPU:
-    """A simulated accelerator with a timeline and a memory ledger.
+class SimulatedGPU(SimulatedDevice):
+    """A simulated GPU: the roofline and copy cost functions.
 
     The memory ledger only tracks *byte counts* (allocation bookkeeping
-    for out-of-memory behaviour and the swapping experiments); the actual
-    data lives in numpy arrays owned by the runtime's buffer objects.
+    for out-of-memory behaviour); the actual data lives in numpy arrays
+    owned by the runtime's buffer objects.
     """
 
-    def __init__(self, spec: Optional[DeviceSpec] = None,
-                 trace: bool = False) -> None:
-        self.spec = spec or DeviceSpec.gtx1080()
-        #: virtual time at which the device next becomes free
-        self.timeline: float = 0.0
-        self.allocated_bytes: int = 0
-        #: running total of busy device time, for utilization accounting
-        self.busy_time: float = 0.0
-        #: per-category op counters (kernels, copies) for tests/metrics
-        self.op_counts: Dict[str, int] = {}
-        #: when enabled, every executed op as (start, end, category) —
-        #: the raw material for trace-driven scheduling experiments
-        self.trace: Optional[list] = [] if trace else None
+    spec_class = DeviceSpec
+    memory_field = "global_mem_bytes"
 
-    # -- memory ledger -----------------------------------------------------
-
-    def allocate(self, nbytes: int) -> None:
-        check(nbytes > 0, types.CL_INVALID_BUFFER_SIZE,
-              f"buffer size {nbytes} must be positive")
-        if self.allocated_bytes + nbytes > self.spec.global_mem_bytes:
-            raise CLError(
-                types.CL_MEM_OBJECT_ALLOCATION_FAILURE,
-                f"device memory exhausted: {self.allocated_bytes} + {nbytes} "
-                f"> {self.spec.global_mem_bytes}",
-            )
-        self.allocated_bytes += nbytes
-
-    def free(self, nbytes: int) -> None:
-        self.allocated_bytes = max(0, self.allocated_bytes - nbytes)
-
-    @property
-    def free_bytes(self) -> int:
-        return self.spec.global_mem_bytes - self.allocated_bytes
+    def out_of_memory(self, message: str) -> Exception:
+        return CLError(types.CL_MEM_OBJECT_ALLOCATION_FAILURE, message)
 
     # -- cost model ----------------------------------------------------------
 
@@ -148,46 +114,3 @@ class SimulatedGPU:
         memory = work_items * cost.bytes_per_item / self.spec.mem_bandwidth
         busy = max(compute, memory) / max(cost.efficiency, 1e-6)
         return self.spec.launch_overhead + busy
-
-    # -- timeline -----------------------------------------------------------
-
-    def execute(
-        self, duration: float, not_before: float, category: str = "kernel"
-    ) -> DeviceTimer:
-        """Occupy the device for ``duration``, starting no earlier than
-        ``not_before`` (the submitting queue's notion of now).
-
-        Returns the operation's start/end placement.  The device is
-        in-order: work begins when both the device is free and the
-        submission has arrived.
-        """
-        if duration < 0:
-            raise ValueError("duration cannot be negative")
-        start = max(self.timeline, not_before)
-        end = start + duration
-        self.timeline = end
-        self.busy_time += duration
-        self.op_counts[category] = self.op_counts.get(category, 0) + 1
-        if self.trace is not None:
-            self.trace.append((start, end, category))
-        tracer = _tele.active()
-        if tracer.enabled:
-            tracer.record_span(
-                "device.compute" if category == "kernel" else "device.copy",
-                start, end, layer="device", op=category,
-                device=self.spec.name,
-            )
-        return DeviceTimer(start=start, end=end)
-
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Busy fraction over ``horizon`` (defaults to the timeline)."""
-        total = horizon if horizon is not None else self.timeline
-        if total <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / total)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimulatedGPU({self.spec.name!r}, t={self.timeline:.6f}, "
-            f"mem={self.allocated_bytes}/{self.spec.global_mem_bytes})"
-        )

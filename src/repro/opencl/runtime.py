@@ -40,7 +40,7 @@ class MemoryManager:
     """
 
     def on_alloc(self, mem: "MemObject") -> float:
-        mem.device.allocate(mem.size)
+        mem.device.allocate(mem.context.session, mem.size)
         mem.resident = True
         return 0.0
 
@@ -51,11 +51,11 @@ class MemoryManager:
 
     def on_free(self, mem: "MemObject") -> None:
         if mem.resident:
-            mem.device.free(mem.size)
+            mem.device.free(mem.context.session, mem.size)
             mem.resident = False
 
 
-@dataclass
+@dataclass(eq=False)
 class Session(NativeSession):
     """One caller's binding to the simulated platform.
 
@@ -317,7 +317,7 @@ def enqueue_write(
     sess = mem.context.session
     ready = _touch(mem, sess.clock.now)
     cost = queue.device.copy_cost(size)
-    timer = queue.device.execute(cost, ready, "h2d_copy")
+    timer = queue.device.occupy(cost, ready, "h2d_copy")
     mem.data[offset:offset + size] = np.frombuffer(
         payload[:size], dtype=np.uint8
     )
@@ -345,7 +345,7 @@ def enqueue_read(
     sess = mem.context.session
     ready = _touch(mem, sess.clock.now)
     cost = queue.device.copy_cost(size)
-    timer = queue.device.execute(cost, ready, "d2h_copy")
+    timer = queue.device.occupy(cost, ready, "d2h_copy")
     payload = memoryview(mem.data)[offset:offset + size]
     event = Event("d2h_copy", queued=sess.clock.now, start=timer.start,
                   end=timer.end)
@@ -368,7 +368,7 @@ def enqueue_copy(
     sess = src.context.session
     ready = max(_touch(src, sess.clock.now), _touch(dst, sess.clock.now))
     cost = queue.device.device_copy_cost(size)
-    timer = queue.device.execute(cost, ready, "d2d_copy")
+    timer = queue.device.occupy(cost, ready, "d2d_copy")
     dst.data[dst_offset:dst_offset + size] = src.data[
         src_offset:src_offset + size
     ]
@@ -393,7 +393,7 @@ def enqueue_fill(
     sess = mem.context.session
     ready = _touch(mem, sess.clock.now)
     cost = queue.device.device_copy_cost(size) / 2  # write-only traffic
-    timer = queue.device.execute(cost, ready, "fill")
+    timer = queue.device.occupy(cost, ready, "fill")
     mem.data[offset:offset + size] = np.tile(
         np.frombuffer(pattern, dtype=np.uint8), size // len(pattern))
     event = Event("fill", queued=sess.clock.now, start=timer.start,
@@ -443,7 +443,7 @@ def enqueue_ndrange(
     kernel.impl.fn(ctx)
 
     cost = queue.device.kernel_cost(kernel.impl.cost, ctx.work_items)
-    timer = queue.device.execute(cost, ready, "kernel")
+    timer = queue.device.occupy(cost, ready, "kernel")
     event = Event("kernel", queued=sess.clock.now, start=timer.start,
                   end=timer.end)
     queue.record(event)

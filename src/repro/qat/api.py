@@ -40,9 +40,11 @@ FUNCTION_NAMES = [
 class DcSession:
     """One compression session bound to an instance."""
 
-    def __init__(self, instance: SimulatedQAT, level: int,
-                 direction: int) -> None:
+    def __init__(self, instance: SimulatedQAT, owner: QATSession,
+                 level: int, direction: int) -> None:
         self.instance = instance
+        #: the native session whose instance entry counts this session
+        self.owner = owner
         self.level = level
         self.direction = direction
         self.removed = False
@@ -78,20 +80,24 @@ def cpaDcStartInstance(index: int, instance: OutBox) -> int:
     if instance is None or not 0 <= int(index) < len(sess.devices):
         return CPA_STATUS_INVALID_PARAM
     device = sess.devices[int(index)]
-    if device.started:
+    holding = device.held(sess)
+    if holding.opened:
         return CPA_STATUS_RESOURCE
-    device.started = True
+    holding.opened = True
     set_box(instance, device)
     return CPA_STATUS_SUCCESS
 
 
 def cpaDcStopInstance(instance: Any) -> int:
-    _session()
-    if not isinstance(instance, SimulatedQAT) or not instance.started:
+    sess = _session()
+    if not isinstance(instance, SimulatedQAT):
         return CPA_STATUS_INVALID_PARAM
-    if instance.session_count:
+    holding = instance.held(sess)
+    if not holding.opened:
+        return CPA_STATUS_INVALID_PARAM
+    if holding.sessions:
         return CPA_STATUS_RESOURCE  # sessions still open
-    instance.started = False
+    holding.opened = False
     return CPA_STATUS_SUCCESS
 
 
@@ -102,19 +108,20 @@ def cpaDcStopInstance(instance: Any) -> int:
 
 def cpaDcInitSession(instance: Any, session: OutBox, level: int,
                      direction: int) -> int:
-    _session()
+    sess = _session()
     if not isinstance(instance, SimulatedQAT) or session is None:
         return CPA_STATUS_INVALID_PARAM
-    if not instance.started:
+    holding = instance.held(sess)
+    if not holding.opened:
         return CPA_STATUS_RESOURCE
     if not 1 <= int(level) <= 9:
         return CPA_STATUS_INVALID_PARAM
     if direction not in (CPA_DC_DIR_COMPRESS, CPA_DC_DIR_DECOMPRESS):
         return CPA_STATUS_INVALID_PARAM
-    if instance.session_count >= instance.spec.max_sessions:
+    if holding.sessions >= instance.spec.max_sessions:
         return CPA_STATUS_RESOURCE
-    instance.session_count += 1
-    set_box(session, DcSession(instance, int(level), int(direction)))
+    holding.sessions += 1
+    set_box(session, DcSession(instance, sess, int(level), int(direction)))
     return CPA_STATUS_SUCCESS
 
 
@@ -123,7 +130,7 @@ def cpaDcRemoveSession(session: Any) -> int:
     if not isinstance(session, DcSession) or session.removed:
         return CPA_STATUS_INVALID_PARAM
     session.removed = True
-    session.instance.session_count -= 1
+    session.instance.held(session.owner).sessions -= 1
     return CPA_STATUS_SUCCESS
 
 
@@ -158,11 +165,13 @@ def _run_request(session: DcSession, src: Any, src_size: int, dst: Any,
         return CPA_DC_OVERFLOW
     write_back(dst, result)
     set_box(produced, len(result))
-    end = session.instance.execute(
-        input_bytes=len(payload), output_bytes=len(result),
-        not_before=sess.clock.now, decompress=decompress,
-    )
-    sess.clock.advance_to(end, "dc_wait")
+    instance = session.instance
+    timer = instance.occupy(
+        instance.request_cost(len(payload), decompress), sess.clock.now,
+        "decompress" if decompress else "compress")
+    instance.bytes_consumed += len(payload)
+    instance.bytes_produced += len(result)
+    sess.clock.advance_to(timer.end, "dc_wait")
     return CPA_STATUS_SUCCESS
 
 
@@ -185,5 +194,5 @@ def cpaDcGetStats(instance: Any, bytes_consumed: OutBox,
         return CPA_STATUS_INVALID_PARAM
     set_box(bytes_consumed, instance.bytes_consumed)
     set_box(bytes_produced, instance.bytes_produced)
-    set_box(num_requests, instance.requests)
+    set_box(num_requests, sum(instance.op_counts.values()))
     return CPA_STATUS_SUCCESS

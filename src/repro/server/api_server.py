@@ -155,20 +155,31 @@ class ApiServerWorker:
         """Model this worker process dying: all device state is gone.
 
         The handle table is invalidated so guest-held handles into this
-        worker can never resolve again, even through a stale reference.
+        worker can never resolve again, even through a stale reference,
+        and the native session closes (:meth:`_exit`).
         """
         self.crashed = reason
         self.handles.clear()
+        self._exit()
 
     def retire(self, reason: str) -> None:
-        """Decommission this worker after its state moved elsewhere.
+        """Decommission this worker: its state moved elsewhere, or its
+        VM is gone.
 
         Unlike :meth:`crash`, the handle table survives — a live
         migration's post-cutover invariant compares it against the
         destination's — but any stray command (a bug: the router should
         have re-bound the slot) is refused rather than served stale.
+        The native session closes (:meth:`_exit`).
         """
         self.poisoned = reason
+        self._exit()
+
+    def _exit(self) -> None:
+        """The process ends: its devices take back what its native
+        session holds.  The one teardown for every API."""
+        if self.native_session is not None:
+            self.native_session.close()
 
     def execute(self, command: Command, release_time: float,
                 batched: bool = False) -> Reply:

@@ -36,10 +36,10 @@ def session_binder(
     """
     session_class = resolve(plugin.session)
     make_device = device_factory or session_class.device
-    pooled = plugin.device_spec is not None
 
     def bind(worker: ApiServerWorker) -> Any:
-        member = getattr(worker, "pool_device", None) if pooled else None
+        member = (getattr(worker, "pool_device", None) if plugin.pooled
+                  else None)
         device = (member.native_device(plugin.name) if member is not None
                   else make_device())
         hooks = {}

@@ -60,7 +60,7 @@ class _SwapManagerBase(MemoryManager):
     def _capacity(self, mem: MemObject) -> int:
         if self.capacity_override is not None:
             return self.capacity_override
-        return mem.device.spec.global_mem_bytes
+        return mem.device.capacity
 
     def _resident_bytes(self) -> int:
         return sum(m.size for m in self._resident)

@@ -80,8 +80,9 @@ def tpuOpenDevice(device_handle: NewHandle) -> int:
     if device_handle is None:
         return TPU_INVALID
     for device in sess.devices:
-        if not device.opened:
-            device.opened = True
+        holding = device.held(sess)
+        if not holding.opened:
+            holding.opened = True
             sess.clock.advance(1e-3, "device_open")  # runtime attach
             set_box(device_handle, device)
             return TPU_OK
@@ -89,19 +90,19 @@ def tpuOpenDevice(device_handle: NewHandle) -> int:
 
 
 def tpuCloseDevice(device_handle: Handle) -> int:
-    _session()
+    sess = _session()
     if not isinstance(device_handle, SimulatedTPU) or \
-            not device_handle.opened:
+            not device_handle.held(sess).opened:
         return TPU_INVALID
-    device_handle.opened = False
+    device_handle.held(sess).opened = False
     device_handle.deallocated = True  # handle-table cleanup marker
     return TPU_OK
 
 
 def tpuCreateGraph(device_handle: Handle, graph_handle: NewHandle) -> int:
-    _session()
+    sess = _session()
     if not isinstance(device_handle, SimulatedTPU) or \
-            not device_handle.opened:
+            not device_handle.held(sess).opened:
         return TPU_INVALID
     set_box(graph_handle, TPUGraph(device=device_handle))
     return TPU_OK
@@ -225,8 +226,8 @@ def tpuRun(graph_handle: Handle, feed_node: int, feed_data: InBuffer,
         graph_handle.step_cost
         + device.transfer_cost(len(payload) + len(blob))
     )
-    end = device.execute_step(compute, not_before=sess.clock.now)
-    sess.clock.advance_to(end, "step_wait")
+    timer = device.occupy(device.step_cost(compute), sess.clock.now, "step")
+    sess.clock.advance_to(timer.end, "step_wait")
     write_back(out_data, blob)
     set_box(produced, len(blob))
     return TPU_OK
@@ -237,6 +238,6 @@ def tpuDeviceStats(device_handle: Handle, steps: OutScalar,
     _session()
     if not isinstance(device_handle, SimulatedTPU):
         return TPU_INVALID
-    set_box(steps, device_handle.steps_executed)
+    set_box(steps, device_handle.op_counts.get("step", 0))
     set_box(busy_us, int(device_handle.busy_time * 1e6))
     return TPU_OK

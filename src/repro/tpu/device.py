@@ -1,4 +1,4 @@
-"""The simulated TPU: systolic-array cost model and timeline.
+"""The simulated TPU: the systolic-array cost model.
 
 Matrix multiplies run on a 128×128 systolic array: operands are padded
 to tile boundaries, so a (129, 10) @ (10, 5) matmul costs as much as
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from repro.native import SimulatedDevice
 
 
 @dataclass(frozen=True)
@@ -30,17 +32,10 @@ class TPUDeviceSpec:
     step_overhead: float = 20e-6
 
 
-class SimulatedTPU:
-    """One TPU: a timeline plus per-category op statistics."""
+class SimulatedTPU(SimulatedDevice):
+    """One TPU: the padded-tile, element-wise and link cost functions."""
 
-    def __init__(self, spec: TPUDeviceSpec = TPUDeviceSpec(),
-                 index: int = 0) -> None:
-        self.spec = spec
-        self.index = index
-        self.timeline: float = 0.0
-        self.busy_time: float = 0.0
-        self.opened = False
-        self.steps_executed = 0
+    spec_class = TPUDeviceSpec
 
     def _tiles(self, dim: int) -> int:
         return max(1, math.ceil(dim / self.spec.array_dim))
@@ -57,13 +52,6 @@ class SimulatedTPU:
     def transfer_cost(self, nbytes: int) -> float:
         return nbytes / self.spec.link_bandwidth
 
-    def execute_step(self, compute_seconds: float,
-                     not_before: float) -> float:
-        """Run one session step; returns completion time."""
-        cost = self.spec.step_overhead + compute_seconds
-        start = max(self.timeline, not_before)
-        end = start + cost
-        self.timeline = end
-        self.busy_time += cost
-        self.steps_executed += 1
-        return end
+    def step_cost(self, compute_seconds: float) -> float:
+        """One session step: dispatch plus its compute and transfers."""
+        return self.spec.step_overhead + compute_seconds

@@ -4,25 +4,31 @@ Each shipped API is described once, by an :class:`ApiPlugin`; these
 tests hold each descriptor to what the stack assumes of it: the native
 module answers every generated dispatch name, the session class is a
 :class:`~repro.native.NativeSession` with a stack of its own, a worker
-binds it, pooled APIs share a pool member's native device, and the
-registry keeps the optional API packages lazy.
+binds it, its device is the one simulated device model, pooled APIs
+share a pool member's native device, and the registry keeps the
+optional API packages lazy.
 """
 
+import dataclasses
 import importlib
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
 from repro.apis import APIS, resolve
 from repro.hypervisor.pool import DeviceClass
-from repro.native import NativeSession
+from repro.native import NativeSession, SimulatedDevice
+from repro.opencl.errors import CLError
+from repro.remoting.buffers import OutBox
 from repro.stack import VirtualStack, build_stack
 
-POOLED = [name for name, plugin in APIS.items() if plugin.device_spec]
-PRIVATE = [name for name, plugin in APIS.items() if not plugin.device_spec]
+POOLED = [name for name, plugin in APIS.items() if plugin.pooled]
+PRIVATE = [name for name, plugin in APIS.items() if not plugin.pooled]
 
 
 @pytest.mark.parametrize("api", list(APIS))
@@ -81,6 +87,100 @@ class TestNativeSession:
         for ask in (session_class.current, session_class.enter):
             with pytest.raises(RuntimeError, match="opened"):
                 ask()
+
+
+@pytest.mark.parametrize("api", list(APIS))
+class TestDeviceConformance:
+    """Every API's device is one :class:`~repro.native.SimulatedDevice`:
+    the same in-order timeline and the same owner-keyed ledger."""
+
+    def device(self, api, **spec_fields):
+        device_class = resolve(APIS[api].session).device
+        assert issubclass(device_class, SimulatedDevice)
+        spec = dataclasses.replace(device_class.spec_class(), **spec_fields)
+        return device_class(spec=spec)
+
+    def test_in_order_placement_and_not_before(self, api):
+        device = self.device(api)
+        first = device.occupy(1.0, 0.0, "op")
+        second = device.occupy(1.0, 0.0, "op")
+        assert (first.start, first.end) == (0.0, 1.0)
+        assert (second.start, second.end) == (1.0, 2.0)
+        late = device.occupy(0.5, 5.0, "op")
+        assert (late.start, late.end) == (5.0, 5.5)
+        assert device.timeline == 5.5
+        assert device.op_counts == {"op": 3}
+        with pytest.raises(ValueError):
+            device.occupy(-1.0, 0.0)
+
+    def test_busy_time_and_utilization_agree(self, api):
+        device = self.device(api)
+        assert device.utilization() == 0.0
+        device.occupy(1.0, 0.0)
+        device.occupy(2.0, 3.0)
+        assert device.busy_time == 3.0
+        assert device.utilization() == device.busy_time / device.timeline
+        assert device.utilization(horizon=6.0) == 0.5
+
+    def test_ledger_balances_per_owner(self, api):
+        device = self.device(api)
+        app_a, app_b = object(), object()
+        device.allocate(app_a, 300)
+        device.allocate(app_b, 200)
+        device.allocate(app_a, 100)
+        device.held(app_b).opened = True
+        assert device.allocated_bytes == 600
+        device.free(app_a, 300)
+        with pytest.raises(ValueError):
+            device.free(app_b, 201)
+        device.release_owner(app_a)
+        assert device.allocated_bytes == 200
+        device.release_owner(app_b)
+        device.release_owner(app_b)  # a second close is a no-op
+        assert device.allocated_bytes == 0 and device.holders == {}
+
+    def test_closing_a_session_releases_its_entry(self, api):
+        session_class = resolve(APIS[api].session)
+        device = self.device(api)
+        with session_class.opened([device]) as sess:
+            device.allocate(sess, 64)
+            device.held(sess).opened = True
+        assert device.allocated_bytes == 0 and device.holders == {}
+
+    def test_exhaustion_raises_the_api_error(self, api):
+        device_class = resolve(APIS[api].session).device
+        if device_class.memory_field is None:
+            assert device_class().capacity == math.inf
+            return
+        device = self.device(api, **{device_class.memory_field: 64})
+        if api == "mvnc":
+            self.assert_mvnc_out_of_memory(device)
+            return
+        owner = object()
+        device.allocate(owner, 64)
+        with pytest.raises(CLError):
+            device.allocate(owner, 1)
+        assert device.allocated_bytes == 64
+
+    @staticmethod
+    def assert_mvnc_out_of_memory(stick):
+        from repro.mvnc import api as mvnc
+        from repro.mvnc.graph import DENSE, GraphDefinition, Layer
+
+        blob = GraphDefinition(
+            name="dense", input_shape=(4,),
+            layers=[Layer(DENSE, {}, {
+                "w": np.ones((4, 4), dtype=np.float16),
+                "b": np.zeros(4, dtype=np.float16)})],
+        ).serialize()
+        assert len(blob) > 64
+        with mvnc.NCSSession.opened([stick]):
+            device = OutBox()
+            assert mvnc.mvncOpenDevice(None, device) == mvnc.MVNC_OK
+            assert mvnc.mvncAllocateGraph(device.value, OutBox(), blob,
+                                          len(blob)) == \
+                mvnc.MVNC_OUT_OF_MEMORY
+        assert stick.allocated_bytes == 0
 
 
 @pytest.mark.parametrize("api", list(APIS))

@@ -7,33 +7,38 @@ from repro.opencl.errors import CLError
 
 
 class TestMemoryLedger:
+    APP = object()  # a ledger owner (a native session, in the runtime)
+
     def test_allocate_and_free(self):
         gpu = SimulatedGPU()
-        gpu.allocate(1024)
+        gpu.allocate(self.APP, 1024)
         assert gpu.allocated_bytes == 1024
-        gpu.free(1024)
+        gpu.free(self.APP, 1024)
         assert gpu.allocated_bytes == 0
 
     def test_out_of_memory(self):
         gpu = SimulatedGPU(DeviceSpec.small_gpu(mem_bytes=1000))
-        gpu.allocate(800)
+        gpu.allocate(self.APP, 800)
         with pytest.raises(CLError):
-            gpu.allocate(300)
+            gpu.allocate(self.APP, 300)
 
     def test_zero_size_rejected(self):
-        with pytest.raises(CLError):
-            SimulatedGPU().allocate(0)
+        with pytest.raises(ValueError):
+            SimulatedGPU().allocate(self.APP, 0)
 
     def test_free_bytes(self):
         gpu = SimulatedGPU(DeviceSpec.small_gpu(mem_bytes=1000))
-        gpu.allocate(256)
+        gpu.allocate(self.APP, 256)
         assert gpu.free_bytes == 744
 
-    def test_overfree_clamps(self):
+    def test_overfree_rejected(self):
         gpu = SimulatedGPU()
-        gpu.allocate(100)
-        gpu.free(500)
-        assert gpu.allocated_bytes == 0
+        gpu.allocate(self.APP, 100)
+        with pytest.raises(ValueError, match="does not hold"):
+            gpu.free(self.APP, 500)
+        with pytest.raises(ValueError, match="does not hold"):
+            gpu.free(object(), 100)
+        assert gpu.allocated_bytes == 100
 
 
 class TestCostModel:
@@ -90,28 +95,28 @@ class TestCostModel:
 class TestTimeline:
     def test_execute_serializes(self):
         gpu = SimulatedGPU()
-        first = gpu.execute(1.0, not_before=0.0)
-        second = gpu.execute(1.0, not_before=0.0)
+        first = gpu.occupy(1.0, not_before=0.0)
+        second = gpu.occupy(1.0, not_before=0.0)
         assert first.end == pytest.approx(1.0)
         assert second.start == pytest.approx(1.0)
         assert second.end == pytest.approx(2.0)
 
     def test_not_before_delays_start(self):
         gpu = SimulatedGPU()
-        timer = gpu.execute(1.0, not_before=5.0)
+        timer = gpu.occupy(1.0, not_before=5.0)
         assert timer.start == pytest.approx(5.0)
         assert gpu.timeline == pytest.approx(6.0)
 
     def test_busy_time_accumulates(self):
         gpu = SimulatedGPU()
-        gpu.execute(1.0, not_before=0.0)
-        gpu.execute(2.0, not_before=10.0)
+        gpu.occupy(1.0, not_before=0.0)
+        gpu.occupy(2.0, not_before=10.0)
         assert gpu.busy_time == pytest.approx(3.0)
 
     def test_utilization(self):
         gpu = SimulatedGPU()
-        gpu.execute(1.0, not_before=0.0)
-        gpu.execute(1.0, not_before=3.0)
+        gpu.occupy(1.0, not_before=0.0)
+        gpu.occupy(1.0, not_before=3.0)
         assert gpu.utilization() == pytest.approx(2.0 / 4.0)
 
     def test_utilization_zero_when_idle(self):
@@ -119,11 +124,11 @@ class TestTimeline:
 
     def test_op_counts(self):
         gpu = SimulatedGPU()
-        gpu.execute(0.1, 0.0, "kernel")
-        gpu.execute(0.1, 0.0, "kernel")
-        gpu.execute(0.1, 0.0, "h2d_copy")
+        gpu.occupy(0.1, 0.0, "kernel")
+        gpu.occupy(0.1, 0.0, "kernel")
+        gpu.occupy(0.1, 0.0, "h2d_copy")
         assert gpu.op_counts == {"kernel": 2, "h2d_copy": 1}
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            SimulatedGPU().execute(-0.1, 0.0)
+            SimulatedGPU().occupy(-0.1, 0.0)

@@ -46,8 +46,8 @@ class TestDeviceModel:
 
     def test_step_serialization(self):
         tpu = SimulatedTPU()
-        first = tpu.execute_step(1e-3, not_before=0.0)
-        second = tpu.execute_step(1e-3, not_before=0.0)
+        first = tpu.occupy(tpu.step_cost(1e-3), not_before=0.0).end
+        second = tpu.occupy(tpu.step_cost(1e-3), not_before=0.0).end
         assert second == pytest.approx(first + 1e-3 +
                                        tpu.spec.step_overhead)
 

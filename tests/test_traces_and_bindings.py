@@ -31,14 +31,14 @@ class TestTraceExtraction:
 
     def test_tracing_device_records_tuples(self):
         gpu = SimulatedGPU(trace=True)
-        gpu.execute(1e-3, 0.0, "kernel")
-        gpu.execute(2e-3, 0.0, "h2d_copy")
+        gpu.occupy(1e-3, 0.0, "kernel")
+        gpu.occupy(2e-3, 0.0, "h2d_copy")
         assert gpu.trace == [(0.0, 1e-3, "kernel"),
                              (1e-3, 3e-3, "h2d_copy")]
 
     def test_non_tracing_device_stores_nothing(self):
         gpu = SimulatedGPU()
-        gpu.execute(1e-3, 0.0)
+        gpu.occupy(1e-3, 0.0)
         assert gpu.trace is None
 
     def test_failed_workload_rejected(self):
