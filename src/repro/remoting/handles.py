@@ -56,6 +56,8 @@ class HandleTable:
         if existing is not None and self._objects.get(existing) is obj:
             return existing
         guest_id = next(self._next_id)
+        while guest_id in self._objects:  # taken by a replayed allocate_as
+            guest_id = next(self._next_id)
         self._objects[guest_id] = obj
         self._reverse[key] = guest_id
         self.allocated_total += 1

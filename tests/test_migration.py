@@ -786,6 +786,34 @@ class TestLiveMigration:
             MigrationPolicy(max_frame_retries=-1)
 
 
+class TestObjectsCreatedAfterCutover:
+    """The destination's replay binds guest ids with ``allocate_as``; an
+    object the guest creates after the cutover must get an id of its
+    own, not one the replay already bound."""
+
+    def test_new_object_keeps_every_replayed_handle(self):
+        hv = VirtualStack.build("opencl").hypervisor
+        env = open_env(hv.create_vm("vm-after").library("opencl"))
+        before = dict(hv.worker("vm-after", "opencl").handles.items())
+        hv.live_migrate_vm("vm-after", "opencl")
+        mem = env.buffer(4096)
+        assert mem not in before
+        after = dict(hv.worker("vm-after", "opencl").handles.items())
+        assert set(after) == set(before) | {mem}
+        assert all(type(after[gid]) is type(obj)
+                   for gid, obj in before.items())
+
+    def test_second_migration_replays_the_new_object(self):
+        hv = VirtualStack.build("opencl").hypervisor
+        env = open_env(hv.create_vm("vm-twice").library("opencl"))
+        hv.live_migrate_vm("vm-twice", "opencl")
+        data = np.arange(1024, dtype=np.float32)
+        mem = env.buffer(data.nbytes, host=data)
+        report = hv.live_migrate_vm("vm-twice", "opencl")
+        assert not report.aborted
+        assert np.array_equal(env.read(mem, data.nbytes), data)
+
+
 class TestLiveMigrationAbort:
     """Abort is clean: the source keeps serving, the dest is scrubbed."""
 
