@@ -11,7 +11,7 @@ import os
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy, VMPolicy
 from repro.hypervisor.pool import (
@@ -709,6 +709,49 @@ class TestTeardownGivesMemoryBack:
         hv.destroy_vm("vm-a")
         assert native.allocated_bytes == 0
 
+    @staticmethod
+    def migrating():
+        """A VM holding a 1 MiB buffer on one member of a two-member
+        pool, one pre-copy round into a migration to the other; returns
+        the hypervisor, the engine and the (source, target) natives."""
+        from repro.stack import VirtualStack
+        from repro.workloads.base import open_env
+
+        hv = VirtualStack.build("opencl").hypervisor
+        for name in ("dev-a", "dev-b"):
+            hv.add_device(DeviceClass.baseline_gpu(), name)
+        open_env(hv.create_vm("vm-a").library("opencl")).buffer(MIB)
+        engine = hv.start_live_migration("vm-a", "opencl")
+        engine.precopy_round()
+        natives = (hv.pool.assignments["vm-a"].native_device("opencl"),
+                   engine.member.native_device("opencl"))
+        assert [n.allocated_bytes for n in natives] == [MIB, MIB]
+        return hv, engine, natives
+
+    def test_destroy_mid_migration_leaves_both_members_empty(self):
+        hv, engine, natives = self.migrating()
+        hv.destroy_vm("vm-a")
+        assert [n.allocated_bytes for n in natives] == [0, 0]
+        assert engine.aborted
+        assert hv.migrations == [engine.report] and engine.report.aborted
+
+    def test_source_crash_mid_migration_aborts_and_frees_the_target(self):
+        from repro.migration import MigrationError
+        from repro.workloads.base import open_env
+
+        hv, engine, (source, target) = self.migrating()
+        home = hv.pool.assignments["vm-a"]
+        hv._on_worker_lost("vm-a", "opencl", "injected crash")
+        assert target.allocated_bytes == 0
+        assert engine.aborted and hv.migrations == [engine.report]
+        with pytest.raises(MigrationError):
+            engine.cutover()
+        assert hv.pool.assignments["vm-a"] is home
+        worker = hv.restart_worker("vm-a", "opencl")
+        open_env(hv.vms["vm-a"].library("opencl")).buffer(MIB)
+        assert hv.worker("vm-a", "opencl") is worker
+        assert [source.allocated_bytes, target.allocated_bytes] == [MIB, 0]
+
 
 #: ``CAVA_MIG_EXAMPLES`` scales the ledger property like the migration
 #: property suite (default 25)
@@ -723,6 +766,8 @@ LEDGER_STEPS = st.lists(
         st.tuples(st.just("destroy"), st.integers(0, 7)),
         st.tuples(st.just("crash"), st.integers(0, 7)),
         st.tuples(st.just("migrate"), st.integers(0, 7)),
+        st.tuples(st.just("migrate-destroy"), st.integers(0, 7)),
+        st.tuples(st.just("migrate-crash"), st.integers(0, 7)),
     ),
     min_size=1, max_size=16,
 )
@@ -749,6 +794,10 @@ class TestLedgerProperty:
 
     @settings(max_examples=LEDGER_EXAMPLES, deadline=None)
     @given(LEDGER_STEPS)
+    # the shortest runs that leave a migration destination's replica on
+    # the target member, each pinned so every run tries it
+    @example([("create",), ("allocate", 0, 4096), ("migrate-destroy", 0)])
+    @example([("create",), ("allocate", 0, 4096), ("migrate-crash", 0)])
     def test_member_ledger_matches_live_handles(self, steps):
         from repro.analysis import sanitizer as _sanitize
         from repro.stack import VirtualStack
@@ -766,6 +815,11 @@ class TestLedgerProperty:
                 kind, vms = step[0], sorted(envs)
                 vm_id = vms[step[1] % len(vms)] if vms and \
                     len(step) > 1 else None
+                if kind.startswith("migrate-") and vm_id is not None:
+                    # migrate partway (one pre-copy round), then the VM
+                    # is destroyed or its source crashes
+                    hv.start_live_migration(vm_id, "opencl").precopy_round()
+                    kind = kind[len("migrate-"):]
                 if kind == "create":
                     vm_id = f"vm-{serial}"
                     serial += 1
