@@ -106,14 +106,14 @@ def test_object_tracking_prunes_log(once):
         vm = hv.create_vm("vm-churn")
         cl = vm.library("opencl")
         ctx, queue, _ = build_guest_state(cl, 2, 4096)
-        worker = hv.worker("vm-churn", "opencl")
-        baseline = len(worker.recorder)
+        log = hv.router.vms["vm-churn"].logs["opencl"]
+        baseline = len(log)
         err = OutBox()
         for _ in range(100):
             temp = cl.clCreateBuffer(ctx, 0, 4096, None, err)
             cl.clReleaseMemObject(temp)
         cl.clFinish(queue)
-        return baseline, len(worker.recorder), worker.recorder.pruned_calls
+        return baseline, len(log), log.pruned_calls
 
     baseline, after, pruned = once(run)
     print(f"\nmigration log: {baseline} entries before churn, {after} "
@@ -137,7 +137,7 @@ def bounded_log():
         env = open_env(cl)
         kernel = env.kernel(env.program(SRC), "vector_scale")
         mem = env.buffer(4096)
-        recorder = hv.worker("vm-steady", "opencl").recorder
+        recorder = hv.router.vms["vm-steady"].logs["opencl"]
         data = np.ones(1024, dtype=np.float32)
         for index in range(iterations):
             env.set_args(kernel, mem, 1.0 + index % 3, 1024)

@@ -79,7 +79,7 @@ def soak(calls=CALLS):
                     "at": index // quarter / 4,
                     "forwarded_calls": forwarded,
                     "log_entries": len(
-                        hv.worker("vm-soak", "opencl").recorder),
+                        hv.router.vms["vm-soak"].logs["opencl"]),
                     "replayed_calls": report.replayed_calls,
                     "held_kb": round(_held_bytes() / 1024, 1),
                 })

@@ -130,8 +130,6 @@ def main():
         name="toyfft",
         routing_table=stack.routing_table(),
         dispatch=stack.dispatch(),
-        record_kinds=stack.record_kinds(),
-        supersedes=stack.supersedes(),
         guest_module=stack.guest_module,
         # the native library is stateless: a placeholder session, with
         # a stack for the worker to push it on

@@ -59,7 +59,7 @@ def main():
     # run a third of the work before migrating
     scale()
     devices = [device()]
-    recorder = hv.worker("prod-vm", "opencl").recorder
+    recorder = hv.router.vms["prod-vm"].logs["opencl"]
     print(f"state before migration: {len(recorder)} recorded calls, "
           f"{recorder.pruned_calls} pruned by object tracking")
 

@@ -70,12 +70,6 @@ class GeneratedStack:
     def dispatch(self) -> Dict[str, Any]:
         return self.server_module.DISPATCH
 
-    def record_kinds(self) -> Dict[str, Any]:
-        return self.server_module.RECORD_KINDS
-
-    def supersedes(self) -> Dict[str, Any]:
-        return self.server_module.SUPERSEDES
-
 
 def generate_sources(spec: ApiSpec, native_module: str) -> GeneratedSources:
     """Generate all three module sources (pure; no filesystem access)."""

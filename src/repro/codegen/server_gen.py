@@ -3,10 +3,8 @@
 One ``_srv_<name>`` function per API function: unmarshal the command,
 translate guest handles through the worker's table, call the native
 implementation, collect outputs and freshly created handles into the
-reply.  The module exports ``DISPATCH`` (name → stub),
-``RECORD_KINDS`` (name → migration category) and ``SUPERSEDES`` (name →
-the parameters keying its migration record, and the return value that
-means the call took effect) for the worker.
+reply.  The module exports ``DISPATCH`` (name → stub) for the worker;
+what the migration log needs travels in the routing module.
 """
 
 from __future__ import annotations
@@ -160,7 +158,6 @@ def generate_server_module(spec: ApiSpec, native_module: str) -> str:
         "",
         "from repro.remoting.buffers import OutBox",
         "from repro.remoting.codec import Reply",
-        "from repro.spec.model import RecordKind",
         "",
         f"API_NAME = {spec.name!r}",
         "",
@@ -182,25 +179,6 @@ def generate_server_module(spec: ApiSpec, native_module: str) -> str:
     writer.indent()
     for name in supported:
         writer.line(f"{name!r}: _srv_{name},")
-    writer.dedent()
-    writer.line("}")
-    writer.line("")
-    writer.line("RECORD_KINDS = {")
-    writer.indent()
-    for name in supported:
-        kind = spec.functions[name].record_kind
-        if kind is not None:
-            writer.line(f"{name!r}: RecordKind({kind.value!r}),")
-    writer.dedent()
-    writer.line("}")
-    writer.line("")
-    writer.line("SUPERSEDES = {")
-    writer.indent()
-    for name in supported:
-        func = spec.functions[name]
-        if func.supersedes:
-            success = spec.declared_success_of(func)
-            writer.line(f"{name!r}: ({func.supersedes!r}, {success!r}),")
     writer.dedent()
     writer.line("}")
     return writer.source()

@@ -27,7 +27,6 @@ from repro.remoting.wire import WireCodec
 from repro.remoting.xfercache import CachePolicy, TransferCache
 from repro.server.api_server import ApiServerWorker
 from repro.server.xferstore import TransferStore
-from repro.spec.model import RecordKind
 from repro.transport.base import Transport
 from repro.transport.inproc import InProcTransport
 from repro.transport.network import NetworkTransport
@@ -47,10 +46,6 @@ class ApiRegistration:
     name: str
     routing_table: RoutingTable
     dispatch: Dict[str, Any]
-    record_kinds: Dict[str, RecordKind]
-    #: the generated ``SUPERSEDES`` table: function → (parameters keying
-    #: its migration record, return value meaning it took effect)
-    supersedes: Dict[str, Any]
     guest_module: Any
     #: called once per new worker; returns that worker's native session
     session_binder: Callable[[ApiServerWorker], Any]
@@ -195,10 +190,15 @@ class Hypervisor:
 
     def destroy_vm(self, vm_id: str) -> None:
         """Shut the VM down and forget it: its router record (with its
-        rate bucket), workers, lost-worker marks, SLO states and
-        sanitizer dispatch orders go, so it is absent from
+        rate bucket and migration logs), workers, lost-worker marks, SLO
+        states and sanitizer dispatch orders go, so it is absent from
         :meth:`admin_report` and a recycled id starts from zero.  Its
-        workers retire, so their devices take back what they held."""
+        migrations in flight abort first and its workers retire, so
+        their devices take back what they held."""
+        state = self.router.vms.get(vm_id)
+        if state is not None:
+            for engine in list(state.migrating.values()):
+                engine.abort("VM destroyed")
         vm = self.vms.pop(vm_id, None)
         if vm is not None:
             vm.shutdown()
@@ -239,6 +239,7 @@ class Hypervisor:
         The dead worker's handle table is invalidated and further calls
         from its VM get ``server-lost`` errors until
         :meth:`restart_worker`; every other VM's worker is untouched.
+        What lived in the dead process goes too (:meth:`_server_gone`).
         """
         key = (vm_id, api_name)
         worker = self.workers.pop(key, None)
@@ -252,14 +253,24 @@ class Hypervisor:
                 now=worker.clock.now if worker is not None else 0.0,
                 vm_id=vm_id, api=api_name, why=reason,
             )
+        self._server_gone(vm_id, api_name, f"worker lost: {reason}")
+
+    def _server_gone(self, vm_id: str, api_name: str, why: str) -> None:
+        """A (VM, API) server process ended: its migration in flight
+        aborts (the destination's teardown frees the target), and the
+        VM's log of the API and its transfer store start empty."""
+        state = self.router.vms[vm_id]
+        engine = state.migrating.get(api_name)
+        if engine is not None:
+            engine.abort(f"source lost ({why})")
+        state.logs[api_name] = self.router.tables[api_name].new_log()
         # cached payloads lived in the dead server's address space:
         # refs into them must miss, never resolve to stale state
-        store = self.router.vms[vm_id].store
-        if store is not None:
+        if state.store is not None:
             # the guest-side cache is NOT told: its stale beliefs (in
             # local-index mode) surface as NeedBytes misses and heal
             # through retransmission, exactly like a real channel reset
-            store.clear(f"worker lost: {reason}")
+            state.store.clear(why)
 
     def restart_worker(self, vm_id: str, api_name: str) -> ApiServerWorker:
         """Bring up a fresh worker for a crashed (VM, API) pair.
@@ -279,11 +290,10 @@ class Hypervisor:
         if running is not None:
             # an administrative restart kills the running process
             running.crash("restarted")
+        # a fresh server process starts with an empty store and log,
+        # even if the crash path never ran (administrative restarts)
+        self._server_gone(vm_id, api_name, "worker restarted")
         store = self.router.vms[vm_id].store
-        if store is not None:
-            # a fresh server process starts with an empty store, even if
-            # the crash path never ran (administrative restarts)
-            store.clear("worker restarted")
         worker = self._spawn_worker(vm_id, registration)
         self.workers[key] = worker
         san = _sanitize.active()
@@ -306,8 +316,6 @@ class Hypervisor:
             vm_id=vm_id,
             api_name=registration.name,
             dispatch=registration.dispatch,
-            record_kinds=registration.record_kinds,
-            supersedes=registration.supersedes,
         )
         if pool_device is not None:
             # explicit binding: live migration builds its destination on

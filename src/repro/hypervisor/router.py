@@ -9,6 +9,8 @@ path around it.  The router (paper §4.1, §4.3):
 * **accounts** resource-usage estimates from the spec's ``consumes``
   annotations (e.g. bus bytes for copies) per VM,
 * **schedules** the command's release to the per-VM API server worker,
+* **records** each successful call the spec marks ``record(...)`` into
+  the VM's migration log,
 * and logs per-VM metrics the administration interface exposes.
 """
 
@@ -20,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.errors import WorkerCrashed, WorkerLost
 from repro.hypervisor.policy import ResourcePolicy, TokenBucket, VMPolicy
+from repro.migration.recorder import CallRecorder
 from repro.remoting.codec import (
     CodecError,
     Command,
@@ -70,6 +73,13 @@ class RoutingTable:
     ordering: Dict[str, str] = field(default_factory=dict)
     #: functions that can act as sync points (sync-capable calls)
     sync_points: List[str] = field(default_factory=list)
+    #: the migration log's supersede keys: function → (parameters
+    #: keying its record, return value meaning the call took effect)
+    supersedes: Dict[str, Any] = field(default_factory=dict)
+
+    def new_log(self) -> CallRecorder:
+        """An empty migration log for this API's calls."""
+        return CallRecorder(self.supersedes)
 
     def estimate(self, info: RoutingInfo,
                  command: Command) -> Dict[str, Any]:
@@ -142,6 +152,13 @@ class VMState:
     limits: Optional[Dict[str, float]] = None
     #: this VM's migration reports, completed and aborted
     migrations: List[Any] = field(default_factory=list)
+    #: API name → the VM's migration log of that API's calls, which the
+    #: router records every successful reply of a ``record`` function
+    #: into (a command that reaches a worker another way is not logged)
+    logs: Dict[str, CallRecorder] = field(default_factory=dict)
+    #: API name → its migration in flight, from ``begin()`` to cutover
+    #: or abort
+    migrating: Dict[str, Any] = field(default_factory=dict)
 
 
 #: a frame's commands → whether any carries cached refs
@@ -205,11 +222,14 @@ class Router:
 
     def register_api(self, table: RoutingTable) -> None:
         self.tables[table.api] = table
+        for state in self.vms.values():
+            state.logs.setdefault(table.api, table.new_log())
 
     def register_vm(self, vm_id: str, store: Optional[Any] = None) -> None:
-        """Give ``vm_id`` a fresh record; ``store`` is its TransferStore
-        when its cache policy is armed."""
-        self.vms[vm_id] = VMState(store=store)
+        """Give ``vm_id`` a fresh record, with an empty log per API;
+        ``store`` is its TransferStore when its cache policy is armed."""
+        self.vms[vm_id] = VMState(store=store, logs={
+            api: table.new_log() for api, table in self.tables.items()})
 
     def drop_vm(self, vm_id: str) -> None:
         """Forget ``vm_id``: its frames are an unknown VM's from now on."""
@@ -407,12 +427,16 @@ class Router:
         payload a ref was just served from is refreshed in the same
         walk order under the digest the store served it by
         (``served``: ``(command index, param) -> digest``), not hashed
-        again.
+        again.  A payload the store keeps is replaced by the store's
+        bytes, so the call and the migration log use that one copy.
         """
         for index, command in enumerate(commands):
-            for name, chunk in command.in_buffers.items():
+            in_buffers = command.in_buffers
+            for name, chunk in in_buffers.items():
                 if store.min_bytes <= len(chunk) <= store.max_entry_bytes:
-                    store.insert(chunk, served.get((index, name)))
+                    kept = store.insert(chunk, served.get((index, name)))
+                    if kept is not None:
+                        in_buffers[name] = kept
             for name, value in command.scalars.items():
                 if isinstance(value, str):
                     encoded = value.encode("utf-8")
@@ -657,6 +681,9 @@ class Router:
                 reply = worker.execute(command, release, batched=True)
             else:
                 reply = worker.execute(command, release)
+            if reply.error is None and info.record_kind is not None:
+                state.logs[command.api].record(command, reply,
+                                               info.record_kind)
             if san.enabled:
                 san.check_reply_time(command.vm_id, command.api,
                                      release, reply.complete_time)

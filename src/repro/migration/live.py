@@ -10,10 +10,12 @@ semantics and report.  Built entirely from parts the stack already has:
   serving source and the recorded call log (spec ``record(...)``
   annotations) is replayed onto it *incrementally* — each pre-copy round
   replays only the log suffix (by record serial) that appeared since the
-  last round, under the original guest ids.  Destroys observed meanwhile
-  (which prune the log) are forwarded through the recorder's destroy
-  listeners and replayed too, so the destination never leaks dead
-  objects.
+  last round, under the original guest ids.  The log is the VM's (on
+  its router record, fed by the router), so replay onto the
+  destination, which calls the worker directly, is never logged.
+  Destroys observed meanwhile (which prune the log) are forwarded
+  through the log's destroy listeners and replayed too, so the
+  destination never leaks dead objects.
 * **Iterative pre-copy.**  Each round digests every live source buffer
   and ships only the ones whose contents differ from what the
   destination already holds.  Dirty tracking cannot rely on ``modify``
@@ -35,7 +37,9 @@ semantics and report.  Built entirely from parts the stack already has:
   :class:`~repro.faults.plan.FaultPlan` — discards the destination
   (freeing its device allocations) and leaves the source serving.  There
   is no half-migrated state: traffic either never left the source, or
-  the cutover completed.
+  the cutover completed.  The engine is on the VM's record
+  (``VMState.migrating``) while it runs, so destroying the VM or losing
+  the source aborts it the same way.
 
 All of it runs on the virtual clock: pre-copy rounds charge the source
 device for reads and the destination for replay/writes while the source
@@ -51,6 +55,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.analysis import sanitizer as _sanitize
 from repro.faults.errors import WorkerCrashed
 from repro.faults.migration import MigrationChannel, MigrationFrameLost
+from repro.migration.recorder import CallRecorder
 from repro.migration.replayer import (
     MigrationError,
     MigrationReport,
@@ -148,6 +153,8 @@ class LiveMigration:
         #: destination pool member (None outside pool mode)
         self.member = self._resolve_member(target_device_id)
         self.dest: Optional["ApiServerWorker"] = None
+        #: the VM's log of this API's calls, from :meth:`begin` on
+        self.log: Optional[CallRecorder] = None
         self.channel = MigrationChannel(vm_id, self.policy,
                                         plan=hypervisor.fault_plan)
         self.report = MigrationReport(
@@ -201,9 +208,14 @@ class LiveMigration:
         return member
 
     def begin(self) -> "ApiServerWorker":
-        """Spawn the destination worker and start tracking the source."""
+        """Spawn the destination worker and go on the VM's record: in
+        flight, and following the VM's log."""
         if self.dest is not None:
             return self.dest
+        state = self.hv.router.vms[self.vm_id]
+        if self.api_name in state.migrating:
+            raise MigrationError(f"VM {self.vm_id!r} API "
+                                 f"{self.api_name!r} is already migrating")
         registration = self.hv.apis[self.api_name]
         self.dest = self.hv._spawn_worker(self.vm_id, registration,
                                           pool_device=self.member)
@@ -212,7 +224,9 @@ class LiveMigration:
         self.dest.clock.advance_to(self.source.clock.now,
                                    "migration_begin")
         self._began_at = self.dest.clock.now
-        self.source.recorder.destroy_listeners.append(self._on_destroy)
+        state.migrating[self.api_name] = self
+        self.log = state.logs[self.api_name]
+        self.log.destroy_listeners.append(self._on_destroy)
         recorder = _flightrec.active()
         if recorder.enabled:
             recorder.note(
@@ -226,9 +240,9 @@ class LiveMigration:
         self._pending_destroys.append((copy.deepcopy(command), set(dead)))
 
     def _detach(self) -> None:
-        listeners = self.source.recorder.destroy_listeners
-        if self._on_destroy in listeners:
-            listeners.remove(self._on_destroy)
+        """Leave the VM's record: no more destroys, no longer in flight."""
+        self.log.destroy_listeners.remove(self._on_destroy)
+        del self.hv.router.vms[self.vm_id].migrating[self.api_name]
 
     # -- background replay -------------------------------------------------
 
@@ -255,7 +269,7 @@ class LiveMigration:
         # a record superseded since the last round is either already on
         # the destination (its replacement is in this suffix) or was
         # never needed
-        for entry in self.source.recorder.since(self._replayed_through):
+        for entry in self.log.since(self._replayed_through):
             replay_entry(self.dest, entry)
             self._replayed_through = entry.serial
             replayed += 1
@@ -350,8 +364,7 @@ class LiveMigration:
         """One background round: replay the log suffix, ship the dirty
         set.  Returns the payload bytes shipped (the convergence
         signal).  The source keeps serving throughout."""
-        if self.finished:
-            raise MigrationError("migration already finished")
+        self._unfinished()
         if self.dest is None:
             self.begin()
         tracer = _tele.active()
@@ -387,15 +400,16 @@ class LiveMigration:
         On success the destination serves the very next guest call and
         the source is retired.  On failure the migration aborts and the
         source keeps serving (:class:`MigrationAborted`)."""
-        if self.finished:
-            raise MigrationError("migration already finished")
+        self._unfinished()
         if self.dest is None:
             self.begin()
         key = (self.vm_id, self.api_name)
         vm = self.hv.vms[self.vm_id]
-        # drain: queued async commands must reach the source (and its
-        # recorder) before the frozen window opens
+        # drain: queued async commands must reach the source (and the
+        # VM's log) before the frozen window opens; the source may die
+        # doing so
         vm.flush()
+        self._unfinished()
         router = self.hv.router
         router.freeze_vm(self.vm_id, "migration cutover")
         self._frozen = True
@@ -425,9 +439,6 @@ class LiveMigration:
         self.hv.workers[key] = self.dest
         if self.member is not None and self.hv.pool is not None:
             self.hv.pool.migrate(self.vm_id, self.member)
-        # the destination continues the same migration log; its own
-        # recorder only ever held the replay's double-records
-        self.dest.recorder = self.source.recorder
         self.source.retire(
             f"migrated to "
             f"{self.report.target_device or 'a fresh worker'}")
@@ -483,6 +494,15 @@ class LiveMigration:
         if vm is not None:
             vm.migrations.append(self.report)
 
+    def _unfinished(self) -> None:
+        """Refuse to drive a finished migration: one aborted meanwhile
+        (its VM destroyed, its source lost) raises
+        :class:`MigrationAborted`."""
+        if self.aborted:
+            raise MigrationAborted(self.report.reason, self.report)
+        if self.finished:
+            raise MigrationError("migration already finished")
+
     # -- abort -------------------------------------------------------------
 
     def _abort(self, reason: str) -> None:
@@ -494,7 +514,8 @@ class LiveMigration:
         if self._frozen:
             self.hv.router.thaw_vm(self.vm_id)
             self._frozen = False
-        self._detach()
+        if self.log is not None:
+            self._detach()
         if self.dest is not None:
             self._scrub_destination(reason)
         self.report.aborted = True

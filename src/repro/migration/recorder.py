@@ -69,9 +69,10 @@ class RecordedCall:
 
 
 class CallRecorder:
-    """Per-worker migration log with object tracking and supersede.
+    """One VM's migration log of one API's calls, with object tracking
+    and supersede (``VMState.logs``; the router records into it).
 
-    ``supersedes`` is the generated server module's ``SUPERSEDES``
+    ``supersedes`` is the generated routing module's ``SUPERSEDES``
     table: function → (key parameter names, success return value or
     None when the return type declares none).
     """

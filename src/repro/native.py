@@ -147,10 +147,6 @@ class SimulatedDevice:
         """Forget everything ``owner`` holds: its bytes and open state."""
         self.holders.pop(owner, None)
 
-    @property
-    def free_bytes(self) -> float:
-        return self.capacity - self.allocated_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}({self.name!r}, "
                 f"t={self.timeline:.6f}, "

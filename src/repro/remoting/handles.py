@@ -93,13 +93,6 @@ class HandleTable:
             return None
         return self.lookup(guest_id)
 
-    def guest_id_of(self, obj: Any) -> int:
-        """Reverse lookup: the guest id under which ``obj`` is registered."""
-        guest_id = self._reverse.get(id(obj))
-        if guest_id is None or self._objects.get(guest_id) is not obj:
-            raise HandleError("host object is not registered in this table")
-        return guest_id
-
     def free(self, guest_id: int) -> Any:
         """Remove a handle, returning the host object it named."""
         obj = self.lookup(guest_id)

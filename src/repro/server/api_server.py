@@ -1,11 +1,11 @@
 """Per-VM API server workers.
 
 A worker owns everything one guest's forwarded calls may touch: its
-handle table, its virtual clock (the "API server process"), its native
-session binding, and its migration recorder.  A fault inside one
-worker's dispatch is caught and returned as an error reply — other VMs'
-workers never observe it (the isolation property §4.1 requires from
-process-level separation).
+handle table, its virtual clock (the "API server process") and its
+native session binding.  The migration log is not a worker's: it is on
+the VM's router record.  A fault inside one worker's dispatch is caught
+and returned as an error reply — other VMs' workers never observe it
+(the isolation property §4.1 requires from process-level separation).
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.migration.recorder import CallRecorder
 from repro.remoting.codec import Command, Reply
 from repro.remoting.handles import HandleError, HandleTable
-from repro.spec.model import RecordKind
 from repro.telemetry import tracer as _tele
 from repro.vclock import VirtualClock
 
@@ -44,8 +42,6 @@ class ApiServerWorker:
         vm_id: str,
         api_name: str,
         dispatch: Dict[str, ServerStub],
-        record_kinds: Optional[Dict[str, RecordKind]] = None,
-        supersedes: Optional[Dict[str, Any]] = None,
         dispatch_cost: float = 0.5e-6,
         batch_dispatch_cost: float = 0.2e-6,
         clock: Optional[VirtualClock] = None,
@@ -57,7 +53,6 @@ class ApiServerWorker:
         #: API's session stack around every command; set by the
         #: hypervisor from the API's session binder
         self.native_session: Any = None
-        self.record_kinds = record_kinds or {}
         self.dispatch_cost = dispatch_cost
         #: per-command dispatch for commands 2..N of a coalesced frame:
         #: the frame receive and worker wakeup were already paid by the
@@ -65,7 +60,6 @@ class ApiServerWorker:
         self.batch_dispatch_cost = batch_dispatch_cost
         self.clock = clock or VirtualClock(f"worker-{vm_id}-{api_name}")
         self.handles = HandleTable(vm_id)
-        self.recorder = CallRecorder(supersedes)
         self.stats = WorkerStats()
         #: during migration replay: param name → guest id(s) to force
         self.handle_override: Optional[Dict[str, Any]] = None
@@ -270,8 +264,4 @@ class ApiServerWorker:
         reply.complete_time = now
         self.stats.executed += 1
         self.stats.busy_time += now - started
-        if reply.error is None:
-            kind = self.record_kinds.get(command.function)
-            if kind is not None:
-                self.recorder.record(command, reply, kind)
         return reply

@@ -94,7 +94,9 @@ class TransferStore:
 
     def insert(self, data: bytes,
                digest: Optional[bytes] = None) -> Optional[bytes]:
-        """Remember one payload; returns its digest.
+        """Remember one payload; returns the bytes the store keeps for
+        it, which a caller holding the payload past the call can keep
+        instead of a copy of its own.
 
         The digest is computed here, from the bytes actually received —
         never trusted from the wire.  The one exception is ``digest``:
@@ -108,18 +110,19 @@ class TransferStore:
             return None
         if digest is None:
             digest = digest_payload(data)
-        if digest in self._entries:
+        kept = self._entries.get(digest)
+        if kept is not None:
             self._entries.move_to_end(digest)
             self.stats.duplicate_inserts += 1
-            return digest
+            return kept
         # the store outlives the call: copy, but only what it keeps
-        self._entries[digest] = own_bytes(data)
+        kept = self._entries[digest] = own_bytes(data)
         self.bytes_used += len(data)
         self.stats.inserts += 1
         while (self.bytes_used > self.capacity_bytes
                or len(self._entries) > self.capacity_entries):
             self._evict_one()
-        return digest
+        return kept
 
     def _evict_one(self) -> int:
         evicted_digest, evicted = self._entries.popitem(last=False)

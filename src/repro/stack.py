@@ -208,8 +208,6 @@ class VirtualStack:
                     name=api_name,
                     routing_table=stack.routing_table(),
                     dispatch=stack.dispatch(),
-                    record_kinds=stack.record_kinds(),
-                    supersedes=stack.supersedes(),
                     guest_module=stack.guest_module,
                     session_binder=session_binder(
                         APIS[api_name], devices.get(api_name),

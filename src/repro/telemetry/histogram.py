@@ -40,7 +40,7 @@ percentiles on arbitrary sample sets, including across merges.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 #: default sub-buckets per decade (~2.6% worst-case quantile error)
 DEFAULT_BUCKETS_PER_DECADE = 90
@@ -204,40 +204,6 @@ class LogHistogram:
                              histogram.min_value)
             result.merge(histogram)
         return result if result is not None else cls()
-
-    # -- serialization (bench output, `cava slo --bench`) --------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "buckets_per_decade": self.buckets_per_decade,
-            "min_value": self.min_value,
-            "counts": {str(index): count
-                       for index, count in sorted(self.counts.items())},
-            "underflow": self.underflow,
-            "count": self.count,
-            "total": self.total,
-            "min": self._min if self.count else None,
-            "max": self._max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LogHistogram":
-        try:
-            histogram = cls(int(data["buckets_per_decade"]),
-                            float(data["min_value"]))
-            histogram.counts = {
-                int(index): int(count)
-                for index, count in dict(data["counts"]).items()
-            }
-            histogram.underflow = int(data["underflow"])
-            histogram.count = int(data["count"])
-            histogram.total = float(data["total"])
-            histogram._min = (float(data["min"])
-                              if data.get("min") is not None else math.inf)
-            histogram._max = float(data["max"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise HistogramError(f"malformed histogram dict: {err}") from err
-        return histogram
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LogHistogram(n={self.count}, "

@@ -180,14 +180,17 @@ class TestGeneratedSources:
         assert table.functions["copyIn"].resources
 
     def test_record_kinds_exported(self, spec, tmp_path):
+        """Record categories travel in the routing table, the one place
+        the router reads them from; the server module has no copy."""
         stack = generate_api(spec, str(tmp_path), "repro.opencl.api")
-        kinds = stack.record_kinds()
-        assert kinds["makeThing"].value == "create"
-        assert kinds["freeThing"].value == "destroy"
+        functions = stack.routing_table().functions
+        assert functions["makeThing"].record_kind.value == "create"
+        assert functions["freeThing"].record_kind.value == "destroy"
+        assert not hasattr(stack.server_module, "RECORD_KINDS")
 
     def test_supersedes_table_exported(self, tmp_path):
         """Key parameters and the success constant travel in the
-        generated server module, beside RECORD_KINDS."""
+        generated routing module, beside the record categories."""
         keyed = parse_spec(
             SPEC_TEXT
             + "st setThing(hdl thing, int slot, float value) "
@@ -197,7 +200,8 @@ class TestGeneratedSources:
         )
         keyed.constants["OK"] = 0.0
         stack = generate_api(keyed, str(tmp_path), "repro.opencl.api")
-        assert stack.supersedes() == {
+        assert not hasattr(stack.server_module, "SUPERSEDES")
+        assert stack.routing_table().supersedes == {
             "setThing": (("thing", "slot"), 0),
             # no success() on the return type: every call counts
             "writeThing": (("thing",), None),

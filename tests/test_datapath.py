@@ -4,8 +4,9 @@ The rule under test (``repro.remoting.buffers``): a payload at or above
 the splice threshold is *borrowed* from the guest stub to device memory
 and from the server stub's staging buffer to the caller's out-buffer;
 only what outlives the call (the migration log, the transfer store)
-holds a copy.  A written byte is copied twice (device memory, log), a
-read byte twice (device → staging, staging → caller).
+holds a copy, and with the cache armed the log keeps the store's.  A
+written byte is copied twice (device memory, log), a read byte twice
+(device → staging, staging → caller).
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class Probe:
         return mem, self.env.read(mem, data.nbytes, dtype=np.uint8)
 
     def logged_payloads(self):
-        worker = self.stack.hypervisor.worker("vm-dp", "opencl")
-        return [chunk for entry in worker.recorder.log
+        log = self.stack.router.vms["vm-dp"].logs["opencl"]
+        return [chunk for entry in log.log
                 for chunk in entry.command.in_buffers.values()]
 
 
@@ -87,20 +88,32 @@ def shares(chunk, array):
 class TestBorrowedBothWays:
     def test_write_is_borrowed_to_the_native_call_and_owned_by_the_log(
             self, monkeypatch, transport):
-        probe = Probe(monkeypatch, transport, cache_policy=CachePolicy())
+        probe = Probe(monkeypatch, transport)
         data = payload_of(4 * MIB)
         _, got = probe.round_trip(data)
         assert np.array_equal(got, data)
         # (i) the native call read the caller's own memory
         assert shares(probe.written[-1], data)
-        # (ii) the two owners hold bytes of their own
+        # (ii) the log holds bytes of its own
+        (logged,) = [c for c in probe.logged_payloads()
+                     if len(c) == data.nbytes]
+        assert type(logged) is bytes and logged == data.tobytes()
+        assert not shares(logged, data)
+
+    def test_cached_write_is_held_once(self, monkeypatch, transport):
+        """With the cache armed, the store's copy is the one the native
+        call reads and the log keeps."""
+        probe = Probe(monkeypatch, transport, cache_policy=CachePolicy())
+        data = payload_of(4 * MIB)
+        _, got = probe.round_trip(data)
+        assert np.array_equal(got, data)
         (logged,) = [c for c in probe.logged_payloads()
                      if len(c) == data.nbytes]
         store = probe.stack.hypervisor.router.vms["vm-dp"].store
         (stored,) = store._entries.values()
-        for kept in (logged, stored):
-            assert type(kept) is bytes and kept == data.tobytes()
-            assert not shares(kept, data)
+        assert logged is stored and probe.written[-1] is stored
+        assert type(stored) is bytes and stored == data.tobytes()
+        assert not shares(stored, data)
 
     def test_reply_frame_carries_the_staging_buffer_by_reference(
             self, monkeypatch, transport):

@@ -184,7 +184,7 @@ def assert_only_owned_bytes(hypervisor, vm):
     moves, so it is safe after every exchange of a sanitized run."""
     clocks = (vm.clock.now, hypervisor.worker(vm.vm_id, "opencl").clock.now)
     kept = [chunk
-            for entry in hypervisor.worker(vm.vm_id, "opencl").recorder.log
+            for entry in hypervisor.router.vms[vm.vm_id].logs["opencl"].log
             for chunk in entry.command.in_buffers.values()]
     store = hypervisor.router.vms[vm.vm_id].store
     if store is not None:

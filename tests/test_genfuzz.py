@@ -162,8 +162,6 @@ def deploy(spec, native_module):
         name=spec.name,
         routing_table=stack.routing_table(),
         dispatch=stack.dispatch(),
-        record_kinds={},
-        supersedes={},
         guest_module=stack.guest_module,
         # the native library is stateless: a placeholder session, with
         # a stack for the worker to push it on

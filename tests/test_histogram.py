@@ -142,21 +142,6 @@ class TestLogHistogram:
     def test_merged_classmethod_empty(self):
         assert LogHistogram.merged([]).count == 0
 
-    def test_roundtrip_dict(self):
-        h = LogHistogram()
-        for v in (0.0, 3e-6, 5e-4, 5e-4, 2.5):
-            h.record(v)
-        clone = LogHistogram.from_dict(h.to_dict())
-        assert clone.counts == h.counts
-        assert clone.count == h.count
-        assert clone.underflow == h.underflow
-        for q in (0.1, 0.5, 0.99):
-            assert clone.quantile(q) == h.quantile(q)
-
-    def test_malformed_dict_rejected(self):
-        with pytest.raises(HistogramError):
-            LogHistogram.from_dict({"buckets_per_decade": 90})
-
     def test_buckets_labels_ascending(self):
         h = LogHistogram()
         for v in (1e-10, 2e-6, 3e-3):

@@ -83,7 +83,7 @@ class _Harness:
         #: every call the worker records, under object tracking alone:
         #: the reference the bounded log is held against
         self.full_log = CallRecorder()
-        recorder = self.hv.worker(vm_id, "opencl").recorder
+        recorder = self.hv.router.vms[vm_id].logs["opencl"]
         bounded = recorder.record
 
         def tee(command, reply, kind):
@@ -308,7 +308,8 @@ class TestCompactedLogEquivalence:
         for op in ops:
             harness.apply(op)
         harness.cl.clFinish(harness.env.queue)
-        compacted, full = source.recorder, harness.full_log
+        compacted = harness.hv.router.vms["vm-prop"].logs["opencl"]
+        full = harness.full_log
         assert len(compacted) <= len(full)
 
         snapshot = buffer_bytes(source)

@@ -26,11 +26,6 @@ class TestMemoryLedger:
         with pytest.raises(ValueError):
             SimulatedGPU().allocate(self.APP, 0)
 
-    def test_free_bytes(self):
-        gpu = SimulatedGPU(DeviceSpec.small_gpu(mem_bytes=1000))
-        gpu.allocate(self.APP, 256)
-        assert gpu.free_bytes == 744
-
     def test_overfree_rejected(self):
         gpu = SimulatedGPU()
         gpu.allocate(self.APP, 100)

@@ -79,16 +79,6 @@ class TestLookupErrors:
 
 
 class TestReverseAndFree:
-    def test_guest_id_of(self):
-        table = HandleTable()
-        thing = Thing()
-        guest_id = table.allocate(thing)
-        assert table.guest_id_of(thing) == guest_id
-
-    def test_guest_id_of_unregistered(self):
-        with pytest.raises(HandleError):
-            HandleTable().guest_id_of(Thing())
-
     def test_free_returns_object(self):
         table = HandleTable()
         thing = Thing()

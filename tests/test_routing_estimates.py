@@ -62,7 +62,7 @@ def hypervisor():
         stack = build_stack(api)
         hv.register_api(ApiRegistration(
             name=api, routing_table=stack.routing_table(), dispatch={},
-            record_kinds={}, supersedes={}, guest_module=stack.guest_module,
+            guest_module=stack.guest_module,
             session_binder=lambda worker: types.SimpleNamespace(stack=[])))
     return hv
 

@@ -139,11 +139,17 @@ class TestTransferStore:
         defaults.update(kwargs)
         return TransferStore("vm-t", **defaults)
 
+    @staticmethod
+    def put(store, data):
+        """Insert ``data``; returns the digest it is stored under."""
+        store.insert(data)
+        return digest_payload(data)
+
     def test_insert_computes_digest_itself(self):
         store = self.make()
-        digest = store.insert(PAYLOAD)
-        assert digest == digest_payload(PAYLOAD)
-        assert store.get(digest) == PAYLOAD
+        kept = store.insert(bytearray(PAYLOAD))
+        assert type(kept) is bytes and kept == PAYLOAD
+        assert store.get(digest_payload(PAYLOAD)) is kept
 
     def test_oversize_payload_refused_not_churned(self):
         store = self.make(capacity_bytes=1024)
@@ -162,18 +168,18 @@ class TestTransferStore:
                 return bytes(memoryview(self))
 
         store = self.make(capacity_bytes=2 * len(PAYLOAD))
-        digest = store.insert(Counting(PAYLOAD))
-        assert Counting.copies == 1 and type(store.get(digest)) is bytes
-        assert store.insert(Counting(PAYLOAD)) == digest
-        assert store.insert(memoryview(PAYLOAD)) == digest
+        kept = store.insert(Counting(PAYLOAD))
+        assert Counting.copies == 1 and type(kept) is bytes
+        assert store.insert(Counting(PAYLOAD)) is kept
+        assert store.insert(memoryview(PAYLOAD)) is kept
         assert store.stats.duplicate_inserts == 2
         assert store.insert(Counting(PAYLOAD * 3)) is None
         assert Counting.copies == 1 and store.stats.inserts == 1
 
     def test_lru_eviction_by_bytes(self):
         store = self.make(capacity_bytes=1024)
-        first = store.insert(b"a" * 512)
-        second = store.insert(b"b" * 512)
+        first = self.put(store, b"a" * 512)
+        second = self.put(store, b"b" * 512)
         store.get(first)  # refresh: second is now least-recent
         store.insert(b"c" * 512)
         assert store.has(first)
@@ -182,13 +188,13 @@ class TestTransferStore:
 
     def test_lru_eviction_by_entries(self):
         store = self.make(capacity_entries=2)
-        digests = [store.insert(bytes([i]) * 32) for i in range(3)]
+        digests = [self.put(store, bytes([i]) * 32) for i in range(3)]
         assert not store.has(digests[0])
         assert store.has(digests[1]) and store.has(digests[2])
 
     def test_has_does_not_touch_lru_or_counters(self):
         store = self.make(capacity_bytes=1024)
-        first = store.insert(b"a" * 512)
+        first = self.put(store, b"a" * 512)
         store.insert(b"b" * 512)
         store.has(first)  # a probe is not a use
         store.insert(b"c" * 512)
@@ -310,7 +316,8 @@ class TestRouterResolution:
     def test_size_mismatch_is_a_miss_not_stale_bytes(self):
         hypervisor, vm = self.stack()
         store = hypervisor.router.vms[vm.vm_id].store
-        digest = store.insert(PAYLOAD)
+        store.insert(PAYLOAD)
+        digest = digest_payload(PAYLOAD)
         command = self.command(vm, digest, len(PAYLOAD) + 1)
         answer = decode_message(hypervisor.router.deliver(
             encode_message(command), arrival=0.0, source=vm.vm_id))
@@ -337,8 +344,9 @@ class TestRouterResolution:
         hypervisor, vm = self.stack()
         store = hypervisor.router.vms[vm.vm_id].store
         source = "__kernel void k() {}" * 16
-        digest = store.insert(source.encode("utf-8"))
         raw = source.encode("utf-8")
+        store.insert(raw)
+        digest = digest_payload(raw)
         command = self.str_command(vm, digest, len(raw))
         # resolution happens before routing; the routed function will
         # fail (no such handle args) but the scalar must be restored
@@ -360,7 +368,8 @@ class TestRouterResolution:
         hypervisor, vm = self.stack()
         store = hypervisor.router.vms[vm.vm_id].store
         raw = b"\xff\xfe" * 64
-        digest = store.insert(raw)
+        store.insert(raw)
+        digest = digest_payload(raw)
         command = self.str_command(vm, digest, len(raw))
         answer = decode_message(hypervisor.router.deliver(
             encode_message(command), arrival=0.0, source=vm.vm_id))
