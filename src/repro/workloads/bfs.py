@@ -80,23 +80,27 @@ def _make_graph(n: int, degree: int, seed: int):
     starts[1:] = np.cumsum(counts)[:-1].astype(np.int32)
     edges = rng.integers(0, n, size=int(counts.sum()), dtype=np.int32)
     # chain edges guarantee reachability and a deep BFS tree
-    for node in range(1, n):
-        edges[starts[node]] = node - 1 if node % 7 else node // 2
+    node = np.arange(1, n)
+    edges[starts[1:]] = np.where(node % 7 != 0, node - 1, node // 2)
     return starts, counts, edges
 
 
 def _bfs_reference(starts, counts, edges, n: int) -> np.ndarray:
+    """Each node's BFS level from node 0 (-1 if unreachable), one
+    frontier at a time."""
     cost = np.full(n, -1, dtype=np.int32)
     cost[0] = 0
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for edge in edges[starts[node]:starts[node] + counts[node]]:
-                if cost[edge] == -1:
-                    cost[edge] = cost[node] + 1
-                    next_frontier.append(int(edge))
-        frontier = next_frontier
+    frontier = np.zeros(1, dtype=np.intp)
+    level = 0
+    while frontier.size:
+        level += 1
+        # the frontier's edge ranges, concatenated
+        width = counts[frontier]
+        ends = np.cumsum(width)
+        first = np.repeat(starts[frontier] - ends + width, width)
+        neighbors = edges[first + np.arange(ends[-1])]
+        cost[neighbors[cost[neighbors] == -1]] = level
+        frontier = np.flatnonzero(cost == level)
     return cost
 
 

@@ -21,6 +21,17 @@ __kernel void kmeans_assign(__global float *points, __global float *centers,
 """
 
 
+def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each point's nearest center by squared distance (the first one on
+    a tie), one (n, d) pass per center: every distance is the same
+    d-element sum the whole (n, k, d) broadcast would take."""
+    distances = np.empty((len(points), len(centers)),
+                         dtype=np.result_type(points, centers))
+    for j, center in enumerate(centers):
+        distances[:, j] = ((points - center) ** 2).sum(axis=1)
+    return distances.argmin(axis=1)
+
+
 @register_kernel("kmeans_assign", [BUFFER, BUFFER, BUFFER, SCALAR, SCALAR,
                                    SCALAR],
                  flops_per_item=48.0, bytes_per_item=36.0)
@@ -30,10 +41,7 @@ def _kmeans_assign(ctx: LaunchContext) -> None:
     k = int(ctx.scalar(5))
     points = ctx.buf(0)[: n * d].reshape(n, d)
     centers = ctx.buf(1)[: k * d].reshape(k, d)
-    distances = (
-        (points[:, None, :] - centers[None, :, :]) ** 2
-    ).sum(axis=2)
-    ctx.buf(2, np.int32)[:n] = distances.argmin(axis=1).astype(np.int32)
+    ctx.buf(2, np.int32)[:n] = _nearest_center(points, centers)
 
 
 def _kmeans_reference(points: np.ndarray, centers: np.ndarray,
@@ -41,8 +49,7 @@ def _kmeans_reference(points: np.ndarray, centers: np.ndarray,
     k = centers.shape[0]
     membership = None
     for _ in range(iterations):
-        distances = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(2)
-        new_membership = distances.argmin(axis=1)
+        new_membership = _nearest_center(points, centers)
         if membership is not None and (new_membership == membership).all():
             membership = new_membership
             break
