@@ -143,13 +143,18 @@ def run_chaos(
         _sanitize.install(_sanitize.Sanitizer())
     try:
         hypervisor = VirtualStack.build("opencl").hypervisor
-        plan = FaultPlan.for_mode(mode, seed=seed)
+        plan = FaultPlan.for_mode(mode, seed=seed, crash_vm="chaos-vm")
         hypervisor.install_fault_plan(plan)
         batch_policy = BatchPolicy() if batching else None
         victim = hypervisor.create_vm("chaos-vm",
                                       batch_policy=batch_policy)
-        observer = (hypervisor.create_vm("bystander-vm")
-                    if bystander else None)
+        observer = None
+        if bystander:
+            # the bystander measures cross-VM isolation, so the plan
+            # stays off its channel (and, by crash_vm, its worker): all
+            # it shares with the victim is the hypervisor
+            observer = hypervisor.create_vm("bystander-vm")
+            observer.driver.transport = observer.driver.transport.inner
 
         completed = verified = False
         error: Optional[str] = None

@@ -508,6 +508,13 @@ class TestChaosHarness:
             # a structured failure names the failing call's error
             assert report.error
 
+    @pytest.mark.parametrize("mode", tuple(MODES) + ("all",))
+    def test_bystander_is_outside_the_plan(self, mode):
+        # the bystander shares the victim's hypervisor, not its faults:
+        # its run verifies whatever the plan does to the victim
+        report = run_chaos(mode=mode, seed=SEED)
+        assert report.bystander_verified is True
+
     def test_crash_mode_recovers_and_isolates(self):
         report = run_chaos(mode="crash", seed=SEED)
         assert report.contained
