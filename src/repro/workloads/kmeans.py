@@ -21,15 +21,43 @@ __kernel void kmeans_assign(__global float *points, __global float *centers,
 """
 
 
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """``rows`` summed down axis 0 in the order numpy's float
+    ``add.reduce`` takes over a contiguous run of ``len(rows)`` elements
+    (its pairwise summation, for terms that are never -0.0): below 8 a
+    sequential sum from zero; to 128 eight interleaved partial sums
+    ``r[j] = rows[j] + rows[j + 8] + ...`` combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the tail
+    in order; above 128 the two halves, split at a multiple of 8.
+
+    This mirrors numpy's implementation, not a documented contract:
+    ``test_nearest_center_matches_the_broadcast`` is the guard if numpy
+    ever changes it."""
+    d = len(rows)
+    if d < 8:
+        return sum(rows, np.zeros_like(rows[0]))
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    body = d - d % 8
+    r = sum((rows[i:i + 8] for i in range(8, body, 8)), rows[:8])
+    pairs = r[0::2] + r[1::2]
+    return sum(rows[body:], (pairs[0] + pairs[1]) + (pairs[2] + pairs[3]))
+
+
 def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Each point's nearest center by squared distance (the first one on
-    a tie), one (n, d) pass per center: every distance is the same
-    d-element sum the whole (n, k, d) broadcast would take."""
-    distances = np.empty((len(points), len(centers)),
-                         dtype=np.result_type(points, centers))
+    a tie), one (d, n) pass per center over the points held column-wise:
+    every distance is the same d-element sum the whole (n, k, d)
+    broadcast would take."""
+    columns = np.ascontiguousarray(points.T)
+    squares = np.empty(columns.shape, dtype=np.result_type(points, centers))
+    distances = np.empty((len(centers), len(points)), dtype=squares.dtype)
     for j, center in enumerate(centers):
-        distances[:, j] = ((points - center) ** 2).sum(axis=1)
-    return distances.argmin(axis=1)
+        np.subtract(columns, center[:, None], out=squares)
+        np.square(squares, out=squares)
+        distances[j] = _pairwise_sum(squares)
+    return distances.argmin(axis=0)
 
 
 @register_kernel("kmeans_assign", [BUFFER, BUFFER, BUFFER, SCALAR, SCALAR,

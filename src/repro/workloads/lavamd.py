@@ -20,46 +20,52 @@ __kernel void lavamd_force(__global float *pos, __global float *charge,
 """
 
 
-def _neighbor_boxes(boxes_1d: int):
-    """For each box, the flat indices of itself + adjacent boxes."""
-    neighbors = []
-    for bx in range(boxes_1d):
-        for by in range(boxes_1d):
-            for bz in range(boxes_1d):
-                local = []
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        for dz in (-1, 0, 1):
-                            nx, ny, nz = bx + dx, by + dy, bz + dz
-                            if (0 <= nx < boxes_1d and 0 <= ny < boxes_1d
-                                    and 0 <= nz < boxes_1d):
-                                local.append(
-                                    (nx * boxes_1d + ny) * boxes_1d + nz
-                                )
-                neighbors.append(local)
-    return neighbors
+#: particle pairs per batched step: 256 boxes of 32 x 32, so each
+#: (3, boxes, per_box, per_box) temporary stays 3 MiB at any grid size
+_PAIRS_PER_STEP = 1 << 18
+
+#: neighbour offsets in the order each home box visits its neighbours
+_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            for dz in (-1, 0, 1)]
 
 
 def _forces(pos, charge, boxes_1d, per_box, alpha):
-    n_boxes = boxes_1d ** 3
-    force = np.zeros_like(pos)
-    neighbors = _neighbor_boxes(boxes_1d)
+    """Every particle's force from its own and the 26 adjacent boxes.
+
+    One batched step per neighbour offset (and per :data:`_PAIRS_PER_STEP`
+    particle pairs): the home boxes whose neighbour at that offset lies
+    in the grid, each against that neighbour.  Positions are held
+    component-major, so ``r2`` is the sequential 3-term sum a length-3
+    reduction takes, the force is summed over the other particle on a
+    non-innermost axis (which numpy adds in order), and each home box
+    receives its neighbours' contributions in offset order: the same
+    float operations as one (home box, neighbour box) pair at a time."""
+    b = boxes_1d
+    grid = np.arange(b ** 3).reshape(b, b, b)
+    # (3, boxes, per_box), component-major
+    points = np.ascontiguousarray(
+        pos.reshape(-1, per_box, 3).transpose(2, 0, 1))
+    charges = charge.reshape(-1, per_box)
+    force = np.zeros_like(points)
     a2 = alpha * alpha
-    for home in range(n_boxes):
-        h0 = home * per_box
-        hp = pos[h0:h0 + per_box]
-        for other in neighbors[home]:
-            o0 = other * per_box
-            op = pos[o0:o0 + per_box]
-            oq = charge[o0:o0 + per_box]
-            delta = hp[:, None, :] - op[None, :, :]
-            r2 = (delta ** 2).sum(axis=2) + 0.5
-            u2 = a2 * r2
-            vij = np.exp(-u2) * oq[None, :]
-            force[h0:h0 + per_box] += (
-                (vij / r2)[:, :, None] * delta
-            ).sum(axis=1)
-    return force.astype(np.float32)
+    step = max(1, _PAIRS_PER_STEP // (per_box * per_box))
+    for offset in _OFFSETS:
+        home = tuple(slice(max(0, -d), b - max(0, d)) for d in offset)
+        other = tuple(slice(max(0, d), b - max(0, -d)) for d in offset)
+        homes, others = grid[home].ravel(), grid[other].ravel()
+        for lo in range(0, homes.size, step):
+            h, o = homes[lo:lo + step], others[lo:lo + step]
+            # delta[c, box, j, i] = home particle i - other particle j
+            delta = points[:, h, None, :] - points[:, o, :, None]
+            r2 = delta[0] ** 2
+            r2 += delta[1] ** 2
+            r2 += delta[2] ** 2
+            r2 += 0.5
+            weight = np.exp(-(a2 * r2)) * charges[o, :, None]
+            weight /= r2
+            delta *= weight
+            force[:, h] += delta.sum(axis=2)
+    return force.reshape(3, -1).T.astype(np.float32, order="C")
 
 
 # cost metadata reflects the real Rodinia kernel's arithmetic density

@@ -25,15 +25,10 @@ __kernel void srad_stats(__global float *img, __global float *out,
 
 
 def _shifts(img: np.ndarray) -> Tuple[np.ndarray, ...]:
-    north = np.roll(img, 1, axis=0)
-    north[0] = img[0]
-    south = np.roll(img, -1, axis=0)
-    south[-1] = img[-1]
-    west = np.roll(img, 1, axis=1)
-    west[:, 0] = img[:, 0]
-    east = np.roll(img, -1, axis=1)
-    east[:, -1] = img[:, -1]
-    return north, south, west, east
+    """North, south, west and east neighbours, the edge repeated."""
+    padded = np.pad(img, 1, mode="edge")
+    return (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2],
+            padded[1:-1, 2:])
 
 
 def _diffusion_coefficient(img: np.ndarray, q0sqr: float) -> np.ndarray:
@@ -41,15 +36,18 @@ def _diffusion_coefficient(img: np.ndarray, q0sqr: float) -> np.ndarray:
     laplacian = north + south + west + east - 4 * img
     gradient2 = ((north - img) ** 2 + (south - img) ** 2
                  + (west - img) ** 2 + (east - img) ** 2) / (img ** 2 + 1e-8)
-    num = 0.5 * gradient2 - (laplacian / (4 * img + 1e-8)) ** 2
-    den = (1 + laplacian / (4 * img + 1e-8)) ** 2 + 1e-8
+    ratio = laplacian / (4 * img + 1e-8)
+    num = 0.5 * gradient2 - ratio ** 2
+    den = (1 + ratio) ** 2 + 1e-8
     q = num / den
     c = 1.0 / (1.0 + (q - q0sqr) / (q0sqr * (1 + q0sqr) + 1e-8))
     return np.clip(c, 0.0, 1.0).astype(np.float32)
 
 
 def _diffuse(img: np.ndarray, c: np.ndarray, lam: float) -> np.ndarray:
-    _, south_c, _, east_c = _shifts(c)
+    # only the south and east neighbours of c: pad the far edges
+    padded_c = np.pad(c, ((0, 1), (0, 1)), mode="edge")
+    south_c, east_c = padded_c[1:, :-1], padded_c[:-1, 1:]
     north, south, west, east = _shifts(img)
     divergence = (
         c * (north - img) + south_c * (south - img)

@@ -24,6 +24,10 @@ Arming the transfer cache adds no copy: the store keeps the first
 upload of a payload, and the log's record of that upload holds the
 store's bytes rather than a second copy (64.4 MiB against 64.8 MiB
 uncached for ``backprop`` at 0.25; 80.5 MiB when each kept its own).
+
+``lavamd``'s forces hold one bounded batch of particle-pair temporaries,
+not a whole grid's: at 12^3 boxes (scale 2) the one offset that reaches
+every home box would need 21 MiB for its deltas alone.
 """
 
 import tracemalloc
@@ -34,7 +38,9 @@ from repro.harness import runner
 from repro.harness.runner import run_figure5
 from repro.remoting.xfercache import CachePolicy
 from repro.stack import VirtualStack, build_stack
-from repro.workloads import BackpropWorkload, PathfinderWorkload, base
+from repro.workloads import (BackpropWorkload, LavaMDWorkload,
+                             PathfinderWorkload, base)
+from repro.workloads.lavamd import _forces
 
 SCALE = 0.25
 MIB = 1 << 20
@@ -96,6 +102,20 @@ def test_cache_armed_uploads_are_held_once():
     assert cached <= uncached + MIB, (
         f"cache-armed peak {cached / MIB:.1f} MiB against "
         f"{uncached / MIB:.1f} MiB uncached")
+
+
+def test_lavamd_forces_hold_one_batch():
+    workload = LavaMDWorkload(scale=2.0)
+    assert workload.boxes_1d == 12
+    pos, charge = workload._inputs()
+    tracemalloc.start()
+    try:
+        _forces(pos, charge, workload.boxes_1d, workload.per_box,
+                workload.alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * MIB, f"traced peak {peak / MIB:.1f} MiB"
 
 
 if __name__ == "__main__":
