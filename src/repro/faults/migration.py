@@ -53,8 +53,16 @@ class MigrationChannel:
     ``ship`` returns the virtual seconds one frame spent on the wire,
     including injected faults and their bounded recovery.  With no
     fault plan armed the cost is exactly
-    ``frame_latency + nbytes / channel_bps`` per frame.
+    ``frame_latency + nbytes / channel_bps`` per frame.  The prices
+    model a host-to-host channel with PCIe-class bandwidth.
     """
+
+    #: channel bandwidth, bytes/second
+    channel_bps = 12e9
+    #: per-frame channel latency, seconds
+    frame_latency = 10e-6
+    #: sender timeout before retransmitting a dropped frame, seconds
+    frame_timeout = 200e-6
 
     def __init__(self, vm_id: str, policy: "MigrationPolicy",
                  plan: Optional[FaultPlan] = None) -> None:
@@ -68,8 +76,7 @@ class MigrationChannel:
         self.frames = 0
 
     def transfer_time(self, nbytes: int) -> float:
-        return (self.policy.frame_latency
-                + nbytes / self.policy.channel_bps)
+        return self.frame_latency + nbytes / self.channel_bps
 
     def ship(self, leg: str, nbytes: int, now: float) -> Tuple[float, int]:
         """Ship one frame; returns ``(elapsed_seconds, retransmits)``.
@@ -94,7 +101,7 @@ class MigrationChannel:
                 # the receiver never acks; the sender times out and
                 # retransmits
                 self.plan.record("drop", leg, frame, now + elapsed)
-                elapsed += self.policy.frame_timeout
+                elapsed += self.frame_timeout
                 retries += 1
                 self.retransmits += 1
                 if retries > self.policy.max_frame_retries:

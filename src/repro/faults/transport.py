@@ -41,7 +41,7 @@ class FaultyTransport(Transport):
     """Wraps an inner transport, injecting faults from a plan."""
 
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
-        super().__init__(inner.router, codec=inner.codec)
+        super().__init__(inner.router)
         self.inner = inner
         self.vm_id = inner.vm_id
         self.plan = plan

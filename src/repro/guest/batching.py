@@ -15,7 +15,7 @@ frame, flushed
 * or when an async call **needs its reply leg** (it carries output
   buffers/boxes or a guest callback that must land eagerly).
 
-All knobs live here, in one typed dataclass, threaded through
+Its decisions live here, in one typed dataclass, threaded through
 :class:`repro.stack.VirtualStack` and ``GuestRuntime.__init__``.  With
 no policy (``None``) the runtime takes the original per-call path and
 virtual-time results are bit-identical to it.
@@ -32,14 +32,13 @@ class BatchPolicy:
 
     ``max_commands`` — flush once this many commands are queued.
     ``max_bytes``    — flush once the queued bulk payload reaches this.
-    ``queue_cost``   — guest virtual seconds to stage one command in the
-                       coalescing queue (a local append — the shared
-                       channel is only touched at flush).
+
+    Staging a command is priced by the runtime that stages it
+    (``GuestRuntime.queue_cost``).
     """
 
     max_commands: int = 32
     max_bytes: int = 256 * 1024
-    queue_cost: float = 0.05e-6
 
     def __post_init__(self) -> None:
         if self.max_commands < 1:
@@ -48,7 +47,3 @@ class BatchPolicy:
             )
         if self.max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {self.max_bytes}")
-        if self.queue_cost < 0:
-            raise ValueError(
-                f"queue_cost must be >= 0, got {self.queue_cost}"
-            )

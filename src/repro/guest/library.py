@@ -72,20 +72,23 @@ class _StagedCall:
 class GuestRuntime:
     """Per-VM, per-API invocation runtime."""
 
+    #: guest seconds to marshal (or unmarshal) one call, plus per byte
+    marshal_call_cost = 0.6e-6
+    marshal_byte_cost = 0.002e-9
+    #: guest seconds to stage one command in the coalescing queue (a
+    #: local append: the shared channel is only touched at flush)
+    queue_cost = 0.05e-6
+
     def __init__(
         self,
         driver: GuestDriver,
         api_name: str,
-        marshal_call_cost: float = 0.6e-6,
-        marshal_byte_cost: float = 0.002e-9,
         retry_policy: Optional[Any] = None,
         batch_policy: Optional[BatchPolicy] = None,
         xfer_cache: Optional[TransferCache] = None,
     ) -> None:
         self.driver = driver
         self.api_name = api_name
-        self.marshal_call_cost = marshal_call_cost
-        self.marshal_byte_cost = marshal_byte_cost
         #: RetryPolicy for transport timeouts; None disables retries
         #: (the default, so the fault-free path is cost-identical)
         self.retry_policy = retry_policy
@@ -555,7 +558,7 @@ class GuestRuntime:
                     elided[name] = (kind, own_bytes(original), digest, size,
                                     at)
         queue_start = clock.now
-        clock.advance(policy.queue_cost, "transport")
+        clock.advance(self.queue_cost, "transport")
         if span is not None:
             tracer.record_span(
                 "batch.queue", queue_start, clock.now, layer="guest",

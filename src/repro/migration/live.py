@@ -24,7 +24,7 @@ semantics and report.  Built entirely from parts the stack already has:
   — so rounds compare content digests, which catches every writer.
   Shipped payloads go through the per-VM content-addressed
   :class:`~repro.server.xferstore.TransferStore`: bytes the store has
-  already seen cross as ~:attr:`MigrationPolicy.ref_bytes` refs.
+  already seen cross as ~:attr:`LiveMigration.ref_bytes` refs.
 * **Frozen cutover.**  When a round's dirty set is small enough (or the
   round budget, possibly zero, runs out), the guest's queued async
   commands are drained, the router freezes the VM, the final log suffix
@@ -83,10 +83,12 @@ class MigrationAborted(MigrationError):
 
 @dataclass(frozen=True)
 class MigrationPolicy:
-    """Knobs of the pre-copy/cutover engine.
+    """Decisions of the pre-copy/cutover engine.
 
-    Defaults model a host-to-host migration channel with PCIe-class
-    bandwidth; see ``docs/migration.md`` for how each knob moves the
+    The prices it runs at are constants of the layers that charge them:
+    the channel's on :class:`~repro.faults.migration.MigrationChannel`,
+    a ref's wire size on :class:`LiveMigration`.  See
+    ``docs/migration.md`` for how each knob moves the
     downtime/total-overhead trade-off.
     """
 
@@ -95,25 +97,12 @@ class MigrationPolicy:
     max_rounds: int = 8
     #: cut over once a round ships no more than this many payload bytes
     convergence_bytes: int = 64 * 1024
-    #: migration channel bandwidth, bytes/second
-    channel_bps: float = 12e9
-    #: per-frame channel latency, seconds
-    frame_latency: float = 10e-6
-    #: wire size of one content-addressed ref (digest + size + id)
-    ref_bytes: int = 34
-    #: sender timeout before retransmitting a dropped frame, seconds
-    frame_timeout: float = 200e-6
     #: per-frame retransmissions tolerated before aborting
     max_frame_retries: int = 4
-    #: source-side cost of digesting one scanned byte (0 = offloaded
-    #: CRC engine on the DMA path, like the transfer cache's default)
-    digest_byte_cost: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_rounds < 0:
             raise ValueError("max_rounds cannot be negative")
-        if self.channel_bps <= 0:
-            raise ValueError("channel_bps must be positive")
         if self.convergence_bytes < 0:
             raise ValueError("convergence_bytes cannot be negative")
         if self.max_frame_retries < 0:
@@ -126,7 +115,14 @@ class LiveMigration:
     Driven by :meth:`Hypervisor.live_migrate_vm` (or manually:
     ``begin()`` → ``precopy_round()``\\ * → ``cutover()``).  Aborting at
     any point leaves the source worker serving.
+
+    Scanning a buffer for dirt costs no source time: digests are
+    modeled as computed by a CRC engine on the DMA path, as the
+    transfer cache's default.
     """
+
+    #: wire size of one content-addressed ref (digest + size + id)
+    ref_bytes = 34
 
     def __init__(self, hypervisor: "Hypervisor", vm_id: str,
                  api_name: str,
@@ -303,10 +299,6 @@ class LiveMigration:
         elided = 0
         for gid, obj in self._live_source_buffers():
             data = obj.data.tobytes()
-            if self.policy.digest_byte_cost:
-                self.source.clock.advance(
-                    len(data) * self.policy.digest_byte_cost,
-                    "migration_scan")
             digest = digest_payload(data)
             if self._staged.get(gid) == digest:
                 continue  # destination already holds these bytes
@@ -319,7 +311,7 @@ class LiveMigration:
             payload = data
             if store is not None:
                 if store.has(digest):
-                    wire_bytes = min(self.policy.ref_bytes, len(data))
+                    wire_bytes = min(self.ref_bytes, len(data))
                     elided += len(data) - wire_bytes
                     # destination-side restore resolves the ref through
                     # the store (counts as a store hit, like the router)
@@ -425,7 +417,7 @@ class LiveMigration:
             # cutover handshake, so downtime is never zero and chaos
             # plans can target the cutover leg itself.
             elapsed, _retries = self.channel.ship(
-                "cutover", self.policy.ref_bytes, self.dest.clock.now)
+                "cutover", self.ref_bytes, self.dest.clock.now)
             self.dest.clock.advance(elapsed, "migration_cutover")
         except (MigrationFrameLost, WorkerCrashed) as err:
             self._abort(f"cutover failed: {err}")

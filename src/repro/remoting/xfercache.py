@@ -84,8 +84,6 @@ class CachePolicy:
     #: Default 0: digests are modeled as computed by a host-offloaded
     #: dedup/CRC engine on the DMA path (RPCAcc-style), not guest CPU.
     digest_byte_cost: float = 0.0
-    #: cost of one shared-index membership probe, seconds
-    probe_cost: float = 0.0
     #: probe the server store's index directly (shared-memory model)
     #: instead of a guest-local learned map — see module docstring
     shared_index: bool = True
@@ -113,10 +111,6 @@ class CachePolicy:
             raise ValueError(
                 f"digest_byte_cost must be >= 0, "
                 f"got {self.digest_byte_cost}"
-            )
-        if self.probe_cost < 0.0:
-            raise ValueError(
-                f"probe_cost must be >= 0, got {self.probe_cost}"
             )
 
 
@@ -185,7 +179,6 @@ class TransferCache:
         digest = digest_payload(data)
         self.digested_payloads += 1
         cost = self.policy.digest_byte_cost * len(data)
-        cost += self.policy.probe_cost
         if self._probe(digest):
             self.elided_payloads += 1
             self.elided_bytes += len(data)

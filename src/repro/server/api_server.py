@@ -37,14 +37,18 @@ class WorkerStats:
 class ApiServerWorker:
     """Executes forwarded commands for one VM against one native API."""
 
+    #: worker seconds to receive, decode and dispatch one command
+    dispatch_cost = 0.5e-6
+    #: per-command dispatch for commands 2..N of a coalesced frame:
+    #: the frame receive and worker wakeup were already paid by the
+    #: frame's first command, so only decode+dispatch remain
+    batch_dispatch_cost = 0.2e-6
+
     def __init__(
         self,
         vm_id: str,
         api_name: str,
         dispatch: Dict[str, ServerStub],
-        dispatch_cost: float = 0.5e-6,
-        batch_dispatch_cost: float = 0.2e-6,
-        clock: Optional[VirtualClock] = None,
     ) -> None:
         self.vm_id = vm_id
         self.api_name = api_name
@@ -53,12 +57,7 @@ class ApiServerWorker:
         #: API's session stack around every command; set by the
         #: hypervisor from the API's session binder
         self.native_session: Any = None
-        self.dispatch_cost = dispatch_cost
-        #: per-command dispatch for commands 2..N of a coalesced frame:
-        #: the frame receive and worker wakeup were already paid by the
-        #: frame's first command, so only decode+dispatch remain
-        self.batch_dispatch_cost = batch_dispatch_cost
-        self.clock = clock or VirtualClock(f"worker-{vm_id}-{api_name}")
+        self.clock = VirtualClock(f"worker-{vm_id}-{api_name}")
         self.handles = HandleTable(vm_id)
         self.stats = WorkerStats()
         #: during migration replay: param name → guest id(s) to force

@@ -21,8 +21,8 @@ object granularity being the natural unit at this interposition layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 from repro.opencl.errors import CLError
 from repro.opencl.runtime import MemObject, MemoryManager
@@ -46,24 +46,21 @@ class SwapStats:
 
 
 class _SwapManagerBase(MemoryManager):
-    """Shared residency bookkeeping for both granularities."""
+    """Shared residency bookkeeping for both granularities.
 
-    def __init__(self, capacity_bytes: Optional[int] = None) -> None:
-        self.capacity_override = capacity_bytes
+    Residency is billed on the device's one ledger, under the session
+    that allocated, so every tenant of a shared device sees the same
+    free space; a manager evicts only its own buffers, kept here in the
+    order they became resident for the LRU choice.
+    """
+
+    def __init__(self) -> None:
         self.stats = SwapStats()
         self._resident: List[MemObject] = []
         #: called with the byte shortfall whenever eviction is needed;
         #: pure caches (e.g. the transfer store) register here to shed
         #: before application data gets swapped out
         self.pressure_listeners: List[Callable[[int], int]] = []
-
-    def _capacity(self, mem: MemObject) -> int:
-        if self.capacity_override is not None:
-            return self.capacity_override
-        return mem.device.capacity
-
-    def _resident_bytes(self) -> int:
-        return sum(m.size for m in self._resident)
 
     def _victims(self, needed: int, skip: MemObject) -> List[MemObject]:
         """LRU victims freeing at least ``needed`` bytes."""
@@ -86,14 +83,14 @@ class _SwapManagerBase(MemoryManager):
         return chosen
 
     def _make_room(self, mem: MemObject) -> float:
-        capacity = self._capacity(mem)
-        if mem.size > capacity:
+        device = mem.device
+        if mem.size > device.capacity:
             raise CLError(
                 types.CL_MEM_OBJECT_ALLOCATION_FAILURE,
                 f"buffer of {mem.size} bytes exceeds device capacity "
-                f"{capacity}",
+                f"{device.capacity}",
             )
-        needed = self._resident_bytes() + mem.size - capacity
+        needed = device.allocated_bytes + mem.size - device.capacity
         wait = 0.0
         if needed > 0:
             # pure caches shed first: their bytes are reconstructible
@@ -108,15 +105,18 @@ class _SwapManagerBase(MemoryManager):
         return wait
 
     def _set_resident(self, mem: MemObject) -> None:
-        if mem not in self._resident:
-            self._resident.append(mem)
+        mem.device.allocate(mem.context.session, mem.size)
+        self._resident.append(mem)
         mem.resident = True
 
     def _set_evicted(self, mem: MemObject) -> None:
-        if mem in self._resident:
-            self._resident.remove(mem)
-        mem.resident = False
+        self._release(mem)
         self.stats.evictions += 1
+
+    def _release(self, mem: MemObject) -> None:
+        mem.device.free(mem.context.session, mem.size)
+        self._resident.remove(mem)
+        mem.resident = False
 
     # granularity-specific transfer costs --------------------------------------
 
@@ -144,9 +144,8 @@ class _SwapManagerBase(MemoryManager):
         return wait
 
     def on_free(self, mem: MemObject) -> None:
-        if mem in self._resident:
-            self._resident.remove(mem)
-        mem.resident = False
+        if mem.resident:
+            self._release(mem)
 
 
 class ObjectSwapManager(_SwapManagerBase):
@@ -165,24 +164,18 @@ class ObjectSwapManager(_SwapManagerBase):
 
 
 class PageSwapManager(_SwapManagerBase):
-    """Page granularity baseline: per-page fault + transfer costs.
+    """Page granularity baseline: per-page fault + transfer costs."""
 
-    ``fault_cost`` models the driver-level page-fault handling and
-    per-page DMA descriptor setup that chunk/page designs (GPUswap,
-    RSVM-style) pay on every page moved.
-    """
+    #: seconds of driver-level page-fault handling and per-page DMA
+    #: descriptor setup that chunk/page designs (GPUswap, RSVM-style)
+    #: pay on every page moved
+    fault_cost = 3.0e-6
 
-    def __init__(
-        self,
-        capacity_bytes: Optional[int] = None,
-        page_bytes: int = 4096,
-        fault_cost: float = 3.0e-6,
-    ) -> None:
-        super().__init__(capacity_bytes)
+    def __init__(self, page_bytes: int = 4096) -> None:
+        super().__init__()
         if page_bytes <= 0:
             raise ValueError("page size must be positive")
         self.page_bytes = page_bytes
-        self.fault_cost = fault_cost
 
     def _pages(self, mem: MemObject) -> int:
         return max(1, math.ceil(mem.size / self.page_bytes))

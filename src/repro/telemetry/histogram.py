@@ -4,13 +4,14 @@ The seed's :class:`~repro.telemetry.metrics.LatencyHistogram` kept every
 raw sample in a Python list — unbounded memory for long runs and no way
 to combine distributions recorded on different VMs, devices or
 functions.  :class:`LogHistogram` replaces that storage with a fixed
-*sub-buckets-per-decade* layout (the HdrHistogram/DDSketch family):
+*sub-buckets-per-decade* layout (the HdrHistogram/DDSketch family),
+the same for every histogram:
 
 * **O(1) record** — one ``log10`` and a dict increment per sample,
 * **bounded memory** — at most ``buckets_per_decade`` entries per decade
   of observed dynamic range (sparse: only touched buckets exist),
-* **exact merge** — two histograms with the same layout merge by adding
-  per-bucket counts; merging then querying is *identical* to having
+* **exact merge** — two histograms merge by adding per-bucket counts;
+  merging then querying is *identical* to having
   recorded every sample into one histogram, which is what makes per-VM
   histograms aggregable across VMs/devices/functions,
 * **documented quantile error** — see below.
@@ -28,9 +29,9 @@ sub-bucket of relative width:
 
     relative error <= 10^(1/B) - 1        (RELATIVE_ERROR_BOUND)
 
-which is ~2.6% at the default ``B = 90`` (the typical error is half
-that, ``10^(1/2B)) - 1`` ~ 1.3%, since samples land mid-bucket on
-average).  Values at or below ``min_value`` (default 1 ns) share one
+which is ~2.6% at ``B = 90`` (the typical error is half that,
+``10^(1/2B)) - 1`` ~ 1.3%, since samples land mid-bucket on
+average).  Values at or below ``min_value`` (1 ns) share one
 underflow bucket and are answered with the exact observed minimum —
 an absolute error bound of ``min_value`` instead of a relative one.
 ``tests/test_histogram.py`` property-checks the bound against exact
@@ -40,40 +41,29 @@ percentiles on arbitrary sample sets, including across merges.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
-
-#: default sub-buckets per decade (~2.6% worst-case quantile error)
-DEFAULT_BUCKETS_PER_DECADE = 90
-
-#: default smallest distinguishable value: 1 ns, far below any modeled
-#: latency in the cost model (microsecond scale)
-DEFAULT_MIN_VALUE = 1e-9
+from typing import Dict, Iterable
 
 
 class HistogramError(Exception):
-    """Invalid histogram operation (negative sample, layout mismatch)."""
+    """Invalid histogram operation (a negative sample or count)."""
 
 
 class LogHistogram:
     """A streaming histogram over non-negative floats.
 
-    ``buckets_per_decade`` and ``min_value`` define the fixed bucket
-    layout; two histograms merge only when their layouts agree.
+    ``buckets_per_decade`` and ``min_value`` define the one bucket
+    layout, so any two histograms merge.
     """
 
-    __slots__ = ("buckets_per_decade", "min_value", "counts",
-                 "underflow", "count", "total", "_min", "_max")
+    #: sub-buckets per decade (~2.6% worst-case quantile error)
+    buckets_per_decade = 90
+    #: smallest distinguishable value: 1 ns, far below any modeled
+    #: latency in the cost model (microsecond scale)
+    min_value = 1e-9
 
-    def __init__(self, buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE,
-                 min_value: float = DEFAULT_MIN_VALUE) -> None:
-        if buckets_per_decade < 1:
-            raise HistogramError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        if min_value <= 0.0:
-            raise HistogramError(f"min_value must be > 0, got {min_value}")
-        self.buckets_per_decade = int(buckets_per_decade)
-        self.min_value = float(min_value)
+    __slots__ = ("counts", "underflow", "count", "total", "_min", "_max")
+
+    def __init__(self) -> None:
         #: bucket index -> sample count (sparse)
         self.counts: Dict[int, int] = {}
         #: samples at or below ``min_value`` (including exact zeros)
@@ -167,24 +157,14 @@ class LogHistogram:
 
     # -- merge ---------------------------------------------------------------
 
-    def _check_layout(self, other: "LogHistogram") -> None:
-        if (self.buckets_per_decade != other.buckets_per_decade
-                or self.min_value != other.min_value):
-            raise HistogramError(
-                f"cannot merge layouts {self.buckets_per_decade}/"
-                f"{self.min_value:g} and {other.buckets_per_decade}/"
-                f"{other.min_value:g}"
-            )
-
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other`` into this histogram, exactly.
 
         The result is indistinguishable from having recorded every one
-        of ``other``'s samples here (bucketization is deterministic per
-        layout), so merge order never matters and re-aggregation across
+        of ``other``'s samples here (bucketization is deterministic),
+        so merge order never matters and re-aggregation across
         VMs/devices/functions is lossless.  Returns ``self``.
         """
-        self._check_layout(other)
         for index, count in other.counts.items():
             self.counts[index] = self.counts.get(index, 0) + count
         self.underflow += other.underflow
@@ -197,13 +177,10 @@ class LogHistogram:
     @classmethod
     def merged(cls, histograms: Iterable["LogHistogram"]) -> "LogHistogram":
         """A fresh histogram equal to the merge of ``histograms``."""
-        result: Optional[LogHistogram] = None
+        result = cls()
         for histogram in histograms:
-            if result is None:
-                result = cls(histogram.buckets_per_decade,
-                             histogram.min_value)
             result.merge(histogram)
-        return result if result is not None else cls()
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LogHistogram(n={self.count}, "

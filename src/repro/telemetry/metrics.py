@@ -25,11 +25,6 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.tracer import Span
 
-#: raw samples kept per histogram before degrading to streaming-only;
-#: below this, quantiles are exact (interpolated), above it they come
-#: from the log-bucketed histogram within its documented error bound
-EXACT_SAMPLE_LIMIT = 512
-
 
 def percentile(samples: List[float], q: float) -> float:
     """The ``q``-quantile (0..1) of ``samples`` by linear interpolation."""
@@ -66,11 +61,15 @@ class LatencyHistogram:
     :mod:`repro.telemetry.histogram`).
     """
 
-    __slots__ = ("histogram", "samples", "exact_limit")
+    #: raw samples kept before degrading to streaming-only; below
+    #: this, quantiles are exact (interpolated), above it they come from
+    #: the log-bucketed histogram within its documented error bound
+    exact_limit = 512
 
-    def __init__(self, exact_limit: int = EXACT_SAMPLE_LIMIT) -> None:
+    __slots__ = ("histogram", "samples")
+
+    def __init__(self) -> None:
         self.histogram = LogHistogram()
-        self.exact_limit = exact_limit
         #: raw samples, or None once the exact path has been spilled
         self.samples: Optional[List[float]] = []
 

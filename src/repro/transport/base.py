@@ -4,7 +4,8 @@ A transport's job in this reproduction is deliberately honest: it really
 encodes the :class:`~repro.remoting.codec.Command` to wire bytes, really
 hands those bytes to the router, and really decodes the reply bytes —
 so a marshaling bug breaks tests rather than hiding behind an in-memory
-shortcut.  Timing comes from each transport's cost parameters.
+shortcut.  Timing comes from each transport's prices, constants of the
+class that charges them.
 """
 
 from __future__ import annotations
@@ -77,13 +78,15 @@ class Transport:
     #: the VM whose frames this channel carries (set by ``create_vm``),
     #: the router's sender; None on a hand-built channel
     vm_id: Optional[str] = None
+    #: guest seconds to append one asynchronous frame to the shared
+    #: command queue
+    enqueue_overhead = 0.15e-6
 
-    def __init__(self, router: "Router",
-                 codec: Optional[WireCodec] = None) -> None:
+    def __init__(self, router: "Router") -> None:
         self.router = router
-        #: the codec this channel marshals frames with; defaults to the
-        #: router's, so both ends of the channel agree
-        self.codec: WireCodec = codec if codec is not None else router.codec
+        #: the codec this channel marshals frames with: the router's, so
+        #: both ends of the channel agree
+        self.codec: WireCodec = router.codec
         #: bytes moved guest→host / host→guest (metrics)
         self.tx_bytes = 0
         self.rx_bytes = 0
@@ -105,7 +108,7 @@ class Transport:
         optimization of §4.2) — the guest pays the copy, not the exit.
         Subclasses with per-byte copy costs should override.
         """
-        return 0.15e-6
+        return self.enqueue_overhead
 
     def span_attrs(self, nbytes: int) -> Dict[str, Any]:
         """Transport-specific attributes for the ``transport.send`` span.

@@ -7,9 +7,8 @@ per-byte copy cost into host-visible memory.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.remoting.wire import WireCodec
 from repro.transport.base import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,9 +26,8 @@ class InProcTransport(Transport):
         latency: float = 1.8e-6,
         byte_cost: float = 0.008e-9,
         enqueue_overhead: float = 0.15e-6,
-        codec: Optional[WireCodec] = None,
     ) -> None:
-        super().__init__(router, codec=codec)
+        super().__init__(router)
         if latency < 0 or byte_cost < 0:
             raise ValueError("transport costs cannot be negative")
         self.latency = latency

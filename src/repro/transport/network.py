@@ -9,36 +9,21 @@ disaggregation (compute-bound) and which do not (chatty / copy-heavy).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
-from repro.remoting.wire import WireCodec
 from repro.transport.base import Transport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hypervisor.router import Router
 
 
 class NetworkTransport(Transport):
     """Datacenter-network transport (disaggregated accelerator)."""
 
     name = "network"
-
-    def __init__(
-        self,
-        router: "Router",
-        latency: float = 25e-6,
-        bandwidth: float = 5e9,  # ~40 GbE effective
-        mtu: int = 9000,
-        per_packet_cost: float = 0.6e-6,
-        codec: Optional[WireCodec] = None,
-    ) -> None:
-        super().__init__(router, codec=codec)
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.latency = latency
-        self.bandwidth = bandwidth
-        self.mtu = mtu
-        self.per_packet_cost = per_packet_cost
+    #: one-way latency, seconds
+    latency = 25e-6
+    #: effective bandwidth, bytes/second (~40 GbE)
+    bandwidth = 5e9
+    #: bytes per packet
+    mtu = 9000
+    #: seconds of NIC and stack work per packet
+    per_packet_cost = 0.6e-6
 
     def _cost(self, nbytes: int) -> float:
         packets = max(1, -(-nbytes // self.mtu))

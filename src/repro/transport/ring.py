@@ -10,36 +10,23 @@ cheap small commands, visibly stepped costs for bulk payloads.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
 
-from repro.remoting.wire import WireCodec
-from repro.transport.base import Transport, TransportError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hypervisor.router import Router
+from repro.transport.base import Transport
 
 
 class RingTransport(Transport):
     """SVGA-FIFO-like ring buffer transport."""
 
     name = "ring"
-
-    def __init__(
-        self,
-        router: "Router",
-        slot_bytes: int = 4096,
-        slots: int = 256,
-        doorbell_latency: float = 1.2e-6,
-        copy_byte_cost: float = 0.012e-9,
-        codec: Optional[WireCodec] = None,
-    ) -> None:
-        super().__init__(router, codec=codec)
-        if slot_bytes <= 0 or slots <= 0:
-            raise ValueError("ring geometry must be positive")
-        self.slot_bytes = slot_bytes
-        self.slots = slots
-        self.doorbell_latency = doorbell_latency
-        self.copy_byte_cost = copy_byte_cost
+    #: ring geometry: bytes per slot, slots in the ring
+    slot_bytes = 4096
+    slots = 256
+    #: seconds per doorbell (VM exit + consumer wakeup)
+    doorbell_latency = 1.2e-6
+    #: seconds per byte copied into (or out of) the ring
+    copy_byte_cost = 0.012e-9
+    #: async producers write slots without ringing the doorbell
+    enqueue_overhead = 0.2e-6
 
     @property
     def capacity_bytes(self) -> int:
@@ -72,8 +59,7 @@ class RingTransport(Transport):
         return self.doorbell_latency + nbytes * self.copy_byte_cost
 
     def enqueue_cost(self, nbytes: int) -> float:
-        # async producers write slots without ringing the doorbell
-        return 0.2e-6 + nbytes * self.copy_byte_cost
+        return self.enqueue_overhead + nbytes * self.copy_byte_cost
 
     def span_attrs(self, nbytes: int):
         needed = self._slot_count(nbytes)

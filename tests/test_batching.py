@@ -62,8 +62,6 @@ class TestBatchPolicy:
             BatchPolicy(max_commands=0)
         with pytest.raises(ValueError):
             BatchPolicy(max_bytes=-1)
-        with pytest.raises(ValueError):
-            BatchPolicy(queue_cost=-1e-9)
 
     def test_frozen(self):
         with pytest.raises(Exception):

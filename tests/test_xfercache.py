@@ -125,7 +125,6 @@ class TestCachePolicy:
         {"capacity_entries": 0},
         {"min_bytes": 2048, "max_entry_bytes": 1024},
         {"digest_byte_cost": -1.0},
-        {"probe_cost": -1.0},
     ])
     def test_bad_policies_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -220,15 +219,19 @@ class TestTransferStore:
         assert store.stats.clears == ["worker lost: test"]
 
     def test_swap_pressure_sheds_the_store(self):
-        from repro.opencl.device import SimulatedGPU
+        from types import SimpleNamespace
+
+        from repro.opencl.device import DeviceSpec, SimulatedGPU
         from repro.server.swap import ObjectSwapManager
 
         store = self.make()
         for i in range(4):
             store.insert(bytes([i]) * 1000)
-        manager = ObjectSwapManager(capacity_bytes=4096)
+        manager = ObjectSwapManager()
         store.attach_to_swap(manager)
-        gpu = SimulatedGPU()
+        gpu = SimulatedGPU(DeviceSpec.small_gpu(mem_bytes=4096))
+        # the ledger owner a real buffer finds through its context
+        context = SimpleNamespace(session=object())
 
         class Mem:
             def __init__(self, size):
@@ -236,6 +239,7 @@ class TestTransferStore:
                 self.last_access = 0.0
                 self.resident = False
                 self.device = gpu
+                self.context = context
 
         manager.on_alloc(Mem(3000))
         manager.on_alloc(Mem(3000))  # shortfall: listeners notified
