@@ -107,8 +107,6 @@ def _emit_collect(writer: CodeWriter, spec: ApiSpec,
                 f"[worker.bind({name!r}, _obj) for _obj in {name} "
                 "if _obj is not None]"
             )
-    if param.element_deallocates:
-        writer.line(f"worker.maybe_free(cmd.handles.get({name!r}))")
 
 
 def _emit_server_stub(writer: CodeWriter, spec: ApiSpec,

@@ -10,7 +10,7 @@ path around it.  The router (paper §4.1, §4.3):
   annotations (e.g. bus bytes for copies) per VM,
 * **schedules** the command's release to the per-VM API server worker,
 * **records** each successful call the spec marks ``record(...)`` into
-  the VM's migration log,
+  the VM's migration log, and frees the handles that log reports dead,
 * and logs per-VM metrics the administration interface exposes.
 """
 
@@ -44,6 +44,10 @@ class RoutingInfo:
 
     name: str
     record_kind: Optional[RecordKind] = None
+    #: the return value meaning the call took effect (None: undeclared)
+    success: Optional[float] = None
+    #: the parameters keying its migration record (``supersedes(...)``)
+    supersedes: Tuple[str, ...] = ()
     #: resource name → the spec's `consumes` estimate as the generator
     #: compiled it: a float, or a function of the call's named arguments
     resources: Dict[str, Any] = field(default_factory=dict)
@@ -73,13 +77,11 @@ class RoutingTable:
     ordering: Dict[str, str] = field(default_factory=dict)
     #: functions that can act as sync points (sync-capable calls)
     sync_points: List[str] = field(default_factory=list)
-    #: the migration log's supersede keys: function → (parameters
-    #: keying its record, return value meaning the call took effect)
-    supersedes: Dict[str, Any] = field(default_factory=dict)
 
     def new_log(self) -> CallRecorder:
         """An empty migration log for this API's calls."""
-        return CallRecorder(self.supersedes)
+        return CallRecorder({name: info.supersedes for name, info
+                             in self.functions.items() if info.supersedes})
 
     def estimate(self, info: RoutingInfo,
                  command: Command) -> Dict[str, Any]:
@@ -682,8 +684,15 @@ class Router:
             else:
                 reply = worker.execute(command, release)
             if reply.error is None and info.record_kind is not None:
-                state.logs[command.api].record(command, reply,
-                                               info.record_kind)
+                # the log decides what died; the table and a migration follow
+                dead, consumed = state.logs[command.api].record(
+                    command, reply, info.record_kind, info.success)
+                if consumed or dead:
+                    for gid in dead:
+                        worker.handles.free(gid)
+                    migration = state.migrating.get(command.api)
+                    if migration is not None:
+                        migration.released(command, dead, consumed)
             if san.enabled:
                 san.check_reply_time(command.vm_id, command.api,
                                      release, reply.complete_time)

@@ -13,9 +13,9 @@ semantics and report.  Built entirely from parts the stack already has:
   last round, under the original guest ids.  The log is the VM's (on
   its router record, fed by the router), so replay onto the
   destination, which calls the worker directly, is never logged.
-  Destroys observed meanwhile (which prune the log) are forwarded
-  through the log's destroy listeners and replayed too, so the
-  destination never leaks dead objects.
+  Releases the log applies meanwhile reach the engine from the router;
+  each is replayed if the destination replayed the record it used up,
+  so the destination's reference counts follow the source's.
 * **Iterative pre-copy.**  Each round digests every live source buffer
   and ships only the ones whose contents differ from what the
   destination already holds.  Dirty tracking cannot rely on ``modify``
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Tuple
 
 from repro.analysis import sanitizer as _sanitize
 from repro.faults.errors import WorkerCrashed
@@ -62,6 +62,7 @@ from repro.migration.replayer import (
     _is_buffer_object,
     replay_entry,
 )
+from repro.remoting.buffers import own_payloads
 from repro.remoting.codec import Command
 from repro.remoting.xfercache import digest_payload
 from repro.telemetry import flightrec as _flightrec
@@ -168,8 +169,8 @@ class LiveMigration:
         #: Serials only grow, so a record made after a prune can never
         #: be mistaken for one already replayed
         self._replayed_through = 0
-        #: destroys observed since the last suffix replay
-        self._pending_destroys: List[Tuple[Command, Set[int]]] = []
+        #: releases (and the ids they killed) the destination must replay
+        self._pending_releases: List[Tuple[Command, AbstractSet[int]]] = []
         #: guest id → digest of the bytes the destination holds for it
         self._staged: Dict[int, bytes] = {}
 
@@ -222,7 +223,6 @@ class LiveMigration:
         self._began_at = self.dest.clock.now
         state.migrating[self.api_name] = self
         self.log = state.logs[self.api_name]
-        self.log.destroy_listeners.append(self._on_destroy)
         recorder = _flightrec.active()
         if recorder.enabled:
             recorder.note(
@@ -232,36 +232,36 @@ class LiveMigration:
             )
         return self.dest
 
-    def _on_destroy(self, command: Command, dead: Set[int]) -> None:
-        self._pending_destroys.append((copy.deepcopy(command), set(dead)))
-
-    def _detach(self) -> None:
-        """Leave the VM's record: no more destroys, no longer in flight."""
-        self.log.destroy_listeners.remove(self._on_destroy)
-        del self.hv.router.vms[self.vm_id].migrating[self.api_name]
+    def released(self, command: Command, dead: AbstractSet[int],
+                 consumed: int) -> None:
+        """A release the VM's log applied (:meth:`CallRecorder.record`):
+        the destination holds the reference it drops, and replays it,
+        if it replayed the record the release used up."""
+        for gid in dead:
+            self._staged.pop(gid, None)
+        if 0 < consumed <= self._replayed_through:
+            own_payloads(command.in_buffers)  # kept past the call
+            self._pending_releases.append((copy.deepcopy(command), dead))
 
     # -- background replay -------------------------------------------------
 
     def _replay_suffix(self) -> int:
-        """Replay destroys and new log entries accumulated since the
+        """Replay releases and new log entries accumulated since the
         last round; returns how many calls were replayed."""
         assert self.dest is not None
         replayed = 0
-        for command, dead in self._pending_destroys:
-            for gid in dead:
-                self._staged.pop(gid, None)
-            if not any(gid in self.dest.handles for gid in dead):
-                # destination never replayed the (now pruned) creates
-                continue
-            reply = self.dest.execute(copy.deepcopy(command),
+        for command, dead in self._pending_releases:
+            reply = self.dest.execute(command,
                                       release_time=self.dest.clock.now)
             if reply.error is not None:
                 raise MigrationError(
-                    f"replaying destroy {command.function} on the "
+                    f"replaying release {command.function} on the "
                     f"destination failed: {reply.error}"
                 )
+            for gid in dead:
+                self.dest.handles.free(gid)
             replayed += 1
-        self._pending_destroys.clear()
+        self._pending_releases.clear()
         # a record superseded since the last round is either already on
         # the destination (its replacement is in this suffix) or was
         # never needed
@@ -275,8 +275,7 @@ class LiveMigration:
             for gid in entry.created_ids() | entry.referenced:
                 if gid in self.dest.handles:
                     obj = self.dest.handles.lookup(gid)
-                    if _is_buffer_object(obj) and \
-                            not getattr(obj, "released", False):
+                    if _is_buffer_object(obj):
                         self._staged[gid] = digest_payload(
                             obj.data.tobytes())
         return replayed
@@ -284,9 +283,8 @@ class LiveMigration:
     # -- buffer shipping ---------------------------------------------------
 
     def _live_source_buffers(self):
-        for gid, obj in list(self.source.handles.items()):
-            if _is_buffer_object(obj) and \
-                    not getattr(obj, "released", False):
+        for gid, obj in self.source.handles.items():
+            if _is_buffer_object(obj):
                 yield gid, obj
 
     def _ship_buffers(self, leg: str) -> Tuple[int, int, int]:
@@ -427,7 +425,7 @@ class LiveMigration:
             raise MigrationAborted(str(err), self.report) from err
 
         # -- commit: re-bind the (VM, API) slot to the destination -----
-        self._detach()
+        del self.hv.router.vms[self.vm_id].migrating[self.api_name]
         self.hv.workers[key] = self.dest
         if self.member is not None and self.hv.pool is not None:
             self.hv.pool.migrate(self.vm_id, self.member)
@@ -506,8 +504,8 @@ class LiveMigration:
         if self._frozen:
             self.hv.router.thaw_vm(self.vm_id)
             self._frozen = False
-        if self.log is not None:
-            self._detach()
+        if self.log is not None:  # it went on the VM's record: leave it
+            del self.hv.router.vms[self.vm_id].migrating[self.api_name]
         if self.dest is not None:
             self._scrub_destination(reason)
         self.report.aborted = True

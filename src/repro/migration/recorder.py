@@ -1,16 +1,22 @@
 """Recording annotated API calls for migration replay.
 
 Which calls get recorded is driven entirely by the spec's ``record``
-annotations (global config, object create/destroy/modify) — the paper's
-point is that this needs *no* device knowledge, only API annotations.
+annotations (global config, object create/retain/destroy/modify) — the
+paper's point is that this needs *no* device knowledge, only API
+annotations.  The log is the one place that decides which guest objects
+are alive; the router frees what it reports dead.
 
-The log keeps only the calls that determine *current* state, by two
-rules (``docs/migration.md``, "What the log keeps"):
+The log keeps only the calls that determine *current* state
+(``docs/migration.md``, "What the log keeps"):
 
-* **Object tracking**, in the style of Nooks: when an object is
-  destroyed, its creation record and any modification records that
-  referenced it are dropped, and the destroy itself is never logged —
-  replaying the log therefore recreates exactly the live objects.
+* **Success**: a call that returned anything but its declared success
+  value changed nothing — unless it created handles — so it is not kept.
+* **Object tracking**, in the style of Nooks, with references: a
+  destroy drops the newest retain record of each handle it names; a
+  handle with none dies, and its creation record and any modification
+  records that referenced it are dropped.  The destroy itself is never
+  logged — replaying the log therefore recreates exactly the live
+  objects, with their reference counts.
 * **Supersede**: a later successful call to the same function whose
   spec-declared ``supersedes(...)`` parameters all carry equal values
   makes the earlier record dead, unless that earlier record created
@@ -20,14 +26,14 @@ rules (``docs/migration.md``, "What the log keeps"):
 
 Every record carries a serial that only grows (a record that replaces
 another takes a new one); the log is ordered by it and indexed by
-supersede key and by handle id, so both rules cost the records they
+supersede key and by handle id, so the rules cost the records they
 touch, never a scan of the log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.remoting.buffers import own_payloads
 from repro.remoting.codec import Command, Reply
@@ -68,19 +74,18 @@ class RecordedCall:
         return self.created_ids() | self.referenced
 
 
-class CallRecorder:
-    """One VM's migration log of one API's calls, with object tracking
-    and supersede (``VMState.logs``; the router records into it).
+UNCHANGED: Tuple[FrozenSet[int], int] = (frozenset(), 0)  # released nothing
 
-    ``supersedes`` is the generated routing module's ``SUPERSEDES``
-    table: function → (key parameter names, success return value or
-    None when the return type declares none).
+
+class CallRecorder:
+    """One VM's migration log of one API's calls (``VMState.logs``;
+    the router records into it).
+
+    ``supersedes`` maps a function to the parameters keying its record
+    (each :class:`~repro.hypervisor.router.RoutingInfo`'s).
     """
 
-    def __init__(
-        self,
-        supersedes: Optional[Dict[str, Tuple[Tuple[str, ...], Any]]] = None,
-    ) -> None:
+    def __init__(self, supersedes: Optional[Dict[str, Tuple]] = None) -> None:
         self.supersedes = supersedes or {}
         #: serial → record; dicts keep insertion order, which is serial
         #: order, which is replay order
@@ -90,14 +95,8 @@ class CallRecorder:
         self._by_key: Dict[Hashable, RecordedCall] = {}
         #: handle id → the records that created or referenced it
         self._by_handle: Dict[int, Set[RecordedCall]] = {}
-        #: destroys observed (metrics: how much the tracking saved)
+        #: records destroys dropped (metrics: how much the tracking saved)
         self.pruned_calls = 0
-        #: notified as ``listener(command, dead_ids)`` whenever a destroy
-        #: prunes the log.  Live migration subscribes here: a destination
-        #: that already replayed the pruned creates must replay the
-        #: destroy too, or it leaks the dead objects' device memory.
-        self.destroy_listeners: List[
-            Callable[[Command, Set[int]], None]] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -117,34 +116,35 @@ class CallRecorder:
         newer.reverse()
         return newer
 
-    def record(self, command: Command, reply: Reply, kind: RecordKind) -> None:
+    def record(self, command: Command, reply: Reply, kind: RecordKind,
+               success: Any = None) -> Tuple[FrozenSet[int], int]:
+        """Log one call a worker answered without an error; ``success``
+        is its declared success value (None: the type declares none).
+        Returns ``(dead, consumed)``: the ids that died, and the newest
+        serial among the records a destroy used up (the retains it
+        cancelled, the creations of what died; 0: none)."""
+        failed = success is not None and reply.return_value != success
         if kind is RecordKind.DESTROY:
-            self._apply_destroy(command)
-            return
+            return UNCHANGED if failed else self._release(command)
+        if failed and not reply.new_handles:
+            return UNCHANGED
         created = dict(reply.new_handles)
         key = earlier = None
-        keyed = self.supersedes.get(command.function)
-        if keyed is not None:
-            names, success = keyed
-            if success is not None and reply.return_value != success:
-                # the call failed: it changed nothing, so it supersedes
-                # nothing and there is nothing to replay
-                if not created:
-                    return
-            else:
-                handles, scalars = command.handles, command.scalars
-                try:
-                    key = (command.function, *[
-                        handles[name] if name in handles else scalars[name]
-                        for name in names
-                    ])
-                    earlier = self._by_key.get(key)
-                except (KeyError, TypeError):
-                    # a parameter that is absent or whose value cannot
-                    # be hashed names no entry: the record accumulates
-                    key = None
-                if earlier is not None and earlier.created:
-                    earlier = None  # it made handles: it stays
+        names = None if failed else self.supersedes.get(command.function)
+        if names is not None:
+            handles, scalars = command.handles, command.scalars
+            try:
+                key = (command.function, *[
+                    handles[name] if name in handles else scalars[name]
+                    for name in names
+                ])
+                earlier = self._by_key.get(key)
+            except (KeyError, TypeError):
+                # a parameter that is absent or whose value cannot be
+                # hashed names no entry: the record accumulates
+                key = None
+            if earlier is not None and earlier.created:
+                earlier = None  # it made handles: it stays
         # the log outlives the call: borrowed payloads are copied
         # before being retained (repro.remoting.buffers)
         own_payloads(command.in_buffers)
@@ -157,7 +157,7 @@ class CallRecorder:
                 del self._records[earlier.serial]
                 earlier.command, earlier.serial = command, serial
                 self._records[serial] = earlier
-                return
+                return UNCHANGED
             self._drop(earlier)
         entry = RecordedCall(
             command=command,
@@ -177,6 +177,7 @@ class CallRecorder:
                 by_handle[gid] = {entry}
             else:
                 entries.add(entry)
+        return UNCHANGED
 
     def _drop(self, entry: RecordedCall) -> None:
         """Remove one record from the log and from both indexes."""
@@ -189,32 +190,36 @@ class CallRecorder:
             if not entries:
                 del self._by_handle[gid]
 
-    def _apply_destroy(self, command: Command) -> None:
-        """Drop records made obsolete by destroying these handles.
-
-        A destroy call's handle arguments name the object(s) going away.
-        Creation records for those ids are removed, as are modification
-        records that referenced them (replaying either would touch a
-        dead object).  Only the records indexed under the dead ids are
-        visited.
+    def _release(self, command: Command) -> Tuple[FrozenSet[int], int]:
+        """Drop one reference to each handle a destroy names: its newest
+        retain record, or, with none, the handle and every record that
+        created it or modified it (replaying either would touch a dead
+        object).  Only the records indexed under those ids are visited.
         """
-        dead = _handle_ids(command.handles)
-        if not dead:
-            return
-        if self.destroy_listeners:
-            # a listener may keep the command past the call
-            own_payloads(command.in_buffers)
-            for listener in self.destroy_listeners:
-                listener(command, set(dead))
+        dead: Set[int] = set()
+        consumed = 0
+        for gid in _handle_ids(command.handles):
+            retains = [entry.serial for entry in self._by_handle.get(gid, ())
+                       if entry.kind is RecordKind.RETAIN]
+            if not retains:
+                dead.add(gid)
+                continue
+            retain = self._records[max(retains)]
+            self._drop(retain)
+            self.pruned_calls += 1
+            consumed = max(consumed, retain.serial)
         for gid in dead:
             for entry in tuple(self._by_handle.get(gid, ())):
                 if entry.serial not in self._records:
                     continue  # dropped under another dead id of this call
-                if entry.created_ids() & dead or (
-                        entry.kind is RecordKind.MODIFY
-                        and entry.referenced & dead):
-                    self._drop(entry)
-                    self.pruned_calls += 1
+                if entry.created_ids() & dead:
+                    consumed = max(consumed, entry.serial)
+                elif not (entry.kind is RecordKind.MODIFY
+                          and entry.referenced & dead):
+                    continue
+                self._drop(entry)
+                self.pruned_calls += 1
+        return frozenset(dead), consumed
 
     def live_created_ids(self) -> Set[int]:
         ids: Set[int] = set()

@@ -86,7 +86,8 @@ def _return_info(
 
 
 def _expect(obj: Any, cls: type, code: int) -> Any:
-    if not isinstance(obj, cls) or getattr(obj, "released", False):
+    if not isinstance(obj, cls) or (
+            isinstance(obj, rt.CLObject) and obj.released):
         raise CLError(code, f"expected a live {cls.__name__}")
     return obj
 

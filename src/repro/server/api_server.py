@@ -128,20 +128,6 @@ class ApiServerWorker:
 
         return proxy
 
-    def maybe_free(self, guest_id: Any) -> None:
-        """Drop the table entry if the underlying object is now dead.
-
-        Release-style calls only destroy at refcount zero, so the entry
-        survives while the object does.
-        """
-        if not isinstance(guest_id, int) or guest_id not in self.handles:
-            return
-        obj = self.handles.lookup(guest_id)
-        if (getattr(obj, "released", False)
-                or getattr(obj, "deallocated", False)
-                or getattr(obj, "removed", False)):
-            self.handles.free(guest_id)
-
     # -- execution ---------------------------------------------------------------
 
     def crash(self, reason: str) -> None:

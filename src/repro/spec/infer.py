@@ -91,6 +91,7 @@ class SizeConvention:
 _RECORD_VERBS: Tuple[Tuple[Tuple[str, ...], RecordKind], ...] = (
     (("Init",), RecordKind.CONFIG),
     (("Release", "Destroy", "Free", "Close", "Deallocate"), RecordKind.DESTROY),
+    (("Retain",), RecordKind.RETAIN),
     (("Create", "Alloc", "Open"), RecordKind.CREATE),
     (("Set", "Build", "Compile", "Load", "Write"), RecordKind.MODIFY),
 )

@@ -40,8 +40,9 @@ class RecordKind(enum.Enum):
 
     CONFIG = "config"      # global configuration, e.g. cuInit
     CREATE = "create"      # object allocation, e.g. clCreateBuffer
-    DESTROY = "destroy"    # object deallocation, e.g. clReleaseMemObject
+    DESTROY = "destroy"    # drops a reference, e.g. clReleaseMemObject
     MODIFY = "modify"      # object modification, e.g. clSetKernelArg
+    RETAIN = "retain"      # adds a reference, e.g. clRetainMemObject
 
 
 @dataclass(frozen=True)
@@ -315,6 +316,16 @@ class ApiSpec:
                             f"{func.name}: resource {resource!r} estimate "
                             f"references unknown name {name!r}"
                         )
+            if func.record_kind is not RecordKind.DESTROY and any(
+                    p.element_deallocates for p in func.params):
+                problems.append(
+                    f"{func.name}: deallocates a parameter but is not "
+                    "record(destroy), the one path that frees a handle")
+            if func.record_kind is RecordKind.RETAIN and not any(
+                    p.ctype.base in self.handle_types()
+                    and not p.ctype.is_pointer for p in func.params):
+                problems.append(f"{func.name}: record(retain) but no "
+                                "handle parameter to reference")
             if func.supersedes and func.record_kind is not RecordKind.MODIFY:
                 problems.append(
                     f"{func.name}: supersedes() keys migration records, "

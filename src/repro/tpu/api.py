@@ -95,7 +95,6 @@ def tpuCloseDevice(device_handle: Handle) -> int:
             not device_handle.held(sess).opened:
         return TPU_INVALID
     device_handle.held(sess).opened = False
-    device_handle.deallocated = True  # handle-table cleanup marker
     return TPU_OK
 
 
@@ -113,7 +112,6 @@ def tpuDestroyGraph(graph_handle: Handle) -> int:
     if not isinstance(graph_handle, TPUGraph) or graph_handle.destroyed:
         return TPU_INVALID
     graph_handle.destroyed = True
-    graph_handle.deallocated = True
     return TPU_OK
 
 

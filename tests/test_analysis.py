@@ -4,7 +4,8 @@ The bad specs under ``tests/specs_bad/`` are the negative corpus: each
 exercises at least one diagnostic per ``CAVA`` code family, and every
 one of them passes ``spec.validate()`` — the whole point of the lint
 pass is the cross-function properties per-function validation cannot
-see.
+see.  The ``validate_*`` seeds are the exception: they hold
+``validate()``'s own rules (``tests/test_spec_parser.py``).
 """
 
 import json

@@ -189,8 +189,8 @@ class TestGeneratedSources:
         assert not hasattr(stack.server_module, "RECORD_KINDS")
 
     def test_supersedes_table_exported(self, tmp_path):
-        """Key parameters and the success constant travel in the
-        generated routing module, beside the record categories."""
+        """Key parameters and each function's success constant travel
+        in the generated routing module, beside the record categories."""
         keyed = parse_spec(
             SPEC_TEXT
             + "st setThing(hdl thing, int slot, float value) "
@@ -201,11 +201,12 @@ class TestGeneratedSources:
         keyed.constants["OK"] = 0.0
         stack = generate_api(keyed, str(tmp_path), "repro.opencl.api")
         assert not hasattr(stack.server_module, "SUPERSEDES")
-        assert stack.routing_table().supersedes == {
-            "setThing": (("thing", "slot"), 0),
-            # no success() on the return type: every call counts
-            "writeThing": (("thing",), None),
-        }
+        functions = stack.routing_table().functions
+        assert functions["setThing"].supersedes == ("thing", "slot")
+        assert functions["setThing"].success == 0
+        assert functions["writeThing"].supersedes == ("thing",)
+        # no success() on the return type: every call counts
+        assert functions["writeThing"].success is None
 
     def test_supersedes_round_trips_through_specwriter(self):
         spec = parse_spec(

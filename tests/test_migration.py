@@ -95,18 +95,74 @@ class TestRecorderObjectTracking:
         assert recorder.live_created_ids() == {20, 21}
 
 
-#: a generated SUPERSEDES table in miniature: key parameters, and the
-#: return value that means the call took effect
-KEYED = {"set": (("h", "slot"), 0), "put": (("h",), None)}
+class TestRecorderReferences:
+    """A retain is a record; a destroy drops one reference, newest
+    retain first, and reports what died and what it used up."""
+
+    def make_retained(self, retains):
+        recorder = CallRecorder()
+        recorder.record(command("make"), Reply(seq=1, new_handles={"h": 10}),
+                        RecordKind.CREATE)
+        for _ in range(retains):
+            recorder.record(command("keep", handles={"h": 10}),
+                            Reply(seq=2, return_value=0), RecordKind.RETAIN, 0)
+        return recorder
+
+    def release(self, recorder, ret=0):
+        return recorder.record(command("free", handles={"h": 10}),
+                               Reply(seq=3, return_value=ret),
+                               RecordKind.DESTROY, 0)
+
+    def test_release_drops_the_newest_retain_then_the_object(self):
+        recorder = self.make_retained(2)
+        assert [e.serial for e in recorder.log] == [1, 2, 3]
+        assert self.release(recorder) == (frozenset(), 3)
+        assert self.release(recorder) == (frozenset(), 2)
+        assert recorder.live_created_ids() == {10}
+        assert self.release(recorder) == ({10}, 1)
+        assert len(recorder) == 0
+        assert not recorder._by_handle
+
+    def test_death_reports_the_creation_not_the_modifies(self):
+        recorder = self.make_retained(0)
+        recorder.record(command("tweak", handles={"h": 10}), Reply(seq=2),
+                        RecordKind.MODIFY)
+        assert self.release(recorder) == ({10}, 1)
+        assert len(recorder) == 0
+
+    def test_refused_release_changes_nothing(self):
+        recorder = self.make_retained(1)
+        assert self.release(recorder, ret=-38) == (frozenset(), 0)
+        assert len(recorder) == 2
+        assert self.release(recorder) == (frozenset(), 2)
+
+    @pytest.mark.parametrize("kind", [RecordKind.CONFIG, RecordKind.CREATE,
+                                      RecordKind.RETAIN, RecordKind.MODIFY])
+    def test_failed_call_of_any_kind_is_not_kept(self, kind):
+        recorder = CallRecorder()
+        assert recorder.record(command("call", handles={"h": 10}),
+                               Reply(seq=1, return_value=-5), kind, 0) == \
+            (frozenset(), 0)
+        assert len(recorder) == 0
+        # unless it created handles
+        recorder.record(command("call", handles={"h": 10}),
+                        Reply(seq=1, return_value=-5,
+                              new_handles={"e": 11}), kind, 0)
+        assert recorder.live_created_ids() == {11}
+
+
+#: a routing table's supersede keys in miniature: function → key parameters
+KEYED = {"set": ("h", "slot"), "put": ("h",)}
 
 
 def keyed_set(recorder, slot, handle=10, ret=0, value=0, new_handles=None):
+    """One ``set`` call, whose return type declares success 0."""
     cmd = Command(seq=1, vm_id="vm", api="x", function="set",
                   handles={"h": handle},
                   scalars={"slot": slot, "value": value})
     recorder.record(cmd, Reply(seq=1, return_value=ret,
                                new_handles=new_handles or {}),
-                    RecordKind.MODIFY)
+                    RecordKind.MODIFY, 0)
 
 
 class TestRecorderSupersede:
@@ -171,7 +227,7 @@ class TestRecorderSupersede:
         """Same key, different handle set (a write through another
         queue): object tracking must follow the handles of the record
         that is in the log now."""
-        recorder = CallRecorder({"write": (("buf",), 0)})
+        recorder = CallRecorder({"write": ("buf",)})
 
         def write(queue):
             recorder.record(
@@ -213,8 +269,8 @@ class TestRecorderSupersede:
         assert recorder.since(0) == list(recorder.log)
 
     def test_log_length_constant_over_1e5_sets_and_rewrites(self):
-        table = {"clSetKernelArg": (("kernel", "arg_index"), 0),
-                 "clEnqueueWriteBuffer": (("buf", "offset", "size"), 0)}
+        table = {"clSetKernelArg": ("kernel", "arg_index"),
+                 "clEnqueueWriteBuffer": ("buf", "offset", "size")}
         recorder = CallRecorder(table)
         payload = b"x" * 64
 
@@ -950,7 +1006,100 @@ class TestTheLogIsTheVMs:
         log = hv.router.vms["vm-log-moves"].logs["opencl"]
         assert not hv.live_migrate_vm("vm-log-moves", "opencl").aborted
         assert hv.router.vms["vm-log-moves"].logs["opencl"] is log
-        assert not log.destroy_listeners
+        assert not hv.router.vms["vm-log-moves"].migrating
+
+
+def write_words(cl, state, words):
+    data = np.asarray(words, dtype=np.float32)
+    assert cl.clEnqueueWriteBuffer(state["queue"], state["mem"], types.CL_TRUE,
+                                   0, data.nbytes, data, 0, None,
+                                   None) == types.CL_SUCCESS
+    return data
+
+
+def read_words(cl, state, count):
+    out = np.zeros(count, dtype=np.float32)
+    assert cl.clEnqueueReadBuffer(state["queue"], state["mem"], types.CL_TRUE,
+                                  0, out.nbytes, out, 0, None,
+                                  None) == types.CL_SUCCESS
+    return out
+
+
+class TestReferenceCounts:
+    """The VM's log counts references: a retained object survives a
+    release in the log as in the handle table, migrates with its count,
+    and only its last release frees its guest id."""
+
+    @pytest.mark.parametrize("rounds", [0, 3])
+    @pytest.mark.parametrize("retains", [1, 2])
+    def test_retained_buffer_migrates_after_one_release(self, retains,
+                                                        rounds):
+        vm_id = f"vm-retain-{retains}-{rounds}"
+        hv, vm, cl, state = live_stack(vm_id, n=4)
+        data = write_words(cl, state, [1.5, -2.0, 3.25, 4.0])  # 16 bytes
+        for _ in range(retains):
+            assert cl.clRetainMemObject(state["mem"]) == types.CL_SUCCESS
+        assert cl.clReleaseMemObject(state["mem"]) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        report = hv.live_migrate_vm(vm_id, "opencl",
+                                    policy=MigrationPolicy(max_rounds=rounds))
+        assert not report.aborted, report.reason
+        dest = hv.worker(vm_id, "opencl")
+        assert dest.handles.lookup(state["mem"]).refcount == retains
+        assert np.array_equal(read_words(cl, state, 4), data)
+
+    def test_the_last_release_on_the_destination_frees_the_id(self):
+        hv, vm, cl, state = live_stack("vm-last-ref", n=4)
+        mem = state["mem"]
+        for _ in range(2):
+            assert cl.clRetainMemObject(mem) == types.CL_SUCCESS
+        assert cl.clReleaseMemObject(mem) == types.CL_SUCCESS
+        assert not hv.live_migrate_vm("vm-last-ref", "opencl").aborted
+        dest = hv.worker("vm-last-ref", "opencl")
+        log = hv.router.vms["vm-last-ref"].logs["opencl"]
+        assert cl.clReleaseMemObject(mem) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        assert mem in dest.handles and mem in log.live_created_ids()
+        assert cl.clReleaseMemObject(mem) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        assert mem not in dest.handles
+        assert mem not in log.live_created_ids()
+
+    @pytest.mark.parametrize("replayed", [True, False])
+    def test_retain_released_before_cutover(self, replayed):
+        """The destination replays the release exactly when it replayed
+        the retain the release cancelled."""
+        hv, vm, cl, state = live_stack("vm-mid-ref", n=4)
+        mem = state["mem"]
+        engine = hv.start_live_migration(
+            "vm-mid-ref", "opencl", policy=MigrationPolicy(max_rounds=2))
+        engine.precopy_round()
+        assert cl.clRetainMemObject(mem) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        if replayed:
+            engine.precopy_round()
+            assert engine.dest.handles.lookup(mem).refcount == 2
+        assert cl.clReleaseMemObject(mem) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        report = engine.cutover()
+        assert not report.aborted, report.reason
+        assert engine.dest.handles.lookup(mem).refcount == \
+            engine.source.handles.lookup(mem).refcount == 1
+
+    def test_refused_release_keeps_the_object_in_the_log(self):
+        """``clReleaseContext(buffer)`` is async: the guest sees success,
+        the native API refuses it, and nothing died."""
+        hv, vm, cl, state = live_stack("vm-refused", n=4)
+        data = write_words(cl, state, [7.0, 8.0, 9.0, 10.0])
+        assert cl.clReleaseContext(state["mem"]) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        source = hv.worker("vm-refused", "opencl")
+        assert state["mem"] in source.handles
+        log = hv.router.vms["vm-refused"].logs["opencl"]
+        assert state["mem"] in log.live_created_ids()
+        report = stop_the_world(hv, "vm-refused")
+        assert not report.aborted, report.reason
+        assert np.array_equal(read_words(cl, state, 4), data)
 
 
 class TestMigrationSeedGaps:

@@ -184,6 +184,19 @@ class TestDeviceLifecycle:
         box = OutBox()
         assert api.mvncOpenDevice(None, box) == api.MVNC_BUSY
 
+    def test_forwarded_close_frees_the_guest_id(self):
+        from repro.stack import VirtualStack
+
+        hv = VirtualStack.build("mvnc").hypervisor
+        mv = hv.create_vm("vm-close").library("mvnc")
+        box = OutBox()
+        assert mv.mvncOpenDevice(None, box) == api.MVNC_OK
+        worker = hv.worker("vm-close", "mvnc")
+        assert box.value in worker.handles
+        assert mv.mvncCloseDevice(box.value) == api.MVNC_OK
+        assert box.value not in worker.handles
+        assert not hv.router.vms["vm-close"].logs["mvnc"].log
+
     def test_close_unopened(self, ncs):
         assert api.mvncCloseDevice(ncs.devices[0]) == api.MVNC_INVALID_PARAMETERS
 

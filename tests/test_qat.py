@@ -243,5 +243,32 @@ class TestSpecAndForwarding:
         qa.cpaDcRemoveSession(session.value)
         assert session.value not in worker.handles
 
+    def test_removed_sessions_leave_the_log(self):
+        """50 init/remove pairs leave one record (the started instance):
+        a stop-the-world migration replays it alone, and the
+        destination's table matches the source's."""
+        from repro.migration import MigrationPolicy
+
+        hv = VirtualStack.build("qat").hypervisor
+        qa = hv.create_vm("vm-qat-churn").library("qat")
+        instance = OutBox()
+        assert qa.cpaDcStartInstance(0, instance) == api.CPA_STATUS_SUCCESS
+        for _ in range(50):
+            session = OutBox()
+            assert qa.cpaDcInitSession(instance.value, session, 6,
+                                       api.CPA_DC_DIR_COMPRESS) == \
+                api.CPA_STATUS_SUCCESS
+            assert qa.cpaDcRemoveSession(session.value) == \
+                api.CPA_STATUS_SUCCESS
+        assert len(hv.router.vms["vm-qat-churn"].logs["qat"]) == 1
+        source = hv.worker("vm-qat-churn", "qat")
+        report = hv.live_migrate_vm("vm-qat-churn", "qat",
+                                    policy=MigrationPolicy(max_rounds=0))
+        assert not report.aborted, report.reason
+        assert report.replayed_calls == 1
+        dest = hv.worker("vm-qat-churn", "qat")
+        assert dest.handles.snapshot_ids() == \
+            source.handles.snapshot_ids() == {instance.value}
+
     def test_corpus_deterministic(self):
         assert make_corpus(2, 1024, 7) == make_corpus(2, 1024, 7)

@@ -97,6 +97,15 @@ class TestFunctionInference:
             is RecordKind.DESTROY
         )
 
+    def test_record_kind_retain(self):
+        from repro.stack import load_spec
+
+        shipped = load_spec("opencl")
+        for name in ("clRetainContext", "clRetainCommandQueue",
+                     "clRetainMemObject", "clRetainProgram",
+                     "clRetainKernel"):
+            assert shipped.function(name).record_kind is RecordKind.RETAIN
+
     def test_record_kind_modify(self, spec):
         assert spec.function("clSetKernelArg").record_kind is RecordKind.MODIFY
         assert spec.function("clBuildProgram").record_kind is RecordKind.MODIFY

@@ -1,5 +1,6 @@
 """Unit tests for the CAvA spec-language parser (Figure 4 syntax)."""
 
+import os
 import textwrap
 
 import pytest
@@ -234,6 +235,50 @@ class TestShrinks:
             "{ parameter(data) { buffer(data_size); shrinks(produced); } }"
         )
         assert any("not an output" in p for p in spec.validate())
+
+
+BAD_DIR = os.path.join(os.path.dirname(__file__), "specs_bad")
+
+
+class TestReferenceValidation:
+    """Only ``record(destroy)`` frees a handle, and ``record(retain)``
+    needs a handle to reference."""
+
+    SPEC = "type(widget) {{ handle; }}\nint {fn}({params}) {{ {body} }}\n"
+
+    def _problems(self, fn, body, params="widget w"):
+        return parse_spec(self.SPEC.format(
+            fn=fn, params=params, body=body)).validate()
+
+    def test_deallocates_needs_record_destroy(self):
+        problems = self._problems("removeWidget",
+                                  "parameter(w) { deallocates; }")
+        assert any("not record(destroy)" in p for p in problems)
+        assert self._problems("removeWidget", "parameter(w) "
+                              "{ deallocates; } record(destroy);") == []
+        # a destroy verb infers the category
+        assert self._problems("releaseWidget",
+                              "parameter(w) { deallocates; }") == []
+
+    def test_seed_spec_rejected(self):
+        spec = parse_spec_file(os.path.join(
+            BAD_DIR, "validate_deallocates_without_destroy.cava"))
+        assert any(p.startswith("removeWidget:") and "record(destroy)" in p
+                   for p in spec.validate())
+        with pytest.raises(SpecSemanticError):
+            spec.require_valid()
+
+    def test_retain_needs_a_handle_parameter(self):
+        assert self._problems("retainWidget", "") == []
+        assert parse_spec(self.SPEC.format(
+            fn="retainWidget", params="widget w",
+            body="")).function("retainWidget").record_kind \
+            is RecordKind.RETAIN
+        problems = self._problems("pin", "record(retain);", params="int n")
+        assert any("record(retain)" in p for p in problems)
+        problems = self._problems("pin", "record(retain);",
+                                  params="widget *boxes, int n")
+        assert any("record(retain)" in p for p in problems)
 
 
 class TestSupersedes:
