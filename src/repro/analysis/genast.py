@@ -9,7 +9,8 @@ produced it:
 * the order in which the guest stub encodes marshaled parameters equals
   the order the server stub decodes them (protocol agreement, CAVA301),
 * every handle parameter flows through the worker's handle translation
-  (``lookup_optional`` / ``lookup_list`` in, ``bind`` out, CAVA302),
+  (``handles.lookup_optional`` / ``handles.lookup_list`` in, ``bind``
+  out, CAVA302),
 * an unconditionally-async stub never registers a reply-dependent
   output outside a caller-opt-in guard (CAVA303),
 * every generated ``raise`` is a typed remoting error and every
@@ -362,20 +363,20 @@ def analyze_generated(
             source = server.decode_sources.get(param.name, "")
             if cls is ParamClass.HANDLE:
                 checks += 1
-                if "worker.lookup_optional" not in source:
+                if "worker.handles.lookup_optional" not in source:
                     diags.append(Diagnostic(
                         "CAVA302", f"{fname}.{param.name}",
                         f"handle parameter {param.name!r} is not "
-                        f"translated through worker.lookup_optional "
+                        f"translated through worker.handles.lookup_optional "
                         f"(decoded as: {source or '<missing>'})",
                     ))
             elif cls is ParamClass.HANDLE_ARRAY_IN:
                 checks += 1
-                if "worker.lookup_list" not in source:
+                if "worker.handles.lookup_list" not in source:
                     diags.append(Diagnostic(
                         "CAVA302", f"{fname}.{param.name}",
                         f"handle array {param.name!r} is not translated "
-                        f"through worker.lookup_list "
+                        f"through worker.handles.lookup_list "
                         f"(decoded as: {source or '<missing>'})",
                     ))
             elif cls in (ParamClass.HANDLE_BOX_OUT,

@@ -22,9 +22,11 @@ def _emit_unmarshal(writer: CodeWriter, spec: ApiSpec,
                ParamClass.SCALAR_ARRAY_IN):
         writer.line(f"{name} = cmd.scalars.get({name!r})")
     elif cls is ParamClass.HANDLE:
-        writer.line(f"{name} = worker.lookup_optional(cmd.handles.get({name!r}))")
+        writer.line(f"{name} = worker.handles.lookup_optional("
+                    f"cmd.handles.get({name!r}))")
     elif cls is ParamClass.HANDLE_ARRAY_IN:
-        writer.line(f"{name} = worker.lookup_list(cmd.handles.get({name!r}))")
+        writer.line(f"{name} = worker.handles.lookup_list("
+                    f"cmd.handles.get({name!r}))")
     elif cls in (ParamClass.HANDLE_BOX_OUT, ParamClass.SCALAR_BOX_OUT):
         writer.line(
             f"{name} = OutBox() if {name!r} in cmd.out_sizes else None"

@@ -6,8 +6,9 @@ frame is handed to the router and the answer read back) with one that
 consults a :class:`~repro.faults.plan.FaultPlan`: command frames may be
 dropped, corrupted, delayed, or duplicated in flight, and reply frames
 dropped or delayed.  Encoding, counters, pricing and the send span stay
-the base class's, and the cost hooks delegate to the wrapped transport,
-so a fault-free frame is priced exactly as it would be without it.
+the base class's, and the legs and span attributes are the wrapped
+transport's, so a fault-free frame is priced exactly as it would be
+without it.
 
 Failure semantics mirror a real channel:
 
@@ -25,7 +26,7 @@ Failure semantics mirror a real channel:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.remoting.codec import CommandBatch, NeedBytes, Reply
@@ -46,20 +47,10 @@ class FaultyTransport(Transport):
         self.vm_id = inner.vm_id
         self.plan = plan
         self.name = f"faulty+{inner.name}"
-
-    # -- costs delegate to the wrapped transport -----------------------------
-
-    def send_cost(self, nbytes: int) -> float:
-        return self.inner.send_cost(nbytes)
-
-    def recv_cost(self, nbytes: int) -> float:
-        return self.inner.recv_cost(nbytes)
-
-    def enqueue_cost(self, nbytes: int) -> float:
-        return self.inner.enqueue_cost(nbytes)
-
-    def span_attrs(self, nbytes: int) -> Dict[str, Any]:
-        return self.inner.span_attrs(nbytes)
+        # priced and traced as the wrapped transport
+        self.send, self.enqueue, self.reply = (
+            inner.send, inner.enqueue, inner.reply)
+        self.span_attrs = inner.span_attrs
 
     # -- the fault-injecting crossing step ---------------------------------
 

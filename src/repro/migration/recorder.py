@@ -14,9 +14,11 @@ The log keeps only the calls that determine *current* state
 * **Object tracking**, in the style of Nooks, with references: a
   destroy drops the newest retain record of each handle it names; a
   handle with none dies, and its creation record and any modification
-  records that referenced it are dropped.  The destroy itself is never
-  logged — replaying the log therefore recreates exactly the live
-  objects, with their reference counts.
+  records that referenced it are dropped.  A creation record that made
+  several handles stays while any of them lives: the destroy is kept
+  on it and replayed right after it.  No other destroy is logged —
+  replaying the log therefore recreates exactly the live objects, with
+  their reference counts.
 * **Supersede**: a later successful call to the same function whose
   spec-declared ``supersedes(...)`` parameters all carry equal values
   makes the earlier record dead, unless that earlier record created
@@ -63,6 +65,10 @@ class RecordedCall:
     serial: int = 0
     #: supersede key this record is indexed under (None: it accumulates)
     key: Optional[Hashable] = None
+    #: destroys of some of the handles it created while others lived,
+    #: replayed right after it, and the created ids they killed
+    releases: List[Command] = field(default_factory=list)
+    released: Set[int] = field(default_factory=set)
 
     def created_ids(self) -> Set[int]:
         return _handle_ids(self.created)
@@ -194,7 +200,8 @@ class CallRecorder:
         """Drop one reference to each handle a destroy names: its newest
         retain record, or, with none, the handle and every record that
         created it or modified it (replaying either would touch a dead
-        object).  Only the records indexed under those ids are visited.
+        object), bar a creation with a live sibling, which keeps the
+        destroy.  Only the records indexed under those ids are visited.
         """
         dead: Set[int] = set()
         consumed = 0
@@ -208,21 +215,25 @@ class CallRecorder:
             self._drop(retain)
             self.pruned_calls += 1
             consumed = max(consumed, retain.serial)
-        for gid in dead:
-            for entry in tuple(self._by_handle.get(gid, ())):
-                if entry.serial not in self._records:
-                    continue  # dropped under another dead id of this call
-                if entry.created_ids() & dead:
-                    consumed = max(consumed, entry.serial)
-                elif not (entry.kind is RecordKind.MODIFY
-                          and entry.referenced & dead):
+        for entry in {entry for gid in dead
+                      for entry in self._by_handle.get(gid, ())}:
+            created = entry.created_ids()
+            if created & dead:
+                consumed = max(consumed, entry.serial)
+                entry.released |= created & dead
+                if entry.released != created:  # a sibling lives on
+                    own_payloads(command.in_buffers)
+                    entry.releases.append(command)
                     continue
-                self._drop(entry)
-                self.pruned_calls += 1
+            elif not (entry.kind is RecordKind.MODIFY
+                      and entry.referenced & dead):
+                continue
+            self._drop(entry)
+            self.pruned_calls += 1
         return frozenset(dead), consumed
 
     def live_created_ids(self) -> Set[int]:
         ids: Set[int] = set()
         for entry in self._records.values():
-            ids |= entry.created_ids()
+            ids |= entry.created_ids() - entry.released
         return ids

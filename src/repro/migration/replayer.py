@@ -68,15 +68,20 @@ def _is_buffer_object(obj: Any) -> bool:
 
 
 def replay_entry(target: "ApiServerWorker", entry: Any) -> None:
-    """Re-execute one recorded call on ``target`` with forced ids."""
+    """Re-execute one recorded call on ``target`` with forced ids, then
+    the destroys it carries (a multi-handle creation some of whose
+    handles died), so that only the survivors stay bound."""
     # Forced ids must be copied: bind() pops from lists in place.
     target.handle_override = copy.deepcopy(entry.created)
     try:
-        command = copy.deepcopy(entry.command)
-        reply = target.execute(command, release_time=target.clock.now)
+        for command in (entry.command, *entry.releases):
+            reply = target.execute(copy.deepcopy(command),
+                                   release_time=target.clock.now)
+            if reply.error is not None:
+                raise MigrationError(
+                    f"replaying {command.function} failed: {reply.error}"
+                )
     finally:
         target.handle_override = None
-    if reply.error is not None:
-        raise MigrationError(
-            f"replaying {entry.command.function} failed: {reply.error}"
-        )
+    for gid in entry.released:
+        target.handles.free(gid)

@@ -93,6 +93,12 @@ class HandleTable:
             return None
         return self.lookup(guest_id)
 
+    def lookup_list(self, guest_ids: Optional[List[int]]) -> Optional[List[Any]]:
+        """:meth:`lookup` each id of a handle array; None stays None."""
+        if guest_ids is None:
+            return None
+        return [self.lookup(g) for g in guest_ids]
+
     def free(self, guest_id: int) -> Any:
         """Remove a handle, returning the host object it named."""
         obj = self.lookup(guest_id)

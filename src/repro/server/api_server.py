@@ -11,7 +11,7 @@ and returned as an error reply — other VMs' workers never observe it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.remoting.codec import Command, Reply
 from repro.remoting.handles import HandleError, HandleTable
@@ -75,14 +75,6 @@ class ApiServerWorker:
         self.pool_device: Optional[Any] = None
 
     # -- helpers the generated server stubs call ------------------------------
-
-    def lookup_optional(self, guest_id: Any) -> Any:
-        return self.handles.lookup_optional(guest_id)
-
-    def lookup_list(self, guest_ids: Optional[List[int]]) -> Optional[List[Any]]:
-        if guest_ids is None:
-            return None
-        return [self.handles.lookup(g) for g in guest_ids]
 
     def bind(self, param: str, obj: Any) -> int:
         """Register a freshly created host object under a guest id.

@@ -11,7 +11,7 @@ class that charges them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.remoting.codec import (
     Command,
@@ -29,6 +29,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 class TransportError(Exception):
     """Transport-level failure (oversized frame, closed channel...)."""
+
+
+@dataclass(frozen=True)
+class Leg:
+    """The price of one leg of a frame's trip across a channel:
+    ``frame + units × per_unit + nbytes × per_byte`` seconds.
+
+    A unit is what the channel moves a frame in (a ring drain batch, a
+    network packet) of ``unit_bytes`` each; a frame counts at least one.
+    """
+
+    frame: float
+    per_byte: float
+    per_unit: float = 0.0
+    unit_bytes: int = 1
+
+    def price(self, nbytes: int) -> float:
+        units = -(-nbytes // self.unit_bytes) or 1
+        return self.frame + units * self.per_unit + nbytes * self.per_byte
 
 
 @dataclass
@@ -72,15 +91,18 @@ class DeliveryResult:
 
 
 class Transport:
-    """Base class: cost hooks + the shared delivery mechanics."""
+    """Base class: the shared delivery mechanics.  A subclass declares
+    three legs: ``send`` prices a sync command, ``enqueue`` an async one
+    or a batch frame (queued without a doorbell round trip, §4.2), and
+    ``reply`` a lone command's answer."""
 
     name = "abstract"
     #: the VM whose frames this channel carries (set by ``create_vm``),
     #: the router's sender; None on a hand-built channel
     vm_id: Optional[str] = None
-    #: guest seconds to append one asynchronous frame to the shared
-    #: command queue
-    enqueue_overhead = 0.15e-6
+    send: Leg
+    enqueue: Leg
+    reply: Leg
 
     def __init__(self, router: "Router") -> None:
         self.router = router
@@ -91,24 +113,6 @@ class Transport:
         self.tx_bytes = 0
         self.rx_bytes = 0
         self.messages = 0
-
-    # -- cost hooks (subclasses override) -----------------------------------
-
-    def send_cost(self, nbytes: int) -> float:
-        raise NotImplementedError
-
-    def recv_cost(self, nbytes: int) -> float:
-        raise NotImplementedError
-
-    def enqueue_cost(self, nbytes: int) -> float:
-        """Guest-side cost of an *asynchronous* submission.
-
-        Async commands are appended to the shared command queue without
-        waiting for a doorbell round trip (the batching/lazy-RPC
-        optimization of §4.2) — the guest pays the copy, not the exit.
-        Subclasses with per-byte copy costs should override.
-        """
-        return self.enqueue_overhead
 
     def span_attrs(self, nbytes: int) -> Dict[str, Any]:
         """Transport-specific attributes for the ``transport.send`` span.
@@ -130,7 +134,7 @@ class Transport:
         """
         return self._exchange(
             command, guest_now,
-            self.enqueue_cost if asynchronous else self.send_cost,
+            self.enqueue if asynchronous else self.send,
             "async" if asynchronous else "sync")
 
     def deliver_batch(self, batch: CommandBatch,
@@ -142,22 +146,21 @@ class Transport:
         doorbell-equivalent fixed charge, not one per command), and the
         router answers with a single :class:`ReplyBatch`.
         """
-        return self._exchange(batch, guest_now, self.enqueue_cost, "batch")
+        return self._exchange(batch, guest_now, self.enqueue, "batch")
 
-    def _exchange(self, frame: Any, guest_now: float,
-                  cost: Callable[[int], float],
+    def _exchange(self, frame: Any, guest_now: float, leg: Leg,
                   submit: str) -> DeliveryResult:
         """Put one frame across the channel and read the answer.
 
         The one body behind both entry points: they differ only in the
-        ``cost`` hook that prices the frame and the ``submit`` kind its
-        span records.  Only a lone command pays for its reply leg.
+        ``leg`` that prices the frame and the ``submit`` kind its span
+        records.  Only a lone command pays for its reply leg.
         """
         wire = self.codec.encode_command(frame)
         nbytes = len(wire)
         self.tx_bytes += nbytes
         self.messages += 1
-        sent_at = guest_now + cost(nbytes)
+        sent_at = guest_now + leg.price(nbytes)
         tracer = _tele.active()
         if tracer.enabled:
             # a command's send hangs off the guest call that issued
@@ -189,7 +192,7 @@ class Transport:
             return DeliveryResult(
                 [], sent_at, completed_at,
                 error=answer.error or "router returned an empty reply")
-        reply_cost = self.recv_cost(reply_bytes)
+        reply_cost = self.reply.price(reply_bytes)
         if isinstance(answer, Reply):
             return DeliveryResult([answer], sent_at, completed_at,
                                   reply_cost)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.transport.base import Transport
+from repro.transport.base import Leg, Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.router import Router
@@ -30,20 +30,10 @@ class InProcTransport(Transport):
         super().__init__(router)
         if latency < 0 or byte_cost < 0:
             raise ValueError("transport costs cannot be negative")
-        self.latency = latency
         # per-byte cost models shared-page forwarding: bulk payloads are
         # handed over by page mapping, not copied through the channel
-        self.byte_cost = byte_cost
-        self.enqueue_overhead = enqueue_overhead
-
-    def send_cost(self, nbytes: int) -> float:
-        return self.latency + nbytes * self.byte_cost
-
-    def recv_cost(self, nbytes: int) -> float:
-        return self.latency + nbytes * self.byte_cost
-
-    def enqueue_cost(self, nbytes: int) -> float:
-        return self.enqueue_overhead + nbytes * self.byte_cost
+        self.send = self.reply = Leg(latency, byte_cost)
+        self.enqueue = Leg(enqueue_overhead, byte_cost)
 
     def span_attrs(self, nbytes: int):
-        return {"doorbell_us": self.latency * 1e6}
+        return {"doorbell_us": self.send.frame * 1e6}

@@ -9,7 +9,7 @@ disaggregation (compute-bound) and which do not (chatty / copy-heavy).
 
 from __future__ import annotations
 
-from repro.transport.base import Transport
+from repro.transport.base import Leg, Transport
 
 
 class NetworkTransport(Transport):
@@ -24,20 +24,10 @@ class NetworkTransport(Transport):
     mtu = 9000
     #: seconds of NIC and stack work per packet
     per_packet_cost = 0.6e-6
-
-    def _cost(self, nbytes: int) -> float:
-        packets = max(1, -(-nbytes // self.mtu))
-        return (
-            self.latency
-            + packets * self.per_packet_cost
-            + nbytes / self.bandwidth
-        )
-
-    def send_cost(self, nbytes: int) -> float:
-        return self._cost(nbytes)
-
-    def recv_cost(self, nbytes: int) -> float:
-        return self._cost(nbytes)
+    send = reply = Leg(latency, 1 / bandwidth, per_packet_cost, mtu)
+    #: a pipelined async frame pays its packets and wire time; its
+    #: one-way latency overlaps the sends after it
+    enqueue = Leg(0.0, 1 / bandwidth, per_packet_cost, mtu)
 
     def span_attrs(self, nbytes: int):
         return {

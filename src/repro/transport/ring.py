@@ -10,8 +10,25 @@ cheap small commands, visibly stepped costs for bulk payloads.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from repro.transport.base import Transport
+from repro.transport.base import Leg, Transport
+
+
+@dataclass(frozen=True)
+class SideBandLeg(Leg):
+    """The ring's sync leg: a frame over ``ring_bytes`` goes side-band."""
+
+    ring_bytes: int = 0
+
+    def price(self, nbytes: int) -> float:
+        if nbytes > self.ring_bytes:
+            # side-band bulk path: payloads that do not fit the FIFO are
+            # placed in guest memory regions the command references
+            # (SVGA's design) — pinning costs a little extra per byte
+            # and three doorbells (submission, descriptor, completion)
+            return 3 * self.per_unit + nbytes * self.per_byte * 1.25
+        return super().price(nbytes)
 
 
 class RingTransport(Transport):
@@ -25,44 +42,20 @@ class RingTransport(Transport):
     doorbell_latency = 1.2e-6
     #: seconds per byte copied into (or out of) the ring
     copy_byte_cost = 0.012e-9
+    #: one doorbell per 64-slot drain batch (the producer stalls while
+    #: the consumer empties the ring), side-band past the ring's capacity
+    send = SideBandLeg(0.0, copy_byte_cost, doorbell_latency,
+                       64 * slot_bytes, slots * slot_bytes)
     #: async producers write slots without ringing the doorbell
-    enqueue_overhead = 0.2e-6
+    enqueue = Leg(0.2e-6, copy_byte_cost)
+    reply = Leg(doorbell_latency, copy_byte_cost)
 
     @property
     def capacity_bytes(self) -> int:
         return self.slot_bytes * self.slots
 
-    def _slot_count(self, nbytes: int) -> int:
-        return max(1, math.ceil(nbytes / self.slot_bytes))
-
-    def send_cost(self, nbytes: int) -> float:
-        needed = self._slot_count(nbytes)
-        if needed > self.slots:
-            # side-band bulk path: payloads that do not fit the FIFO are
-            # placed in guest memory regions the command references
-            # (SVGA's design) — pinning costs a little extra per byte
-            # and two doorbells (descriptor + completion)
-            return (
-                3 * self.doorbell_latency
-                + nbytes * self.copy_byte_cost * 1.25
-            )
-        # one doorbell for the submission, plus one per 64-slot drain
-        # batch beyond the first: the producer stalls while the consumer
-        # empties the ring, so huge messages pay extra doorbells
-        doorbells = 1 + (needed - 1) // 64
-        return (
-            doorbells * self.doorbell_latency
-            + nbytes * self.copy_byte_cost
-        )
-
-    def recv_cost(self, nbytes: int) -> float:
-        return self.doorbell_latency + nbytes * self.copy_byte_cost
-
-    def enqueue_cost(self, nbytes: int) -> float:
-        return self.enqueue_overhead + nbytes * self.copy_byte_cost
-
     def span_attrs(self, nbytes: int):
-        needed = self._slot_count(nbytes)
+        needed = max(1, math.ceil(nbytes / self.slot_bytes))
         return {
             "slots": needed,
             "sideband": needed > self.slots,

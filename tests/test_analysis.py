@@ -207,7 +207,7 @@ class TestGeneratedAst:
     def test_handle_translation_bypass_caught(self):
         spec, sources = self._sources()
         tampered = self._tampered(sources, server_source=(
-            "worker.lookup_optional(cmd.handles.get('graph_handle'))",
+            "worker.handles.lookup_optional(cmd.handles.get('graph_handle'))",
             "cmd.handles.get('graph_handle')",
         ))
         diags, _ = analyze_generated(spec, sources=tampered)

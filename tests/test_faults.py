@@ -573,9 +573,11 @@ class TestFaultTelemetry:
         inner = vm.driver.transport
         wrapped = FaultyTransport(inner, FaultPlan(seed=SEED))
         for nbytes in (64, 4096, 1 << 20):
-            assert wrapped.send_cost(nbytes) == inner.send_cost(nbytes)
-            assert wrapped.recv_cost(nbytes) == inner.recv_cost(nbytes)
-            assert wrapped.enqueue_cost(nbytes) == inner.enqueue_cost(nbytes)
+            assert wrapped.send.price(nbytes) == inner.send.price(nbytes)
+            assert wrapped.reply.price(nbytes) == inner.reply.price(nbytes)
+            assert (wrapped.enqueue.price(nbytes)
+                    == inner.enqueue.price(nbytes))
+            assert wrapped.span_attrs(nbytes) == inner.span_attrs(nbytes)
 
 
 class TestXferCacheChaos:

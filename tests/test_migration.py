@@ -1102,6 +1102,83 @@ class TestReferenceCounts:
         assert np.array_equal(read_words(cl, state, 4), data)
 
 
+class TestMultiHandleRecords:
+    """A call that creates several handles is one record; releasing one
+    of them keeps the record for the others (its siblings)."""
+
+    def test_release_keeps_the_record_while_a_sibling_lives(self):
+        recorder = CallRecorder()
+        recorder.record(command("makeAll"),
+                        Reply(seq=1, new_handles={"hs": [20, 21]}),
+                        RecordKind.CREATE)
+        release = command("free", handles={"h": 20})
+        dead, consumed = recorder.record(release, Reply(seq=2),
+                                         RecordKind.DESTROY)
+        assert (dead, consumed) == ({20}, 1)
+        (entry,) = recorder.log
+        assert entry.releases == [release] and entry.released == {20}
+        assert recorder.live_created_ids() == {21}
+        dead, _ = recorder.record(command("free", handles={"h": 21}),
+                                  Reply(seq=3), RecordKind.DESTROY)
+        assert dead == {21}
+        assert len(recorder) == 0 and recorder.live_created_ids() == set()
+
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_sibling_survives_migration(self, rounds):
+        vm_id = f"vm-siblings-{rounds}"
+        hv, vm, cl, state = live_stack(vm_id, n=4)
+        err = OutBox()
+        prog = cl.clCreateProgramWithSource(
+            state["ctx"], 1, VECTOR_SRC + "\n" + SCALE_SRC, None, err)
+        assert cl.clBuildProgram(prog, 0, None, "", None,
+                                 None) == types.CL_SUCCESS
+        kernels = [None, None]
+        assert cl.clCreateKernelsInProgram(prog, 2, kernels,
+                                           None) == types.CL_SUCCESS
+        first, second = kernels
+        assert cl.clReleaseKernel(first) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        source = hv.worker(vm_id, "opencl")
+        assert first not in source.handles and second in source.handles
+        report = hv.live_migrate_vm(vm_id, "opencl",
+                                    policy=MigrationPolicy(max_rounds=rounds))
+        assert not report.aborted, report.reason
+        dest = hv.worker(vm_id, "opencl")
+        assert dest is not source
+        assert dest.handles.snapshot_ids() == source.handles.snapshot_ids()
+        num_args = bytearray(8)
+        assert cl.clGetKernelInfo(second, types.CL_KERNEL_NUM_ARGS, 8,
+                                  num_args, None) == types.CL_SUCCESS
+        assert int.from_bytes(bytes(num_args), "little") == 3
+        assert cl.clReleaseKernel(second) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        assert second not in dest.handles
+        log = hv.router.vms[vm_id].logs["opencl"]
+        assert {first, second}.isdisjoint(log.live_created_ids())
+
+    def test_release_after_the_record_was_replayed(self):
+        """Released mid-migration, after a pre-copy round replayed the
+        creation: the destination replays the release on its own."""
+        hv, vm, cl, state = live_stack("vm-siblings-mid", n=4)
+        err = OutBox()
+        prog = cl.clCreateProgramWithSource(
+            state["ctx"], 1, VECTOR_SRC + "\n" + SCALE_SRC, None, err)
+        cl.clBuildProgram(prog, 0, None, "", None, None)
+        kernels = [None, None]
+        cl.clCreateKernelsInProgram(prog, 2, kernels, None)
+        engine = hv.start_live_migration(
+            "vm-siblings-mid", "opencl", policy=MigrationPolicy(max_rounds=2))
+        engine.precopy_round()
+        assert set(kernels) <= engine.dest.handles.snapshot_ids()
+        assert cl.clReleaseKernel(kernels[0]) == types.CL_SUCCESS
+        cl.clFinish(state["queue"])
+        report = engine.cutover()
+        assert not report.aborted, report.reason
+        assert engine.dest.handles.snapshot_ids() == \
+            engine.source.handles.snapshot_ids()
+        assert kernels[1] in engine.dest.handles
+
+
 class TestMigrationSeedGaps:
     """Replay failures and log churn, under both policies."""
 

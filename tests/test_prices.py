@@ -28,10 +28,12 @@ from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.metrics import LatencyHistogram
 from repro.transport import (
     InProcTransport,
+    Leg,
     NetworkTransport,
     RingTransport,
     Transport,
 )
+from repro.transport.ring import SideBandLeg
 
 #: (class that charges it, name, value, the policy that used to carry it)
 CONSTANTS = [
@@ -44,16 +46,21 @@ CONSTANTS = [
     (MigrationChannel, "frame_latency", 10e-6, MigrationPolicy),
     (MigrationChannel, "frame_timeout", 200e-6, MigrationPolicy),
     (LiveMigration, "ref_bytes", 34, MigrationPolicy),
-    (Transport, "enqueue_overhead", 0.15e-6, None),
     (RingTransport, "slot_bytes", 4096, None),
     (RingTransport, "slots", 256, None),
     (RingTransport, "doorbell_latency", 1.2e-6, None),
     (RingTransport, "copy_byte_cost", 0.012e-9, None),
-    (RingTransport, "enqueue_overhead", 0.2e-6, None),
+    (RingTransport, "send",
+     SideBandLeg(0.0, 0.012e-9, 1.2e-6, 64 * 4096, 256 * 4096), None),
+    (RingTransport, "enqueue", Leg(0.2e-6, 0.012e-9), None),
+    (RingTransport, "reply", Leg(1.2e-6, 0.012e-9), None),
     (NetworkTransport, "latency", 25e-6, None),
     (NetworkTransport, "bandwidth", 5e9, None),
     (NetworkTransport, "mtu", 9000, None),
     (NetworkTransport, "per_packet_cost", 0.6e-6, None),
+    (NetworkTransport, "send", Leg(25e-6, 1 / 5e9, 0.6e-6, 9000), None),
+    (NetworkTransport, "enqueue", Leg(0.0, 1 / 5e9, 0.6e-6, 9000), None),
+    (NetworkTransport, "reply", Leg(25e-6, 1 / 5e9, 0.6e-6, 9000), None),
     (PageSwapManager, "fault_cost", 3.0e-6, None),
     (LogHistogram, "buckets_per_decade", 90, None),
     (LogHistogram, "min_value", 1e-9, None),

@@ -77,6 +77,15 @@ class TestLookupErrors:
         thing = Thing()
         assert table.lookup_optional(table.allocate(thing)) is thing
 
+    def test_lookup_list(self):
+        table = HandleTable()
+        things = [Thing(), Thing()]
+        ids = [table.allocate(thing) for thing in things]
+        assert table.lookup_list(None) is None
+        assert table.lookup_list(ids[::-1]) == things[::-1]
+        with pytest.raises(HandleError):
+            table.lookup_list([ids[0], 0xDEAD])
+
 
 class TestReverseAndFree:
     def test_free_returns_object(self):

@@ -1,8 +1,10 @@
 """Unit tests for the pluggable transports."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultPlan, FaultyTransport
+from repro.hypervisor.hypervisor import TRANSPORTS
 from repro.remoting.codec import (
     CodecError,
     Command,
@@ -13,7 +15,12 @@ from repro.remoting.codec import (
 )
 from repro.telemetry import Tracer
 from repro.telemetry import tracer as tele
-from repro.transport.base import DeliveryResult, Transport, TransportError
+from repro.transport.base import (
+    DeliveryResult,
+    Leg,
+    Transport,
+    TransportError,
+)
 from repro.transport.inproc import InProcTransport
 from repro.transport.network import NetworkTransport
 from repro.transport.ring import RingTransport
@@ -80,7 +87,7 @@ class TestDeliveryMechanics:
 class TestInProc:
     def test_cost_linear_in_bytes(self):
         transport = InProcTransport(EchoRouter())
-        assert transport.send_cost(10_000) > transport.send_cost(0)
+        assert transport.send.price(10_000) > transport.send.price(0)
 
     def test_negative_costs_rejected(self):
         with pytest.raises(ValueError):
@@ -91,8 +98,8 @@ class TestRing:
     def test_small_message_single_doorbell(self):
         ring = RingTransport(EchoRouter())
         assert ring.slot_bytes == 4096
-        cost_small = ring.send_cost(100)
-        cost_one_slot = ring.send_cost(4000)
+        cost_small = ring.send.price(100)
+        cost_one_slot = ring.send.price(4000)
         assert cost_small == pytest.approx(
             cost_one_slot - 3900 * ring.copy_byte_cost
         )
@@ -100,19 +107,19 @@ class TestRing:
     def test_large_message_extra_doorbells(self):
         ring = RingTransport(EchoRouter())
         per_byte = ring.copy_byte_cost
-        small = ring.send_cost(4096) - 4096 * per_byte
+        small = ring.send.price(4096) - 4096 * per_byte
         # 128 slots: still in the ring, past the first 64-slot drain
-        big = ring.send_cost(4096 * 128) - 4096 * 128 * per_byte
+        big = ring.send.price(4096 * 128) - 4096 * 128 * per_byte
         assert big > small
 
     def test_oversized_message_uses_sideband(self):
         ring = RingTransport(EchoRouter())
         capacity = ring.slot_bytes * ring.slots
-        in_ring = ring.send_cost(capacity)
-        sideband = ring.send_cost(capacity + ring.slot_bytes)
+        in_ring = ring.send.price(capacity)
+        sideband = ring.send.price(capacity + ring.slot_bytes)
         # side-band pays extra doorbells and a pinning premium per byte
         assert sideband > in_ring
-        per_byte_sideband = ((ring.send_cost(capacity * 2) - sideband)
+        per_byte_sideband = ((ring.send.price(capacity * 2) - sideband)
                              / (capacity - ring.slot_bytes))
         assert per_byte_sideband > ring.copy_byte_cost
 
@@ -125,24 +132,80 @@ class TestNetwork:
     def test_higher_latency_than_inproc(self):
         net = NetworkTransport(EchoRouter())
         local = InProcTransport(EchoRouter())
-        assert net.send_cost(0) > local.send_cost(0)
+        assert net.send.price(0) > local.send.price(0)
 
     def test_packetization(self):
         net = NetworkTransport(EchoRouter())
-        one_packet = net.send_cost(net.mtu - 100)
-        many_packets = net.send_cost(net.mtu * 9)
+        one_packet = net.send.price(net.mtu - 100)
+        many_packets = net.send.price(net.mtu * 9)
         extra_packets = 9 - 1
         assert many_packets - one_packet >= \
             extra_packets * net.per_packet_cost
 
 
+#: every registered transport, bare and behind the fault injector
+CHANNELS = [
+    channel
+    for name, cls in sorted(TRANSPORTS.items())
+    for channel in (
+        pytest.param(lambda cls=cls: cls(EchoRouter()), id=name),
+        pytest.param(lambda cls=cls: FaultyTransport(cls(EchoRouter()),
+                                                     FaultPlan()),
+                     id=f"faulty+{name}"),
+    )
+]
+
+
+#: prices are compared to within a femtosecond: far below the smallest
+#: price term (one byte over the in-proc channel, 8 ps) and far above
+#: float rounding
+SLACK = 1e-15
+#: frame sizes up to 16 MiB, past the ring's 1 MiB side-band threshold
+FRAME = st.integers(min_value=0, max_value=1 << 24)
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+class TestPricingProperty:
+    """Every transport prices each leg it carries, bytes included."""
+
+    @settings(max_examples=60)
+    @given(small=FRAME, extra=FRAME)
+    def test_async_grows_at_least_at_the_wire_rate(self, channel, small,
+                                                   extra):
+        transport = channel()
+        grown = (transport.enqueue.price(small + extra)
+                 - transport.enqueue.price(small))
+        assert grown >= extra * transport.send.per_byte - SLACK
+
+    @settings(max_examples=60)
+    @given(nbytes=FRAME)
+    def test_async_costs_no_more_than_sync(self, channel, nbytes):
+        transport = channel()
+        assert (transport.enqueue.price(nbytes)
+                <= transport.send.price(nbytes) + SLACK)
+
+    @settings(max_examples=60)
+    @given(sizes=st.lists(st.integers(min_value=0, max_value=1 << 20),
+                          min_size=1, max_size=32))
+    def test_batch_costs_no_more_than_its_commands(self, channel, sizes):
+        transport = channel()
+        one_by_one = sum(transport.enqueue.price(n) for n in sizes)
+        assert transport.enqueue.price(sum(sizes)) <= one_by_one + SLACK
+
+
 class TestAbstractBase:
     def test_base_costs_not_implemented(self):
+        """The base declares no price, and every transport prices with
+        its three legs alone: no cost hook, no async default."""
         transport = Transport(EchoRouter())
-        with pytest.raises(NotImplementedError):
-            transport.send_cost(0)
-        with pytest.raises(NotImplementedError):
-            transport.recv_cost(0)
+        for leg in ("send", "enqueue", "reply"):
+            assert not hasattr(transport, leg)
+        with pytest.raises(AttributeError):
+            transport.deliver(make_command(), 0.0)
+        for cls in (Transport, FaultyTransport, *TRANSPORTS.values()):
+            for name in ("send_cost", "recv_cost", "enqueue_cost",
+                         "enqueue_overhead"):
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
     def test_non_reply_result_rejected(self):
         class BadRouter:
@@ -204,19 +267,13 @@ def make_batch(count=3):
         for seq in range(1, count + 1)])
 
 
-class CostOnlyTransport(Transport):
-    """The subclassing contract: override the cost hooks, nothing else."""
+class LegsOnlyTransport(Transport):
+    """The subclassing contract: declare the three legs, nothing else."""
 
-    name = "cost-only"
-
-    def send_cost(self, nbytes):
-        return 3e-6 + nbytes * 1e-9
-
-    def recv_cost(self, nbytes):
-        return 2e-6 + nbytes * 1e-9
-
-    def enqueue_cost(self, nbytes):
-        return 1e-6
+    name = "legs-only"
+    send = Leg(3e-6, 1e-9)
+    reply = Leg(2e-6, 1e-9)
+    enqueue = Leg(1e-6, 0.0)
 
 
 class TestSharedExchange:
@@ -244,15 +301,15 @@ class TestSharedExchange:
         assert inner.messages == inner.tx_bytes == inner.rx_bytes == 0
         assert faulty.plan.events == []
 
-    def test_cost_hooks_are_the_whole_subclassing_contract(self):
-        transport = CostOnlyTransport(BatchEchoRouter())
+    def test_legs_are_the_whole_subclassing_contract(self):
+        transport = LegsOnlyTransport(BatchEchoRouter())
         tracer = Tracer()
         with tele.use(tracer):
             single = transport.deliver(make_command(b"abc"), 1.0)
             queued = transport.deliver(make_command(), 1.0,
                                        asynchronous=True)
             batch = transport.deliver_batch(make_batch(), 2.0)
-        assert single.sent_at == 1.0 + transport.send_cost(
+        assert single.sent_at == 1.0 + transport.send.price(
             len(encode_message(make_command(b"abc"))))
         assert queued.sent_at == 1.0 + 1e-6
         # the default flush price is one enqueue for the whole frame
@@ -263,9 +320,9 @@ class TestSharedExchange:
         assert transport.tx_bytes > 0 and transport.rx_bytes > 0
         spans = [(span.name, span.attrs["submit"], span.attrs["transport"])
                  for span in tracer.all_spans()]
-        assert spans == [("transport.send", "sync", "cost-only"),
-                         ("transport.send", "async", "cost-only"),
-                         ("transport.flush", "batch", "cost-only")]
+        assert spans == [("transport.send", "sync", "legs-only"),
+                         ("transport.send", "async", "legs-only"),
+                         ("transport.flush", "batch", "legs-only")]
         flush = tracer.all_spans()[-1]
         assert flush.function == "<batch>" and flush.attrs["commands"] == 3
 
@@ -279,7 +336,7 @@ class TestSharedExchange:
         its reply leg."""
 
         def channel():
-            transport = CostOnlyTransport(AnswerRouter(answer))
+            transport = LegsOnlyTransport(AnswerRouter(answer))
             if answer == "lost":
                 return FaultyTransport(transport, FaultPlan(drop=1.0))
             return transport
